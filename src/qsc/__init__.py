@@ -45,10 +45,9 @@ from .hilbert import (
     DEFAULT_EPS,
     AlternativeState,
     DensityOperator,
-    PairProjector,
     ProfileState,
     RankingSpace,
-    WinnerProjector,
+    Subspace,
     alternative_state,
     basis_state,
     density_terms,

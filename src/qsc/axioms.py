@@ -17,8 +17,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
-import numpy as np
-
 from . import serde
 from .choice import ChoiceExtension, ChoiceRule, compose
 from .errors import InvalidArgument
@@ -155,69 +153,46 @@ class ManipulationWitness:
         }
 
 
-class _WelfareTargets:
-    """Target adapter: ordered pairs scored through pair subspaces."""
+class _Targets:
+    """Targets a rule is scored on: ordered pairs (welfare) or alternatives (choice).
 
-    kind = "welfare"
-
-    def __init__(
-        self,
-        rule: WelfareRule,
-        space: RankingSpace,
-        eps: float,
-        targets: list[tuple[str, str]] | None = None,
-    ):
-        self.rule = rule
-        self.space = space
-        self.eps = eps
-        self.targets = list(space.alternatives.ordered_pairs()) if targets is None else targets
-        self._projectors = {t: pair_projector(space, *t) for t in self.targets}
-
-    def ballot_values(self, ballot: DensityOperator) -> dict:
-        return {
-            t: support_probability(ballot, proj, self.eps)
-            for t, proj in self._projectors.items()
-        }
-
-    def society_values(self, profile: ProfileState) -> dict:
-        return self.ballot_values(self.rule.evaluate(profile))
-
-
-class _ChoiceTargets:
-    """Target adapter: single alternatives scored through winner subspaces."""
-
-    kind = "choice"
+    Each target is a subspace of the ranking space. A ballot's value on a
+    target is its weight in that subspace; society's value is read the same
+    way from a welfare rule's output, or from a choice rule's distribution.
+    """
 
     def __init__(
         self,
-        rule: ChoiceRule,
+        rule: WelfareRule | ChoiceRule,
         space: RankingSpace,
         eps: float,
-        targets: list[str] | None = None,
+        targets: list | None = None,
     ):
+        if isinstance(rule, WelfareRule):
+            self.kind = "welfare"
+            self.targets = list(space.alternatives.ordered_pairs()) if targets is None else targets
+            self._subspaces = {t: pair_projector(space, *t) for t in self.targets}
+        elif isinstance(rule, ChoiceRule):
+            self.kind = "choice"
+            self.targets = list(space.alternatives.names) if targets is None else targets
+            self._subspaces = {a: winner_projector(space, a) for a in self.targets}
+        else:
+            raise InvalidArgument(f"not a welfare or choice rule: {rule!r}")
         self.rule = rule
         self.space = space
         self.eps = eps
-        self.targets = list(space.alternatives.names) if targets is None else targets
-        self._projectors = {a: winner_projector(space, a) for a in self.targets}
 
     def ballot_values(self, ballot: DensityOperator) -> dict:
         return {
-            a: support_probability(ballot, proj, self.eps)
-            for a, proj in self._projectors.items()
+            t: support_probability(ballot, subspace, self.eps)
+            for t, subspace in self._subspaces.items()
         }
 
     def society_values(self, profile: ProfileState) -> dict:
         state = self.rule.evaluate(profile)
+        if self.kind == "welfare":
+            return self.ballot_values(state)
         return {a: state[a] for a in self.targets}
-
-
-def _targets_for(rule: WelfareRule | ChoiceRule, space: RankingSpace, eps: float):
-    if isinstance(rule, WelfareRule):
-        return _WelfareTargets(rule, space, eps)
-    if isinstance(rule, ChoiceRule):
-        return _ChoiceTargets(rule, space, eps)
-    raise InvalidArgument(f"not a welfare or choice rule: {rule!r}")
 
 
 @dataclass(frozen=True)
@@ -230,6 +205,13 @@ class CandidateBallotFamily:
     mixture_grid_step: float = 0.25  # 0 disables grid mixtures
     random_pure: int = 0
     random_seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 <= self.mixture_grid_step <= 1.0 or self.random_pure < 0:
+            raise InvalidArgument(
+                "family needs a grid step in [0, 1] and random_pure >= 0, "
+                f"got {self.mixture_grid_step} and {self.random_pure}"
+            )
 
     def describe(self) -> dict:
         return {
@@ -332,7 +314,7 @@ def _orientation_bijection(
     space: RankingSpace, pair: tuple[str, str], rng: random.Random
 ) -> list[int]:
     """Random basis permutation preserving each ranking's x-vs-y orientation."""
-    inside = list(pair_projector(space, *pair).indices)
+    inside = pair_projector(space, *pair).indices.tolist()
     outside = [k for k in range(space.dim) if k not in set(inside)]
     shuffled_in = inside[:]
     shuffled_out = outside[:]
@@ -346,18 +328,11 @@ def _orientation_bijection(
     return perm
 
 
-def _permute_ballot(ballot: DensityOperator, perm: list[int]) -> DensityOperator:
-    moved = np.zeros_like(ballot.matrix)
-    idx = np.array(perm, dtype=np.intp)
-    moved[np.ix_(idx, idx)] = ballot.matrix
-    return DensityOperator(ballot.space, moved)
-
-
 def _permute_profile(profile: ProfileState, perms: list[list[int]]) -> ProfileState:
     space = profile.space
     if profile.factors is not None:
         return ProfileState.product_of(
-            [_permute_ballot(b, perms[v]) for v, b in enumerate(profile.factors)]
+            [b.permuted(perms[v]) for v, b in enumerate(profile.factors)]
         )
     rankings = space.rankings()
     terms = [
@@ -517,7 +492,7 @@ def welfare_manipulation_witness(
 
     Absence of a witness means none was found in the family, not a proof.
     """
-    adapter = _WelfareTargets(rule, profile.space, eps, targets=[(x, y)])
+    adapter = _Targets(rule, profile.space, eps, targets=[(x, y)])
     return _scan_voter(adapter, profile, voter, family, eps)
 
 
@@ -530,7 +505,7 @@ def choice_manipulation_witness(
     eps: float = DEFAULT_EPS,
 ) -> ManipulationWitness | None:
     """First dishonest ballot flipping society's status on one alternative winning."""
-    adapter = _ChoiceTargets(rule, profile.space, eps, targets=[alternative])
+    adapter = _Targets(rule, profile.space, eps, targets=[alternative])
     return _scan_voter(adapter, profile, voter, family, eps)
 
 
@@ -538,7 +513,7 @@ def reverify_witness(
     rule: WelfareRule | ChoiceRule, witness: ManipulationWitness, eps: float = DEFAULT_EPS
 ) -> bool:
     """Replay a witness from scratch and confirm values and inequality pattern."""
-    adapter = _targets_for(rule, witness.profile.space, eps)
+    adapter = _Targets(rule, witness.profile.space, eps)
     truthful = adapter.society_values(witness.profile)[witness.target]
     substituted = witness.profile.substitute_ballot(witness.voter, witness.dishonest_ballot, eps)
     dishonest = adapter.society_values(substituted)[witness.target]
@@ -567,7 +542,7 @@ def check_qic(
     for _ in range(trials):
         profile = sampler(rng)
         trials_run += 1
-        adapter = _targets_for(rule, profile.space, eps)
+        adapter = _Targets(rule, profile.space, eps)
         society = adapter.society_values(profile)
         found = None
         for voter in range(1, profile.n_voters + 1):
@@ -675,7 +650,7 @@ def check_dictatorship_welfare(
     if not isinstance(rule, WelfareRule):
         raise InvalidArgument(f"expected a welfare rule, got {rule!r}")
     return _dictatorship_scan(
-        _WelfareTargets(rule, space, eps), sampler, trials, seed, eps, "dictatorship-welfare"
+        _Targets(rule, space, eps), sampler, trials, seed, eps, "dictatorship-welfare"
     )
 
 
@@ -691,7 +666,7 @@ def check_dictatorship_choice(
     if not isinstance(rule, ChoiceRule):
         raise InvalidArgument(f"expected a choice rule, got {rule!r}")
     return _dictatorship_scan(
-        _ChoiceTargets(rule, space, eps), sampler, trials, seed, eps, "dictatorship-choice"
+        _Targets(rule, space, eps), sampler, trials, seed, eps, "dictatorship-choice"
     )
 
 
@@ -882,8 +857,8 @@ def check_composition_preservation(
     choice_hits = 0
     for _ in range(trials):
         profile = sampler(rng)
-        welfare_adapter = _targets_for(rule, profile.space, eps)
-        choice_adapter = _targets_for(composed, profile.space, eps)
+        welfare_adapter = _Targets(rule, profile.space, eps)
+        choice_adapter = _Targets(composed, profile.space, eps)
         welfare_society = welfare_adapter.society_values(profile)
         choice_society = choice_adapter.society_values(profile)
         for voter in range(1, profile.n_voters + 1):

@@ -102,20 +102,23 @@ def parse_family(spec: str) -> CandidateBallotFamily:
         if not token:
             continue
         name, _, arg = token.partition(":")
-        if name == "basis":
-            family = replace(family, basis=True)
-        elif name == "sup2":
-            family = replace(family, pair_superpositions=True)
-        elif name == "sup3":
-            family = replace(family, triple_superpositions=True)
-        elif name == "grid":
-            family = replace(family, mixture_grid_step=float(arg) if arg else 0.25)
-        elif name == "random":
-            family = replace(family, random_pure=int(arg) if arg else 16)
-        elif name == "seed":
-            family = replace(family, random_seed=int(arg))
-        else:
-            raise ParseError(f"unknown family token {token!r}", "family")
+        try:
+            if name == "basis":
+                family = replace(family, basis=True)
+            elif name == "sup2":
+                family = replace(family, pair_superpositions=True)
+            elif name == "sup3":
+                family = replace(family, triple_superpositions=True)
+            elif name == "grid":
+                family = replace(family, mixture_grid_step=float(arg) if arg else 0.25)
+            elif name == "random":
+                family = replace(family, random_pure=int(arg) if arg else 16)
+            elif name == "seed":
+                family = replace(family, random_seed=int(arg))
+            else:
+                raise ParseError(f"unknown family token {token!r}", "family")
+        except ValueError as exc:
+            raise ParseError(f"bad family token {token!r}: {exc}", "family") from None
     return family
 
 
@@ -349,13 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        _emit_error(exc)
-        return 2
-    except FileNotFoundError as exc:
-        _emit_error(exc)
-        return 2
-    except QscError as exc:
+    except (QscError, OSError, UnicodeDecodeError) as exc:
         _emit_error(exc)
         return 2
 

@@ -1,11 +1,15 @@
 """Quantum substrate over the ranking basis.
 
 States are density operators on the Hilbert space whose basis vectors are
-the m! strict rankings. Pair and winner subspaces are diagonal 0/1
-projectors in that basis, so every probability read-out reduces to summing
-diagonal weights. Joint voter states are kept factored (product form) or
-as a sparse diagonal term list (correlated form); the full (m!)^n joint
-matrix is never materialized.
+the m! strict rankings. Every shipped rule reads only basis weights, so a
+state is stored as its basis-weight vector (its diagonal); a pure ballot
+also keeps its unit amplitude vector. The density matrix is derived on
+demand, and ``DensityOperator.from_matrix`` is the one validated edge
+through which a caller's matrix enters. Pair and winner subspaces are index
+sets of basis rankings, so every probability read-out sums diagonal weights.
+Joint voter states are kept factored (product form) or as a sparse diagonal
+term list (correlated form); the full (m!)^n joint matrix is never
+materialized.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,57 +54,35 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PairProjector:
-    """Projector onto the span of basis rankings placing x above y."""
+@dataclass(frozen=True, eq=False)
+class Subspace:
+    """Span of a set of basis rankings; its projector is diagonal in that basis."""
 
     space: RankingSpace
-    x: str
-    y: str
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index_array", _frozen_array(self.indices, np.intp))
-
-    @property
-    def index_array(self) -> np.ndarray:
-        return self._index_array  # type: ignore[attr-defined]
+    indices: np.ndarray
 
 
-@dataclass(frozen=True)
-class WinnerProjector:
-    """Projector onto the span of basis rankings topped by one alternative."""
-
-    space: RankingSpace
-    alternative: str
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index_array", _frozen_array(self.indices, np.intp))
-
-    @property
-    def index_array(self) -> np.ndarray:
-        return self._index_array  # type: ignore[attr-defined]
-
-
-Projector = Union[PairProjector, WinnerProjector]
+def _subspace(space: RankingSpace, keep: Callable[[Ranking], bool]) -> Subspace:
+    return Subspace(
+        space, _frozen_array([k for k, r in enumerate(space.rankings()) if keep(r)], np.intp)
+    )
 
 
 @lru_cache(maxsize=4096)
-def pair_projector(space: RankingSpace, x: str, y: str) -> PairProjector:
+def pair_projector(space: RankingSpace, x: str, y: str) -> Subspace:
+    """Subspace of the basis rankings placing x above y."""
     if x == y:
         raise InvalidArgument(f"projector needs two distinct alternatives, got {x!r} twice")
     space.alternatives.index(x)
     space.alternatives.index(y)
-    indices = tuple(k for k, r in enumerate(space.rankings()) if r.prefers(x, y))
-    return PairProjector(space, x, y, indices)
+    return _subspace(space, lambda r: r.prefers(x, y))
 
 
 @lru_cache(maxsize=1024)
-def winner_projector(space: RankingSpace, alternative: str) -> WinnerProjector:
+def winner_projector(space: RankingSpace, alternative: str) -> Subspace:
+    """Subspace of the basis rankings topped by one alternative."""
     space.alternatives.index(alternative)
-    indices = tuple(k for k, r in enumerate(space.rankings()) if r.top() == alternative)
-    return WinnerProjector(space, alternative, indices)
+    return _subspace(space, lambda r: r.top() == alternative)
 
 
 def validate_density(matrix: np.ndarray, dim: int, eps: float = DEFAULT_EPS) -> None:
@@ -119,19 +101,52 @@ def validate_density(matrix: np.ndarray, dim: int, eps: float = DEFAULT_EPS) -> 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Validated density matrix tied to its ranking space."""
+    """Density on a ranking space, stored by its basis weights.
+
+    ``diagonal`` holds the basis weights. A pure state with coherences above
+    eps also keeps its unit ``amplitudes``, phase-fixed so that the first
+    entry above eps is real and positive; every other state is diagonal.
+    The constructor trusts its arguments: build states with the functions
+    below, or pass a caller's matrix through ``from_matrix``.
+    """
 
     space: RankingSpace
-    matrix: np.ndarray
+    diagonal: np.ndarray
+    amplitudes: np.ndarray | None = None
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.matrix, dtype=np.complex128)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "diagonal", _frozen_array(self.diagonal, np.float64))
+        dim = self.space.dim
+        if self.diagonal.shape != (dim,):
+            raise InvalidArgument(f"diagonal must have length {dim}, got {self.diagonal.shape}")
+        if self.amplitudes is not None:
+            object.__setattr__(self, "amplitudes", _frozen_array(self.amplitudes, np.complex128))
+
+    @classmethod
+    def from_matrix(
+        cls, space: RankingSpace, matrix: np.ndarray, eps: float = DEFAULT_EPS
+    ) -> "DensityOperator":
+        """Validated edge for a caller's density matrix.
+
+        A matrix within eps of diagonal is stored by its diagonal, a rank-1
+        one by its leading eigenvector. A mixture with coherences has
+        neither form and is rejected.
+        """
+        matrix = np.asarray(matrix, dtype=np.complex128)
+        validate_density(matrix, space.dim, eps)
+        off = matrix - np.diag(matrix.diagonal())
+        if float(np.abs(off).max(initial=0.0)) <= eps:
+            return cls(space, np.real(matrix.diagonal()))
+        if float(np.real(np.trace(matrix @ matrix))) >= 1.0 - 2 * eps:
+            return _unit_vector_state(space, np.linalg.eigh(matrix)[1][:, -1], eps)
+        raise InvalidArgument("density has no term-list form (mixed with coherences)")
 
     @property
-    def diagonal(self) -> np.ndarray:
-        return np.real(self.matrix.diagonal())
+    def matrix(self) -> np.ndarray:
+        """Dense density matrix, derived on demand."""
+        if self.amplitudes is None:
+            return np.diag(self.diagonal.astype(np.complex128))
+        return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def diagonal_support(self, eps: float = DEFAULT_EPS) -> tuple[tuple[int, float], ...]:
         """Basis indices carrying more than eps weight, memoized per state."""
@@ -143,14 +158,33 @@ class DensityOperator:
         object.__setattr__(self, "_support_cache", (eps, entries))
         return entries
 
+    def permuted(self, perm: Sequence[int]) -> "DensityOperator":
+        """The state with basis weight (and amplitude) k moved to index perm[k]."""
+        if self.amplitudes is None:
+            moved = np.empty_like(self.diagonal)
+            moved[perm] = self.diagonal
+            return DensityOperator(self.space, moved)
+        moved = np.empty_like(self.amplitudes)
+        moved[perm] = self.amplitudes
+        return _unit_vector_state(self.space, moved, DEFAULT_EPS)
+
     def validate(self, eps: float = DEFAULT_EPS) -> None:
         validate_density(self.matrix, self.space.dim, eps)
 
 
-def _checked_state(space: RankingSpace, matrix: np.ndarray, eps: float) -> DensityOperator:
-    state = DensityOperator(space, matrix)
-    state.validate(eps)
-    return state
+def _unit_vector_state(space: RankingSpace, vector: np.ndarray, eps: float) -> DensityOperator:
+    """State of a unit vector, stored diagonal when no coherence exceeds eps."""
+    weights = (vector * vector.conj()).real
+    magnitudes = np.abs(vector)
+    first, second = np.sort(magnitudes)[:-3:-1]
+    if first * second <= eps:
+        return DensityOperator(space, weights)
+    # Fix the global phase so serialization is reproducible.
+    lead = int(np.argmax(magnitudes > eps))
+    amplitudes = vector * (magnitudes[lead] / vector[lead])
+    # The product can leave a rounding-level imaginary part on the lead.
+    amplitudes[lead] = magnitudes[lead]
+    return DensityOperator(space, weights, amplitudes)
 
 
 def pure_state(
@@ -168,8 +202,9 @@ def pure_state(
     norm = float(np.linalg.norm(vector))
     if norm <= eps:
         raise InvalidArgument("pure state needs at least one nonzero amplitude")
-    vector /= norm
-    return _checked_state(space, np.outer(vector, vector.conj()), eps)
+    if not math.isfinite(norm):
+        raise InvalidArgument(f"amplitude norm {norm} is not finite")
+    return _unit_vector_state(space, vector / norm, eps)
 
 
 def mixed_state(
@@ -187,7 +222,9 @@ def mixed_state(
     total = float(diag.sum())
     if total <= eps:
         raise InvalidArgument("mixture needs positive total weight")
-    return _checked_state(space, np.diag(diag / total).astype(np.complex128), eps)
+    if not math.isfinite(total):
+        raise InvalidArgument(f"mixture total weight {total} is not finite")
+    return DensityOperator(space, diag / total)
 
 
 def basis_state(space: RankingSpace, ranking: Ranking, eps: float = DEFAULT_EPS) -> DensityOperator:
@@ -196,11 +233,7 @@ def basis_state(space: RankingSpace, ranking: Ranking, eps: float = DEFAULT_EPS)
 
 
 def diagonal_state(space: RankingSpace, diag: np.ndarray, eps: float = DEFAULT_EPS) -> DensityOperator:
-    """Density with the given (already normalized) basis weights.
-
-    A real diagonal matrix is Hermitian by construction and PSD exactly
-    when no entry is negative, so the full spectral validation is skipped.
-    """
+    """Density with the given (already normalized) basis weights."""
     vec = np.asarray(diag, dtype=np.float64)
     if vec.shape != (space.dim,):
         raise InvalidArgument(f"diagonal must have length {space.dim}, got {vec.shape}")
@@ -209,14 +242,14 @@ def diagonal_state(space: RankingSpace, diag: np.ndarray, eps: float = DEFAULT_E
     total = float(vec.sum())
     if abs(total - 1.0) > eps:
         raise InvalidArgument(f"diagonal weights sum to {total}, expected 1")
-    return DensityOperator(space, np.diag(vec.astype(np.complex128)))
+    return DensityOperator(space, vec)
 
 
-def support_probability(state: DensityOperator, projector: Projector, eps: float = DEFAULT_EPS) -> float:
-    """Tr(P rho): total basis weight inside the projector's subspace."""
+def support_probability(state: DensityOperator, projector: Subspace, eps: float = DEFAULT_EPS) -> float:
+    """Tr(P rho): total basis weight inside the subspace."""
     if projector.space != state.space:
         raise InvalidArgument("projector and state live on different spaces")
-    value = float(state.diagonal[projector.index_array].sum())
+    value = float(state.diagonal[projector.indices].sum())
     if -eps <= value < 0.0:
         return 0.0
     if 1.0 < value <= 1.0 + eps:
@@ -230,12 +263,12 @@ def uniform_subspace_state(
     """Maximally mixed state on the x-above-y subspace (weight 2/m! each)."""
     projector = pair_projector(space, x, y)
     diag = np.zeros(space.dim, dtype=np.float64)
-    diag[projector.index_array] = 1.0 / len(projector.indices)
+    diag[projector.indices] = 1.0 / len(projector.indices)
     return diagonal_state(space, diag, eps)
 
 
 def project_and_renormalize(
-    state: DensityOperator, projector: Projector, eps: float = DEFAULT_EPS
+    state: DensityOperator, projector: Subspace, eps: float = DEFAULT_EPS
 ) -> DensityOperator:
     """P rho P / Tr(P rho); raises if the subspace carries no mass."""
     mass = support_probability(state, projector, eps)
@@ -243,10 +276,14 @@ def project_and_renormalize(
         raise ZeroMassProjection(
             f"no probability mass on the target subspace (Tr = {mass:.3e})"
         )
-    mask = np.zeros(state.space.dim, dtype=np.float64)
-    mask[projector.index_array] = 1.0
-    projected = state.matrix * np.outer(mask, mask) / mass
-    return _checked_state(state.space, projected, eps)
+    inside = projector.indices
+    if state.amplitudes is not None:
+        vector = np.zeros(state.space.dim, dtype=np.complex128)
+        vector[inside] = state.amplitudes[inside] / math.sqrt(mass)
+        return _unit_vector_state(state.space, vector, eps)
+    diag = np.zeros(state.space.dim, dtype=np.float64)
+    diag[inside] = state.diagonal[inside] / mass
+    return DensityOperator(state.space, diag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,6 +344,8 @@ class ProfileState:
     @classmethod
     def basis(cls, profile_rankings: Sequence[Ranking]) -> "ProfileState":
         """Product profile of basis ballots, one per ranking."""
+        if not profile_rankings:
+            raise InvalidArgument("profile needs at least one voter")
         space = RankingSpace(profile_rankings[0].alternatives)
         return cls.product_of([basis_state(space, r) for r in profile_rankings])
 
@@ -440,25 +479,12 @@ def alternative_state(
 def density_terms(
     state: DensityOperator, eps: float = DEFAULT_EPS
 ) -> tuple[str, list[tuple[complex, Ranking]]] | tuple[str, list[tuple[float, Ranking]]]:
-    """Term-list form of a density: ("mixed", weight terms) or ("pure", amplitude terms).
-
-    Densities that are neither near-diagonal nor rank-1 have no term-list
-    form and are rejected.
-    """
+    """Term-list form of a density: ("mixed", weight terms) or ("pure", amplitude terms)."""
     rankings = state.space.rankings()
-    matrix = state.matrix
-    off = matrix - np.diag(matrix.diagonal())
-    if float(np.abs(off).max(initial=0.0)) <= eps:
+    if state.amplitudes is None:
         diag = state.diagonal
         return "mixed", [(float(diag[k]), rankings[k]) for k in np.flatnonzero(diag > eps)]
-    purity = float(np.real(np.trace(matrix @ matrix)))
-    if purity >= 1.0 - 2 * eps:
-        values, vectors = np.linalg.eigh(matrix)
-        vector = vectors[:, -1]
-        # Fix the global phase so serialization is reproducible.
-        lead = next(v for v in vector if abs(v) > eps)
-        vector = vector * (abs(lead) / lead)
-        return "pure", [
-            (complex(vector[k]), rankings[k]) for k in np.flatnonzero(np.abs(vector) > eps)
-        ]
-    raise InvalidArgument("density has no term-list form (mixed with coherences)")
+    vector = state.amplitudes
+    return "pure", [
+        (complex(vector[k]), rankings[k]) for k in np.flatnonzero(np.abs(vector) > eps)
+    ]

@@ -10,6 +10,7 @@ engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -61,8 +62,8 @@ class QcvParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise InvalidArgument(f"delta must lie in (0, 1), got {self.delta}")
-        if self.eps <= 0.0:
-            raise InvalidArgument(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise InvalidArgument(f"eps must be positive and finite, got {self.eps}")
         if self.support_cap < 1:
             raise InvalidArgument("support cap must be at least 1")
 
@@ -139,7 +140,6 @@ def minority_spread(
     sigma1: DensityOperator,
     pairs: frozenset[tuple[str, str]] | tuple[tuple[str, str], ...],
     delta: float,
-    eps: float = DEFAULT_EPS,
 ) -> DensityOperator:
     """Convex mix of sigma1 with the uniform state of each pair's subspace.
 
@@ -150,15 +150,14 @@ def minority_spread(
     k = len(ordered)
     if k * delta >= 1.0:
         raise InvalidArgument(f"{k} pairs at delta {delta} leave no weight for the base state")
+    if sigma1.amplitudes is not None:
+        raise InvalidArgument("minority spread needs a diagonal sigma1")
     space = sigma1.space
     spread = np.zeros(space.dim, dtype=np.float64)
     for x, y in ordered:
         projector = pair_projector(space, x, y)
-        spread[projector.index_array] += delta / len(projector.indices)
-    matrix = (1.0 - k * delta) * sigma1.matrix + np.diag(spread)
-    state = DensityOperator(space, matrix)
-    state.validate(eps)
-    return state
+        spread[projector.indices] += delta / len(projector.indices)
+    return DensityOperator(space, (1.0 - k * delta) * sigma1.diagonal + spread)
 
 
 def enforce_unanimity(
@@ -192,7 +191,7 @@ def qcv_basis(profile: ClassicalProfile, params: QcvParams) -> QcvStages:
     pairs_any = tuple(sorted(frozenset.union(*pair_sets)))
     pairs_all = tuple(sorted(frozenset.intersection(*pair_sets)))
 
-    sigma2 = minority_spread(sigma1, pairs_any, params.delta, params.eps)
+    sigma2 = minority_spread(sigma1, pairs_any, params.delta)
     # Every pair unanimously oriented keeps at least delta * 2/m! weight
     # after the spread, so the projection mass below is provably positive.
     sigma3 = enforce_unanimity(sigma2, pairs_all, params.eps)
@@ -209,14 +208,11 @@ def qcv_basis(profile: ClassicalProfile, params: QcvParams) -> QcvStages:
 
 
 @lru_cache(maxsize=65536)
-def _qcv_basis_diagonal(names: tuple[str, ...], indices: tuple[int, ...], delta: float) -> np.ndarray:
+def _qcv_basis_diagonal(names: tuple[str, ...], indices: tuple[int, ...], params: QcvParams) -> np.ndarray:
     alternatives = AlternativeSet(names)
     rankings = all_rankings(alternatives)
     profile = ClassicalProfile(tuple(rankings[k] for k in indices))
-    stages = qcv_basis(profile, QcvParams(delta=delta))
-    diag = stages.sigma3.diagonal.copy()
-    diag.setflags(write=False)
-    return diag
+    return qcv_basis(profile, params).sigma3.diagonal
 
 
 def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
@@ -232,7 +228,7 @@ def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
     names = space.alternatives.names
     acc = np.zeros(space.dim, dtype=np.float64)
     for weight, indices in profile.support_tuples(params.eps, params.support_cap):
-        acc += weight * _qcv_basis_diagonal(names, indices, params.delta)
+        acc += weight * _qcv_basis_diagonal(names, indices, params)
     return diagonal_state(space, acc, params.eps)
 
 

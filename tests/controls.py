@@ -24,7 +24,7 @@ def reverse_rule() -> WelfareRule:
         )
         moved = np.zeros_like(ballot.matrix)
         moved[np.ix_(perm, perm)] = ballot.matrix
-        return DensityOperator(space, moved)
+        return DensityOperator.from_matrix(space, moved)
 
     return WelfareRule("reverse:1", evaluate)
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qsc import (
     AlternativeSet,
+    DensityOperator,
     InvalidArgument,
     ProfileState,
     Ranking,
@@ -297,6 +298,10 @@ class TestProfileState:
         with pytest.raises(InvalidArgument):
             ProfileState(space3)
 
+    def test_empty_basis_profile_rejected(self):
+        with pytest.raises(InvalidArgument):
+            ProfileState.basis([])
+
 
 class TestAlternativeState:
     def test_validation(self, alts3):
@@ -344,3 +349,35 @@ class TestDensityTerms:
         assert kind == "pure"
         rebuilt = pure_state(space3, terms)
         assert np.allclose(rebuilt.matrix, state.matrix, atol=1e-9)
+
+
+class TestFromMatrix:
+    def test_diagonal_matrix_stored_as_weights(self, alts3, space3):
+        state = mixed_state(space3, [(0.25, rk(alts3, "a>b>c")), (0.75, rk(alts3, "c>b>a"))])
+        rebuilt = DensityOperator.from_matrix(space3, state.matrix)
+        assert rebuilt.amplitudes is None
+        assert np.array_equal(rebuilt.diagonal, state.diagonal)
+
+    def test_rank_one_matrix_keeps_amplitudes(self, alts3, space3):
+        state = pure_state(space3, [(0.6j, rk(alts3, "b>a>c")), (0.8, rk(alts3, "c>a>b"))])
+        rebuilt = DensityOperator.from_matrix(space3, state.matrix)
+        assert np.allclose(rebuilt.matrix, state.matrix, atol=1e-12)
+        assert density_terms(rebuilt)[0] == "pure"
+        assert rebuilt.amplitudes[np.flatnonzero(np.abs(rebuilt.amplitudes) > 1e-9)[0]].imag == 0.0
+
+    def test_coherent_mixture_rejected(self, alts3, space3):
+        half = pure_state(space3, [(ROOT2, rk(alts3, "a>b>c")), (ROOT2, rk(alts3, "a>c>b"))])
+        point = basis_state(space3, rk(alts3, "b>a>c"))
+        with pytest.raises(InvalidArgument, match="no term-list form"):
+            DensityOperator.from_matrix(space3, 0.5 * half.matrix + 0.5 * point.matrix)
+
+    def test_invalid_matrix_rejected(self, space3):
+        with pytest.raises(InvalidArgument):
+            DensityOperator.from_matrix(space3, np.eye(6))  # trace 6
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_inputs_rejected(self, alts3, space3):
+        with pytest.raises(InvalidArgument):
+            pure_state(space3, [(1e308, rk(alts3, "a>b>c")), (1e308, rk(alts3, "b>a>c"))])
+        with pytest.raises(InvalidArgument):
+            mixed_state(space3, [(1e308, rk(alts3, "a>b>c")), (1e308, rk(alts3, "b>a>c"))])

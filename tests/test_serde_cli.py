@@ -349,3 +349,33 @@ class TestCliCheck:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["check", "--axiom", "warp"]) == 2
+
+
+class TestCliInputErrors:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "eps-nan", "eps-inf", "family-grid", "family-random", "family-grid-nan",
+            "family-random-negative", "profile-dir", "profile-bytes",
+        ],
+    )
+    def test_exits_2_with_one_json_line(self, case, tmp_path, capsys):
+        check = ["check", "--axiom", "qic", "--rule", "qcv", "--trials", "2"]
+        undecodable = tmp_path / "profile.json"
+        undecodable.write_bytes(b"\xff\xfe")
+        argv = {
+            "eps-nan": [*check, "--eps", "nan"],
+            "eps-inf": [*check, "--eps", "inf"],
+            "family-grid": [*check, "--family", "grid:abc"],
+            "family-random": [*check, "--family", "random:x"],
+            "family-grid-nan": [*check, "--family", "grid:nan"],
+            "family-random-negative": [*check, "--family", "random:-5"],
+            "profile-dir": ["evaluate", "--rule", "qcv", "--profile", str(tmp_path)],
+            "profile-bytes": ["evaluate", "--rule", "qcv", "--profile", str(undecodable)],
+        }[case]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "Traceback" not in captured.err
+        assert "error" in json.loads(lines[0])

@@ -238,6 +238,15 @@ class TestQcvGeneralProfiles:
             for pair in encoded_pairs_all(profile):
                 assert support_probability(society, pair_projector(space3, *pair)) >= 1 - 1e-9
 
+    def test_basis_cache_keys_on_eps(self, alts3, cycle_profile):
+        from qsc.welfare import _qcv_basis_diagonal
+
+        _qcv_basis_diagonal.cache_clear()
+        profile = ProfileState.basis(cycle_profile)
+        qcv(profile, QcvParams(0.05, eps=1e-9))
+        qcv(profile, QcvParams(0.05, eps=1e-3))
+        assert _qcv_basis_diagonal.cache_info().misses == 2
+
     def test_support_cap_surfaces_as_resource_limit(self, alts3, space3):
         from qsc import ResourceLimit
 
