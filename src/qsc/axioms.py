@@ -9,19 +9,24 @@ every reported manipulation witness can be replayed from its record.
 from __future__ import annotations
 
 import json
+import math
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 from typing import Callable
+
+import numpy as np
 
 from . import serde
 from .choice import ChoiceExtension, ChoiceRule, compose
-from .errors import InvalidArgument
+from .errors import InvalidArgument, ResourceLimit
 from .hilbert import (
     DEFAULT_EPS,
+    MAX_EPS,
     DensityOperator,
     ProfileState,
     RankingSpace,
@@ -41,6 +46,11 @@ VERDICT_NO_DICTATOR = "falsified-dictatorship"
 VERDICT_DICTATOR_CANDIDATE = "dictatorship-candidate"
 VERDICT_BYPASS = "bypass-demonstrated"
 VERDICT_NOT_BYPASSED = "not-bypassed"
+
+FAMILY_CAP = 100_000  # ballots; the m=4 default family has 3,152, the m=5 one 309,520
+# Batched values this close to a clause threshold are re-checked exactly; the
+# batched and exact sums differ only by rounding, far below this.
+_BATCH_GUARD = 1e-11
 
 
 class PreferenceKind(Enum):
@@ -212,6 +222,11 @@ class CandidateBallotFamily:
                 "family needs a grid step in [0, 1] and random_pure >= 0, "
                 f"got {self.mixture_grid_step} and {self.random_pure}"
             )
+        if not (
+            self.basis or self.pair_superpositions or self.triple_superpositions
+            or self.mixture_grid_step > 0.0 or self.random_pure > 0
+        ):
+            raise InvalidArgument("family needs at least one of basis, sup2, sup3, grid, random")
 
     def describe(self) -> dict:
         return {
@@ -223,8 +238,38 @@ class CandidateBallotFamily:
             "random_seed": self.random_seed,
         }
 
+    def size(self, space: RankingSpace) -> int:
+        """Number of ballots ``ballots`` returns, computed without building any."""
+        d = space.dim
+        pairs = math.comb(d, 2)
+        return (
+            self.basis * d
+            + self.pair_superpositions * pairs
+            + self.triple_superpositions * math.comb(d, 3)
+            + _grid_weight_count(self.mixture_grid_step) * pairs
+            + self.random_pure
+        )
+
     def ballots(self, space: RankingSpace, eps: float = DEFAULT_EPS) -> tuple[DensityOperator, ...]:
+        size = self.size(space)
+        if size == 0:
+            raise InvalidArgument(f"family has no ballots for {space.alternatives.m} alternatives")
+        if size > FAMILY_CAP:
+            raise ResourceLimit(f"family of {size} ballots exceeds the cap of {FAMILY_CAP}")
         return _family_ballots(self, space, eps)
+
+
+def _grid_weight_count(step: float) -> int:
+    """Number of grid weights step, 2*step, ... kept below 1 (0 when the grid is off)."""
+    if step == 0.0:
+        return 0
+    quotient = (1.0 - 1e-12) / step
+    return math.ceil(quotient) - 1 if math.isfinite(quotient) else sys.maxsize
+
+
+@lru_cache(maxsize=8)
+def _basis_ballots(space: RankingSpace, eps: float) -> tuple[DensityOperator, ...]:
+    return tuple(basis_state(space, r, eps) for r in space.rankings())
 
 
 @lru_cache(maxsize=64)
@@ -234,7 +279,7 @@ def _family_ballots(
     rankings = space.rankings()
     out: list[DensityOperator] = []
     if family.basis:
-        out.extend(basis_state(space, r, eps) for r in rankings)
+        out.extend(_basis_ballots(space, eps))
     if family.pair_superpositions:
         for i, j in combinations(range(space.dim), 2):
             out.append(pure_state(space, [(1.0, rankings[i]), (1.0, rankings[j])], eps))
@@ -246,11 +291,10 @@ def _family_ballots(
                 )
             )
     if family.mixture_grid_step > 0.0:
-        weights = []
-        w = family.mixture_grid_step
-        while w < 1.0 - 1e-12:
-            weights.append(w)
-            w += family.mixture_grid_step
+        # Running sums, not k * step: witness reports print these weights bit for bit.
+        weights = list(
+            accumulate(repeat(family.mixture_grid_step, _grid_weight_count(family.mixture_grid_step)))
+        )
         for i, j in combinations(range(space.dim), 2):
             for w in weights:
                 out.append(
@@ -264,6 +308,16 @@ def _family_ballots(
             ]
             out.append(pure_state(space, list(zip(amplitudes, rankings)), eps))
     return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _family_weights(
+    family: CandidateBallotFamily, space: RankingSpace, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The family's F x d basis-weight matrix, and each row's smallest positive weight."""
+    weights = np.stack([b.diagonal for b in family.ballots(space, eps)])
+    smallest = np.where(weights > 0.0, weights, np.inf).min(axis=1)
+    return weights, smallest
 
 
 ProfileSampler = Callable[[random.Random], ProfileState]
@@ -454,7 +508,9 @@ def _scan_voter(
 
     Candidate evaluations are shared across targets: society only changes
     with the substituted ballot, not with the pair or alternative under
-    scrutiny.
+    scrutiny. For a multilinear rule only the rows ``_flagged_rows`` keeps,
+    if it takes the batched path, are evaluated, in family order, so the
+    first witness is the one the full scan finds.
     """
     if society is None:
         society = adapter.society_values(profile)
@@ -467,7 +523,12 @@ def _scan_voter(
                 fired.append((target, clause))
     if not fired:
         return None
-    for candidate in family.ballots(adapter.space, eps):
+    candidates = family.ballots(adapter.space, eps)
+    if adapter.rule.multilinear:
+        rows = _flagged_rows(adapter, profile, voter, family, fired, eps)
+        if rows is not None:
+            candidates = [candidates[i] for i in rows]
+    for candidate in candidates:
         substituted = profile.substitute_ballot(voter, candidate, eps)
         dishonest = adapter.society_values(substituted)
         for target, clause in fired:
@@ -477,6 +538,48 @@ def _scan_voter(
                     society[target], dishonest[target], candidate,
                 )
     return None
+
+
+def _flagged_rows(
+    adapter,
+    profile: ProfileState,
+    voter: int,
+    family: CandidateBallotFamily,
+    fired: list[tuple[object, ManipulationClause]],
+    eps: float,
+) -> np.ndarray | None:
+    """Indices of the family ballots that could achieve a fired clause, ascending.
+
+    For a multilinear rule, society's value on target t with candidate c
+    substituted is c . R[:, t], where row k of R is its value with basis
+    ballot k substituted: d evaluations stand in for the F of the family.
+    A candidate is kept when that value achieves a clause or lies within
+    _BATCH_GUARD of its threshold, or when the support filter could make the
+    rule non-linear in it: weights at most eps are dropped when a ballot is
+    substituted into a correlated profile or a rule enumerates its support,
+    and a rule may filter at its own eps, which QcvParams bounds by MAX_EPS.
+
+    Returns None, and leaves the full scan to the caller, when the d basis
+    responses plus the light rows already kept would cost more than half of
+    the F evaluations of the full scan: small families, large d, or a
+    correlated profile with a light joint term.
+    """
+    weights, smallest = _family_weights(family, adapter.space, eps)
+    lightest = 1.0 if profile.factors is not None else min(w for w, _ in profile.joint)
+    keep = smallest * lightest <= 2.0 * max(eps, MAX_EPS)
+    if 2 * (adapter.space.dim + np.count_nonzero(keep)) > len(weights):
+        return None
+    targets = list(dict.fromkeys(target for target, _ in fired))
+    responses = [
+        adapter.society_values(profile.substitute_ballot(voter, basis, eps))
+        for basis in _basis_ballots(adapter.space, eps)
+    ]
+    values = weights @ np.array([[r[t] for t in targets] for r in responses])
+    for target, clause in fired:
+        column = values[:, targets.index(target)]
+        keep |= _clause_achieved(clause, column - _BATCH_GUARD, eps)
+        keep |= _clause_achieved(clause, column + _BATCH_GUARD, eps)
+    return np.flatnonzero(keep)
 
 
 def welfare_manipulation_witness(
@@ -792,7 +895,7 @@ def check_iia(
         for voter in range(1, profile.n_voters + 1):
             mine = support_probability(profile.partial_ballot(voter, eps), projector, eps)
             theirs = support_probability(twin.partial_ballot(voter, eps), projector, eps)
-            if abs(mine - theirs) > 1e-9:
+            if abs(mine - theirs) > eps:
                 raise InvalidArgument(
                     f"paired sampler broke its contract: voter {voter} disagrees on "
                     f"{pair} ({mine} vs {theirs})"

@@ -36,10 +36,14 @@ class ChoiceExtension:
 
 @dataclass(frozen=True, eq=False)
 class ChoiceRule:
-    """Named map from a joint ballot profile to an alternative distribution."""
+    """Named map from a joint ballot profile to an alternative distribution.
+
+    ``multilinear`` means what it means for ``WelfareRule``.
+    """
 
     name: str
     fn: Callable[[ProfileState], AlternativeState]
+    multilinear: bool = False
 
     def evaluate(self, profile: ProfileState) -> AlternativeState:
         return self.fn(profile)
@@ -67,6 +71,8 @@ def compose(extension: ChoiceExtension, rule: WelfareRule) -> ChoiceRule:
     return ChoiceRule(
         f"{extension.name}({rule.name})",
         lambda profile: extension.apply(rule.evaluate(profile)),
+        # The natural extension is linear in the basis weights; other extensions may not be.
+        multilinear=rule.multilinear and extension is NATURAL_EXTENSION,
     )
 
 
@@ -76,4 +82,4 @@ def qcvne(profile: ProfileState, params: QcvParams) -> AlternativeState:
 
 
 def qcvne_rule(params: QcvParams) -> ChoiceRule:
-    return ChoiceRule("qcvne", lambda p: qcvne(p, params))
+    return ChoiceRule("qcvne", lambda p: qcvne(p, params), multilinear=True)

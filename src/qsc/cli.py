@@ -15,7 +15,6 @@ import argparse
 import json
 import string
 import sys
-from dataclasses import replace
 from typing import Any
 
 from . import serde
@@ -94,9 +93,10 @@ def _default_labels(m: int) -> AlternativeSet:
 
 def parse_family(spec: str) -> CandidateBallotFamily:
     """Parse a --family spec like ``basis,sup2,sup3,grid:0.25,random:16``."""
-    family = CandidateBallotFamily(
-        basis=False, pair_superpositions=False, triple_superpositions=False, mixture_grid_step=0.0
-    )
+    settings: dict[str, Any] = {
+        "basis": False, "pair_superpositions": False, "triple_superpositions": False,
+        "mixture_grid_step": 0.0,
+    }
     for raw in spec.split(","):
         token = raw.strip()
         if not token:
@@ -104,22 +104,25 @@ def parse_family(spec: str) -> CandidateBallotFamily:
         name, _, arg = token.partition(":")
         try:
             if name == "basis":
-                family = replace(family, basis=True)
+                settings["basis"] = True
             elif name == "sup2":
-                family = replace(family, pair_superpositions=True)
+                settings["pair_superpositions"] = True
             elif name == "sup3":
-                family = replace(family, triple_superpositions=True)
+                settings["triple_superpositions"] = True
             elif name == "grid":
-                family = replace(family, mixture_grid_step=float(arg) if arg else 0.25)
+                settings["mixture_grid_step"] = float(arg) if arg else 0.25
             elif name == "random":
-                family = replace(family, random_pure=int(arg) if arg else 16)
+                settings["random_pure"] = int(arg) if arg else 16
             elif name == "seed":
-                family = replace(family, random_seed=int(arg))
+                settings["random_seed"] = int(arg)
             else:
                 raise ParseError(f"unknown family token {token!r}", "family")
         except ValueError as exc:
             raise ParseError(f"bad family token {token!r}: {exc}", "family") from None
-    return family
+    try:
+        return CandidateBallotFamily(**settings)
+    except InvalidArgument as exc:
+        raise ParseError(f"bad family {spec!r}: {exc}", "family") from None
 
 
 def resolve_rule(
@@ -141,7 +144,7 @@ def resolve_rule(
             ranking = Ranking.from_string(alternatives, arg)
         except InvalidArgument as exc:
             raise ParseError(str(exc), "rule") from None
-        return veto_rule(ranking)
+        return veto_rule(ranking, params.eps)
     raise ParseError(f"unknown rule {name!r}", "rule")
 
 

@@ -26,6 +26,7 @@ from .errors import InvalidArgument, ResourceLimit, ZeroMassProjection
 from .rankings import AlternativeSet, Ranking, all_rankings, ranking_index
 
 DEFAULT_EPS = 1e-9
+MAX_EPS = 1e-3  # a larger tolerance would blur the clause thresholds it decides
 DEFAULT_SUPPORT_CAP = 20_000
 
 

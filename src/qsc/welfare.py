@@ -10,7 +10,6 @@ engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -21,6 +20,7 @@ from .errors import InvalidArgument
 from .hilbert import (
     DEFAULT_EPS,
     DEFAULT_SUPPORT_CAP,
+    MAX_EPS,
     DensityOperator,
     ProfileState,
     RankingSpace,
@@ -62,8 +62,8 @@ class QcvParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise InvalidArgument(f"delta must lie in (0, 1), got {self.delta}")
-        if not 0.0 < self.eps < math.inf:
-            raise InvalidArgument(f"eps must be positive and finite, got {self.eps}")
+        if not 0.0 < self.eps <= MAX_EPS:
+            raise InvalidArgument(f"eps must lie in (0, {MAX_EPS}], got {self.eps}")
         if self.support_cap < 1:
             raise InvalidArgument("support cap must be at least 1")
 
@@ -81,10 +81,18 @@ class QcvParams:
 
 @dataclass(frozen=True, eq=False)
 class WelfareRule:
-    """Named map from a joint ballot profile to a societal ranking density."""
+    """Named map from a joint ballot profile to a societal ranking density.
+
+    ``multilinear`` declares that the output's basis weights are affine in
+    each voter's basis weights while the other voters stay fixed, so mixing
+    two ballots for one voter mixes the outputs the same way. Weights the
+    support filter drops (at most eps) are exempt. The axiom engine then
+    searches dishonest ballots through d basis responses (see ``axioms``).
+    """
 
     name: str
     fn: Callable[[ProfileState], DensityOperator]
+    multilinear: bool = False
 
     def evaluate(self, profile: ProfileState) -> DensityOperator:
         return self.fn(profile)
@@ -233,17 +241,17 @@ def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
 
 
 def qcv_rule(params: QcvParams) -> WelfareRule:
-    return WelfareRule("qcv", lambda p: qcv(p, params))
+    return WelfareRule("qcv", lambda p: qcv(p, params), multilinear=True)
 
 
 def dictator_rule(voter: int) -> WelfareRule:
     """Welfare rule that returns one voter's marginal ballot verbatim."""
     if voter < 1:
         raise InvalidArgument(f"voter index must be positive, got {voter}")
-    return WelfareRule(f"dictator:{voter}", lambda p: p.partial_ballot(voter))
+    return WelfareRule(f"dictator:{voter}", lambda p: p.partial_ballot(voter), multilinear=True)
 
 
-def veto_rule(pet_ranking: Ranking) -> WelfareRule:
+def veto_rule(pet_ranking: Ranking, eps: float = DEFAULT_EPS) -> WelfareRule:
     """Manipulable control rule.
 
     If voter 1's ballot is exactly the point mass on ``pet_ranking`` the
@@ -256,9 +264,9 @@ def veto_rule(pet_ranking: Ranking) -> WelfareRule:
     def evaluate(profile: ProfileState) -> DensityOperator:
         if profile.n_voters < 2:
             raise InvalidArgument("veto rule needs at least two voters")
-        first = profile.partial_ballot(1)
-        if float(first.diagonal[pet_index]) >= 1.0 - DEFAULT_EPS:
-            return basis_state(space, pet_ranking)
-        return profile.partial_ballot(2)
+        first = profile.partial_ballot(1, eps)
+        if float(first.diagonal[pet_index]) >= 1.0 - eps:
+            return basis_state(space, pet_ranking, eps)
+        return profile.partial_ballot(2, eps)
 
     return WelfareRule(f"veto:{pet_ranking.to_string()}", evaluate)

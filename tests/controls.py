@@ -29,6 +29,22 @@ def reverse_rule() -> WelfareRule:
     return WelfareRule("reverse:1", evaluate)
 
 
+def reverse_mix_rule(multilinear: bool) -> WelfareRule:
+    """Voter 1's ballot upside down mixed half and half with voter 2's ballot.
+
+    Manipulable, and multilinear in each voter's basis weights; the flag is
+    a parameter so that the batched and the generic search can be compared.
+    """
+
+    def evaluate(profile):
+        space = profile.space
+        flip = [space.basis_index(r.reversed()) for r in space.rankings()]
+        first = profile.partial_ballot(1).diagonal[flip]
+        return diagonal_state(space, 0.5 * first + 0.5 * profile.partial_ballot(2).diagonal)
+
+    return WelfareRule("reverse-mix", evaluate, multilinear=multilinear)
+
+
 def borda_welfare_rule() -> WelfareRule:
     """Positional-score rule: each support tuple maps to one point-mass ranking.
 

@@ -1,8 +1,17 @@
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsc import (
     AlternativeSet,
     CandidateBallotFamily,
+    ChoiceExtension,
+    ChoiceRule,
+    DensityOperator,
+    InvalidArgument,
     NATURAL_EXTENSION,
     PreferenceKind,
     ProfileState,
@@ -24,13 +33,16 @@ from qsc import (
     default_profile_sampler,
     dictator_rule,
     mixed_state,
+    natural_extension,
     pure_state,
     qcv_rule,
     qcvne_rule,
     qcvne,
+    ResourceLimit,
     reverify_witness,
     veto_rule,
     welfare_manipulation_witness,
+    WelfareRule,
 )
 from qsc.axioms import (
     VERDICT_DICTATOR_CANDIDATE,
@@ -40,7 +52,7 @@ from qsc.axioms import (
 )
 from qsc.serde import parse_density, parse_profile
 
-from controls import borda_welfare_rule, constant_choice_rule, reverse_rule
+from controls import borda_welfare_rule, constant_choice_rule, reverse_mix_rule, reverse_rule
 
 ROOT2 = 2 ** -0.5
 PARAMS = QcvParams(0.05)
@@ -190,6 +202,42 @@ class TestCandidateBallotFamily:
             assert np.array_equal(left.matrix, right.matrix)
         other = CandidateBallotFamily(random_pure=5, random_seed=10).ballots(space3)
         assert not np.allclose(one[-1].matrix, other[-1].matrix)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            FAMILY,
+            CandidateBallotFamily(basis=False),
+            CandidateBallotFamily(mixture_grid_step=0.1),
+            CandidateBallotFamily(mixture_grid_step=0.3, random_pure=4),
+            CandidateBallotFamily(pair_superpositions=False, mixture_grid_step=0.0),
+        ],
+    )
+    def test_size_is_the_ballot_count(self, space3, space4, family):
+        for space in (space3, space4):
+            assert family.size(space) == len(family.ballots(space))
+
+    def test_empty_family_rejected(self, space3):
+        with pytest.raises(InvalidArgument):
+            CandidateBallotFamily(
+                basis=False, pair_superpositions=False, triple_superpositions=False,
+                mixture_grid_step=0.0,
+            )
+        grid_of_nothing = CandidateBallotFamily(
+            basis=False, pair_superpositions=False, triple_superpositions=False,
+            mixture_grid_step=1.0,
+        )
+        with pytest.raises(InvalidArgument):
+            grid_of_nothing.ballots(space3)
+
+    def test_size_cap(self, space3, space4):
+        space5 = RankingSpace(AlternativeSet(tuple("abcde")))
+        assert FAMILY.size(space5) == 309_520
+        with pytest.raises(ResourceLimit):
+            FAMILY.ballots(space5)
+        with pytest.raises(ResourceLimit):
+            CandidateBallotFamily(mixture_grid_step=1e-9).ballots(space3)
+        assert len(FAMILY.ballots(space4)) == 3_152
 
 
 class TestCheckQic:
@@ -387,6 +435,18 @@ class TestPairedSampler:
         with pytest.raises(InvalidArgument):
             check_iia(qcv_rule(PARAMS), space3, bad, 1, seed=0)
 
+    def test_iia_guard_tolerance_is_eps(self, alts3, space3):
+        def ballot(w):
+            return mixed_state(space3, [(w, rk(alts3, "a>b>c")), (1 - w, rk(alts3, "b>a>c"))])
+
+        profile = ProfileState.product_of([ballot(0.5)])
+        twin = ProfileState.product_of([ballot(0.5 + 1e-6)])
+        near = lambda rng: (profile, twin, ("a", "b"))
+        loose = QcvParams(0.05, eps=1e-5)
+        check_iia(qcv_rule(loose), space3, near, 1, seed=0, eps=1e-5)
+        with pytest.raises(InvalidArgument):
+            check_iia(qcv_rule(PARAMS), space3, near, 1, seed=0)
+
 
 class TestCompositionPreservation:
     def test_qcv_with_natural_extension(self, space3):
@@ -415,3 +475,140 @@ class TestDeterminism:
             ).to_json()
 
         assert run() == run()
+
+
+MULTILINEAR_RULES = {
+    "qcv": qcv_rule(PARAMS),
+    "qcvne": qcvne_rule(PARAMS),
+    "dictator:1": dictator_rule(1),
+    "dictator:2": dictator_rule(2),
+    "natural-extension(dictator:2)": compose(NATURAL_EXTENSION, dictator_rule(2)),
+}
+
+
+def _output_weights(rule, profile) -> np.ndarray:
+    out = rule.evaluate(profile)
+    if isinstance(rule, ChoiceRule):
+        return np.array(list(out.as_dict().values()))
+    return out.diagonal
+
+
+class TestMultilinearFlag:
+    @given(
+        name=st.sampled_from(sorted(MULTILINEAR_RULES)),
+        seed=st.integers(0, 10**6),
+        correlated=st.booleans(),
+        voter=st.integers(1, 3),
+        percent=st.integers(1, 99),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mixing_a_ballot_mixes_the_outputs(
+        self, space3, name, seed, correlated, voter, percent
+    ):
+        rule = MULTILINEAR_RULES[name]
+        assert rule.multilinear
+        rng = random.Random(seed)
+        rankings = space3.rankings()
+
+        def ballot():
+            # Small integer weights keep every positive weight far above eps.
+            weights = [rng.randrange(4) for _ in rankings]
+            weights[rng.randrange(len(rankings))] += 1
+            if rng.random() < 0.5:
+                return mixed_state(space3, list(zip(weights, rankings)))
+            phases = [complex(np.exp(2j * np.pi * rng.random())) for _ in rankings]
+            return pure_state(
+                space3, [(p * w ** 0.5, r) for p, w, r in zip(phases, weights, rankings)]
+            )
+
+        if correlated:
+            raw = [(rng.randint(1, 3), [rng.choice(rankings) for _ in range(3)])
+                   for _ in range(rng.randint(1, 4))]
+            total = sum(w for w, _ in raw)
+            profile = ProfileState.correlated(space3, [(w / total, rs) for w, rs in raw])
+        else:
+            profile = ProfileState.product_of([ballot() for _ in range(3)])
+        one, two = ballot(), ballot()
+        t = percent / 100
+        mix = DensityOperator(space3, t * one.diagonal + (1 - t) * two.diagonal)
+        got = _output_weights(rule, profile.substitute_ballot(voter, mix))
+        want = t * _output_weights(rule, profile.substitute_ballot(voter, one)) + (
+            1 - t
+        ) * _output_weights(rule, profile.substitute_ballot(voter, two))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_flag_needs_every_part_linear(self, alts3):
+        veto = veto_rule(rk(alts3, "a>b>c"))
+        assert not veto.multilinear
+        assert not compose(NATURAL_EXTENSION, veto).multilinear
+        opaque = ChoiceExtension("opaque", natural_extension)
+        assert not compose(opaque, qcv_rule(PARAMS)).multilinear
+        assert compose(NATURAL_EXTENSION, qcv_rule(PARAMS)).multilinear
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize(
+        "family",
+        [FAMILY, CandidateBallotFamily(basis=False), CandidateBallotFamily(random_pure=8, random_seed=4)],
+        ids=["default", "no-basis", "random"],
+    )
+    def test_reports_match_the_generic_scan(self, space3, family):
+        def qic(rule, seed):
+            sampler = default_profile_sampler(space3, 3)
+            return check_qic(rule, sampler, family, trials=10, seed=seed).to_json()
+
+        def composition(rule):
+            sampler = default_profile_sampler(space3, 3)
+            return check_composition_preservation(
+                rule, NATURAL_EXTENSION, sampler, family, trials=20, seed=3
+            )
+
+        flagged, generic = reverse_mix_rule(True), reverse_mix_rule(False)
+        reports = [qic(flagged, seed) for seed in range(8)]
+        assert reports == [qic(generic, seed) for seed in range(8)]
+        assert any('"kind": "manipulation"' in r for r in reports)
+        report = composition(flagged)
+        assert report.details["welfare_witnesses"] > 0
+        assert report.to_json() == composition(generic).to_json()
+
+    def test_scan_evaluates_only_basis_responses(self, alts3, space3, cycle_profile):
+        inner = qcv_rule(PARAMS)
+        calls = []
+
+        def counted(profile):
+            calls.append(profile)
+            return inner.evaluate(profile)
+
+        rule = WelfareRule("qcv", counted, multilinear=True)
+        profile = ProfileState.basis(cycle_profile)
+        assert welfare_manipulation_witness(rule, profile, 1, "a", "b", FAMILY) is None
+        # One truthful evaluation, then one per basis ballot instead of one per candidate.
+        assert len(calls) == 1 + space3.dim
+
+    @pytest.mark.parametrize("case", ["small-family", "light-joint-term"])
+    def test_scan_falls_back_when_batching_costs_more(
+        self, space3, cycle_profile, unanimous_profile, case
+    ):
+        inner = qcv_rule(PARAMS)
+        calls = []
+
+        def counted(profile):
+            calls.append(profile)
+            return inner.evaluate(profile)
+
+        rule = WelfareRule("qcv", counted, multilinear=True)
+        if case == "small-family":
+            # Four candidates cost less than the six basis responses.
+            family = CandidateBallotFamily(
+                basis=False, pair_superpositions=False, triple_superpositions=False,
+                mixture_grid_step=0.0, random_pure=4,
+            )
+            profile = ProfileState.basis(cycle_profile)
+        else:
+            # A joint term of weight 1e-4 puts every candidate within reach of the support filter.
+            family = FAMILY
+            profile = ProfileState.correlated(
+                space3, [(1 - 1e-4, cycle_profile), (1e-4, unanimous_profile)]
+            )
+        assert welfare_manipulation_witness(rule, profile, 1, "a", "b", family) is None
+        assert len(calls) == 1 + family.size(space3)

@@ -357,6 +357,7 @@ class TestCliInputErrors:
         [
             "eps-nan", "eps-inf", "family-grid", "family-random", "family-grid-nan",
             "family-random-negative", "profile-dir", "profile-bytes",
+            "eps-large", "family-empty", "family-seed-only", "family-over-cap", "family-grid-fine",
         ],
     )
     def test_exits_2_with_one_json_line(self, case, tmp_path, capsys):
@@ -372,6 +373,11 @@ class TestCliInputErrors:
             "family-random-negative": [*check, "--family", "random:-5"],
             "profile-dir": ["evaluate", "--rule", "qcv", "--profile", str(tmp_path)],
             "profile-bytes": ["evaluate", "--rule", "qcv", "--profile", str(undecodable)],
+            "eps-large": [*check, "--eps", "0.6"],
+            "family-empty": [*check, "--family", ""],
+            "family-seed-only": [*check, "--family", "seed:3"],
+            "family-over-cap": [*check, "--alternatives", "5"],
+            "family-grid-fine": [*check, "--family", "grid:1e-9"],
         }[case]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -379,3 +385,8 @@ class TestCliInputErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "Traceback" not in captured.err
         assert "error" in json.loads(lines[0])
+
+    def test_large_eps_is_named(self, capsys):
+        assert main(["check", "--axiom", "qic", "--trials", "2", "--eps", "0.6"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "invalid-argument" and "eps" in error["message"]

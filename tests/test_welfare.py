@@ -159,6 +159,11 @@ class TestQcvBasisExamples:
         with pytest.raises(InvalidArgument):
             QcvParams(0.0)
 
+    def test_eps_bounded_above(self):
+        assert QcvParams(0.05, eps=1e-3).eps == 1e-3
+        with pytest.raises(InvalidArgument, match="eps"):
+            QcvParams(0.05, eps=0.6)
+
 
 class TestQcvAgainstExactOracle:
     # The spread bound is strict, so 1/16 is only admissible below m = 4.
@@ -314,6 +319,13 @@ class TestBaselineRules:
         second = basis_state(space3, rk(alts3, "b>a>c"))
         result = rule.evaluate(ProfileState.product_of([superposed, second]))
         assert np.allclose(result.matrix, second.matrix)
+
+    def test_veto_reads_the_callers_eps(self, alts3, space3):
+        pet = rk(alts3, "a>b>c")
+        nearly = mixed_state(space3, [(0.9995, pet), (0.0005, rk(alts3, "c>b>a"))])
+        profile = ProfileState.product_of([nearly, basis_state(space3, rk(alts3, "b>a>c"))])
+        assert veto_rule(pet).evaluate(profile).diagonal[0] == 0.0
+        assert veto_rule(pet, eps=1e-3).evaluate(profile).diagonal[0] == 1.0
 
     def test_veto_needs_two_voters(self, alts3, space3):
         rule = veto_rule(rk(alts3, "a>b>c"))
