@@ -48,6 +48,9 @@ VERDICT_BYPASS = "bypass-demonstrated"
 VERDICT_NOT_BYPASSED = "not-bypassed"
 
 FAMILY_CAP = 100_000  # ballots; the m=4 default family has 3,152, the m=5 one 309,520
+# Basis weights (ballots x m!) a family may hold: each is 8 bytes in the batched
+# search's weight matrix and up to 24 in a pure ballot. m=5 basis,sup2 holds 871,200.
+FAMILY_WEIGHT_CAP = 4_000_000
 # Batched values this close to a clause threshold are re-checked exactly; the
 # batched and exact sums differ only by rounding, far below this.
 _BATCH_GUARD = 1e-11
@@ -256,6 +259,11 @@ class CandidateBallotFamily:
             raise InvalidArgument(f"family has no ballots for {space.alternatives.m} alternatives")
         if size > FAMILY_CAP:
             raise ResourceLimit(f"family of {size} ballots exceeds the cap of {FAMILY_CAP}")
+        if size * space.dim > FAMILY_WEIGHT_CAP:
+            raise ResourceLimit(
+                f"family of {size} ballots over {space.dim} rankings holds {size * space.dim} "
+                f"basis weights, above the cap of {FAMILY_WEIGHT_CAP}"
+            )
         return _family_ballots(self, space, eps)
 
 
@@ -676,6 +684,8 @@ def _dictatorship_scan(
     eps: float,
     axiom: str,
 ) -> AxiomReport:
+    if trials < 1:
+        raise InvalidArgument("trials must be at least 1")
     started = time.perf_counter()
     rng = random.Random(seed)
     counterexamples: dict[tuple[int, str], dict] = {}
@@ -824,6 +834,8 @@ def check_unanimity(
     """Whenever every ballot (fully / at all) supports a pair, society must too."""
     if not isinstance(rule, WelfareRule):
         raise InvalidArgument(f"expected a welfare rule, got {rule!r}")
+    if trials < 1:
+        raise InvalidArgument("trials must be at least 1")
     started = time.perf_counter()
     rng = random.Random(seed)
     violations: list[dict] = []
@@ -885,6 +897,8 @@ def check_iia(
     profiles whose voters agree, trace for trace, on that pair."""
     if not isinstance(rule, WelfareRule):
         raise InvalidArgument(f"expected a welfare rule, got {rule!r}")
+    if trials < 1:
+        raise InvalidArgument("trials must be at least 1")
     started = time.perf_counter()
     rng = random.Random(seed)
     violations: list[dict] = []

@@ -142,8 +142,13 @@ def resolve_rule(
     if base == "veto":
         try:
             ranking = Ranking.from_string(alternatives, arg)
-        except InvalidArgument as exc:
-            raise ParseError(str(exc), "rule") from None
+        except InvalidArgument:
+            names = alternatives.names
+            raise ParseError(
+                f"rule {name!r} must order each of the alternatives {', '.join(names)} "
+                f"exactly once, e.g. veto:{'>'.join(names)}",
+                "rule",
+            ) from None
         return veto_rule(ranking, params.eps)
     raise ParseError(f"unknown rule {name!r}", "rule")
 
@@ -317,8 +322,15 @@ def _add_common_check_flags(sub) -> None:
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors follow the one-JSON-line error contract."""
+
+    def error(self, message: str):
+        raise ParseError(message, "usage")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsc",
         description="Quantum social choice rules and axiom checks over ranking spaces.",
     )
@@ -351,8 +363,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
+    except ParseError as exc:
+        _emit_error(exc)
+        return 2
     try:
         return args.handler(args)
     except (QscError, OSError, UnicodeDecodeError) as exc:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, ZeroMassProjection
 from .hilbert import (
     DEFAULT_EPS,
     DEFAULT_SUPPORT_CAP,
@@ -215,12 +216,85 @@ def qcv_basis(profile: ClassicalProfile, params: QcvParams) -> QcvStages:
     )
 
 
-@lru_cache(maxsize=65536)
-def _qcv_basis_diagonal(names: tuple[str, ...], indices: tuple[int, ...], params: QcvParams) -> np.ndarray:
-    alternatives = AlternativeSet(names)
-    rankings = all_rankings(alternatives)
-    profile = ClassicalProfile(tuple(rankings[k] for k in indices))
-    return qcv_basis(profile, params).sigma3.diagonal
+_MEMO_ROWS = 65_536  # kernel rows kept across every (alternatives, params) pair
+_KERNEL_CELLS = 1 << 18  # rows x m! per kernel call; bounds its temporaries
+
+# (alternatives, params) -> sorted basis-index tuple -> sigma3 weights
+_ROW_MEMO: dict[tuple[AlternativeSet, QcvParams], dict[tuple[int, ...], np.ndarray]] = {}
+
+
+@lru_cache(maxsize=8)
+def _above(alternatives: AlternativeSet) -> np.ndarray:
+    """above[k, x, y]: basis ranking k places alternative x above y (d x m x m bool)."""
+    m = alternatives.m
+    orders = np.array([r.order for r in all_rankings(alternatives)], dtype=np.intp)
+    position = np.empty_like(orders)
+    np.put_along_axis(position, orders, np.arange(m), axis=1)
+    above = position[:, :, None] < position[:, None, :]
+    above.setflags(write=False)
+    return above
+
+
+def _qcv_rows(alternatives: AlternativeSet, idx: np.ndarray, params: QcvParams) -> np.ndarray:
+    """The six-step rule's sigma3 weights for each row of basis indices (k x n -> k x d).
+
+    The same rule as ``qcv_basis``, in array form: every indicator over
+    ordered pairs (x, y) is an m x m mask, and a ranking's agreement with a
+    mask is one product with the ``above`` table. The spread adds the same
+    delta / (d/2) once per covered pair, so its weights come from a table of
+    running sums, bit for bit as ``minority_spread`` adds them. The unanimous
+    pairs are enforced by one renormalization instead of one per pair, which
+    moves weights by at most a few ulp.
+    """
+    params.check_alternatives(alternatives.m)
+    above = _above(alternatives)
+    d, m, _ = above.shape
+    k, n = idx.shape
+    table = above.reshape(d, m * m).T.astype(np.float32)  # (x, y) x ranking
+    tally = above[idx].sum(axis=1)  # voters placing x above y
+    wins = (2 * tally >= n).sum(axis=2)
+    strict = wins[:, :, None] > wins[:, None, :]
+    unanimous = tally == n
+    # A ranking breaks the order of (x, y) when it places y above x: flip the masks.
+    broken = np.concatenate([strict, unanimous]).transpose(0, 2, 1).reshape(2 * k, m * m)
+    extension, keep = (broken.astype(np.float32) @ table == 0.0).reshape(2, k, d)
+
+    present = (tally > 0).reshape(k, m * m)
+    n_any = present.sum(axis=1)
+    if np.any(n_any * params.delta >= 1.0):
+        raise InvalidArgument(
+            f"{int(n_any.max())} pairs at delta {params.delta} leave no weight for the base state"
+        )
+    running = np.concatenate(([0.0], np.cumsum(np.full(m * m, params.delta / (d // 2)))))
+    sigma = running[(present.astype(np.float32) @ table).astype(np.intp)]  # the spread
+    base = (1.0 - n_any * params.delta) * (1.0 / extension.sum(axis=1))
+    np.add(sigma, base[:, None], out=sigma, where=extension)  # sigma2
+
+    # keep is all True on a row without unanimous pairs, so such rows pass unchanged.
+    sigma[~keep] = 0.0
+    constrained = unanimous.any(axis=(1, 2))
+    mass = sigma.sum(axis=1)
+    mass[(mass > 1.0) & (mass <= 1.0 + params.eps)] = 1.0
+    if np.any(constrained & (mass <= params.eps)):
+        low = float(mass[constrained].min())
+        raise ZeroMassProjection(f"no probability mass on the target subspace (Tr = {low:.3e})")
+    mass[~constrained] = 1.0
+    sigma /= mass[:, None]
+    return sigma
+
+
+def _remember(memo: dict[tuple[int, ...], np.ndarray], rows: dict[tuple[int, ...], np.ndarray]) -> None:
+    """Add rows to a memo, then drop the oldest rows beyond ``_MEMO_ROWS`` overall."""
+    memo.update(rows)
+    excess = sum(map(len, _ROW_MEMO.values())) - _MEMO_ROWS
+    for owner, table in list(_ROW_MEMO.items()):
+        if excess <= 0:
+            break
+        for key in list(islice(table, excess)):
+            del table[key]
+            excess -= 1
+        if not table and table is not memo:
+            del _ROW_MEMO[owner]
 
 
 def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
@@ -230,13 +304,30 @@ def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
     tuples; each tuple is scored by the six-step basis rule and the
     results are mixed with the tuple weights. Off-diagonal ballot
     coherences do not enter: the rule consumes basis statistics only.
+
+    The rule reads a tuple only through its multiset of rankings, so rows
+    are memoized under the sorted tuple, and the tuples missing from the
+    memo are scored together by the array kernel ``_qcv_rows``.
     """
     space = profile.space
-    params.check_alternatives(space.alternatives.m)
-    names = space.alternatives.names
+    alternatives = space.alternatives
+    params.check_alternatives(alternatives.m)
+    terms = profile.support_tuples(params.eps, params.support_cap)
+    keys = [tuple(sorted(indices)) for _, indices in terms]
+    memo = _ROW_MEMO.setdefault((alternatives, params), {})
+    rows = {key: memo[key] for key in keys if key in memo}
+    missing = [key for key in dict.fromkeys(keys) if key not in rows]
+    chunk = max(1, _KERNEL_CELLS // space.dim)
+    for start in range(0, len(missing), chunk):
+        block = missing[start : start + chunk]
+        scored = _qcv_rows(alternatives, np.array(block, dtype=np.intp), params)
+        scored.setflags(write=False)
+        rows.update(zip(block, scored))
+    if missing:
+        _remember(memo, {key: rows[key] for key in missing})
     acc = np.zeros(space.dim, dtype=np.float64)
-    for weight, indices in profile.support_tuples(params.eps, params.support_cap):
-        acc += weight * _qcv_basis_diagonal(names, indices, params)
+    for (weight, _), key in zip(terms, keys):
+        acc += weight * rows[key]
     return diagonal_state(space, acc, params.eps)
 
 

@@ -45,11 +45,14 @@ from qsc import (
     WelfareRule,
 )
 from qsc.axioms import (
+    FAMILY_CAP,
+    FAMILY_WEIGHT_CAP,
     VERDICT_DICTATOR_CANDIDATE,
     VERDICT_FALSIFIED,
     VERDICT_HOLDS,
     VERDICT_NO_DICTATOR,
 )
+from qsc import axioms
 from qsc.serde import parse_density, parse_profile
 
 from controls import borda_welfare_rule, constant_choice_rule, reverse_mix_rule, reverse_rule
@@ -57,6 +60,10 @@ from controls import borda_welfare_rule, constant_choice_rule, reverse_mix_rule,
 ROOT2 = 2 ** -0.5
 PARAMS = QcvParams(0.05)
 FAMILY = CandidateBallotFamily()
+
+
+def refuse_to_build(*args):
+    raise AssertionError("the family was built")
 
 
 def rk(alts, text):
@@ -238,6 +245,24 @@ class TestCandidateBallotFamily:
         with pytest.raises(ResourceLimit):
             CandidateBallotFamily(mixture_grid_step=1e-9).ballots(space3)
         assert len(FAMILY.ballots(space4)) == 3_152
+
+    def test_weight_cap(self, monkeypatch):
+        # Under the ballot cap, but ballots x m! basis weights is what gets stored.
+        monkeypatch.setattr(axioms, "_family_ballots", refuse_to_build)
+        space6 = RankingSpace(AlternativeSet(tuple("abcdef")))
+        family = CandidateBallotFamily(
+            pair_superpositions=False, triple_superpositions=False, mixture_grid_step=0.0,
+            random_pure=99_000,
+        )
+        assert family.size(space6) < FAMILY_CAP
+        assert family.size(space6) * space6.dim > FAMILY_WEIGHT_CAP
+        with pytest.raises(ResourceLimit, match="basis weights"):
+            family.ballots(space6)
+        space5 = RankingSpace(AlternativeSet(tuple("abcde")))
+        small = CandidateBallotFamily(triple_superpositions=False, mixture_grid_step=0.0)
+        assert small.size(space5) * space5.dim <= FAMILY_WEIGHT_CAP
+        with pytest.raises(AssertionError, match="built"):
+            small.ballots(space5)
 
 
 class TestCheckQic:

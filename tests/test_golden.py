@@ -5,7 +5,11 @@ arguments, the profile document it reads (if any), its exit code and its
 stdout. A golden changes only when a change alters report bytes on purpose,
 and the change log names the file and the reason.
 
-Regenerate every golden with ``PYTHONPATH=src python tests/test_golden.py``.
+Regenerate every golden with ``PYTHONPATH=src python tests/test_golden.py``
+(or name the goldens to regenerate). ``--compare [name...]`` regenerates
+nothing: it prints, for each golden, the largest difference in any float field
+of the report, and exits 1 if anything else differs (a key, a string, a
+verdict, a count, a list length or the exit code).
 """
 
 from __future__ import annotations
@@ -83,6 +87,21 @@ def test_golden_report_bytes(name, tmp_path):
     assert stdout == golden["stdout"]
 
 
+def test_compare_separates_float_drift_from_other_changes():
+    old = {"verdict": "holds", "trials": 3, "values": [0.5, 0.25], "name": "qcv"}
+    drift = {"verdict": "holds", "trials": 3, "values": [0.5 + 2**-53, 0.25], "name": "qcv"}
+    assert json_differences(old, old) == (0.0, 0, [])
+    assert json_differences(old, drift) == (2**-53, 1, [])
+    for changed in (
+        {**old, "verdict": "falsified"},
+        {**old, "trials": 4},
+        {**old, "values": [0.5]},
+        {**old, "values": [0.5, 1]},
+        {"verdict": "holds", "trials": 3, "values": [0.5, 0.25]},
+    ):
+        assert json_differences(old, changed)[2]
+
+
 def regenerate(names: list[str]) -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
@@ -95,5 +114,50 @@ def regenerate(names: list[str]) -> None:
             print(f"{name}: exit {code}, {len(stdout)} bytes", file=sys.stderr)
 
 
+def json_differences(old, new, path: str = "$") -> tuple[float, int, list[str]]:
+    """(largest float difference, float fields that differ, other differences)."""
+    if isinstance(old, float) and isinstance(new, float):
+        gap = abs(old - new)
+        return gap, int(old != new), []
+    if type(old) is not type(new):
+        return 0.0, 0, [f"{path}: {old!r} -> {new!r}"]
+    if isinstance(old, dict):
+        pairs = [(f"{path}.{key}", old[key], new[key]) for key in sorted(old) if key in new]
+        other = [f"{path}: keys {sorted(set(old) ^ set(new))} differ"] if old.keys() != new.keys() else []
+    elif isinstance(old, list):
+        pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(old, new))]
+        other = [f"{path}: length {len(old)} -> {len(new)}"] if len(old) != len(new) else []
+    else:
+        return 0.0, 0, [] if old == new else [f"{path}: {old!r} -> {new!r}"]
+    largest, fields = 0.0, 0
+    for where, a, b in pairs:
+        gap, changed, problems = json_differences(a, b, where)
+        largest, fields = max(largest, gap), fields + changed
+        other.extend(problems)
+    return largest, fields, other
+
+
+def compare(names: list[str]) -> int:
+    """Print each golden's float drift against a fresh run; 1 on any other difference."""
+    status = 0
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in names:
+            golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+            argv, document = CASES[name]
+            code, stdout = run_case(argv, document, Path(workdir))
+            record = {"exit_code": code, "stdout": json.loads(stdout)}
+            expected = {"exit_code": golden["exit_code"], "stdout": json.loads(golden["stdout"])}
+            largest, fields, other = json_differences(expected, record)
+            bytes_note = "identical bytes" if stdout == golden["stdout"] else "bytes differ"
+            print(f"{name}: {bytes_note}, {fields} float fields differ, largest {largest:.3g}")
+            for problem in other:
+                print(f"  non-float difference {problem}")
+            status |= bool(other)
+    return status
+
+
 if __name__ == "__main__":
-    regenerate(sys.argv[1:] or sorted(CASES))
+    arguments = sys.argv[1:]
+    if arguments[:1] == ["--compare"]:
+        raise SystemExit(compare(arguments[1:] or sorted(CASES)))
+    regenerate(arguments or sorted(CASES))

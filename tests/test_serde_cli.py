@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
 import random
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsc import ParseError, QcvParams, Ranking, qcvne
+from qsc import ParseError, QcvParams, Ranking, axioms, qcvne
 from qsc.axioms import default_profile_sampler
-from qsc.cli import main, parse_family
+from qsc.cli import EXPECTED_VERDICTS, main, parse_family
 from qsc.serde import parse_profile, serialize_profile
 
 SPLIT_TOP_DOC = {
@@ -358,6 +362,8 @@ class TestCliInputErrors:
             "eps-nan", "eps-inf", "family-grid", "family-random", "family-grid-nan",
             "family-random-negative", "profile-dir", "profile-bytes",
             "eps-large", "family-empty", "family-seed-only", "family-over-cap", "family-grid-fine",
+            "family-weights-over-cap", "trials-zero-dictatorship", "trials-zero-unanimity",
+            "trials-zero-iia", "usage-bad-int", "usage-bad-choice",
         ],
     )
     def test_exits_2_with_one_json_line(self, case, tmp_path, capsys):
@@ -378,6 +384,14 @@ class TestCliInputErrors:
             "family-seed-only": [*check, "--family", "seed:3"],
             "family-over-cap": [*check, "--alternatives", "5"],
             "family-grid-fine": [*check, "--family", "grid:1e-9"],
+            "family-weights-over-cap": [
+                *check, "--alternatives", "6", "--family", "basis,random:99000",
+            ],
+            "trials-zero-dictatorship": ["check", "--axiom", "dictatorship", "--trials", "0"],
+            "trials-zero-unanimity": ["check", "--axiom", "unanimity", "--trials", "0"],
+            "trials-zero-iia": ["check", "--axiom", "iia", "--trials", "0"],
+            "usage-bad-int": [*check, "--trials", "abc"],
+            "usage-bad-choice": ["check", "--axiom", "warp"],
         }[case]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -390,3 +404,140 @@ class TestCliInputErrors:
         assert main(["check", "--axiom", "qic", "--trials", "2", "--eps", "0.6"]) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "invalid-argument" and "eps" in error["message"]
+
+    def test_family_weight_cap_refuses_before_building(self, capsys, monkeypatch):
+        # 99,720 ballots pass the ballot cap, but at m=6 they would hold about
+        # 72M basis weights (1.7 GB of pure ballots plus the weight matrix).
+        def refuse_to_build(*args):
+            raise AssertionError("the family was built")
+
+        monkeypatch.setattr(axioms, "_family_ballots", refuse_to_build)
+        argv = ["check", "--axiom", "qic", "--trials", "2", "--alternatives", "6",
+                "--family", "basis,random:99000"]
+        started = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - started < 5.0
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "resource-limit" and "basis weights" in error["message"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--alternatives", "4", "--trials", "2"],
+            ["--alternatives", "5", "--trials", "2", "--family", "basis,sup2"],
+        ],
+    )
+    def test_families_under_the_caps_still_run(self, flags, capsys):
+        assert main(["check", "--axiom", "qic", "--rule", "qcv", *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "holds-on-sample"
+
+    @pytest.mark.parametrize(
+        "rule, alternatives",
+        [("veto:a>b>c", "4"), ("veto:a>b>x", "3"), ("veto:a>b>b", "3"), ("veto:", "3")],
+    )
+    def test_veto_ranking_error_names_rule_and_alternatives(self, rule, alternatives, capsys):
+        argv = ["check", "--axiom", "qic", "--rule", rule, "--alternatives", alternatives,
+                "--trials", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        error = json.loads(captured.err)
+        assert error["error"] == "parse-error" and error["locus"] == "rule"
+        names = ", ".join("abcd"[: int(alternatives)])
+        assert repr(rule) in error["message"] and names in error["message"]
+        assert "permutation" not in error["message"]
+
+
+FUZZ_DOCUMENTS = [
+    SPLIT_TOP_DOC,
+    {"alternatives": ["a", "b", "c", "d"], "voters": [{"mixed": [[1, "a>b>c>d"], [2, "d>c>b>a"]]}]},
+    {"alternatives": ["a", "b"], "correlated": [[0.5, ["a>b", "b>a"]], [0.5, ["b>a", "b>a"]]]},
+    {"alternatives": ["x", "y", "z"], "voters": [{"pure": [[0, 0, "x>y>z"]]}]},
+    {"alternatives": ["x"], "voters": []},
+]
+
+
+def _flag(name, values):
+    """Either nothing or ``[name, value]`` for one of the values."""
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [name, v]))
+
+
+# Valid settings for each flag; the last occurrence of a flag wins, so one bad
+# value appended at the end overrides a good one.
+_check_flags = st.tuples(
+    st.sampled_from(["qcv", "qcvne", "dictator:1", "dictator:2", "veto:a>b>c"])
+    .map(lambda r: ["--rule", r]),
+    _flag("--alternatives", ["2", "3", "4"]),
+    _flag("--voters", ["1", "2", "3"]),
+    st.sampled_from(["1", "2", "3"]).map(lambda t: ["--trials", t]),
+    _flag("--seed", ["0", "7", "-3"]),
+    _flag("--delta", ["0.01", "0.05"]),
+    _flag("--eps", ["1e-9", "1e-3"]),
+    _flag("--family", ["basis", "basis,sup2", "grid:0.5", "random:3,seed:2", "basis,sup2,sup3,grid"]),
+    _flag("--format", ["json", "text"]),
+    st.sampled_from([[], ["--timing"]]),
+)
+_bad_check_flag = st.sampled_from([
+    ["--rule", "dictator:4"], ["--rule", "dictator:x"], ["--rule", "veto:a>b"], ["--rule", "borda"],
+    ["--alternatives", "1"], ["--alternatives", "0"], ["--alternatives", "27"],
+    ["--alternatives", "three"], ["--voters", "0"], ["--voters", "-2"], ["--trials", "0"],
+    ["--trials", "-1"], ["--trials", "1.5"], ["--seed", "x"], ["--delta", "0.2"], ["--delta", "0"],
+    ["--delta", "-1"], ["--delta", "nan"], ["--eps", "0"], ["--eps", "-1e-9"], ["--eps", "0.5"],
+    ["--eps", "nan"], ["--eps", "inf"], ["--family", ""], ["--family", "seed:1"],
+    ["--family", "grid:-1"], ["--family", "warp"], ["--format", "yaml"], ["--axiom", "warp"],
+    ["--warp"],
+])
+_maybe_bad = st.one_of(st.just([]), _bad_check_flag)
+
+_cli_argv = st.one_of(
+    st.tuples(st.just(["check", "--axiom"]),
+              st.sampled_from(["qic", "dictatorship", "onto", "unanimity", "iia", "arrow-suite",
+                               "gs-suite"]).map(lambda a: [a]),
+              _check_flags, _maybe_bad),
+    st.tuples(st.just(["suite"]), st.sampled_from([["arrow"], ["gs"]]),
+              _check_flags, _maybe_bad),
+    st.tuples(
+        st.just(["evaluate"]),
+        st.sampled_from(["qcv", "qcvne", "dictator:1", "dictator:3", "veto:x>y>z", "borda"])
+        .map(lambda r: ["--rule", r]),
+        st.tuples(_flag("--delta", ["0.01", "0.2", "nan"]), _flag("--eps", ["1e-9", "0", "1"]),
+                  st.sampled_from([[], ["--stages"]]), _flag("--format", ["json", "text"])),
+        st.just([]),
+    ),
+)
+
+
+class TestCliFuzz:
+    @given(parts=_cli_argv, document=st.one_of(st.sampled_from(FUZZ_DOCUMENTS), json_values))
+    @settings(max_examples=50, deadline=None)
+    def test_exit_codes_and_error_lines(self, parts, document, tmp_path_factory):
+        head, middle, flags, bad = parts
+        argv = [*head, *middle, *(item for flag in flags for item in flag), *bad]
+        if head == ["evaluate"]:
+            path = tmp_path_factory.mktemp("fuzz") / "profile.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
+            argv += ["--profile", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        captured = SimpleNamespace(out=out.getvalue(), err=err.getvalue())
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in captured.err
+        if code == 0:
+            assert captured.err == ""
+        elif code == 2:
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, (argv, captured.err)
+            assert "error" in json.loads(lines[0])
+        else:
+            # Exit 1 only reports a known rule whose verdict differs from the expected one.
+            assert captured.err == ""
+            axiom = middle[0] if head[0] == "check" else f"{middle[0]}-suite"
+            rule = argv[argv.index("--rule") + 1].partition(":")[0]
+            expected = EXPECTED_VERDICTS[(rule, axiom)]
+            if "--format" in argv and argv[argv.index("--format") + 1] == "text":
+                verdict = captured.out.split("verdict: ")[1].split()[0]
+            else:
+                verdict = json.loads(captured.out)["verdict"]
+            assert verdict != expected, argv

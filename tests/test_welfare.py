@@ -1,5 +1,7 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,6 +32,11 @@ from qsc import (
     veto_rule,
 )
 
+from qsc import welfare
+from qsc.errors import ZeroMassProjection
+from qsc.rankings import all_rankings, ranking_index
+from qsc.welfare import _qcv_rows
+
 from oracles import oracle_sigma3
 
 ROOT2 = 2 ** -0.5
@@ -37,6 +44,18 @@ ROOT2 = 2 ** -0.5
 
 def rk(alts, text):
     return Ranking.from_string(alts, text)
+
+
+def count_kernel_rows(monkeypatch):
+    """Record (eps, rows) for every kernel call that ``qcv`` makes."""
+    scored = []
+
+    def counted(alternatives, idx, params):
+        scored.append((params.eps, len(idx)))
+        return _qcv_rows(alternatives, idx, params)
+
+    monkeypatch.setattr(welfare, "_qcv_rows", counted)
+    return scored
 
 
 def diag_by_label(space, state):
@@ -190,6 +209,139 @@ class TestQcvAgainstExactOracle:
                 assert float(got) == pytest.approx(float(expected[r.labels]), abs=1e-12)
 
 
+@dataclass(frozen=True)
+class UncheckedParams(QcvParams):
+    """QcvParams without its range checks, to reach the rule's own error paths."""
+
+    def __post_init__(self):
+        pass
+
+    def check_alternatives(self, m):
+        pass
+
+
+def random_tuples(rng, d, n, count):
+    return np.array([[rng.randrange(d) for _ in range(n)] for _ in range(count)], dtype=np.intp)
+
+
+def basis_rule(alts, indices, params):
+    rankings = all_rankings(alts)
+    return qcv_basis(ClassicalProfile(tuple(rankings[k] for k in indices)), params).sigma3.diagonal
+
+
+class TestQcvKernel:
+    def test_all_three_voter_profiles_match_oracle(self, alts3):
+        rankings = all_rankings(alts3)
+        idx = np.array(list(product(range(6), repeat=3)), dtype=np.intp)
+        rows = _qcv_rows(alts3, idx, QcvParams(0.05))
+        assert rows.shape == (216, 6)
+        for indices, row in zip(idx, rows):
+            expected = oracle_sigma3(
+                alts3.names, [rankings[k].labels for k in indices], Fraction(1, 20)
+            )
+            exact = [float(expected[r.labels]) for r in rankings]
+            assert np.abs(row - exact).max() <= 1e-15
+
+    @pytest.mark.parametrize("m, count", [(4, 12), (5, 6), (6, 2)])
+    def test_random_tuples_match_oracle(self, m, count):
+        alts = AlternativeSet(tuple("abcdef"[:m]))
+        rankings = all_rankings(alts)
+        delta = Fraction(1, 2 * m * m)
+        rng = random.Random(m)
+        for n in (1, 2, 3, 4):
+            idx = random_tuples(rng, len(rankings), n, count)
+            rows = _qcv_rows(alts, idx, QcvParams(float(delta)))
+            for indices, row in zip(idx, rows):
+                expected = oracle_sigma3(alts.names, [rankings[k].labels for k in indices], delta)
+                exact = [float(expected[r.labels]) for r in rankings]
+                assert np.abs(row - exact).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_matches_step_by_step_rule(self, m):
+        alts = AlternativeSet(tuple("abcdef"[:m]))
+        params = QcvParams.for_alternatives(m)
+        d = len(all_rankings(alts))
+        rng = random.Random(100 + m)
+        for n in range(1, 8):
+            idx = random_tuples(rng, d, n, 8)
+            rows = _qcv_rows(alts, idx, params)
+            for indices, row in zip(idx, rows):
+                assert np.abs(row - basis_rule(alts, indices, params)).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_rows_without_unanimous_pairs_are_bit_identical(self, m):
+        # No projection runs on such a row, and the spread adds delta / (d/2)
+        # per covered pair in the same order as minority_spread.
+        alts = AlternativeSet(tuple("abcdef"[:m]))
+        params = QcvParams.for_alternatives(m)
+        rankings = all_rankings(alts)
+        rng = random.Random(300 + m)
+        # A ranking and its reverse share no pair, so no pair is unanimous.
+        idx = random_tuples(rng, len(rankings), 3, 20)
+        idx[:, 1] = [ranking_index(rankings[k].reversed()) for k in idx[:, 0]]
+        rows = _qcv_rows(alts, idx, params)
+        for indices, row in zip(idx, rows):
+            assert np.array_equal(row, basis_rule(alts, indices, params))
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_voter_order_leaves_rows_bit_identical(self, m):
+        alts = AlternativeSet(tuple("abcdef"[:m]))
+        params = QcvParams.for_alternatives(m)
+        rng = random.Random(200 + m)
+        idx = random_tuples(rng, len(all_rankings(alts)), 5, 20)
+        shuffled = np.array([rng.sample(list(row), len(row)) for row in idx], dtype=np.intp)
+        base = _qcv_rows(alts, idx, params)
+        assert np.array_equal(base, _qcv_rows(alts, shuffled, params))
+        assert np.array_equal(base, _qcv_rows(alts, np.sort(idx, axis=1), params))
+
+    def test_rows_do_not_depend_on_the_batch(self, alts4):
+        params = QcvParams.for_alternatives(4)
+        idx = random_tuples(random.Random(3), 24, 3, 10)
+        batch = _qcv_rows(alts4, idx, params)
+        for indices, row in zip(idx, batch):
+            assert np.array_equal(row, _qcv_rows(alts4, indices[None, :], params)[0])
+
+    def test_delta_bound_raises_like_the_step_rule(self, alts3, cycle_profile):
+        idx = np.array([[0, 3, 4]], dtype=np.intp)
+        with pytest.raises(InvalidArgument):
+            _qcv_rows(alts3, idx, QcvParams(1 / 9))
+        with pytest.raises(InvalidArgument):
+            qcv_basis(ClassicalProfile(cycle_profile), QcvParams(1 / 9))
+
+    def test_spread_bound_raises_like_the_step_rule(self, alts3):
+        # Unchecked delta 0.2: a cycle orients all six pairs and 6 * 0.2 >= 1.
+        params = UncheckedParams(0.2)
+        cycle = (0, 3, 4)
+        with pytest.raises(InvalidArgument, match="leave no weight"):
+            basis_rule(alts3, cycle, params)
+        with pytest.raises(InvalidArgument, match="leave no weight"):
+            _qcv_rows(alts3, np.array([cycle], dtype=np.intp), params)
+        assert np.array_equal(
+            _qcv_rows(alts3, np.array([[0, 0, 1]], dtype=np.intp), params)[0],
+            _qcv_rows(alts3, np.array([[0, 1, 0]], dtype=np.intp), params)[0],
+        )
+
+    def test_zero_mass_follows_the_step_rule(self, alts3):
+        # Admissible parameters keep at least 1 - |any| * delta > 1/m of mass in
+        # the unanimous subspace, so neither form can raise; an eps far above
+        # MAX_EPS is needed to reach the check. The step rule divides once per
+        # unanimous pair and raises when any partial mass is at most eps; the
+        # kernel divides once, by the product of those masses, so it raises
+        # whenever the step rule does.
+        raised = 0
+        for delta, eps in [(0.1, 0.9), (0.2, 0.9), (0.3, 0.7), (0.32, 0.5)]:
+            params = UncheckedParams(delta, eps)
+            for n in (1, 2, 3):
+                for indices in product(range(6), repeat=n):
+                    try:
+                        basis_rule(alts3, indices, params)
+                    except (InvalidArgument, ZeroMassProjection) as exc:
+                        raised += isinstance(exc, ZeroMassProjection)
+                        with pytest.raises(type(exc)):
+                            _qcv_rows(alts3, np.array([indices], dtype=np.intp), params)
+        assert raised > 0
+
+
 class TestQcvGeneralProfiles:
     def test_basis_profile_matches_basis_rule(self, alts3, cycle_profile):
         params = QcvParams(0.05)
@@ -243,14 +395,37 @@ class TestQcvGeneralProfiles:
             for pair in encoded_pairs_all(profile):
                 assert support_probability(society, pair_projector(space3, *pair)) >= 1 - 1e-9
 
-    def test_basis_cache_keys_on_eps(self, alts3, cycle_profile):
-        from qsc.welfare import _qcv_basis_diagonal
-
-        _qcv_basis_diagonal.cache_clear()
+    def test_basis_cache_keys_on_eps(self, alts3, cycle_profile, monkeypatch):
+        # Rows are memoized per (alternatives, params): a second eps scores its
+        # tuple afresh, and a repeat of the first eps is served from the memo.
+        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+        scored = count_kernel_rows(monkeypatch)
         profile = ProfileState.basis(cycle_profile)
         qcv(profile, QcvParams(0.05, eps=1e-9))
         qcv(profile, QcvParams(0.05, eps=1e-3))
-        assert _qcv_basis_diagonal.cache_info().misses == 2
+        qcv(profile, QcvParams(0.05, eps=1e-9))
+        assert scored == [(1e-9, 1), (1e-3, 1)]
+        assert sorted(params.eps for _, params in welfare._ROW_MEMO) == [1e-9, 1e-3]
+
+    def test_memo_keys_on_the_multiset(self, alts3, cycle_profile, monkeypatch):
+        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+        scored = count_kernel_rows(monkeypatch)
+        params = QcvParams(0.05)
+        first = qcv(ProfileState.basis(cycle_profile), params)
+        again = qcv(ProfileState.basis(cycle_profile[::-1]), params)
+        assert scored == [(params.eps, 1)]
+        assert np.array_equal(first.diagonal, again.diagonal)
+
+    def test_memo_is_bounded(self, space3, monkeypatch):
+        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+        monkeypatch.setattr(welfare, "_MEMO_ROWS", 5)
+        uniform = mixed_state(space3, [(1.0, r) for r in space3.rankings()])
+        profile = ProfileState.product_of([uniform] * 2)
+        got = qcv(profile, QcvParams(0.05))
+        assert sum(map(len, welfare._ROW_MEMO.values())) == 5
+        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+        monkeypatch.setattr(welfare, "_MEMO_ROWS", 65_536)
+        assert np.array_equal(got.diagonal, qcv(profile, QcvParams(0.05)).diagonal)
 
     def test_support_cap_surfaces_as_resource_limit(self, alts3, space3):
         from qsc import ResourceLimit
