@@ -15,8 +15,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from itertools import accumulate, combinations, repeat
+from functools import lru_cache, partial
+from itertools import chain, combinations
 from typing import Callable
 
 import numpy as np
@@ -48,8 +48,9 @@ VERDICT_BYPASS = "bypass-demonstrated"
 VERDICT_NOT_BYPASSED = "not-bypassed"
 
 FAMILY_CAP = 100_000  # ballots; the m=4 default family has 3,152, the m=5 one 309,520
-# Basis weights (ballots x m!) a family may hold: each is 8 bytes in the batched
-# search's weight matrix and up to 24 in a pure ballot. m=5 basis,sup2 holds 871,200.
+# Basis weights (ballots x m!) a family may hold: each is 8 bytes in the weight
+# matrix its ballots share as row views, plus 16 in the amplitudes of a pure
+# ballot (a superposition or a random one). m=5 basis,sup2 holds 871,200.
 FAMILY_WEIGHT_CAP = 4_000_000
 # Batched values this close to a clause threshold are re-checked exactly; the
 # batched and exact sums differ only by rounding, far below this.
@@ -264,7 +265,7 @@ class CandidateBallotFamily:
                 f"family of {size} ballots over {space.dim} rankings holds {size * space.dim} "
                 f"basis weights, above the cap of {FAMILY_WEIGHT_CAP}"
             )
-        return _family_ballots(self, space, eps)
+        return _family_arrays(self, space, eps)[0]
 
 
 def _grid_weight_count(step: float) -> int:
@@ -275,57 +276,60 @@ def _grid_weight_count(step: float) -> int:
     return math.ceil(quotient) - 1 if math.isfinite(quotient) else sys.maxsize
 
 
-@lru_cache(maxsize=8)
-def _basis_ballots(space: RankingSpace, eps: float) -> tuple[DensityOperator, ...]:
-    return tuple(basis_state(space, r, eps) for r in space.rankings())
+# The d basis ballots whose responses _flagged_rows combines.
+_BASIS_FAMILY = CandidateBallotFamily(True, False, False, 0.0)
 
 
 @lru_cache(maxsize=64)
-def _family_ballots(
+def _family_arrays(
     family: CandidateBallotFamily, space: RankingSpace, eps: float
-) -> tuple[DensityOperator, ...]:
-    rankings = space.rankings()
-    out: list[DensityOperator] = []
-    if family.basis:
-        out.extend(_basis_ballots(space, eps))
-    if family.pair_superpositions:
-        for i, j in combinations(range(space.dim), 2):
-            out.append(pure_state(space, [(1.0, rankings[i]), (1.0, rankings[j])], eps))
-    if family.triple_superpositions:
-        for i, j, k in combinations(range(space.dim), 3):
-            out.append(
-                pure_state(
-                    space, [(1.0, rankings[i]), (1.0, rankings[j]), (1.0, rankings[k])], eps
-                )
-            )
-    if family.mixture_grid_step > 0.0:
+) -> tuple[tuple[DensityOperator, ...], np.ndarray, np.ndarray]:
+    """The family's ballots, its F x d basis-weight matrix, and each row's smallest positive weight.
+
+    The matrix is filled block by block, in family order, with the bits the
+    per-ballot builders give: ``basis_state``, ``pure_state`` with unit terms,
+    and ``mixed_state`` with the running-sum grid weights. Each ballot's
+    diagonal is a read-only row view of it, and a superposition's amplitudes
+    are a row view of one frozen complex matrix. Only the random pure ballots,
+    whose amplitudes come from the Python RNG, are built one at a time.
+    """
+    d = space.dim
+    weights = np.zeros((family.size(space), d))
+    amplitudes: list[np.ndarray | None] = [None] * len(weights)
+    start = d * family.basis
+    np.fill_diagonal(weights[:start], 1.0)
+    orders = [k for k, on in ((2, family.pair_superpositions), (3, family.triple_superpositions)) if on]
+    units = np.zeros((sum(math.comb(d, k) for k in orders), d), dtype=np.complex128)
+    row = start
+    for k in orders:
+        columns = np.fromiter(chain.from_iterable(combinations(range(d), k)), np.intp).reshape(-1, k)
+        # Each unit term over the norm sqrt(k), as pure_state divides it.
+        units[row - start + np.arange(len(columns))[:, None], columns] = 1.0 / math.sqrt(k)
+        row += len(columns)
+    np.square(units.real, out=weights[start:row])
+    count = _grid_weight_count(family.mixture_grid_step)
+    if count:
         # Running sums, not k * step: witness reports print these weights bit for bit.
-        weights = list(
-            accumulate(repeat(family.mixture_grid_step, _grid_weight_count(family.mixture_grid_step)))
-        )
-        for i, j in combinations(range(space.dim), 2):
-            for w in weights:
-                out.append(
-                    mixed_state(space, [(w, rankings[i]), (1.0 - w, rankings[j])], eps)
-                )
-    if family.random_pure > 0:
-        rng = random.Random(family.random_seed)
-        for _ in range(family.random_pure):
-            amplitudes = [
-                complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(space.dim)
-            ]
-            out.append(pure_state(space, list(zip(amplitudes, rankings)), eps))
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _family_weights(
-    family: CandidateBallotFamily, space: RankingSpace, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The family's F x d basis-weight matrix, and each row's smallest positive weight."""
-    weights = np.stack([b.diagonal for b in family.ballots(space, eps)])
-    smallest = np.where(weights > 0.0, weights, np.inf).min(axis=1)
-    return weights, smallest
+        w = np.tile(np.cumsum(np.full(count, family.mixture_grid_step)), math.comb(d, 2))
+        grid = np.stack([w, 1.0 - w], axis=1)
+        grid /= grid.sum(axis=1, keepdims=True)  # w + (1 - w), the total mixed_state divides by
+        # The upper triangle lists the pairs row by row, in combinations order.
+        pairs = np.repeat(np.column_stack(np.triu_indices(d, 1)), count, axis=0)
+        weights[row + np.arange(len(w))[:, None], pairs] = grid
+    rng = random.Random(family.random_seed)
+    for i in range(len(weights) - family.random_pure, len(weights)):
+        terms = [(complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)), r) for r in space.rankings()]
+        ballot = pure_state(space, terms, eps)
+        weights[i], amplitudes[i] = ballot.diagonal, ballot.amplitudes
+    weights.setflags(write=False)
+    units.setflags(write=False)
+    # pure_state keeps a superposition's amplitudes when its coherences exceed eps.
+    tops = weights[start:row].max(axis=1, initial=0.0)
+    amplitudes[start:row] = [u if top > eps else None for u, top in zip(units, tops)]
+    ballots = tuple(map(partial(DensityOperator._over_frozen_rows, space), weights, amplitudes))
+    smallest = weights.min(axis=1, where=weights > 0.0, initial=np.inf)
+    smallest.setflags(write=False)
+    return ballots, weights, smallest
 
 
 ProfileSampler = Callable[[random.Random], ProfileState]
@@ -572,7 +576,7 @@ def _flagged_rows(
     the F evaluations of the full scan: small families, large d, or a
     correlated profile with a light joint term.
     """
-    weights, smallest = _family_weights(family, adapter.space, eps)
+    _, weights, smallest = _family_arrays(family, adapter.space, eps)
     lightest = 1.0 if profile.factors is not None else min(w for w, _ in profile.joint)
     keep = smallest * lightest <= 2.0 * max(eps, MAX_EPS)
     if 2 * (adapter.space.dim + np.count_nonzero(keep)) > len(weights):
@@ -580,7 +584,7 @@ def _flagged_rows(
     targets = list(dict.fromkeys(target for target, _ in fired))
     responses = [
         adapter.society_values(profile.substitute_ballot(voter, basis, eps))
-        for basis in _basis_ballots(adapter.space, eps)
+        for basis in _family_arrays(_BASIS_FAMILY, adapter.space, eps)[0]
     ]
     values = weights @ np.array([[r[t] for t in targets] for r in responses])
     for target, clause in fired:

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate, combinations, repeat
 
 import numpy as np
 import pytest
@@ -60,10 +61,60 @@ from controls import borda_welfare_rule, constant_choice_rule, reverse_mix_rule,
 ROOT2 = 2 ** -0.5
 PARAMS = QcvParams(0.05)
 FAMILY = CandidateBallotFamily()
+BASIS_SUP2 = CandidateBallotFamily(triple_superpositions=False, mixture_grid_step=0.0)
+# Each generator alone; grid steps 0.3 and 0.07 do not divide 1.
+GENERATORS = [
+    CandidateBallotFamily(pair_superpositions=False, triple_superpositions=False, mixture_grid_step=0.0),
+    CandidateBallotFamily(basis=False, triple_superpositions=False, mixture_grid_step=0.0),
+    CandidateBallotFamily(basis=False, pair_superpositions=False, mixture_grid_step=0.0),
+    *(
+        CandidateBallotFamily(
+            basis=False, pair_superpositions=False, triple_superpositions=False,
+            mixture_grid_step=step,
+        )
+        for step in (0.25, 0.1, 0.3, 0.07)
+    ),
+    CandidateBallotFamily(
+        basis=False, pair_superpositions=False, triple_superpositions=False,
+        mixture_grid_step=0.0, random_pure=4, random_seed=2,
+    ),
+]
 
 
 def refuse_to_build(*args):
     raise AssertionError("the family was built")
+
+
+def space_of(m):
+    return RankingSpace(AlternativeSet(tuple("abcde")[:m]))
+
+
+def per_ballot_family(family, space, eps=1e-9):
+    """The family built one ballot at a time, in family order: the reference for the arrays."""
+    rankings = space.rankings()
+    out = []
+    if family.basis:
+        out += [basis_state(space, r, eps) for r in rankings]
+    for k, on in ((2, family.pair_superpositions), (3, family.triple_superpositions)):
+        if on:
+            out += [
+                pure_state(space, [(1.0, rankings[i]) for i in chosen], eps)
+                for chosen in combinations(range(space.dim), k)
+            ]
+    if family.mixture_grid_step > 0.0:
+        weights = list(
+            accumulate(repeat(family.mixture_grid_step, axioms._grid_weight_count(family.mixture_grid_step)))
+        )
+        out += [
+            mixed_state(space, [(w, rankings[i]), (1.0 - w, rankings[j])], eps)
+            for i, j in combinations(range(space.dim), 2)
+            for w in weights
+        ]
+    rng = random.Random(family.random_seed)
+    for _ in range(family.random_pure):
+        amplitudes = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in rankings]
+        out.append(pure_state(space, list(zip(amplitudes, rankings)), eps))
+    return out
 
 
 def rk(alts, text):
@@ -218,11 +269,77 @@ class TestCandidateBallotFamily:
             CandidateBallotFamily(mixture_grid_step=0.1),
             CandidateBallotFamily(mixture_grid_step=0.3, random_pure=4),
             CandidateBallotFamily(pair_superpositions=False, mixture_grid_step=0.0),
+            BASIS_SUP2,
         ],
     )
-    def test_size_is_the_ballot_count(self, space3, space4, family):
-        for space in (space3, space4):
-            assert family.size(space) == len(family.ballots(space))
+    def test_size_is_the_ballot_count(self, family):
+        # m=2 has no triples; at m=5 only basis,sup2 stays under the caps.
+        for m in (2, 3, 4, 5):
+            space = space_of(m)
+            if m < 5 or family == BASIS_SUP2:
+                assert family.size(space) == len(family.ballots(space))
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            FAMILY,
+            *GENERATORS,
+            CandidateBallotFamily(mixture_grid_step=0.07, random_pure=3, random_seed=5),
+        ],
+    )
+    def test_ballots_match_the_per_ballot_builders(self, family):
+        # At eps 0.4, pure_state stores a triple superposition (weights 1/3) as diagonal.
+        for m, eps in ((2, 1e-9), (3, 1e-9), (4, 1e-9), (3, 0.4)):
+            space = space_of(m)
+            ballots, weights, smallest = axioms._family_arrays(family, space, eps)
+            if not ballots:  # triples alone at m=2
+                with pytest.raises(InvalidArgument, match="no ballots"):
+                    family.ballots(space, eps)
+                continue
+            assert ballots == family.ballots(space, eps)
+            expected = per_ballot_family(family, space, eps)
+            assert len(ballots) == len(expected)
+            for ballot, reference in zip(ballots, expected):
+                assert ballot.diagonal.tobytes() == reference.diagonal.tobytes()
+                assert (ballot.amplitudes is None) == (reference.amplitudes is None)
+                if reference.amplitudes is not None:
+                    assert ballot.amplitudes.tobytes() == reference.amplitudes.tobytes()
+                assert np.shares_memory(ballot.diagonal, weights)
+            stacked = np.stack([b.diagonal for b in expected])
+            assert weights.tobytes() == stacked.tobytes()
+            lightest = np.where(stacked > 0.0, stacked, np.inf).min(axis=1)
+            assert smallest.tobytes() == lightest.tobytes()
+
+    def test_family_arrays_are_read_only(self, space3):
+        family = CandidateBallotFamily(random_pure=2)
+        ballots, weights, smallest = axioms._family_arrays(family, space3, 1e-9)
+        superposition, random_pure = ballots[6], ballots[-1]
+        arrays = [ballots[0].diagonal, superposition.diagonal, superposition.amplitudes,
+                  random_pure.diagonal, random_pure.amplitudes, weights, smallest]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        assert superposition.amplitudes.base is ballots[7].amplitudes.base is not None
+
+    def test_default_family_builds_without_per_ballot_builders(self, space4, monkeypatch):
+        calls = {"pure_state": 0, "mixed_state": 0}
+
+        def counted(name):
+            builder = getattr(axioms, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return builder(*args, **kwargs)
+
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(axioms, name, counted(name))
+        axioms._family_arrays.cache_clear()
+        assert len(FAMILY.ballots(space4)) == 3_152
+        assert calls == {"pure_state": 0, "mixed_state": 0}
+        CandidateBallotFamily(random_pure=3).ballots(space4)
+        assert calls == {"pure_state": 3, "mixed_state": 0}
 
     def test_empty_family_rejected(self, space3):
         with pytest.raises(InvalidArgument):
@@ -237,18 +354,21 @@ class TestCandidateBallotFamily:
         with pytest.raises(InvalidArgument):
             grid_of_nothing.ballots(space3)
 
-    def test_size_cap(self, space3, space4):
-        space5 = RankingSpace(AlternativeSet(tuple("abcde")))
+    def test_size_cap(self, space3, monkeypatch):
+        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
+        space5 = space_of(5)
         assert FAMILY.size(space5) == 309_520
         with pytest.raises(ResourceLimit):
             FAMILY.ballots(space5)
         with pytest.raises(ResourceLimit):
             CandidateBallotFamily(mixture_grid_step=1e-9).ballots(space3)
+
+    def test_default_family_size(self, space4):
         assert len(FAMILY.ballots(space4)) == 3_152
 
     def test_weight_cap(self, monkeypatch):
         # Under the ballot cap, but ballots x m! basis weights is what gets stored.
-        monkeypatch.setattr(axioms, "_family_ballots", refuse_to_build)
+        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
         space6 = RankingSpace(AlternativeSet(tuple("abcdef")))
         family = CandidateBallotFamily(
             pair_superpositions=False, triple_superpositions=False, mixture_grid_step=0.0,

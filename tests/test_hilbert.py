@@ -371,6 +371,17 @@ class TestFromMatrix:
         with pytest.raises(InvalidArgument, match="no term-list form"):
             DensityOperator.from_matrix(space3, 0.5 * half.matrix + 0.5 * point.matrix)
 
+    def test_callers_arrays_are_copied(self, alts3, space3):
+        # A complex128 matrix enters from_matrix without a cast; the state must
+        # still own its weights, like a state built from a caller's vector.
+        matrix = mixed_state(space3, [(0.25, rk(alts3, "a>b>c")), (0.75, rk(alts3, "c>b>a"))]).matrix
+        weights = np.real(matrix.diagonal()).copy()
+        from_matrix = DensityOperator.from_matrix(space3, matrix)
+        direct = DensityOperator(space3, weights)
+        matrix[0, 0] = weights[0] = 0.5
+        for state in (from_matrix, direct):
+            assert state.diagonal[0] == 0.25 and not state.diagonal.flags.writeable
+
     def test_invalid_matrix_rejected(self, space3):
         with pytest.raises(InvalidArgument):
             DensityOperator.from_matrix(space3, np.eye(6))  # trace 6

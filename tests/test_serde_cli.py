@@ -355,6 +355,10 @@ class TestCliCheck:
         assert main(["check", "--axiom", "warp"]) == 2
 
 
+def refuse_to_build(*args):
+    raise AssertionError("the family was built")
+
+
 class TestCliInputErrors:
     @pytest.mark.parametrize(
         "case",
@@ -366,7 +370,10 @@ class TestCliInputErrors:
             "trials-zero-iia", "usage-bad-int", "usage-bad-choice",
         ],
     )
-    def test_exits_2_with_one_json_line(self, case, tmp_path, capsys):
+    def test_exits_2_with_one_json_line(self, case, tmp_path, capsys, monkeypatch):
+        # Every case is refused before a family is built; a cap that regressed
+        # fails here instead of building the m=5 family or a 1e-9 grid.
+        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
         check = ["check", "--axiom", "qic", "--rule", "qcv", "--trials", "2"]
         undecodable = tmp_path / "profile.json"
         undecodable.write_bytes(b"\xff\xfe")
@@ -408,10 +415,7 @@ class TestCliInputErrors:
     def test_family_weight_cap_refuses_before_building(self, capsys, monkeypatch):
         # 99,720 ballots pass the ballot cap, but at m=6 they would hold about
         # 72M basis weights (1.7 GB of pure ballots plus the weight matrix).
-        def refuse_to_build(*args):
-            raise AssertionError("the family was built")
-
-        monkeypatch.setattr(axioms, "_family_ballots", refuse_to_build)
+        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
         argv = ["check", "--axiom", "qic", "--trials", "2", "--alternatives", "6",
                 "--family", "basis,random:99000"]
         started = time.perf_counter()
