@@ -87,6 +87,7 @@ from .welfare import (
     minority_spread,
     qcv,
     qcv_basis,
+    qcv_responses,
     qcv_rule,
     veto_rule,
 )

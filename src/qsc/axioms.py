@@ -208,6 +208,26 @@ class _Targets:
             return self.ballot_values(state)
         return {a: state[a] for a in self.targets}
 
+    def basis_responses(self, profile: ProfileState, voter: int, targets: list) -> np.ndarray:
+        """Society's value on each target with the voter's ballot replaced by each basis ballot.
+
+        Row k of the d x len(targets) result holds the values with basis ballot k.
+
+        A rule with a ``responses`` hook gives every row from one call; any
+        other rule is evaluated once per basis ballot.
+        """
+        if self.rule.responses is not None:
+            # Each target sums the response weights inside its subspace.
+            member = np.zeros((self.space.dim, len(targets)))
+            for j, t in enumerate(targets):
+                member[self._subspaces[t].indices, j] = 1.0
+            return self.rule.responses(profile, voter, self.eps) @ member
+        rows = [
+            self.society_values(profile.substitute_ballot(voter, basis, self.eps))
+            for basis in _family_arrays(_BASIS_FAMILY, self.space, self.eps)[0]
+        ]
+        return np.array([[row[t] for t in targets] for row in rows])
+
 
 @dataclass(frozen=True)
 class CandidateBallotFamily:
@@ -276,7 +296,7 @@ def _grid_weight_count(step: float) -> int:
     return math.ceil(quotient) - 1 if math.isfinite(quotient) else sys.maxsize
 
 
-# The d basis ballots whose responses _flagged_rows combines.
+# The d basis ballots substituted one at a time for a rule without a responses hook.
 _BASIS_FAMILY = CandidateBallotFamily(True, False, False, 0.0)
 
 
@@ -564,29 +584,28 @@ def _flagged_rows(
 
     For a multilinear rule, society's value on target t with candidate c
     substituted is c . R[:, t], where row k of R is its value with basis
-    ballot k substituted: d evaluations stand in for the F of the family.
-    A candidate is kept when that value achieves a clause or lies within
-    _BATCH_GUARD of its threshold, or when the support filter could make the
-    rule non-linear in it: weights at most eps are dropped when a ballot is
-    substituted into a correlated profile or a rule enumerates its support,
-    and a rule may filter at its own eps, which QcvParams bounds by MAX_EPS.
+    ballot k substituted (``_Targets.basis_responses``). A candidate is kept
+    when that value achieves a clause or lies within _BATCH_GUARD of its
+    threshold, or when the support filter could make the rule non-linear in
+    it: weights at most eps are dropped when a ballot is substituted into a
+    correlated profile or a rule enumerates its support, and a rule may
+    filter at its own eps, which QcvParams bounds by MAX_EPS.
 
-    Returns None, and leaves the full scan to the caller, when the d basis
-    responses plus the light rows already kept would cost more than half of
-    the F evaluations of the full scan: small families, large d, or a
-    correlated profile with a light joint term.
+    A rule with a ``responses`` hook gets R from one call, so the batched
+    path always pays. A rule without it pays one evaluation per basis
+    ballot; for such a rule this returns None, and leaves the full scan to
+    the caller, when those d evaluations plus the light rows already kept
+    would cost more than half of the F evaluations of the full scan: small
+    families, large d, or a correlated profile with a light joint term.
     """
     _, weights, smallest = _family_arrays(family, adapter.space, eps)
     lightest = 1.0 if profile.factors is not None else min(w for w, _ in profile.joint)
     keep = smallest * lightest <= 2.0 * max(eps, MAX_EPS)
-    if 2 * (adapter.space.dim + np.count_nonzero(keep)) > len(weights):
+    batching_costs_more = 2 * (adapter.space.dim + np.count_nonzero(keep)) > len(weights)
+    if adapter.rule.responses is None and batching_costs_more:
         return None
     targets = list(dict.fromkeys(target for target, _ in fired))
-    responses = [
-        adapter.society_values(profile.substitute_ballot(voter, basis, eps))
-        for basis in _family_arrays(_BASIS_FAMILY, adapter.space, eps)[0]
-    ]
-    values = weights @ np.array([[r[t] for t in targets] for r in responses])
+    values = weights @ adapter.basis_responses(profile, voter, targets)
     for target, clause in fired:
         column = values[:, targets.index(target)]
         keep |= _clause_achieved(clause, column - _BATCH_GUARD, eps)

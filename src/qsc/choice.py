@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .hilbert import (
     DEFAULT_EPS,
     AlternativeState,
@@ -20,7 +22,7 @@ from .hilbert import (
     support_probability,
     winner_projector,
 )
-from .welfare import QcvParams, WelfareRule, qcv
+from .welfare import QcvParams, WelfareRule, qcv, qcv_rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,12 +40,16 @@ class ChoiceExtension:
 class ChoiceRule:
     """Named map from a joint ballot profile to an alternative distribution.
 
-    ``multilinear`` means what it means for ``WelfareRule``.
+    ``multilinear`` means what it means for ``WelfareRule``. ``responses``,
+    when set, gives the d x d basis weights of the ranking density whose
+    natural extension is the output, one row per basis ballot substituted
+    for the voter, as ``WelfareRule.responses`` does.
     """
 
     name: str
     fn: Callable[[ProfileState], AlternativeState]
     multilinear: bool = False
+    responses: Callable[[ProfileState, int, float], np.ndarray] | None = None
 
     def evaluate(self, profile: ProfileState) -> AlternativeState:
         return self.fn(profile)
@@ -73,6 +79,7 @@ def compose(extension: ChoiceExtension, rule: WelfareRule) -> ChoiceRule:
         lambda profile: extension.apply(rule.evaluate(profile)),
         # The natural extension is linear in the basis weights; other extensions may not be.
         multilinear=rule.multilinear and extension is NATURAL_EXTENSION,
+        responses=rule.responses if extension is NATURAL_EXTENSION else None,
     )
 
 
@@ -82,4 +89,9 @@ def qcvne(profile: ProfileState, params: QcvParams) -> AlternativeState:
 
 
 def qcvne_rule(params: QcvParams) -> ChoiceRule:
-    return ChoiceRule("qcvne", lambda p: qcvne(p, params), multilinear=True)
+    return ChoiceRule(
+        "qcvne",
+        lambda p: qcvne(p, params),
+        multilinear=True,
+        responses=qcv_rule(params).responses,
+    )

@@ -89,11 +89,17 @@ class WelfareRule:
     two ballots for one voter mixes the outputs the same way. Weights the
     support filter drops (at most eps) are exempt. The axiom engine then
     searches dishonest ballots through d basis responses (see ``axioms``).
+
+    ``responses``, when set, computes those d responses in one call:
+    ``responses(profile, voter, eps)`` returns the d x d basis weights of the
+    output, row k with the voter's ballot replaced by basis ranking k
+    (substituted at eps). Only multilinear rules set it.
     """
 
     name: str
     fn: Callable[[ProfileState], DensityOperator]
     multilinear: bool = False
+    responses: Callable[[ProfileState, int, float], np.ndarray] | None = None
 
     def evaluate(self, profile: ProfileState) -> DensityOperator:
         return self.fn(profile)
@@ -297,6 +303,29 @@ def _remember(memo: dict[tuple[int, ...], np.ndarray], rows: dict[tuple[int, ...
             del _ROW_MEMO[owner]
 
 
+def _kernel_rows(
+    space: RankingSpace, params: QcvParams, keys: list[tuple[int, ...]]
+) -> dict[tuple[int, ...], np.ndarray]:
+    """The sigma3 row of each sorted basis-index key: from the memo, or scored by ``_qcv_rows``.
+
+    The missing keys are scored in blocks of at most ``_KERNEL_CELLS`` row
+    cells and remembered; the returned rows are read-only.
+    """
+    alternatives = space.alternatives
+    memo = _ROW_MEMO.setdefault((alternatives, params), {})
+    rows = {key: memo[key] for key in keys if key in memo}
+    missing = [key for key in dict.fromkeys(keys) if key not in rows]
+    chunk = max(1, _KERNEL_CELLS // space.dim)
+    for start in range(0, len(missing), chunk):
+        block = missing[start : start + chunk]
+        scored = _qcv_rows(alternatives, np.array(block, dtype=np.intp), params)
+        scored.setflags(write=False)
+        rows.update(zip(block, scored))
+    if missing:
+        _remember(memo, {key: rows[key] for key in missing})
+    return rows
+
+
 def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
     """Quantum Condorcet rule on a general profile.
 
@@ -310,29 +339,65 @@ def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
     memo are scored together by the array kernel ``_qcv_rows``.
     """
     space = profile.space
-    alternatives = space.alternatives
-    params.check_alternatives(alternatives.m)
+    params.check_alternatives(space.alternatives.m)
     terms = profile.support_tuples(params.eps, params.support_cap)
     keys = [tuple(sorted(indices)) for _, indices in terms]
-    memo = _ROW_MEMO.setdefault((alternatives, params), {})
-    rows = {key: memo[key] for key in keys if key in memo}
-    missing = [key for key in dict.fromkeys(keys) if key not in rows]
-    chunk = max(1, _KERNEL_CELLS // space.dim)
-    for start in range(0, len(missing), chunk):
-        block = missing[start : start + chunk]
-        scored = _qcv_rows(alternatives, np.array(block, dtype=np.intp), params)
-        scored.setflags(write=False)
-        rows.update(zip(block, scored))
-    if missing:
-        _remember(memo, {key: rows[key] for key in missing})
+    rows = _kernel_rows(space, params, keys)
     acc = np.zeros(space.dim, dtype=np.float64)
     for (weight, _), key in zip(terms, keys):
         acc += weight * rows[key]
     return diagonal_state(space, acc, params.eps)
 
 
+def qcv_responses(
+    profile: ProfileState, voter: int, params: QcvParams, eps: float = DEFAULT_EPS
+) -> np.ndarray:
+    """``qcv``'s basis weights with one voter's ballot replaced by each basis ranking (d x d).
+
+    Row k is bit for bit ``qcv(profile.substitute_ballot(voter, basis_k, eps),
+    params).diagonal``. A basis ballot enters every support tuple at the
+    voter's position with weight exactly 1, so the d substituted profiles
+    share one term list and differ only in that column: it is read once,
+    with ranking 0 substituted, and the rows are mixed in ``qcv``'s term
+    order. Basis rankings are taken in blocks whose keys fit one kernel
+    call, so no d x T array of keys or rows is built whole.
+    """
+    space = profile.space
+    d = space.dim
+    first = profile.substitute_ballot(voter, basis_state(space, space.rankings()[0], eps), eps)
+    params.check_alternatives(space.alternatives.m)
+    terms = first.support_tuples(params.eps, params.support_cap)
+    tuples = np.array([indices for _, indices in terms], dtype=np.intp)
+    responses = np.zeros((d, d), dtype=np.float64)
+    # A block fills an eighth of a kernel call, so the kernel's temporaries
+    # (about 30 bytes a cell) stay near 1 MB beside the d x d result.
+    step = max(1, _KERNEL_CELLS // 8 // d // len(terms))
+    for start in range(0, d, step):
+        ranks = np.arange(start, min(start + step, d), dtype=np.intp)
+        count = len(ranks)
+        # Term-major: the keys of term t for every ranking in the block are adjacent.
+        block = np.repeat(tuples, count, axis=0)
+        block[:, voter - 1] = np.tile(ranks, len(terms))
+        block.sort(axis=1)
+        keys = list(map(tuple, block.tolist()))
+        rows = _kernel_rows(space, params, keys)
+        acc = responses[start : start + count]
+        for t, (weight, _) in enumerate(terms):
+            acc += weight * np.array([rows[key] for key in keys[t * count : (t + 1) * count]])
+    low = responses.min(axis=1) < -params.eps
+    off = np.abs(responses.sum(axis=1) - 1.0) > params.eps
+    for row in responses[low | off]:
+        diagonal_state(space, row, params.eps)  # raises with its message
+    return responses
+
+
 def qcv_rule(params: QcvParams) -> WelfareRule:
-    return WelfareRule("qcv", lambda p: qcv(p, params), multilinear=True)
+    return WelfareRule(
+        "qcv",
+        lambda p: qcv(p, params),
+        multilinear=True,
+        responses=lambda p, voter, eps: qcv_responses(p, voter, params, eps),
+    )
 
 
 def dictator_rule(voter: int) -> WelfareRule:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import accumulate, combinations, repeat
 
@@ -19,6 +20,7 @@ from qsc import (
     QcvParams,
     Ranking,
     RankingSpace,
+    SuiteConfig,
     basis_state,
     check_composition_preservation,
     check_dictatorship_choice,
@@ -41,6 +43,7 @@ from qsc import (
     qcvne,
     ResourceLimit,
     reverify_witness,
+    run_gs_suite,
     veto_rule,
     welfare_manipulation_witness,
     WelfareRule,
@@ -53,7 +56,7 @@ from qsc.axioms import (
     VERDICT_HOLDS,
     VERDICT_NO_DICTATOR,
 )
-from qsc import axioms
+from qsc import axioms, choice, welfare
 from qsc.serde import parse_density, parse_profile
 
 from controls import borda_welfare_rule, constant_choice_rule, reverse_mix_rule, reverse_rule
@@ -691,6 +694,44 @@ class TestMultilinearFlag:
         assert compose(NATURAL_EXTENSION, qcv_rule(PARAMS)).multilinear
 
 
+RANDOM4 = CandidateBallotFamily(
+    basis=False, pair_superpositions=False, triple_superpositions=False,
+    mixture_grid_step=0.0, random_pure=4,
+)
+
+
+def correlated_sampler(space, n_voters):
+    """Correlated profiles over distinct tuples, half of them with a 1e-4 joint term."""
+    rankings = space.rankings()
+
+    def sample(rng):
+        raw = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        terms = [(w / sum(raw), [rng.choice(rankings) for _ in range(n_voters)]) for w in raw]
+        if rng.random() < 0.5:
+            terms = [(w * (1 - 1e-4), rs) for w, rs in terms]
+            terms.append((1e-4, [rng.choice(rankings) for _ in range(n_voters)]))
+        return ProfileState.correlated(space, terms)
+
+    return sample
+
+
+def per_basis_hook(rule):
+    """A ``responses`` hook that evaluates the rule once per basis ballot."""
+
+    def responses(profile, voter, eps):
+        space = profile.space
+        return np.array([
+            rule.evaluate(profile.substitute_ballot(voter, basis_state(space, r, eps), eps)).diagonal
+            for r in space.rankings()
+        ])
+
+    return responses
+
+
+def without_hook(rule):
+    return dataclasses.replace(rule, responses=None)
+
+
 class TestBatchedSearch:
     @pytest.mark.parametrize(
         "family",
@@ -757,3 +798,108 @@ class TestBatchedSearch:
             )
         assert welfare_manipulation_witness(rule, profile, 1, "a", "b", family) is None
         assert len(calls) == 1 + family.size(space3)
+
+    @pytest.mark.parametrize("sampler", [default_profile_sampler, correlated_sampler],
+                             ids=["product", "correlated"])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_reports_match_the_per_basis_loop(self, m, sampler):
+        space = space_of(m)
+        params = QcvParams.for_alternatives(m)
+        welfare_rule, choice_rule = qcv_rule(params), qcvne_rule(params)
+        trials = 12 if m == 3 else 3
+        for rule in (welfare_rule, choice_rule):
+            assert rule.responses is not None
+            reports = [
+                check_qic(r, sampler(space, 3), FAMILY, trials=trials, seed=seed).to_json()
+                for r in (rule, without_hook(rule)) for seed in (1, 2)
+            ]
+            assert reports[:2] == reports[2:]
+        composition = [
+            check_composition_preservation(
+                r, NATURAL_EXTENSION, sampler(space, 3), FAMILY, trials=trials, seed=5
+            ).to_json()
+            for r in (welfare_rule, without_hook(welfare_rule))
+        ]
+        assert composition[0] == composition[1]
+        if sampler is default_profile_sampler:
+            config = SuiteConfig(space.alternatives, trials=trials, seed=7)
+            assert (
+                run_gs_suite(choice_rule, config).to_json()
+                == run_gs_suite(without_hook(choice_rule), config).to_json()
+            )
+
+    def test_composition_keeps_the_hook_only_for_the_natural_extension(self):
+        rule = qcv_rule(PARAMS)
+        assert compose(NATURAL_EXTENSION, rule).responses is rule.responses
+        assert compose(ChoiceExtension("opaque", natural_extension), rule).responses is None
+        assert compose(NATURAL_EXTENSION, dictator_rule(1)).responses is None
+
+    def test_one_substitution_and_no_extension_per_scanned_voter(self, space3, cycle_profile, monkeypatch):
+        rule = qcvne_rule(PARAMS)
+        profile = ProfileState.basis(cycle_profile)
+        adapter = axioms._Targets(rule, space3, 1e-9)
+        society = adapter.society_values(profile)
+        counts = {"substitute_ballot": 0, "natural_extension": 0}
+        substitute, extension = ProfileState.substitute_ballot, choice.natural_extension
+
+        def counted_substitute(*args, **kwargs):
+            counts["substitute_ballot"] += 1
+            return substitute(*args, **kwargs)
+
+        def counted_extension(*args, **kwargs):
+            counts["natural_extension"] += 1
+            return extension(*args, **kwargs)
+
+        monkeypatch.setattr(ProfileState, "substitute_ballot", counted_substitute)
+        monkeypatch.setattr(choice, "natural_extension", counted_extension)
+        # Voter 1 is certain that a wins and society is not: the clause fires.
+        assert society["a"] < 1.0 - 1e-9
+        assert axioms._scan_voter(adapter, profile, 1, FAMILY, 1e-9, society) is None
+        assert counts == {"substitute_ballot": 1, "natural_extension": 0}
+
+    @pytest.mark.parametrize("rule", ["qcv", "reverse-mix"])
+    def test_small_family_is_batched(self, space3, rule):
+        # Four candidates cost less than six per-basis responses, but not more than one hook call.
+        if rule == "qcv":
+            hooked = qcv_rule(PARAMS)
+        else:
+            base = reverse_mix_rule(True)
+            hooked = dataclasses.replace(base, responses=per_basis_hook(base))
+        reports = [
+            check_qic(r, default_profile_sampler(space3, 3), RANDOM4, trials=10, seed=seed).to_json()
+            for r in (hooked, without_hook(hooked)) for seed in range(4)
+        ]
+        assert reports[:4] == reports[4:]
+        assert (rule == "reverse-mix") == any('"kind": "manipulation"' in r for r in reports)
+
+    def test_small_family_needs_no_full_scan(self, space3, cycle_profile):
+        inner = qcv_rule(PARAMS)
+        calls = []
+
+        def counted(profile):
+            calls.append(profile)
+            return inner.evaluate(profile)
+
+        rule = dataclasses.replace(inner, fn=counted)
+        profile = ProfileState.basis(cycle_profile)
+        assert welfare_manipulation_witness(rule, profile, 1, "a", "b", RANDOM4) is None
+        # The truthful evaluation, then only the candidates the batched values keep.
+        assert 1 <= len(calls) - 1 < RANDOM4.size(space3)
+
+    def test_support_cap_through_the_hook(self, space3, monkeypatch):
+        rankings = space3.rankings()
+        triple = mixed_state(space3, [(1.0, r) for r in rankings[:3]])
+        profile = ProfileState.product_of([triple] * 3)
+        rule = qcv_rule(QcvParams(0.05, support_cap=8))
+        adapter = axioms._Targets(rule, space3, 1e-9)
+        generic = axioms._Targets(without_hook(rule), space3, 1e-9)
+        with pytest.raises(ResourceLimit) as want:
+            generic.basis_responses(profile, 1, adapter.targets)
+
+        def refuse(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(welfare, "_qcv_rows", refuse)
+        with pytest.raises(ResourceLimit) as got:
+            adapter.basis_responses(profile, 1, adapter.targets)
+        assert str(got.value) == str(want.value)

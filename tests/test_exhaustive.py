@@ -1,20 +1,26 @@
-"""Exhaustive sweeps of the smallest interesting configuration.
+"""Exhaustive sweeps of the smallest interesting configurations.
 
-Three alternatives, two voters, all 36 basis profiles: every claim the
-sampled checks make probabilistically is asserted here outright.
+Three alternatives, two or three voters, all 36 and 216 basis profiles:
+every claim the sampled checks make probabilistically is asserted here
+outright.
 """
 
+from itertools import chain, product
+
+import numpy as np
 import pytest
 
 from qsc import (
     CandidateBallotFamily,
     ProfileState,
     QcvParams,
+    basis_state,
     choice_manipulation_witness,
     encoded_pairs_all,
     encoded_pairs_any,
     pair_projector,
     qcv,
+    qcv_responses,
     qcv_rule,
     qcvne_rule,
     support_probability,
@@ -25,17 +31,15 @@ PARAMS = QcvParams(0.05)
 FAMILY = CandidateBallotFamily()
 
 
-def all_two_voter_profiles(space):
-    rankings = space.rankings()
-    for r1 in rankings:
-        for r2 in rankings:
-            yield ProfileState.basis((r1, r2))
+def all_basis_profiles(space, n):
+    for rankings in product(space.rankings(), repeat=n):
+        yield ProfileState.basis(rankings)
 
 
 def test_no_welfare_witness_on_any_basis_profile(alts3, space3):
     rule = qcv_rule(PARAMS)
-    for profile in all_two_voter_profiles(space3):
-        for voter in (1, 2):
+    for profile in chain(all_basis_profiles(space3, 2), all_basis_profiles(space3, 3)):
+        for voter in range(1, profile.n_voters + 1):
             for x, y in alts3.ordered_pairs():
                 witness = welfare_manipulation_witness(rule, profile, voter, x, y, FAMILY)
                 assert witness is None, (profile.factors, voter, (x, y))
@@ -43,15 +47,15 @@ def test_no_welfare_witness_on_any_basis_profile(alts3, space3):
 
 def test_no_choice_witness_on_any_basis_profile(alts3, space3):
     rule = qcvne_rule(PARAMS)
-    for profile in all_two_voter_profiles(space3):
-        for voter in (1, 2):
+    for profile in chain(all_basis_profiles(space3, 2), all_basis_profiles(space3, 3)):
+        for voter in range(1, profile.n_voters + 1):
             for a in alts3.names:
                 witness = choice_manipulation_witness(rule, profile, voter, a, FAMILY)
                 assert witness is None, (profile.factors, voter, a)
 
 
 def test_support_statements_on_every_basis_profile(alts3, space3):
-    for profile in all_two_voter_profiles(space3):
+    for profile in all_basis_profiles(space3, 2):
         society = qcv(profile, PARAMS)
         any_pairs = encoded_pairs_any(profile)
         all_pairs = encoded_pairs_all(profile)
@@ -65,3 +69,14 @@ def test_support_statements_on_every_basis_profile(alts3, space3):
                 # Nobody backed it, so the spread never touched it and the
                 # reverse pair was unanimous: the projection removed it all.
                 assert value == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_responses_match_the_per_basis_loop_on_every_basis_profile(space3, n):
+    basis = [basis_state(space3, r) for r in space3.rankings()]
+    for profile in all_basis_profiles(space3, n):
+        for voter in range(1, n + 1):
+            got = qcv_responses(profile, voter, PARAMS)
+            for k, ballot in enumerate(basis):
+                want = qcv(profile.substitute_ballot(voter, ballot), PARAMS).diagonal
+                assert np.array_equal(got[k], want), (profile.factors, voter, k)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsc import ParseError, QcvParams, Ranking, axioms, qcvne
+from qsc import ParseError, QcvParams, Ranking, axioms, qcvne, welfare
+from qsc.errors import InvalidArgument, ZeroMassProjection
 from qsc.axioms import default_profile_sampler
 from qsc.cli import EXPECTED_VERDICTS, main, parse_family
 from qsc.serde import parse_profile, serialize_profile
@@ -406,6 +407,29 @@ class TestCliInputErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and "Traceback" not in captured.err
         assert "error" in json.loads(lines[0])
+
+    @pytest.mark.parametrize("error", [InvalidArgument, ZeroMassProjection])
+    def test_kernel_error_in_the_batched_search(self, error, capsys, monkeypatch):
+        # The kernel fails only once the batched search of a scanned voter starts.
+        hooked = []
+        responses = welfare.qcv_responses
+
+        def failing_kernel(*args):
+            raise error("the kernel refused")
+
+        def failing_responses(*args):
+            hooked.append(args)
+            monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+            monkeypatch.setattr(welfare, "_qcv_rows", failing_kernel)
+            return responses(*args)
+
+        monkeypatch.setattr(welfare, "qcv_responses", failing_responses)
+        assert main(["check", "--axiom", "qic", "--rule", "qcv", "--trials", "20", "--seed", "1"]) == 2
+        assert hooked
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and "Traceback" not in captured.err
+        assert json.loads(lines[0])["message"] == "the kernel refused"
 
     def test_large_eps_is_named(self, capsys):
         assert main(["check", "--axiom", "qic", "--trials", "2", "--eps", "0.6"]) == 2

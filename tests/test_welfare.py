@@ -28,6 +28,8 @@ from qsc import (
     pure_state,
     qcv,
     qcv_basis,
+    qcv_responses,
+    qcv_rule,
     support_probability,
     veto_rule,
 )
@@ -457,6 +459,103 @@ class TestQcvGeneralProfiles:
         for labels, w in base_w.items():
             mapped = tuple(relabel[x] for x in labels)
             assert perm_w[mapped] == pytest.approx(float(w), abs=1e-12)
+
+
+def space_of(m):
+    return RankingSpace(AlternativeSet(tuple("abcde")[:m]))
+
+
+def small_support_profile(space, n, rng, correlated, light=False):
+    """A profile whose voters each back at most two rankings, or a few correlated tuples.
+
+    Product ballots are basis states, two-ranking mixtures or superpositions;
+    correlated profiles have one to three terms, and with ``light`` a 1e-4 term besides.
+    """
+    rankings = space.rankings()
+    if correlated:
+        raw = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        terms = [(w / sum(raw), [rng.choice(rankings) for _ in range(n)]) for w in raw]
+        if light:
+            terms = [(w * (1 - 1e-4), rs) for w, rs in terms]
+            terms.append((1e-4, [rng.choice(rankings) for _ in range(n)]))
+        return ProfileState.correlated(space, terms)
+
+    def ballot():
+        first, second = rng.sample(rankings, 2)
+        style = rng.choice(("basis", "mixed", "pure"))
+        if style == "basis":
+            return basis_state(space, first)
+        w = rng.choice((0.25, 0.5, 0.75))
+        if style == "mixed":
+            return mixed_state(space, [(w, first), (1 - w, second)])
+        return pure_state(space, [(w ** 0.5, first), ((1 - w) ** 0.5 * 1j, second)])
+
+    return ProfileState.product_of([ballot() for _ in range(n)])
+
+
+def assert_rows_match_the_per_basis_loop(profile, params, monkeypatch):
+    """Every row of ``qcv_responses`` against ``qcv`` on the substituted profile, bit for bit.
+
+    The row memo is emptied before each side, so both score their own rows.
+    """
+    space = profile.space
+    for voter in range(1, profile.n_voters + 1):
+        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+        got = qcv_responses(profile, voter, params)
+        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+        assert got.shape == (space.dim, space.dim)
+        for k, ranking in enumerate(space.rankings()):
+            want = qcv(profile.substitute_ballot(voter, basis_state(space, ranking)), params)
+            assert np.array_equal(got[k], want.diagonal), (voter, k)
+
+
+class TestQcvResponses:
+    @pytest.mark.parametrize("correlated", [False, True], ids=["product", "correlated"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_rows_match_the_per_basis_loop(self, m, n, correlated, monkeypatch):
+        space = space_of(m)
+        params = QcvParams.for_alternatives(m)
+        rng = random.Random(f"{m}:{n}:{correlated}")
+        for i in range(2 if m == 5 else 4):
+            profile = small_support_profile(space, n, rng, correlated, light=i % 2 == 1)
+            assert_rows_match_the_per_basis_loop(profile, params, monkeypatch)
+
+    def test_weight_just_above_eps(self, space3, monkeypatch):
+        rankings = space3.rankings()
+        faint = mixed_state(space3, [(1 - 1.5e-9, rankings[0]), (1.5e-9, rankings[4])])
+        assert len(faint.diagonal_support(1e-9)) == 2
+        profile = ProfileState.product_of([faint, basis_state(space3, rankings[2]), faint])
+        assert_rows_match_the_per_basis_loop(profile, QcvParams(0.05), monkeypatch)
+
+    def test_blocks_split(self, space4, monkeypatch):
+        # One ranking per block, and one kernel row per call.
+        monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
+        scored = count_kernel_rows(monkeypatch)
+        rng = random.Random(4)
+        params = QcvParams.for_alternatives(4)
+        for correlated in (False, True):
+            profile = small_support_profile(space4, 3, rng, correlated, light=True)
+            assert_rows_match_the_per_basis_loop(profile, params, monkeypatch)
+        assert {rows for _, rows in scored} == {1}
+
+    def test_rule_carries_the_hook(self, space3, cycle_profile):
+        params = QcvParams(0.05)
+        profile = ProfileState.basis(cycle_profile)
+        hook = qcv_rule(params).responses
+        assert np.array_equal(hook(profile, 2, 1e-9), qcv_responses(profile, 2, params, 1e-9))
+        assert dictator_rule(1).responses is None
+        assert veto_rule(cycle_profile[0]).responses is None
+
+    @pytest.mark.parametrize("error", [InvalidArgument, ZeroMassProjection])
+    def test_kernel_errors_propagate(self, space3, cycle_profile, monkeypatch, error):
+        def failing(*args):
+            raise error("the kernel refused")
+
+        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+        monkeypatch.setattr(welfare, "_qcv_rows", failing)
+        with pytest.raises(error, match="^the kernel refused$"):
+            qcv_responses(ProfileState.basis(cycle_profile), 1, QcvParams(0.05))
 
 
 class TestBaselineRules:
