@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import chain, combinations
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .choice import ChoiceExtension, ChoiceRule, compose
 from .errors import InvalidArgument, ResourceLimit
 from .hilbert import (
     DEFAULT_EPS,
-    MAX_EPS,
     DensityOperator,
     ProfileState,
     RankingSpace,
@@ -52,8 +51,8 @@ FAMILY_CAP = 100_000  # ballots; the m=4 default family has 3,152, the m=5 one 3
 # matrix its ballots share as row views, plus 16 in the amplitudes of a pure
 # ballot (a superposition or a random one). m=5 basis,sup2 holds 871,200.
 FAMILY_WEIGHT_CAP = 4_000_000
-# Batched values this close to a clause threshold are re-checked exactly; the
-# batched and exact sums differ only by rounding, far below this.
+# Vertex values this close to a clause threshold are re-checked exactly; the
+# hook's and the rule's sums differ only by rounding, far below this.
 _BATCH_GUARD = 1e-11
 
 
@@ -211,22 +210,14 @@ class _Targets:
     def basis_responses(self, profile: ProfileState, voter: int, targets: list) -> np.ndarray:
         """Society's value on each target with the voter's ballot replaced by each basis ballot.
 
-        Row k of the d x len(targets) result holds the values with basis ballot k.
-
-        A rule with a ``responses`` hook gives every row from one call; any
-        other rule is evaluated once per basis ballot.
+        Row k of the d x len(targets) result holds the values with basis ballot
+        k, read from the rule's ``responses`` hook: each target sums the
+        response weights inside its subspace.
         """
-        if self.rule.responses is not None:
-            # Each target sums the response weights inside its subspace.
-            member = np.zeros((self.space.dim, len(targets)))
-            for j, t in enumerate(targets):
-                member[self._subspaces[t].indices, j] = 1.0
-            return self.rule.responses(profile, voter, self.eps) @ member
-        rows = [
-            self.society_values(profile.substitute_ballot(voter, basis, self.eps))
-            for basis in _family_arrays(_BASIS_FAMILY, self.space, self.eps)[0]
-        ]
-        return np.array([[row[t] for t in targets] for row in rows])
+        member = np.zeros((self.space.dim, len(targets)))
+        for j, t in enumerate(targets):
+            member[self._subspaces[t].indices, j] = 1.0
+        return self.rule.responses(profile, voter, self.eps) @ member
 
 
 @dataclass(frozen=True)
@@ -274,7 +265,8 @@ class CandidateBallotFamily:
             + self.random_pure
         )
 
-    def ballots(self, space: RankingSpace, eps: float = DEFAULT_EPS) -> tuple[DensityOperator, ...]:
+    def check_size(self, space: RankingSpace) -> None:
+        """Refuse, without building anything, a family that is empty or over a cap."""
         size = self.size(space)
         if size == 0:
             raise InvalidArgument(f"family has no ballots for {space.alternatives.m} alternatives")
@@ -285,7 +277,10 @@ class CandidateBallotFamily:
                 f"family of {size} ballots over {space.dim} rankings holds {size * space.dim} "
                 f"basis weights, above the cap of {FAMILY_WEIGHT_CAP}"
             )
-        return _family_arrays(self, space, eps)[0]
+
+    def ballots(self, space: RankingSpace, eps: float = DEFAULT_EPS) -> tuple[DensityOperator, ...]:
+        self.check_size(space)
+        return _family_arrays(self, space, eps)
 
 
 def _grid_weight_count(step: float) -> int:
@@ -296,22 +291,19 @@ def _grid_weight_count(step: float) -> int:
     return math.ceil(quotient) - 1 if math.isfinite(quotient) else sys.maxsize
 
 
-# The d basis ballots substituted one at a time for a rule without a responses hook.
-_BASIS_FAMILY = CandidateBallotFamily(True, False, False, 0.0)
-
-
 @lru_cache(maxsize=64)
 def _family_arrays(
     family: CandidateBallotFamily, space: RankingSpace, eps: float
-) -> tuple[tuple[DensityOperator, ...], np.ndarray, np.ndarray]:
-    """The family's ballots, its F x d basis-weight matrix, and each row's smallest positive weight.
+) -> tuple[DensityOperator, ...]:
+    """The family's ballots, built as arrays.
 
-    The matrix is filled block by block, in family order, with the bits the
-    per-ballot builders give: ``basis_state``, ``pure_state`` with unit terms,
-    and ``mixed_state`` with the running-sum grid weights. Each ballot's
-    diagonal is a read-only row view of it, and a superposition's amplitudes
-    are a row view of one frozen complex matrix. Only the random pure ballots,
-    whose amplitudes come from the Python RNG, are built one at a time.
+    One F x d basis-weight matrix is filled block by block, in family order,
+    with the bits the per-ballot builders give: ``basis_state``, ``pure_state``
+    with unit terms, and ``mixed_state`` with the running-sum grid weights.
+    Each ballot's diagonal is a read-only row view of it, and a superposition's
+    amplitudes are a row view of one frozen complex matrix. Only the random
+    pure ballots, whose amplitudes come from the Python RNG, are built one at
+    a time.
     """
     d = space.dim
     weights = np.zeros((family.size(space), d))
@@ -346,10 +338,7 @@ def _family_arrays(
     # pure_state keeps a superposition's amplitudes when its coherences exceed eps.
     tops = weights[start:row].max(axis=1, initial=0.0)
     amplitudes[start:row] = [u if top > eps else None for u, top in zip(units, tops)]
-    ballots = tuple(map(partial(DensityOperator._over_frozen_rows, space), weights, amplitudes))
-    smallest = weights.min(axis=1, where=weights > 0.0, initial=np.inf)
-    smallest.setflags(write=False)
-    return ballots, weights, smallest
+    return tuple(map(partial(DensityOperator._over_frozen_rows, space), weights, amplitudes))
 
 
 ProfileSampler = Callable[[random.Random], ProfileState]
@@ -540,9 +529,8 @@ def _scan_voter(
 
     Candidate evaluations are shared across targets: society only changes
     with the substituted ballot, not with the pair or alternative under
-    scrutiny. For a multilinear rule only the rows ``_flagged_rows`` keeps,
-    if it takes the batched path, are evaluated, in family order, so the
-    first witness is the one the full scan finds.
+    scrutiny. A rule with a ``responses`` hook is searched at the d basis
+    ballots only (``_near_vertices``); any other rule scans the family.
     """
     if society is None:
         society = adapter.society_values(profile)
@@ -555,11 +543,10 @@ def _scan_voter(
                 fired.append((target, clause))
     if not fired:
         return None
-    candidates = family.ballots(adapter.space, eps)
-    if adapter.rule.multilinear:
-        rows = _flagged_rows(adapter, profile, voter, family, fired, eps)
-        if rows is not None:
-            candidates = [candidates[i] for i in rows]
+    if adapter.rule.responses is None:
+        candidates = family.ballots(adapter.space, eps)
+    else:
+        candidates = _near_vertices(adapter, profile, voter, fired, eps)
     for candidate in candidates:
         substituted = profile.substitute_ballot(voter, candidate, eps)
         dishonest = adapter.society_values(substituted)
@@ -572,45 +559,38 @@ def _scan_voter(
     return None
 
 
-def _flagged_rows(
+def _near_vertices(
     adapter,
     profile: ProfileState,
     voter: int,
-    family: CandidateBallotFamily,
     fired: list[tuple[object, ManipulationClause]],
     eps: float,
-) -> np.ndarray | None:
-    """Indices of the family ballots that could achieve a fired clause, ascending.
+) -> Iterator[DensityOperator]:
+    """The basis ballots that could achieve a fired clause, in basis order.
 
-    For a multilinear rule, society's value on target t with candidate c
-    substituted is c . R[:, t], where row k of R is its value with basis
-    ballot k substituted (``_Targets.basis_responses``). A candidate is kept
-    when that value achieves a clause or lies within _BATCH_GUARD of its
-    threshold, or when the support filter could make the rule non-linear in
-    it: weights at most eps are dropped when a ballot is substituted into a
-    correlated profile or a rule enumerates its support, and a rule may
-    filter at its own eps, which QcvParams bounds by MAX_EPS.
+    The hook's rule reads a ballot only through its basis weights, and is
+    linear in them: with ballot c substituted, society's value on target t
+    is c . R[:, t], where row k of R is its value with basis ballot k
+    (``_Targets.basis_responses``). A threshold on a linear function over
+    the simplex is reached at a vertex, so the d basis ballots stand for
+    every ballot. A vertex is yielded when its value achieves a clause or
+    lies within _BATCH_GUARD of its threshold; the caller evaluates it
+    exactly, and the witness comes from that evaluation.
 
-    A rule with a ``responses`` hook gets R from one call, so the batched
-    path always pays. A rule without it pays one evaluation per basis
-    ballot; for such a rule this returns None, and leaves the full scan to
-    the caller, when those d evaluations plus the light rows already kept
-    would cost more than half of the F evaluations of the full scan: small
-    families, large d, or a correlated profile with a light joint term.
+    Substituting into a correlated profile drops joint terms whose weight
+    times the ballot's weight is at most eps, which breaks linearity for
+    ballots that put such weight on some ranking. There the vertices stand
+    for every ballot that keeps each joint term above that filter.
     """
-    _, weights, smallest = _family_arrays(family, adapter.space, eps)
-    lightest = 1.0 if profile.factors is not None else min(w for w, _ in profile.joint)
-    keep = smallest * lightest <= 2.0 * max(eps, MAX_EPS)
-    batching_costs_more = 2 * (adapter.space.dim + np.count_nonzero(keep)) > len(weights)
-    if adapter.rule.responses is None and batching_costs_more:
-        return None
     targets = list(dict.fromkeys(target for target, _ in fired))
-    values = weights @ adapter.basis_responses(profile, voter, targets)
+    values = adapter.basis_responses(profile, voter, targets)
+    near = np.zeros(len(values), dtype=bool)
     for target, clause in fired:
         column = values[:, targets.index(target)]
-        keep |= _clause_achieved(clause, column - _BATCH_GUARD, eps)
-        keep |= _clause_achieved(clause, column + _BATCH_GUARD, eps)
-    return np.flatnonzero(keep)
+        near |= _clause_achieved(clause, column - _BATCH_GUARD, eps)
+        near |= _clause_achieved(clause, column + _BATCH_GUARD, eps)
+    rankings = adapter.space.rankings()
+    return (basis_state(adapter.space, rankings[k], eps) for k in np.flatnonzero(near))
 
 
 def welfare_manipulation_witness(
@@ -624,7 +604,11 @@ def welfare_manipulation_witness(
 ) -> ManipulationWitness | None:
     """First dishonest ballot flipping society's status on ranking x above y.
 
-    Absence of a witness means none was found in the family, not a proof.
+    A rule with a ``responses`` hook is searched at the d basis ballots,
+    which stand for every density-operator ballot on a product profile
+    (see ``_near_vertices``); ``family`` is then not read. Any other rule is
+    searched over the family, and absence of a witness means none was found
+    in it, not a proof.
     """
     adapter = _Targets(rule, profile.space, eps, targets=[(x, y)])
     return _scan_voter(adapter, profile, voter, family, eps)
@@ -670,11 +654,15 @@ def check_qic(
     if trials < 1:
         raise InvalidArgument("trials must be at least 1")
     started = time.perf_counter()
+    search = "family" if rule.responses is None else "vertices"
     rng = random.Random(seed)
     witnesses: list[dict] = []
     trials_run = 0
     for _ in range(trials):
         profile = sampler(rng)
+        if search == "family":
+            # Refused whether or not a voter of this draw gets scanned.
+            family.check_size(profile.space)
         trials_run += 1
         adapter = _Targets(rule, profile.space, eps)
         society = adapter.society_values(profile)
@@ -694,7 +682,7 @@ def check_qic(
         trials=trials,
         seed=seed,
         witnesses=witnesses,
-        details={"trials_run": trials_run, "family": family.describe()},
+        details={"trials_run": trials_run, "family": family.describe(), "search": search},
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
     )
 
@@ -989,14 +977,20 @@ def check_composition_preservation(
     pair, no choice witness may exist on any alternative for the composed
     rule.
     """
+    if trials < 1:
+        raise InvalidArgument("trials must be at least 1")
     started = time.perf_counter()
     rng = random.Random(seed)
     composed = compose(extension, rule)
+    # The composed rule keeps the hook only if the welfare rule has one.
+    search = "family" if composed.responses is None else "vertices"
     violations: list[dict] = []
     welfare_hits = 0
     choice_hits = 0
     for _ in range(trials):
         profile = sampler(rng)
+        if search == "family":
+            family.check_size(profile.space)
         welfare_adapter = _Targets(rule, profile.space, eps)
         choice_adapter = _Targets(composed, profile.space, eps)
         welfare_society = welfare_adapter.society_values(profile)
@@ -1027,6 +1021,7 @@ def check_composition_preservation(
             "welfare_witnesses": welfare_hits,
             "choice_witnesses": choice_hits,
             "family": family.describe(),
+            "search": search,
         },
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
     )

@@ -40,15 +40,14 @@ class ChoiceExtension:
 class ChoiceRule:
     """Named map from a joint ballot profile to an alternative distribution.
 
-    ``multilinear`` means what it means for ``WelfareRule``. ``responses``,
-    when set, gives the d x d basis weights of the ranking density whose
-    natural extension is the output, one row per basis ballot substituted
-    for the voter, as ``WelfareRule.responses`` does.
+    ``responses``, when set, declares linearity as it does for
+    ``WelfareRule``, and gives the d x d basis weights of the ranking density
+    whose natural extension is the output, one row per basis ballot
+    substituted for the voter, as ``WelfareRule.responses`` does.
     """
 
     name: str
     fn: Callable[[ProfileState], AlternativeState]
-    multilinear: bool = False
     responses: Callable[[ProfileState, int, float], np.ndarray] | None = None
 
     def evaluate(self, profile: ProfileState) -> AlternativeState:
@@ -78,7 +77,6 @@ def compose(extension: ChoiceExtension, rule: WelfareRule) -> ChoiceRule:
         f"{extension.name}({rule.name})",
         lambda profile: extension.apply(rule.evaluate(profile)),
         # The natural extension is linear in the basis weights; other extensions may not be.
-        multilinear=rule.multilinear and extension is NATURAL_EXTENSION,
         responses=rule.responses if extension is NATURAL_EXTENSION else None,
     )
 
@@ -92,6 +90,5 @@ def qcvne_rule(params: QcvParams) -> ChoiceRule:
     return ChoiceRule(
         "qcvne",
         lambda p: qcvne(p, params),
-        multilinear=True,
         responses=qcv_rule(params).responses,
     )

@@ -84,21 +84,19 @@ class QcvParams:
 class WelfareRule:
     """Named map from a joint ballot profile to a societal ranking density.
 
-    ``multilinear`` declares that the output's basis weights are affine in
-    each voter's basis weights while the other voters stay fixed, so mixing
-    two ballots for one voter mixes the outputs the same way. Weights the
-    support filter drops (at most eps) are exempt. The axiom engine then
-    searches dishonest ballots through d basis responses (see ``axioms``).
-
-    ``responses``, when set, computes those d responses in one call:
-    ``responses(profile, voter, eps)`` returns the d x d basis weights of the
-    output, row k with the voter's ballot replaced by basis ranking k
-    (substituted at eps). Only multilinear rules set it.
+    ``responses``, when set, declares that the output's basis weights are
+    affine in each voter's basis weights while the other voters stay fixed,
+    so mixing two ballots for one voter mixes the outputs the same way;
+    weights the support filter drops (at most eps) are exempt. It computes
+    the d basis responses in one call: ``responses(profile, voter, eps)``
+    returns the d x d basis weights of the output, row k with the voter's
+    ballot replaced by basis ranking k (substituted at eps). The axiom
+    engine then searches dishonest ballots at those d vertices only (see
+    ``axioms``).
     """
 
     name: str
     fn: Callable[[ProfileState], DensityOperator]
-    multilinear: bool = False
     responses: Callable[[ProfileState, int, float], np.ndarray] | None = None
 
     def evaluate(self, profile: ProfileState) -> DensityOperator:
@@ -395,7 +393,6 @@ def qcv_rule(params: QcvParams) -> WelfareRule:
     return WelfareRule(
         "qcv",
         lambda p: qcv(p, params),
-        multilinear=True,
         responses=lambda p, voter, eps: qcv_responses(p, voter, params, eps),
     )
 
@@ -404,7 +401,15 @@ def dictator_rule(voter: int) -> WelfareRule:
     """Welfare rule that returns one voter's marginal ballot verbatim."""
     if voter < 1:
         raise InvalidArgument(f"voter index must be positive, got {voter}")
-    return WelfareRule(f"dictator:{voter}", lambda p: p.partial_ballot(voter), multilinear=True)
+
+    def responses(profile: ProfileState, scanned: int, eps: float) -> np.ndarray:
+        d = profile.space.dim
+        if scanned == voter:
+            return np.eye(d)
+        # Whatever basis ranking another voter casts, the dictator's marginal stays.
+        return np.tile(profile.partial_ballot(voter).diagonal, (d, 1))
+
+    return WelfareRule(f"dictator:{voter}", lambda p: p.partial_ballot(voter), responses=responses)
 
 
 def veto_rule(pet_ranking: Ranking, eps: float = DEFAULT_EPS) -> WelfareRule:

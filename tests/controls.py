@@ -9,6 +9,7 @@ from qsc import (
     Ranking,
     WelfareRule,
     alternative_state,
+    basis_state,
 )
 from qsc.hilbert import diagonal_state
 
@@ -29,11 +30,12 @@ def reverse_rule() -> WelfareRule:
     return WelfareRule("reverse:1", evaluate)
 
 
-def reverse_mix_rule(multilinear: bool) -> WelfareRule:
+def reverse_mix_rule(hooked: bool) -> WelfareRule:
     """Voter 1's ballot upside down mixed half and half with voter 2's ballot.
 
-    Manipulable, and multilinear in each voter's basis weights; the flag is
-    a parameter so that the batched and the generic search can be compared.
+    Manipulable, and linear in each voter's basis weights. The hooked
+    version carries a ``responses`` hook, so the axiom engine searches it at
+    the basis ballots only; the unhooked one is searched over the family.
     """
 
     def evaluate(profile):
@@ -42,7 +44,14 @@ def reverse_mix_rule(multilinear: bool) -> WelfareRule:
         first = profile.partial_ballot(1).diagonal[flip]
         return diagonal_state(space, 0.5 * first + 0.5 * profile.partial_ballot(2).diagonal)
 
-    return WelfareRule("reverse-mix", evaluate, multilinear=multilinear)
+    def responses(profile, voter, eps):
+        space = profile.space
+        return np.array([
+            evaluate(profile.substitute_ballot(voter, basis_state(space, r, eps), eps)).diagonal
+            for r in space.rankings()
+        ])
+
+    return WelfareRule("reverse-mix", evaluate, responses=responses if hooked else None)
 
 
 def borda_welfare_rule() -> WelfareRule:

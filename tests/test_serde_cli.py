@@ -376,6 +376,9 @@ class TestCliInputErrors:
         # fails here instead of building the m=5 family or a 1e-9 grid.
         monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
         check = ["check", "--axiom", "qic", "--rule", "qcv", "--trials", "2"]
+        # qcv is searched at the basis ballots and never reads --family, so the
+        # caps are exercised on veto, which scans the family.
+        veto = ["check", "--axiom", "qic", "--trials", "2", "--rule"]
         undecodable = tmp_path / "profile.json"
         undecodable.write_bytes(b"\xff\xfe")
         argv = {
@@ -390,10 +393,10 @@ class TestCliInputErrors:
             "eps-large": [*check, "--eps", "0.6"],
             "family-empty": [*check, "--family", ""],
             "family-seed-only": [*check, "--family", "seed:3"],
-            "family-over-cap": [*check, "--alternatives", "5"],
-            "family-grid-fine": [*check, "--family", "grid:1e-9"],
+            "family-over-cap": [*veto, "veto:a>b>c>d>e", "--alternatives", "5"],
+            "family-grid-fine": [*veto, "veto:a>b>c", "--family", "grid:1e-9"],
             "family-weights-over-cap": [
-                *check, "--alternatives", "6", "--family", "basis,random:99000",
+                *veto, "veto:a>b>c>d>e>f", "--alternatives", "6", "--family", "basis,random:99000",
             ],
             "trials-zero-dictatorship": ["check", "--axiom", "dictatorship", "--trials", "0"],
             "trials-zero-unanimity": ["check", "--axiom", "unanimity", "--trials", "0"],
@@ -440,13 +443,47 @@ class TestCliInputErrors:
         # 99,720 ballots pass the ballot cap, but at m=6 they would hold about
         # 72M basis weights (1.7 GB of pure ballots plus the weight matrix).
         monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
-        argv = ["check", "--axiom", "qic", "--trials", "2", "--alternatives", "6",
-                "--family", "basis,random:99000"]
+        argv = ["check", "--axiom", "qic", "--rule", "veto:a>b>c>d>e>f", "--trials", "2",
+                "--alternatives", "6", "--family", "basis,random:99000"]
         started = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - started < 5.0
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "resource-limit" and "basis weights" in error["message"]
+
+    def test_caps_refuse_before_any_voter_is_scanned(self, capsys, monkeypatch):
+        # Seed 0 draws a profile on which no veto voter's clause fires, so the
+        # search never asks for the family; the m=5 default is still refused.
+        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
+        argv = ["check", "--axiom", "qic", "--rule", "veto:a>b>c>d>e", "--alternatives", "5",
+                "--trials", "1", "--seed", "0"]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "resource-limit" and "309520 ballots" in error["message"]
+        # With the up-front check lifted, the same run finishes without building
+        # the family: no witness, so veto's expected "falsified" is missed.
+        monkeypatch.setattr(axioms.CandidateBallotFamily, "check_size", lambda self, space: None)
+        assert main(argv) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--axiom", "qic", "--rule", "qcv", "--alternatives", "5"],
+            ["check", "--axiom", "qic", "--rule", "qcv", "--alternatives", "6",
+             "--trials", "10", "--seed", "1"],
+            ["check", "--axiom", "gs-suite", "--rule", "qcvne", "--alternatives", "6",
+             "--trials", "3"],
+        ],
+        ids=["qic-m5", "qic-m6", "gs-suite-m6"],
+    )
+    def test_hooked_rules_never_read_the_family(self, argv, capsys, monkeypatch):
+        # The default family is over the caps at m=5 and m=6, and never built.
+        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        qic = payload["reports"][0] if "reports" in payload else payload
+        assert qic["details"]["search"] == "vertices"
+        assert qic["verdict"] == "holds-on-sample"
 
     @pytest.mark.parametrize(
         "flags",

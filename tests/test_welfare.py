@@ -544,7 +544,7 @@ class TestQcvResponses:
         profile = ProfileState.basis(cycle_profile)
         hook = qcv_rule(params).responses
         assert np.array_equal(hook(profile, 2, 1e-9), qcv_responses(profile, 2, params, 1e-9))
-        assert dictator_rule(1).responses is None
+        assert np.array_equal(dictator_rule(2).responses(profile, 2, 1e-9), np.eye(space3.dim))
         assert veto_rule(cycle_profile[0]).responses is None
 
     @pytest.mark.parametrize("error", [InvalidArgument, ZeroMassProjection])
