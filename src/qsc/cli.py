@@ -15,6 +15,7 @@ import argparse
 import json
 import string
 import sys
+from functools import lru_cache
 from typing import Any
 
 from . import serde
@@ -359,10 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on the first ``main`` call: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except ParseError as exc:

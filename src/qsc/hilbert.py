@@ -18,12 +18,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgument, ResourceLimit, ZeroMassProjection
-from .rankings import AlternativeSet, Ranking, all_rankings, ranking_index
+from .rankings import AlternativeSet, Ranking, all_rankings, basis_table, ranking_index
 
 DEFAULT_EPS = 1e-9
 MAX_EPS = 1e-3  # a larger tolerance would blur the clause thresholds it decides
@@ -63,27 +63,23 @@ class Subspace:
     indices: np.ndarray
 
 
-def _subspace(space: RankingSpace, keep: Callable[[Ranking], bool]) -> Subspace:
-    return Subspace(
-        space, _frozen_array([k for k, r in enumerate(space.rankings()) if keep(r)], np.intp)
-    )
-
-
 @lru_cache(maxsize=4096)
 def pair_projector(space: RankingSpace, x: str, y: str) -> Subspace:
     """Subspace of the basis rankings placing x above y."""
     if x == y:
         raise InvalidArgument(f"projector needs two distinct alternatives, got {x!r} twice")
-    space.alternatives.index(x)
-    space.alternatives.index(y)
-    return _subspace(space, lambda r: r.prefers(x, y))
+    i, j = space.alternatives.index(x), space.alternatives.index(y)
+    positions = basis_table(space.alternatives).positions
+    inside = positions[:, i] < positions[:, j]
+    return Subspace(space, _frozen_array(np.flatnonzero(inside), np.intp))
 
 
 @lru_cache(maxsize=1024)
 def winner_projector(space: RankingSpace, alternative: str) -> Subspace:
     """Subspace of the basis rankings topped by one alternative."""
-    space.alternatives.index(alternative)
-    return _subspace(space, lambda r: r.top() == alternative)
+    top = space.alternatives.index(alternative)
+    inside = basis_table(space.alternatives).orders[:, 0] == top
+    return Subspace(space, _frozen_array(np.flatnonzero(inside), np.intp))
 
 
 def validate_density(matrix: np.ndarray, dim: int, eps: float = DEFAULT_EPS) -> None:
@@ -437,16 +433,18 @@ class ProfileState:
             factors[pos] = ballot
             return ProfileState.product_of(factors)
         support = ballot.diagonal_support(eps)
-        rankings_by_index = self.space.rankings()
-        terms: dict[tuple[Ranking, ...], float] = {}
+        terms: dict[tuple[int, ...], float] = {}
         for weight, rankings in self.joint:
+            key = [self.space.basis_index(r) for r in rankings]
             for k, wk in support:
-                new_rankings = list(rankings)
-                new_rankings[pos] = rankings_by_index[k]
-                key = tuple(new_rankings)
-                terms[key] = terms.get(key, 0.0) + weight * wk
+                key[pos] = k
+                indices = tuple(key)
+                terms[indices] = terms.get(indices, 0.0) + weight * wk
         total = sum(terms.values())
-        normalized = [(w / total, key) for key, w in sorted(terms.items(), key=lambda kv: tuple(ranking_index(r) for r in kv[0]))]
+        by_index = self.space.rankings()
+        normalized = [
+            (w / total, tuple(by_index[k] for k in indices)) for indices, w in sorted(terms.items())
+        ]
         return ProfileState.correlated(self.space, normalized, eps)
 
 

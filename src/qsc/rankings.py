@@ -1,8 +1,9 @@
 """Classical ranking combinatorics.
 
 Alternatives, strict rankings, pairwise tallies, Condorcet scores, weak
-orders, linear-extension enumeration, and the Lehmer-code bijection that
-labels the ranking basis. Everything here is immutable and pure.
+orders, linear-extension enumeration, and the basis table: the m! rankings
+of an alternative set in Lehmer-index order, with their per-ranking facts,
+built once per set. Everything here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import InvalidArgument
 
@@ -108,7 +111,8 @@ class Ranking:
         return tuple(self.alternatives.names[i] for i in self.order)
 
     def to_string(self) -> str:
-        return ">".join(self.labels)
+        table = basis_table(self.alternatives)
+        return table.strings[table.index[self.order]]
 
     def position(self, label: str) -> int:
         return self.order.index(self.alternatives.index(label))
@@ -244,33 +248,61 @@ def linear_extensions(weak_order: WeakOrder) -> list[Ranking]:
     return extensions
 
 
+@dataclass(frozen=True, eq=False)
+class BasisTable:
+    """The m! basis rankings of one alternative set and their per-ranking facts.
+
+    Entry k of each tuple and row k of each array describe basis ranking k;
+    ``index`` maps an order back to k. The arrays are read-only.
+    """
+
+    rankings: tuple[Ranking, ...]
+    strings: tuple[str, ...]  # the compact "a>b>c" form
+    index: Mapping[tuple[int, ...], int]  # order -> basis index
+    orders: np.ndarray  # d x m: orders[k, p] is the alternative at place p
+    positions: np.ndarray  # d x m: positions[k, x] is the place of alternative x
+    above: np.ndarray  # d x m x m bool: ranking k places x above y
+
+
+@lru_cache(maxsize=64)
+def basis_table(alternatives: AlternativeSet) -> BasisTable:
+    """The basis table of an alternative set, built once.
+
+    Lexicographic permutations of 0..m-1 come in Lehmer-index order, so the
+    k-th permutation is the ranking of basis index k (identity at 0).
+    """
+    m = alternatives.m
+    names = alternatives.names
+    perms = list(permutations(range(m)))
+    orders = np.array(perms, dtype=np.intp)
+    positions = np.empty_like(orders)
+    np.put_along_axis(positions, orders, np.arange(m), axis=1)
+    above = positions[:, :, None] < positions[:, None, :]
+    for array in (orders, positions, above):
+        array.setflags(write=False)
+    return BasisTable(
+        rankings=tuple(Ranking(alternatives, p) for p in perms),
+        strings=tuple(">".join([names[i] for i in p]) for p in perms),
+        index={p: k for k, p in enumerate(perms)},
+        orders=orders,
+        positions=positions,
+        above=above,
+    )
+
+
 def ranking_index(ranking: Ranking) -> int:
     """Lehmer rank of the ranking among all m! orders; identity maps to 0."""
-    order = ranking.order
-    m = len(order)
-    rank = 0
-    for pos, value in enumerate(order):
-        smaller_after = sum(1 for later in order[pos + 1 :] if later < value)
-        rank += smaller_after * factorial(m - 1 - pos)
-    return rank
+    return basis_table(ranking.alternatives).index[ranking.order]
 
 
 def ranking_from_index(index: int, alternatives: AlternativeSet) -> Ranking:
     """Inverse of :func:`ranking_index`."""
-    m = alternatives.m
-    if not 0 <= index < factorial(m):
-        raise InvalidArgument(f"ranking index {index} out of range 0..{factorial(m) - 1}")
-    remaining = list(range(m))
-    order = []
-    rest = index
-    for pos in range(m):
-        f = factorial(m - 1 - pos)
-        digit, rest = divmod(rest, f)
-        order.append(remaining.pop(digit))
-    return Ranking(alternatives, tuple(order))
+    rankings = basis_table(alternatives).rankings
+    if not 0 <= index < len(rankings):
+        raise InvalidArgument(f"ranking index {index} out of range 0..{len(rankings) - 1}")
+    return rankings[index]
 
 
-@lru_cache(maxsize=64)
 def all_rankings(alternatives: AlternativeSet) -> tuple[Ranking, ...]:
     """All rankings in basis-index order, so ``all_rankings(A)[k]`` has index k."""
-    return tuple(ranking_from_index(k, alternatives) for k in range(factorial(alternatives.m)))
+    return basis_table(alternatives).rankings

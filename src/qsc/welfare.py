@@ -11,7 +11,6 @@ engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from typing import Callable
 
@@ -37,7 +36,7 @@ from .rankings import (
     ClassicalProfile,
     Ranking,
     WeakOrder,
-    all_rankings,
+    basis_table,
     condorcet_scores,
     linear_extensions,
     ranking_index,
@@ -227,18 +226,6 @@ _KERNEL_CELLS = 1 << 18  # rows x m! per kernel call; bounds its temporaries
 _ROW_MEMO: dict[tuple[AlternativeSet, QcvParams], dict[tuple[int, ...], np.ndarray]] = {}
 
 
-@lru_cache(maxsize=8)
-def _above(alternatives: AlternativeSet) -> np.ndarray:
-    """above[k, x, y]: basis ranking k places alternative x above y (d x m x m bool)."""
-    m = alternatives.m
-    orders = np.array([r.order for r in all_rankings(alternatives)], dtype=np.intp)
-    position = np.empty_like(orders)
-    np.put_along_axis(position, orders, np.arange(m), axis=1)
-    above = position[:, :, None] < position[:, None, :]
-    above.setflags(write=False)
-    return above
-
-
 def _qcv_rows(alternatives: AlternativeSet, idx: np.ndarray, params: QcvParams) -> np.ndarray:
     """The six-step rule's sigma3 weights for each row of basis indices (k x n -> k x d).
 
@@ -251,7 +238,7 @@ def _qcv_rows(alternatives: AlternativeSet, idx: np.ndarray, params: QcvParams) 
     moves weights by at most a few ulp.
     """
     params.check_alternatives(alternatives.m)
-    above = _above(alternatives)
+    above = basis_table(alternatives).above
     d, m, _ = above.shape
     k, n = idx.shape
     table = above.reshape(d, m * m).T.astype(np.float32)  # (x, y) x ranking

@@ -8,12 +8,33 @@ in the implementation cannot hide in its oracle.
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 LabelRanking = tuple[str, ...]
 
 
 def ranks_above(ranking: LabelRanking, x: str, y: str) -> bool:
     return ranking.index(x) < ranking.index(y)
+
+
+def lehmer_index(order: tuple[int, ...]) -> int:
+    """Lehmer rank of a permutation of 0..m-1 among all m! orders; identity is 0."""
+    m = len(order)
+    rank = 0
+    for pos, value in enumerate(order):
+        smaller_after = sum(1 for later in order[pos + 1 :] if later < value)
+        rank += smaller_after * factorial(m - 1 - pos)
+    return rank
+
+
+def lehmer_order(index: int, m: int) -> tuple[int, ...]:
+    """Inverse of ``lehmer_index``."""
+    remaining = list(range(m))
+    order = []
+    for pos in range(m):
+        digit, index = divmod(index, factorial(m - 1 - pos))
+        order.append(remaining.pop(digit))
+    return tuple(order)
 
 
 def oracle_condorcet_scores(labels: tuple[str, ...], rankings: list[LabelRanking]) -> dict[str, int]:

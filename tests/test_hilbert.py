@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from qsc import (
     winner_projector,
 )
 
-from oracles import ranks_above
+from oracles import lehmer_index, ranks_above
 
 ROOT2 = 2 ** -0.5
 
@@ -293,6 +295,46 @@ class TestProfileState:
         one = swapped.partial_ballot(1).diagonal
         assert one[0] == pytest.approx(0.5) and one[2] == pytest.approx(0.5)
         assert np.allclose(swapped.partial_ballot(2).diagonal, replacement.diagonal)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_substitute_ballot_correlated_matches_reference_sort(self, m):
+        # The merge keyed by ranking tuples and sorted by each ranking's Lehmer
+        # index, as it was before terms were keyed by basis index.
+        def reference(profile, voter, ballot, eps=1e-9):
+            by_index = profile.space.rankings()
+            terms = {}
+            for weight, rankings in profile.joint:
+                for k, wk in ballot.diagonal_support(eps):
+                    key = list(rankings)
+                    key[voter - 1] = by_index[k]
+                    key = tuple(key)
+                    terms[key] = terms.get(key, 0.0) + weight * wk
+            total = sum(terms.values())
+            ordered = sorted(terms.items(), key=lambda kv: tuple(lehmer_index(r.order) for r in kv[0]))
+            return [(w / total, key) for key, w in ordered]
+
+        space = RankingSpace(AlternativeSet(tuple("abcd")[:m]))
+        rankings = space.rankings()
+        rng = random.Random(m)
+        checked = 0
+        for _ in range(20):
+            raw = [rng.random() for _ in range(rng.randint(1, 6))]
+            # Repeated tuples and shared rankings make terms merge.
+            pool = [tuple(rng.choice(rankings) for _ in range(3)) for _ in range(3)]
+            profile = ProfileState.correlated(
+                space, [(w / sum(raw), rng.choice(pool)) for w in raw]
+            )
+            if rng.random() < 0.5:
+                ballot = random_diagonal_state(space, rng)
+            else:
+                ballot = mixed_state(space, [(rng.random(), rng.choice(rankings)) for _ in range(3)])
+            for voter in (1, 2, 3):
+                got = profile.substitute_ballot(voter, ballot).joint
+                want = reference(profile, voter, ballot)
+                assert [key for _, key in got] == [key for _, key in want]
+                assert [w for w, _ in got] == [w for w, _ in want]  # bit for bit
+                checked += len(got)
+        assert checked > 0
 
     def test_forms_are_exclusive(self, space3, alts3):
         with pytest.raises(InvalidArgument):

@@ -1,6 +1,7 @@
 import math
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,18 +11,22 @@ from qsc import (
     ClassicalProfile,
     InvalidArgument,
     Ranking,
+    RankingSpace,
     WeakOrder,
     all_rankings,
     condorcet_scores,
     linear_extensions,
+    pair_projector,
     prefers,
     ranking_from_index,
     ranking_index,
     voters_preferring,
     weak_order_from_scores,
+    winner_projector,
 )
+from qsc.rankings import basis_table
 
-from oracles import oracle_condorcet_scores
+from oracles import lehmer_index, lehmer_order, oracle_condorcet_scores
 
 
 def rk(alts, text):
@@ -207,6 +212,42 @@ class TestRankingIndex:
         rankings = all_rankings(alts3)
         assert [ranking_index(r) for r in rankings] == list(range(6))
         assert [r.order for r in rankings] == sorted(r.order for r in rankings)
+
+
+class TestBasisTable:
+    """Every structure read from the basis table against its per-ranking definition."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_matches_per_ranking_definitions(self, m):
+        alts = AlternativeSet(tuple("uvwxyz")[:m])
+        space = RankingSpace(alts)
+        rankings = all_rankings(alts)
+        assert len(rankings) == math.factorial(m)
+        for k, r in enumerate(rankings):
+            assert r.order == lehmer_order(k, m)
+            assert ranking_from_index(k, alts) is r
+            assert ranking_index(r) == k == lehmer_index(r.order)
+            assert space.basis_index(Ranking(alts, r.order)) == lehmer_index(r.order)
+            assert r.to_string() == ">".join(r.labels)
+            assert Ranking.from_string(alts, ">".join(r.labels)).to_string() == ">".join(r.labels)
+        table = basis_table(alts)
+        for x in alts.names:
+            tops = [k for k, r in enumerate(rankings) if r.top() == x]
+            assert winner_projector(space, x).indices.tolist() == tops
+            for y in alts.names:
+                if x == y:
+                    continue
+                inside = [k for k, r in enumerate(rankings) if r.prefers(x, y)]
+                assert pair_projector(space, x, y).indices.tolist() == inside
+                column = table.above[:, alts.index(x), alts.index(y)]
+                assert np.flatnonzero(column).tolist() == inside
+        assert not table.above[:, range(m), range(m)].any()
+
+    def test_one_table_per_alternative_set(self, alts3):
+        assert basis_table(AlternativeSet(("a", "b", "c"))) is basis_table(alts3)
+        table = basis_table(alts3)
+        for array in (table.orders, table.positions, table.above):
+            assert not array.flags.writeable
 
 
 class TestAlternativeSet:

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -10,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsc import ParseError, QcvParams, Ranking, axioms, qcvne, welfare
+import qsc
+from qsc import ParseError, QcvParams, Ranking, axioms, cli, qcvne, welfare
 from qsc.errors import InvalidArgument, ZeroMassProjection
 from qsc.axioms import default_profile_sampler
 from qsc.cli import EXPECTED_VERDICTS, main, parse_family
@@ -354,6 +358,85 @@ class TestCliCheck:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["check", "--axiom", "warp"]) == 2
+
+
+class TestParserReuse:
+    """``main`` builds one parser per process; no call leaves state for the next."""
+
+    def calls(self, tmp_path):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({
+            "alternatives": ["a", "b", "c"],
+            "voters": [{"mixed": [[1, "a>b>c"]]}, {"mixed": [[1, "b>c>a"]]}],
+        }))
+        evaluate = ["evaluate", "--rule", "qcv", "--profile", str(profile)]
+        onto = ["check", "--axiom", "onto", "--rule", "qcvne"]
+        return [
+            [*evaluate, "--stages"],
+            evaluate,
+            [*onto, "--timing"],
+            onto,
+            ["check", "--axiom", "warp"],
+            [*onto, "--format", "text", "--out", str(tmp_path / "report.txt")],
+            ["evaluate", "--rule", "qcv", "--profile", str(profile), "--stages", "--delta", "1"],
+            ["check", "--axiom", "unanimity", "--rule", "dictator:1", "--trials", "3"],
+            ["suite", "gs", "--rule", "qcvne", "--trials", "3", "--out", str(tmp_path / "report.txt")],
+            ["check", "--axiom", "qic", "--rule", "qcv", "--trials", "3", "--seed", "4"],
+        ]
+
+    def run(self, argv, tmp_path):
+        report = tmp_path / "report.txt"
+        report.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        text = out.getvalue()
+        if "--timing" in argv:
+            payload = json.loads(text)
+            assert payload.pop("elapsed_ms") >= 0.0
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return code, text, err.getvalue(), report.read_text() if report.exists() else None
+
+    def test_calls_in_sequence_match_fresh_parsers(self, tmp_path, monkeypatch):
+        calls = self.calls(tmp_path)
+        before = cli._parser.cache_info()
+        reused = [self.run(argv, tmp_path) for argv in calls]
+        after = cli._parser.cache_info()
+        assert after.currsize == 1
+        assert after.hits + after.misses - before.hits - before.misses == len(calls)
+        assert after.misses <= 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [self.run(argv, tmp_path) for argv in calls]
+        assert reused == fresh
+        codes = [code for code, _, _, _ in reused]
+        assert codes == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0]
+        for code, out, err, _ in reused:
+            if code == 2:
+                assert out == ""
+                assert "error" in json.loads(err)
+                assert len(err.splitlines()) == 1
+        assert "stages" in json.loads(reused[0][1]) and "stages" not in json.loads(reused[1][1])
+        assert "elapsed_ms" not in reused[3][1]
+        assert reused[5][1] == "" and reused[5][3].startswith("axiom: onto")
+        assert reused[8][1] == "" and json.loads(reused[8][3])["suite"] == "gs-suite"
+        assert reused[9][3] is None and json.loads(reused[9][1])["axiom"] == "qic"
+
+
+def test_import_builds_nothing():
+    # Parser, basis tables, subspaces and family arrays are built on first use.
+    probe = (
+        "import qsc.cli, qsc.rankings, qsc.hilbert, qsc.axioms, qsc.welfare\n"
+        "caches = [qsc.cli._parser, qsc.rankings.basis_table, qsc.hilbert.pair_projector,\n"
+        "          qsc.hilbert.winner_projector, qsc.axioms._family_arrays]\n"
+        "print([f.cache_info().currsize for f in caches], len(qsc.welfare._ROW_MEMO))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qsc.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "0"]
 
 
 def refuse_to_build(*args):
