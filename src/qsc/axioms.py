@@ -8,7 +8,6 @@ every reported manipulation witness can be replayed from its record.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import sys
@@ -466,7 +465,7 @@ class AxiomReport:
     def to_json(self, include_elapsed: bool = False) -> str:
         # Wall-clock timing is kept out of the canonical bytes so equal
         # seeds and flags give byte-identical reports.
-        return json.dumps(self.to_jsonable(include_elapsed), sort_keys=True, indent=2)
+        return serde.canonical_json(self.to_jsonable(include_elapsed))
 
 
 @dataclass
@@ -497,7 +496,7 @@ class SuiteReport:
         return data
 
     def to_json(self, include_elapsed: bool = False) -> str:
-        return json.dumps(self.to_jsonable(include_elapsed), sort_keys=True, indent=2)
+        return serde.canonical_json(self.to_jsonable(include_elapsed))
 
 
 def _witness_from(
@@ -1045,6 +1044,13 @@ class SuiteConfig:
             raise InvalidArgument("need at least one voter and one trial")
 
 
+def _component(name: str, ok: bool, verdict: str | None = None) -> dict:
+    """One suite component; its verdict is holds-on-sample or falsified unless given."""
+    if verdict is None:
+        verdict = VERDICT_HOLDS if ok else VERDICT_FALSIFIED
+    return {"name": name, "ok": ok, "verdict": verdict}
+
+
 def run_arrow_suite(rule: WelfareRule, config: SuiteConfig) -> SuiteReport:
     """Unanimity, independence and non-dictatorship, bundled."""
     started = time.perf_counter()
@@ -1057,32 +1063,11 @@ def run_arrow_suite(rule: WelfareRule, config: SuiteConfig) -> SuiteReport:
         rule, space, default_profile_sampler(space, config.n_voters),
         config.trials, config.seed + 2, config.eps,
     )
+    variants = ("sharp", "unsharp")
     components = [
-        {
-            "name": "unanimity-sharp",
-            "ok": unanimity.details["sharp"]["violations"] == 0,
-            "verdict": VERDICT_HOLDS if unanimity.details["sharp"]["violations"] == 0 else VERDICT_FALSIFIED,
-        },
-        {
-            "name": "unanimity-unsharp",
-            "ok": unanimity.details["unsharp"]["violations"] == 0,
-            "verdict": VERDICT_HOLDS if unanimity.details["unsharp"]["violations"] == 0 else VERDICT_FALSIFIED,
-        },
-        {
-            "name": "iia-sharp",
-            "ok": not any(w["variant"] == "sharp" for w in iia.witnesses),
-            "verdict": VERDICT_HOLDS if not any(w["variant"] == "sharp" for w in iia.witnesses) else VERDICT_FALSIFIED,
-        },
-        {
-            "name": "iia-unsharp",
-            "ok": not any(w["variant"] == "unsharp" for w in iia.witnesses),
-            "verdict": VERDICT_HOLDS if not any(w["variant"] == "unsharp" for w in iia.witnesses) else VERDICT_FALSIFIED,
-        },
-        {
-            "name": "non-dictatorship",
-            "ok": dictatorship.verdict == VERDICT_NO_DICTATOR,
-            "verdict": dictatorship.verdict,
-        },
+        *(_component(f"unanimity-{v}", unanimity.details[v]["violations"] == 0) for v in variants),
+        *(_component(f"iia-{v}", all(w["variant"] != v for w in iia.witnesses)) for v in variants),
+        _component("non-dictatorship", dictatorship.verdict == VERDICT_NO_DICTATOR, dictatorship.verdict),
     ]
     verdict = VERDICT_BYPASS if all(c["ok"] for c in components) else VERDICT_NOT_BYPASSED
     return SuiteReport(
@@ -1115,13 +1100,9 @@ def run_gs_suite(rule: ChoiceRule, config: SuiteConfig) -> SuiteReport:
         config.trials, config.seed + 1, config.eps,
     )
     components = [
-        {"name": "qic", "ok": qic.verdict == VERDICT_HOLDS, "verdict": qic.verdict},
-        {"name": "onto", "ok": onto.verdict == VERDICT_HOLDS, "verdict": onto.verdict},
-        {
-            "name": "non-dictatorship",
-            "ok": dictatorship.verdict == VERDICT_NO_DICTATOR,
-            "verdict": dictatorship.verdict,
-        },
+        _component("qic", qic.verdict == VERDICT_HOLDS),
+        _component("onto", onto.verdict == VERDICT_HOLDS),
+        _component("non-dictatorship", dictatorship.verdict == VERDICT_NO_DICTATOR, dictatorship.verdict),
     ]
     verdict = VERDICT_BYPASS if all(c["ok"] for c in components) else VERDICT_NOT_BYPASSED
     return SuiteReport(

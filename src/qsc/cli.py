@@ -160,7 +160,7 @@ def _rule_family(name: str) -> str:
 
 def _write_report(payload: dict, args) -> None:
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = serde.canonical_json(payload) + "\n"
     else:
         text = _as_text(payload) + "\n"
     if args.out:

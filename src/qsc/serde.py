@@ -26,6 +26,11 @@ from .hilbert import (
 from .rankings import AlternativeSet, Ranking
 
 
+def canonical_json(payload: dict) -> str:
+    """The canonical bytes of a report: sorted keys, two-space indent, no trailing newline."""
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
 def format_probability(value: float) -> float:
     """Probabilities are reported with 12 significant digits."""
     return float(f"{value:.12g}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import factorial
 from typing import Callable
 
 import numpy as np
@@ -219,7 +220,9 @@ def qcv_basis(profile: ClassicalProfile, params: QcvParams) -> QcvStages:
     )
 
 
-_MEMO_ROWS = 65_536  # kernel rows kept across every (alternatives, params) pair
+# float64 weights (rows x m!) the row memo keeps across every (alternatives,
+# params) pair: 32 MB, 174,762 rows at m=4 and 5,825 at m=6.
+_MEMO_WEIGHTS = 1 << 22
 _KERNEL_CELLS = 1 << 18  # rows x m! per kernel call; bounds its temporaries
 
 # (alternatives, params) -> sorted basis-index tuple -> sigma3 weights
@@ -275,32 +278,41 @@ def _qcv_rows(alternatives: AlternativeSet, idx: np.ndarray, params: QcvParams) 
 
 
 def _remember(memo: dict[tuple[int, ...], np.ndarray], rows: dict[tuple[int, ...], np.ndarray]) -> None:
-    """Add rows to a memo, then drop the oldest rows beyond ``_MEMO_ROWS`` overall."""
+    """Add rows to a memo, then drop the oldest rows beyond ``_MEMO_WEIGHTS`` weights overall."""
     memo.update(rows)
-    excess = sum(map(len, _ROW_MEMO.values())) - _MEMO_ROWS
+    excess = sum(len(table) * factorial(owner[0].m) for owner, table in _ROW_MEMO.items())
+    excess -= _MEMO_WEIGHTS
     for owner, table in list(_ROW_MEMO.items()):
         if excess <= 0:
             break
-        for key in list(islice(table, excess)):
+        d = factorial(owner[0].m)
+        drop = list(islice(table, -(-excess // d)))  # the whole rows covering the excess
+        for key in drop:
             del table[key]
-            excess -= 1
+        excess -= len(drop) * d
         if not table and table is not memo:
             del _ROW_MEMO[owner]
 
 
-def _kernel_rows(
-    space: RankingSpace, params: QcvParams, keys: list[tuple[int, ...]]
-) -> dict[tuple[int, ...], np.ndarray]:
-    """The sigma3 row of each sorted basis-index key: from the memo, or scored by ``_qcv_rows``.
+def _mixed_rows(
+    space: RankingSpace, params: QcvParams, weights: list[float], idx: np.ndarray
+) -> np.ndarray:
+    """Mix the sigma3 rows of a term-major block of basis indices (T x B x n -> B x d).
 
-    The missing keys are scored in blocks of at most ``_KERNEL_CELLS`` row
-    cells and remembered; the returned rows are read-only.
+    Row b is the sum, over terms t in order, of ``weights[t]`` times the
+    six-step rule's sigma3 row for the tuple ``idx[t, b]``. The rule reads a
+    tuple only through its multiset of rankings, so rows are memoized under
+    the sorted indices. The missing rows are scored by ``_qcv_rows`` in calls
+    of at most ``_KERNEL_CELLS`` row cells and remembered read-only, and the
+    rows are gathered for mixing at most that many cells at a time.
     """
-    alternatives = space.alternatives
+    alternatives, d = space.alternatives, space.dim
+    terms, count, n = idx.shape
+    keys = list(map(tuple, np.sort(idx, axis=2).reshape(terms * count, n).tolist()))
     memo = _ROW_MEMO.setdefault((alternatives, params), {})
     rows = {key: memo[key] for key in keys if key in memo}
     missing = [key for key in dict.fromkeys(keys) if key not in rows]
-    chunk = max(1, _KERNEL_CELLS // space.dim)
+    chunk = max(1, _KERNEL_CELLS // d)
     for start in range(0, len(missing), chunk):
         block = missing[start : start + chunk]
         scored = _qcv_rows(alternatives, np.array(block, dtype=np.intp), params)
@@ -308,7 +320,16 @@ def _kernel_rows(
         rows.update(zip(block, scored))
     if missing:
         _remember(memo, {key: rows[key] for key in missing})
-    return rows
+    acc = np.zeros((count, d), dtype=np.float64)
+    step = max(1, chunk // count)  # terms gathered at once
+    for start in range(0, terms, step):
+        part = np.array([rows[key] for key in keys[start * count : (start + step) * count]])
+        part = part.reshape(-1, count, d) * np.array(weights[start : start + step])[:, None, None]
+        part[0] += acc
+        # Along the outer axis numpy adds one term at a time, in order, as
+        # ``acc += weight * row`` would: the bits do not depend on ``step``.
+        acc = part.sum(axis=0)
+    return acc
 
 
 def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
@@ -316,22 +337,16 @@ def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
 
     The profile's diagonal support is decomposed into basis ranking
     tuples; each tuple is scored by the six-step basis rule and the
-    results are mixed with the tuple weights. Off-diagonal ballot
-    coherences do not enter: the rule consumes basis statistics only.
-
-    The rule reads a tuple only through its multiset of rankings, so rows
-    are memoized under the sorted tuple, and the tuples missing from the
-    memo are scored together by the array kernel ``_qcv_rows``.
+    results are mixed with the tuple weights (``_mixed_rows`` with one
+    row). Off-diagonal ballot coherences do not enter: the rule consumes
+    basis statistics only.
     """
     space = profile.space
     params.check_alternatives(space.alternatives.m)
     terms = profile.support_tuples(params.eps, params.support_cap)
-    keys = [tuple(sorted(indices)) for _, indices in terms]
-    rows = _kernel_rows(space, params, keys)
-    acc = np.zeros(space.dim, dtype=np.float64)
-    for (weight, _), key in zip(terms, keys):
-        acc += weight * rows[key]
-    return diagonal_state(space, acc, params.eps)
+    idx = np.array([indices for _, indices in terms], dtype=np.intp)
+    acc = _mixed_rows(space, params, [weight for weight, _ in terms], idx[:, None, :])
+    return diagonal_state(space, acc[0], params.eps)
 
 
 def qcv_responses(
@@ -343,32 +358,26 @@ def qcv_responses(
     params).diagonal``. A basis ballot enters every support tuple at the
     voter's position with weight exactly 1, so the d substituted profiles
     share one term list and differ only in that column: it is read once,
-    with ranking 0 substituted, and the rows are mixed in ``qcv``'s term
-    order. Basis rankings are taken in blocks whose keys fit one kernel
-    call, so no d x T array of keys or rows is built whole.
+    with ranking 0 substituted, and each block of rankings is mixed by
+    ``qcv``'s own ``_mixed_rows``. Blocks are sized so that no d x T array
+    of keys or rows is built whole.
     """
     space = profile.space
     d = space.dim
     first = profile.substitute_ballot(voter, basis_state(space, space.rankings()[0], eps), eps)
     params.check_alternatives(space.alternatives.m)
     terms = first.support_tuples(params.eps, params.support_cap)
+    weights = [weight for weight, _ in terms]
     tuples = np.array([indices for _, indices in terms], dtype=np.intp)
-    responses = np.zeros((d, d), dtype=np.float64)
+    responses = np.empty((d, d), dtype=np.float64)
     # A block fills an eighth of a kernel call, so the kernel's temporaries
     # (about 30 bytes a cell) stay near 1 MB beside the d x d result.
     step = max(1, _KERNEL_CELLS // 8 // d // len(terms))
     for start in range(0, d, step):
         ranks = np.arange(start, min(start + step, d), dtype=np.intp)
-        count = len(ranks)
-        # Term-major: the keys of term t for every ranking in the block are adjacent.
-        block = np.repeat(tuples, count, axis=0)
-        block[:, voter - 1] = np.tile(ranks, len(terms))
-        block.sort(axis=1)
-        keys = list(map(tuple, block.tolist()))
-        rows = _kernel_rows(space, params, keys)
-        acc = responses[start : start + count]
-        for t, (weight, _) in enumerate(terms):
-            acc += weight * np.array([rows[key] for key in keys[t * count : (t + 1) * count]])
+        block = np.repeat(tuples[:, None, :], len(ranks), axis=1)
+        block[:, :, voter - 1] = ranks
+        responses[start : start + len(ranks)] = _mixed_rows(space, params, weights, block)
     low = responses.min(axis=1) < -params.eps
     off = np.abs(responses.sum(axis=1) - 1.0) > params.eps
     for row in responses[low | off]:

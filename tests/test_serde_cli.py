@@ -439,6 +439,28 @@ def test_import_builds_nothing():
     assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "0"]
 
 
+def test_two_m6_hunts_stay_under_150_mb():
+    # The row memo's weight bound keeps two m=6 hunts in one interpreter far below the
+    # 370 MB a 65,536-row bound let them reach.
+    probe = (
+        "import contextlib, io, resource\n"
+        "from qsc.cli import main\n"
+        "argv = ['check', '--axiom', 'qic', '--rule', 'qcv', '--alternatives', '6', '--trials', '10']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv + ['--seed', '1']), main(argv + ['--family', 'basis', '--seed', '2'])]\n"
+        "print(*codes, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"  # KiB on Linux
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qsc.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    first, second, peak_kib = map(int, done.stdout.split())
+    assert (first, second) == (0, 0)
+    assert peak_kib < 150 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB"
+
+
 def refuse_to_build(*args):
     raise AssertionError("the family was built")
 

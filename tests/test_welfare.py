@@ -419,14 +419,17 @@ class TestQcvGeneralProfiles:
         assert np.array_equal(first.diagonal, again.diagonal)
 
     def test_memo_is_bounded(self, space3, monkeypatch):
+        # The bound counts weights: 32 of them hold five m=3 rows (30 weights), the newest.
         monkeypatch.setattr(welfare, "_ROW_MEMO", {})
-        monkeypatch.setattr(welfare, "_MEMO_ROWS", 5)
+        monkeypatch.setattr(welfare, "_MEMO_WEIGHTS", 32)
         uniform = mixed_state(space3, [(1.0, r) for r in space3.rankings()])
         profile = ProfileState.product_of([uniform] * 2)
         got = qcv(profile, QcvParams(0.05))
-        assert sum(map(len, welfare._ROW_MEMO.values())) == 5
+        (memo,) = welfare._ROW_MEMO.values()
+        assert list(memo) == sorted({tuple(sorted(key)) for key in product(range(6), repeat=2)})[-5:]
+        assert sum(row.size for row in memo.values()) == 30
         monkeypatch.setattr(welfare, "_ROW_MEMO", {})
-        monkeypatch.setattr(welfare, "_MEMO_ROWS", 65_536)
+        monkeypatch.setattr(welfare, "_MEMO_WEIGHTS", 1 << 22)
         assert np.array_equal(got.diagonal, qcv(profile, QcvParams(0.05)).diagonal)
 
     def test_support_cap_surfaces_as_resource_limit(self, alts3, space3):
@@ -529,15 +532,42 @@ class TestQcvResponses:
         assert_rows_match_the_per_basis_loop(profile, QcvParams(0.05), monkeypatch)
 
     def test_blocks_split(self, space4, monkeypatch):
-        # One ranking per block, and one kernel row per call.
-        monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
-        scored = count_kernel_rows(monkeypatch)
+        # One ranking per block, one kernel row per call and one term per gather;
+        # the rows keep the bits of unsplit blocks.
         rng = random.Random(4)
         params = QcvParams.for_alternatives(4)
-        for correlated in (False, True):
-            profile = small_support_profile(space4, 3, rng, correlated, light=True)
+        profiles = [small_support_profile(space4, 3, rng, c, light=True) for c in (False, True)]
+        unsplit = [qcv_responses(profile, 2, params) for profile in profiles]
+        monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
+        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+        scored = count_kernel_rows(monkeypatch)
+        for profile, want in zip(profiles, unsplit):
+            assert np.array_equal(qcv_responses(profile, 2, params), want)
             assert_rows_match_the_per_basis_loop(profile, params, monkeypatch)
         assert {rows for _, rows in scored} == {1}
+
+    def test_rows_evicted_inside_one_call(self, space4, monkeypatch):
+        # A one-row bound and one ranking per block: each block's rows push out the last ones.
+        monkeypatch.setattr(welfare, "_MEMO_WEIGHTS", space4.dim)
+        monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
+        remembered = []
+        remember = welfare._remember
+
+        def counted(memo, rows):
+            remember(memo, rows)
+            remembered.append((len(rows), sum(map(len, welfare._ROW_MEMO.values()))))
+
+        monkeypatch.setattr(welfare, "_remember", counted)
+        rng = random.Random(5)
+        params = QcvParams.for_alternatives(4)
+        for correlated in (False, True):
+            profile = small_support_profile(space4, 3, rng, correlated)
+            monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+            remembered.clear()
+            qcv_responses(profile, 2, params)
+            assert len(remembered) > 1 and {held for _, held in remembered} == {1}
+            assert sum(added for added, _ in remembered) > 1
+            assert_rows_match_the_per_basis_loop(profile, params, monkeypatch)
 
     def test_rule_carries_the_hook(self, space3, cycle_profile):
         params = QcvParams(0.05)
