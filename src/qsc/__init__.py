@@ -15,21 +15,18 @@ from .axioms import (
     SuiteConfig,
     SuiteReport,
     check_composition_preservation,
-    check_dictatorship_choice,
-    check_dictatorship_welfare,
+    check_dictatorship,
     check_iia,
     check_onto,
     check_qic,
     check_unanimity,
-    choice_manipulation_witness,
     classify_preference,
-    classify_winner_preference,
     default_paired_sampler,
     default_profile_sampler,
+    manipulation_witness,
     reverify_witness,
     run_arrow_suite,
     run_gs_suite,
-    welfare_manipulation_witness,
 )
 from .choice import (
     NATURAL_EXTENSION,

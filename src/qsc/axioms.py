@@ -52,7 +52,7 @@ FAMILY_CAP = 100_000  # ballots; the m=4 default family has 3,152, the m=5 one 3
 FAMILY_WEIGHT_CAP = 4_000_000
 # Vertex values this close to a clause threshold are re-checked exactly; the
 # hook's and the rule's sums differ only by rounding, far below this.
-_BATCH_GUARD = 1e-11
+_VERTEX_MARGIN = 1e-11
 
 
 class PreferenceKind(Enum):
@@ -86,14 +86,6 @@ def classify_preference(
     reported and the weak clause still applies during witness search.
     """
     value = support_probability(ballot, pair_projector(ballot.space, x, y), eps)
-    return classify_value(value, eps)
-
-
-def classify_winner_preference(
-    ballot: DensityOperator, alternative: str, eps: float = DEFAULT_EPS
-) -> PreferenceKind:
-    """Preference kind for one alternative being ranked on top."""
-    value = support_probability(ballot, winner_projector(ballot.space, alternative), eps)
     return classify_value(value, eps)
 
 
@@ -171,6 +163,7 @@ class _Targets:
     Each target is a subspace of the ranking space. A ballot's value on a
     target is its weight in that subspace; society's value is read the same
     way from a welfare rule's output, or from a choice rule's distribution.
+    Explicit targets must be the rule kind's own: any other is refused.
     """
 
     def __init__(
@@ -180,16 +173,22 @@ class _Targets:
         eps: float,
         targets: list | None = None,
     ):
-        if isinstance(rule, WelfareRule):
-            self.kind = "welfare"
-            self.targets = list(space.alternatives.ordered_pairs()) if targets is None else targets
-            self._subspaces = {t: pair_projector(space, *t) for t in self.targets}
-        elif isinstance(rule, ChoiceRule):
-            self.kind = "choice"
-            self.targets = list(space.alternatives.names) if targets is None else targets
-            self._subspaces = {a: winner_projector(space, a) for a in self.targets}
-        else:
+        welfare = isinstance(rule, WelfareRule)
+        if not welfare and not isinstance(rule, ChoiceRule):
             raise InvalidArgument(f"not a welfare or choice rule: {rule!r}")
+        self.kind = "welfare" if welfare else "choice"
+        own = space.alternatives.ordered_pairs() if welfare else list(space.alternatives.names)
+        for target in targets or ():
+            if target not in own:
+                wanted = "an ordered pair of distinct" if welfare else "one of the"
+                raise InvalidArgument(
+                    f"a {self.kind} rule's target must be {wanted} alternatives "
+                    f"{', '.join(space.alternatives.names)}, got {target!r}"
+                )
+        self.targets = own if targets is None else targets
+        self._subspaces = {
+            t: pair_projector(space, *t) if welfare else winner_projector(space, t) for t in self.targets
+        }
         self.rule = rule
         self.space = space
         self.eps = eps
@@ -573,7 +572,7 @@ def _near_vertices(
     (``_Targets.basis_responses``). A threshold on a linear function over
     the simplex is reached at a vertex, so the d basis ballots stand for
     every ballot. A vertex is yielded when its value achieves a clause or
-    lies within _BATCH_GUARD of its threshold; the caller evaluates it
+    lies within _VERTEX_MARGIN of its threshold; the caller evaluates it
     exactly, and the witness comes from that evaluation.
 
     Substituting into a correlated profile drops joint terms whose weight
@@ -586,43 +585,31 @@ def _near_vertices(
     near = np.zeros(len(values), dtype=bool)
     for target, clause in fired:
         column = values[:, targets.index(target)]
-        near |= _clause_achieved(clause, column - _BATCH_GUARD, eps)
-        near |= _clause_achieved(clause, column + _BATCH_GUARD, eps)
+        near |= _clause_achieved(clause, column - _VERTEX_MARGIN, eps)
+        near |= _clause_achieved(clause, column + _VERTEX_MARGIN, eps)
     rankings = adapter.space.rankings()
     return (basis_state(adapter.space, rankings[k], eps) for k in np.flatnonzero(near))
 
 
-def welfare_manipulation_witness(
-    rule: WelfareRule,
+def manipulation_witness(
+    rule: WelfareRule | ChoiceRule,
     profile: ProfileState,
     voter: int,
-    x: str,
-    y: str,
+    target: tuple[str, str] | str,
     family: CandidateBallotFamily,
     eps: float = DEFAULT_EPS,
 ) -> ManipulationWitness | None:
-    """First dishonest ballot flipping society's status on ranking x above y.
+    """First dishonest ballot flipping society's status on one target.
 
-    A rule with a ``responses`` hook is searched at the d basis ballots,
-    which stand for every density-operator ballot on a product profile
-    (see ``_near_vertices``); ``family`` is then not read. Any other rule is
+    The target is an ordered pair (x, y), ranking x above y, for a welfare
+    rule, and an alternative, winning, for a choice rule. A rule with a
+    ``responses`` hook is searched at the d basis ballots, which stand for
+    every density-operator ballot on a product profile (see
+    ``_near_vertices``); ``family`` is then not read. Any other rule is
     searched over the family, and absence of a witness means none was found
     in it, not a proof.
     """
-    adapter = _Targets(rule, profile.space, eps, targets=[(x, y)])
-    return _scan_voter(adapter, profile, voter, family, eps)
-
-
-def choice_manipulation_witness(
-    rule: ChoiceRule,
-    profile: ProfileState,
-    voter: int,
-    alternative: str,
-    family: CandidateBallotFamily,
-    eps: float = DEFAULT_EPS,
-) -> ManipulationWitness | None:
-    """First dishonest ballot flipping society's status on one alternative winning."""
-    adapter = _Targets(rule, profile.space, eps, targets=[alternative])
+    adapter = _Targets(rule, profile.space, eps, targets=[target])
     return _scan_voter(adapter, profile, voter, family, eps)
 
 
@@ -686,14 +673,21 @@ def check_qic(
     )
 
 
-def _dictatorship_scan(
-    adapter,
+def check_dictatorship(
+    rule: WelfareRule | ChoiceRule,
+    space: RankingSpace,
     sampler: ProfileSampler,
     trials: int,
     seed: int,
-    eps: float,
-    axiom: str,
+    eps: float = DEFAULT_EPS,
 ) -> AxiomReport:
+    """Eliminate sharp and unsharp dictator candidates by counterexample.
+
+    A voter survives a variant only if no sampled profile broke the
+    corresponding equivalence on any target, in either direction: ordered
+    pairs for a welfare rule, winner subspaces for a choice rule.
+    """
+    adapter = _Targets(rule, space, eps)
     if trials < 1:
         raise InvalidArgument("trials must be at least 1")
     started = time.perf_counter()
@@ -734,7 +728,7 @@ def _dictatorship_scan(
                         "society_value": sv,
                         "profile": serde.serialize_profile(profile),
                     }
-        if n_voters is not None and len(counterexamples) == 2 * n_voters:
+        if len(counterexamples) == 2 * n_voters:
             break
     assert n_voters is not None
     survivors = [
@@ -746,50 +740,14 @@ def _dictatorship_scan(
     verdict = VERDICT_NO_DICTATOR if not survivors else VERDICT_DICTATOR_CANDIDATE
     ordered = [counterexamples[k] for k in sorted(counterexamples)]
     return AxiomReport(
-        axiom=axiom,
-        rule=adapter.rule.name,
+        axiom=f"dictatorship-{adapter.kind}",
+        rule=rule.name,
         verdict=verdict,
         trials=trials,
         seed=seed,
         witnesses=ordered,
         details={"trials_run": trials_run, "survivors": survivors, "voters": n_voters},
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
-
-
-def check_dictatorship_welfare(
-    rule: WelfareRule,
-    space: RankingSpace,
-    sampler: ProfileSampler,
-    trials: int,
-    seed: int,
-    eps: float = DEFAULT_EPS,
-) -> AxiomReport:
-    """Eliminate sharp and unsharp dictator candidates by counterexample.
-
-    A voter survives a variant only if no sampled profile broke the
-    corresponding equivalence on any pair, in either direction.
-    """
-    if not isinstance(rule, WelfareRule):
-        raise InvalidArgument(f"expected a welfare rule, got {rule!r}")
-    return _dictatorship_scan(
-        _Targets(rule, space, eps), sampler, trials, seed, eps, "dictatorship-welfare"
-    )
-
-
-def check_dictatorship_choice(
-    rule: ChoiceRule,
-    space: RankingSpace,
-    sampler: ProfileSampler,
-    trials: int,
-    seed: int,
-    eps: float = DEFAULT_EPS,
-) -> AxiomReport:
-    """Same elimination over winner subspaces instead of pairs."""
-    if not isinstance(rule, ChoiceRule):
-        raise InvalidArgument(f"expected a choice rule, got {rule!r}")
-    return _dictatorship_scan(
-        _Targets(rule, space, eps), sampler, trials, seed, eps, "dictatorship-choice"
     )
 
 
@@ -1059,7 +1017,7 @@ def run_arrow_suite(rule: WelfareRule, config: SuiteConfig) -> SuiteReport:
     paired = default_paired_sampler(space, config.n_voters)
     unanimity = check_unanimity(rule, space, sampler, config.trials, config.seed, config.eps)
     iia = check_iia(rule, space, paired, config.trials, config.seed + 1, config.eps)
-    dictatorship = check_dictatorship_welfare(
+    dictatorship = check_dictatorship(
         rule, space, default_profile_sampler(space, config.n_voters),
         config.trials, config.seed + 2, config.eps,
     )
@@ -1095,7 +1053,7 @@ def run_gs_suite(rule: ChoiceRule, config: SuiteConfig) -> SuiteReport:
         config.eps,
     )
     onto = check_onto(rule, config.alternatives, config.n_voters, config.eps)
-    dictatorship = check_dictatorship_choice(
+    dictatorship = check_dictatorship(
         rule, space, default_profile_sampler(space, config.n_voters),
         config.trials, config.seed + 1, config.eps,
     )

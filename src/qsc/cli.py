@@ -22,8 +22,7 @@ from . import serde
 from .axioms import (
     CandidateBallotFamily,
     SuiteConfig,
-    check_dictatorship_choice,
-    check_dictatorship_welfare,
+    check_dictatorship,
     check_iia,
     check_onto,
     check_qic,
@@ -41,7 +40,7 @@ from .axioms import (
 )
 from .choice import ChoiceRule, NATURAL_EXTENSION, compose, qcvne_rule
 from .errors import InvalidArgument, ParseError, QscError
-from .hilbert import ProfileState, RankingSpace
+from .hilbert import DEFAULT_SUPPORT_CAP, ProfileState, RankingSpace
 from .rankings import AlternativeSet, ClassicalProfile, Ranking
 from .welfare import QcvParams, WelfareRule, default_delta, dictator_rule, qcv_basis, qcv_rule, veto_rule
 
@@ -87,8 +86,8 @@ def _emit_error(exc: Exception) -> None:
 
 
 def _default_labels(m: int) -> AlternativeSet:
-    if m > len(string.ascii_lowercase):
-        raise InvalidArgument(f"at most {len(string.ascii_lowercase)} generated labels supported")
+    if not 2 <= m <= len(string.ascii_lowercase):
+        raise InvalidArgument(f"--alternatives must lie in [2, {len(string.ascii_lowercase)}], got {m}")
     return AlternativeSet(tuple(string.ascii_lowercase[:m]))
 
 
@@ -198,7 +197,7 @@ def _as_text(payload: dict) -> str:
 
 
 def _stages_payload(profile: ProfileState, params: QcvParams) -> dict:
-    tuples = profile.support_tuples(params.eps, params.support_cap)
+    tuples = profile.support_tuples(params.eps, DEFAULT_SUPPORT_CAP)
     if len(tuples) != 1:
         raise InvalidArgument(
             "--stages needs a profile supported on a single ranking tuple; "
@@ -267,10 +266,7 @@ def _run_check(args, axiom: str) -> int:
     if axiom == "qic":
         report = check_qic(rule, sampler, family, args.trials, args.seed, args.eps)
     elif axiom == "dictatorship":
-        if isinstance(rule, ChoiceRule):
-            report = check_dictatorship_choice(rule, space, sampler, args.trials, args.seed, args.eps)
-        else:
-            report = check_dictatorship_welfare(rule, space, sampler, args.trials, args.seed, args.eps)
+        report = check_dictatorship(rule, space, sampler, args.trials, args.seed, args.eps)
     elif axiom == "onto":
         report = check_onto(rule, alternatives, args.voters, args.eps)
     elif axiom == "unanimity":

@@ -58,15 +58,12 @@ class QcvParams:
 
     delta: float
     eps: float = DEFAULT_EPS
-    support_cap: int = DEFAULT_SUPPORT_CAP
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise InvalidArgument(f"delta must lie in (0, 1), got {self.delta}")
         if not 0.0 < self.eps <= MAX_EPS:
             raise InvalidArgument(f"eps must lie in (0, {MAX_EPS}], got {self.eps}")
-        if self.support_cap < 1:
-            raise InvalidArgument("support cap must be at least 1")
 
     def check_alternatives(self, m: int) -> None:
         limit = 1.0 / (m * m)
@@ -343,7 +340,7 @@ def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
     """
     space = profile.space
     params.check_alternatives(space.alternatives.m)
-    terms = profile.support_tuples(params.eps, params.support_cap)
+    terms = profile.support_tuples(params.eps, DEFAULT_SUPPORT_CAP)
     idx = np.array([indices for _, indices in terms], dtype=np.intp)
     acc = _mixed_rows(space, params, [weight for weight, _ in terms], idx[:, None, :])
     return diagonal_state(space, acc[0], params.eps)
@@ -366,7 +363,7 @@ def qcv_responses(
     d = space.dim
     first = profile.substitute_ballot(voter, basis_state(space, space.rankings()[0], eps), eps)
     params.check_alternatives(space.alternatives.m)
-    terms = first.support_tuples(params.eps, params.support_cap)
+    terms = first.support_tuples(params.eps, DEFAULT_SUPPORT_CAP)
     weights = [weight for weight, _ in terms]
     tuples = np.array([indices for _, indices in terms], dtype=np.intp)
     responses = np.empty((d, d), dtype=np.float64)

@@ -25,7 +25,7 @@ from qsc import (
     RankingSpace,
     SuiteConfig,
     check_composition_preservation,
-    check_dictatorship_welfare,
+    check_dictatorship,
     check_qic,
     compose,
     default_delta,
@@ -245,7 +245,7 @@ def test_criterion_10_determinism(space3):
 
         def dictatorship_bytes():
             sampler = default_profile_sampler(space3, 3)
-            return check_dictatorship_welfare(
+            return check_dictatorship(
                 qcv_rule(QcvParams(0.05)), space3, sampler, 80, seed=6
             ).to_json()
 

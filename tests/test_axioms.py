@@ -24,18 +24,17 @@ from qsc import (
     SuiteConfig,
     basis_state,
     check_composition_preservation,
-    check_dictatorship_choice,
-    check_dictatorship_welfare,
+    check_dictatorship,
     check_iia,
     check_onto,
     check_qic,
     check_unanimity,
-    choice_manipulation_witness,
     classify_preference,
     compose,
     default_paired_sampler,
     default_profile_sampler,
     dictator_rule,
+    manipulation_witness,
     mixed_state,
     natural_extension,
     pair_projector,
@@ -47,7 +46,6 @@ from qsc import (
     reverify_witness,
     run_gs_suite,
     veto_rule,
-    welfare_manipulation_witness,
 )
 from qsc.axioms import (
     FAMILY_CAP,
@@ -161,7 +159,7 @@ class TestClassifyPreference:
 class TestWelfareWitnessSearch:
     def test_veto_clause_one_witness(self, alts3, veto_setup):
         rule, profile = veto_setup
-        witness = welfare_manipulation_witness(rule, profile, 1, "a", "b", FAMILY)
+        witness = manipulation_witness(rule, profile, 1, ("a", "b"), FAMILY)
         assert witness is not None
         assert witness.clause.value == "strong-positive"
         assert witness.truthful_value < 1 - 1e-9
@@ -170,7 +168,7 @@ class TestWelfareWitnessSearch:
 
     def test_witness_replays_from_json_record(self, alts3, space3, veto_setup):
         rule, profile = veto_setup
-        witness = welfare_manipulation_witness(rule, profile, 1, "a", "b", FAMILY)
+        witness = manipulation_witness(rule, profile, 1, ("a", "b"), FAMILY)
         record = witness.to_jsonable()
         replayed_profile = parse_profile(record["profile"])
         replayed_ballot = parse_density(space3, record["dishonest_ballot"])
@@ -190,21 +188,21 @@ class TestWelfareWitnessSearch:
         _, profile = veto_setup
         rule = dictator_rule(1)
         for x, y in alts3.ordered_pairs():
-            assert welfare_manipulation_witness(rule, profile, 1, x, y, FAMILY) is None
+            assert manipulation_witness(rule, profile, 1, (x, y), FAMILY) is None
 
     def test_qcv_cycle_profile_immune(self, alts3, cycle_profile):
         rule = qcv_rule(PARAMS)
         profile = ProfileState.basis(cycle_profile)
         for voter in (1, 2, 3):
             for x, y in alts3.ordered_pairs():
-                assert welfare_manipulation_witness(rule, profile, voter, x, y, FAMILY) is None
+                assert manipulation_witness(rule, profile, voter, (x, y), FAMILY) is None
 
 
 class TestChoiceWitnessSearch:
     def test_veto_choice_witness(self, alts3, veto_setup):
         rule, profile = veto_setup
         choice = compose(NATURAL_EXTENSION, rule)
-        witness = choice_manipulation_witness(choice, profile, 1, "a", FAMILY)
+        witness = manipulation_witness(choice, profile, 1, "a", FAMILY)
         assert witness is not None
         assert witness.target == "a"
         assert reverify_witness(choice, witness)
@@ -212,7 +210,7 @@ class TestChoiceWitnessSearch:
     def test_choice_witness_replays_from_json_record(self, alts3, space3, veto_setup):
         rule, profile = veto_setup
         choice = compose(NATURAL_EXTENSION, rule)
-        record = choice_manipulation_witness(choice, profile, 1, "a", FAMILY).to_jsonable()
+        record = manipulation_witness(choice, profile, 1, "a", FAMILY).to_jsonable()
         replayed = parse_profile(record["profile"])
         ballot = parse_density(space3, record["dishonest_ballot"])
         truthful = choice.evaluate(replayed)[record["target"]]
@@ -226,7 +224,7 @@ class TestChoiceWitnessSearch:
         _, profile = veto_setup
         choice = compose(NATURAL_EXTENSION, dictator_rule(1))
         for a in alts3.names:
-            assert choice_manipulation_witness(choice, profile, 2, a, FAMILY) is None
+            assert manipulation_witness(choice, profile, 2, a, FAMILY) is None
 
     def test_strong_negative_removal_is_achievable_not_hunted(self, alts3, space3):
         """A voter who never tops a CAN erase a's winner support entirely.
@@ -245,7 +243,22 @@ class TestChoiceWitnessSearch:
         assert truthful > 1e-9
         lied = profile.substitute_ballot(1, basis_state(space3, rk(alts3, "b>c>a")))
         assert rule.evaluate(lied)["a"] == pytest.approx(0.0, abs=1e-12)
-        assert choice_manipulation_witness(rule, profile, 1, "a", FAMILY) is None
+        assert manipulation_witness(rule, profile, 1, "a", FAMILY) is None
+
+
+@pytest.mark.parametrize(
+    "rule_name, target",
+    [
+        ("qcv", "a"), ("qcv", "ab"), ("qcvne", ("a", "b")), ("qcv", ("a", "a")),
+        ("qcv", ["a", "b"]), ("qcv", ("a", "z")), ("qcvne", "z"),
+    ],
+)
+def test_witness_target_outside_the_rule_kind_is_refused(space3, cycle_profile, rule_name, target):
+    # A welfare rule is scored on ordered pairs of distinct alternatives and a
+    # choice rule on alternatives; anything else would read the wrong subspace.
+    rule = qcv_rule(PARAMS) if rule_name == "qcv" else qcvne_rule(PARAMS)
+    with pytest.raises(InvalidArgument, match="target"):
+        manipulation_witness(rule, ProfileState.basis(cycle_profile), 1, target, FAMILY)
 
 
 class TestCandidateBallotFamily:
@@ -426,14 +439,16 @@ class TestCheckQic:
 class TestDictatorshipChecks:
     def test_dictator_rule_candidate_survives(self, space3):
         sampler = default_profile_sampler(space3, 3)
-        report = check_dictatorship_welfare(dictator_rule(1), space3, sampler, 60, seed=3)
+        report = check_dictatorship(dictator_rule(1), space3, sampler, 60, seed=3)
+        assert report.axiom == "dictatorship-welfare"
         assert report.verdict == VERDICT_DICTATOR_CANDIDATE
         survivors = {(s["voter"], s["variant"]) for s in report.details["survivors"]}
         assert (1, "sharp") in survivors and (1, "unsharp") in survivors
 
     def test_qcv_eliminates_every_voter(self, space3):
         sampler = default_profile_sampler(space3, 3)
-        report = check_dictatorship_welfare(qcv_rule(PARAMS), space3, sampler, 200, seed=4)
+        report = check_dictatorship(qcv_rule(PARAMS), space3, sampler, 200, seed=4)
+        assert report.axiom == "dictatorship-welfare"
         assert report.verdict == VERDICT_NO_DICTATOR
         assert report.details["survivors"] == []
         # Both directions are recorded somewhere across the counterexamples.
@@ -442,14 +457,16 @@ class TestDictatorshipChecks:
     def test_choice_dictator_detected(self, space3):
         sampler = default_profile_sampler(space3, 3)
         choice = compose(NATURAL_EXTENSION, dictator_rule(1))
-        report = check_dictatorship_choice(choice, space3, sampler, 60, seed=5)
+        report = check_dictatorship(choice, space3, sampler, 60, seed=5)
+        assert report.axiom == "dictatorship-choice" and report.rule == "natural-extension(dictator:1)"
         assert report.verdict == VERDICT_DICTATOR_CANDIDATE
         survivors = {(s["voter"], s["variant"]) for s in report.details["survivors"]}
         assert (1, "sharp") in survivors and (1, "unsharp") in survivors
 
     def test_qcvne_not_sharp_not_unsharp(self, space3):
         sampler = default_profile_sampler(space3, 3)
-        report = check_dictatorship_choice(qcvne_rule(PARAMS), space3, sampler, 200, seed=6)
+        report = check_dictatorship(qcvne_rule(PARAMS), space3, sampler, 200, seed=6)
+        assert report.axiom == "dictatorship-choice"
         assert report.verdict == VERDICT_NO_DICTATOR
         assert report.details["survivors"] == []
 
@@ -457,7 +474,7 @@ class TestDictatorshipChecks:
         # Opposed basis ballots: society picks up support the other voter
         # alone injected, which no dictator story survives.
         profile = ProfileState.basis((rk(alts3, "a>b>c"), rk(alts3, "c>b>a")))
-        report = check_dictatorship_welfare(
+        report = check_dictatorship(
             qcv_rule(PARAMS), space3, lambda rng: profile, 1, seed=0
         )
         eliminated = {(w["voter"], w["variant"]) for w in report.witnesses}
@@ -467,8 +484,8 @@ class TestDictatorshipChecks:
         """Voters with welfare counterexamples also fall for the composed rule."""
         sampler_w = default_profile_sampler(space3, 3)
         sampler_c = default_profile_sampler(space3, 3)
-        welfare = check_dictatorship_welfare(qcv_rule(PARAMS), space3, sampler_w, 200, seed=7)
-        choice = check_dictatorship_choice(qcvne_rule(PARAMS), space3, sampler_c, 200, seed=7)
+        welfare = check_dictatorship(qcv_rule(PARAMS), space3, sampler_w, 200, seed=7)
+        choice = check_dictatorship(qcvne_rule(PARAMS), space3, sampler_c, 200, seed=7)
         welfare_sharp = {w["voter"] for w in welfare.witnesses if w["variant"] == "sharp"}
         choice_sharp = {w["voter"] for w in choice.witnesses if w["variant"] == "sharp"}
         assert welfare_sharp <= choice_sharp
@@ -643,7 +660,7 @@ class TestDeterminism:
     def test_dictatorship_reports_are_byte_identical(self, space3):
         def run():
             sampler = default_profile_sampler(space3, 3)
-            return check_dictatorship_welfare(
+            return check_dictatorship(
                 qcv_rule(PARAMS), space3, sampler, 60, seed=14
             ).to_json()
 
@@ -832,7 +849,7 @@ class TestBatchedSearch:
         calls = []
         rule = counted_evaluations(qcv_rule(PARAMS), calls)
         profile = ProfileState.basis(cycle_profile)
-        assert welfare_manipulation_witness(rule, profile, 1, "a", "b", FAMILY) is None
+        assert manipulation_witness(rule, profile, 1, ("a", "b"), FAMILY) is None
         # The truthful evaluation only: no vertex comes near achieving a clause.
         assert len(calls) == 1
 
@@ -841,7 +858,7 @@ class TestBatchedSearch:
         # Society gets voter 1's ballot upside down, so every ballot ranking b
         # above a achieves the strong-negative clause on (b, a) with value 0.
         # The hook reads those vertices as eps + shortfall instead: within
-        # _BATCH_GUARD of the threshold they are evaluated exactly, beyond it not.
+        # _VERTEX_MARGIN of the threshold they are evaluated exactly, beyond it not.
         base = reverse_rule()
         inside = pair_projector(space3, "b", "a").indices
 
@@ -857,7 +874,7 @@ class TestBatchedSearch:
 
         rule = dataclasses.replace(base, responses=responses)
         profile = ProfileState.product_of([basis_state(space3, rk(alts3, "a>b>c"))] * 2)
-        witness = welfare_manipulation_witness(rule, profile, 1, "b", "a", FAMILY)
+        witness = manipulation_witness(rule, profile, 1, ("b", "a"), FAMILY)
         assert (witness is not None) == found
         if found:
             assert witness.dishonest_value == 0.0
@@ -897,7 +914,7 @@ class TestBatchedSearch:
         qcvne_calls = []
         rule = counted_evaluations(qcvne_rule(params), qcvne_calls)
         for alternative in space.alternatives.names:
-            choice_manipulation_witness(rule, light, 1, alternative, FAMILY)
+            manipulation_witness(rule, light, 1, alternative, FAMILY)
         # One truthful evaluation per alternative, and none for the search.
         assert len(qcvne_calls) == 4
 
@@ -983,7 +1000,8 @@ class TestBatchedSearch:
         rankings = space3.rankings()
         triple = mixed_state(space3, [(1.0, r) for r in rankings[:3]])
         profile = ProfileState.product_of([triple] * 3)
-        rule = qcv_rule(QcvParams(0.05, support_cap=8))
+        monkeypatch.setattr(welfare, "DEFAULT_SUPPORT_CAP", 8)
+        rule = qcv_rule(QcvParams(0.05))
         adapter = axioms._Targets(rule, space3, 1e-9)
         # With a basis ballot substituted, 9 support tuples exceed the cap of 8.
         with pytest.raises(ResourceLimit) as want:

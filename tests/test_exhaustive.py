@@ -15,16 +15,15 @@ from qsc import (
     ProfileState,
     QcvParams,
     basis_state,
-    choice_manipulation_witness,
     encoded_pairs_all,
     encoded_pairs_any,
+    manipulation_witness,
     pair_projector,
     qcv,
     qcv_responses,
     qcv_rule,
     qcvne_rule,
     support_probability,
-    welfare_manipulation_witness,
 )
 
 PARAMS = QcvParams(0.05)
@@ -41,7 +40,7 @@ def test_no_welfare_witness_on_any_basis_profile(alts3, space3):
     for profile in chain(all_basis_profiles(space3, 2), all_basis_profiles(space3, 3)):
         for voter in range(1, profile.n_voters + 1):
             for x, y in alts3.ordered_pairs():
-                witness = welfare_manipulation_witness(rule, profile, voter, x, y, FAMILY)
+                witness = manipulation_witness(rule, profile, voter, (x, y), FAMILY)
                 assert witness is None, (profile.factors, voter, (x, y))
 
 
@@ -50,7 +49,7 @@ def test_no_choice_witness_on_any_basis_profile(alts3, space3):
     for profile in chain(all_basis_profiles(space3, 2), all_basis_profiles(space3, 3)):
         for voter in range(1, profile.n_voters + 1):
             for a in alts3.names:
-                witness = choice_manipulation_witness(rule, profile, voter, a, FAMILY)
+                witness = manipulation_witness(rule, profile, voter, a, FAMILY)
                 assert witness is None, (profile.factors, voter, a)
 
 

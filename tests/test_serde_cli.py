@@ -539,6 +539,21 @@ class TestCliInputErrors:
         assert captured.out == "" and len(lines) == 1 and "Traceback" not in captured.err
         assert json.loads(lines[0])["message"] == "the kernel refused"
 
+    @pytest.mark.parametrize("alternatives", ["-24", "-1", "0", "1"])
+    @pytest.mark.parametrize("command", [["check", "--axiom", "qic", "--rule", "qcv"],
+                                         ["suite", "gs", "--rule", "qcvne"]])
+    def test_alternatives_below_two_are_refused(self, command, alternatives, tmp_path, capsys):
+        # Labels are sliced from the alphabet: a negative count would slice from
+        # its end and run at another m.
+        out = tmp_path / "report.json"
+        argv = [*command, "--alternatives", alternatives, "--trials", "3", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert "--alternatives" in json.loads(lines[0])["message"]
+        assert not out.exists()
+
     def test_large_eps_is_named(self, capsys):
         assert main(["check", "--axiom", "qic", "--trials", "2", "--eps", "0.6"]) == 2
         error = json.loads(capsys.readouterr().err)

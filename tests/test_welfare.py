@@ -432,13 +432,14 @@ class TestQcvGeneralProfiles:
         monkeypatch.setattr(welfare, "_MEMO_WEIGHTS", 1 << 22)
         assert np.array_equal(got.diagonal, qcv(profile, QcvParams(0.05)).diagonal)
 
-    def test_support_cap_surfaces_as_resource_limit(self, alts3, space3):
+    def test_support_cap_surfaces_as_resource_limit(self, alts3, space3, monkeypatch):
         from qsc import ResourceLimit
 
         uniform = mixed_state(space3, [(1.0, r) for r in space3.rankings()])
         profile = ProfileState.product_of([uniform] * 3)
+        monkeypatch.setattr(welfare, "DEFAULT_SUPPORT_CAP", 100)
         with pytest.raises(ResourceLimit):
-            qcv(profile, QcvParams(0.05, support_cap=100))
+            qcv(profile, QcvParams(0.05))
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=20, deadline=None)
