@@ -29,8 +29,6 @@ from .axioms import (
     run_gs_suite,
 )
 from .choice import (
-    NATURAL_EXTENSION,
-    ChoiceExtension,
     ChoiceRule,
     compose,
     natural_extension,

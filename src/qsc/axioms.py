@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import serde
-from .choice import ChoiceExtension, ChoiceRule, compose
+from .choice import ChoiceRule, compose
 from .errors import InvalidArgument, ResourceLimit
 from .hilbert import (
     DEFAULT_EPS,
@@ -59,7 +59,6 @@ class PreferenceKind(Enum):
     STRONG_POSITIVE = "strong-positive"
     STRONG_NEGATIVE = "strong-negative"
     WEAK = "weak"
-    NONE = "none"
 
 
 class ManipulationClause(Enum):
@@ -104,12 +103,8 @@ def _applicable_clauses(kind: PreferenceKind, rule_kind: str) -> tuple[Manipulat
     if kind is PreferenceKind.STRONG_POSITIVE:
         return (ManipulationClause.STRONG_POSITIVE, ManipulationClause.WEAK)
     if kind is PreferenceKind.STRONG_NEGATIVE:
-        if rule_kind == "choice":
-            return ()
-        return (ManipulationClause.STRONG_NEGATIVE,)
-    if kind is PreferenceKind.WEAK:
-        return (ManipulationClause.WEAK,)
-    return ()
+        return () if rule_kind == "choice" else (ManipulationClause.STRONG_NEGATIVE,)
+    return (ManipulationClause.WEAK,)
 
 
 def _clause_fires(clause: ManipulationClause, society: float, eps: float) -> bool:
@@ -163,7 +158,8 @@ class _Targets:
     Each target is a subspace of the ranking space. A ballot's value on a
     target is its weight in that subspace; society's value is read the same
     way from a welfare rule's output, or from a choice rule's distribution.
-    Explicit targets must be the rule kind's own: any other is refused.
+    A rule of any other kind than ``kind``, when given, is refused, and so
+    is an explicit target that is not the rule kind's own.
     """
 
     def __init__(
@@ -172,11 +168,14 @@ class _Targets:
         space: RankingSpace,
         eps: float,
         targets: list | None = None,
+        kind: str | None = None,
     ):
         welfare = isinstance(rule, WelfareRule)
         if not welfare and not isinstance(rule, ChoiceRule):
             raise InvalidArgument(f"not a welfare or choice rule: {rule!r}")
         self.kind = "welfare" if welfare else "choice"
+        if kind not in (None, self.kind):
+            raise InvalidArgument(f"expected a {kind} rule, got the {self.kind} rule {rule.name!r}")
         own = space.alternatives.ordered_pairs() if welfare else list(space.alternatives.names)
         for target in targets or ():
             if target not in own:
@@ -498,23 +497,6 @@ class SuiteReport:
         return serde.canonical_json(self.to_jsonable(include_elapsed))
 
 
-def _witness_from(
-    adapter, profile: ProfileState, voter: int, clause: ManipulationClause,
-    target, truthful: float, dishonest: float, ballot: DensityOperator,
-) -> ManipulationWitness:
-    return ManipulationWitness(
-        rule_name=adapter.rule.name,
-        rule_kind=adapter.kind,
-        voter=voter,
-        clause=clause,
-        target=target,
-        truthful_value=truthful,
-        dishonest_value=dishonest,
-        dishonest_ballot=ballot,
-        profile=profile,
-    )
-
-
 def _scan_voter(
     adapter,
     profile: ProfileState,
@@ -550,9 +532,16 @@ def _scan_voter(
         dishonest = adapter.society_values(substituted)
         for target, clause in fired:
             if _clause_achieved(clause, dishonest[target], eps):
-                return _witness_from(
-                    adapter, profile, voter, clause, target,
-                    society[target], dishonest[target], candidate,
+                return ManipulationWitness(
+                    rule_name=adapter.rule.name,
+                    rule_kind=adapter.kind,
+                    voter=voter,
+                    clause=clause,
+                    target=target,
+                    truthful_value=society[target],
+                    dishonest_value=dishonest[target],
+                    dishonest_ballot=candidate,
+                    profile=profile,
                 )
     return None
 
@@ -760,13 +749,14 @@ def check_onto(
     """Each alternative must win outright on its unanimous basis profile."""
     started = time.perf_counter()
     space = RankingSpace(alternatives)
+    adapter = _Targets(rule, space, eps, kind="choice")
     failures: list[dict] = []
     reached = 0
     for a in alternatives.names:
         rest = [i for i in range(alternatives.m) if i != alternatives.index(a)]
         ranking = Ranking(alternatives, (alternatives.index(a), *rest))
         profile = ProfileState.product_of([basis_state(space, ranking)] * n_voters)
-        value = rule.evaluate(profile)[a]
+        value = adapter.society_values(profile)[a]
         if value >= 1.0 - eps:
             reached += 1
         else:
@@ -800,8 +790,7 @@ def check_unanimity(
     eps: float = DEFAULT_EPS,
 ) -> AxiomReport:
     """Whenever every ballot (fully / at all) supports a pair, society must too."""
-    if not isinstance(rule, WelfareRule):
-        raise InvalidArgument(f"expected a welfare rule, got {rule!r}")
+    adapter = _Targets(rule, space, eps, kind="welfare")
     if trials < 1:
         raise InvalidArgument("trials must be at least 1")
     started = time.perf_counter()
@@ -809,15 +798,16 @@ def check_unanimity(
     violations: list[dict] = []
     fired = {"sharp": 0, "unsharp": 0}
     bad = {"sharp": 0, "unsharp": 0}
-    pairs = space.alternatives.ordered_pairs()
     for _ in range(trials):
         profile = sampler(rng)
-        society = rule.evaluate(profile)
-        marginals = [profile.partial_ballot(v, eps) for v in range(1, profile.n_voters + 1)]
-        for x, y in pairs:
-            projector = pair_projector(space, x, y)
-            values = [support_probability(b, projector, eps) for b in marginals]
-            society_value = support_probability(society, projector, eps)
+        society = adapter.society_values(profile)
+        marginals = [
+            adapter.ballot_values(profile.partial_ballot(v, eps))
+            for v in range(1, profile.n_voters + 1)
+        ]
+        for target in adapter.targets:
+            values = [marginal[target] for marginal in marginals]
+            society_value = society[target]
             for variant, hypothesis, conclusion in (
                 ("sharp", all(v >= 1.0 - eps for v in values), society_value >= 1.0 - eps),
                 ("unsharp", all(v > eps for v in values), society_value > eps),
@@ -831,7 +821,7 @@ def check_unanimity(
                         {
                             "kind": "unanimity-violation",
                             "variant": variant,
-                            "target": [x, y],
+                            "target": list(target),
                             "ballot_values": values,
                             "society_value": society_value,
                             "profile": serde.serialize_profile(profile),
@@ -863,8 +853,7 @@ def check_iia(
 ) -> AxiomReport:
     """Society's certainty / support status on a pair must transfer between
     profiles whose voters agree, trace for trace, on that pair."""
-    if not isinstance(rule, WelfareRule):
-        raise InvalidArgument(f"expected a welfare rule, got {rule!r}")
+    _Targets(rule, space, eps, kind="welfare")
     if trials < 1:
         raise InvalidArgument("trials must be at least 1")
     started = time.perf_counter()
@@ -921,14 +910,13 @@ def check_iia(
 
 def check_composition_preservation(
     rule: WelfareRule,
-    extension: ChoiceExtension,
     sampler: ProfileSampler,
     family: CandidateBallotFamily,
     trials: int,
     seed: int,
     eps: float = DEFAULT_EPS,
 ) -> AxiomReport:
-    """Manipulability must not appear under the extension out of nowhere.
+    """Manipulability must not appear under the natural extension out of nowhere.
 
     For each sampled (profile, voter): if no welfare witness exists on any
     pair, no choice witness may exist on any alternative for the composed
@@ -938,9 +926,8 @@ def check_composition_preservation(
         raise InvalidArgument("trials must be at least 1")
     started = time.perf_counter()
     rng = random.Random(seed)
-    composed = compose(extension, rule)
-    # The composed rule keeps the hook only if the welfare rule has one.
-    search = "family" if composed.responses is None else "vertices"
+    composed = compose(rule, eps)
+    search = "family" if rule.responses is None else "vertices"
     violations: list[dict] = []
     welfare_hits = 0
     choice_hits = 0
@@ -948,7 +935,7 @@ def check_composition_preservation(
         profile = sampler(rng)
         if search == "family":
             family.check_size(profile.space)
-        welfare_adapter = _Targets(rule, profile.space, eps)
+        welfare_adapter = _Targets(rule, profile.space, eps, kind="welfare")
         choice_adapter = _Targets(composed, profile.space, eps)
         welfare_society = welfare_adapter.society_values(profile)
         choice_society = choice_adapter.society_values(profile)
@@ -1044,6 +1031,7 @@ def run_gs_suite(rule: ChoiceRule, config: SuiteConfig) -> SuiteReport:
     """Incentive compatibility, onto and non-dictatorship, bundled."""
     started = time.perf_counter()
     space = RankingSpace(config.alternatives)
+    _Targets(rule, space, config.eps, kind="choice")
     qic = check_qic(
         rule,
         default_profile_sampler(space, config.n_voters),

@@ -1,9 +1,8 @@
 """Choice rules: from ranking densities to alternative distributions.
 
-A choice extension turns a societal ranking density into a distribution
-over alternatives; composing one with a welfare rule yields a full choice
-rule. The natural extension credits each basis ranking's weight to its
-top alternative.
+A choice rule is a welfare rule followed by the natural extension, which
+credits each basis ranking's weight to its top alternative. ``qcvne`` is
+the quantum Condorcet rule followed by it.
 """
 
 from __future__ import annotations
@@ -26,32 +25,21 @@ from .welfare import QcvParams, WelfareRule, qcv, qcv_rule
 
 
 @dataclass(frozen=True, eq=False)
-class ChoiceExtension:
-    """Named map from ranking densities to alternative distributions."""
-
-    name: str
-    fn: Callable[[DensityOperator], AlternativeState]
-
-    def apply(self, state: DensityOperator) -> AlternativeState:
-        return self.fn(state)
-
-
-@dataclass(frozen=True, eq=False)
 class ChoiceRule:
-    """Named map from a joint ballot profile to an alternative distribution.
-
-    ``responses``, when set, declares linearity as it does for
-    ``WelfareRule``, and gives the d x d basis weights of the ranking density
-    whose natural extension is the output, one row per basis ballot
-    substituted for the voter, as ``WelfareRule.responses`` does.
-    """
+    """Named map from a joint ballot profile to an alternative distribution:
+    the welfare rule's output, naturally extended at ``eps``."""
 
     name: str
-    fn: Callable[[ProfileState], AlternativeState]
-    responses: Callable[[ProfileState, int, float], np.ndarray] | None = None
+    welfare: WelfareRule
+    eps: float = DEFAULT_EPS
+
+    @property
+    def responses(self) -> Callable[[ProfileState, int, float], np.ndarray] | None:
+        """The welfare rule's hook: the natural extension is linear in the basis weights."""
+        return self.welfare.responses
 
     def evaluate(self, profile: ProfileState) -> AlternativeState:
-        return self.fn(profile)
+        return natural_extension(self.welfare.evaluate(profile), self.eps)
 
 
 def natural_extension(state: DensityOperator, eps: float = DEFAULT_EPS) -> AlternativeState:
@@ -68,17 +56,9 @@ def natural_extension(state: DensityOperator, eps: float = DEFAULT_EPS) -> Alter
     return alternative_state(alternatives, probabilities, eps)
 
 
-NATURAL_EXTENSION = ChoiceExtension("natural-extension", natural_extension)
-
-
-def compose(extension: ChoiceExtension, rule: WelfareRule) -> ChoiceRule:
-    """Choice rule evaluating the welfare rule, then the extension."""
-    return ChoiceRule(
-        f"{extension.name}({rule.name})",
-        lambda profile: extension.apply(rule.evaluate(profile)),
-        # The natural extension is linear in the basis weights; other extensions may not be.
-        responses=rule.responses if extension is NATURAL_EXTENSION else None,
-    )
+def compose(rule: WelfareRule, eps: float = DEFAULT_EPS) -> ChoiceRule:
+    """Choice rule evaluating the welfare rule, then the natural extension."""
+    return ChoiceRule(f"natural-extension({rule.name})", rule, eps)
 
 
 def qcvne(profile: ProfileState, params: QcvParams) -> AlternativeState:
@@ -87,8 +67,4 @@ def qcvne(profile: ProfileState, params: QcvParams) -> AlternativeState:
 
 
 def qcvne_rule(params: QcvParams) -> ChoiceRule:
-    return ChoiceRule(
-        "qcvne",
-        lambda p: qcvne(p, params),
-        responses=qcv_rule(params).responses,
-    )
+    return ChoiceRule("qcvne", qcv_rule(params), params.eps)

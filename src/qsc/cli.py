@@ -38,7 +38,7 @@ from .axioms import (
     VERDICT_NO_DICTATOR,
     VERDICT_NOT_BYPASSED,
 )
-from .choice import ChoiceRule, NATURAL_EXTENSION, compose, qcvne_rule
+from .choice import ChoiceRule, compose, qcvne_rule
 from .errors import InvalidArgument, ParseError, QscError
 from .hilbert import DEFAULT_SUPPORT_CAP, ProfileState, RankingSpace
 from .rankings import AlternativeSet, ClassicalProfile, Ranking
@@ -258,7 +258,7 @@ def _run_check(args, axiom: str) -> int:
     family = parse_family(args.family)
 
     if axiom in CHOICE_AXIOMS and isinstance(rule, WelfareRule):
-        rule = compose(NATURAL_EXTENSION, rule)
+        rule = compose(rule, args.eps)
     if axiom in WELFARE_ONLY_AXIOMS and isinstance(rule, ChoiceRule):
         raise ParseError(f"axiom {axiom!r} applies to welfare rules, not {args.rule!r}", "axiom")
 

@@ -8,7 +8,6 @@ built once per set. Everything here is immutable and pure.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
@@ -19,22 +18,9 @@ import numpy as np
 
 from .errors import InvalidArgument
 
-DEFAULT_MAX_DIM = 720  # 6! -- keeps dense ranking-space matrices desk-sized
-_MAX_DIM_ENV = "QSC_MAX_DIM"
-
-
-def max_ranking_dim() -> int:
-    """Cap on the ranking-space dimension m!; override with QSC_MAX_DIM."""
-    raw = os.environ.get(_MAX_DIM_ENV)
-    if raw is None:
-        return DEFAULT_MAX_DIM
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidArgument(f"{_MAX_DIM_ENV} must be an integer, got {raw!r}") from None
-    if value < 2:
-        raise InvalidArgument(f"{_MAX_DIM_ENV} must be at least 2, got {value}")
-    return value
+# Cap on the ranking-space dimension m!: 6!, where a d x d block of basis
+# responses holds 518,400 float64 (4 MB) and the basis table 720 rows.
+MAX_RANKING_DIM = 720
 
 
 @dataclass(frozen=True)
@@ -52,11 +38,10 @@ class AlternativeSet:
             raise InvalidArgument(f"alternative labels must be unique: {names}")
         if any(not isinstance(n, str) or not n for n in names):
             raise InvalidArgument("alternative labels must be nonempty strings")
-        if factorial(len(names)) > max_ranking_dim():
+        if factorial(len(names)) > MAX_RANKING_DIM:
             raise InvalidArgument(
                 f"{len(names)} alternatives give a ranking space of dimension "
-                f"{factorial(len(names))} > cap {max_ranking_dim()}; "
-                f"raise {_MAX_DIM_ENV} to override"
+                f"{factorial(len(names))} > cap {MAX_RANKING_DIM}"
             )
 
     @property

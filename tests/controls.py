@@ -7,8 +7,8 @@ from qsc import (
     ChoiceRule,
     DensityOperator,
     Ranking,
+    RankingSpace,
     WelfareRule,
-    alternative_state,
     basis_state,
 )
 from qsc.hilbert import diagonal_state
@@ -81,7 +81,7 @@ def borda_welfare_rule() -> WelfareRule:
 
 def constant_choice_rule(alternatives: AlternativeSet, winner: str) -> ChoiceRule:
     """Ignores everyone and elects one fixed alternative."""
-    return ChoiceRule(
-        f"constant:{winner}",
-        lambda profile: alternative_state(alternatives, {winner: 1.0}),
-    )
+    space = RankingSpace(alternatives)
+    rest = [name for name in alternatives.names if name != winner]
+    society = basis_state(space, Ranking.from_labels(alternatives, [winner, *rest]))
+    return ChoiceRule(f"constant:{winner}", WelfareRule(f"constant:{winner}", lambda profile: society))

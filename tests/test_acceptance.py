@@ -18,7 +18,6 @@ from qsc import (
     AlternativeSet,
     CandidateBallotFamily,
     ClassicalProfile,
-    NATURAL_EXTENSION,
     ProfileState,
     QcvParams,
     Ranking,
@@ -94,7 +93,7 @@ def test_criterion_01_split_ballot_worked_example(xyz, xyz_space):
         )
         rho2 = basis_state(xyz_space, rk(xyz, "z>x>y"))
         profile = ProfileState.product_of([rho1, rho2])
-        result = compose(NATURAL_EXTENSION, dictator_rule(1)).evaluate(profile)
+        result = compose(dictator_rule(1)).evaluate(profile)
         assert result["x"] == pytest.approx(0.5, abs=TOLERANCE)
         assert result["y"] == pytest.approx(0.5, abs=TOLERANCE)
         assert result["z"] == pytest.approx(0.0, abs=TOLERANCE)
@@ -223,7 +222,6 @@ def test_criterion_09_composition_preservation(space3):
     with criterion(9, "welfare-clean triples stay clean under the extension"):
         report = check_composition_preservation(
             qcv_rule(QcvParams(0.05)),
-            NATURAL_EXTENSION,
             default_profile_sampler(space3, 3),
             FULL_FAMILY,
             trials=200,

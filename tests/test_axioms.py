@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from qsc import (
     AlternativeSet,
     CandidateBallotFamily,
-    ChoiceExtension,
     ChoiceRule,
     DensityOperator,
     InvalidArgument,
-    NATURAL_EXTENSION,
     PreferenceKind,
     ProfileState,
     QcvParams,
@@ -44,8 +42,10 @@ from qsc import (
     qcvne,
     ResourceLimit,
     reverify_witness,
+    run_arrow_suite,
     run_gs_suite,
     veto_rule,
+    WelfareRule,
 )
 from qsc.axioms import (
     FAMILY_CAP,
@@ -56,6 +56,7 @@ from qsc.axioms import (
     VERDICT_NO_DICTATOR,
 )
 from qsc import axioms, choice, welfare
+from qsc.hilbert import diagonal_state
 from qsc.serde import parse_density, parse_profile
 
 from controls import borda_welfare_rule, constant_choice_rule, reverse_mix_rule, reverse_rule
@@ -201,7 +202,7 @@ class TestWelfareWitnessSearch:
 class TestChoiceWitnessSearch:
     def test_veto_choice_witness(self, alts3, veto_setup):
         rule, profile = veto_setup
-        choice = compose(NATURAL_EXTENSION, rule)
+        choice = compose(rule)
         witness = manipulation_witness(choice, profile, 1, "a", FAMILY)
         assert witness is not None
         assert witness.target == "a"
@@ -209,7 +210,7 @@ class TestChoiceWitnessSearch:
 
     def test_choice_witness_replays_from_json_record(self, alts3, space3, veto_setup):
         rule, profile = veto_setup
-        choice = compose(NATURAL_EXTENSION, rule)
+        choice = compose(rule)
         record = manipulation_witness(choice, profile, 1, "a", FAMILY).to_jsonable()
         replayed = parse_profile(record["profile"])
         ballot = parse_density(space3, record["dishonest_ballot"])
@@ -222,7 +223,7 @@ class TestChoiceWitnessSearch:
 
     def test_dictator_choice_other_voters_inert(self, alts3, veto_setup):
         _, profile = veto_setup
-        choice = compose(NATURAL_EXTENSION, dictator_rule(1))
+        choice = compose(dictator_rule(1))
         for a in alts3.names:
             assert manipulation_witness(choice, profile, 2, a, FAMILY) is None
 
@@ -456,7 +457,7 @@ class TestDictatorshipChecks:
 
     def test_choice_dictator_detected(self, space3):
         sampler = default_profile_sampler(space3, 3)
-        choice = compose(NATURAL_EXTENSION, dictator_rule(1))
+        choice = compose(dictator_rule(1))
         report = check_dictatorship(choice, space3, sampler, 60, seed=5)
         assert report.axiom == "dictatorship-choice" and report.rule == "natural-extension(dictator:1)"
         assert report.verdict == VERDICT_DICTATOR_CANDIDATE
@@ -561,7 +562,7 @@ class TestSuites:
         from qsc.axioms import VERDICT_NOT_BYPASSED
 
         config = SuiteConfig(alternatives=alts3, n_voters=3, trials=60, seed=21)
-        report = run_gs_suite(compose(NATURAL_EXTENSION, dictator_rule(1)), config)
+        report = run_gs_suite(compose(dictator_rule(1)), config)
         assert report.verdict == VERDICT_NOT_BYPASSED
         by_name = {c["name"]: c for c in report.components}
         assert by_name["non-dictatorship"]["ok"] is False
@@ -572,6 +573,35 @@ class TestSuites:
 
         with pytest.raises(InvalidArgument):
             SuiteConfig(alternatives=AlternativeSet(("a", "b")))
+
+
+def refuse_to_hunt(*args):
+    raise AssertionError("the hunt ran")
+
+
+class TestRuleKind:
+    """A check for one kind of rule refuses the other kind by name, before any work."""
+
+    def test_choice_checks_refuse_a_welfare_rule(self, alts3, monkeypatch):
+        monkeypatch.setattr(axioms, "check_qic", refuse_to_hunt)
+        refused = "expected a choice rule, got the welfare rule 'qcv'"
+        with pytest.raises(InvalidArgument, match=refused):
+            check_onto(qcv_rule(PARAMS), alts3, n_voters=3)
+        with pytest.raises(InvalidArgument, match=refused):
+            run_gs_suite(qcv_rule(PARAMS), SuiteConfig(alts3))
+
+    def test_welfare_checks_refuse_a_choice_rule(self, alts3, space3):
+        rule = qcvne_rule(PARAMS)
+        refused = "expected a welfare rule, got the choice rule 'qcvne'"
+        sampler = default_profile_sampler(space3, 3)
+        with pytest.raises(InvalidArgument, match=refused):
+            check_unanimity(rule, space3, sampler, 5, seed=0)
+        with pytest.raises(InvalidArgument, match=refused):
+            check_iia(rule, space3, default_paired_sampler(space3, 3), 5, seed=0)
+        with pytest.raises(InvalidArgument, match=refused):
+            run_arrow_suite(rule, SuiteConfig(alts3))
+        with pytest.raises(InvalidArgument, match=refused):
+            check_composition_preservation(rule, sampler, FAMILY, trials=5, seed=0)
 
 
 class TestPairedSampler:
@@ -616,7 +646,7 @@ class TestCompositionPreservation:
     def test_qcv_with_natural_extension(self, space3):
         sampler = default_profile_sampler(space3, 3)
         report = check_composition_preservation(
-            qcv_rule(PARAMS), NATURAL_EXTENSION, sampler, FAMILY, trials=25, seed=12
+            qcv_rule(PARAMS), sampler, FAMILY, trials=25, seed=12
         )
         assert report.verdict == VERDICT_HOLDS
         assert report.details["welfare_witnesses"] == 0
@@ -628,7 +658,7 @@ class TestCompositionPreservation:
         sampler = default_profile_sampler(space3, 3)
         with pytest.raises(InvalidArgument, match="trials"):
             check_composition_preservation(
-                qcv_rule(PARAMS), NATURAL_EXTENSION, sampler, FAMILY, trials=trials, seed=0
+                qcv_rule(PARAMS), sampler, FAMILY, trials=trials, seed=0
             )
 
     def test_family_caps_refuse_before_any_voter_is_scanned(self, monkeypatch):
@@ -640,13 +670,29 @@ class TestCompositionPreservation:
         veto = veto_rule(rankings[0])
         with pytest.raises(ResourceLimit, match="309520 ballots"):
             check_composition_preservation(
-                veto, NATURAL_EXTENSION, lambda rng: unanimous, FAMILY, trials=1, seed=0
+                veto, lambda rng: unanimous, FAMILY, trials=1, seed=0
             )
         # A hooked rule never reads the family, so it is not refused.
         report = check_composition_preservation(
-            dictator_rule(1), NATURAL_EXTENSION, lambda rng: unanimous, FAMILY, trials=1, seed=0
+            dictator_rule(1), lambda rng: unanimous, FAMILY, trials=1, seed=0
         )
         assert report.verdict == VERDICT_HOLDS and report.details["search"] == "vertices"
+
+    def test_eps_reaches_the_extension(self, alts3, space3):
+        # Society's weights on a>b>c and c>b>a are off by 5e-7: inside eps = 1e-6,
+        # outside the default eps.
+        weights = np.array([1 + 5e-7, 0, 0, 0, 0, -5e-7])
+        off = WelfareRule("off", lambda profile: diagonal_state(space3, weights, 1e-6))
+        society = off.evaluate(None)
+        assert natural_extension(society, 1e-6).as_dict() == {"a": 1.0, "b": 0.0, "c": 0.0}
+        with pytest.raises(InvalidArgument, match="out of"):
+            natural_extension(society)
+        assert compose(off, 1e-6).evaluate(None).as_dict() == {"a": 1.0, "b": 0.0, "c": 0.0}
+        unanimous = ProfileState.product_of([basis_state(space3, rk(alts3, "a>b>c"))] * 3)
+        report = check_composition_preservation(
+            off, lambda rng: unanimous, FAMILY, trials=1, seed=0, eps=1e-6
+        )
+        assert report.verdict == VERDICT_HOLDS and report.rule == "natural-extension(off)"
 
 
 class TestDeterminism:
@@ -672,7 +718,7 @@ HOOKED_RULES = {
     "qcvne": qcvne_rule(PARAMS),
     "dictator:1": dictator_rule(1),
     "dictator:2": dictator_rule(2),
-    "natural-extension(dictator:2)": compose(NATURAL_EXTENSION, dictator_rule(2)),
+    "natural-extension(dictator:2)": compose(dictator_rule(2)),
     "reverse-mix": reverse_mix_rule(hooked=True),
 }
 
@@ -732,10 +778,8 @@ class TestLinearity:
     def test_hook_needs_every_part_linear(self, alts3):
         veto = veto_rule(rk(alts3, "a>b>c"))
         assert veto.responses is None
-        assert compose(NATURAL_EXTENSION, veto).responses is None
-        opaque = ChoiceExtension("opaque", natural_extension)
-        assert compose(opaque, qcv_rule(PARAMS)).responses is None
-        assert compose(NATURAL_EXTENSION, qcv_rule(PARAMS)).responses is not None
+        assert compose(veto).responses is None
+        assert compose(qcv_rule(PARAMS)).responses is not None
         assert reverse_mix_rule(hooked=False).responses is None
 
     @pytest.mark.parametrize("m", [3, 4])
@@ -773,6 +817,8 @@ def correlated_sampler(space, n_voters):
 
 
 def without_hook(rule):
+    if isinstance(rule, ChoiceRule):
+        return dataclasses.replace(rule, welfare=without_hook(rule.welfare))
     return dataclasses.replace(rule, responses=None)
 
 
@@ -787,6 +833,8 @@ def report_bytes(report, search):
 
 def counted_evaluations(rule, calls):
     """The rule, recording each profile it evaluates in ``calls``."""
+    if isinstance(rule, ChoiceRule):
+        return dataclasses.replace(rule, welfare=counted_evaluations(rule.welfare, calls))
 
     def counted(profile):
         calls.append(profile)
@@ -820,7 +868,7 @@ class TestBatchedSearch:
                 assert any('"kind": "manipulation"' in r for r in reports[0])
                 composition = [
                     check_composition_preservation(
-                        rule, NATURAL_EXTENSION, sampler, family, trials=10, seed=3
+                        rule, sampler, family, trials=10, seed=3
                     )
                     for rule in (hooked, generic)
                 ]
@@ -887,7 +935,7 @@ class TestBatchedSearch:
         space = space_of(4)
         params = QcvParams.for_alternatives(4)
         rules = [qcv_rule(params), qcvne_rule(params), dictator_rule(2),
-                 compose(NATURAL_EXTENSION, dictator_rule(2)), reverse_mix_rule(hooked=True)]
+                 compose(dictator_rule(2)), reverse_mix_rule(hooked=True)]
         rankings = space.rankings()
         light = ProfileState.correlated(space, [
             ((1 - 1e-4) / 2, (rankings[0], rankings[9], rankings[17])),
@@ -942,14 +990,14 @@ class TestBatchedSearch:
             ]
 
         if m == 4:
-            for control in (mix, compose(NATURAL_EXTENSION, mix)):
+            for control in (mix, compose(mix)):
                 assert any('"kind": "manipulation"' in r for r in same(qic(control, 3, (1, 2))))
             if sampler is default_profile_sampler:
                 same(qic(qcvne_rule(params), 1, (1,)))
             return
         dictator = dictator_rule(2)
         welfare_rules = [qcv_rule(params), dictator, mix]
-        choice_rules = [qcvne_rule(params), compose(NATURAL_EXTENSION, dictator)]
+        choice_rules = [qcvne_rule(params), compose(dictator)]
         trials = 4
 
         for rule in welfare_rules + choice_rules:
@@ -957,7 +1005,7 @@ class TestBatchedSearch:
             same(qic(rule, trials, (1, 2)))
         for rule in welfare_rules:
             same(lambda variant, search: report_bytes(check_composition_preservation(
-                variant(rule), NATURAL_EXTENSION, sampler(space, 3), FAMILY, trials, seed=5
+                variant(rule), sampler(space, 3), FAMILY, trials, seed=5
             ), search))
         if sampler is default_profile_sampler:
             config = SuiteConfig(space.alternatives, trials=trials, seed=7)
@@ -966,12 +1014,9 @@ class TestBatchedSearch:
                     run_gs_suite(variant(rule), config), search
                 ))
 
-    def test_composition_keeps_the_hook_only_for_the_natural_extension(self, alts3):
-        rule, dictator = qcv_rule(PARAMS), dictator_rule(1)
-        assert compose(NATURAL_EXTENSION, rule).responses is rule.responses
-        assert compose(ChoiceExtension("opaque", natural_extension), rule).responses is None
-        assert compose(NATURAL_EXTENSION, dictator).responses is dictator.responses
-        assert compose(NATURAL_EXTENSION, veto_rule(rk(alts3, "a>b>c"))).responses is None
+    def test_composition_shares_the_welfare_rules_hook(self, alts3):
+        for rule in (qcv_rule(PARAMS), dictator_rule(1), veto_rule(rk(alts3, "a>b>c"))):
+            assert compose(rule).responses is rule.responses
 
     def test_one_substitution_and_no_extension_per_scanned_voter(self, space3, cycle_profile, monkeypatch):
         rule = qcvne_rule(PARAMS)

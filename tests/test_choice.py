@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qsc import (
     AlternativeSet,
     ClassicalProfile,
-    NATURAL_EXTENSION,
     ProfileState,
     QcvParams,
     Ranking,
@@ -89,7 +88,7 @@ class TestNaturalExtension:
 
 class TestCompose:
     def test_dictator_composition(self, split_top_profile):
-        rule = compose(NATURAL_EXTENSION, dictator_rule(1))
+        rule = compose(dictator_rule(1))
         result = rule.evaluate(split_top_profile)
         assert result.as_dict() == pytest.approx({"x": 0.5, "y": 0.5, "z": 0.0})
         assert rule.name == "natural-extension(dictator:1)"
@@ -97,13 +96,13 @@ class TestCompose:
     def test_composition_equals_qcvne(self, alts3, cycle_profile):
         params = QcvParams(0.05)
         profile = ProfileState.basis(cycle_profile)
-        composed = compose(NATURAL_EXTENSION, qcv_rule(params))
+        composed = compose(qcv_rule(params))
         assert composed.evaluate(profile).as_dict() == pytest.approx(
             qcvne(profile, params).as_dict()
         )
 
     def test_unanimous_profile_tops_out(self, alts3, unanimous_profile):
-        rule = compose(NATURAL_EXTENSION, dictator_rule(1))
+        rule = compose(dictator_rule(1))
         result = rule.evaluate(ProfileState.basis(unanimous_profile))
         assert result["a"] == pytest.approx(1.0)
 

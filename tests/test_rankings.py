@@ -259,11 +259,9 @@ class TestAlternativeSet:
         with pytest.raises(InvalidArgument):
             AlternativeSet(("a", "a"))
 
-    def test_dimension_cap(self, monkeypatch):
-        with pytest.raises(InvalidArgument):
-            AlternativeSet(tuple("abcdefg"))  # 7! exceeds the default cap
-        monkeypatch.setenv("QSC_MAX_DIM", "5040")
-        AlternativeSet(tuple("abcdefg"))
+    def test_dimension_cap(self):
+        with pytest.raises(InvalidArgument, match="5040 > cap 720"):
+            AlternativeSet(tuple("abcdefg"))
 
     def test_not_a_permutation_rejected(self, alts3):
         with pytest.raises(InvalidArgument):
