@@ -9,7 +9,6 @@ unanimity and independence failures.
 from .axioms import (
     AxiomReport,
     CandidateBallotFamily,
-    ManipulationClause,
     ManipulationWitness,
     PreferenceKind,
     SuiteConfig,

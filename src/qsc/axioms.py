@@ -56,22 +56,40 @@ _VERTEX_MARGIN = 1e-11
 
 
 class PreferenceKind(Enum):
+    """How a value on a target reads: certain, excluded or supported.
+
+    The same three readings serve ballots and society, the truthfulness
+    clauses of the manipulation search and the sharp and unsharp variants
+    of the Arrow axioms.
+    """
+
     STRONG_POSITIVE = "strong-positive"
     STRONG_NEGATIVE = "strong-negative"
     WEAK = "weak"
 
+    def holds(self, value, eps: float = DEFAULT_EPS):
+        """Whether a value reads as this kind, elementwise for a numpy array.
 
-class ManipulationClause(Enum):
-    STRONG_POSITIVE = "strong-positive"
-    STRONG_NEGATIVE = "strong-negative"
-    WEAK = "weak"
+        Certain (strong-positive) is at least 1 - eps, excluded
+        (strong-negative) at most eps, and supported (weak) above eps, so a
+        certain value is also supported.
+        """
+        if self is PreferenceKind.STRONG_POSITIVE:
+            return value >= 1.0 - eps
+        if self is PreferenceKind.STRONG_NEGATIVE:
+            return value <= eps
+        return value > eps
+
+
+# The sharp variant of an Arrow axiom reads certainty, the unsharp one support.
+_VARIANTS = (("sharp", PreferenceKind.STRONG_POSITIVE), ("unsharp", PreferenceKind.WEAK))
 
 
 def classify_value(value: float, eps: float = DEFAULT_EPS) -> PreferenceKind:
     """Classify a subspace probability; at the eps boundary the negative wins."""
-    if value <= eps:
+    if PreferenceKind.STRONG_NEGATIVE.holds(value, eps):
         return PreferenceKind.STRONG_NEGATIVE
-    if value >= 1.0 - eps:
+    if PreferenceKind.STRONG_POSITIVE.holds(value, eps):
         return PreferenceKind.STRONG_POSITIVE
     return PreferenceKind.WEAK
 
@@ -88,39 +106,25 @@ def classify_preference(
     return classify_value(value, eps)
 
 
-def _applicable_clauses(kind: PreferenceKind, rule_kind: str) -> tuple[ManipulationClause, ...]:
+def _applicable_clauses(kind: PreferenceKind, rule_kind: str) -> tuple[PreferenceKind, ...]:
     """Manipulation clauses a voter with this preference could exploit.
 
-    A certain (probability-1) preference also carries weak support, so
-    both clauses stay live for it. For choice rules the strong-negative
-    pattern is not hunted: zeroing out an alternative the voter gives no
-    winning support to moves society toward that voter's honest ballot,
-    and the Condorcet rule composed with the natural extension genuinely
-    admits it (make one beats-the-hated-option pair unanimous and the
-    final projection erases the rest), so counting it would brand every
-    such rule manipulable.
+    A clause is a kind the voter's value holds: it fires when society's
+    value does not hold it, and a dishonest ballot achieves it when
+    society's value then does. A certain (probability-1) preference also
+    carries weak support, so both clauses stay live for it. For choice
+    rules the strong-negative pattern is not hunted: zeroing out an
+    alternative the voter gives no winning support to moves society toward
+    that voter's honest ballot, and the Condorcet rule composed with the
+    natural extension genuinely admits it (make one beats-the-hated-option
+    pair unanimous and the final projection erases the rest), so counting
+    it would brand every such rule manipulable.
     """
     if kind is PreferenceKind.STRONG_POSITIVE:
-        return (ManipulationClause.STRONG_POSITIVE, ManipulationClause.WEAK)
+        return (PreferenceKind.STRONG_POSITIVE, PreferenceKind.WEAK)
     if kind is PreferenceKind.STRONG_NEGATIVE:
-        return () if rule_kind == "choice" else (ManipulationClause.STRONG_NEGATIVE,)
-    return (ManipulationClause.WEAK,)
-
-
-def _clause_fires(clause: ManipulationClause, society: float, eps: float) -> bool:
-    if clause is ManipulationClause.STRONG_POSITIVE:
-        return society < 1.0 - eps
-    if clause is ManipulationClause.STRONG_NEGATIVE:
-        return society > eps
-    return society <= eps
-
-
-def _clause_achieved(clause: ManipulationClause, society: float, eps: float) -> bool:
-    if clause is ManipulationClause.STRONG_POSITIVE:
-        return society >= 1.0 - eps
-    if clause is ManipulationClause.STRONG_NEGATIVE:
-        return society <= eps
-    return society > eps
+        return () if rule_kind == "choice" else (kind,)
+    return (kind,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +134,7 @@ class ManipulationWitness:
     rule_name: str
     rule_kind: str  # "welfare" | "choice"
     voter: int
-    clause: ManipulationClause
+    clause: PreferenceKind
     target: tuple[str, str] | str
     truthful_value: float
     dishonest_value: float
@@ -387,16 +391,14 @@ def _orientation_bijection(
 ) -> list[int]:
     """Random basis permutation preserving each ranking's x-vs-y orientation."""
     inside = pair_projector(space, *pair).indices.tolist()
-    outside = [k for k in range(space.dim) if k not in set(inside)]
-    shuffled_in = inside[:]
-    shuffled_out = outside[:]
-    rng.shuffle(shuffled_in)
-    rng.shuffle(shuffled_out)
+    members = set(inside)
+    outside = [k for k in range(space.dim) if k not in members]
     perm = [0] * space.dim
-    for src, dst in zip(inside, shuffled_in):
-        perm[src] = dst
-    for src, dst in zip(outside, shuffled_out):
-        perm[src] = dst
+    for group in (inside, outside):
+        shuffled = group[:]
+        rng.shuffle(shuffled)
+        for src, dst in zip(group, shuffled):
+            perm[src] = dst
     return perm
 
 
@@ -431,6 +433,18 @@ def default_paired_sampler(space: RankingSpace, n_voters: int) -> PairedSampler:
         return profile, _permute_profile(profile, perms), pair
 
     return sample
+
+
+def _draws(sampler: Callable[[random.Random], object], trials: int, seed: int) -> Iterator:
+    """The trials' draws from a sampler, on one RNG seeded with ``seed``.
+
+    Fewer than one trial is refused here, when called, before the caller
+    builds anything.
+    """
+    if trials < 1:
+        raise InvalidArgument("trials must be at least 1")
+    rng = random.Random(seed)
+    return (sampler(rng) for _ in range(trials))
 
 
 @dataclass
@@ -497,6 +511,35 @@ class SuiteReport:
         return serde.canonical_json(self.to_jsonable(include_elapsed))
 
 
+def _report(
+    axiom: str,
+    rule: str,
+    trials: int,
+    seed: int | None,
+    started: float,
+    witnesses: list[dict],
+    details: dict,
+    verdict: str | None = None,
+) -> AxiomReport:
+    """A check's report, timed from ``started``.
+
+    Unless the check gives its own verdict, it is falsified exactly when
+    there are witnesses.
+    """
+    if verdict is None:
+        verdict = VERDICT_FALSIFIED if witnesses else VERDICT_HOLDS
+    return AxiomReport(
+        axiom=axiom,
+        rule=rule,
+        verdict=verdict,
+        trials=trials,
+        seed=seed,
+        witnesses=witnesses,
+        details=details,
+        elapsed_ms=(time.perf_counter() - started) * 1000.0,
+    )
+
+
 def _scan_voter(
     adapter,
     profile: ProfileState,
@@ -515,11 +558,11 @@ def _scan_voter(
     if society is None:
         society = adapter.society_values(profile)
     ballot_values = adapter.ballot_values(profile.partial_ballot(voter, eps))
-    fired: list[tuple[object, ManipulationClause]] = []
+    fired: list[tuple[object, PreferenceKind]] = []
     for target in adapter.targets:
         kind = classify_value(ballot_values[target], eps)
         for clause in _applicable_clauses(kind, adapter.kind):
-            if _clause_fires(clause, society[target], eps):
+            if not clause.holds(society[target], eps):
                 fired.append((target, clause))
     if not fired:
         return None
@@ -531,7 +574,7 @@ def _scan_voter(
         substituted = profile.substitute_ballot(voter, candidate, eps)
         dishonest = adapter.society_values(substituted)
         for target, clause in fired:
-            if _clause_achieved(clause, dishonest[target], eps):
+            if clause.holds(dishonest[target], eps):
                 return ManipulationWitness(
                     rule_name=adapter.rule.name,
                     rule_kind=adapter.kind,
@@ -550,7 +593,7 @@ def _near_vertices(
     adapter,
     profile: ProfileState,
     voter: int,
-    fired: list[tuple[object, ManipulationClause]],
+    fired: list[tuple[object, PreferenceKind]],
     eps: float,
 ) -> Iterator[DensityOperator]:
     """The basis ballots that could achieve a fired clause, in basis order.
@@ -574,8 +617,8 @@ def _near_vertices(
     near = np.zeros(len(values), dtype=bool)
     for target, clause in fired:
         column = values[:, targets.index(target)]
-        near |= _clause_achieved(clause, column - _VERTEX_MARGIN, eps)
-        near |= _clause_achieved(clause, column + _VERTEX_MARGIN, eps)
+        near |= clause.holds(column - _VERTEX_MARGIN, eps)
+        near |= clause.holds(column + _VERTEX_MARGIN, eps)
     rankings = adapter.space.rankings()
     return (basis_state(adapter.space, rankings[k], eps) for k in np.flatnonzero(near))
 
@@ -612,9 +655,7 @@ def reverify_witness(
     dishonest = adapter.society_values(substituted)[witness.target]
     if abs(truthful - witness.truthful_value) > 1e-6 or abs(dishonest - witness.dishonest_value) > 1e-6:
         return False
-    return _clause_fires(witness.clause, truthful, eps) and _clause_achieved(
-        witness.clause, dishonest, eps
-    )
+    return not witness.clause.holds(truthful, eps) and witness.clause.holds(dishonest, eps)
 
 
 def check_qic(
@@ -626,40 +667,27 @@ def check_qic(
     eps: float = DEFAULT_EPS,
 ) -> AxiomReport:
     """Hunt for strategic-manipulation witnesses over sampled profiles."""
-    if trials < 1:
-        raise InvalidArgument("trials must be at least 1")
+    draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
     search = "family" if rule.responses is None else "vertices"
-    rng = random.Random(seed)
     witnesses: list[dict] = []
     trials_run = 0
-    for _ in range(trials):
-        profile = sampler(rng)
+    for profile in draws:
         if search == "family":
             # Refused whether or not a voter of this draw gets scanned.
             family.check_size(profile.space)
         trials_run += 1
         adapter = _Targets(rule, profile.space, eps)
         society = adapter.society_values(profile)
-        found = None
         for voter in range(1, profile.n_voters + 1):
             found = _scan_voter(adapter, profile, voter, family, eps, society)
             if found is not None:
+                witnesses.append(found.to_jsonable())
                 break
-        if found is not None:
-            witnesses.append(found.to_jsonable())
+        if witnesses:
             break
-    verdict = VERDICT_FALSIFIED if witnesses else VERDICT_HOLDS
-    return AxiomReport(
-        axiom="qic",
-        rule=rule.name,
-        verdict=verdict,
-        trials=trials,
-        seed=seed,
-        witnesses=witnesses,
-        details={"trials_run": trials_run, "family": family.describe(), "search": search},
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    details = {"trials_run": trials_run, "family": family.describe(), "search": search}
+    return _report("qic", rule.name, trials, seed, started, witnesses, details)
 
 
 def check_dictatorship(
@@ -677,30 +705,24 @@ def check_dictatorship(
     pairs for a welfare rule, winner subspaces for a choice rule.
     """
     adapter = _Targets(rule, space, eps)
-    if trials < 1:
-        raise InvalidArgument("trials must be at least 1")
+    draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
-    rng = random.Random(seed)
     counterexamples: dict[tuple[int, str], dict] = {}
     n_voters: int | None = None
     trials_run = 0
-    for _ in range(trials):
-        profile = sampler(rng)
+    for profile in draws:
         trials_run += 1
         if n_voters is None:
             n_voters = profile.n_voters
         society = adapter.society_values(profile)
         for voter in range(1, profile.n_voters + 1):
-            if all((voter, v) in counterexamples for v in ("sharp", "unsharp")):
+            if all((voter, variant) in counterexamples for variant, _ in _VARIANTS):
                 continue
             ballot_values = adapter.ballot_values(profile.partial_ballot(voter, eps))
             for target in adapter.targets:
                 tv, sv = ballot_values[target], society[target]
-                checks = (
-                    ("sharp", tv >= 1.0 - eps, sv >= 1.0 - eps),
-                    ("unsharp", tv > eps, sv > eps),
-                )
-                for variant, voter_holds, society_holds in checks:
+                for variant, kind in _VARIANTS:
+                    voter_holds, society_holds = kind.holds(tv, eps), kind.holds(sv, eps)
                     if voter_holds == society_holds or (voter, variant) in counterexamples:
                         continue
                     counterexamples[(voter, variant)] = {
@@ -717,27 +739,20 @@ def check_dictatorship(
                         "society_value": sv,
                         "profile": serde.serialize_profile(profile),
                     }
-        if len(counterexamples) == 2 * n_voters:
+        if len(counterexamples) == len(_VARIANTS) * n_voters:
             break
     assert n_voters is not None
     survivors = [
         {"voter": voter, "variant": variant}
         for voter in range(1, n_voters + 1)
-        for variant in ("sharp", "unsharp")
+        for variant, _ in _VARIANTS
         if (voter, variant) not in counterexamples
     ]
     verdict = VERDICT_NO_DICTATOR if not survivors else VERDICT_DICTATOR_CANDIDATE
     ordered = [counterexamples[k] for k in sorted(counterexamples)]
-    return AxiomReport(
-        axiom=f"dictatorship-{adapter.kind}",
-        rule=rule.name,
-        verdict=verdict,
-        trials=trials,
-        seed=seed,
-        witnesses=ordered,
-        details={"trials_run": trials_run, "survivors": survivors, "voters": n_voters},
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    details = {"trials_run": trials_run, "survivors": survivors, "voters": n_voters}
+    axiom = f"dictatorship-{adapter.kind}"
+    return _report(axiom, rule.name, trials, seed, started, ordered, details, verdict)
 
 
 def check_onto(
@@ -757,7 +772,7 @@ def check_onto(
         ranking = Ranking(alternatives, (alternatives.index(a), *rest))
         profile = ProfileState.product_of([basis_state(space, ranking)] * n_voters)
         value = adapter.society_values(profile)[a]
-        if value >= 1.0 - eps:
+        if PreferenceKind.STRONG_POSITIVE.holds(value, eps):
             reached += 1
         else:
             failures.append(
@@ -768,17 +783,8 @@ def check_onto(
                     "profile": serde.serialize_profile(profile),
                 }
             )
-    verdict = VERDICT_HOLDS if not failures else VERDICT_FALSIFIED
-    return AxiomReport(
-        axiom="onto",
-        rule=rule.name,
-        verdict=verdict,
-        trials=alternatives.m,
-        seed=None,
-        witnesses=failures,
-        details={"reached": reached, "alternatives": alternatives.m, "voters": n_voters},
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    details = {"reached": reached, "alternatives": alternatives.m, "voters": n_voters}
+    return _report("onto", rule.name, alternatives.m, None, started, failures, details)
 
 
 def check_unanimity(
@@ -791,15 +797,11 @@ def check_unanimity(
 ) -> AxiomReport:
     """Whenever every ballot (fully / at all) supports a pair, society must too."""
     adapter = _Targets(rule, space, eps, kind="welfare")
-    if trials < 1:
-        raise InvalidArgument("trials must be at least 1")
+    draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
-    rng = random.Random(seed)
     violations: list[dict] = []
-    fired = {"sharp": 0, "unsharp": 0}
-    bad = {"sharp": 0, "unsharp": 0}
-    for _ in range(trials):
-        profile = sampler(rng)
+    details = {variant: {"instances": 0, "violations": 0} for variant, _ in _VARIANTS}
+    for profile in draws:
         society = adapter.society_values(profile)
         marginals = [
             adapter.ballot_values(profile.partial_ballot(v, eps))
@@ -808,15 +810,12 @@ def check_unanimity(
         for target in adapter.targets:
             values = [marginal[target] for marginal in marginals]
             society_value = society[target]
-            for variant, hypothesis, conclusion in (
-                ("sharp", all(v >= 1.0 - eps for v in values), society_value >= 1.0 - eps),
-                ("unsharp", all(v > eps for v in values), society_value > eps),
-            ):
-                if not hypothesis:
+            for variant, kind in _VARIANTS:
+                if not all(kind.holds(v, eps) for v in values):
                     continue
-                fired[variant] += 1
-                if not conclusion:
-                    bad[variant] += 1
+                details[variant]["instances"] += 1
+                if not kind.holds(society_value, eps):
+                    details[variant]["violations"] += 1
                     violations.append(
                         {
                             "kind": "unanimity-violation",
@@ -827,20 +826,7 @@ def check_unanimity(
                             "profile": serde.serialize_profile(profile),
                         }
                     )
-    verdict = VERDICT_FALSIFIED if violations else VERDICT_HOLDS
-    return AxiomReport(
-        axiom="unanimity",
-        rule=rule.name,
-        verdict=verdict,
-        trials=trials,
-        seed=seed,
-        witnesses=violations,
-        details={
-            "sharp": {"instances": fired["sharp"], "violations": bad["sharp"]},
-            "unsharp": {"instances": fired["unsharp"], "violations": bad["unsharp"]},
-        },
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    return _report("unanimity", rule.name, trials, seed, started, violations, details)
 
 
 def check_iia(
@@ -854,14 +840,11 @@ def check_iia(
     """Society's certainty / support status on a pair must transfer between
     profiles whose voters agree, trace for trace, on that pair."""
     _Targets(rule, space, eps, kind="welfare")
-    if trials < 1:
-        raise InvalidArgument("trials must be at least 1")
+    draws = _draws(paired_sampler, trials, seed)
     started = time.perf_counter()
-    rng = random.Random(seed)
     violations: list[dict] = []
-    fired = {"sharp": 0, "unsharp": 0}
-    for _ in range(trials):
-        profile, twin, pair = paired_sampler(rng)
+    details: dict = {variant: {"instances": 0} for variant, _ in _VARIANTS}
+    for profile, twin, pair in draws:
         projector = pair_projector(space, *pair)
         for voter in range(1, profile.n_voters + 1):
             mine = support_probability(profile.partial_ballot(voter, eps), projector, eps)
@@ -873,12 +856,10 @@ def check_iia(
                 )
         value = support_probability(rule.evaluate(profile), projector, eps)
         twin_value = support_probability(rule.evaluate(twin), projector, eps)
-        for variant, status, twin_status in (
-            ("sharp", value >= 1.0 - eps, twin_value >= 1.0 - eps),
-            ("unsharp", value > eps, twin_value > eps),
-        ):
+        for variant, kind in _VARIANTS:
+            status, twin_status = kind.holds(value, eps), kind.holds(twin_value, eps)
             if status or twin_status:
-                fired[variant] += 1
+                details[variant]["instances"] += 1
             if status != twin_status:
                 violations.append(
                     {
@@ -891,21 +872,8 @@ def check_iia(
                         "twin_profile": serde.serialize_profile(twin),
                     }
                 )
-    verdict = VERDICT_FALSIFIED if violations else VERDICT_HOLDS
-    return AxiomReport(
-        axiom="iia",
-        rule=rule.name,
-        verdict=verdict,
-        trials=trials,
-        seed=seed,
-        witnesses=violations,
-        details={
-            "sharp": {"instances": fired["sharp"]},
-            "unsharp": {"instances": fired["unsharp"]},
-            "violations": len(violations),
-        },
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    details["violations"] = len(violations)
+    return _report("iia", rule.name, trials, seed, started, violations, details)
 
 
 def check_composition_preservation(
@@ -922,17 +890,14 @@ def check_composition_preservation(
     pair, no choice witness may exist on any alternative for the composed
     rule.
     """
-    if trials < 1:
-        raise InvalidArgument("trials must be at least 1")
+    draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
-    rng = random.Random(seed)
     composed = compose(rule, eps)
     search = "family" if rule.responses is None else "vertices"
     violations: list[dict] = []
     welfare_hits = 0
     choice_hits = 0
-    for _ in range(trials):
-        profile = sampler(rng)
+    for profile in draws:
         if search == "family":
             family.check_size(profile.space)
         welfare_adapter = _Targets(rule, profile.space, eps, kind="welfare")
@@ -953,22 +918,13 @@ def check_composition_preservation(
                         "profile": serde.serialize_profile(profile),
                     }
                 )
-    verdict = VERDICT_FALSIFIED if violations else VERDICT_HOLDS
-    return AxiomReport(
-        axiom="composition-preservation",
-        rule=f"{composed.name}",
-        verdict=verdict,
-        trials=trials,
-        seed=seed,
-        witnesses=violations,
-        details={
-            "welfare_witnesses": welfare_hits,
-            "choice_witnesses": choice_hits,
-            "family": family.describe(),
-            "search": search,
-        },
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    details = {
+        "welfare_witnesses": welfare_hits,
+        "choice_witnesses": choice_hits,
+        "family": family.describe(),
+        "search": search,
+    }
+    return _report("composition-preservation", composed.name, trials, seed, started, violations, details)
 
 
 @dataclass(frozen=True)
@@ -996,6 +952,28 @@ def _component(name: str, ok: bool, verdict: str | None = None) -> dict:
     return {"name": name, "ok": ok, "verdict": verdict}
 
 
+def _suite(
+    suite: str,
+    rule: str,
+    config: SuiteConfig,
+    started: float,
+    components: list[dict],
+    reports: list[AxiomReport],
+) -> SuiteReport:
+    """A suite's report, timed from ``started``: the bypass is demonstrated when every component is ok."""
+    verdict = VERDICT_BYPASS if all(c["ok"] for c in components) else VERDICT_NOT_BYPASSED
+    return SuiteReport(
+        suite=suite,
+        rule=rule,
+        verdict=verdict,
+        components=components,
+        reports=reports,
+        trials=config.trials,
+        seed=config.seed,
+        elapsed_ms=(time.perf_counter() - started) * 1000.0,
+    )
+
+
 def run_arrow_suite(rule: WelfareRule, config: SuiteConfig) -> SuiteReport:
     """Unanimity, independence and non-dictatorship, bundled."""
     started = time.perf_counter()
@@ -1004,27 +982,14 @@ def run_arrow_suite(rule: WelfareRule, config: SuiteConfig) -> SuiteReport:
     paired = default_paired_sampler(space, config.n_voters)
     unanimity = check_unanimity(rule, space, sampler, config.trials, config.seed, config.eps)
     iia = check_iia(rule, space, paired, config.trials, config.seed + 1, config.eps)
-    dictatorship = check_dictatorship(
-        rule, space, default_profile_sampler(space, config.n_voters),
-        config.trials, config.seed + 2, config.eps,
-    )
-    variants = ("sharp", "unsharp")
+    dictatorship = check_dictatorship(rule, space, sampler, config.trials, config.seed + 2, config.eps)
+    variants = [variant for variant, _ in _VARIANTS]
     components = [
         *(_component(f"unanimity-{v}", unanimity.details[v]["violations"] == 0) for v in variants),
         *(_component(f"iia-{v}", all(w["variant"] != v for w in iia.witnesses)) for v in variants),
         _component("non-dictatorship", dictatorship.verdict == VERDICT_NO_DICTATOR, dictatorship.verdict),
     ]
-    verdict = VERDICT_BYPASS if all(c["ok"] for c in components) else VERDICT_NOT_BYPASSED
-    return SuiteReport(
-        suite="arrow-suite",
-        rule=rule.name,
-        verdict=verdict,
-        components=components,
-        reports=[unanimity, iia, dictatorship],
-        trials=config.trials,
-        seed=config.seed,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    return _suite("arrow-suite", rule.name, config, started, components, [unanimity, iia, dictatorship])
 
 
 def run_gs_suite(rule: ChoiceRule, config: SuiteConfig) -> SuiteReport:
@@ -1032,32 +997,13 @@ def run_gs_suite(rule: ChoiceRule, config: SuiteConfig) -> SuiteReport:
     started = time.perf_counter()
     space = RankingSpace(config.alternatives)
     _Targets(rule, space, config.eps, kind="choice")
-    qic = check_qic(
-        rule,
-        default_profile_sampler(space, config.n_voters),
-        config.family,
-        config.trials,
-        config.seed,
-        config.eps,
-    )
+    sampler = default_profile_sampler(space, config.n_voters)
+    qic = check_qic(rule, sampler, config.family, config.trials, config.seed, config.eps)
     onto = check_onto(rule, config.alternatives, config.n_voters, config.eps)
-    dictatorship = check_dictatorship(
-        rule, space, default_profile_sampler(space, config.n_voters),
-        config.trials, config.seed + 1, config.eps,
-    )
+    dictatorship = check_dictatorship(rule, space, sampler, config.trials, config.seed + 1, config.eps)
     components = [
         _component("qic", qic.verdict == VERDICT_HOLDS),
         _component("onto", onto.verdict == VERDICT_HOLDS),
         _component("non-dictatorship", dictatorship.verdict == VERDICT_NO_DICTATOR, dictatorship.verdict),
     ]
-    verdict = VERDICT_BYPASS if all(c["ok"] for c in components) else VERDICT_NOT_BYPASSED
-    return SuiteReport(
-        suite="gs-suite",
-        rule=rule.name,
-        verdict=verdict,
-        components=components,
-        reports=[qic, onto, dictatorship],
-        trials=config.trials,
-        seed=config.seed,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
+    return _suite("gs-suite", rule.name, config, started, components, [qic, onto, dictatorship])

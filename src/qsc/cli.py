@@ -40,12 +40,11 @@ from .axioms import (
 )
 from .choice import ChoiceRule, compose, qcvne_rule
 from .errors import InvalidArgument, ParseError, QscError
-from .hilbert import DEFAULT_SUPPORT_CAP, ProfileState, RankingSpace
+from .hilbert import ProfileState, RankingSpace
 from .rankings import AlternativeSet, ClassicalProfile, Ranking
 from .welfare import QcvParams, WelfareRule, default_delta, dictator_rule, qcv_basis, qcv_rule, veto_rule
 
 CHECK_AXIOMS = ("qic", "dictatorship", "onto", "unanimity", "iia", "arrow-suite", "gs-suite")
-WELFARE_ONLY_AXIOMS = {"unanimity", "iia", "arrow-suite"}
 CHOICE_AXIOMS = {"onto", "gs-suite"}
 
 # Expected verdict per (rule family, axiom); a mismatch exits 1 so CI runs
@@ -197,7 +196,7 @@ def _as_text(payload: dict) -> str:
 
 
 def _stages_payload(profile: ProfileState, params: QcvParams) -> dict:
-    tuples = profile.support_tuples(params.eps, DEFAULT_SUPPORT_CAP)
+    tuples = profile.support_tuples(params.eps)
     if len(tuples) != 1:
         raise InvalidArgument(
             "--stages needs a profile supported on a single ranking tuple; "
@@ -250,6 +249,8 @@ def cmd_evaluate(args) -> int:
 
 def _run_check(args, axiom: str) -> int:
     alternatives = _default_labels(args.alternatives)
+    if args.trials < 1:
+        raise InvalidArgument(f"--trials must be at least 1, got {args.trials}")
     space = RankingSpace(alternatives)
     delta = args.delta if args.delta is not None else default_delta(alternatives.m)
     params = QcvParams(delta=delta, eps=args.eps)
@@ -259,8 +260,6 @@ def _run_check(args, axiom: str) -> int:
 
     if axiom in CHOICE_AXIOMS and isinstance(rule, WelfareRule):
         rule = compose(rule, args.eps)
-    if axiom in WELFARE_ONLY_AXIOMS and isinstance(rule, ChoiceRule):
-        raise ParseError(f"axiom {axiom!r} applies to welfare rules, not {args.rule!r}", "axiom")
 
     sampler = default_profile_sampler(space, args.voters)
     if axiom == "qic":

@@ -380,12 +380,12 @@ class ProfileState:
             diag[self.space.basis_index(rankings[pos])] += weight
         return diagonal_state(self.space, diag / diag.sum(), eps)
 
-    def support_tuples(
-        self,
-        eps: float = DEFAULT_EPS,
-        cap: int = DEFAULT_SUPPORT_CAP,
-    ) -> list[tuple[float, tuple[int, ...]]]:
-        """Diagonal support as (weight, basis-index tuple) terms summing to 1."""
+    def support_tuples(self, eps: float = DEFAULT_EPS) -> list[tuple[float, tuple[int, ...]]]:
+        """Diagonal support as (weight, basis-index tuple) terms summing to 1.
+
+        A support of more than DEFAULT_SUPPORT_CAP ranking combinations is
+        refused.
+        """
         if self.factors is not None:
             per_voter: list[tuple[tuple[int, float], ...]] = []
             count = 1
@@ -393,9 +393,9 @@ class ProfileState:
                 entries = ballot.diagonal_support(eps)
                 per_voter.append(entries)
                 count *= len(entries)
-                if count > cap:
+                if count > DEFAULT_SUPPORT_CAP:
                     raise ResourceLimit(
-                        f"profile support exceeds {cap} ranking combinations"
+                        f"profile support exceeds {DEFAULT_SUPPORT_CAP} ranking combinations"
                     )
             combos: dict[tuple[int, ...], float] = {}
             stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
@@ -412,8 +412,8 @@ class ProfileState:
                     continue
                 key = tuple(self.space.basis_index(r) for r in rankings)
                 combos[key] = combos.get(key, 0.0) + weight
-            if len(combos) > cap:
-                raise ResourceLimit(f"profile support exceeds {cap} ranking combinations")
+            if len(combos) > DEFAULT_SUPPORT_CAP:
+                raise ResourceLimit(f"profile support exceeds {DEFAULT_SUPPORT_CAP} ranking combinations")
         total = sum(combos.values())
         if total <= eps:
             raise InvalidArgument("profile has no diagonal support")

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import InvalidArgument, ZeroMassProjection
 from .hilbert import (
     DEFAULT_EPS,
-    DEFAULT_SUPPORT_CAP,
     MAX_EPS,
     DensityOperator,
     ProfileState,
@@ -340,7 +339,7 @@ def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
     """
     space = profile.space
     params.check_alternatives(space.alternatives.m)
-    terms = profile.support_tuples(params.eps, DEFAULT_SUPPORT_CAP)
+    terms = profile.support_tuples(params.eps)
     idx = np.array([indices for _, indices in terms], dtype=np.intp)
     acc = _mixed_rows(space, params, [weight for weight, _ in terms], idx[:, None, :])
     return diagonal_state(space, acc[0], params.eps)
@@ -363,7 +362,7 @@ def qcv_responses(
     d = space.dim
     first = profile.substitute_ballot(voter, basis_state(space, space.rankings()[0], eps), eps)
     params.check_alternatives(space.alternatives.m)
-    terms = first.support_tuples(params.eps, DEFAULT_SUPPORT_CAP)
+    terms = first.support_tuples(params.eps)
     weights = [weight for weight, _ in terms]
     tuples = np.array([indices for _, indices in terms], dtype=np.intp)
     responses = np.empty((d, d), dtype=np.float64)

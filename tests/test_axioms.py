@@ -54,8 +54,9 @@ from qsc.axioms import (
     VERDICT_FALSIFIED,
     VERDICT_HOLDS,
     VERDICT_NO_DICTATOR,
+    classify_value,
 )
-from qsc import axioms, choice, welfare
+from qsc import axioms, choice, hilbert, welfare
 from qsc.hilbert import diagonal_state
 from qsc.serde import parse_density, parse_profile
 
@@ -155,6 +156,31 @@ class TestClassifyPreference:
             space3, [(1e-9, rk(alts3, "a>b>c")), (1 - 1e-9, rk(alts3, "b>a>c"))]
         )
         assert classify_preference(state, "a", "b", eps=1e-9) is PreferenceKind.STRONG_NEGATIVE
+
+
+class TestPreferenceKind:
+    """``PreferenceKind.holds`` defines certain, excluded and supported for every check."""
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-3])
+    def test_thresholds_one_ulp_either_side(self, eps):
+        low = [np.nextafter(eps, 0.0), eps, np.nextafter(eps, 1.0)]
+        high = [np.nextafter(1.0 - eps, 0.0), 1.0 - eps, np.nextafter(1.0 - eps, 1.0)]
+        expected = {
+            PreferenceKind.STRONG_NEGATIVE: [True, True, False, False, False, False],
+            PreferenceKind.WEAK: [False, False, True, True, True, True],
+            PreferenceKind.STRONG_POSITIVE: [False, False, False, False, True, True],
+        }
+        for kind, want in expected.items():
+            assert [kind.holds(float(v), eps) for v in low + high] == want
+            elementwise = kind.holds(np.array(low + high), eps)
+            assert elementwise.dtype == bool and elementwise.tolist() == want
+
+    def test_classify_value_lets_the_negative_kind_win(self):
+        assert classify_value(1e-9, 1e-9) is PreferenceKind.STRONG_NEGATIVE
+        assert classify_value(np.nextafter(1e-9, 1.0), 1e-9) is PreferenceKind.WEAK
+        assert classify_value(1.0 - 1e-9, 1e-9) is PreferenceKind.STRONG_POSITIVE
+        # Where excluded and certain overlap, the value is excluded.
+        assert classify_value(0.5, 0.5) is PreferenceKind.STRONG_NEGATIVE
 
 
 class TestWelfareWitnessSearch:
@@ -603,8 +629,69 @@ class TestRuleKind:
         with pytest.raises(InvalidArgument, match=refused):
             check_composition_preservation(rule, sampler, FAMILY, trials=5, seed=0)
 
+    def test_the_kind_is_refused_before_the_trials(self, space3):
+        # Dictatorship, unanimity and iia read the rule's kind before the trial count.
+        sampler = default_profile_sampler(space3, 3)
+        with pytest.raises(InvalidArgument, match="not a welfare or choice rule"):
+            check_dictatorship(object(), space3, sampler, 0, seed=0)
+        refused = "expected a welfare rule, got the choice rule 'qcvne'"
+        with pytest.raises(InvalidArgument, match=refused):
+            check_unanimity(qcvne_rule(PARAMS), space3, sampler, 0, seed=0)
+        with pytest.raises(InvalidArgument, match=refused):
+            check_iia(qcvne_rule(PARAMS), space3, default_paired_sampler(space3, 3), 0, seed=0)
+
+
+def refuse_to_draw(rng):
+    raise AssertionError("the sampler drew")
+
+
+class TestTrials:
+    @pytest.mark.parametrize("trials", [0, -1])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda space, trials: check_qic(qcv_rule(PARAMS), refuse_to_draw, FAMILY, trials, 0),
+            lambda space, trials: check_dictatorship(qcv_rule(PARAMS), space, refuse_to_draw, trials, 0),
+            lambda space, trials: check_unanimity(qcv_rule(PARAMS), space, refuse_to_draw, trials, 0),
+            lambda space, trials: check_iia(qcv_rule(PARAMS), space, refuse_to_draw, trials, 0),
+            lambda space, trials: check_composition_preservation(
+                qcv_rule(PARAMS), refuse_to_draw, FAMILY, trials, 0
+            ),
+        ],
+        ids=["qic", "dictatorship", "unanimity", "iia", "composition-preservation"],
+    )
+    def test_every_sampled_check_refuses_before_drawing(self, space3, check, trials):
+        with pytest.raises(InvalidArgument, match="trials must be at least 1"):
+            check(space3, trials)
+
+
+def per_index_bijection(space, pair, rng):
+    """The IIA sampler's bijection as first written: the inside set is rebuilt per index."""
+    inside = pair_projector(space, *pair).indices.tolist()
+    outside = [k for k in range(space.dim) if k not in set(inside)]
+    shuffled_in = inside[:]
+    shuffled_out = outside[:]
+    rng.shuffle(shuffled_in)
+    rng.shuffle(shuffled_out)
+    perm = [0] * space.dim
+    for src, dst in zip(inside, shuffled_in):
+        perm[src] = dst
+    for src, dst in zip(outside, shuffled_out):
+        perm[src] = dst
+    return perm
+
 
 class TestPairedSampler:
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_bijection_matches_the_per_index_reference(self, m):
+        space = space_of(m)
+        for pair in space.alternatives.ordered_pairs():
+            for seed in (0, 1, 7):
+                ours, reference = random.Random(seed), random.Random(seed)
+                perm = axioms._orientation_bijection(space, pair, ours)
+                assert perm == per_index_bijection(space, pair, reference)
+                assert ours.getstate() == reference.getstate()
+
     def test_twin_preserves_designated_pair_traces(self, space3):
         import random
 
@@ -1045,7 +1132,7 @@ class TestBatchedSearch:
         rankings = space3.rankings()
         triple = mixed_state(space3, [(1.0, r) for r in rankings[:3]])
         profile = ProfileState.product_of([triple] * 3)
-        monkeypatch.setattr(welfare, "DEFAULT_SUPPORT_CAP", 8)
+        monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 8)
         rule = qcv_rule(QcvParams(0.05))
         adapter = axioms._Targets(rule, space3, 1e-9)
         # With a basis ballot substituted, 9 support tuples exceed the cap of 8.

@@ -25,6 +25,7 @@ from qsc import (
     uniform_subspace_state,
     winner_projector,
 )
+from qsc import hilbert
 
 from oracles import lehmer_index, ranks_above
 
@@ -264,11 +265,12 @@ class TestProfileState:
         assert sum(w for w, _ in tuples) == pytest.approx(1.0)
         assert all(w == pytest.approx(0.5) for w, _ in tuples)
 
-    def test_support_cap(self, alts3, space3):
+    def test_support_cap(self, alts3, space3, monkeypatch):
         uniform = mixed_state(space3, [(1.0, r) for r in space3.rankings()])
         profile = ProfileState.product_of([uniform] * 3)
+        monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 100)
         with pytest.raises(ResourceLimit):
-            profile.support_tuples(cap=100)
+            profile.support_tuples()
 
     def test_substitute_ballot_product(self, alts3, space3, split_top_profile):
         replacement = basis_state(space3, rk(alts3, "c>b>a"))

@@ -282,6 +282,11 @@ class TestCliCheck:
     def test_iia_rejects_choice_rule(self, capsys):
         code = main(["check", "--axiom", "iia", "--rule", "qcvne", "--trials", "10"])
         assert code == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {
+            "error": "invalid-argument",
+            "message": "expected a welfare rule, got the choice rule 'qcvne'",
+        }
 
     def test_onto_composes_welfare_rule(self, capsys):
         code = main(["check", "--axiom", "onto", "--rule", "qcv"])
@@ -473,7 +478,7 @@ class TestCliInputErrors:
             "family-random-negative", "profile-dir", "profile-bytes",
             "eps-large", "family-empty", "family-seed-only", "family-over-cap", "family-grid-fine",
             "family-weights-over-cap", "trials-zero-dictatorship", "trials-zero-unanimity",
-            "trials-zero-iia", "usage-bad-int", "usage-bad-choice",
+            "trials-zero-iia", "trials-zero-onto", "usage-bad-int", "usage-bad-choice",
         ],
     )
     def test_exits_2_with_one_json_line(self, case, tmp_path, capsys, monkeypatch):
@@ -506,6 +511,7 @@ class TestCliInputErrors:
             "trials-zero-dictatorship": ["check", "--axiom", "dictatorship", "--trials", "0"],
             "trials-zero-unanimity": ["check", "--axiom", "unanimity", "--trials", "0"],
             "trials-zero-iia": ["check", "--axiom", "iia", "--trials", "0"],
+            "trials-zero-onto": ["check", "--axiom", "onto", "--trials", "0"],
             "usage-bad-int": [*check, "--trials", "abc"],
             "usage-bad-choice": ["check", "--axiom", "warp"],
         }[case]

@@ -34,7 +34,7 @@ from qsc import (
     veto_rule,
 )
 
-from qsc import welfare
+from qsc import hilbert, welfare
 from qsc.errors import ZeroMassProjection
 from qsc.rankings import all_rankings, ranking_index
 from qsc.welfare import _qcv_rows
@@ -437,7 +437,7 @@ class TestQcvGeneralProfiles:
 
         uniform = mixed_state(space3, [(1.0, r) for r in space3.rankings()])
         profile = ProfileState.product_of([uniform] * 3)
-        monkeypatch.setattr(welfare, "DEFAULT_SUPPORT_CAP", 100)
+        monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 100)
         with pytest.raises(ResourceLimit):
             qcv(profile, QcvParams(0.05))
 
