@@ -12,7 +12,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import chain, combinations
@@ -156,6 +156,16 @@ class ManipulationWitness:
         }
 
 
+def _rule_kind(rule: WelfareRule | ChoiceRule, expected: str | None = None) -> str:
+    """The rule's kind, "welfare" or "choice"; any other kind than ``expected``, when given, is refused."""
+    if not isinstance(rule, (WelfareRule, ChoiceRule)):
+        raise InvalidArgument(f"not a welfare or choice rule: {rule!r}")
+    kind = "welfare" if isinstance(rule, WelfareRule) else "choice"
+    if expected not in (None, kind):
+        raise InvalidArgument(f"expected a {expected} rule, got the {kind} rule {rule.name!r}")
+    return kind
+
+
 class _Targets:
     """Targets a rule is scored on: ordered pairs (welfare) or alternatives (choice).
 
@@ -174,12 +184,8 @@ class _Targets:
         targets: list | None = None,
         kind: str | None = None,
     ):
-        welfare = isinstance(rule, WelfareRule)
-        if not welfare and not isinstance(rule, ChoiceRule):
-            raise InvalidArgument(f"not a welfare or choice rule: {rule!r}")
-        self.kind = "welfare" if welfare else "choice"
-        if kind not in (None, self.kind):
-            raise InvalidArgument(f"expected a {kind} rule, got the {self.kind} rule {rule.name!r}")
+        self.kind = _rule_kind(rule, kind)
+        welfare = self.kind == "welfare"
         own = space.alternatives.ordered_pairs() if welfare else list(space.alternatives.names)
         for target in targets or ():
             if target not in own:
@@ -245,14 +251,7 @@ class CandidateBallotFamily:
             raise InvalidArgument("family needs at least one of basis, sup2, sup3, grid, random")
 
     def describe(self) -> dict:
-        return {
-            "basis": self.basis,
-            "pair_superpositions": self.pair_superpositions,
-            "triple_superpositions": self.triple_superpositions,
-            "mixture_grid_step": self.mixture_grid_step,
-            "random_pure": self.random_pure,
-            "random_seed": self.random_seed,
-        }
+        return asdict(self)
 
     def size(self, space: RankingSpace) -> int:
         """Number of ballots ``ballots`` returns, computed without building any."""
@@ -402,20 +401,6 @@ def _orientation_bijection(
     return perm
 
 
-def _permute_profile(profile: ProfileState, perms: list[list[int]]) -> ProfileState:
-    space = profile.space
-    if profile.factors is not None:
-        return ProfileState.product_of(
-            [b.permuted(perms[v]) for v, b in enumerate(profile.factors)]
-        )
-    rankings = space.rankings()
-    terms = [
-        (w, tuple(rankings[perms[v][space.basis_index(r)]] for v, r in enumerate(rs)))
-        for w, rs in profile.joint
-    ]
-    return ProfileState.correlated(space, terms)
-
-
 def default_paired_sampler(space: RankingSpace, n_voters: int) -> PairedSampler:
     """Profile pairs agreeing, voter by voter, on a designated pair's trace.
 
@@ -430,7 +415,7 @@ def default_paired_sampler(space: RankingSpace, n_voters: int) -> PairedSampler:
         profile = base(rng)
         pair = pairs[rng.randrange(len(pairs))]
         perms = [_orientation_bijection(space, pair, rng) for _ in range(n_voters)]
-        return profile, _permute_profile(profile, perms), pair
+        return profile, profile.permuted(perms), pair
 
     return sample
 
@@ -839,7 +824,7 @@ def check_iia(
 ) -> AxiomReport:
     """Society's certainty / support status on a pair must transfer between
     profiles whose voters agree, trace for trace, on that pair."""
-    _Targets(rule, space, eps, kind="welfare")
+    _rule_kind(rule, "welfare")
     draws = _draws(paired_sampler, trials, seed)
     started = time.perf_counter()
     violations: list[dict] = []
@@ -890,6 +875,7 @@ def check_composition_preservation(
     pair, no choice witness may exist on any alternative for the composed
     rule.
     """
+    _rule_kind(rule, "welfare")
     draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
     composed = compose(rule, eps)
@@ -900,7 +886,7 @@ def check_composition_preservation(
     for profile in draws:
         if search == "family":
             family.check_size(profile.space)
-        welfare_adapter = _Targets(rule, profile.space, eps, kind="welfare")
+        welfare_adapter = _Targets(rule, profile.space, eps)
         choice_adapter = _Targets(composed, profile.space, eps)
         welfare_society = welfare_adapter.society_values(profile)
         choice_society = choice_adapter.society_values(profile)
@@ -996,7 +982,7 @@ def run_gs_suite(rule: ChoiceRule, config: SuiteConfig) -> SuiteReport:
     """Incentive compatibility, onto and non-dictatorship, bundled."""
     started = time.perf_counter()
     space = RankingSpace(config.alternatives)
-    _Targets(rule, space, config.eps, kind="choice")
+    _rule_kind(rule, "choice")
     sampler = default_profile_sampler(space, config.n_voters)
     qic = check_qic(rule, sampler, config.family, config.trials, config.seed, config.eps)
     onto = check_onto(rule, config.alternatives, config.n_voters, config.eps)

@@ -8,8 +8,8 @@ demand, and ``DensityOperator.from_matrix`` is the one validated edge
 through which a caller's matrix enters. Pair and winner subspaces are index
 sets of basis rankings, so every probability read-out sums diagonal weights.
 Joint voter states are kept factored (product form) or as a sparse diagonal
-term list (correlated form); the full (m!)^n joint matrix is never
-materialized.
+term list over basis-index tuples (correlated form); the full (m!)^n joint
+matrix is never materialized.
 """
 
 from __future__ import annotations
@@ -301,12 +301,12 @@ class ProfileState:
     """Joint ballot of n voters.
 
     Exactly one of ``factors`` (product of per-voter densities) and
-    ``joint`` (classically correlated weights over ranking tuples) is set.
+    ``joint`` (classically correlated weights over basis-index tuples) is set.
     """
 
     space: RankingSpace
     factors: tuple[DensityOperator, ...] | None = None
-    joint: tuple[tuple[float, tuple[Ranking, ...]], ...] | None = None
+    joint: tuple[tuple[float, tuple[int, ...]], ...] | None = None
 
     def __post_init__(self):
         if (self.factors is None) == (self.joint is None):
@@ -329,6 +329,7 @@ class ProfileState:
         terms: Sequence[tuple[float, Sequence[Ranking]]],
         eps: float = DEFAULT_EPS,
     ) -> "ProfileState":
+        """Profile from (weight, ranking tuple) terms, stored by basis index."""
         if not terms:
             raise InvalidArgument("correlated profile needs at least one term")
         n = len(terms[0][1])
@@ -342,10 +343,7 @@ class ProfileState:
                 raise InvalidArgument(f"correlated weights must be positive, got {w}")
             if len(rankings) != n:
                 raise InvalidArgument("all correlated terms must rank the same voters")
-            for r in rankings:
-                if r.alternatives != space.alternatives:
-                    raise InvalidArgument("ranking belongs to a different alternative set")
-            cleaned.append((w, tuple(rankings)))
+            cleaned.append((w, tuple(space.basis_index(r) for r in rankings)))
             total += w
         if abs(total - 1.0) > eps:
             raise InvalidArgument(f"correlated weights sum to {total}, expected 1")
@@ -376,48 +374,38 @@ class ProfileState:
         if self.factors is not None:
             return self.factors[pos]
         diag = np.zeros(self.space.dim, dtype=np.float64)
-        for weight, rankings in self.joint:
-            diag[self.space.basis_index(rankings[pos])] += weight
+        for weight, key in self.joint:
+            diag[key[pos]] += weight
         return diagonal_state(self.space, diag / diag.sum(), eps)
 
     def support_tuples(self, eps: float = DEFAULT_EPS) -> list[tuple[float, tuple[int, ...]]]:
-        """Diagonal support as (weight, basis-index tuple) terms summing to 1.
+        """Diagonal support as (weight, basis-index tuple) terms summing to 1, by ascending tuple.
 
         A support of more than DEFAULT_SUPPORT_CAP ranking combinations is
         refused.
         """
         if self.factors is not None:
-            per_voter: list[tuple[tuple[int, float], ...]] = []
-            count = 1
-            for ballot in self.factors:
-                entries = ballot.diagonal_support(eps)
-                per_voter.append(entries)
-                count *= len(entries)
-                if count > DEFAULT_SUPPORT_CAP:
-                    raise ResourceLimit(
-                        f"profile support exceeds {DEFAULT_SUPPORT_CAP} ranking combinations"
-                    )
-            combos: dict[tuple[int, ...], float] = {}
-            stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
+            per_voter = [ballot.diagonal_support(eps) for ballot in self.factors]
+            if math.prod(map(len, per_voter)) > DEFAULT_SUPPORT_CAP:
+                raise ResourceLimit(f"profile support exceeds {DEFAULT_SUPPORT_CAP} ranking combinations")
+            # Each voter's entries ascend, so the tuples come out distinct and sorted.
+            terms: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
             for entries in per_voter:
-                stack = [
-                    (prefix + (k,), w * wk) for prefix, w in stack for k, wk in entries
-                ]
-            for key, w in stack:
-                combos[key] = combos.get(key, 0.0) + w
+                terms = [(prefix + (k,), w * wk) for prefix, w in terms for k, wk in entries]
+            total = sum(w for _, w in terms)
         else:
-            combos = {}
-            for weight, rankings in self.joint:
+            combos: dict[tuple[int, ...], float] = {}
+            for weight, key in self.joint:
                 if weight <= eps:
                     continue
-                key = tuple(self.space.basis_index(r) for r in rankings)
                 combos[key] = combos.get(key, 0.0) + weight
             if len(combos) > DEFAULT_SUPPORT_CAP:
                 raise ResourceLimit(f"profile support exceeds {DEFAULT_SUPPORT_CAP} ranking combinations")
-        total = sum(combos.values())
+            total = sum(combos.values())
+            terms = sorted(combos.items())
         if total <= eps:
             raise InvalidArgument("profile has no diagonal support")
-        return [(w / total, key) for key, w in sorted(combos.items())]
+        return [(w / total, key) for key, w in terms]
 
     def substitute_ballot(self, voter: int, ballot: DensityOperator, eps: float = DEFAULT_EPS) -> "ProfileState":
         """Profile with one voter's ballot replaced (the others untouched).
@@ -434,18 +422,22 @@ class ProfileState:
             return ProfileState.product_of(factors)
         support = ballot.diagonal_support(eps)
         terms: dict[tuple[int, ...], float] = {}
-        for weight, rankings in self.joint:
-            key = [self.space.basis_index(r) for r in rankings]
+        for weight, term in self.joint:
+            key = list(term)
             for k, wk in support:
                 key[pos] = k
                 indices = tuple(key)
                 terms[indices] = terms.get(indices, 0.0) + weight * wk
         total = sum(terms.values())
-        by_index = self.space.rankings()
-        normalized = [
-            (w / total, tuple(by_index[k] for k in indices)) for indices, w in sorted(terms.items())
-        ]
-        return ProfileState.correlated(self.space, normalized, eps)
+        joint = tuple((w / total, indices) for indices, w in sorted(terms.items()))
+        return ProfileState(self.space, joint=joint)
+
+    def permuted(self, perms: Sequence[Sequence[int]]) -> "ProfileState":
+        """The profile with voter v's basis weight k moved to index perms[v][k], form kept."""
+        if self.factors is not None:
+            return ProfileState.product_of([b.permuted(perms[v]) for v, b in enumerate(self.factors)])
+        joint = tuple((w, tuple(perms[v][k] for v, k in enumerate(key))) for w, key in self.joint)
+        return ProfileState(self.space, joint=joint)
 
 
 @dataclass(frozen=True, eq=False)

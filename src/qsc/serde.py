@@ -23,7 +23,7 @@ from .hilbert import (
     mixed_state,
     pure_state,
 )
-from .rankings import AlternativeSet, Ranking
+from .rankings import AlternativeSet, Ranking, basis_table
 
 
 def canonical_json(payload: dict) -> str:
@@ -57,9 +57,9 @@ def serialize_profile(profile: ProfileState, eps: float = DEFAULT_EPS) -> dict:
     if profile.factors is not None:
         document["voters"] = [serialize_density(b, eps) for b in profile.factors]
     else:
+        strings = basis_table(profile.space.alternatives).strings
         document["correlated"] = [
-            [format_probability(w), [r.to_string() for r in rankings]]
-            for w, rankings in profile.joint
+            [format_probability(w), [strings[k] for k in key]] for w, key in profile.joint
         ]
     return document
 

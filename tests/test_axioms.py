@@ -640,6 +640,12 @@ class TestRuleKind:
         with pytest.raises(InvalidArgument, match=refused):
             check_iia(qcvne_rule(PARAMS), space3, default_paired_sampler(space3, 3), 0, seed=0)
 
+    @pytest.mark.parametrize("trials", [5, 0])
+    def test_composition_refuses_a_choice_rule_before_drawing(self, trials):
+        refused = "expected a welfare rule, got the choice rule 'qcvne'"
+        with pytest.raises(InvalidArgument, match=refused):
+            check_composition_preservation(qcvne_rule(PARAMS), refuse_to_draw, FAMILY, trials, 0)
+
 
 def refuse_to_draw(rng):
     raise AssertionError("the sampler drew")

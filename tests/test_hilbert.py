@@ -47,6 +47,33 @@ def random_pure_state(space, rng):
     return pure_state(space, list(zip(amps, space.rankings())))
 
 
+def lehmer_key(rankings):
+    return tuple(lehmer_index(r.order) for r in rankings)
+
+
+def near_eps_ballot(space, rng, eps=1e-9):
+    """Diagonal ballot on a few basis rankings, some weighted at, just above or just below eps."""
+    chosen = rng.sample(range(space.dim), rng.randint(1, min(space.dim, 8)))
+    diag = np.zeros(space.dim)
+    for k in chosen[1:]:
+        diag[k] = rng.choice([eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0), 2 * eps, rng.random()])
+    diag[chosen[1:]] /= max(1.0, diag.sum() * 1.25)
+    diag[chosen[0]] = 1.0 - diag.sum()
+    return hilbert.diagonal_state(space, diag)
+
+
+def reference_support_tuples(per_voter):
+    """Support listing by a stack, merged in a dict and sorted, from each voter's support entries."""
+    combos = {}
+    stack = [((), 1.0)]
+    for entries in per_voter:
+        stack = [(prefix + (k,), w * wk) for prefix, w in stack for k, wk in entries]
+    for key, w in stack:
+        combos[key] = combos.get(key, 0.0) + w
+    total = sum(combos.values())
+    return [(w / total, key) for key, w in sorted(combos.items())]
+
+
 class TestConstruction:
     def test_point_mass(self, alts3, space3):
         state = pure_state(space3, [(1.0, rk(alts3, "a>b>c"))])
@@ -301,19 +328,20 @@ class TestProfileState:
     @pytest.mark.parametrize("m", [3, 4])
     def test_substitute_ballot_correlated_matches_reference_sort(self, m):
         # The merge keyed by ranking tuples and sorted by each ranking's Lehmer
-        # index, as it was before terms were keyed by basis index.
+        # index, as it was before terms were keyed by basis index; its keys
+        # are read back as Lehmer-index tuples.
         def reference(profile, voter, ballot, eps=1e-9):
             by_index = profile.space.rankings()
             terms = {}
-            for weight, rankings in profile.joint:
+            for weight, indices in profile.joint:
                 for k, wk in ballot.diagonal_support(eps):
-                    key = list(rankings)
+                    key = [by_index[i] for i in indices]
                     key[voter - 1] = by_index[k]
                     key = tuple(key)
                     terms[key] = terms.get(key, 0.0) + weight * wk
             total = sum(terms.values())
-            ordered = sorted(terms.items(), key=lambda kv: tuple(lehmer_index(r.order) for r in kv[0]))
-            return [(w / total, key) for key, w in ordered]
+            ordered = sorted(terms.items(), key=lambda kv: lehmer_key(kv[0]))
+            return [(w / total, lehmer_key(key)) for key, w in ordered]
 
         space = RankingSpace(AlternativeSet(tuple("abcd")[:m]))
         rankings = space.rankings()
@@ -337,6 +365,80 @@ class TestProfileState:
                 assert [w for w, _ in got] == [w for w, _ in want]  # bit for bit
                 checked += len(got)
         assert checked > 0
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_support_tuples_product_matches_the_merged_sort(self, m):
+        space = RankingSpace(AlternativeSet(tuple("abcde")[:m]))
+        rng = random.Random(m)
+        for _ in range(30):
+            ballots = [near_eps_ballot(space, rng) for _ in range(rng.randint(1, 4))]
+            profile = ProfileState.product_of(ballots)
+            got = profile.support_tuples()
+            want = reference_support_tuples([b.diagonal_support(1e-9) for b in ballots])
+            assert [key for _, key in got] == [key for _, key in want]
+            assert [w for w, _ in got] == [w for w, _ in want]  # bit for bit
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_support_tuples_correlated_matches_the_merged_sort(self, m):
+        space = RankingSpace(AlternativeSet(tuple("abcde")[:m]))
+        rankings = space.rankings()
+        rng = random.Random(10 + m)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            # Repeated tuples merge; terms of weight at or below eps are dropped.
+            pool = [tuple(rng.choice(rankings) for _ in range(n)) for _ in range(4)]
+            light = [1e-9, 5e-10, np.nextafter(1e-9, 0.0), np.nextafter(1e-9, 1.0)][: rng.randint(0, 4)]
+            raw = [rng.random() for _ in range(rng.randint(1, 8))]
+            heavy = [w * (1.0 - sum(light)) / sum(raw) for w in raw]
+            terms = [(float(w), rng.choice(pool)) for w in heavy + light]
+            rng.shuffle(terms)
+            got = ProfileState.correlated(space, terms).support_tuples()
+            combos = {}
+            for weight, key in terms:
+                if weight > 1e-9:
+                    key = lehmer_key(key)
+                    combos[key] = combos.get(key, 0.0) + weight
+            total = sum(combos.values())
+            want = [(w / total, key) for key, w in sorted(combos.items())]
+            assert [key for _, key in got] == [key for _, key in want]
+            assert [w for w, _ in got] == [w for w, _ in want]  # bit for bit
+
+    @pytest.mark.parametrize("form", ["product", "correlated"])
+    def test_permuted_moves_each_voters_weights(self, form):
+        space = RankingSpace(AlternativeSet(tuple("abcd")))
+        rankings = space.rankings()
+        rng = random.Random(5)
+        for _ in range(10):
+            if form == "product":
+                profile = ProfileState.product_of(
+                    [random_diagonal_state(space, rng), random_pure_state(space, rng)]
+                )
+            else:
+                raw = [rng.random() for _ in range(5)]
+                profile = ProfileState.correlated(
+                    space, [(w / sum(raw), (rng.choice(rankings), rng.choice(rankings))) for w in raw]
+                )
+            perms = [rng.sample(range(space.dim), space.dim) for _ in range(2)]
+            twin = profile.permuted(perms)
+            assert (twin.factors is None) == (profile.factors is None)
+            assert (twin.joint is None) == (profile.joint is None)
+            for v, perm in enumerate(perms):
+                before = profile.partial_ballot(v + 1).diagonal
+                after = twin.partial_ballot(v + 1).diagonal
+                np.testing.assert_allclose(after[perm], before, rtol=0.0, atol=1e-15)
+
+    def test_correlated_refusals(self, alts3, space3):
+        abc, bac = rk(alts3, "a>b>c"), rk(alts3, "b>a>c")
+        other = Ranking.from_string(AlternativeSet(("x", "y", "z")), "x>y>z")
+        with pytest.raises(InvalidArgument, match="ranking belongs to a different alternative set"):
+            ProfileState.correlated(space3, [(0.5, (abc, abc)), (0.5, (abc, other))])
+        with pytest.raises(InvalidArgument, match="all correlated terms must rank the same voters"):
+            ProfileState.correlated(space3, [(0.5, (abc, abc)), (0.5, (bac,))])
+        for weight in (0.0, -0.5):
+            with pytest.raises(InvalidArgument, match="correlated weights must be positive"):
+                ProfileState.correlated(space3, [(1.0 - weight, (abc,)), (weight, (bac,))])
+        with pytest.raises(InvalidArgument, match="correlated weights sum to 0.9"):
+            ProfileState.correlated(space3, [(0.5, (abc,)), (0.4, (bac,))])
 
     def test_forms_are_exclusive(self, space3, alts3):
         with pytest.raises(InvalidArgument):
