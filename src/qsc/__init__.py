@@ -49,6 +49,7 @@ from .hilbert import (
     pair_projector,
     project_and_renormalize,
     pure_state,
+    support_probabilities,
     support_probability,
     uniform_subspace_state,
     validate_density,

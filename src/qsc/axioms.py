@@ -15,16 +15,18 @@ import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import chain, combinations
-from typing import Callable, Iterator
+from itertools import chain, combinations, islice
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import serde
-from .choice import ChoiceRule, compose
-from .errors import InvalidArgument, ResourceLimit
+from . import serde, welfare
+from .choice import ChoiceRule, compose, natural_extension
+from .errors import InvalidArgument, QscError, ResourceLimit
 from .hilbert import (
     DEFAULT_EPS,
+    AlternativeState,
     DensityOperator,
     ProfileState,
     RankingSpace,
@@ -32,6 +34,7 @@ from .hilbert import (
     mixed_state,
     pair_projector,
     pure_state,
+    support_probabilities,
     support_probability,
     winner_projector,
 )
@@ -185,46 +188,87 @@ class _Targets:
         kind: str | None = None,
     ):
         self.kind = _rule_kind(rule, kind)
-        welfare = self.kind == "welfare"
-        own = space.alternatives.ordered_pairs() if welfare else list(space.alternatives.names)
+        pairs = self.kind == "welfare"
+        own = space.alternatives.ordered_pairs() if pairs else list(space.alternatives.names)
         for target in targets or ():
             if target not in own:
-                wanted = "an ordered pair of distinct" if welfare else "one of the"
+                wanted = "an ordered pair of distinct" if pairs else "one of the"
                 raise InvalidArgument(
                     f"a {self.kind} rule's target must be {wanted} alternatives "
                     f"{', '.join(space.alternatives.names)}, got {target!r}"
                 )
         self.targets = own if targets is None else targets
-        self._subspaces = {
-            t: pair_projector(space, *t) if welfare else winner_projector(space, t) for t in self.targets
-        }
+        # Row j: the basis indices of target j's subspace (all of one size).
+        self._index = np.stack([
+            (pair_projector(space, *t) if pairs else winner_projector(space, t)).indices
+            for t in self.targets
+        ])
+        self._row = {t: j for j, t in enumerate(self.targets)}
         self.rule = rule
         self.space = space
         self.eps = eps
 
+    def _values(self, weights: np.ndarray) -> dict:
+        values = support_probabilities(weights, self._index, self.eps)
+        return dict(zip(self.targets, values.tolist()))
+
     def ballot_values(self, ballot: DensityOperator) -> dict:
-        return {
-            t: support_probability(ballot, subspace, self.eps)
-            for t, subspace in self._subspaces.items()
-        }
+        return self._values(ballot.diagonal)
 
     def society_values(self, profile: ProfileState) -> dict:
-        state = self.rule.evaluate(profile)
+        return self._society(self.rule.evaluate(profile))
+
+    def _society(self, state: DensityOperator | AlternativeState) -> dict:
         if self.kind == "welfare":
             return self.ballot_values(state)
         return {a: state[a] for a in self.targets}
 
-    def basis_responses(self, profile: ProfileState, voter: int, targets: list) -> np.ndarray:
-        """Society's value on each target with the voter's ballot replaced by each basis ballot.
+    def society_of_weights(self, weights: np.ndarray) -> dict:
+        """Society's values from the welfare output's basis weights, as a hook gives them."""
+        if self.kind == "welfare":
+            return self._values(weights)
+        return self._society(natural_extension(DensityOperator(self.space, weights), self.rule.eps))
 
-        Row k of the d x len(targets) result holds the values with basis ballot
-        k, read from the rule's ``responses`` hook: each target sums the
-        response weights inside its subspace.
+    def society_batch(self, profiles: list[ProfileState]) -> Iterator[dict]:
+        """Society's values on each profile, in order, computed as they are read.
+
+        A rule with a ``responses`` hook scores every profile in one hook call.
+        """
+        if self.rule.responses is None:
+            return map(self.society_values, profiles)
+        return map(self.society_of_weights, self.rule.responses([(p, None) for p in profiles], self.eps))
+
+    def vertex_values(self, responses: np.ndarray, targets: list) -> np.ndarray:
+        """Society's value on each target with a voter's ballot replaced by each basis ballot.
+
+        ``responses`` is the hook's d x d result for the voter. Row k of the
+        d x len(targets) result holds the values with basis ballot k: each
+        target sums the response weights inside its subspace.
         """
         member = np.zeros((self.space.dim, len(targets)))
         for j, t in enumerate(targets):
-            member[self._subspaces[t].indices, j] = 1.0
-        return self.rule.responses(profile, voter, self.eps) @ member
+            member[self._index[self._row[t]], j] = 1.0
+        return responses @ member
+
+
+def _batches(draws: Iterator, profile_of: Callable = lambda draw: draw) -> Iterator[list]:
+    """The draws in batches, each sized from the profile of its first draw.
+
+    A batch holds as many draws as the basis responses of all their voters
+    fit in one kernel call: n voters times d x d weights a draw against
+    ``welfare._KERNEL_CELLS`` cells, so max(1, cells // (n d^2)) draws
+    (2,427 at m=3 with 3 voters, 151 at m=4, 1 at m=6).
+    """
+    for first in draws:
+        profile = profile_of(first)
+        size = max(1, welfare._KERNEL_CELLS // (profile.n_voters * profile.space.dim**2))
+        yield [first, *islice(draws, size - 1)]
+
+
+def _societies(adapter: _Targets, draws: Iterator[ProfileState]) -> Iterator[tuple[ProfileState, dict]]:
+    """Each drawn profile with society's values on it, a batch at a time (``_batches``)."""
+    for batch in _batches(draws):
+        yield from zip(batch, adapter.society_batch(batch))
 
 
 @dataclass(frozen=True)
@@ -525,36 +569,34 @@ def _report(
     )
 
 
-def _scan_voter(
-    adapter,
+def _fired(
+    adapter: _Targets, profile: ProfileState, voter: int, society: dict, eps: float
+) -> list[tuple[object, PreferenceKind]]:
+    """The (target, clause) pairs that fire for a voter: the voter's value holds the clause, society's does not."""
+    ballot_values = adapter.ballot_values(profile.partial_ballot(voter, eps))
+    return [
+        (target, clause)
+        for target in adapter.targets
+        for clause in _applicable_clauses(classify_value(ballot_values[target], eps), adapter.kind)
+        if not clause.holds(society[target], eps)
+    ]
+
+
+def _first_witness(
+    adapter: _Targets,
     profile: ProfileState,
     voter: int,
-    family: CandidateBallotFamily,
+    fired: list[tuple[object, PreferenceKind]],
+    candidates: Iterable[DensityOperator],
+    society: dict,
     eps: float,
-    society: dict | None = None,
 ) -> ManipulationWitness | None:
-    """Search one voter's dishonest ballots for any firing clause.
+    """The first candidate ballot whose exact evaluation achieves a fired clause.
 
     Candidate evaluations are shared across targets: society only changes
     with the substituted ballot, not with the pair or alternative under
-    scrutiny. A rule with a ``responses`` hook is searched at the d basis
-    ballots only (``_near_vertices``); any other rule scans the family.
+    scrutiny.
     """
-    if society is None:
-        society = adapter.society_values(profile)
-    ballot_values = adapter.ballot_values(profile.partial_ballot(voter, eps))
-    fired: list[tuple[object, PreferenceKind]] = []
-    for target in adapter.targets:
-        kind = classify_value(ballot_values[target], eps)
-        for clause in _applicable_clauses(kind, adapter.kind):
-            if not clause.holds(society[target], eps):
-                fired.append((target, clause))
-    if not fired:
-        return None
-    if adapter.rule.responses is None:
-        candidates = family.ballots(adapter.space, eps)
-    else:
-        candidates = _near_vertices(adapter, profile, voter, fired, eps)
     for candidate in candidates:
         substituted = profile.substitute_ballot(voter, candidate, eps)
         dishonest = adapter.society_values(substituted)
@@ -574,10 +616,36 @@ def _scan_voter(
     return None
 
 
-def _near_vertices(
-    adapter,
+def _scan_voter(
+    adapter: _Targets,
     profile: ProfileState,
     voter: int,
+    family: CandidateBallotFamily,
+    eps: float,
+    society: dict | None = None,
+) -> ManipulationWitness | None:
+    """Search one voter's dishonest ballots for any firing clause.
+
+    A rule with a ``responses`` hook is searched at the d basis ballots only
+    (``_near_vertices``), from one hook call for this voter; any other rule
+    scans the family.
+    """
+    if society is None:
+        society = adapter.society_values(profile)
+    fired = _fired(adapter, profile, voter, society, eps)
+    if not fired:
+        return None
+    if adapter.rule.responses is None:
+        candidates = family.ballots(adapter.space, eps)
+    else:
+        (responses,) = adapter.rule.responses([(profile, voter)], eps)
+        candidates = _near_vertices(adapter, responses, fired, eps)
+    return _first_witness(adapter, profile, voter, fired, candidates, society, eps)
+
+
+def _near_vertices(
+    adapter: _Targets,
+    responses: np.ndarray,
     fired: list[tuple[object, PreferenceKind]],
     eps: float,
 ) -> Iterator[DensityOperator]:
@@ -586,11 +654,12 @@ def _near_vertices(
     The hook's rule reads a ballot only through its basis weights, and is
     linear in them: with ballot c substituted, society's value on target t
     is c . R[:, t], where row k of R is its value with basis ballot k
-    (``_Targets.basis_responses``). A threshold on a linear function over
-    the simplex is reached at a vertex, so the d basis ballots stand for
-    every ballot. A vertex is yielded when its value achieves a clause or
-    lies within _VERTEX_MARGIN of its threshold; the caller evaluates it
-    exactly, and the witness comes from that evaluation.
+    (``_Targets.vertex_values`` of the hook's ``responses`` for the voter).
+    A threshold on a linear function over the simplex is reached at a
+    vertex, so the d basis ballots stand for every ballot. A vertex is
+    yielded when its value achieves a clause or lies within _VERTEX_MARGIN
+    of its threshold; the caller evaluates it exactly, and the witness
+    comes from that evaluation.
 
     Substituting into a correlated profile drops joint terms whose weight
     times the ballot's weight is at most eps, which breaks linearity for
@@ -598,7 +667,7 @@ def _near_vertices(
     for every ballot that keeps each joint term above that filter.
     """
     targets = list(dict.fromkeys(target for target, _ in fired))
-    values = adapter.basis_responses(profile, voter, targets)
+    values = adapter.vertex_values(responses, targets)
     near = np.zeros(len(values), dtype=bool)
     for target, clause in fired:
         column = values[:, targets.index(target)]
@@ -606,6 +675,84 @@ def _near_vertices(
         near |= clause.holds(column + _VERTEX_MARGIN, eps)
     rankings = adapter.space.rankings()
     return (basis_state(adapter.space, rankings[k], eps) for k in np.flatnonzero(near))
+
+
+_Scans = Iterator[tuple[int, list]]
+
+
+def _hunt(
+    rules: list[WelfareRule | ChoiceRule],
+    draws: Iterator[ProfileState],
+    family: CandidateBallotFamily,
+    eps: float,
+) -> Iterator[tuple[ProfileState, _Scans]]:
+    """Each draw with the scans of its voters, in trial and voter order.
+
+    A scan is (voter, [witness or None, one per rule]). Each draw's scans
+    must be read before the next draw is asked for. Hookless rules are
+    scanned draw by draw over the family. The rules with a ``responses``
+    hook (a composed rule shares its welfare rule's) are searched at the
+    vertices a batch of draws at a time (``_batches``): one hook call scores
+    every profile of the batch, the fired clauses follow from it, and one
+    more call gives the basis responses of every voter whose clause fires
+    under some rule, read as the scan reaches that voter. A ``QscError`` on
+    a draw of the batch is raised once the draws before it are scanned, as
+    a draw-by-draw hunt would raise it.
+    """
+    adapters: dict[RankingSpace, list[_Targets]] = {}
+
+    def targets(space: RankingSpace) -> list[_Targets]:
+        if space not in adapters:
+            adapters[space] = [_Targets(rule, space, eps) for rule in rules]
+        return adapters[space]
+
+    hook = rules[0].responses
+    if hook is None:
+        for profile in draws:
+            # Refused whether or not a voter of this draw gets scanned.
+            family.check_size(profile.space)
+            scans = [(a, a.society_values(profile)) for a in targets(profile.space)]
+            yield profile, (
+                (voter, [_scan_voter(a, profile, voter, family, eps, s) for a, s in scans])
+                for voter in range(1, profile.n_voters + 1)
+            )
+        return
+    for batch in _batches(draws):
+        trials, failure = [], None
+        try:
+            for profile, weights in zip(batch, hook([(p, None) for p in batch], eps)):
+                scans = [(a, a.society_of_weights(weights)) for a in targets(profile.space)]
+                fired = {}
+                for voter in range(1, profile.n_voters + 1):
+                    clauses = [_fired(a, profile, voter, s, eps) for a, s in scans]
+                    if any(clauses):
+                        fired[voter] = clauses
+                trials.append((profile, scans, fired))
+        except QscError as error:  # raised below, after the draws before it
+            failure = error
+        responses = iter(hook([(profile, voter) for profile, _, fired in trials for voter in fired], eps))
+        for profile, scans, fired in trials:
+            yield profile, _vertex_scans(profile, scans, fired, responses, eps)
+        if failure is not None:
+            raise failure
+
+
+def _vertex_scans(
+    profile: ProfileState,
+    scans: list[tuple[_Targets, dict]],
+    fired: dict[int, list],
+    responses: Iterator[np.ndarray],
+    eps: float,
+) -> _Scans:
+    """One draw's vertex scans, each from the next of the batch's hook responses."""
+    for voter, clauses in fired.items():
+        rows = next(responses)
+        found = [
+            _first_witness(a, profile, voter, f, _near_vertices(a, rows, f, eps), s, eps) if f else None
+            for (a, s), f in zip(scans, clauses)
+        ]
+        del rows  # the d x d responses go before the next voter's are scored
+        yield voter, found
 
 
 def manipulation_witness(
@@ -657,15 +804,9 @@ def check_qic(
     search = "family" if rule.responses is None else "vertices"
     witnesses: list[dict] = []
     trials_run = 0
-    for profile in draws:
-        if search == "family":
-            # Refused whether or not a voter of this draw gets scanned.
-            family.check_size(profile.space)
+    for _, scans in _hunt([rule], draws, family, eps):
         trials_run += 1
-        adapter = _Targets(rule, profile.space, eps)
-        society = adapter.society_values(profile)
-        for voter in range(1, profile.n_voters + 1):
-            found = _scan_voter(adapter, profile, voter, family, eps, society)
+        for _, (found,) in scans:
             if found is not None:
                 witnesses.append(found.to_jsonable())
                 break
@@ -695,11 +836,10 @@ def check_dictatorship(
     counterexamples: dict[tuple[int, str], dict] = {}
     n_voters: int | None = None
     trials_run = 0
-    for profile in draws:
+    for profile, society in _societies(adapter, draws):
         trials_run += 1
         if n_voters is None:
             n_voters = profile.n_voters
-        society = adapter.society_values(profile)
         for voter in range(1, profile.n_voters + 1):
             if all((voter, variant) in counterexamples for variant, _ in _VARIANTS):
                 continue
@@ -752,11 +892,13 @@ def check_onto(
     adapter = _Targets(rule, space, eps, kind="choice")
     failures: list[dict] = []
     reached = 0
+    profiles = []
     for a in alternatives.names:
         rest = [i for i in range(alternatives.m) if i != alternatives.index(a)]
         ranking = Ranking(alternatives, (alternatives.index(a), *rest))
-        profile = ProfileState.product_of([basis_state(space, ranking)] * n_voters)
-        value = adapter.society_values(profile)[a]
+        profiles.append(ProfileState.product_of([basis_state(space, ranking)] * n_voters))
+    for a, profile, society in zip(alternatives.names, profiles, adapter.society_batch(profiles)):
+        value = society[a]
         if PreferenceKind.STRONG_POSITIVE.holds(value, eps):
             reached += 1
         else:
@@ -786,8 +928,7 @@ def check_unanimity(
     started = time.perf_counter()
     violations: list[dict] = []
     details = {variant: {"instances": 0, "violations": 0} for variant, _ in _VARIANTS}
-    for profile in draws:
-        society = adapter.society_values(profile)
+    for profile, society in _societies(adapter, draws):
         marginals = [
             adapter.ballot_values(profile.partial_ballot(v, eps))
             for v in range(1, profile.n_voters + 1)
@@ -824,39 +965,40 @@ def check_iia(
 ) -> AxiomReport:
     """Society's certainty / support status on a pair must transfer between
     profiles whose voters agree, trace for trace, on that pair."""
-    _rule_kind(rule, "welfare")
+    adapter = _Targets(rule, space, eps, kind="welfare")
     draws = _draws(paired_sampler, trials, seed)
     started = time.perf_counter()
     violations: list[dict] = []
     details: dict = {variant: {"instances": 0} for variant, _ in _VARIANTS}
-    for profile, twin, pair in draws:
-        projector = pair_projector(space, *pair)
-        for voter in range(1, profile.n_voters + 1):
-            mine = support_probability(profile.partial_ballot(voter, eps), projector, eps)
-            theirs = support_probability(twin.partial_ballot(voter, eps), projector, eps)
-            if abs(mine - theirs) > eps:
-                raise InvalidArgument(
-                    f"paired sampler broke its contract: voter {voter} disagrees on "
-                    f"{pair} ({mine} vs {theirs})"
-                )
-        value = support_probability(rule.evaluate(profile), projector, eps)
-        twin_value = support_probability(rule.evaluate(twin), projector, eps)
-        for variant, kind in _VARIANTS:
-            status, twin_status = kind.holds(value, eps), kind.holds(twin_value, eps)
-            if status or twin_status:
-                details[variant]["instances"] += 1
-            if status != twin_status:
-                violations.append(
-                    {
-                        "kind": "iia-violation",
-                        "variant": variant,
-                        "target": list(pair),
-                        "society_value": value,
-                        "twin_society_value": twin_value,
-                        "profile": serde.serialize_profile(profile),
-                        "twin_profile": serde.serialize_profile(twin),
-                    }
-                )
+    for batch in _batches(draws, itemgetter(0)):
+        societies = adapter.society_batch([profile for draw in batch for profile in draw[:2]])
+        for profile, twin, pair in batch:
+            projector = pair_projector(space, *pair)
+            for voter in range(1, profile.n_voters + 1):
+                mine = support_probability(profile.partial_ballot(voter, eps), projector, eps)
+                theirs = support_probability(twin.partial_ballot(voter, eps), projector, eps)
+                if abs(mine - theirs) > eps:
+                    raise InvalidArgument(
+                        f"paired sampler broke its contract: voter {voter} disagrees on "
+                        f"{pair} ({mine} vs {theirs})"
+                    )
+            value, twin_value = next(societies)[pair], next(societies)[pair]
+            for variant, kind in _VARIANTS:
+                status, twin_status = kind.holds(value, eps), kind.holds(twin_value, eps)
+                if status or twin_status:
+                    details[variant]["instances"] += 1
+                if status != twin_status:
+                    violations.append(
+                        {
+                            "kind": "iia-violation",
+                            "variant": variant,
+                            "target": list(pair),
+                            "society_value": value,
+                            "twin_society_value": twin_value,
+                            "profile": serde.serialize_profile(profile),
+                            "twin_profile": serde.serialize_profile(twin),
+                        }
+                    )
     details["violations"] = len(violations)
     return _report("iia", rule.name, trials, seed, started, violations, details)
 
@@ -883,16 +1025,8 @@ def check_composition_preservation(
     violations: list[dict] = []
     welfare_hits = 0
     choice_hits = 0
-    for profile in draws:
-        if search == "family":
-            family.check_size(profile.space)
-        welfare_adapter = _Targets(rule, profile.space, eps)
-        choice_adapter = _Targets(composed, profile.space, eps)
-        welfare_society = welfare_adapter.society_values(profile)
-        choice_society = choice_adapter.society_values(profile)
-        for voter in range(1, profile.n_voters + 1):
-            w_witness = _scan_voter(welfare_adapter, profile, voter, family, eps, welfare_society)
-            c_witness = _scan_voter(choice_adapter, profile, voter, family, eps, choice_society)
+    for profile, scans in _hunt([rule, composed], draws, family, eps):
+        for voter, (w_witness, c_witness) in scans:
             welfare_hits += w_witness is not None
             choice_hits += c_witness is not None
             if w_witness is None and c_witness is not None:

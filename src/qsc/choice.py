@@ -8,7 +8,7 @@ the quantum Condorcet rule followed by it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,11 +17,12 @@ from .hilbert import (
     AlternativeState,
     DensityOperator,
     ProfileState,
+    RankingSpace,
     alternative_state,
-    support_probability,
+    support_probabilities,
     winner_projector,
 )
-from .welfare import QcvParams, WelfareRule, qcv, qcv_rule
+from .welfare import QcvParams, ResponsesHook, WelfareRule, qcv, qcv_rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +35,7 @@ class ChoiceRule:
     eps: float = DEFAULT_EPS
 
     @property
-    def responses(self) -> Callable[[ProfileState, int, float], np.ndarray] | None:
+    def responses(self) -> ResponsesHook | None:
         """The welfare rule's hook: the natural extension is linear in the basis weights."""
         return self.welfare.responses
 
@@ -49,11 +50,14 @@ def natural_extension(state: DensityOperator, eps: float = DEFAULT_EPS) -> Alter
     and the map is affine in the input density.
     """
     alternatives = state.space.alternatives
-    probabilities = {
-        a: support_probability(state, winner_projector(state.space, a), eps)
-        for a in alternatives.names
-    }
-    return alternative_state(alternatives, probabilities, eps)
+    values = support_probabilities(state.diagonal, _winner_index(state.space), eps)
+    return alternative_state(alternatives, dict(zip(alternatives.names, values.tolist())), eps)
+
+
+@lru_cache(maxsize=64)
+def _winner_index(space: RankingSpace) -> np.ndarray:
+    """Row a: the basis indices of the rankings topped by alternative a."""
+    return np.stack([winner_projector(space, a).indices for a in space.alternatives.names])
 
 
 def compose(rule: WelfareRule, eps: float = DEFAULT_EPS) -> ChoiceRule:

@@ -267,6 +267,23 @@ def support_probability(state: DensityOperator, projector: Subspace, eps: float 
     return value
 
 
+def support_probabilities(weights: np.ndarray, index: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """``support_probability`` on many subspaces of one size at once, for one state.
+
+    Row j of ``index`` lists subspace j's basis indices, and value j sums
+    the state's basis ``weights`` (length d) there, with
+    ``support_probability``'s two clamps applied elementwise. Each row sum
+    runs over the same contiguous gathered values as the one-subspace sum,
+    so the values are bit for bit ``support_probability``'s. (Summing a
+    stack of states in one 3-D gather is not: numpy may reorder that
+    reduction.)
+    """
+    values = weights[index].sum(axis=1)
+    values[(-eps <= values) & (values < 0.0)] = 0.0
+    values[(1.0 < values) & (values <= 1.0 + eps)] = 1.0
+    return values
+
+
 def uniform_subspace_state(
     space: RankingSpace, x: str, y: str, eps: float = DEFAULT_EPS
 ) -> DensityOperator:

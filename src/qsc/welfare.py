@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import factorial
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, ZeroMassProjection
+from .errors import InvalidArgument, QscError, ZeroMassProjection
 from .hilbert import (
     DEFAULT_EPS,
     MAX_EPS,
@@ -76,6 +76,10 @@ class QcvParams:
         return cls(delta=default_delta(m), eps=eps)
 
 
+# A batch of (profile, voter or None) requests and eps -> one result per request.
+ResponsesHook = Callable[[Sequence[tuple[ProfileState, int | None]], float], Iterable[np.ndarray]]
+
+
 @dataclass(frozen=True, eq=False)
 class WelfareRule:
     """Named map from a joint ballot profile to a societal ranking density.
@@ -83,17 +87,21 @@ class WelfareRule:
     ``responses``, when set, declares that the output's basis weights are
     affine in each voter's basis weights while the other voters stay fixed,
     so mixing two ballots for one voter mixes the outputs the same way;
-    weights the support filter drops (at most eps) are exempt. It computes
-    the d basis responses in one call: ``responses(profile, voter, eps)``
-    returns the d x d basis weights of the output, row k with the voter's
-    ballot replaced by basis ranking k (substituted at eps). The axiom
-    engine then searches dishonest ballots at those d vertices only (see
-    ``axioms``).
+    weights the support filter drops (at most eps) are exempt. It answers a
+    batch of requests in one call: ``responses(requests, eps)`` takes a
+    sequence of ``(profile, voter)`` pairs and returns an iterable with one
+    result per request, in order. For ``(profile, None)`` the result is the
+    d basis weights of ``evaluate(profile)``; for ``(profile, v)`` it is the
+    d x d basis weights of the output, row k with voter v's ballot replaced
+    by basis ranking k (substituted at eps). The axiom engine scores a batch
+    of sampled profiles with one call, then the basis responses of every
+    voter whose clause fires with one more, and searches dishonest ballots
+    at those d vertices only (see ``axioms``).
     """
 
     name: str
     fn: Callable[[ProfileState], DensityOperator]
-    responses: Callable[[ProfileState, int, float], np.ndarray] | None = None
+    responses: ResponsesHook | None = None
 
     def evaluate(self, profile: ProfileState) -> DensityOperator:
         return self.fn(profile)
@@ -290,42 +298,153 @@ def _remember(memo: dict[tuple[int, ...], np.ndarray], rows: dict[tuple[int, ...
             del _ROW_MEMO[owner]
 
 
-def _mixed_rows(
-    space: RankingSpace, params: QcvParams, weights: list[float], idx: np.ndarray
-) -> np.ndarray:
-    """Mix the sigma3 rows of a term-major block of basis indices (T x B x n -> B x d).
+@dataclass(eq=False)
+class _Request:
+    """One request's support terms, and its result while its pieces are mixed.
 
-    Row b is the sum, over terms t in order, of ``weights[t]`` times the
-    six-step rule's sigma3 row for the tuple ``idx[t, b]``. The rule reads a
-    tuple only through its multiset of rankings, so rows are memoized under
-    the sorted indices. The missing rows are scored by ``_qcv_rows`` in calls
-    of at most ``_KERNEL_CELLS`` row cells and remembered read-only, and the
-    rows are gathered for mixing at most that many cells at a time.
+    A profile request (voter None) has one column: the profile's support
+    tuples. A voter request has d columns: the support tuples with basis
+    ranking 0 substituted for the voter, since a basis ballot enters every
+    tuple at the voter's position with weight exactly 1, and column k
+    writes ranking k into that position.
     """
+
+    space: RankingSpace
+    voter: int | None
+    weights: list[float]
+    tuples: np.ndarray  # T x n basis indices
+    result: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, params: QcvParams, profile: ProfileState, voter: int | None, eps: float) -> "_Request":
+        space = profile.space
+        if voter is not None:
+            profile = profile.substitute_ballot(voter, basis_state(space, space.rankings()[0], eps), eps)
+        params.check_alternatives(space.alternatives.m)
+        terms = profile.support_tuples(params.eps)
+        tuples = np.array([indices for _, indices in terms], dtype=np.intp)
+        return cls(space, voter, [weight for weight, _ in terms], tuples)
+
+    @property
+    def columns(self) -> int:
+        return 1 if self.voter is None else self.space.dim
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """Columns ``start:stop`` of the term-major block of basis indices (T x width x n)."""
+        block = np.repeat(self.tuples[:, None, :], stop - start, axis=1)
+        if self.voter is not None:
+            block[:, :, self.voter - 1] = np.arange(start, stop)
+        return block
+
+
+def _scored(
+    params: QcvParams, requests: Iterable[tuple[ProfileState, int | None]], eps: float
+) -> Iterator[np.ndarray]:
+    """``qcv``'s basis weights for each request, in order: the rule's batch hook.
+
+    A request (profile, None) gives the d weights of ``qcv(profile)``; a
+    request (profile, v) gives the d x d weights of ``qcv_responses(profile,
+    v)``, row k with voter v's ballot replaced by basis ranking k
+    (substituted at eps). Each request's block (``_Request.block``) is cut
+    into pieces of columns of at most an eighth of ``_KERNEL_CELLS`` row
+    cells, and consecutive pieces on one ranking space and electorate are
+    grouped up to that budget (``_mixed``). A result is allocated when its
+    first piece is mixed and yielded when its last one is, so no more than
+    one group's rows are alive at once, and no more than one result besides
+    the caller's.
+
+    A ``QscError`` (the support cap, a kernel refusal, a result that is not
+    a distribution) is raised only after every earlier request's result has
+    been yielded, as if the requests were answered one at a time.
+    """
+    # A group fills an eighth of a kernel call, so the kernel's temporaries
+    # (about 30 bytes a cell) and the group's row keys stay near 1 MB.
+    budget = _KERNEL_CELLS // 8
+    group: list[tuple[_Request, int, int]] = []
+    cells, shape = 0, None  # the group's row cells, and the (space, n) its rows are scored on
+    for profile, voter in requests:
+        try:
+            request = _Request.of(params, profile, voter, eps)
+        except QscError:
+            yield from _mixed(params, group)
+            raise
+        (terms, n), d = request.tuples.shape, request.space.dim
+        width = max(1, budget // (terms * d))
+        for start in range(0, request.columns, width):
+            stop = min(start + width, request.columns)
+            size = terms * (stop - start) * d
+            if group and (cells + size > budget or (request.space, n) != shape):
+                yield from _mixed(params, group)
+                group, cells = [], 0
+            group.append((request, start, stop))
+            cells, shape = cells + size, (request.space, n)
+    yield from _mixed(params, group)
+
+
+def _mixed(params: QcvParams, group: list[tuple[_Request, int, int]]) -> Iterator[np.ndarray]:
+    """Score a group's rows, mix its pieces in order, and yield each request it completes.
+
+    Row b of a request is the sum, over terms t in order, of ``weights[t]``
+    times the six-step rule's sigma3 row for the tuple ``block[t, b]``. The
+    rule reads a tuple only through its multiset of rankings, so rows are
+    memoized under the sorted indices: the memo is read once for the whole
+    group, and the missing rows are scored by ``_qcv_rows`` in calls of at
+    most ``_KERNEL_CELLS`` row cells and remembered read-only. A group whose
+    kernel pass raises a ``QscError`` is scored again one piece at a time,
+    so the error surfaces at the request that caused it.
+    """
+    if not group:
+        return
+    space, n = group[0][0].space, group[0][0].tuples.shape[1]
     alternatives, d = space.alternatives, space.dim
-    terms, count, n = idx.shape
-    keys = list(map(tuple, np.sort(idx, axis=2).reshape(terms * count, n).tolist()))
+    keyed = [
+        list(map(tuple, np.sort(request.block(start, stop), axis=2).reshape(-1, n).tolist()))
+        for request, start, stop in group
+    ]
     memo = _ROW_MEMO.setdefault((alternatives, params), {})
-    rows = {key: memo[key] for key in keys if key in memo}
-    missing = [key for key in dict.fromkeys(keys) if key not in rows]
+    rows = {key: memo[key] for keys in keyed for key in keys if key in memo}
+    missing = [key for key in dict.fromkeys(key for keys in keyed for key in keys) if key not in rows]
     chunk = max(1, _KERNEL_CELLS // d)
-    for start in range(0, len(missing), chunk):
-        block = missing[start : start + chunk]
-        scored = _qcv_rows(alternatives, np.array(block, dtype=np.intp), params)
-        scored.setflags(write=False)
-        rows.update(zip(block, scored))
+    try:
+        for start in range(0, len(missing), chunk):
+            block = missing[start : start + chunk]
+            scored = _qcv_rows(alternatives, np.array(block, dtype=np.intp), params)
+            scored.setflags(write=False)
+            rows.update(zip(block, scored))
+    except QscError:
+        if len(group) == 1:
+            raise
+        for piece in group:
+            yield from _mixed(params, [piece])
+        return
     if missing:
         _remember(memo, {key: rows[key] for key in missing})
-    acc = np.zeros((count, d), dtype=np.float64)
-    step = max(1, chunk // count)  # terms gathered at once
-    for start in range(0, terms, step):
-        part = np.array([rows[key] for key in keys[start * count : (start + step) * count]])
-        part = part.reshape(-1, count, d) * np.array(weights[start : start + step])[:, None, None]
-        part[0] += acc
-        # Along the outer axis numpy adds one term at a time, in order, as
-        # ``acc += weight * row`` would: the bits do not depend on ``step``.
-        acc = part.sum(axis=0)
-    return acc
+    for (request, start, stop), keys in zip(group, keyed):
+        terms, count = len(request.weights), stop - start
+        acc = np.zeros((count, d), dtype=np.float64)
+        step = max(1, chunk // count)  # terms gathered at once
+        for first in range(0, terms, step):
+            part = np.array([rows[key] for key in keys[first * count : (first + step) * count]])
+            part = part.reshape(-1, count, d) * np.array(request.weights[first : first + step])[:, None, None]
+            part[0] += acc
+            # Along the outer axis numpy adds one term at a time, in order, as
+            # ``acc += weight * row`` would: the bits do not depend on ``step``.
+            acc = part.sum(axis=0)
+        if start == 0:
+            request.result = np.empty((request.columns, d), dtype=np.float64)
+        request.result[start:stop] = acc
+        if stop == request.columns:
+            yield _checked(space, request.result, params.eps)
+            request.result = None
+
+
+def _checked(space: RankingSpace, rows: np.ndarray, eps: float) -> np.ndarray:
+    """The rows of a result, raising as ``diagonal_state`` does at the first that is not a distribution."""
+    if rows.min() < -eps or np.abs(rows.sum(axis=1) - 1.0).max() > eps:
+        for row in rows:
+            diagonal_state(space, row, eps)  # raises with its message
+    # A profile request has one row; a voter request has d = m! >= 2.
+    return rows[0] if len(rows) == 1 else rows
 
 
 def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
@@ -333,16 +452,12 @@ def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
 
     The profile's diagonal support is decomposed into basis ranking
     tuples; each tuple is scored by the six-step basis rule and the
-    results are mixed with the tuple weights (``_mixed_rows`` with one
-    row). Off-diagonal ballot coherences do not enter: the rule consumes
-    basis statistics only.
+    results are mixed with the tuple weights (``_scored`` with one
+    request). Off-diagonal ballot coherences do not enter: the rule
+    consumes basis statistics only.
     """
-    space = profile.space
-    params.check_alternatives(space.alternatives.m)
-    terms = profile.support_tuples(params.eps)
-    idx = np.array([indices for _, indices in terms], dtype=np.intp)
-    acc = _mixed_rows(space, params, [weight for weight, _ in terms], idx[:, None, :])
-    return diagonal_state(space, acc[0], params.eps)
+    (weights,) = _scored(params, [(profile, None)], params.eps)
+    return DensityOperator(profile.space, weights)
 
 
 def qcv_responses(
@@ -351,33 +466,11 @@ def qcv_responses(
     """``qcv``'s basis weights with one voter's ballot replaced by each basis ranking (d x d).
 
     Row k is bit for bit ``qcv(profile.substitute_ballot(voter, basis_k, eps),
-    params).diagonal``. A basis ballot enters every support tuple at the
-    voter's position with weight exactly 1, so the d substituted profiles
-    share one term list and differ only in that column: it is read once,
-    with ranking 0 substituted, and each block of rankings is mixed by
-    ``qcv``'s own ``_mixed_rows``. Blocks are sized so that no d x T array
-    of keys or rows is built whole.
+    params).diagonal``: the substituted profiles share one term list and
+    differ only in the voter's column (``_Request``), and their rows are
+    mixed by ``qcv``'s own ``_scored``.
     """
-    space = profile.space
-    d = space.dim
-    first = profile.substitute_ballot(voter, basis_state(space, space.rankings()[0], eps), eps)
-    params.check_alternatives(space.alternatives.m)
-    terms = first.support_tuples(params.eps)
-    weights = [weight for weight, _ in terms]
-    tuples = np.array([indices for _, indices in terms], dtype=np.intp)
-    responses = np.empty((d, d), dtype=np.float64)
-    # A block fills an eighth of a kernel call, so the kernel's temporaries
-    # (about 30 bytes a cell) stay near 1 MB beside the d x d result.
-    step = max(1, _KERNEL_CELLS // 8 // d // len(terms))
-    for start in range(0, d, step):
-        ranks = np.arange(start, min(start + step, d), dtype=np.intp)
-        block = np.repeat(tuples[:, None, :], len(ranks), axis=1)
-        block[:, :, voter - 1] = ranks
-        responses[start : start + len(ranks)] = _mixed_rows(space, params, weights, block)
-    low = responses.min(axis=1) < -params.eps
-    off = np.abs(responses.sum(axis=1) - 1.0) > params.eps
-    for row in responses[low | off]:
-        diagonal_state(space, row, params.eps)  # raises with its message
+    (responses,) = _scored(params, [(profile, voter)], eps)
     return responses
 
 
@@ -385,7 +478,7 @@ def qcv_rule(params: QcvParams) -> WelfareRule:
     return WelfareRule(
         "qcv",
         lambda p: qcv(p, params),
-        responses=lambda p, voter, eps: qcv_responses(p, voter, params, eps),
+        responses=lambda requests, eps: _scored(params, requests, eps),
     )
 
 
@@ -394,12 +487,15 @@ def dictator_rule(voter: int) -> WelfareRule:
     if voter < 1:
         raise InvalidArgument(f"voter index must be positive, got {voter}")
 
-    def responses(profile: ProfileState, scanned: int, eps: float) -> np.ndarray:
-        d = profile.space.dim
-        if scanned == voter:
-            return np.eye(d)
-        # Whatever basis ranking another voter casts, the dictator's marginal stays.
-        return np.tile(profile.partial_ballot(voter).diagonal, (d, 1))
+    def responses(requests: Sequence[tuple[ProfileState, int | None]], eps: float) -> Iterator[np.ndarray]:
+        for profile, scanned in requests:
+            d = profile.space.dim
+            if scanned == voter:
+                yield np.eye(d)
+                continue
+            # Whatever basis ranking another voter casts, the dictator's marginal stays.
+            marginal = profile.partial_ballot(voter).diagonal
+            yield marginal if scanned is None else np.tile(marginal, (d, 1))
 
     return WelfareRule(f"dictator:{voter}", lambda p: p.partial_ballot(voter), responses=responses)
 

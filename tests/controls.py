@@ -30,6 +30,20 @@ def reverse_rule() -> WelfareRule:
     return WelfareRule("reverse:1", evaluate)
 
 
+def batch_hook(evaluate, voter_responses):
+    """A ``responses`` hook answering each request in turn.
+
+    A profile request reads ``evaluate(profile)``'s basis weights, and a
+    voter request ``voter_responses(profile, voter, eps)``'s d x d weights.
+    """
+
+    def hook(requests, eps):
+        for profile, voter in requests:
+            yield evaluate(profile).diagonal if voter is None else voter_responses(profile, voter, eps)
+
+    return hook
+
+
 def reverse_mix_rule(hooked: bool) -> WelfareRule:
     """Voter 1's ballot upside down mixed half and half with voter 2's ballot.
 
@@ -51,7 +65,8 @@ def reverse_mix_rule(hooked: bool) -> WelfareRule:
             for r in space.rankings()
         ])
 
-    return WelfareRule("reverse-mix", evaluate, responses=responses if hooked else None)
+    hook = batch_hook(evaluate, responses)
+    return WelfareRule("reverse-mix", evaluate, responses=hook if hooked else None)
 
 
 def borda_welfare_rule() -> WelfareRule:

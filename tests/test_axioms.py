@@ -60,7 +60,13 @@ from qsc import axioms, choice, hilbert, welfare
 from qsc.hilbert import diagonal_state
 from qsc.serde import parse_density, parse_profile
 
-from controls import borda_welfare_rule, constant_choice_rule, reverse_mix_rule, reverse_rule
+from controls import (
+    batch_hook,
+    borda_welfare_rule,
+    constant_choice_rule,
+    reverse_mix_rule,
+    reverse_rule,
+)
 
 ROOT2 = 2 ** -0.5
 PARAMS = QcvParams(0.05)
@@ -889,7 +895,7 @@ class TestLinearity:
                         rule.evaluate(profile.substitute_ballot(voter, basis_state(space, r))).diagonal
                         for r in space.rankings()
                     ]
-                    got = rule.responses(profile, voter, 1e-9)
+                    (got,) = rule.responses([(profile, voter)], 1e-9)
                     assert got.shape == (space.dim, space.dim)
                     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -1013,7 +1019,7 @@ class TestBatchedSearch:
             rows[np.flatnonzero(off), inside[0]] += eps + shortfall
             return rows
 
-        rule = dataclasses.replace(base, responses=responses)
+        rule = dataclasses.replace(base, responses=batch_hook(base.evaluate, responses))
         profile = ProfileState.product_of([basis_state(space3, rk(alts3, "a>b>c"))] * 2)
         witness = manipulation_witness(rule, profile, 1, ("b", "a"), FAMILY)
         assert (witness is not None) == found
@@ -1140,7 +1146,6 @@ class TestBatchedSearch:
         profile = ProfileState.product_of([triple] * 3)
         monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 8)
         rule = qcv_rule(QcvParams(0.05))
-        adapter = axioms._Targets(rule, space3, 1e-9)
         # With a basis ballot substituted, 9 support tuples exceed the cap of 8.
         with pytest.raises(ResourceLimit) as want:
             rule.evaluate(profile.substitute_ballot(1, basis_state(space3, rankings[0], 1e-9), 1e-9))
@@ -1150,5 +1155,118 @@ class TestBatchedSearch:
 
         monkeypatch.setattr(welfare, "_qcv_rows", refuse)
         with pytest.raises(ResourceLimit) as got:
-            adapter.basis_responses(profile, 1, adapter.targets)
+            list(rule.responses([(profile, 1)], 1e-9))
         assert str(got.value) == str(want.value)
+
+
+def streaming(monkeypatch):
+    """One draw a batch, and one kernel row a call, from here on."""
+    monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
+
+
+def failing_at(rule, draw):
+    """The rule, its hook refusing the truthful profile of the given draw (counted from 1)."""
+    inner = rule.responses
+    seen = []
+
+    def hook(requests, eps):
+        requests = list(requests)
+        for (profile, voter), result in zip(requests, inner(requests, eps)):
+            if voter is None:
+                seen.append(profile)
+                if len(seen) == draw:
+                    raise InvalidArgument("the hook refused")
+            yield result
+
+    return dataclasses.replace(rule, responses=hook)
+
+
+class TestDrawBatches:
+    """Hooked rules are checked a batch of draws at a time, with the reports of a draw-by-draw check."""
+
+    def test_batch_size_follows_the_kernel_budget(self, space3, monkeypatch):
+        sizes = {}
+        for m, n in ((3, 3), (4, 3), (5, 3), (6, 2)):
+            space = space_of(m) if m < 6 else RankingSpace(AlternativeSet(tuple("abcdef")))
+            draws = iter([ProfileState.basis([space.rankings()[0]] * n)] * 3000)
+            sizes[m] = [len(batch) for batch in axioms._batches(draws)][:2]
+        assert sizes == {3: [2427, 573], 4: [151, 151], 5: [6, 6], 6: [1, 1]}
+        streaming(monkeypatch)
+        assert [len(b) for b in axioms._batches(iter(range(3)), lambda _: ProfileState.basis(
+            [space3.rankings()[0]]))] == [1, 1, 1]
+
+    def test_witness_in_the_middle_of_a_batch(self, space3, monkeypatch):
+        # Ten draws make one batch at m=3; the witness comes from a draw inside
+        # it, and the report is the one a draw-by-draw hunt and the family scan give.
+        hooked, generic = reverse_mix_rule(hooked=True), reverse_mix_rule(hooked=False)
+        sampler = default_profile_sampler(space3, 3)
+        inside = {}
+        for seed in range(30):
+            report = check_qic(hooked, sampler, FAMILY, trials=10, seed=seed)
+            if report.witnesses and 1 < report.details["trials_run"] < 10:
+                inside[seed] = report_bytes(report, "vertices")
+        assert len(inside) >= 3
+        for seed, want in inside.items():
+            assert report_bytes(check_qic(generic, sampler, FAMILY, 10, seed), "family") == want
+        streaming(monkeypatch)
+        for seed, want in inside.items():
+            assert report_bytes(check_qic(hooked, sampler, FAMILY, 10, seed), "vertices") == want
+
+    def test_reports_do_not_depend_on_the_batch_size(self, alts3, space3, monkeypatch):
+        config = SuiteConfig(alts3, trials=40, seed=3)
+        sampler = default_profile_sampler(space3, 3)
+        mix = reverse_mix_rule(hooked=True)
+
+        def reports():
+            return [
+                run_gs_suite(qcvne_rule(PARAMS), config).to_json(),
+                run_arrow_suite(qcv_rule(PARAMS), config).to_json(),
+                check_composition_preservation(qcv_rule(PARAMS), sampler, FAMILY, 40, 5).to_json(),
+                check_composition_preservation(mix, sampler, FAMILY, 20, 5).to_json(),
+                check_dictatorship(dictator_rule(2), space3, sampler, 40, 1).to_json(),
+                check_qic(compose(mix), sampler, FAMILY, 40, 2).to_json(),
+            ]
+
+        batched = reports()
+        # The dictatorship scan stopped early, inside its first batch.
+        assert json.loads(batched[0])["reports"][2]["details"]["trials_run"] < 40
+        streaming(monkeypatch)
+        assert reports() == batched
+
+    @pytest.mark.parametrize("draw", [1, 2, 3, 5, 10])
+    def test_an_error_is_raised_where_a_draw_by_draw_check_raises_it(self, space3, monkeypatch, draw):
+        # On this seed the witness comes from draw 2: an error on a later draw
+        # of the batch is never raised, an error on draw 2 or before is.
+        sampler = default_profile_sampler(space3, 3)
+        rule = reverse_mix_rule(hooked=True)
+        want = check_qic(rule, sampler, FAMILY, 10, 11)
+        assert want.details["trials_run"] == 2
+
+        def run():
+            return check_qic(failing_at(rule, draw), sampler, FAMILY, 10, 11)
+
+        for split in (False, True):
+            if split:
+                streaming(monkeypatch)
+            if draw <= 2:
+                with pytest.raises(InvalidArgument, match="the hook refused"):
+                    run()
+            else:
+                assert run().to_json() == want.to_json()
+
+    def test_gs_suite_at_m4_scores_each_stage_in_one_kernel_call(self, alts4, monkeypatch):
+        # The hunt's truthful profiles, the scanned voters' basis responses,
+        # the onto profiles and the dictatorship draws: one kernel call each.
+        calls = []
+        kernel = welfare._qcv_rows
+
+        def counted(alternatives, idx, params):
+            calls.append(len(idx))
+            return kernel(alternatives, idx, params)
+
+        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+        monkeypatch.setattr(welfare, "_qcv_rows", counted)
+        config = SuiteConfig(alts4, trials=10, seed=117406795)
+        report = run_gs_suite(qcvne_rule(QcvParams.for_alternatives(4)), config)
+        assert report.reports[0].details["trials_run"] == 10
+        assert len(calls) == 4, calls

@@ -21,6 +21,7 @@ from qsc import (
     pair_projector,
     project_and_renormalize,
     pure_state,
+    support_probabilities,
     support_probability,
     uniform_subspace_state,
     winner_projector,
@@ -137,6 +138,34 @@ class TestSupportProbability:
         state = basis_state(space3, rk(alts3, "a>b>c"))
         with pytest.raises(InvalidArgument):
             support_probability(state, winner_projector(xyz_space, "x"))
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_gathered_sums_are_the_per_subspace_sums(self, m):
+        # One gather over an index matrix gives, bit for bit, what
+        # support_probability gives subspace by subspace, clamps included:
+        # weights are perturbed by up to 1e-9 either way, so some subspace
+        # sums land just below 0 or just above 1.
+        rng = np.random.default_rng(m)
+        space = RankingSpace(AlternativeSet(tuple("abcdef")[:m]))
+        pairs = [pair_projector(space, *pair) for pair in space.alternatives.ordered_pairs()]
+        winners = [winner_projector(space, a) for a in space.alternatives.names]
+        states = []
+        for trial in range(600 // m):
+            weights = rng.dirichlet(np.full(space.dim, rng.choice([0.05, 1.0])))
+            if trial % 3 == 0:
+                weights = np.zeros(space.dim)
+                weights[rng.integers(space.dim)] = 1.0
+            weights = weights + rng.uniform(-1e-9, 1e-9, space.dim) * (trial % 2)
+            states.append(DensityOperator(space, weights))
+        clamped = 0
+        for subspaces in (pairs, winners):
+            index = np.stack([subspace.indices for subspace in subspaces])
+            for state in states:
+                want = [support_probability(state, subspace) for subspace in subspaces]
+                assert np.array_equal(support_probabilities(state.diagonal, index), want)
+                raw = [float(state.diagonal[subspace.indices].sum()) for subspace in subspaces]
+                clamped += sum(r != v for r, v in zip(raw, want))
+        assert clamped > 0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

@@ -524,20 +524,23 @@ class TestCliInputErrors:
 
     @pytest.mark.parametrize("error", [InvalidArgument, ZeroMassProjection])
     def test_kernel_error_in_the_batched_search(self, error, capsys, monkeypatch):
-        # The kernel fails only once the batched search of a scanned voter starts.
+        # The kernel fails only once the hook is asked for voters' basis responses,
+        # that is, once the search of the scanned voters starts.
         hooked = []
-        responses = welfare.qcv_responses
+        scored = welfare._scored
 
         def failing_kernel(*args):
             raise error("the kernel refused")
 
-        def failing_responses(*args):
-            hooked.append(args)
-            monkeypatch.setattr(welfare, "_ROW_MEMO", {})
-            monkeypatch.setattr(welfare, "_qcv_rows", failing_kernel)
-            return responses(*args)
+        def failing_scored(params, requests, eps):
+            requests = list(requests)
+            if any(voter is not None for _, voter in requests):
+                hooked.append(requests)
+                monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+                monkeypatch.setattr(welfare, "_qcv_rows", failing_kernel)
+            return scored(params, requests, eps)
 
-        monkeypatch.setattr(welfare, "qcv_responses", failing_responses)
+        monkeypatch.setattr(welfare, "_scored", failing_scored)
         assert main(["check", "--axiom", "qic", "--rule", "qcv", "--trials", "20", "--seed", "1"]) == 2
         assert hooked
         captured = capsys.readouterr()

@@ -14,6 +14,7 @@ from qsc import (
     InvalidArgument,
     ProfileState,
     QcvParams,
+    ResourceLimit,
     Ranking,
     RankingSpace,
     basis_state,
@@ -573,9 +574,10 @@ class TestQcvResponses:
     def test_rule_carries_the_hook(self, space3, cycle_profile):
         params = QcvParams(0.05)
         profile = ProfileState.basis(cycle_profile)
-        hook = qcv_rule(params).responses
-        assert np.array_equal(hook(profile, 2, 1e-9), qcv_responses(profile, 2, params, 1e-9))
-        assert np.array_equal(dictator_rule(2).responses(profile, 2, 1e-9), np.eye(space3.dim))
+        (got,) = qcv_rule(params).responses([(profile, 2)], 1e-9)
+        assert np.array_equal(got, qcv_responses(profile, 2, params, 1e-9))
+        (got,) = dictator_rule(2).responses([(profile, 2)], 1e-9)
+        assert np.array_equal(got, np.eye(space3.dim))
         assert veto_rule(cycle_profile[0]).responses is None
 
     @pytest.mark.parametrize("error", [InvalidArgument, ZeroMassProjection])
@@ -587,6 +589,102 @@ class TestQcvResponses:
         monkeypatch.setattr(welfare, "_qcv_rows", failing)
         with pytest.raises(error, match="^the kernel refused$"):
             qcv_responses(ProfileState.basis(cycle_profile), 1, QcvParams(0.05))
+
+
+def mixed_batch(space, n, rng, correlated, profiles=3):
+    """Profile and voter requests over a few small-support profiles, interleaved at random."""
+    drawn = [small_support_profile(space, n, rng, correlated, light=i % 2 == 1) for i in range(profiles)]
+    requests = [(p, None) for p in drawn] + [(p, v) for p in drawn for v in range(1, n + 1)]
+    rng.shuffle(requests)
+    return requests
+
+
+class TestBatchHook:
+    """``qcv_rule``'s hook: one call answers a batch of profile and voter requests, in order."""
+
+    @pytest.mark.parametrize("correlated", [False, True], ids=["product", "correlated"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_results_match_one_request_at_a_time(self, m, n, correlated, monkeypatch):
+        space = space_of(m)
+        params = QcvParams.for_alternatives(m)
+        rng = random.Random(f"batch:{m}:{n}:{correlated}")
+        requests = mixed_batch(space, n, rng, correlated, profiles=2 if m == 5 else 3)
+        hook = qcv_rule(params).responses
+        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+        batched = list(hook(requests, 1e-9))
+        # One-cell kernel calls: every piece is its own group and every row its own call.
+        monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
+        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+        scored = count_kernel_rows(monkeypatch)
+        split = list(hook(requests, 1e-9))
+        assert {rows for _, rows in scored} == {1}
+        monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1 << 18)
+        assert len(batched) == len(split) == len(requests)
+        for (profile, voter), got, again in zip(requests, batched, split):
+            assert np.array_equal(got, again)
+            monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+            if voter is None:
+                assert np.array_equal(got, qcv_rule(params).evaluate(profile).diagonal)
+            else:
+                assert np.array_equal(got, qcv_responses(profile, voter, params))
+
+    def test_dictator_results_match_its_evaluations(self, space4):
+        rng = random.Random(9)
+        requests = mixed_batch(space4, 3, rng, False) + mixed_batch(space4, 3, rng, True)
+        rule = dictator_rule(2)
+        for (profile, voter), got in zip(requests, rule.responses(requests, 1e-9)):
+            if voter is None:
+                assert np.array_equal(got, rule.evaluate(profile).diagonal)
+            else:
+                (want,) = rule.responses([(profile, voter)], 1e-9)
+                assert np.array_equal(got, want)
+
+    def test_empty_batch(self):
+        assert list(qcv_rule(QcvParams(0.05)).responses([], 1e-9)) == []
+        assert list(dictator_rule(1).responses([], 1e-9)) == []
+
+    @pytest.mark.parametrize("error", [InvalidArgument, ZeroMassProjection])
+    def test_kernel_errors_propagate(self, space3, monkeypatch, error):
+        def failing(*args):
+            raise error("the kernel refused")
+
+        requests = mixed_batch(space3, 3, random.Random(2), False)
+        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+        monkeypatch.setattr(welfare, "_qcv_rows", failing)
+        with pytest.raises(error, match="^the kernel refused$"):
+            list(qcv_rule(QcvParams(0.05)).responses(requests, 1e-9))
+
+    def test_errors_wait_for_the_results_before_them(self, space3, monkeypatch):
+        # Requests answered one at a time would yield every result before the
+        # failing request, then raise: so does the batch, whether its kernel
+        # pass fails or a request cannot be built.
+        rankings = space3.rankings()
+        good = [ProfileState.basis([rankings[k] for k in key]) for key in ((0, 1, 2), (1, 1, 2))]
+        bad = ProfileState.basis([rankings[5]] * 3)
+        kernel = welfare._qcv_rows
+
+        def failing(alternatives, idx, params):
+            if any(sorted(row) == [5, 5, 5] for row in idx.tolist()):
+                raise ZeroMassProjection("the kernel refused")
+            return kernel(alternatives, idx, params)
+
+        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
+        monkeypatch.setattr(welfare, "_qcv_rows", failing)
+        requests = [(good[0], None), (good[1], 2), (bad, None), (good[1], None)]
+        answered = []
+        with pytest.raises(ZeroMassProjection, match="^the kernel refused$"):
+            answered.extend(qcv_rule(QcvParams(0.05)).responses(requests, 1e-9))
+        assert len(answered) == 2
+        monkeypatch.setattr(welfare, "_qcv_rows", kernel)
+        monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 8)
+        uniform = mixed_state(space3, [(1.0, r) for r in rankings])
+        answered.clear()
+        with pytest.raises(ResourceLimit):
+            answered.extend(qcv_rule(QcvParams(0.05)).responses(
+                [(good[0], None), (good[1], 1), (ProfileState.product_of([uniform] * 2), None)], 1e-9
+            ))
+        assert len(answered) == 2
 
 
 class TestBaselineRules:
