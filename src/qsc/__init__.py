@@ -1,6 +1,6 @@
 """Quantum social choice over ranking Hilbert spaces.
 
-Classical Condorcet combinatorics, density-operator ballots, the six-step
+Ranking combinatorics, density-operator ballots, the six-step
 quantum Condorcet welfare rule, the natural choice extension, and an
 axiom engine that hunts for strategic manipulation, dictatorship,
 unanimity and independence failures.
@@ -19,7 +19,6 @@ from .axioms import (
     check_onto,
     check_qic,
     check_unanimity,
-    classify_preference,
     default_paired_sampler,
     default_profile_sampler,
     manipulation_witness,
@@ -47,27 +46,17 @@ from .hilbert import (
     density_terms,
     mixed_state,
     pair_projector,
-    project_and_renormalize,
     pure_state,
     support_probabilities,
     support_probability,
-    uniform_subspace_state,
     validate_density,
     winner_projector,
 )
 from .rankings import (
     AlternativeSet,
-    ClassicalProfile,
     Ranking,
-    WeakOrder,
     all_rankings,
-    condorcet_scores,
-    linear_extensions,
-    prefers,
-    ranking_from_index,
     ranking_index,
-    voters_preferring,
-    weak_order_from_scores,
 )
 from .serde import parse_profile, serialize_alternative_state, serialize_density, serialize_profile
 from .welfare import (
@@ -76,10 +65,6 @@ from .welfare import (
     WelfareRule,
     default_delta,
     dictator_rule,
-    encoded_pairs_all,
-    encoded_pairs_any,
-    enforce_unanimity,
-    minority_spread,
     qcv,
     qcv_basis,
     qcv_responses,

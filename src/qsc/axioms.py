@@ -97,18 +97,6 @@ def classify_value(value: float, eps: float = DEFAULT_EPS) -> PreferenceKind:
     return PreferenceKind.WEAK
 
 
-def classify_preference(
-    ballot: DensityOperator, x: str, y: str, eps: float = DEFAULT_EPS
-) -> PreferenceKind:
-    """Strongest preference kind of a ballot for ranking x above y.
-
-    A probability-1 ballot is also weakly supporting; the strong kind is
-    reported and the weak clause still applies during witness search.
-    """
-    value = support_probability(ballot, pair_projector(ballot.space, x, y), eps)
-    return classify_value(value, eps)
-
-
 def _applicable_clauses(kind: PreferenceKind, rule_kind: str) -> tuple[PreferenceKind, ...]:
     """Manipulation clauses a voter with this preference could exploit.
 

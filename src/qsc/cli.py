@@ -41,7 +41,7 @@ from .axioms import (
 from .choice import ChoiceRule, compose, qcvne_rule
 from .errors import InvalidArgument, ParseError, QscError
 from .hilbert import ProfileState, RankingSpace
-from .rankings import AlternativeSet, ClassicalProfile, Ranking
+from .rankings import AlternativeSet, Ranking
 from .welfare import QcvParams, WelfareRule, default_delta, dictator_rule, qcv_basis, qcv_rule, veto_rule
 
 CHECK_AXIOMS = ("qic", "dictatorship", "onto", "unanimity", "iia", "arrow-suite", "gs-suite")
@@ -196,19 +196,18 @@ def _as_text(payload: dict) -> str:
 
 
 def _stages_payload(profile: ProfileState, params: QcvParams) -> dict:
+    """The kernel's stages for a profile supported on one basis-index tuple (``qcv_basis``)."""
     tuples = profile.support_tuples(params.eps)
     if len(tuples) != 1:
         raise InvalidArgument(
             "--stages needs a profile supported on a single ranking tuple; "
             f"this one mixes {len(tuples)}"
         )
-    rankings = profile.space.rankings()
-    classical = ClassicalProfile(tuple(rankings[k] for k in tuples[0][1]))
-    stages = qcv_basis(classical, params)
+    stages = qcv_basis(profile.space.alternatives, tuples[0][1], params)
     return {
         "scores": stages.scores,
-        "weak_order": stages.weak_order.tier_labels(),
-        "extensions": [r.to_string() for r in stages.extensions],
+        "weak_order": [list(tier) for tier in stages.tiers],
+        "extensions": list(stages.extensions),
         "pairs_any": [list(p) for p in stages.pairs_any],
         "pairs_all": [list(p) for p in stages.pairs_all],
         "sigma1": serde.serialize_density(stages.sigma1, params.eps),
@@ -218,6 +217,8 @@ def _stages_payload(profile: ProfileState, params: QcvParams) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    if args.stages and _rule_family(args.rule) not in ("qcv", "qcvne"):
+        raise ParseError(f"--stages only applies to Condorcet rules, not {args.rule!r}", "rule")
     if args.profile == "-":
         text = sys.stdin.read()
     else:
@@ -229,6 +230,7 @@ def cmd_evaluate(args) -> int:
     params = QcvParams(delta=delta, eps=args.eps)
     params.check_alternatives(alternatives.m)
     rule = resolve_rule(args.rule, alternatives, params)
+    stages = _stages_payload(profile, params) if args.stages else None
     if isinstance(rule, ChoiceRule):
         payload: dict[str, Any] = {
             "rule": rule.name,
@@ -239,10 +241,8 @@ def cmd_evaluate(args) -> int:
             "rule": rule.name,
             "society": serde.serialize_density(rule.evaluate(profile), args.eps),
         }
-    if args.stages:
-        if _rule_family(args.rule) not in ("qcv", "qcvne"):
-            raise ParseError(f"--stages only applies to Condorcet rules, not {args.rule!r}", "rule")
-        payload["stages"] = _stages_payload(profile, params)
+    if stages is not None:
+        payload["stages"] = stages
     _write_report(payload, args)
     return 0
 

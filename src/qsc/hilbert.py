@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, ResourceLimit, ZeroMassProjection
+from .errors import InvalidArgument, ResourceLimit
 from .rankings import AlternativeSet, Ranking, all_rankings, basis_table, ranking_index
 
 DEFAULT_EPS = 1e-9
@@ -204,12 +204,14 @@ def pure_state(
 ) -> DensityOperator:
     """Rank-1 density from amplitude terms; amplitudes are normalized."""
     vector = np.zeros(space.dim, dtype=np.complex128)
-    for amplitude, ranking in terms:
-        value = complex(amplitude)
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise InvalidArgument(f"amplitudes must be finite, got {amplitude!r}")
-        vector[space.basis_index(ranking)] += value
-    norm = float(np.linalg.norm(vector))
+    # A sum or norm past the float range is inf, refused below without a numpy warning.
+    with np.errstate(over="ignore"):
+        for amplitude, ranking in terms:
+            value = complex(amplitude)
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise InvalidArgument(f"amplitudes must be finite, got {amplitude!r}")
+            vector[space.basis_index(ranking)] += value
+        norm = float(np.linalg.norm(vector))
     if norm <= eps:
         raise InvalidArgument("pure state needs at least one nonzero amplitude")
     if not math.isfinite(norm):
@@ -224,12 +226,14 @@ def mixed_state(
 ) -> DensityOperator:
     """Diagonal density from weight terms; weights are normalized."""
     diag = np.zeros(space.dim, dtype=np.float64)
-    for weight, ranking in terms:
-        w = float(weight)
-        if not math.isfinite(w) or w < 0.0:
-            raise InvalidArgument(f"mixture weights must be finite and nonnegative, got {w}")
-        diag[space.basis_index(ranking)] += w
-    total = float(diag.sum())
+    # A sum past the float range is inf, refused below without a numpy warning.
+    with np.errstate(over="ignore"):
+        for weight, ranking in terms:
+            w = float(weight)
+            if not math.isfinite(w) or w < 0.0:
+                raise InvalidArgument(f"mixture weights must be finite and nonnegative, got {w}")
+            diag[space.basis_index(ranking)] += w
+        total = float(diag.sum())
     if total <= eps:
         raise InvalidArgument("mixture needs positive total weight")
     if not math.isfinite(total):
@@ -282,35 +286,6 @@ def support_probabilities(weights: np.ndarray, index: np.ndarray, eps: float = D
     values[(-eps <= values) & (values < 0.0)] = 0.0
     values[(1.0 < values) & (values <= 1.0 + eps)] = 1.0
     return values
-
-
-def uniform_subspace_state(
-    space: RankingSpace, x: str, y: str, eps: float = DEFAULT_EPS
-) -> DensityOperator:
-    """Maximally mixed state on the x-above-y subspace (weight 2/m! each)."""
-    projector = pair_projector(space, x, y)
-    diag = np.zeros(space.dim, dtype=np.float64)
-    diag[projector.indices] = 1.0 / len(projector.indices)
-    return diagonal_state(space, diag, eps)
-
-
-def project_and_renormalize(
-    state: DensityOperator, projector: Subspace, eps: float = DEFAULT_EPS
-) -> DensityOperator:
-    """P rho P / Tr(P rho); raises if the subspace carries no mass."""
-    mass = support_probability(state, projector, eps)
-    if mass <= eps:
-        raise ZeroMassProjection(
-            f"no probability mass on the target subspace (Tr = {mass:.3e})"
-        )
-    inside = projector.indices
-    if state.amplitudes is not None:
-        vector = np.zeros(state.space.dim, dtype=np.complex128)
-        vector[inside] = state.amplitudes[inside] / math.sqrt(mass)
-        return _unit_vector_state(state.space, vector, eps)
-    diag = np.zeros(state.space.dim, dtype=np.float64)
-    diag[inside] = state.diagonal[inside] / mass
-    return DensityOperator(state.space, diag)
 
 
 @dataclass(frozen=True, eq=False)

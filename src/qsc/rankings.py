@@ -1,16 +1,15 @@
 """Classical ranking combinatorics.
 
-Alternatives, strict rankings, pairwise tallies, Condorcet scores, weak
-orders, linear-extension enumeration, and the basis table: the m! rankings
-of an alternative set in Lehmer-index order, with their per-ranking facts,
-built once per set. Everything here is immutable and pure.
+Alternatives, strict rankings, and the basis table: the m! rankings of an
+alternative set in Lehmer-index order, with their per-ranking facts, built
+once per set. Everything here is immutable and pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
@@ -111,126 +110,12 @@ class Ranking:
             raise InvalidArgument(f"cannot compare alternative {x!r} with itself")
         return self.position(x) < self.position(y)
 
-    def oriented_pairs(self) -> frozenset[tuple[str, str]]:
-        """All (x, y) label pairs with x ranked above y."""
-        labels = self.labels
-        return frozenset(
-            (labels[i], labels[j]) for i in range(len(labels)) for j in range(i + 1, len(labels))
-        )
-
     def reversed(self) -> "Ranking":
         return Ranking(self.alternatives, tuple(reversed(self.order)))
 
     def relabelled(self, perm: Sequence[int]) -> "Ranking":
         """Apply the label permutation i -> perm[i] to every position."""
         return Ranking(self.alternatives, tuple(perm[i] for i in self.order))
-
-
-@dataclass(frozen=True)
-class ClassicalProfile:
-    """One strict ranking per voter, all over the same alternatives."""
-
-    rankings: tuple[Ranking, ...]
-
-    def __post_init__(self):
-        rankings = tuple(self.rankings)
-        object.__setattr__(self, "rankings", rankings)
-        if not rankings:
-            raise InvalidArgument("a profile needs at least one voter")
-        alts = rankings[0].alternatives
-        if any(r.alternatives != alts for r in rankings):
-            raise InvalidArgument("all rankings must share one alternative set")
-
-    @property
-    def n(self) -> int:
-        return len(self.rankings)
-
-    @property
-    def alternatives(self) -> AlternativeSet:
-        return self.rankings[0].alternatives
-
-
-@dataclass(frozen=True)
-class WeakOrder:
-    """Ordered partition of alternative indices; earlier tier = strictly preferred."""
-
-    alternatives: AlternativeSet
-    tiers: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        tiers = tuple(frozenset(t) for t in self.tiers)
-        object.__setattr__(self, "tiers", tiers)
-        seen: set[int] = set()
-        for tier in tiers:
-            if not tier:
-                raise InvalidArgument("weak-order tiers must be nonempty")
-            if tier & seen:
-                raise InvalidArgument("weak-order tiers must be disjoint")
-            seen |= tier
-        if seen != set(range(self.alternatives.m)):
-            raise InvalidArgument("weak-order tiers must cover every alternative")
-
-    def tier_labels(self) -> list[list[str]]:
-        return [sorted(self.alternatives.names[i] for i in tier) for tier in self.tiers]
-
-
-def prefers(ranking: Ranking, x: str, y: str) -> bool:
-    """Whether ``ranking`` places x above y."""
-    return ranking.prefers(x, y)
-
-
-def voters_preferring(profile: ClassicalProfile, x: str, y: str) -> frozenset[int]:
-    """1-based indices of the voters ranking x above y."""
-    return frozenset(i + 1 for i, r in enumerate(profile.rankings) if r.prefers(x, y))
-
-
-def condorcet_scores(profile: ClassicalProfile) -> dict[str, int]:
-    """Pairwise-victory counts per alternative.
-
-    x scores a point against y whenever at least as many voters rank x
-    above y as the reverse, so an exact tie credits both sides.
-    Self-comparisons are excluded.
-    """
-    names = profile.alternatives.names
-    wins = {x: 0 for x in names}
-    for i, x in enumerate(names):
-        for y in names[i + 1 :]:
-            for_x = len(voters_preferring(profile, x, y))
-            for_y = profile.n - for_x
-            if for_x >= for_y:
-                wins[x] += 1
-            if for_y >= for_x:
-                wins[y] += 1
-    return wins
-
-
-def weak_order_from_scores(alternatives: AlternativeSet, scores: Mapping[str, int]) -> WeakOrder:
-    """Group alternatives into tiers of equal score, best score first."""
-    for name in alternatives.names:
-        if name not in scores:
-            raise InvalidArgument(f"missing score for alternative {name!r}")
-    by_score: dict[int, set[int]] = {}
-    for name in alternatives.names:
-        by_score.setdefault(scores[name], set()).add(alternatives.index(name))
-    tiers = tuple(frozenset(by_score[s]) for s in sorted(by_score, reverse=True))
-    return WeakOrder(alternatives, tiers)
-
-
-def linear_extensions(weak_order: WeakOrder) -> list[Ranking]:
-    """Every strict ranking obtained by ordering each tier internally.
-
-    Output is lexicographic in basis-index terms; the count is the product
-    of the tier-size factorials.
-    """
-    alts = weak_order.alternatives
-    tier_orders = [list(permutations(sorted(tier))) for tier in weak_order.tiers]
-    extensions = []
-    for combo in product(*tier_orders):
-        order: tuple[int, ...] = ()
-        for part in combo:
-            order += part
-        extensions.append(Ranking(alts, order))
-    return extensions
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,14 +163,6 @@ def basis_table(alternatives: AlternativeSet) -> BasisTable:
 def ranking_index(ranking: Ranking) -> int:
     """Lehmer rank of the ranking among all m! orders; identity maps to 0."""
     return basis_table(ranking.alternatives).index[ranking.order]
-
-
-def ranking_from_index(index: int, alternatives: AlternativeSet) -> Ranking:
-    """Inverse of :func:`ranking_index`."""
-    rankings = basis_table(alternatives).rankings
-    if not 0 <= index < len(rankings):
-        raise InvalidArgument(f"ranking index {index} out of range 0..{len(rankings) - 1}")
-    return rankings[index]
 
 
 def all_rankings(alternatives: AlternativeSet) -> tuple[Ranking, ...]:

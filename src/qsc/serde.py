@@ -190,8 +190,8 @@ def parse_profile(document: str | dict, eps: float = DEFAULT_EPS) -> ProfileStat
         )
         terms.append((weight, rankings))
         total += weight
-    if total <= 0:
-        raise ParseError("correlated weights must have positive total", "correlated")
+    if not math.isfinite(total):
+        raise ParseError(f"correlated total weight {total} is not finite", "correlated")
     normalized = [(w / total, rankings) for w, rankings in terms]
     try:
         return ProfileState.correlated(space, normalized, eps)

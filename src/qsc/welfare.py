@@ -26,22 +26,8 @@ from .hilbert import (
     RankingSpace,
     basis_state,
     diagonal_state,
-    mixed_state,
-    pair_projector,
-    project_and_renormalize,
-    support_probability,
 )
-from .rankings import (
-    AlternativeSet,
-    ClassicalProfile,
-    Ranking,
-    WeakOrder,
-    basis_table,
-    condorcet_scores,
-    linear_extensions,
-    ranking_index,
-    weak_order_from_scores,
-)
+from .rankings import AlternativeSet, Ranking, basis_table, ranking_index
 
 
 def default_delta(m: int) -> float:
@@ -107,123 +93,6 @@ class WelfareRule:
         return self.fn(profile)
 
 
-@dataclass(frozen=True, eq=False)
-class QcvStages:
-    """Intermediate states of one basis-profile Condorcet evaluation."""
-
-    scores: dict[str, int]
-    weak_order: WeakOrder
-    extensions: tuple[Ranking, ...]
-    pairs_any: tuple[tuple[str, str], ...]
-    pairs_all: tuple[tuple[str, str], ...]
-    sigma1: DensityOperator
-    sigma2: DensityOperator
-    sigma3: DensityOperator
-
-
-def encoded_pairs_any(profile: ProfileState, eps: float = DEFAULT_EPS) -> frozenset[tuple[str, str]]:
-    """Ordered pairs carrying support in at least one voter's marginal ballot."""
-    space = profile.space
-    pairs = set()
-    for voter in range(1, profile.n_voters + 1):
-        ballot = profile.partial_ballot(voter, eps)
-        for x, y in space.alternatives.ordered_pairs():
-            if support_probability(ballot, pair_projector(space, x, y), eps) > eps:
-                pairs.add((x, y))
-    return frozenset(pairs)
-
-
-def encoded_pairs_all(profile: ProfileState, eps: float = DEFAULT_EPS) -> frozenset[tuple[str, str]]:
-    """Ordered pairs that every voter's marginal ballot supports with certainty.
-
-    Certainty (trace 1 within eps) rather than bare support is what makes
-    the final projection step sound: projecting onto a pair that some
-    ballot only partially supports would erase that ballot's dissenting
-    weight instead of honoring unanimity.
-    """
-    space = profile.space
-    pairs = set()
-    for x, y in space.alternatives.ordered_pairs():
-        projector = pair_projector(space, x, y)
-        if all(
-            support_probability(profile.partial_ballot(v, eps), projector, eps) >= 1.0 - eps
-            for v in range(1, profile.n_voters + 1)
-        ):
-            pairs.add((x, y))
-    return frozenset(pairs)
-
-
-def minority_spread(
-    sigma1: DensityOperator,
-    pairs: frozenset[tuple[str, str]] | tuple[tuple[str, str], ...],
-    delta: float,
-) -> DensityOperator:
-    """Convex mix of sigma1 with the uniform state of each pair's subspace.
-
-    Output is (1 - k*delta) * sigma1 + delta * sum of the k subspace
-    states, so each listed pair retains at least delta weight.
-    """
-    ordered = sorted(pairs)
-    k = len(ordered)
-    if k * delta >= 1.0:
-        raise InvalidArgument(f"{k} pairs at delta {delta} leave no weight for the base state")
-    if sigma1.amplitudes is not None:
-        raise InvalidArgument("minority spread needs a diagonal sigma1")
-    space = sigma1.space
-    spread = np.zeros(space.dim, dtype=np.float64)
-    for x, y in ordered:
-        projector = pair_projector(space, x, y)
-        spread[projector.indices] += delta / len(projector.indices)
-    return DensityOperator(space, (1.0 - k * delta) * sigma1.diagonal + spread)
-
-
-def enforce_unanimity(
-    sigma2: DensityOperator,
-    pairs: frozenset[tuple[str, str]] | tuple[tuple[str, str], ...],
-    eps: float = DEFAULT_EPS,
-) -> DensityOperator:
-    """Sequentially project onto each pair's subspace and renormalize.
-
-    The projectors are diagonal in the ranking basis, hence commuting; the
-    lexicographic application order is fixed only for reproducibility.
-    """
-    state = sigma2
-    for x, y in sorted(pairs):
-        state = project_and_renormalize(state, pair_projector(sigma2.space, x, y), eps)
-    return state
-
-
-def qcv_basis(profile: ClassicalProfile, params: QcvParams) -> QcvStages:
-    """Run the six Condorcet steps on a basis (classical) profile."""
-    alternatives = profile.alternatives
-    params.check_alternatives(alternatives.m)
-    space = RankingSpace(alternatives)
-
-    scores = condorcet_scores(profile)
-    weak_order = weak_order_from_scores(alternatives, scores)
-    extensions = tuple(linear_extensions(weak_order))
-    sigma1 = mixed_state(space, [(1.0, r) for r in extensions], params.eps)
-
-    pair_sets = [r.oriented_pairs() for r in profile.rankings]
-    pairs_any = tuple(sorted(frozenset.union(*pair_sets)))
-    pairs_all = tuple(sorted(frozenset.intersection(*pair_sets)))
-
-    sigma2 = minority_spread(sigma1, pairs_any, params.delta)
-    # Every pair unanimously oriented keeps at least delta * 2/m! weight
-    # after the spread, so the projection mass below is provably positive.
-    sigma3 = enforce_unanimity(sigma2, pairs_all, params.eps)
-    return QcvStages(
-        scores=scores,
-        weak_order=weak_order,
-        extensions=extensions,
-        pairs_any=pairs_any,
-        pairs_all=pairs_all,
-        sigma1=sigma1,
-        sigma2=sigma2,
-        sigma3=sigma3,
-    )
-
-
 # float64 weights (rows x m!) the row memo keeps across every (alternatives,
 # params) pair: 32 MB, 174,762 rows at m=4 and 5,825 at m=6.
 _MEMO_WEIGHTS = 1 << 22
@@ -233,16 +102,25 @@ _KERNEL_CELLS = 1 << 18  # rows x m! per kernel call; bounds its temporaries
 _ROW_MEMO: dict[tuple[AlternativeSet, QcvParams], dict[tuple[int, ...], np.ndarray]] = {}
 
 
-def _qcv_rows(alternatives: AlternativeSet, idx: np.ndarray, params: QcvParams) -> np.ndarray:
-    """The six-step rule's sigma3 weights for each row of basis indices (k x n -> k x d).
+@dataclass(frozen=True, eq=False)
+class _Stages:
+    """The kernel's stages for k rows of basis indices, each array with one row per row of indices."""
 
-    The same rule as ``qcv_basis``, in array form: every indicator over
-    ordered pairs (x, y) is an m x m mask, and a ranking's agreement with a
-    mask is one product with the ``above`` table. The spread adds the same
-    delta / (d/2) once per covered pair, so its weights come from a table of
-    running sums, bit for bit as ``minority_spread`` adds them. The unanimous
-    pairs are enforced by one renormalization instead of one per pair, which
-    moves weights by at most a few ulp.
+    wins: np.ndarray  # k x m: Condorcet scores, the y that at least half the voters place x above
+    extension: np.ndarray  # k x d bool: the linear extensions of the weak order of wins
+    present: np.ndarray  # k x m x m bool: some voter places x above y
+    unanimous: np.ndarray  # k x m x m bool: every voter places x above y
+    keep: np.ndarray  # k x d bool: the rankings keeping every unanimous pair
+    sigma: np.ndarray  # k x d: sigma2, which ``_qcv_rows`` projects to sigma3 in place
+
+
+def _qcv_stages(alternatives: AlternativeSet, idx: np.ndarray, params: QcvParams) -> _Stages:
+    """The six-step rule up to sigma2 for each row of basis indices (k x n).
+
+    Every indicator over ordered pairs (x, y) is an m x m mask, and a
+    ranking's agreement with a mask is one product with the ``above`` table.
+    Sigma1 is uniform over the extensions; the spread adds delta / (d/2) once
+    per covered pair, so its weights come from a table of running sums.
     """
     params.check_alternatives(alternatives.m)
     above = basis_table(alternatives).above
@@ -257,28 +135,101 @@ def _qcv_rows(alternatives: AlternativeSet, idx: np.ndarray, params: QcvParams) 
     broken = np.concatenate([strict, unanimous]).transpose(0, 2, 1).reshape(2 * k, m * m)
     extension, keep = (broken.astype(np.float32) @ table == 0.0).reshape(2, k, d)
 
-    present = (tally > 0).reshape(k, m * m)
-    n_any = present.sum(axis=1)
+    present = tally > 0
+    n_any = present.sum(axis=(1, 2))
     if np.any(n_any * params.delta >= 1.0):
         raise InvalidArgument(
             f"{int(n_any.max())} pairs at delta {params.delta} leave no weight for the base state"
         )
     running = np.concatenate(([0.0], np.cumsum(np.full(m * m, params.delta / (d // 2)))))
-    sigma = running[(present.astype(np.float32) @ table).astype(np.intp)]  # the spread
+    # A ranking covers at most m(m-1)/2 <= 15 pairs: a uint8 index holds an eighth of an intp one.
+    sigma = running[(present.reshape(k, m * m).astype(np.float32) @ table).astype(np.uint8)]  # the spread
     base = (1.0 - n_any * params.delta) * (1.0 / extension.sum(axis=1))
-    np.add(sigma, base[:, None], out=sigma, where=extension)  # sigma2
+    np.add(sigma, base[:, None], out=sigma, where=extension)
+    return _Stages(wins, extension, present, unanimous, keep, sigma)
 
+
+def _projected(stages: _Stages, eps: float) -> np.ndarray:
+    """Sigma3 from the stages, in place of their sigma2.
+
+    The unanimous pairs are enforced by one renormalization rather than one
+    per pair, which moves weights by at most a few ulp.
+    """
+    sigma = stages.sigma
     # keep is all True on a row without unanimous pairs, so such rows pass unchanged.
-    sigma[~keep] = 0.0
-    constrained = unanimous.any(axis=(1, 2))
+    sigma[~stages.keep] = 0.0
+    constrained = stages.unanimous.any(axis=(1, 2))
     mass = sigma.sum(axis=1)
-    mass[(mass > 1.0) & (mass <= 1.0 + params.eps)] = 1.0
-    if np.any(constrained & (mass <= params.eps)):
+    mass[(mass > 1.0) & (mass <= 1.0 + eps)] = 1.0
+    if np.any(constrained & (mass <= eps)):
         low = float(mass[constrained].min())
         raise ZeroMassProjection(f"no probability mass on the target subspace (Tr = {low:.3e})")
     mass[~constrained] = 1.0
     sigma /= mass[:, None]
     return sigma
+
+
+def _qcv_rows(alternatives: AlternativeSet, idx: np.ndarray, params: QcvParams) -> np.ndarray:
+    """The six-step rule's sigma3 weights for each row of basis indices (k x n -> k x d)."""
+    return _projected(_qcv_stages(alternatives, idx, params), params.eps)
+
+
+@dataclass(frozen=True, eq=False)
+class QcvStages:
+    """The stages of one basis-profile Condorcet evaluation, as ``qcv`` computes them."""
+
+    scores: dict[str, int]
+    tiers: tuple[tuple[str, ...], ...]  # labels of equal score, best score first, each tier sorted
+    extensions: tuple[str, ...]  # "a>b>c" strings, in basis order
+    pairs_any: tuple[tuple[str, str], ...]  # (x, y) some voter places x above y, sorted
+    pairs_all: tuple[tuple[str, str], ...]  # (x, y) every voter places x above y, sorted
+    sigma1: DensityOperator
+    sigma2: DensityOperator
+    sigma3: DensityOperator
+
+
+def qcv_basis(alternatives: AlternativeSet, indices: Sequence[int], params: QcvParams) -> QcvStages:
+    """The kernel's stages for the basis profile where voter v casts basis ranking ``indices[v]``.
+
+    A read-out of ``_qcv_stages``, so ``evaluate --stages`` prints what
+    ``qcv`` computes. Scores are the kernel's wins (a tie credits both
+    sides), tiers group the alternatives by descending score, the extensions
+    and both pair sets are its masks, sigma1 is uniform over the extensions,
+    sigma2 is the row before the projection, and sigma3 is bit for bit the
+    row ``_qcv_rows`` gives.
+    """
+    table = basis_table(alternatives)
+    idx = np.array([indices], dtype=np.intp)
+    d = len(table.rankings)
+    if idx.size == 0:
+        raise InvalidArgument("a profile needs at least one voter")
+    if idx.min() < 0 or idx.max() >= d:
+        raise InvalidArgument(f"ranking indices must lie in 0..{d - 1}, got {list(indices)}")
+    stages = _qcv_stages(alternatives, idx, params)
+    sigma2 = stages.sigma[0].copy()
+    sigma3 = _projected(stages, params.eps)[0]
+    names = alternatives.names
+    scores = dict(zip(names, stages.wins[0].tolist()))
+    tiers = tuple(
+        tuple(sorted(x for x in names if scores[x] == score))
+        for score in sorted(set(scores.values()), reverse=True)
+    )
+    extension = stages.extension[0]
+
+    def labelled(mask: np.ndarray) -> tuple[tuple[str, str], ...]:
+        return tuple(sorted((names[x], names[y]) for x, y in zip(*np.nonzero(mask))))
+
+    space = RankingSpace(alternatives)
+    return QcvStages(
+        scores=scores,
+        tiers=tiers,
+        extensions=tuple(table.strings[k] for k in np.flatnonzero(extension)),
+        pairs_any=labelled(stages.present[0]),
+        pairs_all=labelled(stages.unanimous[0]),
+        sigma1=DensityOperator(space, extension / extension.sum()),
+        sigma2=DensityOperator(space, sigma2),
+        sigma3=DensityOperator(space, sigma3),
+    )
 
 
 def _remember(memo: dict[tuple[int, ...], np.ndarray], rows: dict[tuple[int, ...], np.ndarray]) -> None:

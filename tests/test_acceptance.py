@@ -17,7 +17,6 @@ import pytest
 from qsc import (
     AlternativeSet,
     CandidateBallotFamily,
-    ClassicalProfile,
     ProfileState,
     QcvParams,
     Ranking,
@@ -30,8 +29,6 @@ from qsc import (
     default_delta,
     default_profile_sampler,
     dictator_rule,
-    encoded_pairs_all,
-    encoded_pairs_any,
     pair_projector,
     pure_state,
     qcv,
@@ -45,9 +42,11 @@ from qsc import (
     veto_rule,
 )
 from qsc.axioms import VERDICT_BYPASS, VERDICT_FALSIFIED, VERDICT_HOLDS, VERDICT_NO_DICTATOR
+from qsc.rankings import ranking_index
 from qsc.serde import parse_density, parse_profile
 
 from oracles import oracle_sigma3
+from stepwise import encoded_pairs_all, encoded_pairs_any
 
 ROOT2 = 2 ** -0.5
 FULL_FAMILY = CandidateBallotFamily()
@@ -127,7 +126,8 @@ def test_criterion_04_condorcet_cycle_oracle(alts3, cycle_profile):
     with criterion(4, "Condorcet cycle yields the uniform mixture"):
         exact_deltas = (Fraction(1, 50), Fraction(1, 20), Fraction(1, 10))
         for delta in exact_deltas:
-            stages = qcv_basis(ClassicalProfile(cycle_profile), QcvParams(float(delta)))
+            indices = [ranking_index(r) for r in cycle_profile]
+            stages = qcv_basis(alts3, indices, QcvParams(float(delta)))
             diag = stages.sigma3.diagonal
             assert max(abs(float(w) - 1 / 6) for w in diag) <= TOLERANCE
             expected = oracle_sigma3(
@@ -141,7 +141,8 @@ def test_criterion_04_condorcet_cycle_oracle(alts3, cycle_profile):
 def test_criterion_05_two_voter_oracle(alts3, two_voter_profile):
     with criterion(5, "two-voter profile splits evenly on the shared top"):
         for delta in (0.005, 0.02, 0.05, 0.08, 0.1, 0.11):
-            stages = qcv_basis(ClassicalProfile(two_voter_profile), QcvParams(delta))
+            indices = [ranking_index(r) for r in two_voter_profile]
+            stages = qcv_basis(alts3, indices, QcvParams(delta))
             weights = {
                 r.to_string(): float(w)
                 for r, w in zip(stages.sigma3.space.rankings(), stages.sigma3.diagonal)

@@ -27,7 +27,6 @@ from qsc import (
     check_onto,
     check_qic,
     check_unanimity,
-    classify_preference,
     compose,
     default_paired_sampler,
     default_profile_sampler,
@@ -44,6 +43,7 @@ from qsc import (
     reverify_witness,
     run_arrow_suite,
     run_gs_suite,
+    support_probability,
     veto_rule,
     WelfareRule,
 )
@@ -141,6 +141,11 @@ def veto_setup(alts3, space3):
     )
     profile = ProfileState.product_of([truthful, basis_state(space3, rk(alts3, "b>a>c"))])
     return rule, profile
+
+
+def classify_preference(ballot, x, y, eps=1e-9):
+    """How a ballot reads on ranking x above y, as the manipulation scan classifies it."""
+    return classify_value(support_probability(ballot, pair_projector(ballot.space, x, y), eps), eps)
 
 
 class TestClassifyPreference:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qsc import (
     AlternativeSet,
-    ClassicalProfile,
     ProfileState,
     QcvParams,
     Ranking,

@@ -15,8 +15,6 @@ from qsc import (
     ProfileState,
     QcvParams,
     basis_state,
-    encoded_pairs_all,
-    encoded_pairs_any,
     manipulation_witness,
     pair_projector,
     qcv,
@@ -25,6 +23,8 @@ from qsc import (
     qcvne_rule,
     support_probability,
 )
+
+from stepwise import encoded_pairs_all, encoded_pairs_any
 
 PARAMS = QcvParams(0.05)
 FAMILY = CandidateBallotFamily()

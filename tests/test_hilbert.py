@@ -19,16 +19,15 @@ from qsc import (
     density_terms,
     mixed_state,
     pair_projector,
-    project_and_renormalize,
     pure_state,
     support_probabilities,
     support_probability,
-    uniform_subspace_state,
     winner_projector,
 )
 from qsc import hilbert
 
 from oracles import lehmer_index, ranks_above
+from stepwise import project_and_renormalize, uniform_subspace_state
 
 ROOT2 = 2 ** -0.5
 

@@ -8,48 +8,56 @@ from hypothesis import strategies as st
 
 from qsc import (
     AlternativeSet,
-    ClassicalProfile,
     InvalidArgument,
+    QcvParams,
     Ranking,
     RankingSpace,
-    WeakOrder,
     all_rankings,
-    condorcet_scores,
-    linear_extensions,
     pair_projector,
-    prefers,
-    ranking_from_index,
+    qcv_basis,
     ranking_index,
-    voters_preferring,
-    weak_order_from_scores,
     winner_projector,
 )
 from qsc.rankings import basis_table
 
 from oracles import lehmer_index, lehmer_order, oracle_condorcet_scores
+from stepwise import (
+    ClassicalProfile,
+    WeakOrder,
+    linear_extensions,
+    voters_preferring,
+    weak_order_from_scores,
+)
 
 
 def rk(alts, text):
     return Ranking.from_string(alts, text)
 
 
+def condorcet_scores(rankings):
+    """The scores ``qcv_basis`` reads from the kernel's wins."""
+    alts = rankings[0].alternatives
+    params = QcvParams.for_alternatives(alts.m)
+    return qcv_basis(alts, [ranking_index(r) for r in rankings], params).scores
+
+
 class TestPrefers:
     def test_top_beats_bottom(self, alts3):
-        assert prefers(rk(alts3, "a>b>c"), "a", "c") is True
+        assert rk(alts3, "a>b>c").prefers("a", "c") is True
 
     def test_complement(self, alts3):
-        assert prefers(rk(alts3, "a>b>c"), "c", "a") is False
+        assert rk(alts3, "a>b>c").prefers("c", "a") is False
 
     def test_read_off_positions(self, alts3):
-        assert prefers(rk(alts3, "c>a>b"), "a", "b") is True
+        assert rk(alts3, "c>a>b").prefers("a", "b") is True
 
     def test_same_alternative_rejected(self, alts3):
         with pytest.raises(InvalidArgument):
-            prefers(rk(alts3, "a>b>c"), "a", "a")
+            rk(alts3, "a>b>c").prefers("a", "a")
 
     def test_unknown_alternative_rejected(self, alts3):
         with pytest.raises(InvalidArgument):
-            prefers(rk(alts3, "a>b>c"), "a", "q")
+            rk(alts3, "a>b>c").prefers("a", "q")
 
 
 class TestVotersPreferring:
@@ -84,13 +92,13 @@ class TestVotersPreferring:
 
 class TestCondorcetScores:
     def test_cycle_gives_all_ones(self, alts3, cycle_profile):
-        assert condorcet_scores(ClassicalProfile(cycle_profile)) == {"a": 1, "b": 1, "c": 1}
+        assert condorcet_scores(cycle_profile) == {"a": 1, "b": 1, "c": 1}
 
     def test_unanimous(self, alts3, unanimous_profile):
-        assert condorcet_scores(ClassicalProfile(unanimous_profile)) == {"a": 2, "b": 1, "c": 0}
+        assert condorcet_scores(unanimous_profile) == {"a": 2, "b": 1, "c": 0}
 
     def test_tie_credits_both_sides(self, alts3, two_voter_profile):
-        assert condorcet_scores(ClassicalProfile(two_voter_profile)) == {"a": 2, "b": 1, "c": 1}
+        assert condorcet_scores(two_voter_profile) == {"a": 2, "b": 1, "c": 1}
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -102,7 +110,7 @@ class TestCondorcetScores:
             st.lists(st.permutations(range(len(labels))), min_size=n, max_size=n)
         )
         rankings = tuple(Ranking(alts, tuple(o)) for o in orders)
-        got = condorcet_scores(ClassicalProfile(rankings))
+        got = condorcet_scores(rankings)
         assert got == oracle_condorcet_scores(labels, [r.labels for r in rankings])
 
     @given(data=st.data())
@@ -114,10 +122,8 @@ class TestCondorcetScores:
         orders = data.draw(st.lists(st.permutations(range(3)), min_size=n, max_size=n))
         perm = data.draw(st.permutations(range(3)))
         rankings = tuple(Ranking(alts, tuple(o)) for o in orders)
-        base = condorcet_scores(ClassicalProfile(rankings))
-        relabelled = condorcet_scores(
-            ClassicalProfile(tuple(r.relabelled(perm) for r in rankings))
-        )
+        base = condorcet_scores(rankings)
+        relabelled = condorcet_scores(tuple(r.relabelled(perm) for r in rankings))
         for i, name in enumerate(labels):
             assert relabelled[labels[perm[i]]] == base[name]
 
@@ -194,19 +200,20 @@ class TestRankingIndex:
         alts = AlternativeSet(tuple("abcdef")[:m])
         seen = set()
         for i in range(math.factorial(m)):
-            r = ranking_from_index(i, alts)
+            r = all_rankings(alts)[i]
             assert ranking_index(r) == i
             seen.add(r.order)
         assert len(seen) == math.factorial(m)
 
     def test_identity_is_index_zero(self, alts3):
-        assert ranking_from_index(0, alts3).to_string() == "a>b>c"
+        assert all_rankings(alts3)[0].to_string() == "a>b>c"
 
     def test_index_range(self, alts3):
-        with pytest.raises(InvalidArgument):
-            ranking_from_index(6, alts3)
-        with pytest.raises(InvalidArgument):
-            ranking_from_index(-1, alts3)
+        # The one public reader of raw basis indices refuses those outside 0..m!-1.
+        params = QcvParams.for_alternatives(3)
+        for indices in ([6], [0, -1], []):
+            with pytest.raises(InvalidArgument):
+                qcv_basis(alts3, indices, params)
 
     def test_all_rankings_sorted_by_index(self, alts3):
         rankings = all_rankings(alts3)
@@ -225,7 +232,6 @@ class TestBasisTable:
         assert len(rankings) == math.factorial(m)
         for k, r in enumerate(rankings):
             assert r.order == lehmer_order(k, m)
-            assert ranking_from_index(k, alts) is r
             assert ranking_index(r) == k == lehmer_index(r.order)
             assert space.basis_index(Ranking(alts, r.order)) == lehmer_index(r.order)
             assert r.to_string() == ">".join(r.labels)

@@ -100,6 +100,16 @@ class TestParseProfile:
         with pytest.raises(ParseError):
             parse_profile(text)
 
+    def test_overflowing_correlated_total_refused(self):
+        # Each weight is finite, but their sum is not: dividing by it would zero them all.
+        doc = {
+            "alternatives": ["a", "b", "c"],
+            "correlated": [[1e308, ["a>b>c", "b>a>c"]], [1e308, ["b>a>c", "a>b>c"]]],
+        }
+        with pytest.raises(ParseError, match="correlated total weight inf is not finite") as err:
+            parse_profile(doc)
+        assert err.value.locus == "correlated"
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_roundtrip_preserves_evaluations(self, space3, seed):
         sampler = default_profile_sampler(space3, 3)
@@ -228,6 +238,28 @@ class TestCliEvaluate:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["locus"] == "rule"
+
+    def test_stages_refuses_the_rule_before_reading_the_profile(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        code = main(["evaluate", "--rule", "dictator:1", "--stages", "--profile", missing])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert (err["error"], err["locus"]) == ("parse-error", "rule")
+
+    def test_stages_refuses_mixed_support_before_the_rule_runs(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the rule ran")
+
+        monkeypatch.setattr(welfare, "_scored", refuse)
+        doc = {
+            "alternatives": ["a", "b", "c"],
+            "voters": [{"mixed": [[0.5, "a>b>c"], [0.5, "b>a>c"]]}, {"mixed": [[1, "a>c>b"]]}],
+        }
+        for rule in ("qcv", "qcvne"):
+            code = main(["evaluate", "--rule", rule, "--stages", "--profile", self.write(tmp_path, doc)])
+            assert code == 2
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "invalid-argument" and "single ranking tuple" in err["message"]
 
     def test_unknown_rule_exits_2(self, tmp_path, capsys):
         path = self.write(tmp_path, SPLIT_TOP_DOC)
@@ -425,6 +457,30 @@ class TestParserReuse:
         assert reused[5][1] == "" and reused[5][3].startswith("axiom: onto")
         assert reused[8][1] == "" and json.loads(reused[8][3])["suite"] == "gs-suite"
         assert reused[9][3] is None and json.loads(reused[9][1])["axiom"] == "qic"
+
+
+@pytest.mark.parametrize(
+    "ballot",
+    [
+        {"mixed": [[1e308, "a>b>c"], [1e308, "b>a>c"]]},  # the total overflows
+        {"mixed": [[1e308, "a>b>c"], [1e308, "a>b>c"]]},  # one ranking's weight overflows
+        {"pure": [[1e155, 1e155, "a>b>c"], [1e155, 0, "b>a>c"]]},  # the norm overflows
+    ],
+)
+def test_overflowing_ballot_gives_one_error_line(ballot):
+    # A fresh interpreter, since pytest collects numpy's warnings apart from stderr.
+    doc = json.dumps({"alternatives": ["a", "b", "c"], "voters": [ballot]})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qsc.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "qsc.cli", "evaluate", "--profile", "-"],
+        input=doc, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert "is not finite" in json.loads(lines[0])["message"]
 
 
 def test_import_builds_nothing():

@@ -1,7 +1,7 @@
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qsc import (
     AlternativeSet,
-    ClassicalProfile,
     InvalidArgument,
     ProfileState,
     QcvParams,
@@ -20,10 +19,6 @@ from qsc import (
     basis_state,
     default_profile_sampler,
     dictator_rule,
-    encoded_pairs_all,
-    encoded_pairs_any,
-    enforce_unanimity,
-    minority_spread,
     mixed_state,
     pair_projector,
     pure_state,
@@ -38,15 +33,29 @@ from qsc import (
 from qsc import hilbert, welfare
 from qsc.errors import ZeroMassProjection
 from qsc.rankings import all_rankings, ranking_index
+from qsc.serde import serialize_density
 from qsc.welfare import _qcv_rows
 
 from oracles import oracle_sigma3
+from stepwise import (
+    ClassicalProfile,
+    encoded_pairs_all,
+    encoded_pairs_any,
+    enforce_unanimity,
+    minority_spread,
+    stepwise_qcv,
+)
 
 ROOT2 = 2 ** -0.5
 
 
 def rk(alts, text):
     return Ranking.from_string(alts, text)
+
+
+def stages_of(rankings, params):
+    """``qcv_basis`` on the basis profile of these rankings."""
+    return qcv_basis(rankings[0].alternatives, [ranking_index(r) for r in rankings], params)
 
 
 def count_kernel_rows(monkeypatch):
@@ -143,12 +152,12 @@ class TestEnforceUnanimity:
         assert np.allclose(enforce_unanimity(state, ()).matrix, state.matrix)
 
     def test_unanimous_pairs_collapse_to_point(self, alts3, space3, unanimous_profile):
-        stages = qcv_basis(ClassicalProfile(unanimous_profile), QcvParams(0.05))
+        stages = stepwise_qcv(ClassicalProfile(unanimous_profile), QcvParams(0.05))
         projected = enforce_unanimity(stages.sigma2, (("a", "b"), ("a", "c"), ("b", "c")))
         assert diag_by_label(space3, projected)["a>b>c"] == pytest.approx(1.0)
 
     def test_two_voter_confined(self, alts3, space3, two_voter_profile):
-        stages = qcv_basis(ClassicalProfile(two_voter_profile), QcvParams(0.05))
+        stages = stepwise_qcv(ClassicalProfile(two_voter_profile), QcvParams(0.05))
         confined = enforce_unanimity(stages.sigma2, (("a", "b"), ("a", "c")))
         weights = diag_by_label(space3, confined)
         assert weights["a>b>c"] + weights["a>c>b"] == pytest.approx(1.0)
@@ -157,27 +166,27 @@ class TestEnforceUnanimity:
 class TestQcvBasisExamples:
     @pytest.mark.parametrize("delta", [0.02, 0.05, 0.1])
     def test_cycle_yields_uniform(self, alts3, cycle_profile, delta):
-        stages = qcv_basis(ClassicalProfile(cycle_profile), QcvParams(delta))
+        stages = stages_of(cycle_profile, QcvParams(delta))
         assert np.allclose(stages.sigma3.diagonal, 1 / 6, atol=1e-12)
 
     def test_unanimous_yields_point_mass(self, alts3, space3, unanimous_profile):
-        stages = qcv_basis(ClassicalProfile(unanimous_profile), QcvParams(0.05))
+        stages = stages_of(unanimous_profile, QcvParams(0.05))
         assert diag_by_label(space3, stages.sigma3)["a>b>c"] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("delta", [0.02, 0.05, 0.1, 0.11])
     def test_two_voter_half_half(self, alts3, space3, two_voter_profile, delta):
-        stages = qcv_basis(ClassicalProfile(two_voter_profile), QcvParams(delta))
+        stages = stages_of(two_voter_profile, QcvParams(delta))
         weights = diag_by_label(space3, stages.sigma3)
         assert weights["a>b>c"] == pytest.approx(0.5, abs=1e-12)
         assert weights["a>c>b"] == pytest.approx(0.5, abs=1e-12)
 
     def test_single_voter_point_mass(self, alts3, space3):
-        stages = qcv_basis(ClassicalProfile((rk(alts3, "b>c>a"),)), QcvParams(0.05))
+        stages = stages_of((rk(alts3, "b>c>a"),), QcvParams(0.05))
         assert diag_by_label(space3, stages.sigma3)["b>c>a"] == pytest.approx(1.0)
 
     def test_delta_bound_enforced(self, alts3, cycle_profile):
         with pytest.raises(InvalidArgument):
-            qcv_basis(ClassicalProfile(cycle_profile), QcvParams(1 / 9))
+            stages_of(cycle_profile, QcvParams(1 / 9))
         with pytest.raises(InvalidArgument):
             QcvParams(0.0)
 
@@ -206,7 +215,7 @@ class TestQcvAgainstExactOracle:
         for _ in range(12):
             n = rng.randint(1, 4)
             chosen = [rankings[rng.randrange(len(rankings))] for _ in range(n)]
-            stages = qcv_basis(ClassicalProfile(tuple(chosen)), QcvParams(float(delta)))
+            stages = stages_of(tuple(chosen), QcvParams(float(delta)))
             expected = oracle_sigma3(labels, [r.labels for r in chosen], delta)
             for r, got in zip(rankings, stages.sigma3.diagonal):
                 assert float(got) == pytest.approx(float(expected[r.labels]), abs=1e-12)
@@ -229,7 +238,7 @@ def random_tuples(rng, d, n, count):
 
 def basis_rule(alts, indices, params):
     rankings = all_rankings(alts)
-    return qcv_basis(ClassicalProfile(tuple(rankings[k] for k in indices)), params).sigma3.diagonal
+    return stepwise_qcv(ClassicalProfile(tuple(rankings[k] for k in indices)), params).sigma3.diagonal
 
 
 class TestQcvKernel:
@@ -309,7 +318,7 @@ class TestQcvKernel:
         with pytest.raises(InvalidArgument):
             _qcv_rows(alts3, idx, QcvParams(1 / 9))
         with pytest.raises(InvalidArgument):
-            qcv_basis(ClassicalProfile(cycle_profile), QcvParams(1 / 9))
+            stepwise_qcv(ClassicalProfile(cycle_profile), QcvParams(1 / 9))
 
     def test_spread_bound_raises_like_the_step_rule(self, alts3):
         # Unchecked delta 0.2: a cycle orients all six pairs and 6 * 0.2 >= 1.
@@ -345,11 +354,49 @@ class TestQcvKernel:
         assert raised > 0
 
 
+class TestStageReadout:
+    """``qcv_basis`` reads the kernel's stages; the stepwise rule is their reference."""
+
+    @pytest.mark.parametrize("m, max_n, profiles", [(3, 4, 209), (4, 3, 2924)])
+    def test_every_basis_multiset_matches_the_stepwise_rule(self, m, max_n, profiles):
+        alts = AlternativeSet(tuple("abcd"[:m]))
+        params = QcvParams.for_alternatives(m)
+        rankings = all_rankings(alts)
+        checked = 0
+        for n in range(1, max_n + 1):
+            idx = np.array(list(combinations_with_replacement(range(len(rankings)), n)), dtype=np.intp)
+            for indices, row in zip(idx.tolist(), _qcv_rows(alts, idx, params)):
+                got = qcv_basis(alts, indices, params)
+                want = stepwise_qcv(ClassicalProfile(tuple(rankings[k] for k in indices)), params)
+                assert got.scores == want.scores
+                assert [list(tier) for tier in got.tiers] == want.weak_order.tier_labels()
+                assert got.extensions == tuple(r.to_string() for r in want.extensions)
+                assert (got.pairs_any, got.pairs_all) == (want.pairs_any, want.pairs_all)
+                assert np.array_equal(got.sigma1.diagonal, want.sigma1.diagonal)
+                assert np.array_equal(got.sigma2.diagonal, want.sigma2.diagonal)
+                assert np.abs(got.sigma3.diagonal - want.sigma3.diagonal).max() <= 1e-15
+                assert np.array_equal(got.sigma3.diagonal, row)
+                # What ``evaluate --stages`` prints of each state is unchanged.
+                for stage in ("sigma1", "sigma2", "sigma3"):
+                    printed = [serialize_density(getattr(s, stage), params.eps) for s in (got, want)]
+                    assert printed[0] == printed[1]
+                checked += 1
+        assert checked == profiles
+
+    def test_voter_order_leaves_the_stages_unchanged(self, alts4):
+        params = QcvParams.for_alternatives(4)
+        first, second = qcv_basis(alts4, [5, 0, 17], params), qcv_basis(alts4, [17, 5, 0], params)
+        for field in ("scores", "tiers", "extensions", "pairs_any", "pairs_all"):
+            assert getattr(first, field) == getattr(second, field)
+        for stage in ("sigma1", "sigma2", "sigma3"):
+            assert np.array_equal(getattr(first, stage).diagonal, getattr(second, stage).diagonal)
+
+
 class TestQcvGeneralProfiles:
     def test_basis_profile_matches_basis_rule(self, alts3, cycle_profile):
         params = QcvParams(0.05)
         via_general = qcv(ProfileState.basis(cycle_profile), params)
-        via_basis = qcv_basis(ClassicalProfile(cycle_profile), params).sigma3
+        via_basis = stages_of(cycle_profile, params).sigma3
         assert np.allclose(via_general.matrix, via_basis.matrix, atol=1e-12)
 
     def test_correlated_mixture_is_convex(self, alts3, space3, cycle_profile, unanimous_profile):
@@ -359,8 +406,8 @@ class TestQcvGeneralProfiles:
             [(0.5, cycle_profile), (0.5, unanimous_profile)],
         )
         got = qcv(mixture, params)
-        lhs = qcv_basis(ClassicalProfile(cycle_profile), params).sigma3.diagonal
-        rhs = qcv_basis(ClassicalProfile(unanimous_profile), params).sigma3.diagonal
+        lhs = stages_of(cycle_profile, params).sigma3.diagonal
+        rhs = stages_of(unanimous_profile, params).sigma3.diagonal
         assert np.allclose(got.diagonal, 0.5 * lhs + 0.5 * rhs, atol=1e-12)
 
     def test_product_mixed_ballot_enumerates_support(self, alts3, space3):
@@ -368,12 +415,8 @@ class TestQcvGeneralProfiles:
         half = mixed_state(space3, [(0.5, rk(alts3, "a>b>c")), (0.5, rk(alts3, "b>a>c"))])
         point = basis_state(space3, rk(alts3, "a>b>c"))
         got = qcv(ProfileState.product_of([half, point]), params)
-        one = qcv_basis(
-            ClassicalProfile((rk(alts3, "a>b>c"), rk(alts3, "a>b>c"))), params
-        ).sigma3.diagonal
-        two = qcv_basis(
-            ClassicalProfile((rk(alts3, "b>a>c"), rk(alts3, "a>b>c"))), params
-        ).sigma3.diagonal
+        one = stages_of((rk(alts3, "a>b>c"), rk(alts3, "a>b>c")), params).sigma3.diagonal
+        two = stages_of((rk(alts3, "b>a>c"), rk(alts3, "a>b>c")), params).sigma3.diagonal
         assert np.allclose(got.diagonal, 0.5 * one + 0.5 * two, atol=1e-12)
 
     def test_output_is_diagonal_unit_trace(self, space3):
