@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -26,7 +26,6 @@ from .choice import ChoiceRule, compose, natural_extension
 from .errors import InvalidArgument, QscError, ResourceLimit
 from .hilbert import (
     DEFAULT_EPS,
-    AlternativeState,
     DensityOperator,
     ProfileState,
     RankingSpace,
@@ -193,6 +192,7 @@ class _Targets:
         ])
         self._row = {t: j for j, t in enumerate(self.targets)}
         self.rule = rule
+        self.welfare = rule if pairs else rule.welfare
         self.space = space
         self.eps = eps
 
@@ -203,28 +203,30 @@ class _Targets:
     def ballot_values(self, ballot: DensityOperator) -> dict:
         return self._values(ballot.diagonal)
 
-    def society_values(self, profile: ProfileState) -> dict:
-        return self._society(self.rule.evaluate(profile))
+    def welfare_weights(self, profiles: list[ProfileState]) -> Iterable[np.ndarray]:
+        """The basis weights of the rule's welfare output on each profile, in order.
 
-    def _society(self, state: DensityOperator | AlternativeState) -> dict:
-        if self.kind == "welfare":
-            return self.ballot_values(state)
-        return {a: state[a] for a in self.targets}
-
-    def society_of_weights(self, weights: np.ndarray) -> dict:
-        """Society's values from the welfare output's basis weights, as a hook gives them."""
-        if self.kind == "welfare":
-            return self._values(weights)
-        return self._society(natural_extension(DensityOperator(self.space, weights), self.rule.eps))
-
-    def society_batch(self, profiles: list[ProfileState]) -> Iterator[dict]:
-        """Society's values on each profile, in order, computed as they are read.
-
-        A rule with a ``responses`` hook scores every profile in one hook call.
+        A rule with a ``responses`` hook scores every profile in one hook call;
+        any other rule's welfare rule evaluates each profile as it is read.
         """
         if self.rule.responses is None:
-            return map(self.society_values, profiles)
-        return map(self.society_of_weights, self.rule.responses([(p, None) for p in profiles], self.eps))
+            return (self.welfare.evaluate(p).diagonal for p in profiles)
+        return self.rule.responses([(p, None) for p in profiles], self.eps)
+
+    def society_of_weights(self, weights: np.ndarray) -> dict:
+        """Society's values from the basis weights of the rule's welfare output."""
+        if self.kind == "welfare":
+            return self._values(weights)
+        state = natural_extension(DensityOperator(self.space, weights), self.rule.eps)
+        return {a: state[a] for a in self.targets}
+
+    def society_values(self, profile: ProfileState) -> dict:
+        """Society's values on one profile, from an exact evaluation of the welfare rule."""
+        return self.society_of_weights(self.welfare.evaluate(profile).diagonal)
+
+    def society_batch(self, profiles: list[ProfileState]) -> Iterator[dict]:
+        """Society's values on each profile, in order, computed as they are read (``welfare_weights``)."""
+        return map(self.society_of_weights, self.welfare_weights(profiles))
 
     def vertex_values(self, responses: np.ndarray, targets: list) -> np.ndarray:
         """Society's value on each target with a voter's ballot replaced by each basis ballot.
@@ -575,16 +577,24 @@ def _first_witness(
     profile: ProfileState,
     voter: int,
     fired: list[tuple[object, PreferenceKind]],
-    candidates: Iterable[DensityOperator],
     society: dict,
+    family: CandidateBallotFamily,
+    responses: np.ndarray | None,
     eps: float,
 ) -> ManipulationWitness | None:
-    """The first candidate ballot whose exact evaluation achieves a fired clause.
+    """The first dishonest ballot whose exact evaluation achieves a fired clause.
 
-    Candidate evaluations are shared across targets: society only changes
-    with the substituted ballot, not with the pair or alternative under
-    scrutiny.
+    A rule with a ``responses`` hook is searched at the basis ballots near a
+    fired clause (``_near_vertices`` of ``responses``, the hook's d x d
+    result for the voter); any other rule over the family, and
+    ``responses`` is then None. Candidate evaluations are shared across
+    targets: society only changes with the substituted ballot, not with the
+    pair or alternative under scrutiny.
     """
+    if adapter.rule.responses is None:
+        candidates = family.ballots(adapter.space, eps)
+    else:
+        candidates = _near_vertices(adapter, responses, fired, eps)
     for candidate in candidates:
         substituted = profile.substitute_ballot(voter, candidate, eps)
         dishonest = adapter.society_values(substituted)
@@ -602,33 +612,6 @@ def _first_witness(
                     profile=profile,
                 )
     return None
-
-
-def _scan_voter(
-    adapter: _Targets,
-    profile: ProfileState,
-    voter: int,
-    family: CandidateBallotFamily,
-    eps: float,
-    society: dict | None = None,
-) -> ManipulationWitness | None:
-    """Search one voter's dishonest ballots for any firing clause.
-
-    A rule with a ``responses`` hook is searched at the d basis ballots only
-    (``_near_vertices``), from one hook call for this voter; any other rule
-    scans the family.
-    """
-    if society is None:
-        society = adapter.society_values(profile)
-    fired = _fired(adapter, profile, voter, society, eps)
-    if not fired:
-        return None
-    if adapter.rule.responses is None:
-        candidates = family.ballots(adapter.space, eps)
-    else:
-        (responses,) = adapter.rule.responses([(profile, voter)], eps)
-        candidates = _near_vertices(adapter, responses, fired, eps)
-    return _first_witness(adapter, profile, voter, fired, candidates, society, eps)
 
 
 def _near_vertices(
@@ -674,18 +657,21 @@ def _hunt(
     family: CandidateBallotFamily,
     eps: float,
 ) -> Iterator[tuple[ProfileState, _Scans]]:
-    """Each draw with the scans of its voters, in trial and voter order.
+    """Each draw with the scans of its fired voters, in trial and voter order.
 
-    A scan is (voter, [witness or None, one per rule]). Each draw's scans
-    must be read before the next draw is asked for. Hookless rules are
-    scanned draw by draw over the family. The rules with a ``responses``
-    hook (a composed rule shares its welfare rule's) are searched at the
-    vertices a batch of draws at a time (``_batches``): one hook call scores
-    every profile of the batch, the fired clauses follow from it, and one
-    more call gives the basis responses of every voter whose clause fires
-    under some rule, read as the scan reaches that voter. A ``QscError`` on
-    a draw of the batch is raised once the draws before it are scanned, as
-    a draw-by-draw hunt would raise it.
+    A scan is (voter, [witness or None, one per rule]) for a voter whose
+    clause fires under some rule. Each draw's scans must be read before the
+    next draw is asked for. The rules share one welfare rule (a composed
+    rule shares its welfare rule's, and so its hook). With a ``responses``
+    hook the draws come a batch at a time (``_batches``): one hook call
+    scores every profile of the batch, the fired clauses follow from it,
+    and one more call gives the basis responses of every fired voter, read
+    as the scan reaches that voter, whose vertices are searched. Without a
+    hook each draw is a batch of its own, evaluated only once the draws
+    before it are scanned, and its fired voters search the family, whose
+    size is refused before the draw is evaluated. A ``QscError`` on a draw
+    of a batch is raised once the draws before it are scanned, as a
+    draw-by-draw hunt would raise it.
     """
     adapters: dict[RankingSpace, list[_Targets]] = {}
 
@@ -695,20 +681,12 @@ def _hunt(
         return adapters[space]
 
     hook = rules[0].responses
-    if hook is None:
-        for profile in draws:
-            # Refused whether or not a voter of this draw gets scanned.
-            family.check_size(profile.space)
-            scans = [(a, a.society_values(profile)) for a in targets(profile.space)]
-            yield profile, (
-                (voter, [_scan_voter(a, profile, voter, family, eps, s) for a, s in scans])
-                for voter in range(1, profile.n_voters + 1)
-            )
-        return
-    for batch in _batches(draws):
+    for batch in _batches(draws) if hook is not None else ([draw] for draw in draws):
+        if hook is None:
+            family.check_size(batch[0].space)
         trials, failure = [], None
         try:
-            for profile, weights in zip(batch, hook([(p, None) for p in batch], eps)):
+            for profile, weights in zip(batch, targets(batch[0].space)[0].welfare_weights(batch)):
                 scans = [(a, a.society_of_weights(weights)) for a in targets(profile.space)]
                 fired = {}
                 for voter in range(1, profile.n_voters + 1):
@@ -718,29 +696,23 @@ def _hunt(
                 trials.append((profile, scans, fired))
         except QscError as error:  # raised below, after the draws before it
             failure = error
-        responses = iter(hook([(profile, voter) for profile, _, fired in trials for voter in fired], eps))
+        requests = [(profile, voter) for profile, _, fired in trials for voter in fired]
+        responses = iter(hook(requests, eps)) if hook is not None else repeat(None)
         for profile, scans, fired in trials:
-            yield profile, _vertex_scans(profile, scans, fired, responses, eps)
+            yield profile, (
+                (voter, [
+                    _first_witness(a, profile, voter, f, s, family, rows, eps) if f else None
+                    for (a, s), f in zip(scans, clauses)
+                ])
+                for (voter, clauses), rows in zip(fired.items(), responses)
+            )
         if failure is not None:
             raise failure
 
 
-def _vertex_scans(
-    profile: ProfileState,
-    scans: list[tuple[_Targets, dict]],
-    fired: dict[int, list],
-    responses: Iterator[np.ndarray],
-    eps: float,
-) -> _Scans:
-    """One draw's vertex scans, each from the next of the batch's hook responses."""
-    for voter, clauses in fired.items():
-        rows = next(responses)
-        found = [
-            _first_witness(a, profile, voter, f, _near_vertices(a, rows, f, eps), s, eps) if f else None
-            for (a, s), f in zip(scans, clauses)
-        ]
-        del rows  # the d x d responses go before the next voter's are scored
-        yield voter, found
+def _searched(rule: WelfareRule | ChoiceRule, family: CandidateBallotFamily) -> dict:
+    """A hunt's report of its search: the basis vertices for a rule with a hook, else the family."""
+    return {"family": family.describe(), "search": "family" if rule.responses is None else "vertices"}
 
 
 def manipulation_witness(
@@ -762,7 +734,12 @@ def manipulation_witness(
     in it, not a proof.
     """
     adapter = _Targets(rule, profile.space, eps, targets=[target])
-    return _scan_voter(adapter, profile, voter, family, eps)
+    society = adapter.society_values(profile)
+    fired = _fired(adapter, profile, voter, society, eps)
+    if not fired:
+        return None
+    responses = None if rule.responses is None else next(iter(rule.responses([(profile, voter)], eps)))
+    return _first_witness(adapter, profile, voter, fired, society, family, responses, eps)
 
 
 def reverify_witness(
@@ -789,7 +766,6 @@ def check_qic(
     """Hunt for strategic-manipulation witnesses over sampled profiles."""
     draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
-    search = "family" if rule.responses is None else "vertices"
     witnesses: list[dict] = []
     trials_run = 0
     for _, scans in _hunt([rule], draws, family, eps):
@@ -800,7 +776,7 @@ def check_qic(
                 break
         if witnesses:
             break
-    details = {"trials_run": trials_run, "family": family.describe(), "search": search}
+    details = {"trials_run": trials_run, **_searched(rule, family)}
     return _report("qic", rule.name, trials, seed, started, witnesses, details)
 
 
@@ -1009,7 +985,6 @@ def check_composition_preservation(
     draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
     composed = compose(rule, eps)
-    search = "family" if rule.responses is None else "vertices"
     violations: list[dict] = []
     welfare_hits = 0
     choice_hits = 0
@@ -1026,12 +1001,7 @@ def check_composition_preservation(
                         "profile": serde.serialize_profile(profile),
                     }
                 )
-    details = {
-        "welfare_witnesses": welfare_hits,
-        "choice_witnesses": choice_hits,
-        "family": family.describe(),
-        "search": search,
-    }
+    details = {"welfare_witnesses": welfare_hits, "choice_witnesses": choice_hits, **_searched(rule, family)}
     return _report("composition-preservation", composed.name, trials, seed, started, violations, details)
 
 

@@ -216,6 +216,14 @@ def _stages_payload(profile: ProfileState, params: QcvParams) -> dict:
     }
 
 
+def _rule_and_params(args, alternatives: AlternativeSet) -> tuple[WelfareRule | ChoiceRule, QcvParams]:
+    """The ``--rule`` named, and the Condorcet parameters of ``--delta`` and ``--eps``, checked for the alternatives."""
+    delta = args.delta if args.delta is not None else default_delta(alternatives.m)
+    params = QcvParams(delta=delta, eps=args.eps)
+    params.check_alternatives(alternatives.m)
+    return resolve_rule(args.rule, alternatives, params), params
+
+
 def cmd_evaluate(args) -> int:
     if args.stages and _rule_family(args.rule) not in ("qcv", "qcvne"):
         raise ParseError(f"--stages only applies to Condorcet rules, not {args.rule!r}", "rule")
@@ -225,11 +233,7 @@ def cmd_evaluate(args) -> int:
         with open(args.profile, "r", encoding="utf-8") as handle:
             text = handle.read()
     profile = serde.parse_profile(text, args.eps)
-    alternatives = profile.space.alternatives
-    delta = args.delta if args.delta is not None else default_delta(alternatives.m)
-    params = QcvParams(delta=delta, eps=args.eps)
-    params.check_alternatives(alternatives.m)
-    rule = resolve_rule(args.rule, alternatives, params)
+    rule, params = _rule_and_params(args, profile.space.alternatives)
     stages = _stages_payload(profile, params) if args.stages else None
     if isinstance(rule, ChoiceRule):
         payload: dict[str, Any] = {
@@ -252,10 +256,7 @@ def _run_check(args, axiom: str) -> int:
     if args.trials < 1:
         raise InvalidArgument(f"--trials must be at least 1, got {args.trials}")
     space = RankingSpace(alternatives)
-    delta = args.delta if args.delta is not None else default_delta(alternatives.m)
-    params = QcvParams(delta=delta, eps=args.eps)
-    params.check_alternatives(alternatives.m)
-    rule = resolve_rule(args.rule, alternatives, params)
+    rule, _ = _rule_and_params(args, alternatives)
     family = parse_family(args.family)
 
     if axiom in CHOICE_AXIOMS and isinstance(rule, WelfareRule):

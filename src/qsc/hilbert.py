@@ -260,27 +260,21 @@ def diagonal_state(space: RankingSpace, diag: np.ndarray, eps: float = DEFAULT_E
 
 
 def support_probability(state: DensityOperator, projector: Subspace, eps: float = DEFAULT_EPS) -> float:
-    """Tr(P rho): total basis weight inside the subspace."""
+    """Tr(P rho): total basis weight inside the subspace, clamped as ``support_probabilities`` does."""
     if projector.space != state.space:
         raise InvalidArgument("projector and state live on different spaces")
-    value = float(state.diagonal[projector.indices].sum())
-    if -eps <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + eps:
-        return 1.0
-    return value
+    return float(support_probabilities(state.diagonal, projector.indices[None, :], eps)[0])
 
 
 def support_probabilities(weights: np.ndarray, index: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """``support_probability`` on many subspaces of one size at once, for one state.
+    """Total basis weight of one state inside each of many subspaces of one size.
 
     Row j of ``index`` lists subspace j's basis indices, and value j sums
-    the state's basis ``weights`` (length d) there, with
-    ``support_probability``'s two clamps applied elementwise. Each row sum
-    runs over the same contiguous gathered values as the one-subspace sum,
-    so the values are bit for bit ``support_probability``'s. (Summing a
-    stack of states in one 3-D gather is not: numpy may reorder that
-    reduction.)
+    the state's basis ``weights`` (length d) there. A sum within eps below 0
+    reads 0, and one within eps above 1 reads 1. Each row sum runs over
+    contiguous gathered values, so a subspace's value has the same bits
+    whichever other subspaces share the call. (Summing a stack of states in
+    one 3-D gather does not: numpy may reorder that reduction.)
     """
     values = weights[index].sum(axis=1)
     values[(-eps <= values) & (values < 0.0)] = 0.0

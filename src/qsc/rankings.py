@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -53,16 +53,9 @@ class AlternativeSet:
         except ValueError:
             raise InvalidArgument(f"unknown alternative {label!r}") from None
 
-    def label(self, i: int) -> str:
-        return self.names[i]
-
     def ordered_pairs(self) -> list[tuple[str, str]]:
         """All ordered pairs (x, y) with x != y, in a fixed scan order."""
         return [(x, y) for x in self.names for y in self.names if x != y]
-
-    @classmethod
-    def from_labels(cls, labels: Iterable[str]) -> "AlternativeSet":
-        return cls(tuple(labels))
 
 
 @dataclass(frozen=True)

@@ -782,6 +782,15 @@ class TestCompositionPreservation:
         )
         assert report.verdict == VERDICT_HOLDS and report.details["search"] == "vertices"
 
+    def test_a_hookless_rule_is_evaluated_once_per_draw(self, space3):
+        # The welfare rule and its composition read society from one evaluation.
+        calls = []
+        rule = counted_evaluations(without_hook(dictator_rule(1)), calls)
+        sampler = default_profile_sampler(space3, 1)
+        report = check_composition_preservation(rule, sampler, FAMILY, trials=10, seed=0)
+        assert report.details["search"] == "family"
+        assert len(calls) == 10
+
     def test_eps_reaches_the_extension(self, alts3, space3):
         # Society's weights on a>b>c and c>b>a are off by 5e-7: inside eps = 1e-6,
         # outside the default eps.
@@ -947,6 +956,18 @@ def counted_evaluations(rule, calls):
     return dataclasses.replace(rule, fn=counted)
 
 
+def search_voter(adapter, profile, voter, family, society=None):
+    """One voter's search as the hunt runs it: its fired clauses, its hook responses, ``_first_witness``."""
+    if society is None:
+        society = adapter.society_values(profile)
+    fired = axioms._fired(adapter, profile, voter, society, 1e-9)
+    if not fired:
+        return None
+    hook = adapter.rule.responses
+    responses = None if hook is None else next(iter(hook([(profile, voter)], 1e-9)))
+    return axioms._first_witness(adapter, profile, voter, fired, society, family, responses, 1e-9)
+
+
 class TestBatchedSearch:
     """The vertex search of rules with a ``responses`` hook against the family scan."""
 
@@ -987,9 +1008,7 @@ class TestBatchedSearch:
                 rule = HOOKED_RULES[name]
                 adapters = [axioms._Targets(r, space3, 1e-9) for r in (rule, without_hook(rule))]
                 for voter in (1, 2, 3):
-                    vertex, scanned = (
-                        axioms._scan_voter(adapter, profile, voter, family, 1e-9) for adapter in adapters
-                    )
+                    vertex, scanned = (search_voter(adapter, profile, voter, family) for adapter in adapters)
                     if scanned is not None:
                         found += 1
                         assert vertex is not None, (name, voter)
@@ -1059,7 +1078,7 @@ class TestBatchedSearch:
                 society = adapter.society_values(profile)
                 for voter in (1, 2, 3):
                     calls.clear()
-                    axioms._scan_voter(adapter, profile, voter, FAMILY, 1e-9, society)
+                    search_voter(adapter, profile, voter, FAMILY, society)
                     assert len(calls) <= 1
                     hooked += len(calls)
         assert hooked > 0  # reverse-mix has witnesses here, each from one exact evaluation
@@ -1140,9 +1159,10 @@ class TestBatchedSearch:
 
         monkeypatch.setattr(ProfileState, "substitute_ballot", counted_substitute)
         monkeypatch.setattr(choice, "natural_extension", counted_extension)
+        monkeypatch.setattr(axioms, "natural_extension", counted_extension)
         # Voter 1 is certain that a wins and society is not: the clause fires.
         assert society["a"] < 1.0 - 1e-9
-        assert axioms._scan_voter(adapter, profile, 1, FAMILY, 1e-9, society) is None
+        assert search_voter(adapter, profile, 1, FAMILY, society) is None
         assert counts == {"substitute_ballot": 1, "natural_extension": 0}
 
     def test_support_cap_through_the_hook(self, space3, monkeypatch):
@@ -1169,25 +1189,41 @@ def streaming(monkeypatch):
     monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
 
 
-def failing_at(rule, draw):
-    """The rule, its hook refusing the truthful profile of the given draw (counted from 1)."""
+def failing_at(rule, draw, sampler):
+    """The rule and the sampler, the rule refusing the sampler's profile of the given draw (counted from 1).
+
+    A rule with a hook refuses it in the hook, and any other rule in ``evaluate``.
+    """
+    drawn = []
+
+    def recording(rng):
+        drawn.append(sampler(rng))
+        return drawn[-1]
+
+    def refuse(profile):
+        if len(drawn) >= draw and profile is drawn[draw - 1]:
+            raise InvalidArgument("the rule refused")
+
+    if rule.responses is None:
+        def evaluate(profile):
+            refuse(profile)
+            return rule.evaluate(profile)
+
+        return dataclasses.replace(rule, fn=evaluate), recording
     inner = rule.responses
-    seen = []
 
     def hook(requests, eps):
         requests = list(requests)
         for (profile, voter), result in zip(requests, inner(requests, eps)):
             if voter is None:
-                seen.append(profile)
-                if len(seen) == draw:
-                    raise InvalidArgument("the hook refused")
+                refuse(profile)
             yield result
 
-    return dataclasses.replace(rule, responses=hook)
+    return dataclasses.replace(rule, responses=hook), recording
 
 
 class TestDrawBatches:
-    """Hooked rules are checked a batch of draws at a time, with the reports of a draw-by-draw check."""
+    """Hunts take a batch of draws at a time (one for a rule without a hook), with the reports of a draw-by-draw check."""
 
     def test_batch_size_follows_the_kernel_budget(self, space3, monkeypatch):
         sizes = {}
@@ -1241,23 +1277,22 @@ class TestDrawBatches:
     @pytest.mark.parametrize("draw", [1, 2, 3, 5, 10])
     def test_an_error_is_raised_where_a_draw_by_draw_check_raises_it(self, space3, monkeypatch, draw):
         # On this seed the witness comes from draw 2: an error on a later draw
-        # of the batch is never raised, an error on draw 2 or before is.
+        # of the batch is never raised, an error on draw 2 or before is. A rule
+        # without a hook is hunted in one-draw batches, with the same reports.
         sampler = default_profile_sampler(space3, 3)
-        rule = reverse_mix_rule(hooked=True)
-        want = check_qic(rule, sampler, FAMILY, 10, 11)
-        assert want.details["trials_run"] == 2
-
-        def run():
-            return check_qic(failing_at(rule, draw), sampler, FAMILY, 10, 11)
-
+        rules = [reverse_mix_rule(hooked=True), reverse_mix_rule(hooked=False)]
+        wants = [check_qic(rule, sampler, FAMILY, 10, 11) for rule in rules]
+        assert [want.details["trials_run"] for want in wants] == [2, 2]
         for split in (False, True):
             if split:
                 streaming(monkeypatch)
-            if draw <= 2:
-                with pytest.raises(InvalidArgument, match="the hook refused"):
-                    run()
-            else:
-                assert run().to_json() == want.to_json()
+            for rule, want in zip(rules, wants):
+                failing, recording = failing_at(rule, draw, sampler)
+                if draw <= 2:
+                    with pytest.raises(InvalidArgument, match="the rule refused"):
+                        check_qic(failing, recording, FAMILY, 10, 11)
+                else:
+                    assert check_qic(failing, recording, FAMILY, 10, 11).to_json() == want.to_json()
 
     def test_gs_suite_at_m4_scores_each_stage_in_one_kernel_call(self, alts4, monkeypatch):
         # The hunt's truthful profiles, the scanned voters' basis responses,
