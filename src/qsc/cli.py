@@ -44,6 +44,10 @@ from .hilbert import ProfileState, RankingSpace
 from .rankings import AlternativeSet, Ranking
 from .welfare import QcvParams, WelfareRule, default_delta, dictator_rule, qcv_basis, qcv_rule, veto_rule
 
+# Cap on --voters, checked before a sampler is built: 5,000 ballots at m=6 hold
+# 3,600,000 basis weights, inside the 4,000,000 ``axioms.FAMILY_WEIGHT_CAP`` allows a family.
+MAX_VOTERS = 5_000
+
 CHECK_AXIOMS = ("qic", "dictatorship", "onto", "unanimity", "iia", "arrow-suite", "gs-suite")
 CHOICE_AXIOMS = {"onto", "gs-suite"}
 
@@ -255,6 +259,8 @@ def _run_check(args, axiom: str) -> int:
     alternatives = _default_labels(args.alternatives)
     if args.trials < 1:
         raise InvalidArgument(f"--trials must be at least 1, got {args.trials}")
+    if args.voters > MAX_VOTERS:
+        raise InvalidArgument(f"--voters must be at most {MAX_VOTERS}, got {args.voters}")
     space = RankingSpace(alternatives)
     rule, _ = _rule_and_params(args, alternatives)
     family = parse_family(args.family)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 from typing import Mapping, Sequence
 
@@ -125,6 +125,8 @@ class BasisTable:
     orders: np.ndarray  # d x m: orders[k, p] is the alternative at place p
     positions: np.ndarray  # d x m: positions[k, x] is the place of alternative x
     above: np.ndarray  # d x m x m bool: ranking k places x above y
+    upper: tuple[np.ndarray, np.ndarray]  # (x, y) index arrays of the pairs x < y, in ``np.triu_indices`` order
+    pairs: np.ndarray  # d x C(m,2) bool: ``above`` at the pairs ``upper``
 
 
 @lru_cache(maxsize=64)
@@ -141,7 +143,9 @@ def basis_table(alternatives: AlternativeSet) -> BasisTable:
     positions = np.empty_like(orders)
     np.put_along_axis(positions, orders, np.arange(m), axis=1)
     above = positions[:, :, None] < positions[:, None, :]
-    for array in (orders, positions, above):
+    upper = tuple(np.array(side, dtype=np.intp) for side in zip(*combinations(range(m), 2)))
+    pairs = above[:, upper[0], upper[1]]
+    for array in (orders, positions, above, pairs, *upper):
         array.setflags(write=False)
     return BasisTable(
         rankings=tuple(Ranking(alternatives, p) for p in perms),
@@ -150,6 +154,8 @@ def basis_table(alternatives: AlternativeSet) -> BasisTable:
         orders=orders,
         positions=positions,
         above=above,
+        upper=upper,
+        pairs=pairs,
     )
 
 

@@ -11,8 +11,6 @@ engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from math import factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -93,18 +91,26 @@ class WelfareRule:
         return self.fn(profile)
 
 
-# float64 weights (rows x m!) the row memo keeps across every (alternatives,
-# params) pair: 32 MB, 174,762 rows at m=4 and 5,825 at m=6.
-_MEMO_WEIGHTS = 1 << 22
 _KERNEL_CELLS = 1 << 18  # rows x m! per kernel call; bounds its temporaries
 
-# (alternatives, params) -> sorted basis-index tuple -> sigma3 weights
-_ROW_MEMO: dict[tuple[AlternativeSet, QcvParams], dict[tuple[int, ...], np.ndarray]] = {}
+
+def _signatures(alternatives: AlternativeSet, idx: np.ndarray) -> np.ndarray:
+    """The majority signature of each row of basis indices (k x n -> k x C(m,2) intp).
+
+    For each pair x < y, in ``np.triu_indices`` order, with t of the n voters
+    placing x above y, the class is 0 at t = 0, 1 below n/2, 2 at n/2, 3
+    above n/2 and 4 at t = n. The kernel reads a row only through these.
+    Classes are intp, as tallies are: int8 arithmetic runs numpy loops no
+    other code runs, which cost about 0.1 MB of peak RSS in a short process.
+    """
+    n = idx.shape[1]
+    by_tally = np.array([0, *(1 + (2 * t >= n) + (2 * t > n) for t in range(1, n)), 4], dtype=np.intp)
+    return by_tally[basis_table(alternatives).pairs[idx].sum(axis=1)]
 
 
 @dataclass(frozen=True, eq=False)
 class _Stages:
-    """The kernel's stages for k rows of basis indices, each array with one row per row of indices."""
+    """The kernel's stages for k majority signatures, each array with one row per signature."""
 
     wins: np.ndarray  # k x m: Condorcet scores, the y that at least half the voters place x above
     extension: np.ndarray  # k x d bool: the linear extensions of the weak order of wins
@@ -114,28 +120,35 @@ class _Stages:
     sigma: np.ndarray  # k x d: sigma2, which ``_qcv_rows`` projects to sigma3 in place
 
 
-def _qcv_stages(alternatives: AlternativeSet, idx: np.ndarray, params: QcvParams) -> _Stages:
-    """The six-step rule up to sigma2 for each row of basis indices (k x n).
+def _qcv_stages(alternatives: AlternativeSet, signatures: np.ndarray, params: QcvParams) -> _Stages:
+    """The six-step rule up to sigma2 for each majority signature (k x C(m,2), see ``_signatures``).
 
-    Every indicator over ordered pairs (x, y) is an m x m mask, and a
-    ranking's agreement with a mask is one product with the ``above`` table.
+    A pair's class read the other way round is 4 minus its class. At least
+    half the voters place x above y from class 2 on, every voter at class 4,
+    and some voter from class 1 on. Every indicator over ordered pairs
+    (x, y) is an m x m mask, and a ranking's agreement with a mask is one
+    product with the ``above`` table.
     Sigma1 is uniform over the extensions; the spread adds delta / (d/2) once
     per covered pair, so its weights come from a table of running sums.
     """
     params.check_alternatives(alternatives.m)
-    above = basis_table(alternatives).above
+    basis = basis_table(alternatives)
+    above = basis.above
     d, m, _ = above.shape
-    k, n = idx.shape
+    k = len(signatures)
     table = above.reshape(d, m * m).T.astype(np.float32)  # (x, y) x ranking
-    tally = above[idx].sum(axis=1)  # voters placing x above y
-    wins = (2 * tally >= n).sum(axis=2)
+    classes = np.zeros((k, m, m), dtype=np.intp)  # the class of the voters placing x above y
+    x, y = basis.upper
+    classes[:, x, y] = signatures
+    classes[:, y, x] = 4 - signatures
+    wins = (classes >= 2).sum(axis=2)
     strict = wins[:, :, None] > wins[:, None, :]
-    unanimous = tally == n
+    unanimous = classes == 4
     # A ranking breaks the order of (x, y) when it places y above x: flip the masks.
     broken = np.concatenate([strict, unanimous]).transpose(0, 2, 1).reshape(2 * k, m * m)
     extension, keep = (broken.astype(np.float32) @ table == 0.0).reshape(2, k, d)
 
-    present = tally > 0
+    present = classes >= 1
     n_any = present.sum(axis=(1, 2))
     if np.any(n_any * params.delta >= 1.0):
         raise InvalidArgument(
@@ -169,9 +182,9 @@ def _projected(stages: _Stages, eps: float) -> np.ndarray:
     return sigma
 
 
-def _qcv_rows(alternatives: AlternativeSet, idx: np.ndarray, params: QcvParams) -> np.ndarray:
-    """The six-step rule's sigma3 weights for each row of basis indices (k x n -> k x d)."""
-    return _projected(_qcv_stages(alternatives, idx, params), params.eps)
+def _qcv_rows(alternatives: AlternativeSet, signatures: np.ndarray, params: QcvParams) -> np.ndarray:
+    """The six-step rule's sigma3 weights for each majority signature (k x C(m,2) -> k x d)."""
+    return _projected(_qcv_stages(alternatives, signatures, params), params.eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +209,7 @@ def qcv_basis(alternatives: AlternativeSet, indices: Sequence[int], params: QcvP
     sides), tiers group the alternatives by descending score, the extensions
     and both pair sets are its masks, sigma1 is uniform over the extensions,
     sigma2 is the row before the projection, and sigma3 is bit for bit the
-    row ``_qcv_rows`` gives.
+    row ``_qcv_rows`` gives for the tuple's signature.
     """
     table = basis_table(alternatives)
     idx = np.array([indices], dtype=np.intp)
@@ -205,7 +218,7 @@ def qcv_basis(alternatives: AlternativeSet, indices: Sequence[int], params: QcvP
         raise InvalidArgument("a profile needs at least one voter")
     if idx.min() < 0 or idx.max() >= d:
         raise InvalidArgument(f"ranking indices must lie in 0..{d - 1}, got {list(indices)}")
-    stages = _qcv_stages(alternatives, idx, params)
+    stages = _qcv_stages(alternatives, _signatures(alternatives, idx), params)
     sigma2 = stages.sigma[0].copy()
     sigma3 = _projected(stages, params.eps)[0]
     names = alternatives.names
@@ -230,23 +243,6 @@ def qcv_basis(alternatives: AlternativeSet, indices: Sequence[int], params: QcvP
         sigma2=DensityOperator(space, sigma2),
         sigma3=DensityOperator(space, sigma3),
     )
-
-
-def _remember(memo: dict[tuple[int, ...], np.ndarray], rows: dict[tuple[int, ...], np.ndarray]) -> None:
-    """Add rows to a memo, then drop the oldest rows beyond ``_MEMO_WEIGHTS`` weights overall."""
-    memo.update(rows)
-    excess = sum(len(table) * factorial(owner[0].m) for owner, table in _ROW_MEMO.items())
-    excess -= _MEMO_WEIGHTS
-    for owner, table in list(_ROW_MEMO.items()):
-        if excess <= 0:
-            break
-        d = factorial(owner[0].m)
-        drop = list(islice(table, -(-excess // d)))  # the whole rows covering the excess
-        for key in drop:
-            del table[key]
-        excess -= len(drop) * d
-        if not table and table is not memo:
-            del _ROW_MEMO[owner]
 
 
 @dataclass(eq=False)
@@ -309,7 +305,7 @@ def _scored(
     been yielded, as if the requests were answered one at a time.
     """
     # A group fills an eighth of a kernel call, so the kernel's temporaries
-    # (about 30 bytes a cell) and the group's row keys stay near 1 MB.
+    # (about 30 bytes a cell) and the group's signatures stay near 1 MB.
     budget = _KERNEL_CELLS // 8
     group: list[tuple[_Request, int, int]] = []
     cells, shape = 0, None  # the group's row cells, and the (space, n) its rows are scored on
@@ -337,46 +333,43 @@ def _mixed(params: QcvParams, group: list[tuple[_Request, int, int]]) -> Iterato
 
     Row b of a request is the sum, over terms t in order, of ``weights[t]``
     times the six-step rule's sigma3 row for the tuple ``block[t, b]``. The
-    rule reads a tuple only through its multiset of rankings, so rows are
-    memoized under the sorted indices: the memo is read once for the whole
-    group, and the missing rows are scored by ``_qcv_rows`` in calls of at
-    most ``_KERNEL_CELLS`` row cells and remembered read-only. A group whose
-    kernel pass raises a ``QscError`` is scored again one piece at a time,
-    so the error surfaces at the request that caused it.
+    rule reads a tuple only through its majority signature, so the group's
+    tuples are keyed by their signatures read as base-5 numbers, and only
+    the distinct signatures are scored, by ``_qcv_rows`` in calls of at most
+    ``_KERNEL_CELLS`` row cells. A group whose kernel pass raises a
+    ``QscError`` is scored again one piece at a time, so the error surfaces
+    at the request that caused it.
     """
     if not group:
         return
     space, n = group[0][0].space, group[0][0].tuples.shape[1]
     alternatives, d = space.alternatives, space.dim
-    keyed = [
-        list(map(tuple, np.sort(request.block(start, stop), axis=2).reshape(-1, n).tolist()))
-        for request, start, stop in group
-    ]
-    memo = _ROW_MEMO.setdefault((alternatives, params), {})
-    rows = {key: memo[key] for keys in keyed for key in keys if key in memo}
-    missing = [key for key in dict.fromkeys(key for keys in keyed for key in keys) if key not in rows]
+    blocks = [request.block(start, stop).reshape(-1, n) for request, start, stop in group]
+    signatures = _signatures(alternatives, np.concatenate(blocks))
+    keys = signatures @ 5 ** np.arange(signatures.shape[1], dtype=np.int64)  # 5^15 < 2^63
+    _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = signatures[at]
+    table = np.empty((len(distinct), d), dtype=np.float64)
     chunk = max(1, _KERNEL_CELLS // d)
     try:
-        for start in range(0, len(missing), chunk):
-            block = missing[start : start + chunk]
-            scored = _qcv_rows(alternatives, np.array(block, dtype=np.intp), params)
-            scored.setflags(write=False)
-            rows.update(zip(block, scored))
+        for start in range(0, len(distinct), chunk):
+            table[start : start + chunk] = _qcv_rows(alternatives, distinct[start : start + chunk], params)
     except QscError:
         if len(group) == 1:
             raise
         for piece in group:
             yield from _mixed(params, [piece])
         return
-    if missing:
-        _remember(memo, {key: rows[key] for key in missing})
-    for (request, start, stop), keys in zip(group, keyed):
+    offset = 0
+    for request, start, stop in group:
         terms, count = len(request.weights), stop - start
+        rows = inverse[offset : offset + terms * count]  # term-major, as ``block`` lays them out
+        offset += terms * count
         acc = np.zeros((count, d), dtype=np.float64)
         step = max(1, chunk // count)  # terms gathered at once
         for first in range(0, terms, step):
-            part = np.array([rows[key] for key in keys[first * count : (first + step) * count]])
-            part = part.reshape(-1, count, d) * np.array(request.weights[first : first + step])[:, None, None]
+            part = table[rows[first * count : (first + step) * count]].reshape(-1, count, d)
+            part *= np.array(request.weights[first : first + step])[:, None, None]
             part[0] += acc
             # Along the outer axis numpy adds one term at a time, in order, as
             # ``acc += weight * row`` would: the bits do not depend on ``step``.

@@ -1300,11 +1300,10 @@ class TestDrawBatches:
         calls = []
         kernel = welfare._qcv_rows
 
-        def counted(alternatives, idx, params):
-            calls.append(len(idx))
-            return kernel(alternatives, idx, params)
+        def counted(alternatives, signatures, params):
+            calls.append(len(signatures))
+            return kernel(alternatives, signatures, params)
 
-        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
         monkeypatch.setattr(welfare, "_qcv_rows", counted)
         config = SuiteConfig(alts4, trials=10, seed=117406795)
         report = run_gs_suite(qcvne_rule(QcvParams.for_alternatives(4)), config)

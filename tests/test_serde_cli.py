@@ -489,7 +489,7 @@ def test_import_builds_nothing():
         "import qsc.cli, qsc.rankings, qsc.hilbert, qsc.axioms, qsc.welfare\n"
         "caches = [qsc.cli._parser, qsc.rankings.basis_table, qsc.hilbert.pair_projector,\n"
         "          qsc.hilbert.winner_projector, qsc.axioms._family_arrays]\n"
-        "print([f.cache_info().currsize for f in caches], len(qsc.welfare._ROW_MEMO))\n"
+        "print([f.cache_info().currsize for f in caches])\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(qsc.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
@@ -497,12 +497,10 @@ def test_import_builds_nothing():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "0"]
+    assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]"]
 
 
 def test_two_m6_hunts_stay_under_150_mb():
-    # The row memo's weight bound keeps two m=6 hunts in one interpreter far below the
-    # 370 MB a 65,536-row bound let them reach.
     probe = (
         "import contextlib, io, resource\n"
         "from qsc.cli import main\n"
@@ -535,12 +533,16 @@ class TestCliInputErrors:
             "eps-large", "family-empty", "family-seed-only", "family-over-cap", "family-grid-fine",
             "family-weights-over-cap", "trials-zero-dictatorship", "trials-zero-unanimity",
             "trials-zero-iia", "trials-zero-onto", "usage-bad-int", "usage-bad-choice",
+            "voters-over-cap",
         ],
     )
     def test_exits_2_with_one_json_line(self, case, tmp_path, capsys, monkeypatch):
         # Every case is refused before a family is built; a cap that regressed
         # fails here instead of building the m=5 family or a 1e-9 grid.
         monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
+        if case == "voters-over-cap":
+            # Refused before the sampler, or the onto check, sizes 10^8 voters.
+            monkeypatch.setattr(cli, "default_profile_sampler", refuse_to_build)
         check = ["check", "--axiom", "qic", "--rule", "qcv", "--trials", "2"]
         # qcv is searched at the basis ballots and never reads --family, so the
         # caps are exercised on veto, which scans the family.
@@ -570,6 +572,7 @@ class TestCliInputErrors:
             "trials-zero-onto": ["check", "--axiom", "onto", "--trials", "0"],
             "usage-bad-int": [*check, "--trials", "abc"],
             "usage-bad-choice": ["check", "--axiom", "warp"],
+            "voters-over-cap": ["check", "--axiom", "onto", "--voters", "100000000"],
         }[case]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -592,7 +595,6 @@ class TestCliInputErrors:
             requests = list(requests)
             if any(voter is not None for _, voter in requests):
                 hooked.append(requests)
-                monkeypatch.setattr(welfare, "_ROW_MEMO", {})
                 monkeypatch.setattr(welfare, "_qcv_rows", failing_kernel)
             return scored(params, requests, eps)
 

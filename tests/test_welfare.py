@@ -34,7 +34,7 @@ from qsc import hilbert, welfare
 from qsc.errors import ZeroMassProjection
 from qsc.rankings import all_rankings, ranking_index
 from qsc.serde import serialize_density
-from qsc.welfare import _qcv_rows
+from qsc.welfare import _qcv_rows, _signatures
 
 from oracles import oracle_sigma3
 from stepwise import (
@@ -58,13 +58,18 @@ def stages_of(rankings, params):
     return qcv_basis(rankings[0].alternatives, [ranking_index(r) for r in rankings], params)
 
 
+def kernel_rows(alternatives, idx, params):
+    """The kernel's sigma3 rows for rows of basis indices, read through their signatures."""
+    return _qcv_rows(alternatives, _signatures(alternatives, idx), params)
+
+
 def count_kernel_rows(monkeypatch):
-    """Record (eps, rows) for every kernel call that ``qcv`` makes."""
+    """Record the rows of every kernel call that ``qcv`` makes."""
     scored = []
 
-    def counted(alternatives, idx, params):
-        scored.append((params.eps, len(idx)))
-        return _qcv_rows(alternatives, idx, params)
+    def counted(alternatives, signatures, params):
+        scored.append(len(signatures))
+        return _qcv_rows(alternatives, signatures, params)
 
     monkeypatch.setattr(welfare, "_qcv_rows", counted)
     return scored
@@ -242,10 +247,27 @@ def basis_rule(alts, indices, params):
 
 
 class TestQcvKernel:
+    @pytest.mark.parametrize("m, max_n", [(3, 8), (4, 3)])
+    def test_signatures_follow_the_class_definition(self, m, max_n):
+        # Classes read from explicit tallies: 0 at t = 0, 1 below n/2, 2 at n/2, 3 above n/2, 4 at n.
+        alts = AlternativeSet(tuple("abcd"[:m]))
+        rankings = all_rankings(alts)
+        pairs = [(x, y) for x in range(m) for y in range(x + 1, m)]
+        for n in range(1, max_n + 1):
+            idx = np.array(list(combinations_with_replacement(range(len(rankings)), n)), dtype=np.intp)
+            got = _signatures(alts, idx)
+            assert got.dtype == np.intp and got.shape == (len(idx), len(pairs))
+            for indices, signature in zip(idx.tolist(), got.tolist()):
+                want = []
+                for x, y in pairs:
+                    t = sum(rankings[k].order.index(x) < rankings[k].order.index(y) for k in indices)
+                    want.append(0 if t == 0 else 4 if t == n else 1 + (2 * t >= n) + (2 * t > n))
+                assert signature == want, (indices, signature, want)
+
     def test_all_three_voter_profiles_match_oracle(self, alts3):
         rankings = all_rankings(alts3)
         idx = np.array(list(product(range(6), repeat=3)), dtype=np.intp)
-        rows = _qcv_rows(alts3, idx, QcvParams(0.05))
+        rows = kernel_rows(alts3, idx, QcvParams(0.05))
         assert rows.shape == (216, 6)
         for indices, row in zip(idx, rows):
             expected = oracle_sigma3(
@@ -262,7 +284,7 @@ class TestQcvKernel:
         rng = random.Random(m)
         for n in (1, 2, 3, 4):
             idx = random_tuples(rng, len(rankings), n, count)
-            rows = _qcv_rows(alts, idx, QcvParams(float(delta)))
+            rows = kernel_rows(alts, idx, QcvParams(float(delta)))
             for indices, row in zip(idx, rows):
                 expected = oracle_sigma3(alts.names, [rankings[k].labels for k in indices], delta)
                 exact = [float(expected[r.labels]) for r in rankings]
@@ -276,7 +298,7 @@ class TestQcvKernel:
         rng = random.Random(100 + m)
         for n in range(1, 8):
             idx = random_tuples(rng, d, n, 8)
-            rows = _qcv_rows(alts, idx, params)
+            rows = kernel_rows(alts, idx, params)
             for indices, row in zip(idx, rows):
                 assert np.abs(row - basis_rule(alts, indices, params)).max() <= 1e-15
 
@@ -291,7 +313,7 @@ class TestQcvKernel:
         # A ranking and its reverse share no pair, so no pair is unanimous.
         idx = random_tuples(rng, len(rankings), 3, 20)
         idx[:, 1] = [ranking_index(rankings[k].reversed()) for k in idx[:, 0]]
-        rows = _qcv_rows(alts, idx, params)
+        rows = kernel_rows(alts, idx, params)
         for indices, row in zip(idx, rows):
             assert np.array_equal(row, basis_rule(alts, indices, params))
 
@@ -302,21 +324,21 @@ class TestQcvKernel:
         rng = random.Random(200 + m)
         idx = random_tuples(rng, len(all_rankings(alts)), 5, 20)
         shuffled = np.array([rng.sample(list(row), len(row)) for row in idx], dtype=np.intp)
-        base = _qcv_rows(alts, idx, params)
-        assert np.array_equal(base, _qcv_rows(alts, shuffled, params))
-        assert np.array_equal(base, _qcv_rows(alts, np.sort(idx, axis=1), params))
+        base = kernel_rows(alts, idx, params)
+        assert np.array_equal(base, kernel_rows(alts, shuffled, params))
+        assert np.array_equal(base, kernel_rows(alts, np.sort(idx, axis=1), params))
 
     def test_rows_do_not_depend_on_the_batch(self, alts4):
         params = QcvParams.for_alternatives(4)
         idx = random_tuples(random.Random(3), 24, 3, 10)
-        batch = _qcv_rows(alts4, idx, params)
+        batch = kernel_rows(alts4, idx, params)
         for indices, row in zip(idx, batch):
-            assert np.array_equal(row, _qcv_rows(alts4, indices[None, :], params)[0])
+            assert np.array_equal(row, kernel_rows(alts4, indices[None, :], params)[0])
 
     def test_delta_bound_raises_like_the_step_rule(self, alts3, cycle_profile):
         idx = np.array([[0, 3, 4]], dtype=np.intp)
         with pytest.raises(InvalidArgument):
-            _qcv_rows(alts3, idx, QcvParams(1 / 9))
+            kernel_rows(alts3, idx, QcvParams(1 / 9))
         with pytest.raises(InvalidArgument):
             stepwise_qcv(ClassicalProfile(cycle_profile), QcvParams(1 / 9))
 
@@ -327,10 +349,10 @@ class TestQcvKernel:
         with pytest.raises(InvalidArgument, match="leave no weight"):
             basis_rule(alts3, cycle, params)
         with pytest.raises(InvalidArgument, match="leave no weight"):
-            _qcv_rows(alts3, np.array([cycle], dtype=np.intp), params)
+            kernel_rows(alts3, np.array([cycle], dtype=np.intp), params)
         assert np.array_equal(
-            _qcv_rows(alts3, np.array([[0, 0, 1]], dtype=np.intp), params)[0],
-            _qcv_rows(alts3, np.array([[0, 1, 0]], dtype=np.intp), params)[0],
+            kernel_rows(alts3, np.array([[0, 0, 1]], dtype=np.intp), params)[0],
+            kernel_rows(alts3, np.array([[0, 1, 0]], dtype=np.intp), params)[0],
         )
 
     def test_zero_mass_follows_the_step_rule(self, alts3):
@@ -350,7 +372,7 @@ class TestQcvKernel:
                     except (InvalidArgument, ZeroMassProjection) as exc:
                         raised += isinstance(exc, ZeroMassProjection)
                         with pytest.raises(type(exc)):
-                            _qcv_rows(alts3, np.array([indices], dtype=np.intp), params)
+                            kernel_rows(alts3, np.array([indices], dtype=np.intp), params)
         assert raised > 0
 
 
@@ -365,7 +387,7 @@ class TestStageReadout:
         checked = 0
         for n in range(1, max_n + 1):
             idx = np.array(list(combinations_with_replacement(range(len(rankings)), n)), dtype=np.intp)
-            for indices, row in zip(idx.tolist(), _qcv_rows(alts, idx, params)):
+            for indices, row in zip(idx.tolist(), kernel_rows(alts, idx, params)):
                 got = qcv_basis(alts, indices, params)
                 want = stepwise_qcv(ClassicalProfile(tuple(rankings[k] for k in indices)), params)
                 assert got.scores == want.scores
@@ -441,41 +463,6 @@ class TestQcvGeneralProfiles:
             for pair in encoded_pairs_all(profile):
                 assert support_probability(society, pair_projector(space3, *pair)) >= 1 - 1e-9
 
-    def test_basis_cache_keys_on_eps(self, alts3, cycle_profile, monkeypatch):
-        # Rows are memoized per (alternatives, params): a second eps scores its
-        # tuple afresh, and a repeat of the first eps is served from the memo.
-        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
-        scored = count_kernel_rows(monkeypatch)
-        profile = ProfileState.basis(cycle_profile)
-        qcv(profile, QcvParams(0.05, eps=1e-9))
-        qcv(profile, QcvParams(0.05, eps=1e-3))
-        qcv(profile, QcvParams(0.05, eps=1e-9))
-        assert scored == [(1e-9, 1), (1e-3, 1)]
-        assert sorted(params.eps for _, params in welfare._ROW_MEMO) == [1e-9, 1e-3]
-
-    def test_memo_keys_on_the_multiset(self, alts3, cycle_profile, monkeypatch):
-        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
-        scored = count_kernel_rows(monkeypatch)
-        params = QcvParams(0.05)
-        first = qcv(ProfileState.basis(cycle_profile), params)
-        again = qcv(ProfileState.basis(cycle_profile[::-1]), params)
-        assert scored == [(params.eps, 1)]
-        assert np.array_equal(first.diagonal, again.diagonal)
-
-    def test_memo_is_bounded(self, space3, monkeypatch):
-        # The bound counts weights: 32 of them hold five m=3 rows (30 weights), the newest.
-        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
-        monkeypatch.setattr(welfare, "_MEMO_WEIGHTS", 32)
-        uniform = mixed_state(space3, [(1.0, r) for r in space3.rankings()])
-        profile = ProfileState.product_of([uniform] * 2)
-        got = qcv(profile, QcvParams(0.05))
-        (memo,) = welfare._ROW_MEMO.values()
-        assert list(memo) == sorted({tuple(sorted(key)) for key in product(range(6), repeat=2)})[-5:]
-        assert sum(row.size for row in memo.values()) == 30
-        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
-        monkeypatch.setattr(welfare, "_MEMO_WEIGHTS", 1 << 22)
-        assert np.array_equal(got.diagonal, qcv(profile, QcvParams(0.05)).diagonal)
-
     def test_support_cap_surfaces_as_resource_limit(self, alts3, space3, monkeypatch):
         from qsc import ResourceLimit
 
@@ -542,15 +529,10 @@ def small_support_profile(space, n, rng, correlated, light=False):
 
 
 def assert_rows_match_the_per_basis_loop(profile, params, monkeypatch):
-    """Every row of ``qcv_responses`` against ``qcv`` on the substituted profile, bit for bit.
-
-    The row memo is emptied before each side, so both score their own rows.
-    """
+    """Every row of ``qcv_responses`` against ``qcv`` on the substituted profile, bit for bit."""
     space = profile.space
     for voter in range(1, profile.n_voters + 1):
-        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
         got = qcv_responses(profile, voter, params)
-        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
         assert got.shape == (space.dim, space.dim)
         for k, ranking in enumerate(space.rankings()):
             want = qcv(profile.substitute_ballot(voter, basis_state(space, ranking)), params)
@@ -584,35 +566,11 @@ class TestQcvResponses:
         profiles = [small_support_profile(space4, 3, rng, c, light=True) for c in (False, True)]
         unsplit = [qcv_responses(profile, 2, params) for profile in profiles]
         monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
-        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
         scored = count_kernel_rows(monkeypatch)
         for profile, want in zip(profiles, unsplit):
             assert np.array_equal(qcv_responses(profile, 2, params), want)
             assert_rows_match_the_per_basis_loop(profile, params, monkeypatch)
-        assert {rows for _, rows in scored} == {1}
-
-    def test_rows_evicted_inside_one_call(self, space4, monkeypatch):
-        # A one-row bound and one ranking per block: each block's rows push out the last ones.
-        monkeypatch.setattr(welfare, "_MEMO_WEIGHTS", space4.dim)
-        monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
-        remembered = []
-        remember = welfare._remember
-
-        def counted(memo, rows):
-            remember(memo, rows)
-            remembered.append((len(rows), sum(map(len, welfare._ROW_MEMO.values()))))
-
-        monkeypatch.setattr(welfare, "_remember", counted)
-        rng = random.Random(5)
-        params = QcvParams.for_alternatives(4)
-        for correlated in (False, True):
-            profile = small_support_profile(space4, 3, rng, correlated)
-            monkeypatch.setattr(welfare, "_ROW_MEMO", {})
-            remembered.clear()
-            qcv_responses(profile, 2, params)
-            assert len(remembered) > 1 and {held for _, held in remembered} == {1}
-            assert sum(added for added, _ in remembered) > 1
-            assert_rows_match_the_per_basis_loop(profile, params, monkeypatch)
+        assert set(scored) == {1}
 
     def test_rule_carries_the_hook(self, space3, cycle_profile):
         params = QcvParams(0.05)
@@ -628,7 +586,6 @@ class TestQcvResponses:
         def failing(*args):
             raise error("the kernel refused")
 
-        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
         monkeypatch.setattr(welfare, "_qcv_rows", failing)
         with pytest.raises(error, match="^the kernel refused$"):
             qcv_responses(ProfileState.basis(cycle_profile), 1, QcvParams(0.05))
@@ -654,23 +611,36 @@ class TestBatchHook:
         rng = random.Random(f"batch:{m}:{n}:{correlated}")
         requests = mixed_batch(space, n, rng, correlated, profiles=2 if m == 5 else 3)
         hook = qcv_rule(params).responses
-        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
         batched = list(hook(requests, 1e-9))
         # One-cell kernel calls: every piece is its own group and every row its own call.
         monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
-        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
         scored = count_kernel_rows(monkeypatch)
         split = list(hook(requests, 1e-9))
-        assert {rows for _, rows in scored} == {1}
+        assert set(scored) == {1}
         monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1 << 18)
         assert len(batched) == len(split) == len(requests)
         for (profile, voter), got, again in zip(requests, batched, split):
             assert np.array_equal(got, again)
-            monkeypatch.setattr(welfare, "_ROW_MEMO", {})
             if voter is None:
                 assert np.array_equal(got, qcv_rule(params).evaluate(profile).diagonal)
             else:
                 assert np.array_equal(got, qcv_responses(profile, voter, params))
+
+    @pytest.mark.parametrize("n, rows", [(5, 44), (6, 87)])
+    def test_one_kernel_row_per_signature(self, space3, n, rows, monkeypatch):
+        # Every m=3 basis multiset in one call: 252 profiles at n=5 and 462 at
+        # n=6, with 44 and 87 majority signatures among them.
+        rankings = space3.rankings()
+        profiles = [
+            ProfileState.basis([rankings[k] for k in key])
+            for key in combinations_with_replacement(range(space3.dim), n)
+        ]
+        params = QcvParams(0.05)
+        scored = count_kernel_rows(monkeypatch)
+        got = list(qcv_rule(params).responses([(profile, None) for profile in profiles], 1e-9))
+        assert sum(scored) == rows
+        for profile, weights in zip(profiles, got, strict=True):
+            assert np.array_equal(weights, qcv(profile, params).diagonal)
 
     def test_dictator_results_match_its_evaluations(self, space4):
         rng = random.Random(9)
@@ -693,7 +663,6 @@ class TestBatchHook:
             raise error("the kernel refused")
 
         requests = mixed_batch(space3, 3, random.Random(2), False)
-        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
         monkeypatch.setattr(welfare, "_qcv_rows", failing)
         with pytest.raises(error, match="^the kernel refused$"):
             list(qcv_rule(QcvParams(0.05)).responses(requests, 1e-9))
@@ -706,13 +675,13 @@ class TestBatchHook:
         good = [ProfileState.basis([rankings[k] for k in key]) for key in ((0, 1, 2), (1, 1, 2))]
         bad = ProfileState.basis([rankings[5]] * 3)
         kernel = welfare._qcv_rows
+        refused = _signatures(space3.alternatives, np.array([[5, 5, 5]])).tolist()
 
-        def failing(alternatives, idx, params):
-            if any(sorted(row) == [5, 5, 5] for row in idx.tolist()):
+        def failing(alternatives, signatures, params):
+            if any(row in refused for row in signatures.tolist()):
                 raise ZeroMassProjection("the kernel refused")
-            return kernel(alternatives, idx, params)
+            return kernel(alternatives, signatures, params)
 
-        monkeypatch.setattr(welfare, "_ROW_MEMO", {})
         monkeypatch.setattr(welfare, "_qcv_rows", failing)
         requests = [(good[0], None), (good[1], 2), (bad, None), (good[1], None)]
         answered = []
