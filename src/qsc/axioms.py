@@ -35,9 +35,8 @@ from .hilbert import (
     pure_state,
     support_probabilities,
     support_probability,
-    winner_projector,
 )
-from .rankings import AlternativeSet, Ranking
+from .rankings import AlternativeSet, Ranking, basis_table
 from .welfare import WelfareRule
 
 VERDICT_HOLDS = "holds-on-sample"
@@ -186,8 +185,9 @@ class _Targets:
                 )
         self.targets = own if targets is None else targets
         # Row j: the basis indices of target j's subspace (all of one size).
+        table, at = basis_table(space.alternatives), space.alternatives.index
         self._index = np.stack([
-            (pair_projector(space, *t) if pairs else winner_projector(space, t)).indices
+            table.pair_rows[at(t[0]), at(t[1])] if pairs else table.winner_rows[at(t)]
             for t in self.targets
         ])
         self._row = {t: j for j, t in enumerate(self.targets)}

@@ -8,20 +8,16 @@ the quantum Condorcet rule followed by it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 from .hilbert import (
     DEFAULT_EPS,
     AlternativeState,
     DensityOperator,
     ProfileState,
-    RankingSpace,
     alternative_state,
     support_probabilities,
-    winner_projector,
 )
+from .rankings import basis_table
 from .welfare import QcvParams, ResponsesHook, WelfareRule, qcv, qcv_rule
 
 
@@ -46,18 +42,13 @@ class ChoiceRule:
 def natural_extension(state: DensityOperator, eps: float = DEFAULT_EPS) -> AlternativeState:
     """Send each ranking's weight to its top alternative.
 
-    The winner subspaces partition the basis, so the output sums to one
-    and the map is affine in the input density.
+    The winner subspaces (the basis table's Lehmer blocks) partition the
+    basis, so the output sums to one and the map is affine in the input
+    density.
     """
     alternatives = state.space.alternatives
-    values = support_probabilities(state.diagonal, _winner_index(state.space), eps)
+    values = support_probabilities(state.diagonal, basis_table(alternatives).winner_rows, eps)
     return alternative_state(alternatives, dict(zip(alternatives.names, values.tolist())), eps)
-
-
-@lru_cache(maxsize=64)
-def _winner_index(space: RankingSpace) -> np.ndarray:
-    """Row a: the basis indices of the rankings topped by alternative a."""
-    return np.stack([winner_projector(space, a).indices for a in space.alternatives.names])
 
 
 def compose(rule: WelfareRule, eps: float = DEFAULT_EPS) -> ChoiceRule:

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
 from math import factorial
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -63,23 +64,18 @@ class Subspace:
     indices: np.ndarray
 
 
-@lru_cache(maxsize=4096)
 def pair_projector(space: RankingSpace, x: str, y: str) -> Subspace:
     """Subspace of the basis rankings placing x above y."""
     if x == y:
         raise InvalidArgument(f"projector needs two distinct alternatives, got {x!r} twice")
-    i, j = space.alternatives.index(x), space.alternatives.index(y)
-    positions = basis_table(space.alternatives).positions
-    inside = positions[:, i] < positions[:, j]
-    return Subspace(space, _frozen_array(np.flatnonzero(inside), np.intp))
+    index = space.alternatives.index
+    return Subspace(space, basis_table(space.alternatives).pair_rows[index(x), index(y)])
 
 
-@lru_cache(maxsize=1024)
 def winner_projector(space: RankingSpace, alternative: str) -> Subspace:
-    """Subspace of the basis rankings topped by one alternative."""
+    """Subspace of the basis rankings topped by one alternative: one Lehmer block."""
     top = space.alternatives.index(alternative)
-    inside = basis_table(space.alternatives).orders[:, 0] == top
-    return Subspace(space, _frozen_array(np.flatnonzero(inside), np.intp))
+    return Subspace(space, basis_table(space.alternatives).winner_rows[top])
 
 
 def validate_density(matrix: np.ndarray, dim: int, eps: float = DEFAULT_EPS) -> None:
@@ -159,14 +155,9 @@ class DensityOperator:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def diagonal_support(self, eps: float = DEFAULT_EPS) -> tuple[tuple[int, float], ...]:
-        """Basis indices carrying more than eps weight, memoized per state."""
-        cached = getattr(self, "_support_cache", None)
-        if cached is not None and cached[0] == eps:
-            return cached[1]
+        """Basis indices carrying more than eps weight, with their weights."""
         diag = self.diagonal
-        entries = tuple((int(k), float(diag[k])) for k in np.flatnonzero(diag > eps))
-        object.__setattr__(self, "_support_cache", (eps, entries))
-        return entries
+        return tuple((int(k), float(diag[k])) for k in np.flatnonzero(diag > eps))
 
     def permuted(self, perm: Sequence[int]) -> "DensityOperator":
         """The state with basis weight (and amplitude) k moved to index perm[k]."""
@@ -282,6 +273,11 @@ def support_probabilities(weights: np.ndarray, index: np.ndarray, eps: float = D
     return values
 
 
+def _total(weights: Iterable[float]) -> float:
+    """Left-to-right float sum, the same bits on every Python (3.12's ``sum`` compensates)."""
+    return reduce(add, weights, 0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class ProfileState:
     """Joint ballot of n voters.
@@ -378,7 +374,7 @@ class ProfileState:
             terms: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
             for entries in per_voter:
                 terms = [(prefix + (k,), w * wk) for prefix, w in terms for k, wk in entries]
-            total = sum(w for _, w in terms)
+            total = _total(w for _, w in terms)
         else:
             combos: dict[tuple[int, ...], float] = {}
             for weight, key in self.joint:
@@ -387,7 +383,7 @@ class ProfileState:
                 combos[key] = combos.get(key, 0.0) + weight
             if len(combos) > DEFAULT_SUPPORT_CAP:
                 raise ResourceLimit(f"profile support exceeds {DEFAULT_SUPPORT_CAP} ranking combinations")
-            total = sum(combos.values())
+            total = _total(combos.values())
             terms = sorted(combos.items())
         if total <= eps:
             raise InvalidArgument("profile has no diagonal support")
@@ -414,7 +410,7 @@ class ProfileState:
                 key[pos] = k
                 indices = tuple(key)
                 terms[indices] = terms.get(indices, 0.0) + weight * wk
-        total = sum(terms.values())
+        total = _total(terms.values())
         joint = tuple((w / total, indices) for indices, w in sorted(terms.items()))
         return ProfileState(self.space, joint=joint)
 

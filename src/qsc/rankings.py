@@ -127,6 +127,8 @@ class BasisTable:
     above: np.ndarray  # d x m x m bool: ranking k places x above y
     upper: tuple[np.ndarray, np.ndarray]  # (x, y) index arrays of the pairs x < y, in ``np.triu_indices`` order
     pairs: np.ndarray  # d x C(m,2) bool: ``above`` at the pairs ``upper``
+    pair_rows: Mapping[tuple[int, int], np.ndarray]  # (x, y), x != y -> the rankings placing x above y
+    winner_rows: np.ndarray  # m x d/m: row a lists the rankings topped by a, one Lehmer block
 
 
 @lru_cache(maxsize=64)
@@ -134,7 +136,9 @@ def basis_table(alternatives: AlternativeSet) -> BasisTable:
     """The basis table of an alternative set, built once.
 
     Lexicographic permutations of 0..m-1 come in Lehmer-index order, so the
-    k-th permutation is the ranking of basis index k (identity at 0).
+    k-th permutation is the ranking of basis index k (identity at 0), and the
+    (m-1)! rankings topped by alternative a are the indices a(m-1)! up to
+    (a+1)(m-1)! - 1.
     """
     m = alternatives.m
     names = alternatives.names
@@ -145,7 +149,9 @@ def basis_table(alternatives: AlternativeSet) -> BasisTable:
     above = positions[:, :, None] < positions[:, None, :]
     upper = tuple(np.array(side, dtype=np.intp) for side in zip(*combinations(range(m), 2)))
     pairs = above[:, upper[0], upper[1]]
-    for array in (orders, positions, above, pairs, *upper):
+    pair_rows = {(x, y): np.flatnonzero(above[:, x, y]) for x in range(m) for y in range(m) if x != y}
+    winner_rows = np.arange(len(perms), dtype=np.intp).reshape(m, -1)
+    for array in (orders, positions, above, pairs, winner_rows, *upper, *pair_rows.values()):
         array.setflags(write=False)
     return BasisTable(
         rankings=tuple(Ranking(alternatives, p) for p in perms),
@@ -156,6 +162,8 @@ def basis_table(alternatives: AlternativeSet) -> BasisTable:
         above=above,
         upper=upper,
         pairs=pairs,
+        pair_rows=pair_rows,
+        winner_rows=winner_rows,
     )
 
 

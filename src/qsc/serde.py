@@ -134,6 +134,8 @@ def parse_profile(document: str | dict, eps: float = DEFAULT_EPS) -> ProfileStat
             data = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from None
+        except RecursionError:
+            raise ParseError("document nests too deeply to parse", "$") from None
     else:
         data = document
     if not isinstance(data, dict):

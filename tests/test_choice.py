@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qsc import (
     AlternativeSet,
+    DensityOperator,
     ProfileState,
     QcvParams,
     Ranking,
@@ -75,6 +76,17 @@ class TestNaturalExtension:
         result = natural_extension(state)
         for a in alts3.names:
             assert result[a] == support_probability(state, winner_projector(space3, a))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_same_bits_as_the_gathered_sum(self, m):
+        space = RankingSpace(AlternativeSet(tuple("abcdef")[:m]))
+        orders = np.array([r.order for r in space.rankings()])
+        rng = np.random.default_rng(m)
+        for _ in range(200):
+            weights = rng.dirichlet(np.full(space.dim, 0.5))
+            result = natural_extension(DensityOperator(space, weights))
+            for a, name in enumerate(space.alternatives.names):
+                assert result[name] == weights[np.flatnonzero(orders[:, 0] == a)].sum()
 
     def test_support_iff_topped_ranking_supported(self, alts3, space3):
         state = mixed_state(

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -454,6 +455,30 @@ class TestProfileState:
                 before = profile.partial_ballot(v + 1).diagonal
                 after = twin.partial_ballot(v + 1).diagonal
                 np.testing.assert_allclose(after[perm], before, rtol=0.0, atol=1e-15)
+
+    def test_support_queries_write_nothing_to_the_states(self, space3):
+        ballot = DensityOperator(space3, np.full(6, 1 / 6))
+        profile = ProfileState.product_of([ballot, ballot])
+        ballot.diagonal_support(1e-9)
+        profile.support_tuples(1e-9)
+        profile.support_tuples(1e-6)
+        assert vars(ballot).keys() == {"space", "diagonal", "amplitudes"}
+
+    def test_totals_add_left_to_right(self, space4):
+        # Python 3.12's sum() compensates: it totals ten 0.1 weights to 1.0,
+        # left to right they make 0.9999999999999999. Reports keep the latter.
+        left = 0.0
+        for _ in range(10):
+            left += 0.1
+        assert left != math.fsum([0.1] * 10)
+        tenths = np.zeros(space4.dim)
+        tenths[:10] = 0.1
+        ballot = DensityOperator(space4, tenths)
+        correlated = ProfileState(space4, joint=tuple((0.1, (k,)) for k in range(10)))
+        one = ProfileState(space4, joint=((1.0, (23,)),))
+        for profile in (ProfileState.product_of([ballot]), correlated):
+            assert [w for w, _ in profile.support_tuples()] == [0.1 / left] * 10
+        assert [w for w, _ in one.substitute_ballot(1, ballot).joint] == [0.1 / left] * 10
 
     def test_correlated_refusals(self, alts3, space3):
         abc, bac = rk(alts3, "a>b>c"), rk(alts3, "b>a>c")

@@ -247,12 +247,24 @@ class TestBasisTable:
                 assert pair_projector(space, x, y).indices.tolist() == inside
                 column = table.above[:, alts.index(x), alts.index(y)]
                 assert np.flatnonzero(column).tolist() == inside
+                assert table.pair_rows[alts.index(x), alts.index(y)].tolist() == inside
         assert not table.above[:, range(m), range(m)].any()
+        assert len(table.pair_rows) == m * (m - 1)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_winner_rows_are_lehmer_blocks(self, m):
+        table = basis_table(AlternativeSet(tuple("uvwxyz")[:m]))
+        block = math.factorial(m - 1)
+        assert table.winner_rows.shape == (m, block)
+        for a in range(m):
+            assert table.winner_rows[a].tolist() == np.flatnonzero(table.orders[:, 0] == a).tolist()
+            assert table.winner_rows[a].tolist() == list(range(a * block, (a + 1) * block))
 
     def test_one_table_per_alternative_set(self, alts3):
         assert basis_table(AlternativeSet(("a", "b", "c"))) is basis_table(alts3)
         table = basis_table(alts3)
-        for array in (table.orders, table.positions, table.above):
+        for array in (table.orders, table.positions, table.above, table.winner_rows,
+                      *table.pair_rows.values()):
             assert not array.flags.writeable
 
 

@@ -80,6 +80,11 @@ class TestParseProfile:
             parse_profile("{\n  broken")
         assert "line" in err.value.locus
 
+    def test_too_deep_document_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_profile('{"alternatives": ' + "[" * 5000 + "]" * 5000 + "}")
+        assert err.value.locus == "$"
+
     def test_zero_ballot_rejected(self):
         doc = {"alternatives": ["a", "b"], "voters": [{"pure": [[0, 0, "a>b"]]}]}
         with pytest.raises(ParseError):
@@ -484,11 +489,10 @@ def test_overflowing_ballot_gives_one_error_line(ballot):
 
 
 def test_import_builds_nothing():
-    # Parser, basis tables, subspaces and family arrays are built on first use.
+    # Parser, basis tables and family arrays are built on first use.
     probe = (
         "import qsc.cli, qsc.rankings, qsc.hilbert, qsc.axioms, qsc.welfare\n"
-        "caches = [qsc.cli._parser, qsc.rankings.basis_table, qsc.hilbert.pair_projector,\n"
-        "          qsc.hilbert.winner_projector, qsc.axioms._family_arrays]\n"
+        "caches = [qsc.cli._parser, qsc.rankings.basis_table, qsc.axioms._family_arrays]\n"
         "print([f.cache_info().currsize for f in caches])\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(qsc.__file__)))
@@ -497,7 +501,7 @@ def test_import_builds_nothing():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]"]
+    assert done.stdout.split() == ["[0,", "0,", "0]"]
 
 
 def test_two_m6_hunts_stay_under_150_mb():
@@ -533,7 +537,7 @@ class TestCliInputErrors:
             "eps-large", "family-empty", "family-seed-only", "family-over-cap", "family-grid-fine",
             "family-weights-over-cap", "trials-zero-dictatorship", "trials-zero-unanimity",
             "trials-zero-iia", "trials-zero-onto", "usage-bad-int", "usage-bad-choice",
-            "voters-over-cap",
+            "voters-over-cap", "profile-too-deep",
         ],
     )
     def test_exits_2_with_one_json_line(self, case, tmp_path, capsys, monkeypatch):
@@ -549,6 +553,8 @@ class TestCliInputErrors:
         veto = ["check", "--axiom", "qic", "--trials", "2", "--rule"]
         undecodable = tmp_path / "profile.json"
         undecodable.write_bytes(b"\xff\xfe")
+        too_deep = tmp_path / "deep.json"
+        too_deep.write_text('{"alternatives": ' + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
         argv = {
             "eps-nan": [*check, "--eps", "nan"],
             "eps-inf": [*check, "--eps", "inf"],
@@ -573,6 +579,7 @@ class TestCliInputErrors:
             "usage-bad-int": [*check, "--trials", "abc"],
             "usage-bad-choice": ["check", "--axiom", "warp"],
             "voters-over-cap": ["check", "--axiom", "onto", "--voters", "100000000"],
+            "profile-too-deep": ["evaluate", "--rule", "qcv", "--profile", str(too_deep)],
         }[case]
         assert main(argv) == 2
         captured = capsys.readouterr()
