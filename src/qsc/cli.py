@@ -296,7 +296,9 @@ def _run_check(args, axiom: str) -> int:
     else:
         raise ParseError(f"unknown axiom {axiom!r}", "axiom")
 
-    _write_report(report.to_jsonable(include_elapsed=args.timing), args)
+    payload = report.to_jsonable(include_elapsed=args.timing)
+    payload.update(alternatives=list(alternatives.names), voters=args.voters)
+    _write_report(payload, args)
     expected = EXPECTED_VERDICTS.get((_rule_family(args.rule), axiom))
     if expected is not None and report.verdict != expected:
         return 1

@@ -340,6 +340,17 @@ class TestCliCheck:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize(
+        "flags, labels, voters",
+        [([], ["a", "b", "c"], 3), (["--voters", "5"], ["a", "b", "c"], 5),
+         (["--alternatives", "4", "--voters", "4"], ["a", "b", "c", "d"], 4)],
+    )
+    @pytest.mark.parametrize("command", [["check", "--axiom", "qic"], ["suite", "gs"]])
+    def test_reports_name_alternatives_and_voters(self, command, flags, labels, voters, capsys):
+        assert main([*command, "--rule", "qcvne", "--trials", "2", "--seed", "1", *flags]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["alternatives"], payload["voters"]) == (labels, voters)
+
     def test_out_file_and_text_format(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(
