@@ -16,12 +16,11 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import chain, combinations, islice, repeat
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import serde, welfare
+from . import serde
 from .choice import ChoiceRule, compose, natural_extension
 from .errors import InvalidArgument, QscError, ResourceLimit
 from .hilbert import (
@@ -54,6 +53,8 @@ FAMILY_WEIGHT_CAP = 4_000_000
 # Vertex values this close to a clause threshold are re-checked exactly; the
 # hook's and the rule's sums differ only by rounding, far below this.
 _VERTEX_MARGIN = 1e-11
+# Draws a hooked hunt, and each batched check, scores with one hook call.
+_BATCH_DRAWS = 64
 
 
 class PreferenceKind(Enum):
@@ -241,18 +242,15 @@ class _Targets:
         return responses @ member
 
 
-def _batches(draws: Iterator, profile_of: Callable = lambda draw: draw) -> Iterator[list]:
-    """The draws in batches, each sized from the profile of its first draw.
+def _batches(draws: Iterator) -> Iterator[list]:
+    """The draws in batches of ``_BATCH_DRAWS``: one hook call scores a batch's profiles.
 
-    A batch holds as many draws as the basis responses of all their voters
-    fit in one kernel call: n voters times d x d weights a draw against
-    ``welfare._KERNEL_CELLS`` cells, so max(1, cells // (n d^2)) draws
-    (2,427 at m=3 with 3 voters, 151 at m=4, 1 at m=6).
+    The hook bounds the memory of its scoring (``welfare._scored``); a
+    batch's size sets how many drawn profiles are held at once and how many
+    draws past a witness may be scored and dropped.
     """
     for first in draws:
-        profile = profile_of(first)
-        size = max(1, welfare._KERNEL_CELLS // (profile.n_voters * profile.space.dim**2))
-        yield [first, *islice(draws, size - 1)]
+        yield [first, *islice(draws, _BATCH_DRAWS - 1)]
 
 
 def _societies(adapter: _Targets, draws: Iterator[ProfileState]) -> Iterator[tuple[ProfileState, dict]]:
@@ -934,7 +932,7 @@ def check_iia(
     started = time.perf_counter()
     violations: list[dict] = []
     details: dict = {variant: {"instances": 0} for variant, _ in _VARIANTS}
-    for batch in _batches(draws, itemgetter(0)):
+    for batch in _batches(draws):
         societies = adapter.society_batch([profile for draw in batch for profile in draw[:2]])
         for profile, twin, pair in batch:
             projector = pair_projector(space, *pair)

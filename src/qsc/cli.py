@@ -261,6 +261,9 @@ def _run_check(args, axiom: str) -> int:
         raise InvalidArgument(f"--trials must be at least 1, got {args.trials}")
     if args.voters > MAX_VOTERS:
         raise InvalidArgument(f"--voters must be at most {MAX_VOTERS}, got {args.voters}")
+    # One voter is a dictator under every rule: the unanimity projection returns that voter's ballot.
+    if args.voters < 2 and axiom in ("dictatorship", "arrow-suite", "gs-suite"):
+        raise InvalidArgument(f"{axiom} needs --voters of at least 2, got {args.voters}")
     space = RankingSpace(alternatives)
     rule, _ = _rule_and_params(args, alternatives)
     family = parse_family(args.family)

@@ -15,7 +15,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, QscError, ZeroMassProjection
+from . import hilbert
+from .errors import InvalidArgument, QscError, ResourceLimit, ZeroMassProjection
 from .hilbert import (
     DEFAULT_EPS,
     MAX_EPS,
@@ -91,21 +92,20 @@ class WelfareRule:
         return self.fn(profile)
 
 
-_KERNEL_CELLS = 1 << 18  # rows x m! per kernel call; bounds its temporaries
+_KERNEL_CELLS = 1 << 16  # signature rows x m! per scoring group, and so per kernel call
 
 
-def _signatures(alternatives: AlternativeSet, idx: np.ndarray) -> np.ndarray:
-    """The majority signature of each row of basis indices (k x n -> k x C(m,2) intp).
+def _classes(n: int) -> np.ndarray:
+    """The class of each tally t = 0..n of one pair among n voters (intp).
 
-    For each pair x < y, in ``np.triu_indices`` order, with t of the n voters
-    placing x above y, the class is 0 at t = 0, 1 below n/2, 2 at n/2, 3
-    above n/2 and 4 at t = n. The kernel reads a row only through these.
-    Classes are intp, as tallies are: int8 arithmetic runs numpy loops no
-    other code runs, which cost about 0.1 MB of peak RSS in a short process.
+    A tally t counts the voters placing x above y, for a pair x < y in
+    ``np.triu_indices`` order. Its class is 0 at t = 0, 1 below n/2, 2 at
+    n/2, 3 above n/2 and 4 at t = n, and a tally's classes are its majority
+    signature: the kernel reads a profile only through them. Classes are
+    intp, as tallies are: int8 arithmetic runs numpy loops no other code
+    runs, which cost about 0.1 MB of peak RSS in a short process.
     """
-    n = idx.shape[1]
-    by_tally = np.array([0, *(1 + (2 * t >= n) + (2 * t > n) for t in range(1, n)), 4], dtype=np.intp)
-    return by_tally[basis_table(alternatives).pairs[idx].sum(axis=1)]
+    return np.array([0, *(1 + (2 * t >= n) + (2 * t > n) for t in range(1, n)), 4], dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +121,7 @@ class _Stages:
 
 
 def _qcv_stages(alternatives: AlternativeSet, signatures: np.ndarray, params: QcvParams) -> _Stages:
-    """The six-step rule up to sigma2 for each majority signature (k x C(m,2), see ``_signatures``).
+    """The six-step rule up to sigma2 for each majority signature (k x C(m,2), see ``_classes``).
 
     A pair's class read the other way round is 4 minus its class. At least
     half the voters place x above y from class 2 on, every voter at class 4,
@@ -218,7 +218,7 @@ def qcv_basis(alternatives: AlternativeSet, indices: Sequence[int], params: QcvP
         raise InvalidArgument("a profile needs at least one voter")
     if idx.min() < 0 or idx.max() >= d:
         raise InvalidArgument(f"ranking indices must lie in 0..{d - 1}, got {list(indices)}")
-    stages = _qcv_stages(alternatives, _signatures(alternatives, idx), params)
+    stages = _qcv_stages(alternatives, _classes(idx.shape[1])[table.pairs[idx].sum(axis=1)], params)
     sigma2 = stages.sigma[0].copy()
     sigma3 = _projected(stages, params.eps)[0]
     names = alternatives.names
@@ -247,41 +247,69 @@ def qcv_basis(alternatives: AlternativeSet, indices: Sequence[int], params: QcvP
 
 @dataclass(eq=False)
 class _Request:
-    """One request's support terms, and its result while its pieces are mixed.
+    """One request as (weight, tally) terms, and its result while its pieces are mixed.
 
-    A profile request (voter None) has one column: the profile's support
-    tuples. A voter request has d columns: the support tuples with basis
-    ranking 0 substituted for the voter, since a basis ballot enters every
-    tuple at the voter's position with weight exactly 1, and column k
-    writes ranking k into that position.
+    A term's tally counts, for each pair x < y, the voters placing x above y
+    (``_folded``). A profile request folds every voter and has one column. A
+    voter request folds the other voters and has d columns: a basis ballot
+    enters every term with weight exactly 1, so column k adds basis ranking
+    k's ``pairs`` row to every tally.
     """
 
     space: RankingSpace
-    voter: int | None
-    weights: list[float]
-    tuples: np.ndarray  # T x n basis indices
+    n: int  # the profile's voters
+    weights: np.ndarray  # T, summing to 1
+    tallies: np.ndarray  # T x C(m,2), by ascending packed tally
+    shifts: np.ndarray  # columns x C(m,2): a zero row, or the d ``pairs`` rows
     result: np.ndarray | None = None
 
     @classmethod
     def of(cls, params: QcvParams, profile: ProfileState, voter: int | None, eps: float) -> "_Request":
-        space = profile.space
-        if voter is not None:
-            profile = profile.substitute_ballot(voter, basis_state(space, space.rankings()[0], eps), eps)
-        params.check_alternatives(space.alternatives.m)
-        terms = profile.support_tuples(params.eps)
-        tuples = np.array([indices for _, indices in terms], dtype=np.intp)
-        return cls(space, voter, [weight for weight, _ in terms], tuples)
+        space, n = profile.space, profile.n_voters
+        pairs = basis_table(space.alternatives).pairs
+        # A tally packs into one integer, base n + 1, so adding packed rows adds
+        # tallies and keeps their order; Python ints hold it past int64.
+        dtype = np.int64 if (n + 1) ** pairs.shape[1] < 2**63 else object
+        powers = (n + 1) ** np.arange(pairs.shape[1], dtype=dtype)
+        packed, codes, weights = pairs @ powers, np.zeros(1, dtype), np.ones(1)
+        if profile.factors is None:
+            # Substituted first, so the eps filter applies per joint key as for the substituted profile.
+            if voter is not None:
+                profile = profile.substitute_ballot(voter, basis_state(space, space.rankings()[0], eps), eps)
+            terms = profile.support_tuples(params.eps)
+            keys = np.delete(np.array([key for _, key in terms]), [] if voter is None else voter - 1, axis=1)
+            codes, weights = _folded(codes, weights, packed[keys].sum(axis=1), np.array([w for w, _ in terms]))
+        for ballot in (b for v, b in enumerate(profile.factors or (), 1) if v != voter):
+            ks = (ballot.diagonal > params.eps).nonzero()[0]
+            codes, weights = _folded(codes, weights, packed[ks], ballot.diagonal[ks])
+        total = weights.sum()
+        if total <= params.eps:
+            raise InvalidArgument("profile has no diagonal support")
+        tallies = (codes[:, None] // powers % (n + 1)).astype(np.intp)
+        return cls(space, n, weights / total, tallies, np.zeros((1, pairs.shape[1]), bool) if voter is None else pairs)
 
-    @property
-    def columns(self) -> int:
-        return 1 if self.voter is None else self.space.dim
 
-    def block(self, start: int, stop: int) -> np.ndarray:
-        """Columns ``start:stop`` of the term-major block of basis indices (T x width x n)."""
-        block = np.repeat(self.tuples[:, None, :], stop - start, axis=1)
-        if self.voter is not None:
-            block[:, :, self.voter - 1] = np.arange(start, stop)
-        return block
+def _folded(codes: np.ndarray, weights: np.ndarray, rows: np.ndarray, row_weights: np.ndarray):
+    """The terms after one more voter: each packed tally plus each of the voter's rows, weights multiplied.
+
+    Equal tallies merge, by ascending tally, their weights added in the
+    order the terms come (tally-major). New terms come a cap's worth at a
+    time, so no more than about twice ``hilbert.DEFAULT_SUPPORT_CAP`` terms
+    are alive, and more distinct tallies than the cap are refused as they
+    appear. One row only shifts the tallies, which keeps them distinct and
+    in order: merging would change no bit.
+    """
+    if len(rows) == 1:
+        return codes + rows[0], weights * row_weights[0]
+    cap = hilbert.DEFAULT_SUPPORT_CAP
+    out, summed, step = codes[:0], weights[:0], max(1, cap // len(codes))  # a cap's worth of new terms a merge
+    for start in range(0, len(rows), step):
+        part = slice(start, start + step)
+        out, inverse = np.unique(np.concatenate([out, (codes[:, None] + rows[part]).ravel()]), return_inverse=True)
+        if len(out) > cap:
+            raise ResourceLimit(f"profile support exceeds {cap} distinct tallies")
+        summed = np.bincount(inverse, np.concatenate([summed, (weights[:, None] * row_weights[part]).ravel()]))
+    return out, summed
 
 
 def _scored(
@@ -292,112 +320,91 @@ def _scored(
     A request (profile, None) gives the d weights of ``qcv(profile)``; a
     request (profile, v) gives the d x d weights of ``qcv_responses(profile,
     v)``, row k with voter v's ballot replaced by basis ranking k
-    (substituted at eps). Each request's block (``_Request.block``) is cut
-    into pieces of columns of at most an eighth of ``_KERNEL_CELLS`` row
-    cells, and consecutive pieces on one ranking space and electorate are
-    grouped up to that budget (``_mixed``). A result is allocated when its
-    first piece is mixed and yielded when its last one is, so no more than
-    one group's rows are alive at once, and no more than one result besides
-    the caller's.
+    (substituted at eps). Each request (``_Request``) is cut into pieces of
+    terms, and consecutive pieces on one ranking space are grouped, up to
+    ``_KERNEL_CELLS`` signature-row cells a group (a piece holds at least one
+    term: 720 x 720 cells for a voter request at m=6). ``_mixed`` scores and
+    mixes a group. A result is yielded once its last piece is mixed, so no
+    more than one group's rows are alive at once, and no more than one
+    result besides the caller's.
 
     A ``QscError`` (the support cap, a kernel refusal, a result that is not
     a distribution) is raised only after every earlier request's result has
     been yielded, as if the requests were answered one at a time.
     """
-    # A group fills an eighth of a kernel call, so the kernel's temporaries
-    # (about 30 bytes a cell) and the group's signatures stay near 1 MB.
-    budget = _KERNEL_CELLS // 8
-    group: list[tuple[_Request, int, int]] = []
-    cells, shape = 0, None  # the group's row cells, and the (space, n) its rows are scored on
+    group, cells = [], 0  # pieces (request, first term, stop), and their signature-row cells
     for profile, voter in requests:
         try:
             request = _Request.of(params, profile, voter, eps)
         except QscError:
             yield from _mixed(params, group)
             raise
-        (terms, n), d = request.tuples.shape, request.space.dim
-        width = max(1, budget // (terms * d))
-        for start in range(0, request.columns, width):
-            stop = min(start + width, request.columns)
-            size = terms * (stop - start) * d
-            if group and (cells + size > budget or (request.space, n) != shape):
+        terms, width = len(request.weights), len(request.shifts) * request.space.dim  # cells a term
+        step = max(1, _KERNEL_CELLS // width)
+        for first in range(0, terms, step):
+            size = (min(first + step, terms) - first) * width
+            if group and (cells + size > _KERNEL_CELLS or request.space != group[0][0].space):
                 yield from _mixed(params, group)
                 group, cells = [], 0
-            group.append((request, start, stop))
-            cells, shape = cells + size, (request.space, n)
+            group.append((request, first, min(first + step, terms)))
+            cells += size
     yield from _mixed(params, group)
 
 
 def _mixed(params: QcvParams, group: list[tuple[_Request, int, int]]) -> Iterator[np.ndarray]:
-    """Score a group's rows, mix its pieces in order, and yield each request it completes.
+    """Score a group's signatures, mix its pieces in order, and yield each request it completes.
 
     Row b of a request is the sum, over terms t in order, of ``weights[t]``
-    times the six-step rule's sigma3 row for the tuple ``block[t, b]``. The
-    rule reads a tuple only through its majority signature, so the group's
-    tuples are keyed by their signatures read as base-5 numbers, and only
-    the distinct signatures are scored, by ``_qcv_rows`` in calls of at most
-    ``_KERNEL_CELLS`` row cells. A group whose kernel pass raises a
-    ``QscError`` is scored again one piece at a time, so the error surfaces
-    at the request that caused it.
+    times the six-step rule's sigma3 row for term t's signature in column
+    b. Signatures are keyed as base-5 numbers, and one ``_qcv_rows`` call
+    scores the group's distinct ones. A group whose call raises a
+    ``QscError`` is split in halves, each scored and mixed in turn, so the
+    error is raised at the first piece holding a refused signature, once
+    every request before it is yielded.
     """
     if not group:
         return
-    space, n = group[0][0].space, group[0][0].tuples.shape[1]
-    alternatives, d = space.alternatives, space.dim
-    blocks = [request.block(start, stop).reshape(-1, n) for request, start, stop in group]
-    signatures = _signatures(alternatives, np.concatenate(blocks))
-    keys = signatures @ 5 ** np.arange(signatures.shape[1], dtype=np.int64)  # 5^15 < 2^63
-    _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = signatures[at]
-    table = np.empty((len(distinct), d), dtype=np.float64)
-    chunk = max(1, _KERNEL_CELLS // d)
+    space = group[0][0].space
+    fives = 5 ** np.arange(group[0][0].shifts.shape[1], dtype=np.int64)  # 5^15 < 2^63
+    # Term t's signature in column b: the classes of its tally plus the column's shift.
+    codes = np.concatenate([(_classes(r.n)[r.tallies[a:b, None] + r.shifts] @ fives).ravel() for r, a, b in group])
+    distinct, inverse = np.unique(codes, return_inverse=True)
     try:
-        for start in range(0, len(distinct), chunk):
-            table[start : start + chunk] = _qcv_rows(alternatives, distinct[start : start + chunk], params)
+        table = _qcv_rows(space.alternatives, distinct[:, None] // fives % 5, params)
     except QscError:
         if len(group) == 1:
             raise
-        for piece in group:
-            yield from _mixed(params, [piece])
+        yield from _mixed(params, group[: len(group) // 2])
+        yield from _mixed(params, group[len(group) // 2 :])
         return
     offset = 0
-    for request, start, stop in group:
-        terms, count = len(request.weights), stop - start
-        rows = inverse[offset : offset + terms * count]  # term-major, as ``block`` lays them out
-        offset += terms * count
-        acc = np.zeros((count, d), dtype=np.float64)
-        step = max(1, chunk // count)  # terms gathered at once
-        for first in range(0, terms, step):
-            part = table[rows[first * count : (first + step) * count]].reshape(-1, count, d)
-            part *= np.array(request.weights[first : first + step])[:, None, None]
-            part[0] += acc
-            # Along the outer axis numpy adds one term at a time, in order, as
-            # ``acc += weight * row`` would: the bits do not depend on ``step``.
-            acc = part.sum(axis=0)
-        if start == 0:
-            request.result = np.empty((request.columns, d), dtype=np.float64)
-        request.result[start:stop] = acc
-        if stop == request.columns:
-            yield _checked(space, request.result, params.eps)
-            request.result = None
-
-
-def _checked(space: RankingSpace, rows: np.ndarray, eps: float) -> np.ndarray:
-    """The rows of a result, raising as ``diagonal_state`` does at the first that is not a distribution."""
-    if rows.min() < -eps or np.abs(rows.sum(axis=1) - 1.0).max() > eps:
-        for row in rows:
-            diagonal_state(space, row, eps)  # raises with its message
-    # A profile request has one row; a voter request has d = m! >= 2.
-    return rows[0] if len(rows) == 1 else rows
+    for request, first, stop in group:
+        size = (stop - first) * len(request.shifts)
+        part = table[inverse[offset : offset + size]].reshape(stop - first, len(request.shifts), space.dim)
+        offset += size
+        part *= request.weights[first:stop, None, None]
+        if first:
+            part[0] += request.result
+        # Along the outer axis numpy adds one term at a time, in order, as
+        # ``acc += weight * row`` would: the bits do not depend on the pieces.
+        request.result = part.sum(axis=0)
+        if stop == len(request.weights):
+            rows = request.result
+            if rows.min() < -params.eps or np.abs(rows.sum(axis=1) - 1.0).max() > params.eps:
+                for row in rows:
+                    diagonal_state(space, row, params.eps)  # raises at the first that is not a distribution
+            # A profile request has one row; a voter request has d = m! >= 2.
+            yield rows[0] if len(rows) == 1 else rows
 
 
 def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
     """Quantum Condorcet rule on a general profile.
 
-    The profile's diagonal support is decomposed into basis ranking
-    tuples; each tuple is scored by the six-step basis rule and the
-    results are mixed with the tuple weights (``_scored`` with one
-    request). Off-diagonal ballot coherences do not enter: the rule
+    The profile's diagonal support is folded voter by voter into (weight,
+    tally) terms, a tally counting for each pair the voters placing x above
+    y; each term is scored by the six-step basis rule through its majority
+    signature, and the results are mixed with the term weights (``_scored``
+    with one request). Off-diagonal ballot coherences do not enter: the rule
     consumes basis statistics only.
     """
     (weights,) = _scored(params, [(profile, None)], params.eps)
@@ -410,9 +417,9 @@ def qcv_responses(
     """``qcv``'s basis weights with one voter's ballot replaced by each basis ranking (d x d).
 
     Row k is bit for bit ``qcv(profile.substitute_ballot(voter, basis_k, eps),
-    params).diagonal``: the substituted profiles share one term list and
-    differ only in the voter's column (``_Request``), and their rows are
-    mixed by ``qcv``'s own ``_scored``.
+    params).diagonal``: the substituted profiles share the other voters'
+    fold and differ only by ranking k's ``pairs`` row in every tally
+    (``_Request``), and their rows are mixed by ``qcv``'s own ``_scored``.
     """
     (responses,) = _scored(params, [(profile, voter)], eps)
     return responses

@@ -1146,6 +1146,8 @@ class TestBatchedSearch:
         profile = ProfileState.basis(cycle_profile)
         adapter = axioms._Targets(rule, space3, 1e-9)
         society = adapter.society_values(profile)
+        joint = ProfileState.correlated(space3, [(1.0, cycle_profile)])
+        joint_society = adapter.society_values(joint)
         counts = {"substitute_ballot": 0, "natural_extension": 0}
         substitute, extension = ProfileState.substitute_ballot, choice.natural_extension
 
@@ -1163,15 +1165,19 @@ class TestBatchedSearch:
         # Voter 1 is certain that a wins and society is not: the clause fires.
         assert society["a"] < 1.0 - 1e-9
         assert search_voter(adapter, profile, 1, FAMILY, society) is None
+        # A product profile folds the other voters without substituting; a
+        # correlated one substitutes once, for its eps filter per joint key.
+        assert counts == {"substitute_ballot": 0, "natural_extension": 0}
+        assert search_voter(adapter, joint, 1, FAMILY, joint_society) is None
         assert counts == {"substitute_ballot": 1, "natural_extension": 0}
 
     def test_support_cap_through_the_hook(self, space3, monkeypatch):
         rankings = space3.rankings()
         triple = mixed_state(space3, [(1.0, r) for r in rankings[:3]])
         profile = ProfileState.product_of([triple] * 3)
-        monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 8)
+        monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 5)
         rule = qcv_rule(QcvParams(0.05))
-        # With a basis ballot substituted, 9 support tuples exceed the cap of 8.
+        # With a basis ballot substituted, the other two voters reach 6 distinct tallies, past the cap of 5.
         with pytest.raises(ResourceLimit) as want:
             rule.evaluate(profile.substitute_ballot(1, basis_state(space3, rankings[0], 1e-9), 1e-9))
 
@@ -1185,7 +1191,8 @@ class TestBatchedSearch:
 
 
 def streaming(monkeypatch):
-    """One draw a batch, and one kernel row a call, from here on."""
+    """One draw a batch, and one term a kernel call, from here on."""
+    monkeypatch.setattr(axioms, "_BATCH_DRAWS", 1)
     monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
 
 
@@ -1225,16 +1232,11 @@ def failing_at(rule, draw, sampler):
 class TestDrawBatches:
     """Hunts take a batch of draws at a time (one for a rule without a hook), with the reports of a draw-by-draw check."""
 
-    def test_batch_size_follows_the_kernel_budget(self, space3, monkeypatch):
-        sizes = {}
-        for m, n in ((3, 3), (4, 3), (5, 3), (6, 2)):
-            space = space_of(m) if m < 6 else RankingSpace(AlternativeSet(tuple("abcdef")))
-            draws = iter([ProfileState.basis([space.rankings()[0]] * n)] * 3000)
-            sizes[m] = [len(batch) for batch in axioms._batches(draws)][:2]
-        assert sizes == {3: [2427, 573], 4: [151, 151], 5: [6, 6], 6: [1, 1]}
+    def test_batches_hold_a_fixed_number_of_draws(self, monkeypatch):
+        # At every m: the hook, not the batch, bounds what a hook call holds.
+        assert [len(batch) for batch in axioms._batches(iter(range(150)))] == [64, 64, 22]
         streaming(monkeypatch)
-        assert [len(b) for b in axioms._batches(iter(range(3)), lambda _: ProfileState.basis(
-            [space3.rankings()[0]]))] == [1, 1, 1]
+        assert [len(batch) for batch in axioms._batches(iter(range(3)))] == [1, 1, 1]
 
     def test_witness_in_the_middle_of_a_batch(self, space3, monkeypatch):
         # Ten draws make one batch at m=3; the witness comes from a draw inside

@@ -639,6 +639,32 @@ class TestCliInputErrors:
         assert "--alternatives" in json.loads(lines[0])["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["check", "--axiom", "dictatorship", "--rule", "qcv"],
+                                         ["check", "--axiom", "dictatorship", "--rule", "qcvne"],
+                                         ["suite", "gs", "--rule", "qcvne"],
+                                         ["suite", "arrow", "--rule", "qcv"]])
+    def test_one_voter_is_refused_where_every_rule_is_a_dictatorship(self, command, capsys, monkeypatch):
+        # The unanimity projection returns a lone voter's ballot, so one voter
+        # dictates under every rule: these checks refuse it before any draw.
+        monkeypatch.setattr(cli, "default_profile_sampler", refuse_to_build)
+        assert main([*command, "--voters", "1", "--trials", "3"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and "Traceback" not in captured.err
+        error = json.loads(lines[0])
+        assert error["error"] == "invalid-argument" and "--voters" in error["message"]
+
+    def test_support_cap_on_distinct_tallies_exits_2(self, capsys, monkeypatch):
+        # Some draw of seed 1 folds its twelve voters to more than 8 distinct tallies.
+        monkeypatch.setattr(qsc.hilbert, "DEFAULT_SUPPORT_CAP", 8)
+        assert main(["check", "--axiom", "qic", "--rule", "qcv", "--voters", "12", "--trials", "20",
+                     "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and "Traceback" not in captured.err
+        error = json.loads(lines[0])
+        assert error == {"error": "resource-limit", "message": "profile support exceeds 8 distinct tallies"}
+
     def test_large_eps_is_named(self, capsys):
         assert main(["check", "--axiom", "qic", "--trials", "2", "--eps", "0.6"]) == 2
         error = json.loads(capsys.readouterr().err)

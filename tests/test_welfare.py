@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,7 @@ from qsc import hilbert, welfare
 from qsc.errors import ZeroMassProjection
 from qsc.rankings import all_rankings, ranking_index
 from qsc.serde import serialize_density
-from qsc.welfare import _qcv_rows, _signatures
+from qsc.welfare import _qcv_rows
 
 from oracles import oracle_sigma3
 from stepwise import (
@@ -45,6 +46,7 @@ from stepwise import (
     minority_spread,
     stepwise_qcv,
 )
+from universe import signatures
 
 ROOT2 = 2 ** -0.5
 
@@ -60,7 +62,7 @@ def stages_of(rankings, params):
 
 def kernel_rows(alternatives, idx, params):
     """The kernel's sigma3 rows for rows of basis indices, read through their signatures."""
-    return _qcv_rows(alternatives, _signatures(alternatives, idx), params)
+    return _qcv_rows(alternatives, signatures(alternatives, idx), params)
 
 
 def count_kernel_rows(monkeypatch):
@@ -255,7 +257,7 @@ class TestQcvKernel:
         pairs = [(x, y) for x in range(m) for y in range(x + 1, m)]
         for n in range(1, max_n + 1):
             idx = np.array(list(combinations_with_replacement(range(len(rankings)), n)), dtype=np.intp)
-            got = _signatures(alts, idx)
+            got = signatures(alts, idx)
             assert got.dtype == np.intp and got.shape == (len(idx), len(pairs))
             for indices, signature in zip(idx.tolist(), got.tolist()):
                 want = []
@@ -468,9 +470,52 @@ class TestQcvGeneralProfiles:
 
         uniform = mixed_state(space3, [(1.0, r) for r in space3.rankings()])
         profile = ProfileState.product_of([uniform] * 3)
-        monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 100)
-        with pytest.raises(ResourceLimit):
+        # The cap bounds distinct tallies: two uniform voters already reach 19.
+        monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 18)
+        with pytest.raises(ResourceLimit, match="exceeds 18 distinct tallies"):
             qcv(profile, QcvParams(0.05))
+
+    def test_support_cap_counts_distinct_tallies(self, alts3, space3):
+        # 25 voters, each mixed over the same two rankings: 2^25 support tuples,
+        # but only 26 tallies, one per count j of voters casting the first ranking.
+        first, second = rk(alts3, "a>b>c"), rk(alts3, "b>a>c")
+        profile = ProfileState.product_of([mixed_state(space3, [(0.25, first), (0.75, second)])] * 25)
+        params = QcvParams(0.05)
+        assert len(welfare._Request.of(params, profile, None, 1e-9).weights) == 26
+        want = sum(
+            math.comb(25, j) * 0.25**j * 0.75 ** (25 - j)
+            * stages_of((first,) * j + (second,) * (25 - j), params).sigma3.diagonal
+            for j in range(26)
+        )
+        assert np.allclose(qcv(profile, params).diagonal, want, rtol=0.0, atol=1e-14)
+
+    def test_support_cap_refuses_before_the_kernel_runs(self, monkeypatch):
+        # At m=4, 25 voters mixed uniformly over all 24 rankings pass 20,000
+        # distinct tallies part of the way through the fold.
+        space = space_of(4)
+        uniform = mixed_state(space, [(1.0, r) for r in space.rankings()])
+
+        def refuse(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(welfare, "_qcv_rows", refuse)
+        with pytest.raises(ResourceLimit, match="^profile support exceeds 20000 distinct tallies$"):
+            qcv(ProfileState.product_of([uniform] * 25), QcvParams.for_alternatives(4))
+
+    @pytest.mark.parametrize("m, n", [(5, 80), (6, 18)])
+    def test_tallies_past_int64(self, m, n):
+        # (n + 1)^C(m,2) passes 2^63, so tallies pack into Python ints: with
+        # most voters casting ranking 0, the last pair's tally would overflow int64.
+        space = RankingSpace(AlternativeSet(tuple("abcdef"[:m])))
+        rankings, params = space.rankings(), QcvParams.for_alternatives(m)
+        cast = rankings[:3] + rankings[:1] * (n - 3)
+        first = mixed_state(space, [(0.5, rankings[0]), (0.5, rankings[1])])
+        profile = ProfileState.product_of([first] + [basis_state(space, r) for r in cast[1:]])
+        want = sum(0.5 * stages_of([r, *cast[1:]], params).sigma3.diagonal for r in rankings[:2])
+        assert np.allclose(qcv(profile, params).diagonal, want, rtol=0.0, atol=1e-14)
+        responses = qcv_responses(profile, 1, params)
+        for k in (0, 1, len(rankings) - 1):
+            assert np.array_equal(responses[k], stages_of([rankings[k], *cast[1:]], params).sigma3.diagonal)
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=20, deadline=None)
@@ -559,8 +604,8 @@ class TestQcvResponses:
         assert_rows_match_the_per_basis_loop(profile, QcvParams(0.05), monkeypatch)
 
     def test_blocks_split(self, space4, monkeypatch):
-        # One ranking per block, one kernel row per call and one term per gather;
-        # the rows keep the bits of unsplit blocks.
+        # One term per piece and one piece per group, each its own kernel call;
+        # the rows keep the bits of unsplit requests.
         rng = random.Random(4)
         params = QcvParams.for_alternatives(4)
         profiles = [small_support_profile(space4, 3, rng, c, light=True) for c in (False, True)]
@@ -570,7 +615,7 @@ class TestQcvResponses:
         for profile, want in zip(profiles, unsplit):
             assert np.array_equal(qcv_responses(profile, 2, params), want)
             assert_rows_match_the_per_basis_loop(profile, params, monkeypatch)
-        assert set(scored) == {1}
+        assert max(scored) <= space4.dim
 
     def test_rule_carries_the_hook(self, space3, cycle_profile):
         params = QcvParams(0.05)
@@ -612,11 +657,12 @@ class TestBatchHook:
         requests = mixed_batch(space, n, rng, correlated, profiles=2 if m == 5 else 3)
         hook = qcv_rule(params).responses
         batched = list(hook(requests, 1e-9))
-        # One-cell kernel calls: every piece is its own group and every row its own call.
+        # One-cell groups: every piece is one term and its own group, so a
+        # kernel call scores one term's columns, at most d signatures.
         monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
         scored = count_kernel_rows(monkeypatch)
         split = list(hook(requests, 1e-9))
-        assert set(scored) == {1}
+        assert len(scored) >= len(requests) and max(scored) <= space.dim
         monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1 << 18)
         assert len(batched) == len(split) == len(requests)
         for (profile, voter), got, again in zip(requests, batched, split):
@@ -675,7 +721,7 @@ class TestBatchHook:
         good = [ProfileState.basis([rankings[k] for k in key]) for key in ((0, 1, 2), (1, 1, 2))]
         bad = ProfileState.basis([rankings[5]] * 3)
         kernel = welfare._qcv_rows
-        refused = _signatures(space3.alternatives, np.array([[5, 5, 5]])).tolist()
+        refused = signatures(space3.alternatives, np.array([[5, 5, 5]])).tolist()
 
         def failing(alternatives, signatures, params):
             if any(row in refused for row in signatures.tolist()):
