@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import serde
-from .choice import ChoiceRule, compose, natural_extension
+from .choice import ChoiceRule, compose
 from .errors import InvalidArgument, QscError, ResourceLimit
 from .hilbert import (
     DEFAULT_EPS,
@@ -29,11 +29,10 @@ from .hilbert import (
     ProfileState,
     RankingSpace,
     basis_state,
+    diagonal_state,
     mixed_state,
-    pair_projector,
     pure_state,
     support_probabilities,
-    support_probability,
 )
 from .rankings import AlternativeSet, Ranking, basis_table
 from .welfare import WelfareRule
@@ -159,9 +158,12 @@ def _rule_kind(rule: WelfareRule | ChoiceRule, expected: str | None = None) -> s
 class _Targets:
     """Targets a rule is scored on: ordered pairs (welfare) or alternatives (choice).
 
-    Each target is a subspace of the ranking space. A ballot's value on a
-    target is its weight in that subspace; society's value is read the same
-    way from a welfare rule's output, or from a choice rule's distribution.
+    Each target is a subspace of the ranking space: a pair's rankings, or
+    the rankings an alternative tops. Every value is read one way
+    (``values``): the basis weight of a state inside each target's
+    subspace. A ballot is read from its own weights, and society from the
+    weights of the welfare rule's output, so a choice rule's value on an
+    alternative is the natural extension's, at the adapter's eps.
     A rule of any other kind than ``kind``, when given, is refused, and so
     is an explicit target that is not the rule kind's own.
     """
@@ -197,12 +199,14 @@ class _Targets:
         self.space = space
         self.eps = eps
 
-    def _values(self, weights: np.ndarray) -> dict:
+    def values(self, weights: np.ndarray) -> dict:
+        """Each target's value on a state's basis weights: their sum inside its subspace."""
         values = support_probabilities(weights, self._index, self.eps)
         return dict(zip(self.targets, values.tolist()))
 
-    def ballot_values(self, ballot: DensityOperator) -> dict:
-        return self._values(ballot.diagonal)
+    def _evaluated(self, profile: ProfileState) -> np.ndarray:
+        """The basis weights of the welfare rule's exact output, refused unless a distribution within eps."""
+        return diagonal_state(self.space, self.welfare.evaluate(profile).diagonal, self.eps).diagonal
 
     def welfare_weights(self, profiles: list[ProfileState]) -> Iterable[np.ndarray]:
         """The basis weights of the rule's welfare output on each profile, in order.
@@ -211,34 +215,27 @@ class _Targets:
         any other rule's welfare rule evaluates each profile as it is read.
         """
         if self.rule.responses is None:
-            return (self.welfare.evaluate(p).diagonal for p in profiles)
-        return self.rule.responses([(p, None) for p in profiles], self.eps)
-
-    def society_of_weights(self, weights: np.ndarray) -> dict:
-        """Society's values from the basis weights of the rule's welfare output."""
-        if self.kind == "welfare":
-            return self._values(weights)
-        state = natural_extension(DensityOperator(self.space, weights), self.rule.eps)
-        return {a: state[a] for a in self.targets}
+            return map(self._evaluated, profiles)
+        return self.rule.responses([(p, None) for p in profiles])
 
     def society_values(self, profile: ProfileState) -> dict:
         """Society's values on one profile, from an exact evaluation of the welfare rule."""
-        return self.society_of_weights(self.welfare.evaluate(profile).diagonal)
+        return self.values(self._evaluated(profile))
 
     def society_batch(self, profiles: list[ProfileState]) -> Iterator[dict]:
         """Society's values on each profile, in order, computed as they are read (``welfare_weights``)."""
-        return map(self.society_of_weights, self.welfare_weights(profiles))
+        return map(self.values, self.welfare_weights(profiles))
 
     def vertex_values(self, responses: np.ndarray, targets: list) -> np.ndarray:
         """Society's value on each target with a voter's ballot replaced by each basis ballot.
 
         ``responses`` is the hook's d x d result for the voter. Row k of the
         d x len(targets) result holds the values with basis ballot k: each
-        target sums the response weights inside its subspace.
+        target sums the response weights inside its subspace, one product
+        with the targets' 0/1 membership columns.
         """
         member = np.zeros((self.space.dim, len(targets)))
-        for j, t in enumerate(targets):
-            member[self._index[self._row[t]], j] = 1.0
+        member[self._index[[self._row[t] for t in targets]].T, np.arange(len(targets))] = 1.0
         return responses @ member
 
 
@@ -421,7 +418,8 @@ def _orientation_bijection(
     space: RankingSpace, pair: tuple[str, str], rng: random.Random
 ) -> list[int]:
     """Random basis permutation preserving each ranking's x-vs-y orientation."""
-    inside = pair_projector(space, *pair).indices.tolist()
+    at = space.alternatives.index
+    inside = basis_table(space.alternatives).pair_rows[at(pair[0]), at(pair[1])].tolist()
     members = set(inside)
     outside = [k for k in range(space.dim) if k not in members]
     perm = [0] * space.dim
@@ -561,7 +559,7 @@ def _fired(
     adapter: _Targets, profile: ProfileState, voter: int, society: dict, eps: float
 ) -> list[tuple[object, PreferenceKind]]:
     """The (target, clause) pairs that fire for a voter: the voter's value holds the clause, society's does not."""
-    ballot_values = adapter.ballot_values(profile.partial_ballot(voter, eps))
+    ballot_values = adapter.values(profile.partial_ballot(voter, eps).diagonal)
     return [
         (target, clause)
         for target in adapter.targets
@@ -685,7 +683,7 @@ def _hunt(
         trials, failure = [], None
         try:
             for profile, weights in zip(batch, targets(batch[0].space)[0].welfare_weights(batch)):
-                scans = [(a, a.society_of_weights(weights)) for a in targets(profile.space)]
+                scans = [(a, a.values(weights)) for a in targets(profile.space)]
                 fired = {}
                 for voter in range(1, profile.n_voters + 1):
                     clauses = [_fired(a, profile, voter, s, eps) for a, s in scans]
@@ -695,7 +693,7 @@ def _hunt(
         except QscError as error:  # raised below, after the draws before it
             failure = error
         requests = [(profile, voter) for profile, _, fired in trials for voter in fired]
-        responses = iter(hook(requests, eps)) if hook is not None else repeat(None)
+        responses = iter(hook(requests)) if hook is not None else repeat(None)
         for profile, scans, fired in trials:
             yield profile, (
                 (voter, [
@@ -736,7 +734,7 @@ def manipulation_witness(
     fired = _fired(adapter, profile, voter, society, eps)
     if not fired:
         return None
-    responses = None if rule.responses is None else next(iter(rule.responses([(profile, voter)], eps)))
+    responses = None if rule.responses is None else next(iter(rule.responses([(profile, voter)])))
     return _first_witness(adapter, profile, voter, fired, society, family, responses, eps)
 
 
@@ -805,7 +803,7 @@ def check_dictatorship(
         for voter in range(1, profile.n_voters + 1):
             if all((voter, variant) in counterexamples for variant, _ in _VARIANTS):
                 continue
-            ballot_values = adapter.ballot_values(profile.partial_ballot(voter, eps))
+            ballot_values = adapter.values(profile.partial_ballot(voter, eps).diagonal)
             for target in adapter.targets:
                 tv, sv = ballot_values[target], society[target]
                 for variant, kind in _VARIANTS:
@@ -892,7 +890,7 @@ def check_unanimity(
     details = {variant: {"instances": 0, "violations": 0} for variant, _ in _VARIANTS}
     for profile, society in _societies(adapter, draws):
         marginals = [
-            adapter.ballot_values(profile.partial_ballot(v, eps))
+            adapter.values(profile.partial_ballot(v, eps).diagonal)
             for v in range(1, profile.n_voters + 1)
         ]
         for target in adapter.targets:
@@ -935,10 +933,9 @@ def check_iia(
     for batch in _batches(draws):
         societies = adapter.society_batch([profile for draw in batch for profile in draw[:2]])
         for profile, twin, pair in batch:
-            projector = pair_projector(space, *pair)
             for voter in range(1, profile.n_voters + 1):
-                mine = support_probability(profile.partial_ballot(voter, eps), projector, eps)
-                theirs = support_probability(twin.partial_ballot(voter, eps), projector, eps)
+                mine = adapter.values(profile.partial_ballot(voter, eps).diagonal)[pair]
+                theirs = adapter.values(twin.partial_ballot(voter, eps).diagonal)[pair]
                 if abs(mine - theirs) > eps:
                     raise InvalidArgument(
                         f"paired sampler broke its contract: voter {voter} disagrees on "

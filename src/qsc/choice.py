@@ -24,7 +24,12 @@ from .welfare import QcvParams, ResponsesHook, WelfareRule, qcv, qcv_rule
 @dataclass(frozen=True, eq=False)
 class ChoiceRule:
     """Named map from a joint ballot profile to an alternative distribution:
-    the welfare rule's output, naturally extended at ``eps``."""
+    the welfare rule's output, naturally extended at ``eps``.
+
+    ``eps`` governs ``evaluate`` only. The axiom engine reads a choice rule
+    on its welfare output's winner-row weights at the check's own eps
+    (``axioms._Targets``), which gives the natural extension's values.
+    """
 
     name: str
     welfare: WelfareRule

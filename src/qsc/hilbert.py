@@ -28,6 +28,7 @@ from .rankings import AlternativeSet, Ranking, all_rankings, basis_table, rankin
 
 DEFAULT_EPS = 1e-9
 MAX_EPS = 1e-3  # a larger tolerance would blur the clause thresholds it decides
+MIN_EPS = 1e-12  # a smaller one would fail a sum of m! weights on its rounding alone
 DEFAULT_SUPPORT_CAP = 20_000
 
 

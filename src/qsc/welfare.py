@@ -20,6 +20,7 @@ from .errors import InvalidArgument, QscError, ResourceLimit, ZeroMassProjection
 from .hilbert import (
     DEFAULT_EPS,
     MAX_EPS,
+    MIN_EPS,
     DensityOperator,
     ProfileState,
     RankingSpace,
@@ -46,8 +47,8 @@ class QcvParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise InvalidArgument(f"delta must lie in (0, 1), got {self.delta}")
-        if not 0.0 < self.eps <= MAX_EPS:
-            raise InvalidArgument(f"eps must lie in (0, {MAX_EPS}], got {self.eps}")
+        if not MIN_EPS <= self.eps <= MAX_EPS:
+            raise InvalidArgument(f"eps must lie in [{MIN_EPS}, {MAX_EPS}], got {self.eps}")
 
     def check_alternatives(self, m: int) -> None:
         limit = 1.0 / (m * m)
@@ -61,8 +62,8 @@ class QcvParams:
         return cls(delta=default_delta(m), eps=eps)
 
 
-# A batch of (profile, voter or None) requests and eps -> one result per request.
-ResponsesHook = Callable[[Sequence[tuple[ProfileState, int | None]], float], Iterable[np.ndarray]]
+# A batch of (profile, voter or None) requests -> one result per request.
+ResponsesHook = Callable[[Sequence[tuple[ProfileState, int | None]]], Iterable[np.ndarray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,15 +74,17 @@ class WelfareRule:
     affine in each voter's basis weights while the other voters stay fixed,
     so mixing two ballots for one voter mixes the outputs the same way;
     weights the support filter drops (at most eps) are exempt. It answers a
-    batch of requests in one call: ``responses(requests, eps)`` takes a
-    sequence of ``(profile, voter)`` pairs and returns an iterable with one
-    result per request, in order. For ``(profile, None)`` the result is the
-    d basis weights of ``evaluate(profile)``; for ``(profile, v)`` it is the
-    d x d basis weights of the output, row k with voter v's ballot replaced
-    by basis ranking k (substituted at eps). The axiom engine scores a batch
-    of sampled profiles with one call, then the basis responses of every
-    voter whose clause fires with one more, and searches dishonest ballots
-    at those d vertices only (see ``axioms``).
+    batch of requests in one call: ``responses(requests)`` takes a sequence
+    of ``(profile, voter)`` pairs and returns an iterable with one result
+    per request, in order. For ``(profile, None)`` the result is the d basis
+    weights of ``evaluate(profile)``; for ``(profile, v)`` it is the d x d
+    basis weights of the output, row k with voter v's ballot replaced by
+    basis ranking k. A basis ballot puts weight exactly 1 on one ranking, so
+    it substitutes the same way at any eps below 1, and no request carries
+    one. The axiom engine scores a batch of sampled profiles with one call,
+    then the basis responses of every voter whose clause fires with one
+    more, and searches dishonest ballots at those d vertices only (see
+    ``axioms``).
     """
 
     name: str
@@ -264,7 +267,7 @@ class _Request:
     result: np.ndarray | None = None
 
     @classmethod
-    def of(cls, params: QcvParams, profile: ProfileState, voter: int | None, eps: float) -> "_Request":
+    def of(cls, params: QcvParams, profile: ProfileState, voter: int | None) -> "_Request":
         space, n = profile.space, profile.n_voters
         pairs = basis_table(space.alternatives).pairs
         # A tally packs into one integer, base n + 1, so adding packed rows adds
@@ -275,7 +278,7 @@ class _Request:
         if profile.factors is None:
             # Substituted first, so the eps filter applies per joint key as for the substituted profile.
             if voter is not None:
-                profile = profile.substitute_ballot(voter, basis_state(space, space.rankings()[0], eps), eps)
+                profile = profile.substitute_ballot(voter, basis_state(space, space.rankings()[0]))
             terms = profile.support_tuples(params.eps)
             keys = np.delete(np.array([key for _, key in terms]), [] if voter is None else voter - 1, axis=1)
             codes, weights = _folded(codes, weights, packed[keys].sum(axis=1), np.array([w for w, _ in terms]))
@@ -312,21 +315,19 @@ def _folded(codes: np.ndarray, weights: np.ndarray, rows: np.ndarray, row_weight
     return out, summed
 
 
-def _scored(
-    params: QcvParams, requests: Iterable[tuple[ProfileState, int | None]], eps: float
-) -> Iterator[np.ndarray]:
+def _scored(params: QcvParams, requests: Iterable[tuple[ProfileState, int | None]]) -> Iterator[np.ndarray]:
     """``qcv``'s basis weights for each request, in order: the rule's batch hook.
 
     A request (profile, None) gives the d weights of ``qcv(profile)``; a
     request (profile, v) gives the d x d weights of ``qcv_responses(profile,
-    v)``, row k with voter v's ballot replaced by basis ranking k
-    (substituted at eps). Each request (``_Request``) is cut into pieces of
-    terms, and consecutive pieces on one ranking space are grouped, up to
-    ``_KERNEL_CELLS`` signature-row cells a group (a piece holds at least one
-    term: 720 x 720 cells for a voter request at m=6). ``_mixed`` scores and
-    mixes a group. A result is yielded once its last piece is mixed, so no
-    more than one group's rows are alive at once, and no more than one
-    result besides the caller's.
+    v)``, row k with voter v's ballot replaced by basis ranking k. Each
+    request (``_Request``) is cut into pieces of terms, and consecutive
+    pieces on one ranking space are grouped, up to ``_KERNEL_CELLS``
+    signature-row cells a group (a piece holds at least one term: 720 x 720
+    cells for a voter request at m=6). ``_mixed`` scores and mixes a group.
+    A result is yielded once its last piece is mixed, so no more than one
+    group's rows are alive at once, and no more than one result besides the
+    caller's.
 
     A ``QscError`` (the support cap, a kernel refusal, a result that is not
     a distribution) is raised only after every earlier request's result has
@@ -335,7 +336,7 @@ def _scored(
     group, cells = [], 0  # pieces (request, first term, stop), and their signature-row cells
     for profile, voter in requests:
         try:
-            request = _Request.of(params, profile, voter, eps)
+            request = _Request.of(params, profile, voter)
         except QscError:
             yield from _mixed(params, group)
             raise
@@ -407,21 +408,19 @@ def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
     with one request). Off-diagonal ballot coherences do not enter: the rule
     consumes basis statistics only.
     """
-    (weights,) = _scored(params, [(profile, None)], params.eps)
+    (weights,) = _scored(params, [(profile, None)])
     return DensityOperator(profile.space, weights)
 
 
-def qcv_responses(
-    profile: ProfileState, voter: int, params: QcvParams, eps: float = DEFAULT_EPS
-) -> np.ndarray:
+def qcv_responses(profile: ProfileState, voter: int, params: QcvParams) -> np.ndarray:
     """``qcv``'s basis weights with one voter's ballot replaced by each basis ranking (d x d).
 
-    Row k is bit for bit ``qcv(profile.substitute_ballot(voter, basis_k, eps),
+    Row k is bit for bit ``qcv(profile.substitute_ballot(voter, basis_k),
     params).diagonal``: the substituted profiles share the other voters'
     fold and differ only by ranking k's ``pairs`` row in every tally
     (``_Request``), and their rows are mixed by ``qcv``'s own ``_scored``.
     """
-    (responses,) = _scored(params, [(profile, voter)], eps)
+    (responses,) = _scored(params, [(profile, voter)])
     return responses
 
 
@@ -429,7 +428,7 @@ def qcv_rule(params: QcvParams) -> WelfareRule:
     return WelfareRule(
         "qcv",
         lambda p: qcv(p, params),
-        responses=lambda requests, eps: _scored(params, requests, eps),
+        responses=lambda requests: _scored(params, requests),
     )
 
 
@@ -438,7 +437,7 @@ def dictator_rule(voter: int) -> WelfareRule:
     if voter < 1:
         raise InvalidArgument(f"voter index must be positive, got {voter}")
 
-    def responses(requests: Sequence[tuple[ProfileState, int | None]], eps: float) -> Iterator[np.ndarray]:
+    def responses(requests: Sequence[tuple[ProfileState, int | None]]) -> Iterator[np.ndarray]:
         for profile, scanned in requests:
             d = profile.space.dim
             if scanned == voter:

@@ -34,12 +34,12 @@ def batch_hook(evaluate, voter_responses):
     """A ``responses`` hook answering each request in turn.
 
     A profile request reads ``evaluate(profile)``'s basis weights, and a
-    voter request ``voter_responses(profile, voter, eps)``'s d x d weights.
+    voter request ``voter_responses(profile, voter)``'s d x d weights.
     """
 
-    def hook(requests, eps):
+    def hook(requests):
         for profile, voter in requests:
-            yield evaluate(profile).diagonal if voter is None else voter_responses(profile, voter, eps)
+            yield evaluate(profile).diagonal if voter is None else voter_responses(profile, voter)
 
     return hook
 
@@ -58,10 +58,10 @@ def reverse_mix_rule(hooked: bool) -> WelfareRule:
         first = profile.partial_ballot(1).diagonal[flip]
         return diagonal_state(space, 0.5 * first + 0.5 * profile.partial_ballot(2).diagonal)
 
-    def responses(profile, voter, eps):
+    def responses(profile, voter):
         space = profile.space
         return np.array([
-            evaluate(profile.substitute_ballot(voter, basis_state(space, r, eps), eps)).diagonal
+            evaluate(profile.substitute_ballot(voter, basis_state(space, r))).diagonal
             for r in space.rankings()
         ])
 

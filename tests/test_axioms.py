@@ -662,6 +662,26 @@ def refuse_to_draw(rng):
     raise AssertionError("the sampler drew")
 
 
+class TestSocietyIsChecked:
+    def test_a_hookless_output_that_is_no_distribution_is_refused(self, space3):
+        # The engine checks what it evaluates itself at the check's eps, for
+        # welfare rules as for their compositions.
+        doubled = WelfareRule(
+            "doubled", lambda profile: DensityOperator(space3, 2 * profile.partial_ballot(1).diagonal)
+        )
+        sampler = default_profile_sampler(space3, 3)
+        refused = "diagonal weights sum to 2"
+        for rule in (doubled, compose(doubled)):
+            with pytest.raises(InvalidArgument, match=refused):
+                check_qic(rule, sampler, FAMILY, trials=5, seed=0)
+            with pytest.raises(InvalidArgument, match=refused):
+                check_dictatorship(rule, space3, sampler, 5, seed=0)
+        with pytest.raises(InvalidArgument, match=refused):
+            check_unanimity(doubled, space3, sampler, 5, seed=0)
+        with pytest.raises(InvalidArgument, match=refused):
+            check_onto(compose(doubled), space3.alternatives, n_voters=3)
+
+
 class TestTrials:
     @pytest.mark.parametrize("trials", [0, -1])
     @pytest.mark.parametrize(
@@ -909,7 +929,7 @@ class TestLinearity:
                         rule.evaluate(profile.substitute_ballot(voter, basis_state(space, r))).diagonal
                         for r in space.rankings()
                     ]
-                    (got,) = rule.responses([(profile, voter)], 1e-9)
+                    (got,) = rule.responses([(profile, voter)])
                     assert got.shape == (space.dim, space.dim)
                     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -964,7 +984,7 @@ def search_voter(adapter, profile, voter, family, society=None):
     if not fired:
         return None
     hook = adapter.rule.responses
-    responses = None if hook is None else next(iter(hook([(profile, voter)], 1e-9)))
+    responses = None if hook is None else next(iter(hook([(profile, voter)])))
     return axioms._first_witness(adapter, profile, voter, fired, society, family, responses, 1e-9)
 
 
@@ -1032,10 +1052,11 @@ class TestBatchedSearch:
         # _VERTEX_MARGIN of the threshold they are evaluated exactly, beyond it not.
         base = reverse_rule()
         inside = pair_projector(space3, "b", "a").indices
+        eps = 1e-9  # the check's eps: manipulation_witness's default
 
-        def responses(profile, voter, eps):
+        def responses(profile, voter):
             rows = np.array([
-                base.evaluate(profile.substitute_ballot(voter, basis_state(space3, r, eps), eps)).diagonal
+                base.evaluate(profile.substitute_ballot(voter, basis_state(space3, r))).diagonal
                 for r in space3.rankings()
             ])
             off = rows[:, inside].sum(axis=1) == 0.0
@@ -1161,7 +1182,6 @@ class TestBatchedSearch:
 
         monkeypatch.setattr(ProfileState, "substitute_ballot", counted_substitute)
         monkeypatch.setattr(choice, "natural_extension", counted_extension)
-        monkeypatch.setattr(axioms, "natural_extension", counted_extension)
         # Voter 1 is certain that a wins and society is not: the clause fires.
         assert society["a"] < 1.0 - 1e-9
         assert search_voter(adapter, profile, 1, FAMILY, society) is None
@@ -1186,7 +1206,7 @@ class TestBatchedSearch:
 
         monkeypatch.setattr(welfare, "_qcv_rows", refuse)
         with pytest.raises(ResourceLimit) as got:
-            list(rule.responses([(profile, 1)], 1e-9))
+            list(rule.responses([(profile, 1)]))
         assert str(got.value) == str(want.value)
 
 
@@ -1219,9 +1239,9 @@ def failing_at(rule, draw, sampler):
         return dataclasses.replace(rule, fn=evaluate), recording
     inner = rule.responses
 
-    def hook(requests, eps):
+    def hook(requests):
         requests = list(requests)
-        for (profile, voter), result in zip(requests, inner(requests, eps)):
+        for (profile, voter), result in zip(requests, inner(requests)):
             if voter is None:
                 refuse(profile)
             yield result

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsc import (
+    DEFAULT_EPS,
     AlternativeSet,
     DensityOperator,
     ProfileState,
     QcvParams,
     Ranking,
     RankingSpace,
+    axioms,
     basis_state,
     compose,
     dictator_rule,
@@ -79,14 +81,19 @@ class TestNaturalExtension:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_same_bits_as_the_gathered_sum(self, m):
+        # The axiom engine reads a choice rule on the winner rows of its welfare
+        # output (``axioms._Targets.values``), not through natural_extension:
+        # both must give the same bits at the same eps.
         space = RankingSpace(AlternativeSet(tuple("abcdef")[:m]))
+        adapter = axioms._Targets(compose(dictator_rule(1)), space, DEFAULT_EPS)
         orders = np.array([r.order for r in space.rankings()])
         rng = np.random.default_rng(m)
         for _ in range(200):
             weights = rng.dirichlet(np.full(space.dim, 0.5))
-            result = natural_extension(DensityOperator(space, weights))
+            result = natural_extension(DensityOperator(space, weights), DEFAULT_EPS)
             for a, name in enumerate(space.alternatives.names):
                 assert result[name] == weights[np.flatnonzero(orders[:, 0] == a)].sum()
+            assert adapter.values(weights) == result.as_dict()
 
     def test_support_iff_topped_ranking_supported(self, alts3, space3):
         state = mixed_state(

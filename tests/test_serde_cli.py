@@ -548,7 +548,7 @@ class TestCliInputErrors:
             "eps-large", "family-empty", "family-seed-only", "family-over-cap", "family-grid-fine",
             "family-weights-over-cap", "trials-zero-dictatorship", "trials-zero-unanimity",
             "trials-zero-iia", "trials-zero-onto", "usage-bad-int", "usage-bad-choice",
-            "voters-over-cap", "profile-too-deep",
+            "voters-over-cap", "profile-too-deep", "eps-tiny",
         ],
     )
     def test_exits_2_with_one_json_line(self, case, tmp_path, capsys, monkeypatch):
@@ -576,6 +576,7 @@ class TestCliInputErrors:
             "profile-dir": ["evaluate", "--rule", "qcv", "--profile", str(tmp_path)],
             "profile-bytes": ["evaluate", "--rule", "qcv", "--profile", str(undecodable)],
             "eps-large": [*check, "--eps", "0.6"],
+            "eps-tiny": [*check, "--eps", "1e-20"],
             "family-empty": [*check, "--family", ""],
             "family-seed-only": [*check, "--family", "seed:3"],
             "family-over-cap": [*veto, "veto:a>b>c>d>e", "--alternatives", "5"],
@@ -599,6 +600,22 @@ class TestCliInputErrors:
         assert len(lines) == 1 and "Traceback" not in captured.err
         assert "error" in json.loads(lines[0])
 
+    @pytest.mark.parametrize("rule", ["qcv", "qcvne", "dictator:1", "veto:a>b>c"])
+    def test_eps_below_the_floor_is_refused_before_any_draw(self, rule, capsys, monkeypatch):
+        # Every rule, the hookless veto too: at eps 1e-20 the hooked ones would
+        # otherwise fail a distribution check on a sum's rounding.
+        def refuse(*args):
+            raise AssertionError("a profile was drawn")
+
+        monkeypatch.setattr(axioms, "_draws", refuse)
+        argv = ["check", "--axiom", "qic", "--trials", "50", "--seed", "1", "--eps", "1e-20", "--rule", rule]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err) == {
+            "error": "invalid-argument", "message": "eps must lie in [1e-12, 0.001], got 1e-20",
+        }
+
     @pytest.mark.parametrize("error", [InvalidArgument, ZeroMassProjection])
     def test_kernel_error_in_the_batched_search(self, error, capsys, monkeypatch):
         # The kernel fails only once the hook is asked for voters' basis responses,
@@ -609,12 +626,12 @@ class TestCliInputErrors:
         def failing_kernel(*args):
             raise error("the kernel refused")
 
-        def failing_scored(params, requests, eps):
+        def failing_scored(params, requests):
             requests = list(requests)
             if any(voter is not None for _, voter in requests):
                 hooked.append(requests)
                 monkeypatch.setattr(welfare, "_qcv_rows", failing_kernel)
-            return scored(params, requests, eps)
+            return scored(params, requests)
 
         monkeypatch.setattr(welfare, "_scored", failing_scored)
         assert main(["check", "--axiom", "qic", "--rule", "qcv", "--trials", "20", "--seed", "1"]) == 2
