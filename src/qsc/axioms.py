@@ -29,12 +29,13 @@ from .hilbert import (
     ProfileState,
     RankingSpace,
     basis_state,
+    check_eps,
     diagonal_state,
     mixed_state,
     pure_state,
     support_probabilities,
 )
-from .rankings import AlternativeSet, Ranking, basis_table
+from .rankings import AlternativeSet, basis_table
 from .welfare import WelfareRule
 
 VERDICT_HOLDS = "holds-on-sample"
@@ -54,6 +55,9 @@ FAMILY_WEIGHT_CAP = 4_000_000
 _VERTEX_MARGIN = 1e-11
 # Draws a hooked hunt, and each batched check, scores with one hook call.
 _BATCH_DRAWS = 64
+# Records list every nonzero weight and amplitude: dropping those at most the
+# default eps would lose weights a check at a smaller eps read.
+_RECORD_EPS = 0.0
 
 
 class PreferenceKind(Enum):
@@ -95,27 +99,6 @@ def classify_value(value: float, eps: float = DEFAULT_EPS) -> PreferenceKind:
     return PreferenceKind.WEAK
 
 
-def _applicable_clauses(kind: PreferenceKind, rule_kind: str) -> tuple[PreferenceKind, ...]:
-    """Manipulation clauses a voter with this preference could exploit.
-
-    A clause is a kind the voter's value holds: it fires when society's
-    value does not hold it, and a dishonest ballot achieves it when
-    society's value then does. A certain (probability-1) preference also
-    carries weak support, so both clauses stay live for it. For choice
-    rules the strong-negative pattern is not hunted: zeroing out an
-    alternative the voter gives no winning support to moves society toward
-    that voter's honest ballot, and the Condorcet rule composed with the
-    natural extension genuinely admits it (make one beats-the-hated-option
-    pair unanimous and the final projection erases the rest), so counting
-    it would brand every such rule manipulable.
-    """
-    if kind is PreferenceKind.STRONG_POSITIVE:
-        return (PreferenceKind.STRONG_POSITIVE, PreferenceKind.WEAK)
-    if kind is PreferenceKind.STRONG_NEGATIVE:
-        return () if rule_kind == "choice" else (kind,)
-    return (kind,)
-
-
 @dataclass(frozen=True, eq=False)
 class ManipulationWitness:
     """Replayable record of a strategic-manipulation clause firing."""
@@ -140,8 +123,8 @@ class ManipulationWitness:
             "target": list(self.target) if isinstance(self.target, tuple) else self.target,
             "truthful_value": self.truthful_value,
             "dishonest_value": self.dishonest_value,
-            "dishonest_ballot": serde.serialize_density(self.dishonest_ballot),
-            "profile": serde.serialize_profile(self.profile),
+            "dishonest_ballot": serde.serialize_density(self.dishonest_ballot, _RECORD_EPS),
+            "profile": serde.serialize_profile(self.profile, _RECORD_EPS),
         }
 
 
@@ -165,7 +148,8 @@ class _Targets:
     weights of the welfare rule's output, so a choice rule's value on an
     alternative is the natural extension's, at the adapter's eps.
     A rule of any other kind than ``kind``, when given, is refused, and so
-    is an explicit target that is not the rule kind's own.
+    is an explicit target that is not the rule kind's own, or an eps outside
+    [MIN_EPS, MAX_EPS].
     """
 
     def __init__(
@@ -176,8 +160,17 @@ class _Targets:
         targets: list | None = None,
         kind: str | None = None,
     ):
+        check_eps(eps)
         self.kind = _rule_kind(rule, kind)
         pairs = self.kind == "welfare"
+        # The manipulation clauses hunted (``_fired``), in enum order. A choice
+        # rule's strong-negative clause is not: zeroing out an alternative the
+        # voter gives no winning support to moves society toward that voter's
+        # honest ballot, and the Condorcet rule composed with the natural
+        # extension genuinely admits it (make one beats-the-hated-option pair
+        # unanimous and the final projection erases the rest), so counting it
+        # would brand every such rule manipulable.
+        self.clauses = tuple(PreferenceKind) if pairs else (PreferenceKind.STRONG_POSITIVE, PreferenceKind.WEAK)
         own = space.alternatives.ordered_pairs() if pairs else list(space.alternatives.names)
         for target in targets or ():
             if target not in own:
@@ -418,12 +411,11 @@ def _orientation_bijection(
     space: RankingSpace, pair: tuple[str, str], rng: random.Random
 ) -> list[int]:
     """Random basis permutation preserving each ranking's x-vs-y orientation."""
-    at = space.alternatives.index
-    inside = basis_table(space.alternatives).pair_rows[at(pair[0]), at(pair[1])].tolist()
-    members = set(inside)
-    outside = [k for k in range(space.dim) if k not in members]
+    x, y = map(space.alternatives.index, pair)
+    rows = basis_table(space.alternatives).pair_rows
     perm = [0] * space.dim
-    for group in (inside, outside):
+    # The rankings placing x above y, then the rest: those placing y above x.
+    for group in (rows[x, y].tolist(), rows[y, x].tolist()):
         shuffled = group[:]
         rng.shuffle(shuffled)
         for src, dst in zip(group, shuffled):
@@ -558,13 +550,18 @@ def _report(
 def _fired(
     adapter: _Targets, profile: ProfileState, voter: int, society: dict, eps: float
 ) -> list[tuple[object, PreferenceKind]]:
-    """The (target, clause) pairs that fire for a voter: the voter's value holds the clause, society's does not."""
+    """The (target, clause) pairs that fire for a voter: the voter's value holds the clause, society's does not.
+
+    The clauses are the adapter's (``_Targets.clauses``). A dishonest ballot
+    achieves a fired clause when society's value then holds it. A certain
+    value is also supported, so both of those clauses can fire for it.
+    """
     ballot_values = adapter.values(profile.partial_ballot(voter, eps).diagonal)
     return [
         (target, clause)
         for target in adapter.targets
-        for clause in _applicable_clauses(classify_value(ballot_values[target], eps), adapter.kind)
-        if not clause.holds(society[target], eps)
+        for clause in adapter.clauses
+        if clause.holds(ballot_values[target], eps) and not clause.holds(society[target], eps)
     ]
 
 
@@ -667,8 +664,10 @@ def _hunt(
     before it are scanned, and its fired voters search the family, whose
     size is refused before the draw is evaluated. A ``QscError`` on a draw
     of a batch is raised once the draws before it are scanned, as a
-    draw-by-draw hunt would raise it.
+    draw-by-draw hunt would raise it. An eps outside [MIN_EPS, MAX_EPS] is
+    refused before the first draw.
     """
+    check_eps(eps)
     adapters: dict[RankingSpace, list[_Targets]] = {}
 
     def targets(space: RankingSpace) -> list[_Targets]:
@@ -822,7 +821,7 @@ def check_dictatorship(
                         ),
                         "voter_value": tv,
                         "society_value": sv,
-                        "profile": serde.serialize_profile(profile),
+                        "profile": serde.serialize_profile(profile, _RECORD_EPS),
                     }
         if len(counterexamples) == len(_VARIANTS) * n_voters:
             break
@@ -852,11 +851,12 @@ def check_onto(
     adapter = _Targets(rule, space, eps, kind="choice")
     failures: list[dict] = []
     reached = 0
-    profiles = []
-    for a in alternatives.names:
-        rest = [i for i in range(alternatives.m) if i != alternatives.index(a)]
-        ranking = Ranking(alternatives, (alternatives.index(a), *rest))
-        profiles.append(ProfileState.product_of([basis_state(space, ranking)] * n_voters))
+    # Each alternative's unanimous ranking: the first of its Lehmer block, the rest in label order.
+    table = basis_table(alternatives)
+    profiles = [
+        ProfileState.product_of([basis_state(space, table.rankings[first])] * n_voters)
+        for first in table.winner_rows[:, 0].tolist()
+    ]
     for a, profile, society in zip(alternatives.names, profiles, adapter.society_batch(profiles)):
         value = society[a]
         if PreferenceKind.STRONG_POSITIVE.holds(value, eps):
@@ -867,7 +867,7 @@ def check_onto(
                     "kind": "onto-failure",
                     "alternative": a,
                     "achieved": value,
-                    "profile": serde.serialize_profile(profile),
+                    "profile": serde.serialize_profile(profile, _RECORD_EPS),
                 }
             )
     details = {"reached": reached, "alternatives": alternatives.m, "voters": n_voters}
@@ -909,7 +909,7 @@ def check_unanimity(
                             "target": list(target),
                             "ballot_values": values,
                             "society_value": society_value,
-                            "profile": serde.serialize_profile(profile),
+                            "profile": serde.serialize_profile(profile, _RECORD_EPS),
                         }
                     )
     return _report("unanimity", rule.name, trials, seed, started, violations, details)
@@ -954,8 +954,8 @@ def check_iia(
                             "target": list(pair),
                             "society_value": value,
                             "twin_society_value": twin_value,
-                            "profile": serde.serialize_profile(profile),
-                            "twin_profile": serde.serialize_profile(twin),
+                            "profile": serde.serialize_profile(profile, _RECORD_EPS),
+                            "twin_profile": serde.serialize_profile(twin, _RECORD_EPS),
                         }
                     )
     details["violations"] = len(violations)
@@ -993,7 +993,7 @@ def check_composition_preservation(
                         "kind": "composition-violation",
                         "voter": voter,
                         "choice_witness": c_witness.to_jsonable(),
-                        "profile": serde.serialize_profile(profile),
+                        "profile": serde.serialize_profile(profile, _RECORD_EPS),
                     }
                 )
     details = {"welfare_witnesses": welfare_hits, "choice_witnesses": choice_hits, **_searched(rule, family)}

@@ -32,6 +32,12 @@ MIN_EPS = 1e-12  # a smaller one would fail a sum of m! weights on its rounding 
 DEFAULT_SUPPORT_CAP = 20_000
 
 
+def check_eps(eps: float) -> None:
+    """Refuse a tolerance outside [MIN_EPS, MAX_EPS], NaN included."""
+    if not MIN_EPS <= eps <= MAX_EPS:
+        raise InvalidArgument(f"eps must lie in [{MIN_EPS}, {MAX_EPS}], got {eps}")
+
+
 @dataclass(frozen=True)
 class RankingSpace:
     """Hilbert space with one basis vector per strict ranking."""

@@ -122,8 +122,6 @@ class BasisTable:
     rankings: tuple[Ranking, ...]
     strings: tuple[str, ...]  # the compact "a>b>c" form
     index: Mapping[tuple[int, ...], int]  # order -> basis index
-    orders: np.ndarray  # d x m: orders[k, p] is the alternative at place p
-    positions: np.ndarray  # d x m: positions[k, x] is the place of alternative x
     above: np.ndarray  # d x m x m bool: ranking k places x above y
     upper: tuple[np.ndarray, np.ndarray]  # (x, y) index arrays of the pairs x < y, in ``np.triu_indices`` order
     pairs: np.ndarray  # d x C(m,2) bool: ``above`` at the pairs ``upper``
@@ -143,22 +141,19 @@ def basis_table(alternatives: AlternativeSet) -> BasisTable:
     m = alternatives.m
     names = alternatives.names
     perms = list(permutations(range(m)))
-    orders = np.array(perms, dtype=np.intp)
-    positions = np.empty_like(orders)
-    np.put_along_axis(positions, orders, np.arange(m), axis=1)
+    positions = np.empty((len(perms), m), dtype=np.intp)  # positions[k, x]: the place of x in ranking k
+    np.put_along_axis(positions, np.array(perms, dtype=np.intp), np.arange(m), axis=1)
     above = positions[:, :, None] < positions[:, None, :]
     upper = tuple(np.array(side, dtype=np.intp) for side in zip(*combinations(range(m), 2)))
     pairs = above[:, upper[0], upper[1]]
     pair_rows = {(x, y): np.flatnonzero(above[:, x, y]) for x in range(m) for y in range(m) if x != y}
     winner_rows = np.arange(len(perms), dtype=np.intp).reshape(m, -1)
-    for array in (orders, positions, above, pairs, winner_rows, *upper, *pair_rows.values()):
+    for array in (above, pairs, winner_rows, *upper, *pair_rows.values()):
         array.setflags(write=False)
     return BasisTable(
         rankings=tuple(Ranking(alternatives, p) for p in perms),
         strings=tuple(">".join([names[i] for i in p]) for p in perms),
         index={p: k for k, p in enumerate(perms)},
-        orders=orders,
-        positions=positions,
         above=above,
         upper=upper,
         pairs=pairs,

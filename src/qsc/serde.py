@@ -82,44 +82,35 @@ def _parse_number(value: Any, locus: str) -> float:
     return float(value)
 
 
+# A ballot's shape -> its term's fields, the value its numbers give, and its builder.
+_BALLOT_TERMS = {
+    "pure": (("re", "im", "ranking"), complex, pure_state),
+    "mixed": (("weight", "ranking"), float, mixed_state),
+}
+
+
 def _parse_voter(space: RankingSpace, spec: Any, locus: str, eps: float) -> DensityOperator:
     if not isinstance(spec, dict):
         raise ParseError("voter ballot must be an object", locus)
-    keys = set(spec)
-    if keys == {"pure"}:
-        entries = spec["pure"]
-        if not isinstance(entries, list) or not entries:
-            raise ParseError("pure ballot needs a nonempty term list", f"{locus}.pure")
-        terms = []
-        for t, entry in enumerate(entries):
-            term_locus = f"{locus}.pure[{t}]"
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ParseError("pure term must be [re, im, ranking]", term_locus)
-            re = _parse_number(entry[0], term_locus)
-            im = _parse_number(entry[1], term_locus)
-            terms.append((complex(re, im), _parse_ranking(space.alternatives, entry[2], term_locus)))
-        try:
-            return pure_state(space, terms, eps)
-        except InvalidArgument as exc:
-            raise ParseError(str(exc), f"{locus}.pure") from None
-    if keys == {"mixed"}:
-        entries = spec["mixed"]
-        if not isinstance(entries, list) or not entries:
-            raise ParseError("mixed ballot needs a nonempty term list", f"{locus}.mixed")
-        terms = []
-        for t, entry in enumerate(entries):
-            term_locus = f"{locus}.mixed[{t}]"
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ParseError("mixed term must be [weight, ranking]", term_locus)
-            weight = _parse_number(entry[0], term_locus)
-            terms.append((weight, _parse_ranking(space.alternatives, entry[1], term_locus)))
-        try:
-            return mixed_state(space, terms, eps)
-        except InvalidArgument as exc:
-            raise ParseError(str(exc), f"{locus}.mixed") from None
-    raise ParseError(
-        f"voter ballot must have exactly one of 'pure' or 'mixed', got {sorted(keys)}", locus
-    )
+    if len(spec) != 1 or not set(spec) <= _BALLOT_TERMS.keys():
+        raise ParseError(
+            f"voter ballot must have exactly one of 'pure' or 'mixed', got {sorted(spec)}", locus
+        )
+    ((shape, entries),) = spec.items()
+    fields, value, build = _BALLOT_TERMS[shape]
+    if not isinstance(entries, list) or not entries:
+        raise ParseError(f"{shape} ballot needs a nonempty term list", f"{locus}.{shape}")
+    terms = []
+    for t, entry in enumerate(entries):
+        term_locus = f"{locus}.{shape}[{t}]"
+        if not isinstance(entry, list) or len(entry) != len(fields):
+            raise ParseError(f"{shape} term must be [{', '.join(fields)}]", term_locus)
+        numbers = [_parse_number(x, term_locus) for x in entry[:-1]]
+        terms.append((value(*numbers), _parse_ranking(space.alternatives, entry[-1], term_locus)))
+    try:
+        return build(space, terms, eps)
+    except InvalidArgument as exc:
+        raise ParseError(str(exc), f"{locus}.{shape}") from None
 
 
 def parse_density(space: RankingSpace, document: dict, eps: float = DEFAULT_EPS) -> DensityOperator:

@@ -19,12 +19,11 @@ from . import hilbert
 from .errors import InvalidArgument, QscError, ResourceLimit, ZeroMassProjection
 from .hilbert import (
     DEFAULT_EPS,
-    MAX_EPS,
-    MIN_EPS,
     DensityOperator,
     ProfileState,
     RankingSpace,
     basis_state,
+    check_eps,
     diagonal_state,
 )
 from .rankings import AlternativeSet, Ranking, basis_table, ranking_index
@@ -47,8 +46,7 @@ class QcvParams:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise InvalidArgument(f"delta must lie in (0, 1), got {self.delta}")
-        if not MIN_EPS <= self.eps <= MAX_EPS:
-            raise InvalidArgument(f"eps must lie in [{MIN_EPS}, {MAX_EPS}], got {self.eps}")
+        check_eps(self.eps)
 
     def check_alternatives(self, m: int) -> None:
         limit = 1.0 / (m * m)
@@ -358,10 +356,12 @@ def _mixed(params: QcvParams, group: list[tuple[_Request, int, int]]) -> Iterato
     Row b of a request is the sum, over terms t in order, of ``weights[t]``
     times the six-step rule's sigma3 row for term t's signature in column
     b. Signatures are keyed as base-5 numbers, and one ``_qcv_rows`` call
-    scores the group's distinct ones. A group whose call raises a
-    ``QscError`` is split in halves, each scored and mixed in turn, so the
-    error is raised at the first piece holding a refused signature, once
-    every request before it is yielded.
+    scores the group's distinct ones. With parameters ``QcvParams`` accepts,
+    that call refuses only a delta too large for the space's m, so it
+    refuses every signature of the group; a group holds one ranking space,
+    so its first request is the first refused, and every request before it
+    has been yielded. (Its spread and zero-mass refusals need parameters
+    ``QcvParams`` refuses.)
     """
     if not group:
         return
@@ -370,14 +370,7 @@ def _mixed(params: QcvParams, group: list[tuple[_Request, int, int]]) -> Iterato
     # Term t's signature in column b: the classes of its tally plus the column's shift.
     codes = np.concatenate([(_classes(r.n)[r.tallies[a:b, None] + r.shifts] @ fives).ravel() for r, a, b in group])
     distinct, inverse = np.unique(codes, return_inverse=True)
-    try:
-        table = _qcv_rows(space.alternatives, distinct[:, None] // fives % 5, params)
-    except QscError:
-        if len(group) == 1:
-            raise
-        yield from _mixed(params, group[: len(group) // 2])
-        yield from _mixed(params, group[len(group) // 2 :])
-        return
+    table = _qcv_rows(space.alternatives, distinct[:, None] // fives % 5, params)
     offset = 0
     for request, first, stop in group:
         size = (stop - first) * len(request.shifts)

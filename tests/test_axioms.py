@@ -194,6 +194,32 @@ class TestPreferenceKind:
         assert classify_value(0.5, 0.5) is PreferenceKind.STRONG_NEGATIVE
 
 
+class TestFiredClauses:
+    """A clause fires when the voter's value holds it and society's does not, in enum order."""
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-3])
+    def test_clauses_one_ulp_either_side_of_each_threshold(self, alts3, space3, eps):
+        sp, sn, weak = PreferenceKind.STRONG_POSITIVE, PreferenceKind.STRONG_NEGATIVE, PreferenceKind.WEAK
+        values = [eps, np.nextafter(eps, 1.0), 1.0 - eps, np.nextafter(1.0 - eps, 0.0)]
+        # The clauses fired for each value against society at 0.5 (neither
+        # certain nor excluded), then at 0 (excluded), for a welfare rule.
+        fired = [([sn], []), ([], [weak]), ([sp], [sp, weak]), ([], [weak])]
+        inside, outside = (space3.basis_index(rk(alts3, text)) for text in ("a>b>c", "b>a>c"))
+        other = basis_state(space3, rk(alts3, "c>b>a"))
+        for rule, target in ((qcv_rule(PARAMS), ("a", "b")), (qcvne_rule(PARAMS), "a")):
+            adapter = axioms._Targets(rule, space3, eps, targets=[target])
+            for value, want in zip(values, fired):
+                # a>b>c lies inside both targets and b>a>c outside both, so the value is exact.
+                weights = np.zeros(space3.dim)
+                weights[inside], weights[outside] = value, 1.0 - value
+                profile = ProfileState.product_of([DensityOperator(space3, weights), other])
+                for society, clauses in zip((0.5, 0.0), want):
+                    # A choice rule's strong-negative clause is not hunted.
+                    clauses = [c for c in clauses if adapter.kind == "welfare" or c is not sn]
+                    got = axioms._fired(adapter, profile, 1, {target: society}, eps)
+                    assert got == [(target, c) for c in clauses], (adapter.kind, value, society)
+
+
 class TestWelfareWitnessSearch:
     def test_veto_clause_one_witness(self, alts3, veto_setup):
         rule, profile = veto_setup
@@ -221,6 +247,24 @@ class TestWelfareWitnessSearch:
         assert support_probability(dishonest, projector) == pytest.approx(
             record["dishonest_value"], abs=1e-9
         )
+
+    def test_witness_at_a_small_eps_replays_from_its_record(self, alts3, space3):
+        # Voter 1's weight of 1e-10 on c>b>a keeps the pet below certainty at
+        # eps 1e-12; a record that dropped it would pin the pet and replay false.
+        eps = 1e-12
+        rule = veto_rule(rk(alts3, "a>b>c"), eps)
+        torn = mixed_state(space3, [(1.0 - 1e-10, rk(alts3, "a>b>c")), (1e-10, rk(alts3, "c>b>a"))], eps)
+        profile = ProfileState.product_of([torn, basis_state(space3, rk(alts3, "b>a>c"))])
+        witness = manipulation_witness(rule, profile, 1, ("a", "b"), FAMILY, eps)
+        assert witness is not None and reverify_witness(rule, witness, eps)
+        record = witness.to_jsonable()
+        assert [term[1] for term in record["profile"]["voters"][0]["mixed"]] == ["a>b>c", "c>b>a"]
+        replayed = dataclasses.replace(
+            witness,
+            profile=parse_profile(record["profile"], eps),
+            dishonest_ballot=parse_density(space3, record["dishonest_ballot"], eps),
+        )
+        assert reverify_witness(rule, replayed, eps)
 
     def test_dictator_is_immune(self, alts3, space3, veto_setup):
         _, profile = veto_setup
@@ -700,6 +744,46 @@ class TestTrials:
     def test_every_sampled_check_refuses_before_drawing(self, space3, check, trials):
         with pytest.raises(InvalidArgument, match="trials must be at least 1"):
             check(space3, trials)
+
+
+class TestEngineEps:
+    """The engine reads values at an eps in [MIN_EPS, MAX_EPS], the range ``QcvParams`` accepts."""
+
+    @pytest.mark.parametrize("eps", [float("nan"), 0.0, 0.7, -1.0])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda alts, space, eps: check_qic(qcv_rule(PARAMS), refuse_to_draw, FAMILY, 5, 0, eps),
+            lambda alts, space, eps: check_qic(
+                veto_rule(rk(alts, "a>b>c")), refuse_to_draw, FAMILY, 5, 0, eps
+            ),
+            lambda alts, space, eps: check_dictatorship(qcv_rule(PARAMS), space, refuse_to_draw, 5, 0, eps),
+            lambda alts, space, eps: check_onto(qcvne_rule(PARAMS), alts, 3, eps),
+            lambda alts, space, eps: check_unanimity(qcv_rule(PARAMS), space, refuse_to_draw, 5, 0, eps),
+            lambda alts, space, eps: check_iia(qcv_rule(PARAMS), space, refuse_to_draw, 5, 0, eps),
+            lambda alts, space, eps: check_composition_preservation(
+                qcv_rule(PARAMS), refuse_to_draw, FAMILY, 5, 0, eps
+            ),
+            lambda alts, space, eps: manipulation_witness(
+                qcv_rule(PARAMS), ProfileState.basis([rk(alts, "a>b>c")] * 3), 1, ("a", "b"), FAMILY, eps
+            ),
+            lambda alts, space, eps: run_gs_suite(qcvne_rule(PARAMS), SuiteConfig(alts, eps=eps)),
+            lambda alts, space, eps: run_arrow_suite(qcv_rule(PARAMS), SuiteConfig(alts, eps=eps)),
+        ],
+        ids=[
+            "qic", "qic-hookless", "dictatorship", "onto", "unanimity", "iia",
+            "composition-preservation", "manipulation-witness", "gs-suite", "arrow-suite",
+        ],
+    )
+    def test_every_check_refuses_before_drawing(self, alts3, space3, check, eps):
+        with pytest.raises(InvalidArgument, match=r"^eps must lie in \[1e-12, 0\.001\], got "):
+            check(alts3, space3, eps)
+
+    def test_the_range_ends_are_accepted(self, space3):
+        sampler = default_profile_sampler(space3, 3)
+        for eps in (1e-12, 1e-3):
+            report = check_qic(qcvne_rule(QcvParams(0.05, eps)), sampler, FAMILY, 5, 0, eps)
+            assert report.verdict == VERDICT_HOLDS
 
 
 def per_index_bijection(space, pair, rng):

@@ -257,13 +257,13 @@ class TestBasisTable:
         block = math.factorial(m - 1)
         assert table.winner_rows.shape == (m, block)
         for a in range(m):
-            assert table.winner_rows[a].tolist() == np.flatnonzero(table.orders[:, 0] == a).tolist()
+            assert table.winner_rows[a].tolist() == [k for k, r in enumerate(table.rankings) if r.order[0] == a]
             assert table.winner_rows[a].tolist() == list(range(a * block, (a + 1) * block))
 
     def test_one_table_per_alternative_set(self, alts3):
         assert basis_table(AlternativeSet(("a", "b", "c"))) is basis_table(alts3)
         table = basis_table(alts3)
-        for array in (table.orders, table.positions, table.above, table.winner_rows,
+        for array in (table.above, table.pairs, table.winner_rows, *table.upper,
                       *table.pair_rows.values()):
             assert not array.flags.writeable
 

@@ -719,28 +719,19 @@ class TestBatchHook:
         with pytest.raises(error, match="^the kernel refused$"):
             list(qcv_rule(QcvParams(0.05)).responses(requests))
 
-    def test_errors_wait_for_the_results_before_them(self, space3, monkeypatch):
+    def test_errors_wait_for_the_results_before_them(self, space3, space4, monkeypatch):
         # Requests answered one at a time would yield every result before the
         # failing request, then raise: so does the batch, whether its kernel
-        # pass fails or a request cannot be built.
+        # pass fails or a request cannot be built. Delta 0.1 is below 1/9 but
+        # not below 1/16, so the kernel refuses the m=4 request only.
         rankings = space3.rankings()
         good = [ProfileState.basis([rankings[k] for k in key]) for key in ((0, 1, 2), (1, 1, 2))]
-        bad = ProfileState.basis([rankings[5]] * 3)
-        kernel = welfare._qcv_rows
-        refused = signatures(space3.alternatives, np.array([[5, 5, 5]])).tolist()
-
-        def failing(alternatives, signatures, params):
-            if any(row in refused for row in signatures.tolist()):
-                raise ZeroMassProjection("the kernel refused")
-            return kernel(alternatives, signatures, params)
-
-        monkeypatch.setattr(welfare, "_qcv_rows", failing)
+        bad = ProfileState.basis([space4.rankings()[5]] * 3)
         requests = [(good[0], None), (good[1], 2), (bad, None), (good[1], None)]
         answered = []
-        with pytest.raises(ZeroMassProjection, match="^the kernel refused$"):
-            answered.extend(qcv_rule(QcvParams(0.05)).responses(requests))
+        with pytest.raises(InvalidArgument, match="^delta 0.1 must be strictly below 1/16 for 4 alternatives$"):
+            answered.extend(qcv_rule(QcvParams(0.1)).responses(requests))
         assert len(answered) == 2
-        monkeypatch.setattr(welfare, "_qcv_rows", kernel)
         monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 8)
         uniform = mixed_state(space3, [(1.0, r) for r in rankings])
         answered.clear()
