@@ -6,26 +6,8 @@ axiom engine that hunts for strategic manipulation, dictatorship,
 unanimity and independence failures.
 """
 
-from .axioms import (
-    AxiomReport,
-    CandidateBallotFamily,
-    ManipulationWitness,
-    PreferenceKind,
-    SuiteConfig,
-    SuiteReport,
-    check_composition_preservation,
-    check_dictatorship,
-    check_iia,
-    check_onto,
-    check_qic,
-    check_unanimity,
-    default_paired_sampler,
-    default_profile_sampler,
-    manipulation_witness,
-    reverify_witness,
-    run_arrow_suite,
-    run_gs_suite,
-)
+from importlib import import_module as _import_module
+
 from .choice import (
     ChoiceRule,
     compose,
@@ -72,4 +54,34 @@ from .welfare import (
     veto_rule,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The axiom engine is loaded on first use, so ``import qsc`` and ``qsc evaluate``
+# never compile or run it.
+_AXIOM_NAMES = frozenset({
+    "AxiomReport",
+    "CandidateBallotFamily",
+    "ManipulationWitness",
+    "PreferenceKind",
+    "SuiteConfig",
+    "SuiteReport",
+    "check_composition_preservation",
+    "check_dictatorship",
+    "check_iia",
+    "check_onto",
+    "check_qic",
+    "check_unanimity",
+    "default_paired_sampler",
+    "default_profile_sampler",
+    "manipulation_witness",
+    "reverify_witness",
+    "run_arrow_suite",
+    "run_gs_suite",
+})
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | _AXIOM_NAMES | {"axioms"})
+
+
+def __getattr__(name: str):
+    if name in _AXIOM_NAMES or name == "axioms":
+        axioms = _import_module(".axioms", __name__)
+        return axioms if name == "axioms" else getattr(axioms, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

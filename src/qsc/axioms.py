@@ -12,10 +12,11 @@ import math
 import random
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
-from itertools import chain, combinations, islice, repeat
+from functools import lru_cache
+from itertools import accumulate, combinations, islice, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -45,9 +46,34 @@ VERDICT_DICTATOR_CANDIDATE = "dictatorship-candidate"
 VERDICT_BYPASS = "bypass-demonstrated"
 VERDICT_NOT_BYPASSED = "not-bypassed"
 
+# Expected verdict per (rule family, axiom) of the rules the CLI names; a
+# mismatch exits 1 so CI runs catch both regressions of known-good rules and a
+# search engine too weak to flag the manipulable control.
+EXPECTED_VERDICTS = {
+    ("qcv", "qic"): VERDICT_HOLDS,
+    ("qcv", "unanimity"): VERDICT_HOLDS,
+    ("qcv", "iia"): VERDICT_HOLDS,
+    ("qcv", "dictatorship"): VERDICT_NO_DICTATOR,
+    ("qcv", "onto"): VERDICT_HOLDS,
+    ("qcv", "arrow-suite"): VERDICT_BYPASS,
+    ("qcv", "gs-suite"): VERDICT_BYPASS,
+    ("qcvne", "qic"): VERDICT_HOLDS,
+    ("qcvne", "onto"): VERDICT_HOLDS,
+    ("qcvne", "dictatorship"): VERDICT_NO_DICTATOR,
+    ("qcvne", "gs-suite"): VERDICT_BYPASS,
+    ("dictator", "qic"): VERDICT_HOLDS,
+    ("dictator", "unanimity"): VERDICT_HOLDS,
+    ("dictator", "iia"): VERDICT_HOLDS,
+    ("dictator", "dictatorship"): VERDICT_DICTATOR_CANDIDATE,
+    ("dictator", "onto"): VERDICT_HOLDS,
+    ("dictator", "arrow-suite"): VERDICT_NOT_BYPASSED,
+    ("dictator", "gs-suite"): VERDICT_NOT_BYPASSED,
+    ("veto", "qic"): VERDICT_FALSIFIED,
+}
+
 FAMILY_CAP = 100_000  # ballots; the m=4 default family has 3,152, the m=5 one 309,520
-# Basis weights (ballots x m!) a family may hold: each is 8 bytes in the weight
-# matrix its ballots share as row views, plus 16 in the amplitudes of a pure
+# Basis weights (ballots x m!) a family may hold once every ballot is read: each
+# is 8 bytes in its ballot's diagonal, plus 16 in the amplitudes of a pure
 # ballot (a superposition or a random one). m=5 basis,sup2 holds 871,200.
 FAMILY_WEIGHT_CAP = 4_000_000
 # Vertex values this close to a clause threshold are re-checked exactly; the
@@ -300,9 +326,13 @@ class CandidateBallotFamily:
                 f"basis weights, above the cap of {FAMILY_WEIGHT_CAP}"
             )
 
-    def ballots(self, space: RankingSpace, eps: float = DEFAULT_EPS) -> tuple[DensityOperator, ...]:
+    def ballots(self, space: RankingSpace, eps: float = DEFAULT_EPS) -> Sequence[DensityOperator]:
+        """The ballots in family order, one memoised sequence per (family, space, eps).
+
+        The caps are checked first. No ballot is built until it is read.
+        """
         self.check_size(space)
-        return _family_arrays(self, space, eps)
+        return _family_ballots(self, space, eps)
 
 
 def _grid_weight_count(step: float) -> int:
@@ -313,54 +343,59 @@ def _grid_weight_count(step: float) -> int:
     return math.ceil(quotient) - 1 if math.isfinite(quotient) else sys.maxsize
 
 
-@lru_cache(maxsize=64)
-def _family_arrays(
-    family: CandidateBallotFamily, space: RankingSpace, eps: float
-) -> tuple[DensityOperator, ...]:
-    """The family's ballots, built as arrays.
+def per_ballot_family(
+    family: CandidateBallotFamily, space: RankingSpace, eps: float = DEFAULT_EPS
+) -> Iterator[DensityOperator]:
+    """The family's ballots in family order, each built when it is reached.
 
-    One F x d basis-weight matrix is filled block by block, in family order,
-    with the bits the per-ballot builders give: ``basis_state``, ``pure_state``
-    with unit terms, and ``mixed_state`` with the running-sum grid weights.
-    Each ballot's diagonal is a read-only row view of it, and a superposition's
-    amplitudes are a row view of one frozen complex matrix. Only the random
-    pure ballots, whose amplitudes come from the Python RNG, are built one at
-    a time.
+    Basis ballots come from ``basis_state``, superpositions from ``pure_state``
+    with unit terms, grid mixtures from ``mixed_state`` with running-sum
+    weights (witness reports print these weights bit for bit), and random
+    pure ballots from ``pure_state`` on the family's seeded RNG.
     """
-    d = space.dim
-    weights = np.zeros((family.size(space), d))
-    amplitudes: list[np.ndarray | None] = [None] * len(weights)
-    start = d * family.basis
-    np.fill_diagonal(weights[:start], 1.0)
-    orders = [k for k, on in ((2, family.pair_superpositions), (3, family.triple_superpositions)) if on]
-    units = np.zeros((sum(math.comb(d, k) for k in orders), d), dtype=np.complex128)
-    row = start
-    for k in orders:
-        columns = np.fromiter(chain.from_iterable(combinations(range(d), k)), np.intp).reshape(-1, k)
-        # Each unit term over the norm sqrt(k), as pure_state divides it.
-        units[row - start + np.arange(len(columns))[:, None], columns] = 1.0 / math.sqrt(k)
-        row += len(columns)
-    np.square(units.real, out=weights[start:row])
-    count = _grid_weight_count(family.mixture_grid_step)
-    if count:
-        # Running sums, not k * step: witness reports print these weights bit for bit.
-        w = np.tile(np.cumsum(np.full(count, family.mixture_grid_step)), math.comb(d, 2))
-        grid = np.stack([w, 1.0 - w], axis=1)
-        grid /= grid.sum(axis=1, keepdims=True)  # w + (1 - w), the total mixed_state divides by
-        # The upper triangle lists the pairs row by row, in combinations order.
-        pairs = np.repeat(np.column_stack(np.triu_indices(d, 1)), count, axis=0)
-        weights[row + np.arange(len(w))[:, None], pairs] = grid
+    rankings = space.rankings()
+    if family.basis:
+        for ranking in rankings:
+            yield basis_state(space, ranking, eps)
+    for k, on in ((2, family.pair_superpositions), (3, family.triple_superpositions)):
+        if on:
+            for chosen in combinations(range(space.dim), k):
+                yield pure_state(space, [(1.0, rankings[i]) for i in chosen], eps)
+    step = family.mixture_grid_step
+    weights = list(accumulate(repeat(step, _grid_weight_count(step))))
+    if weights:
+        for i, j in combinations(range(space.dim), 2):
+            for w in weights:
+                yield mixed_state(space, [(w, rankings[i]), (1.0 - w, rankings[j])], eps)
     rng = random.Random(family.random_seed)
-    for i in range(len(weights) - family.random_pure, len(weights)):
-        terms = [(complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)), r) for r in space.rankings()]
-        ballot = pure_state(space, terms, eps)
-        weights[i], amplitudes[i] = ballot.diagonal, ballot.amplitudes
-    weights.setflags(write=False)
-    units.setflags(write=False)
-    # pure_state keeps a superposition's amplitudes when its coherences exceed eps.
-    tops = weights[start:row].max(axis=1, initial=0.0)
-    amplitudes[start:row] = [u if top > eps else None for u, top in zip(units, tops)]
-    return tuple(map(partial(DensityOperator._over_frozen_rows, space), weights, amplitudes))
+    for _ in range(family.random_pure):
+        amplitudes = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in rankings]
+        yield pure_state(space, list(zip(amplitudes, rankings)), eps)
+
+
+class _FamilyBallots(Sequence):
+    """A family's ballots over one space, in family order, each built on its first read."""
+
+    def __init__(self, family: CandidateBallotFamily, space: RankingSpace, eps: float):
+        self._size = family.size(space)
+        self._built: list[DensityOperator] = []
+        self._unbuilt = per_ballot_family(family, space, eps)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(self._size)[k]]
+        k = range(self._size)[k]
+        while len(self._built) <= k:
+            self._built.append(next(self._unbuilt))
+        return self._built[k]
+
+
+@lru_cache(maxsize=64)
+def _family_ballots(family: CandidateBallotFamily, space: RankingSpace, eps: float) -> _FamilyBallots:
+    return _FamilyBallots(family, space, eps)
 
 
 ProfileSampler = Callable[[random.Random], ProfileState]

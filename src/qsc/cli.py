@@ -16,33 +16,17 @@ import json
 import string
 import sys
 from functools import lru_cache
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import serde
-from .axioms import (
-    CandidateBallotFamily,
-    SuiteConfig,
-    check_dictatorship,
-    check_iia,
-    check_onto,
-    check_qic,
-    check_unanimity,
-    default_paired_sampler,
-    default_profile_sampler,
-    run_arrow_suite,
-    run_gs_suite,
-    VERDICT_BYPASS,
-    VERDICT_DICTATOR_CANDIDATE,
-    VERDICT_FALSIFIED,
-    VERDICT_HOLDS,
-    VERDICT_NO_DICTATOR,
-    VERDICT_NOT_BYPASSED,
-)
 from .choice import ChoiceRule, compose, qcvne_rule
 from .errors import InvalidArgument, ParseError, QscError
 from .hilbert import ProfileState, RankingSpace
 from .rankings import AlternativeSet, Ranking
 from .welfare import QcvParams, WelfareRule, default_delta, dictator_rule, qcv_basis, qcv_rule, veto_rule
+
+if TYPE_CHECKING:
+    from .axioms import CandidateBallotFamily
 
 # Cap on --voters, checked before a sampler is built: 5,000 ballots at m=6 hold
 # 3,600,000 basis weights, inside the 4,000,000 ``axioms.FAMILY_WEIGHT_CAP`` allows a family.
@@ -50,32 +34,6 @@ MAX_VOTERS = 5_000
 
 CHECK_AXIOMS = ("qic", "dictatorship", "onto", "unanimity", "iia", "arrow-suite", "gs-suite")
 CHOICE_AXIOMS = {"onto", "gs-suite"}
-
-# Expected verdict per (rule family, axiom); a mismatch exits 1 so CI runs
-# catch both regressions of known-good rules and a search engine too weak
-# to flag the manipulable control.
-EXPECTED_VERDICTS = {
-    ("qcv", "qic"): VERDICT_HOLDS,
-    ("qcv", "unanimity"): VERDICT_HOLDS,
-    ("qcv", "iia"): VERDICT_HOLDS,
-    ("qcv", "dictatorship"): VERDICT_NO_DICTATOR,
-    ("qcv", "onto"): VERDICT_HOLDS,
-    ("qcv", "arrow-suite"): VERDICT_BYPASS,
-    ("qcv", "gs-suite"): VERDICT_BYPASS,
-    ("qcvne", "qic"): VERDICT_HOLDS,
-    ("qcvne", "onto"): VERDICT_HOLDS,
-    ("qcvne", "dictatorship"): VERDICT_NO_DICTATOR,
-    ("qcvne", "gs-suite"): VERDICT_BYPASS,
-    ("dictator", "qic"): VERDICT_HOLDS,
-    ("dictator", "unanimity"): VERDICT_HOLDS,
-    ("dictator", "iia"): VERDICT_HOLDS,
-    ("dictator", "dictatorship"): VERDICT_DICTATOR_CANDIDATE,
-    ("dictator", "onto"): VERDICT_HOLDS,
-    ("dictator", "arrow-suite"): VERDICT_NOT_BYPASSED,
-    ("dictator", "gs-suite"): VERDICT_NOT_BYPASSED,
-    ("veto", "qic"): VERDICT_FALSIFIED,
-}
-
 
 def _emit_error(exc: Exception) -> None:
     record: dict[str, Any] = {
@@ -96,6 +54,8 @@ def _default_labels(m: int) -> AlternativeSet:
 
 def parse_family(spec: str) -> CandidateBallotFamily:
     """Parse a --family spec like ``basis,sup2,sup3,grid:0.25,random:16``."""
+    from .axioms import CandidateBallotFamily
+
     settings: dict[str, Any] = {
         "basis": False, "pair_superpositions": False, "triple_superpositions": False,
         "mixture_grid_step": 0.0,
@@ -256,6 +216,9 @@ def cmd_evaluate(args) -> int:
 
 
 def _run_check(args, axiom: str) -> int:
+    # The axiom engine is loaded here, on first use: ``evaluate`` never reads it.
+    from . import axioms
+
     alternatives = _default_labels(args.alternatives)
     if args.trials < 1:
         raise InvalidArgument(f"--trials must be at least 1, got {args.trials}")
@@ -271,20 +234,20 @@ def _run_check(args, axiom: str) -> int:
     if axiom in CHOICE_AXIOMS and isinstance(rule, WelfareRule):
         rule = compose(rule, args.eps)
 
-    sampler = default_profile_sampler(space, args.voters)
+    sampler = axioms.default_profile_sampler(space, args.voters)
     if axiom == "qic":
-        report = check_qic(rule, sampler, family, args.trials, args.seed, args.eps)
+        report = axioms.check_qic(rule, sampler, family, args.trials, args.seed, args.eps)
     elif axiom == "dictatorship":
-        report = check_dictatorship(rule, space, sampler, args.trials, args.seed, args.eps)
+        report = axioms.check_dictatorship(rule, space, sampler, args.trials, args.seed, args.eps)
     elif axiom == "onto":
-        report = check_onto(rule, alternatives, args.voters, args.eps)
+        report = axioms.check_onto(rule, alternatives, args.voters, args.eps)
     elif axiom == "unanimity":
-        report = check_unanimity(rule, space, sampler, args.trials, args.seed, args.eps)
+        report = axioms.check_unanimity(rule, space, sampler, args.trials, args.seed, args.eps)
     elif axiom == "iia":
-        paired = default_paired_sampler(space, args.voters)
-        report = check_iia(rule, space, paired, args.trials, args.seed, args.eps)
+        paired = axioms.default_paired_sampler(space, args.voters)
+        report = axioms.check_iia(rule, space, paired, args.trials, args.seed, args.eps)
     elif axiom in ("arrow-suite", "gs-suite"):
-        config = SuiteConfig(
+        config = axioms.SuiteConfig(
             alternatives=alternatives,
             n_voters=args.voters,
             trials=args.trials,
@@ -293,16 +256,16 @@ def _run_check(args, axiom: str) -> int:
             family=family,
         )
         if axiom == "arrow-suite":
-            report = run_arrow_suite(rule, config)
+            report = axioms.run_arrow_suite(rule, config)
         else:
-            report = run_gs_suite(rule, config)
+            report = axioms.run_gs_suite(rule, config)
     else:
         raise ParseError(f"unknown axiom {axiom!r}", "axiom")
 
     payload = report.to_jsonable(include_elapsed=args.timing)
     payload.update(alternatives=list(alternatives.names), voters=args.voters)
     _write_report(payload, args)
-    expected = EXPECTED_VERDICTS.get((_rule_family(args.rule), axiom))
+    expected = axioms.EXPECTED_VERDICTS.get((_rule_family(args.rule), axiom))
     if expected is not None and report.verdict != expected:
         return 1
     return 0

@@ -123,19 +123,6 @@ class DensityOperator:
             object.__setattr__(self, "amplitudes", _frozen_array(self.amplitudes, np.complex128))
 
     @classmethod
-    def _over_frozen_rows(
-        cls, space: RankingSpace, diagonal: np.ndarray, amplitudes: np.ndarray | None
-    ) -> "DensityOperator":
-        """State over read-only rows of matrices nothing writes: no copy, no check.
-
-        Only the dishonest-ballot family takes this path; every other state,
-        a caller's matrix included, is built from copies.
-        """
-        state = object.__new__(cls)
-        state.__dict__.update(space=space, diagonal=diagonal, amplitudes=amplitudes)
-        return state
-
-    @classmethod
     def from_matrix(
         cls, space: RankingSpace, matrix: np.ndarray, eps: float = DEFAULT_EPS
     ) -> "DensityOperator":

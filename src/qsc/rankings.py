@@ -37,6 +37,11 @@ class AlternativeSet:
             raise InvalidArgument(f"alternative labels must be unique: {names}")
         if any(not isinstance(n, str) or not n for n in names):
             raise InvalidArgument("alternative labels must be nonempty strings")
+        # A ranking string splits on '>' and strips each part (``Ranking.from_string``).
+        if any(">" in n or n != n.strip() for n in names):
+            raise InvalidArgument(
+                f"alternative labels must not hold '>' or surrounding whitespace: {names}"
+            )
         if factorial(len(names)) > MAX_RANKING_DIM:
             raise InvalidArgument(
                 f"{len(names)} alternatives give a ranking space of dimension "

@@ -1,7 +1,7 @@
 import dataclasses
+import hashlib
 import json
 import random
-from itertools import accumulate, combinations, repeat
 
 import numpy as np
 import pytest
@@ -91,40 +91,32 @@ GENERATORS = [
 ]
 
 
+# sha256 over every ballot's diagonal and amplitude bytes, in family order, at
+# m = 2, 3, 4 and eps 1e-9, 0.4 each: the bits the family held as one array
+# per block, which ``axioms.per_ballot_family`` now builds one ballot at a time.
+FAMILY_DIGESTS = dict(zip(
+    [FAMILY, *GENERATORS, CandidateBallotFamily(mixture_grid_step=0.07, random_pure=3, random_seed=5)],
+    [
+        "65883a21a58194a8c6af2f48f0ded873d2a77088a7ce35cefeae1d33c190e69f",
+        "de5f5be97bd12518e269f4339d6232981967d082739a11d42f19609d1a97d67d",
+        "803b418bfc13adb036ff7dfd2ec5ad72ff3fcfe8d5fc635ab2b6eb0458f490a4",
+        "9f61bdeb0dfb91090fbc53e16fc625c8201a17a1fedabd028b32c639323e8663",
+        "44330da0fd63494865daac06d92f46a1ed9b9a52e629e0f4ec703bdcc3036dcd",
+        "0c788b3fc427735ab0b61bd2f363e498faf47901cb7ba616910c61d476701fc8",
+        "b79a994e2e7995e90db96ba8c28c1c4d3311f6195c040992ad70358938feb653",
+        "ad0eccd522872f42613dc63a4e8e004a34bf8a8d9627285ae65f93afdb6bf738",
+        "2d2dceb018fb12e19c736af861b3ce266182ef4f6c7d2e8e0b52085fad2a339d",
+        "f22a76852bdc1655c2f4fd480ff714e3ddd6e40628cb18f062460f3b8c76d4f1",
+    ],
+))
+
+
 def refuse_to_build(*args):
     raise AssertionError("the family was built")
 
 
 def space_of(m):
     return RankingSpace(AlternativeSet(tuple("abcde")[:m]))
-
-
-def per_ballot_family(family, space, eps=1e-9):
-    """The family built one ballot at a time, in family order: the reference for the arrays."""
-    rankings = space.rankings()
-    out = []
-    if family.basis:
-        out += [basis_state(space, r, eps) for r in rankings]
-    for k, on in ((2, family.pair_superpositions), (3, family.triple_superpositions)):
-        if on:
-            out += [
-                pure_state(space, [(1.0, rankings[i]) for i in chosen], eps)
-                for chosen in combinations(range(space.dim), k)
-            ]
-    if family.mixture_grid_step > 0.0:
-        weights = list(
-            accumulate(repeat(family.mixture_grid_step, axioms._grid_weight_count(family.mixture_grid_step)))
-        )
-        out += [
-            mixed_state(space, [(w, rankings[i]), (1.0 - w, rankings[j])], eps)
-            for i, j in combinations(range(space.dim), 2)
-            for w in weights
-        ]
-    rng = random.Random(family.random_seed)
-    for _ in range(family.random_pure):
-        amplitudes = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in rankings]
-        out.append(pure_state(space, list(zip(amplitudes, rankings)), eps))
-    return out
 
 
 def rk(alts, text):
@@ -378,65 +370,55 @@ class TestCandidateBallotFamily:
             if m < 5 or family == BASIS_SUP2:
                 assert family.size(space) == len(family.ballots(space))
 
-    @pytest.mark.parametrize(
-        "family",
-        [
-            FAMILY,
-            *GENERATORS,
-            CandidateBallotFamily(mixture_grid_step=0.07, random_pure=3, random_seed=5),
-        ],
-    )
+    @pytest.mark.parametrize("family", list(FAMILY_DIGESTS))
     def test_ballots_match_the_per_ballot_builders(self, family):
         # At eps 0.4, pure_state stores a triple superposition (weights 1/3) as diagonal.
-        for m, eps in ((2, 1e-9), (3, 1e-9), (4, 1e-9), (3, 0.4)):
-            space = space_of(m)
-            ballots = axioms._family_arrays(family, space, eps)
-            if not ballots:  # triples alone at m=2
-                with pytest.raises(InvalidArgument, match="no ballots"):
-                    family.ballots(space, eps)
-                continue
-            assert ballots == family.ballots(space, eps)
-            weights = ballots[0].diagonal.base
-            expected = per_ballot_family(family, space, eps)
-            assert len(ballots) == len(expected)
-            for ballot, reference in zip(ballots, expected):
-                assert ballot.diagonal.tobytes() == reference.diagonal.tobytes()
-                assert (ballot.amplitudes is None) == (reference.amplitudes is None)
-                if reference.amplitudes is not None:
-                    assert ballot.amplitudes.tobytes() == reference.amplitudes.tobytes()
-                assert np.shares_memory(ballot.diagonal, weights)
-            assert weights.tobytes() == np.stack([b.diagonal for b in expected]).tobytes()
+        digest = hashlib.sha256()
+        for m in (2, 3, 4):
+            for eps in (1e-9, 0.4):
+                space = space_of(m)
+                if not family.size(space):  # triples alone at m=2
+                    with pytest.raises(InvalidArgument, match="no ballots"):
+                        family.ballots(space, eps)
+                    continue
+                ballots = family.ballots(space, eps)
+                assert len(ballots) == family.size(space)
+                for ballot in ballots:
+                    digest.update(ballot.diagonal.tobytes())
+                    digest.update(b"-" if ballot.amplitudes is None else ballot.amplitudes.tobytes())
+        assert digest.hexdigest() == FAMILY_DIGESTS[family]
 
-    def test_family_arrays_are_read_only(self, space3):
-        family = CandidateBallotFamily(random_pure=2)
-        ballots = axioms._family_arrays(family, space3, 1e-9)
-        superposition, random_pure = ballots[6], ballots[-1]
-        arrays = [ballots[0].diagonal, superposition.diagonal, superposition.amplitudes,
-                  random_pure.diagonal, random_pure.amplitudes, ballots[0].diagonal.base]
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0.5
-        assert superposition.amplitudes.base is ballots[7].amplitudes.base is not None
-
-    def test_default_family_builds_without_per_ballot_builders(self, space4, monkeypatch):
-        calls = {"pure_state": 0, "mixed_state": 0}
+    def test_ballots_are_built_on_first_read(self, space4, monkeypatch):
+        calls = []
 
         def counted(name):
             builder = getattr(axioms, name)
 
             def count(*args, **kwargs):
-                calls[name] += 1
+                calls.append(name)
                 return builder(*args, **kwargs)
 
             return count
 
-        for name in calls:
+        for name in ("basis_state", "pure_state", "mixed_state"):
             monkeypatch.setattr(axioms, name, counted(name))
-        axioms._family_arrays.cache_clear()
-        assert len(FAMILY.ballots(space4)) == 3_152
-        assert calls == {"pure_state": 0, "mixed_state": 0}
-        CandidateBallotFamily(random_pure=3).ballots(space4)
-        assert calls == {"pure_state": 3, "mixed_state": 0}
+        axioms._family_ballots.cache_clear()
+        family = CandidateBallotFamily(mixture_grid_step=0.3, random_pure=2, random_seed=4)
+        ballots = family.ballots(space4, 1e-9)
+        assert calls == []
+        assert len(ballots) == family.size(space4) == 24 + 276 + 2024 + 3 * 276 + 2
+        # The first and last ballot of each block: basis, pairs, triples, grid, random.
+        for k in (0, 23, 24, 299, 300, 2323, 2324, 3151, 3152, 3153):
+            ballots[k]
+            assert len(calls) == k + 1
+        ballots[5]
+        assert len(calls) == len(ballots)
+        assert calls.count("basis_state") == 24 and calls.count("mixed_state") == 3 * 276
+        assert family.ballots(space4, 1e-9) is ballots
+        assert list(ballots) == [ballots[k] for k in range(len(ballots))]
+        assert ballots[-1] is ballots[len(ballots) - 1] and ballots[1:3] == [ballots[1], ballots[2]]
+        with pytest.raises(IndexError):
+            ballots[len(ballots)]
 
     def test_empty_family_rejected(self, space3):
         with pytest.raises(InvalidArgument):
@@ -452,7 +434,7 @@ class TestCandidateBallotFamily:
             grid_of_nothing.ballots(space3)
 
     def test_size_cap(self, space3, monkeypatch):
-        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
+        monkeypatch.setattr(axioms, "_family_ballots", refuse_to_build)
         space5 = space_of(5)
         assert FAMILY.size(space5) == 309_520
         with pytest.raises(ResourceLimit):
@@ -465,7 +447,7 @@ class TestCandidateBallotFamily:
 
     def test_weight_cap(self, monkeypatch):
         # Under the ballot cap, but ballots x m! basis weights is what gets stored.
-        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
+        monkeypatch.setattr(axioms, "_family_ballots", refuse_to_build)
         space6 = RankingSpace(AlternativeSet(tuple("abcdef")))
         family = CandidateBallotFamily(
             pair_superpositions=False, triple_superpositions=False, mixture_grid_step=0.0,
@@ -871,7 +853,7 @@ class TestCompositionPreservation:
 
     def test_family_caps_refuse_before_any_voter_is_scanned(self, monkeypatch):
         # A unanimous basis profile fires no clause, yet the over-cap family is refused.
-        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
+        monkeypatch.setattr(axioms, "_family_ballots", refuse_to_build)
         space5 = space_of(5)
         rankings = space5.rankings()
         unanimous = ProfileState.product_of([basis_state(space5, rankings[0])] * 2)
@@ -1120,7 +1102,7 @@ class TestBatchedSearch:
         assert found > 0
 
     def test_scan_evaluates_only_basis_responses(self, alts3, space3, cycle_profile, monkeypatch):
-        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
+        monkeypatch.setattr(axioms, "_family_ballots", refuse_to_build)
         calls = []
         rule = counted_evaluations(qcv_rule(PARAMS), calls)
         profile = ProfileState.basis(cycle_profile)
@@ -1159,7 +1141,7 @@ class TestBatchedSearch:
     def test_scanned_voter_never_builds_the_family(self, monkeypatch):
         # A light joint term (1e-4) must not widen the search: the vertices
         # stand for the family there too.
-        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
+        monkeypatch.setattr(axioms, "_family_ballots", refuse_to_build)
         space = space_of(4)
         params = QcvParams.for_alternatives(4)
         rules = [qcv_rule(params), qcvne_rule(params), dictator_rule(2),

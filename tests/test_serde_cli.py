@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 import time
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,10 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsc
-from qsc import ParseError, QcvParams, Ranking, axioms, cli, qcvne, welfare
+from qsc import (
+    AlternativeSet, ParseError, ProfileState, QcvParams, Ranking, axioms, choice, cli, errors, qcvne,
+    rankings, serde, welfare,
+)
 from qsc.errors import InvalidArgument, ZeroMassProjection
-from qsc.axioms import default_profile_sampler
-from qsc.cli import EXPECTED_VERDICTS, main, parse_family
+from qsc.axioms import EXPECTED_VERDICTS, default_profile_sampler
+from qsc.cli import main, parse_family
+from qsc.rankings import all_rankings
 from qsc.serde import parse_profile, serialize_profile
 
 SPLIT_TOP_DOC = {
@@ -142,6 +146,36 @@ json_values = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+class TestLabelsRoundTrip:
+    @given(labels=st.lists(st.text("ab> ", max_size=3), min_size=2, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_label_set_round_trips(self, labels):
+        # A ranking string splits on '>' and strips each part, so a label
+        # holding either could be written but not read back.
+        try:
+            alternatives = AlternativeSet(tuple(labels))
+        except InvalidArgument:
+            return
+        rankings = all_rankings(alternatives)
+        profile = ProfileState.basis([rankings[0], rankings[-1]])
+        document = serialize_profile(profile)
+        rebuilt = parse_profile(json.dumps(document))
+        assert rebuilt.space.alternatives == alternatives
+        assert serialize_profile(rebuilt) == document
+
+    @pytest.mark.parametrize("labels", [[" a", "b", "c"], ["a>x", "b", "c"], ["a", "b", "c "]])
+    def test_evaluate_refuses_them_at_the_alternatives(self, labels, tmp_path, capsys):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps({
+            "alternatives": labels, "voters": [{"mixed": [[1, ">".join(labels)]]}] * 2,
+        }))
+        assert main(["evaluate", "--rule", "qcv", "--profile", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        error = json.loads(captured.err)
+        assert error["locus"] == "alternatives" and "'>'" in error["message"]
 
 
 class TestParserIsTotal:
@@ -499,12 +533,21 @@ def test_overflowing_ballot_gives_one_error_line(ballot):
     assert "is not finite" in json.loads(lines[0])["message"]
 
 
-def test_import_builds_nothing():
-    # Parser, basis tables and family arrays are built on first use.
+def test_import_builds_nothing(tmp_path):
+    # Parser, basis tables and family ballots are built on first use, and
+    # neither the imports nor an evaluate run load the axiom engine.
+    document = tmp_path / "profile.json"
+    document.write_text(json.dumps(SPLIT_TOP_DOC), encoding="utf-8")
     probe = (
-        "import qsc.cli, qsc.rankings, qsc.hilbert, qsc.axioms, qsc.welfare\n"
-        "caches = [qsc.cli._parser, qsc.rankings.basis_table, qsc.axioms._family_arrays]\n"
-        "print([f.cache_info().currsize for f in caches])\n"
+        "import contextlib, io, sys\n"
+        "import qsc, qsc.cli\n"
+        "caches = [qsc.cli._parser, qsc.rankings.basis_table]\n"
+        "print([f.cache_info().currsize for f in caches], 'qsc.axioms' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = qsc.cli.main(['evaluate', '--rule', 'qcvne', '--profile', {str(document)!r}])\n"
+        "print(code, 'qsc.axioms' in sys.modules)\n"
+        "import qsc.axioms\n"
+        "print(qsc.axioms._family_ballots.cache_info().currsize)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(qsc.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
@@ -512,7 +555,31 @@ def test_import_builds_nothing():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["[0,", "0,", "0]"]
+    assert done.stdout.splitlines() == ["[0, 0] False", "0 False", "0"]
+
+
+def test_every_public_name_is_its_module_object():
+    # The axiom engine's names resolve on first read, and the other names as imported.
+    modules = [axioms, choice, errors, qsc.hilbert, rankings, serde, welfare]
+    for name in qsc.__all__:
+        value = getattr(qsc, name)
+        if isinstance(value, ModuleType):
+            assert value is sys.modules[f"qsc.{name}"]
+            continue
+        owners = [module for module in modules if name in vars(module)]
+        assert owners and all(vars(module)[name] is value for module in owners), name
+    probe = (
+        "from qsc import *\n"
+        "import qsc as _qsc\n"
+        "print(sorted(k for k in dir() if not k.startswith('_')) == sorted(_qsc.__all__))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qsc.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "True\n"
 
 
 def test_two_m6_hunts_stay_under_150_mb():
@@ -554,10 +621,10 @@ class TestCliInputErrors:
     def test_exits_2_with_one_json_line(self, case, tmp_path, capsys, monkeypatch):
         # Every case is refused before a family is built; a cap that regressed
         # fails here instead of building the m=5 family or a 1e-9 grid.
-        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
+        monkeypatch.setattr(axioms, "_family_ballots", refuse_to_build)
         if case == "voters-over-cap":
             # Refused before the sampler, or the onto check, sizes 10^8 voters.
-            monkeypatch.setattr(cli, "default_profile_sampler", refuse_to_build)
+            monkeypatch.setattr(axioms, "default_profile_sampler", refuse_to_build)
         check = ["check", "--axiom", "qic", "--rule", "qcv", "--trials", "2"]
         # qcv is searched at the basis ballots and never reads --family, so the
         # caps are exercised on veto, which scans the family.
@@ -663,7 +730,7 @@ class TestCliInputErrors:
     def test_one_voter_is_refused_where_every_rule_is_a_dictatorship(self, command, capsys, monkeypatch):
         # The unanimity projection returns a lone voter's ballot, so one voter
         # dictates under every rule: these checks refuse it before any draw.
-        monkeypatch.setattr(cli, "default_profile_sampler", refuse_to_build)
+        monkeypatch.setattr(axioms, "default_profile_sampler", refuse_to_build)
         assert main([*command, "--voters", "1", "--trials", "3"]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
@@ -690,7 +757,7 @@ class TestCliInputErrors:
     def test_family_weight_cap_refuses_before_building(self, capsys, monkeypatch):
         # 99,720 ballots pass the ballot cap, but at m=6 they would hold about
         # 72M basis weights (1.7 GB of pure ballots plus the weight matrix).
-        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
+        monkeypatch.setattr(axioms, "_family_ballots", refuse_to_build)
         argv = ["check", "--axiom", "qic", "--rule", "veto:a>b>c>d>e>f", "--trials", "2",
                 "--alternatives", "6", "--family", "basis,random:99000"]
         started = time.perf_counter()
@@ -702,7 +769,7 @@ class TestCliInputErrors:
     def test_caps_refuse_before_any_voter_is_scanned(self, capsys, monkeypatch):
         # Seed 0 draws a profile on which no veto voter's clause fires, so the
         # search never asks for the family; the m=5 default is still refused.
-        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
+        monkeypatch.setattr(axioms, "_family_ballots", refuse_to_build)
         argv = ["check", "--axiom", "qic", "--rule", "veto:a>b>c>d>e", "--alternatives", "5",
                 "--trials", "1", "--seed", "0"]
         assert main(argv) == 2
@@ -726,7 +793,7 @@ class TestCliInputErrors:
     )
     def test_hooked_rules_never_read_the_family(self, argv, capsys, monkeypatch):
         # The default family is over the caps at m=5 and m=6, and never built.
-        monkeypatch.setattr(axioms, "_family_arrays", refuse_to_build)
+        monkeypatch.setattr(axioms, "_family_ballots", refuse_to_build)
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
         qic = payload["reports"][0] if "reports" in payload else payload
