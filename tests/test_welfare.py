@@ -642,6 +642,38 @@ class TestQcvResponses:
             qcv_responses(ProfileState.basis(cycle_profile), 1, QcvParams(0.05))
 
 
+class TestEpsFilter:
+    """Where the support filter cuts a correlated profile: at each raw joint term of weight at most eps."""
+
+    def test_a_profile_request_drops_each_light_joint_term(self, space3):
+        r, params = space3.rankings(), QcvParams(0.05)
+        heavy, other = (r[0], r[1], r[2]), (r[5], r[5], r[3])
+        alone = qcv(ProfileState.correlated(space3, [(1.0, heavy)]), params).diagonal
+        # Two 0.6e-9 terms on one key, a term at eps exactly, or both: each is dropped.
+        for light in ([0.6e-9, 0.6e-9], [1e-9], [0.6e-9, 1e-9, 0.6e-9]):
+            profile = ProfileState.correlated(space3, [(1.0 - sum(light), heavy)] + [(w, other) for w in light])
+            assert np.array_equal(qcv(profile, params).diagonal, alone), light
+        # One term of their summed weight is kept, and moves the result.
+        kept = ProfileState.correlated(space3, [(1.0 - 1.2e-9, heavy), (1.2e-9, other)])
+        assert not np.array_equal(qcv(kept, params).diagonal, alone)
+
+    def test_a_voter_request_keeps_two_light_terms_its_substitution_merges(self, space3):
+        r, params = space3.rankings(), QcvParams(0.05)
+        heavy = (r[0], r[1], r[2])
+        # Two 0.6e-9 terms that differ only in voter 2's column.
+        profile = ProfileState.correlated(
+            space3, [(1.0 - 1.2e-9, heavy), (0.6e-9, (r[5], r[3], r[4])), (0.6e-9, (r[5], r[4], r[4]))]
+        )
+        merged = ProfileState.correlated(space3, [(1.0 - 1.2e-9, heavy), (1.2e-9, (r[5], r[3], r[4]))])
+        alone = ProfileState.correlated(space3, [(1.0, heavy)])
+        got = qcv_responses(profile, 2, params)
+        assert np.array_equal(got, qcv_responses(merged, 2, params))
+        assert not np.array_equal(got[0], qcv_responses(alone, 2, params)[0])
+        for k, ranking in enumerate(r):
+            want = qcv(profile.substitute_ballot(2, basis_state(space3, ranking)), params)
+            assert np.array_equal(got[k], want.diagonal), k
+
+
 def mixed_batch(space, n, rng, correlated, profiles=3):
     """Profile and voter requests over a few small-support profiles, interleaved at random."""
     drawn = [small_support_profile(space, n, rng, correlated, light=i % 2 == 1) for i in range(profiles)]
