@@ -339,14 +339,15 @@ class ProfileState:
             return len(self.factors)
         return len(self.joint[0][1])
 
-    def _check_voter(self, voter: int) -> int:
+    def voter_position(self, voter: int) -> int:
+        """The 0-based factor or joint column of a 1-based voter index, which must lie in 1..n."""
         if not 1 <= voter <= self.n_voters:
             raise InvalidArgument(f"voter index {voter} out of range 1..{self.n_voters}")
         return voter - 1
 
     def partial_ballot(self, voter: int, eps: float = DEFAULT_EPS) -> DensityOperator:
         """Marginal ballot of one voter (1-based index)."""
-        pos = self._check_voter(voter)
+        pos = self.voter_position(voter)
         if self.factors is not None:
             return self.factors[pos]
         diag = np.zeros(self.space.dim, dtype=np.float64)
@@ -387,9 +388,15 @@ class ProfileState:
         """Profile with one voter's ballot replaced (the others untouched).
 
         For correlated profiles the replacement enters through its basis
-        weights only, leaving the remaining voters' correlation intact.
+        weights above eps only, leaving the remaining voters' correlation
+        intact: voter v's column is written, one term per (joint term w,
+        ballot weight wk) in that order, of weight w * wk / (the sum of the
+        wk). Terms are not merged, so a basis ballot keeps every weight's
+        bits, and each substitution multiplies the terms by the ballot's
+        support; the engine substitutes into sampled profiles only, never
+        into a substituted one.
         """
-        pos = self._check_voter(voter)
+        pos = self.voter_position(voter)
         if ballot.space != self.space:
             raise InvalidArgument("replacement ballot lives on a different space")
         if self.factors is not None:
@@ -397,15 +404,10 @@ class ProfileState:
             factors[pos] = ballot
             return ProfileState.product_of(factors)
         support = ballot.diagonal_support(eps)
-        terms: dict[tuple[int, ...], float] = {}
-        for weight, term in self.joint:
-            key = list(term)
-            for k, wk in support:
-                key[pos] = k
-                indices = tuple(key)
-                terms[indices] = terms.get(indices, 0.0) + weight * wk
-        total = _total(terms.values())
-        joint = tuple((w / total, indices) for indices, w in sorted(terms.items()))
+        total = _total(wk for _, wk in support)
+        joint = tuple(
+            (w * wk / total, key[:pos] + (k,) + key[pos + 1 :]) for w, key in self.joint for k, wk in support
+        )
         return ProfileState(self.space, joint=joint)
 
     def permuted(self, perms: Sequence[Sequence[int]]) -> "ProfileState":

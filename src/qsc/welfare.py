@@ -251,10 +251,13 @@ class _Request:
     """One request as (weight, tally) terms, and its result while its pieces are mixed.
 
     A term's tally counts, for each pair x < y, the voters placing x above y
-    (``_folded``). A profile request folds every voter and has one column. A
-    voter request folds the other voters and has d columns: a basis ballot
-    enters every term with weight exactly 1, so column k adds basis ranking
-    k's ``pairs`` row to every tally.
+    (``_folded``). A product profile folds each voter's basis weights above
+    eps, and a correlated one its raw joint terms above eps, in order. A
+    profile request folds every voter and has one column. A voter request
+    (the voter in 1..n) folds the other voters, skipping the voter's factor
+    or dropping its joint column, and has d columns: a basis ballot enters
+    every term with weight exactly 1, so column k adds basis ranking k's
+    ``pairs`` row to every tally.
     """
 
     space: RankingSpace
@@ -273,14 +276,13 @@ class _Request:
         dtype = np.int64 if (n + 1) ** pairs.shape[1] < 2**63 else object
         powers = (n + 1) ** np.arange(pairs.shape[1], dtype=dtype)
         packed, codes, weights = pairs @ powers, np.zeros(1, dtype), np.ones(1)
-        if profile.factors is None:
-            # Substituted first, so the eps filter applies per joint key as for the substituted profile.
-            if voter is not None:
-                profile = profile.substitute_ballot(voter, basis_state(space, space.rankings()[0]))
-            terms = profile.support_tuples(params.eps)
-            keys = np.delete(np.array([key for _, key in terms]), [] if voter is None else voter - 1, axis=1)
-            codes, weights = _folded(codes, weights, packed[keys].sum(axis=1), np.array([w for w, _ in terms]))
-        for ballot in (b for v, b in enumerate(profile.factors or (), 1) if v != voter):
+        pos = None if voter is None else profile.voter_position(voter)
+        if profile.joint is not None:
+            kept = [(w, key) for w, key in profile.joint if w > params.eps]
+            keys = np.array([key for _, key in kept], dtype=np.intp).reshape(len(kept), n)
+            keys = np.delete(keys, [] if pos is None else pos, axis=1)
+            codes, weights = _folded(codes, weights, packed[keys].sum(axis=1), np.array([w for w, _ in kept]))
+        for ballot in (b for v, b in enumerate(profile.factors or ()) if v != pos):
             ks = (ballot.diagonal > params.eps).nonzero()[0]
             codes, weights = _folded(codes, weights, packed[ks], ballot.diagonal[ks])
         total = weights.sum()
@@ -412,6 +414,9 @@ def qcv_responses(profile: ProfileState, voter: int, params: QcvParams) -> np.nd
     params).diagonal``: the substituted profiles share the other voters'
     fold and differ only by ranking k's ``pairs`` row in every tally
     (``_Request``), and their rows are mixed by ``qcv``'s own ``_scored``.
+    On a correlated profile the substitution keeps every joint term's
+    weight, so both drop the same terms, each of weight at most eps. A
+    voter outside 1..n is refused.
     """
     (responses,) = _scored(params, [(profile, voter)])
     return responses
@@ -433,7 +438,7 @@ def dictator_rule(voter: int) -> WelfareRule:
     def responses(requests: Sequence[tuple[ProfileState, int | None]]) -> Iterator[np.ndarray]:
         for profile, scanned in requests:
             d = profile.space.dim
-            if scanned == voter:
+            if scanned is not None and profile.voter_position(scanned) == voter - 1:
                 yield np.eye(d)
                 continue
             # Whatever basis ranking another voter casts, the dictator's marginal stays.

@@ -1228,7 +1228,7 @@ class TestBatchedSearch:
         for rule in (qcv_rule(PARAMS), dictator_rule(1), veto_rule(rk(alts3, "a>b>c"))):
             assert compose(rule).responses is rule.responses
 
-    def test_one_substitution_and_no_extension_per_scanned_voter(self, space3, cycle_profile, monkeypatch):
+    def test_no_substitution_and_no_extension_per_scanned_voter(self, space3, cycle_profile, monkeypatch):
         rule = qcvne_rule(PARAMS)
         profile = ProfileState.basis(cycle_profile)
         adapter = axioms._Targets(rule, space3, 1e-9)
@@ -1251,11 +1251,11 @@ class TestBatchedSearch:
         # Voter 1 is certain that a wins and society is not: the clause fires.
         assert society["a"] < 1.0 - 1e-9
         assert search_voter(adapter, profile, 1, FAMILY, society) is None
-        # A product profile folds the other voters without substituting; a
-        # correlated one substitutes once, for its eps filter per joint key.
+        # A product profile folds the other voters' factors, and a correlated
+        # one its joint terms without the voter's column: neither substitutes.
         assert counts == {"substitute_ballot": 0, "natural_extension": 0}
         assert search_voter(adapter, joint, 1, FAMILY, joint_society) is None
-        assert counts == {"substitute_ballot": 1, "natural_extension": 0}
+        assert counts == {"substitute_ballot": 0, "natural_extension": 0}
 
     def test_support_cap_through_the_hook(self, space3, monkeypatch):
         rankings = space3.rankings()

@@ -355,22 +355,17 @@ class TestProfileState:
         assert np.allclose(swapped.partial_ballot(2).diagonal, replacement.diagonal)
 
     @pytest.mark.parametrize("m", [3, 4])
-    def test_substitute_ballot_correlated_matches_reference_sort(self, m):
-        # The merge keyed by ranking tuples and sorted by each ranking's Lehmer
-        # index, as it was before terms were keyed by basis index; its keys
-        # are read back as Lehmer-index tuples.
-        def reference(profile, voter, ballot, eps=1e-9):
-            by_index = profile.space.rankings()
+    def test_substitute_ballot_correlated_writes_one_column(self, m):
+        # The substitution before it wrote one column: terms merged by key,
+        # sorted, and renormalized. Its marginals and support still agree.
+        def merged(profile, voter, ballot, eps=1e-9):
             terms = {}
             for weight, indices in profile.joint:
                 for k, wk in ballot.diagonal_support(eps):
-                    key = [by_index[i] for i in indices]
-                    key[voter - 1] = by_index[k]
-                    key = tuple(key)
+                    key = indices[: voter - 1] + (k,) + indices[voter:]
                     terms[key] = terms.get(key, 0.0) + weight * wk
             total = sum(terms.values())
-            ordered = sorted(terms.items(), key=lambda kv: lehmer_key(kv[0]))
-            return [(w / total, lehmer_key(key)) for key, w in ordered]
+            return ProfileState(profile.space, joint=tuple((w / total, key) for key, w in sorted(terms.items())))
 
         space = RankingSpace(AlternativeSet(tuple("abcd")[:m]))
         rankings = space.rankings()
@@ -378,7 +373,7 @@ class TestProfileState:
         checked = 0
         for _ in range(20):
             raw = [rng.random() for _ in range(rng.randint(1, 6))]
-            # Repeated tuples and shared rankings make terms merge.
+            # Repeated tuples and shared rankings would make terms merge.
             pool = [tuple(rng.choice(rankings) for _ in range(3)) for _ in range(3)]
             profile = ProfileState.correlated(
                 space, [(w / sum(raw), rng.choice(pool)) for w in raw]
@@ -387,12 +382,33 @@ class TestProfileState:
                 ballot = random_diagonal_state(space, rng)
             else:
                 ballot = mixed_state(space, [(rng.random(), rng.choice(rankings)) for _ in range(3)])
+            support = ballot.diagonal_support(1e-9)
+            total = 0.0
+            for _, wk in support:
+                total += wk
             for voter in (1, 2, 3):
-                got = profile.substitute_ballot(voter, ballot).joint
-                want = reference(profile, voter, ballot)
-                assert [key for _, key in got] == [key for _, key in want]
-                assert [w for w, _ in got] == [w for w, _ in want]  # bit for bit
-                checked += len(got)
+                got = profile.substitute_ballot(voter, ballot)
+                # Joint-major, then the ballot's support in basis order.
+                want = [
+                    (w * wk / total, key[: voter - 1] + (k,) + key[voter:])
+                    for w, key in profile.joint
+                    for k, wk in support
+                ]
+                assert [key for _, key in got.joint] == [key for _, key in want]
+                assert [w for w, _ in got.joint] == [w for w, _ in want]  # bit for bit
+                point = profile.substitute_ballot(voter, basis_state(space, rng.choice(rankings)))
+                assert [w for w, _ in point.joint] == [w for w, _ in profile.joint]  # bit for bit
+                reference = merged(profile, voter, ballot)
+                for v in (1, 2, 3):
+                    np.testing.assert_allclose(
+                        got.partial_ballot(v).diagonal, reference.partial_ballot(v).diagonal, rtol=0.0, atol=1e-15
+                    )
+                tuples, reference_tuples = got.support_tuples(), reference.support_tuples()
+                assert [key for _, key in tuples] == [key for _, key in reference_tuples]
+                np.testing.assert_allclose(
+                    [w for w, _ in tuples], [w for w, _ in reference_tuples], rtol=0.0, atol=1e-15
+                )
+                checked += len(got.joint)
         assert checked > 0
 
     @pytest.mark.parametrize("m", [3, 4, 5])

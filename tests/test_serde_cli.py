@@ -300,6 +300,21 @@ class TestCliEvaluate:
             err = json.loads(capsys.readouterr().err.strip())
             assert err["error"] == "invalid-argument" and "single ranking tuple" in err["message"]
 
+    def test_correlated_support_is_capped_by_distinct_tallies_only(self, tmp_path, capsys):
+        # 20,001 distinct joint keys of 8 voters fold to at most 9^3 tallies at
+        # m=3, so qcv scores them; --stages still reads the merged support,
+        # whose cap counts ranking combinations.
+        strings = [r.to_string() for r in all_rankings(AlternativeSet(("a", "b", "c")))]
+        keys = [[strings[(t // 6**v) % 6] for v in range(8)] for t in range(20_001)]
+        path = self.write(tmp_path, {"alternatives": ["a", "b", "c"], "correlated": [[1, key] for key in keys]})
+        assert main(["evaluate", "--rule", "qcv", "--profile", path]) == 0
+        assert "mixed" in json.loads(capsys.readouterr().out)["society"]
+        assert main(["evaluate", "--rule", "qcv", "--stages", "--profile", path]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert (err["error"], err["message"]) == (
+            "resource-limit", "profile support exceeds 20000 ranking combinations"
+        )
+
     def test_unknown_rule_exits_2(self, tmp_path, capsys):
         path = self.write(tmp_path, SPLIT_TOP_DOC)
         code = main(["evaluate", "--rule", "approval", "--profile", path])

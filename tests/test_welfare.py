@@ -632,6 +632,19 @@ class TestQcvResponses:
         assert np.array_equal(got, np.eye(space3.dim))
         assert veto_rule(cycle_profile[0]).responses is None
 
+    @pytest.mark.parametrize("correlated", [False, True], ids=["product", "correlated"])
+    def test_voters_outside_the_profile_are_refused(self, space3, correlated):
+        cast = space3.rankings()[:3]
+        profile = ProfileState.correlated(space3, [(1.0, cast)]) if correlated else ProfileState.basis(cast)
+        params = QcvParams(0.05)
+        for voter in (0, 4):
+            hooks = [qcv_rule(params).responses, dictator_rule(1).responses, dictator_rule(4).responses]
+            with pytest.raises(InvalidArgument, match=f"^voter index {voter} out of range 1..3$"):
+                qcv_responses(profile, voter, params)
+            for hook in hooks:
+                with pytest.raises(InvalidArgument, match=f"^voter index {voter} out of range 1..3$"):
+                    list(hook([(profile, voter)]))
+
     @pytest.mark.parametrize("error", [InvalidArgument, ZeroMassProjection])
     def test_kernel_errors_propagate(self, space3, cycle_profile, monkeypatch, error):
         def failing(*args):
@@ -657,21 +670,45 @@ class TestEpsFilter:
         kept = ProfileState.correlated(space3, [(1.0 - 1.2e-9, heavy), (1.2e-9, other)])
         assert not np.array_equal(qcv(kept, params).diagonal, alone)
 
-    def test_a_voter_request_keeps_two_light_terms_its_substitution_merges(self, space3):
+    def test_a_voter_request_drops_two_light_terms_that_differ_in_its_column(self, space3):
         r, params = space3.rankings(), QcvParams(0.05)
         heavy = (r[0], r[1], r[2])
-        # Two 0.6e-9 terms that differ only in voter 2's column.
+        # Two 0.6e-9 terms that differ only in voter 2's column. Dropping the
+        # voter's column does not merge them: each is at most eps, and dropped.
         profile = ProfileState.correlated(
             space3, [(1.0 - 1.2e-9, heavy), (0.6e-9, (r[5], r[3], r[4])), (0.6e-9, (r[5], r[4], r[4]))]
         )
         merged = ProfileState.correlated(space3, [(1.0 - 1.2e-9, heavy), (1.2e-9, (r[5], r[3], r[4]))])
         alone = ProfileState.correlated(space3, [(1.0, heavy)])
         got = qcv_responses(profile, 2, params)
-        assert np.array_equal(got, qcv_responses(merged, 2, params))
-        assert not np.array_equal(got[0], qcv_responses(alone, 2, params)[0])
+        assert np.array_equal(got, qcv_responses(alone, 2, params))
+        assert not np.array_equal(got[0], qcv_responses(merged, 2, params)[0])
         for k, ranking in enumerate(r):
             want = qcv(profile.substitute_ballot(2, basis_state(space3, ranking)), params)
             assert np.array_equal(got[k], want.diagonal), k
+
+    def test_a_correlated_profile_mixes_its_terms(self):
+        space, params = space_of(4), QcvParams.for_alternatives(4)
+        rankings, rng = space.rankings(), random.Random(26)
+        raw = [rng.random() for _ in range(36)]
+        terms = [(w / sum(raw), [rng.choice(rankings) for _ in range(4)]) for w in raw]
+        got = qcv(ProfileState.correlated(space, terms), params).diagonal
+        want = sum(w * qcv(ProfileState.correlated(space, [(1.0, key)]), params).diagonal for w, key in terms)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_profile_and_voter_requests_drop_the_same_terms(self, space3):
+        # 1,001 terms of weight 1/1001, each below eps 1e-3, on keys that
+        # coincide once a voter's column is dropped: both requests keep none.
+        rankings, rng = space3.rankings(), random.Random(1001)
+        profile = ProfileState.correlated(
+            space3, [(1 / 1001, [rng.choice(rankings) for _ in range(4)]) for _ in range(1001)]
+        )
+        params = QcvParams(0.05, eps=1e-3)
+        with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
+            qcv(profile, params)
+        for voter in range(1, 5):
+            with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
+                qcv_responses(profile, voter, params)
 
 
 def mixed_batch(space, n, rng, correlated, profiles=3):
