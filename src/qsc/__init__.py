@@ -25,7 +25,6 @@ from .hilbert import (
     Subspace,
     alternative_state,
     basis_state,
-    density_terms,
     mixed_state,
     pair_projector,
     pure_state,

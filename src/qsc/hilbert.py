@@ -457,16 +457,3 @@ def alternative_state(
     state.validate(eps)
     return state
 
-
-def density_terms(
-    state: DensityOperator, eps: float = DEFAULT_EPS
-) -> tuple[str, list[tuple[complex, Ranking]]] | tuple[str, list[tuple[float, Ranking]]]:
-    """Term-list form of a density: ("mixed", weight terms) or ("pure", amplitude terms)."""
-    rankings = state.space.rankings()
-    if state.amplitudes is None:
-        diag = state.diagonal
-        return "mixed", [(float(diag[k]), rankings[k]) for k in np.flatnonzero(diag > eps)]
-    vector = state.amplitudes
-    return "pure", [
-        (complex(vector[k]), rankings[k]) for k in np.flatnonzero(np.abs(vector) > eps)
-    ]

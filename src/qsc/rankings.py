@@ -63,7 +63,8 @@ class AlternativeSet:
         return [(x, y) for x in self.names for y in self.names if x != y]
 
 
-@dataclass(frozen=True)
+# Slotted, since each basis table holds m! of them (720 at m=6).
+@dataclass(frozen=True, slots=True)
 class Ranking:
     """A strict total order; ``order[0]`` is the most preferred index."""
 
@@ -82,11 +83,18 @@ class Ranking:
 
     @classmethod
     def from_string(cls, alternatives: AlternativeSet, text: str) -> "Ranking":
-        """Parse the compact ``"a>b>c"`` form."""
-        parts = [p.strip() for p in text.split(">")]
-        if any(not p for p in parts):
-            raise InvalidArgument(f"malformed ranking string {text!r}")
-        return cls.from_labels(alternatives, parts)
+        """The basis ranking spelt ``"a>b>c"``; whitespace around each label is accepted."""
+        table = basis_table(alternatives)
+        k = table.string_index.get(text)
+        if k is None:
+            parts = [p.strip() for p in text.split(">")]
+            if any(not p for p in parts):
+                raise InvalidArgument(f"malformed ranking string {text!r}")
+            k = table.string_index.get(">".join(parts))
+            if k is None:
+                # Not a spelling of any ranking, so this raises with the offending label.
+                return cls.from_labels(alternatives, parts)
+        return table.rankings[k]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -121,11 +129,13 @@ class BasisTable:
     """The m! basis rankings of one alternative set and their per-ranking facts.
 
     Entry k of each tuple and row k of each array describe basis ranking k;
-    ``index`` maps an order back to k. The arrays are read-only.
+    ``index`` maps an order, and ``string_index`` a compact string, back to k.
+    The arrays are read-only.
     """
 
     rankings: tuple[Ranking, ...]
     strings: tuple[str, ...]  # the compact "a>b>c" form
+    string_index: Mapping[str, int]  # compact string -> basis index
     index: Mapping[tuple[int, ...], int]  # order -> basis index
     above: np.ndarray  # d x m x m bool: ranking k places x above y
     upper: tuple[np.ndarray, np.ndarray]  # (x, y) index arrays of the pairs x < y, in ``np.triu_indices`` order
@@ -155,9 +165,11 @@ def basis_table(alternatives: AlternativeSet) -> BasisTable:
     winner_rows = np.arange(len(perms), dtype=np.intp).reshape(m, -1)
     for array in (above, pairs, winner_rows, *upper, *pair_rows.values()):
         array.setflags(write=False)
+    strings = tuple(">".join([names[i] for i in p]) for p in perms)
     return BasisTable(
         rankings=tuple(Ranking(alternatives, p) for p in perms),
-        strings=tuple(">".join([names[i] for i in p]) for p in perms),
+        strings=strings,
+        string_index={text: k for k, text in enumerate(strings)},
         index={p: k for k, p in enumerate(perms)},
         above=above,
         upper=upper,

@@ -12,6 +12,8 @@ import json
 import math
 from typing import Any
 
+import numpy as np
+
 from .errors import InvalidArgument, ParseError
 from .hilbert import (
     DEFAULT_EPS,
@@ -19,7 +21,6 @@ from .hilbert import (
     DensityOperator,
     ProfileState,
     RankingSpace,
-    density_terms,
     mixed_state,
     pure_state,
 )
@@ -41,15 +42,17 @@ def serialize_alternative_state(state: AlternativeState) -> dict[str, float]:
 
 
 def serialize_density(state: DensityOperator, eps: float = DEFAULT_EPS) -> dict:
-    kind, terms = density_terms(state, eps)
-    if kind == "pure":
-        return {
-            "pure": [
-                [format_probability(amp.real), format_probability(amp.imag), r.to_string()]
-                for amp, r in terms
-            ]
-        }
-    return {"mixed": [[format_probability(w), r.to_string()] for w, r in terms]}
+    """Term-list form: the pure ballot's amplitudes, else the basis weights, above eps."""
+    strings = basis_table(state.space.alternatives).strings
+    if state.amplitudes is None:
+        return {"mixed": [[format_probability(w), strings[k]] for k, w in state.diagonal_support(eps)]}
+    vector = state.amplitudes
+    return {
+        "pure": [
+            [format_probability(vector[k].real), format_probability(vector[k].imag), strings[k]]
+            for k in np.flatnonzero(np.abs(vector) > eps)
+        ]
+    }
 
 
 def serialize_profile(profile: ProfileState, eps: float = DEFAULT_EPS) -> dict:

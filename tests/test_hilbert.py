@@ -17,7 +17,6 @@ from qsc import (
     ZeroMassProjection,
     alternative_state,
     basis_state,
-    density_terms,
     mixed_state,
     pair_projector,
     pure_state,
@@ -26,6 +25,7 @@ from qsc import (
     winner_projector,
 )
 from qsc import hilbert
+from qsc.serde import parse_density, serialize_density
 
 from oracles import lehmer_index, ranks_above
 from stepwise import project_and_renormalize, uniform_subspace_state
@@ -548,11 +548,14 @@ class TestValidationClosure:
 
 
 class TestDensityTerms:
+    """A ballot's term-list form, written by ``serialize_density`` and read by ``parse_density``."""
+
     def test_mixed_roundtrip(self, alts3, space3):
         state = mixed_state(space3, [(0.25, rk(alts3, "a>b>c")), (0.75, rk(alts3, "c>b>a"))])
-        kind, terms = density_terms(state)
-        assert kind == "mixed"
-        rebuilt = mixed_state(space3, terms)
+        document = serialize_density(state)
+        assert document == {"mixed": [[0.25, "a>b>c"], [0.75, "c>b>a"]]}
+        rebuilt = parse_density(space3, document)
+        assert rebuilt.amplitudes is None
         assert np.allclose(rebuilt.matrix, state.matrix, atol=1e-12)
 
     def test_pure_roundtrip(self, alts3, space3):
@@ -560,9 +563,10 @@ class TestDensityTerms:
             space3,
             [(0.6, rk(alts3, "a>b>c")), (0.8j, rk(alts3, "b>c>a"))],
         )
-        kind, terms = density_terms(state)
-        assert kind == "pure"
-        rebuilt = pure_state(space3, terms)
+        document = serialize_density(state)
+        assert document == {"pure": [[0.6, 0.0, "a>b>c"], [0.0, 0.8, "b>c>a"]]}
+        rebuilt = parse_density(space3, document)
+        assert rebuilt.amplitudes is not None
         assert np.allclose(rebuilt.matrix, state.matrix, atol=1e-9)
 
 
@@ -577,7 +581,7 @@ class TestFromMatrix:
         state = pure_state(space3, [(0.6j, rk(alts3, "b>a>c")), (0.8, rk(alts3, "c>a>b"))])
         rebuilt = DensityOperator.from_matrix(space3, state.matrix)
         assert np.allclose(rebuilt.matrix, state.matrix, atol=1e-12)
-        assert density_terms(rebuilt)[0] == "pure"
+        assert rebuilt.amplitudes is not None
         assert rebuilt.amplitudes[np.flatnonzero(np.abs(rebuilt.amplitudes) > 1e-9)[0]].imag == 0.0
 
     def test_coherent_mixture_rejected(self, alts3, space3):

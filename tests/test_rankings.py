@@ -260,6 +260,16 @@ class TestBasisTable:
             assert table.winner_rows[a].tolist() == [k for k, r in enumerate(table.rankings) if r.order[0] == a]
             assert table.winner_rows[a].tolist() == list(range(a * block, (a + 1) * block))
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_strings_are_looked_up_not_parsed(self, m):
+        alts = AlternativeSet(tuple("uvwxyz")[:m])
+        table = basis_table(alts)
+        assert len(table.string_index) == len(table.strings)
+        for k, text in enumerate(table.strings):
+            assert table.string_index[text] == k
+            assert Ranking.from_string(alts, text) is table.rankings[k]
+            assert Ranking.from_string(alts, f" {text.replace('>', ' > ')}\t") is table.rankings[k]
+
     def test_one_table_per_alternative_set(self, alts3):
         assert basis_table(AlternativeSet(("a", "b", "c"))) is basis_table(alts3)
         table = basis_table(alts3)

@@ -15,14 +15,17 @@ from hypothesis import strategies as st
 
 import qsc
 from qsc import (
-    AlternativeSet, ParseError, ProfileState, QcvParams, Ranking, axioms, choice, cli, errors, qcvne,
+    AlternativeSet, ParseError, ProfileState, QcvParams, Ranking, axioms, choice, cli, errors, qcv, qcvne,
     rankings, serde, welfare,
 )
 from qsc.errors import InvalidArgument, ZeroMassProjection
 from qsc.axioms import EXPECTED_VERDICTS, default_profile_sampler
-from qsc.cli import main, parse_family
+from qsc.cli import main, parse_family, resolve_rule
 from qsc.rankings import all_rankings
-from qsc.serde import parse_profile, serialize_profile
+from qsc.hilbert import DensityOperator, RankingSpace, mixed_state, pure_state
+from qsc.serde import (
+    canonical_json, format_probability, parse_profile, serialize_density, serialize_profile,
+)
 
 SPLIT_TOP_DOC = {
     "alternatives": ["x", "y", "z"],
@@ -130,6 +133,186 @@ class TestParseProfile:
         recovered = qcvne(rebuilt, params).as_dict()
         for name, value in original.items():
             assert recovered[name] == pytest.approx(value, abs=1e-12)
+
+
+def reference_from_string(alternatives, text):
+    """``Ranking.from_string`` as it was before the basis-table lookup: split, strip, read each label."""
+    parts = [p.strip() for p in text.split(">")]
+    if any(not p for p in parts):
+        raise InvalidArgument(f"malformed ranking string {text!r}")
+    return Ranking.from_labels(alternatives, parts)
+
+
+def reference_outcome(alternatives, text):
+    """The order the reference parse reads, or its error message."""
+    try:
+        return reference_from_string(alternatives, text).order
+    except InvalidArgument as exc:
+        return str(exc)
+
+
+RANKING_SPELLINGS = [
+    # canonical
+    "a>b>c", "c>b>a", "b>c>a",
+    # padded around labels
+    "a > b > c", " a>b>c ", "\tb >c\n> a", "c>b >a", "\u2003a>b>c",
+    # invalid: unknown label, repeated label, missing label, empty part
+    "a>b>q", "A>B>C", "ab>c", "a>a>c", "a>b>c>a", "a>b", "a", "a>>c", "", ">", "a>b>c>", " >a>b",
+]
+
+
+class TestRankingStrings:
+    """Every entry point that reads a ranking string reads what the label-by-label parse read."""
+
+    @pytest.mark.parametrize("text", RANKING_SPELLINGS)
+    def test_from_string(self, alts3, text):
+        expected = reference_outcome(alts3, text)
+        try:
+            ranking = Ranking.from_string(alts3, text)
+        except InvalidArgument as exc:
+            assert str(exc) == expected
+            return
+        assert ranking.order == expected
+
+    @given(text=st.text("abc> \t", max_size=9))
+    @settings(max_examples=300, deadline=None)
+    def test_from_string_on_any_text(self, text):
+        alts = AlternativeSet(("a", "b", "c"))
+        try:
+            outcome = Ranking.from_string(alts, text).order
+        except InvalidArgument as exc:
+            outcome = str(exc)
+        assert outcome == reference_outcome(alts, text)
+
+    @pytest.mark.parametrize("shape", ["mixed", "pure"])
+    @pytest.mark.parametrize("text", RANKING_SPELLINGS)
+    def test_voter_ballot(self, alts3, shape, text):
+        term = [1, text] if shape == "mixed" else [1, 0, text]
+        doc = {"alternatives": ["a", "b", "c"], "voters": [{shape: [term]}, {"mixed": [[1, "a>b>c"]]}]}
+        expected = reference_outcome(alts3, text)
+        try:
+            profile = parse_profile(doc)
+        except ParseError as exc:
+            assert (str(exc), exc.locus) == (expected, f"voters[0].{shape}[0]")
+            return
+        diag = profile.partial_ballot(1).diagonal
+        assert diag.tolist() == [float(k == rankings.basis_table(alts3).index[expected]) for k in range(6)]
+
+    @pytest.mark.parametrize("text", RANKING_SPELLINGS)
+    def test_correlated_term(self, alts3, text):
+        doc = {"alternatives": ["a", "b", "c"], "correlated": [[2, ["c>a>b", text]]]}
+        expected = reference_outcome(alts3, text)
+        try:
+            profile = parse_profile(doc)
+        except ParseError as exc:
+            assert (str(exc), exc.locus) == (expected, "correlated[0][1]")
+            return
+        assert profile.joint == ((1.0, (4, rankings.basis_table(alts3).index[expected])),)
+
+    @pytest.mark.parametrize("text", RANKING_SPELLINGS)
+    def test_veto_rule(self, alts3, text):
+        name = f"veto:{text}"
+        expected = reference_outcome(alts3, text)
+        try:
+            rule = resolve_rule(name, alts3, QcvParams.for_alternatives(3))
+        except ParseError as exc:
+            assert isinstance(expected, str) and exc.locus == "rule"
+            assert str(exc) == (
+                f"rule {name!r} must order each of the alternatives a, b, c exactly once, "
+                "e.g. veto:a>b>c"
+            )
+            return
+        assert rule.name == "veto:" + ">".join("abc"[i] for i in expected)
+
+
+def reference_serialize_density(state, eps):
+    """``serialize_density`` as it was before it wrote from the basis table: one term list of
+    ``Ranking`` objects, each written with ``to_string``."""
+    basis = state.space.rankings()
+    if state.amplitudes is None:
+        diag = state.diagonal
+        terms = [(float(diag[k]), basis[k]) for k in np.flatnonzero(diag > eps)]
+        return {"mixed": [[format_probability(w), r.to_string()] for w, r in terms]}
+    vector = state.amplitudes
+    terms = [(complex(vector[k]), basis[k]) for k in np.flatnonzero(np.abs(vector) > eps)]
+    return {
+        "pure": [
+            [format_probability(amp.real), format_probability(amp.imag), r.to_string()]
+            for amp, r in terms
+        ]
+    }
+
+
+def near(value, ulps):
+    """``value`` moved by ``ulps`` units in the last place (down if negative)."""
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, np.inf if ulps > 0 else -np.inf)
+    return float(value)
+
+
+class TestSerializeDensity:
+    """``serialize_density`` writes the bytes the reference formula writes."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_states_match_the_reference(self, m, eps, seed):
+        space = RankingSpace(AlternativeSet(tuple("abcde")[:m]))
+        rng = np.random.default_rng([m, seed])
+        # Entries within a few ulp of eps, on both sides, at random places.
+        edge = np.array([near(eps, u) for u in range(-3, 4)] + [0.0, 0.5 * eps, 2 * eps])
+        for _ in range(5):
+            spots = rng.choice(space.dim, space.dim // 2, replace=False)
+            diag = rng.random(space.dim) ** 4
+            diag[spots] = rng.choice(edge, spots.size)
+            amplitudes = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+            amplitudes[spots] = rng.choice(edge, spots.size) * rng.choice([1, 1j, -1, -1j], spots.size)
+            for state in (DensityOperator(space, diag), DensityOperator(space, diag, amplitudes)):
+                written = serialize_density(state, eps)
+                assert canonical_json(written) == canonical_json(reference_serialize_density(state, eps))
+
+    @pytest.mark.parametrize("m, n", [(3, 1), (3, 3), (4, 2), (5, 2)])
+    def test_profile_round_trip_keeps_qcv_bits(self, m, n):
+        # Written and read back, a sampled profile scores the bits it scores when
+        # written by the reference formula and read by the reference parse.
+        space = RankingSpace(AlternativeSet(tuple("abcde")[:m]))
+        params = QcvParams.for_alternatives(m)
+        sampler = default_profile_sampler(space, n)
+        rng = random.Random(100 * m + n)
+        forms = set()
+        for _ in range(40):
+            profile = sampler(rng)
+            forms.add(profile.factors is None)
+            document = serialize_profile(profile)
+            if profile.factors is not None:
+                assert document["voters"] == [
+                    reference_serialize_density(b, params.eps) for b in profile.factors
+                ]
+            rebuilt = parse_profile(json.dumps(document))
+            reference = reference_parse_profile(space, document)
+            assert qcv(rebuilt, params).diagonal.tobytes() == qcv(reference, params).diagonal.tobytes()
+            assert np.allclose(qcv(rebuilt, params).diagonal, qcv(profile, params).diagonal, atol=1e-9)
+            assert serialize_profile(rebuilt) == document
+        assert forms == {False, True}
+
+
+def reference_parse_profile(space, document):
+    """A valid profile document read through ``reference_from_string``."""
+    alternatives = space.alternatives
+    if "voters" in document:
+        ballots = []
+        for spec in document["voters"]:
+            ((shape, entries),) = spec.items()
+            build, value = (pure_state, complex) if shape == "pure" else (mixed_state, float)
+            ballots.append(build(space, [
+                (value(*entry[:-1]), reference_from_string(alternatives, entry[-1])) for entry in entries
+            ]))
+        return ProfileState.product_of(ballots)
+    total = sum(weight for weight, _ in document["correlated"])
+    return ProfileState.correlated(space, [
+        (weight / total, tuple(reference_from_string(alternatives, r) for r in key))
+        for weight, key in document["correlated"]
+    ])
 
 
 json_values = st.recursive(
