@@ -60,7 +60,6 @@ _AXIOM_NAMES = frozenset({
     "CandidateBallotFamily",
     "ManipulationWitness",
     "PreferenceKind",
-    "SuiteConfig",
     "SuiteReport",
     "check_composition_preservation",
     "check_dictatorship",

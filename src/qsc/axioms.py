@@ -434,9 +434,8 @@ def default_profile_sampler(space: RankingSpace, n_voters: int) -> ProfileSample
         picks = rng.sample(range(dim), min(terms, dim))
         raw = [rng.choice((1, 2, 3)) for _ in picks]
         total = sum(raw)
-        return ProfileState.correlated(
-            space,
-            [(raw[t] / total, (rankings[k],) * n_voters) for t, k in enumerate(picks)],
+        return ProfileState.correlated_indices(
+            space, [(raw[t] / total, (k,) * n_voters) for t, k in enumerate(picks)]
         )
 
     return sample
@@ -1035,24 +1034,6 @@ def check_composition_preservation(
     return _report("composition-preservation", composed.name, trials, seed, started, violations, details)
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Shared configuration for the bundled axiom suites."""
-
-    alternatives: AlternativeSet
-    n_voters: int = 3
-    trials: int = 200
-    seed: int = 0
-    eps: float = DEFAULT_EPS
-    family: CandidateBallotFamily = CandidateBallotFamily()
-
-    def __post_init__(self):
-        if self.alternatives.m < 3:
-            raise InvalidArgument("suites need at least 3 alternatives")
-        if self.n_voters < 1 or self.trials < 1:
-            raise InvalidArgument("need at least one voter and one trial")
-
-
 def _component(name: str, ok: bool, verdict: str | None = None) -> dict:
     """One suite component; its verdict is holds-on-sample or falsified unless given."""
     if verdict is None:
@@ -1060,10 +1041,21 @@ def _component(name: str, ok: bool, verdict: str | None = None) -> dict:
     return {"name": name, "ok": ok, "verdict": verdict}
 
 
+def _suite_sampler(alternatives: AlternativeSet, n_voters: int, trials: int) -> tuple[RankingSpace, ProfileSampler]:
+    """A suite's space and profile sampler; a suite too small to run is refused before its rule is read."""
+    if alternatives.m < 3:
+        raise InvalidArgument("suites need at least 3 alternatives")
+    if n_voters < 1 or trials < 1:
+        raise InvalidArgument("need at least one voter and one trial")
+    space = RankingSpace(alternatives)
+    return space, default_profile_sampler(space, n_voters)
+
+
 def _suite(
     suite: str,
     rule: str,
-    config: SuiteConfig,
+    trials: int,
+    seed: int,
     started: float,
     components: list[dict],
     reports: list[AxiomReport],
@@ -1076,42 +1068,55 @@ def _suite(
         verdict=verdict,
         components=components,
         reports=reports,
-        trials=config.trials,
-        seed=config.seed,
+        trials=trials,
+        seed=seed,
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
     )
 
 
-def run_arrow_suite(rule: WelfareRule, config: SuiteConfig) -> SuiteReport:
+def run_arrow_suite(
+    rule: WelfareRule,
+    alternatives: AlternativeSet,
+    n_voters: int = 3,
+    trials: int = 200,
+    seed: int = 0,
+    eps: float = DEFAULT_EPS,
+) -> SuiteReport:
     """Unanimity, independence and non-dictatorship, bundled."""
     started = time.perf_counter()
-    space = RankingSpace(config.alternatives)
-    sampler = default_profile_sampler(space, config.n_voters)
-    paired = default_paired_sampler(space, config.n_voters)
-    unanimity = check_unanimity(rule, space, sampler, config.trials, config.seed, config.eps)
-    iia = check_iia(rule, space, paired, config.trials, config.seed + 1, config.eps)
-    dictatorship = check_dictatorship(rule, space, sampler, config.trials, config.seed + 2, config.eps)
+    space, sampler = _suite_sampler(alternatives, n_voters, trials)
+    paired = default_paired_sampler(space, n_voters)
+    unanimity = check_unanimity(rule, space, sampler, trials, seed, eps)
+    iia = check_iia(rule, space, paired, trials, seed + 1, eps)
+    dictatorship = check_dictatorship(rule, space, sampler, trials, seed + 2, eps)
     variants = [variant for variant, _ in _VARIANTS]
     components = [
         *(_component(f"unanimity-{v}", unanimity.details[v]["violations"] == 0) for v in variants),
         *(_component(f"iia-{v}", all(w["variant"] != v for w in iia.witnesses)) for v in variants),
         _component("non-dictatorship", dictatorship.verdict == VERDICT_NO_DICTATOR, dictatorship.verdict),
     ]
-    return _suite("arrow-suite", rule.name, config, started, components, [unanimity, iia, dictatorship])
+    return _suite("arrow-suite", rule.name, trials, seed, started, components, [unanimity, iia, dictatorship])
 
 
-def run_gs_suite(rule: ChoiceRule, config: SuiteConfig) -> SuiteReport:
+def run_gs_suite(
+    rule: ChoiceRule,
+    alternatives: AlternativeSet,
+    n_voters: int = 3,
+    trials: int = 200,
+    seed: int = 0,
+    eps: float = DEFAULT_EPS,
+    family: CandidateBallotFamily = CandidateBallotFamily(),
+) -> SuiteReport:
     """Incentive compatibility, onto and non-dictatorship, bundled."""
     started = time.perf_counter()
-    space = RankingSpace(config.alternatives)
+    space, sampler = _suite_sampler(alternatives, n_voters, trials)
     _rule_kind(rule, "choice")
-    sampler = default_profile_sampler(space, config.n_voters)
-    qic = check_qic(rule, sampler, config.family, config.trials, config.seed, config.eps)
-    onto = check_onto(rule, config.alternatives, config.n_voters, config.eps)
-    dictatorship = check_dictatorship(rule, space, sampler, config.trials, config.seed + 1, config.eps)
+    qic = check_qic(rule, sampler, family, trials, seed, eps)
+    onto = check_onto(rule, alternatives, n_voters, eps)
+    dictatorship = check_dictatorship(rule, space, sampler, trials, seed + 1, eps)
     components = [
         _component("qic", qic.verdict == VERDICT_HOLDS),
         _component("onto", onto.verdict == VERDICT_HOLDS),
         _component("non-dictatorship", dictatorship.verdict == VERDICT_NO_DICTATOR, dictatorship.verdict),
     ]
-    return _suite("gs-suite", rule.name, config, started, components, [qic, onto, dictatorship])
+    return _suite("gs-suite", rule.name, trials, seed, started, components, [qic, onto, dictatorship])

@@ -246,21 +246,10 @@ def _run_check(args, axiom: str) -> int:
     elif axiom == "iia":
         paired = axioms.default_paired_sampler(space, args.voters)
         report = axioms.check_iia(rule, space, paired, args.trials, args.seed, args.eps)
-    elif axiom in ("arrow-suite", "gs-suite"):
-        config = axioms.SuiteConfig(
-            alternatives=alternatives,
-            n_voters=args.voters,
-            trials=args.trials,
-            seed=args.seed,
-            eps=args.eps,
-            family=family,
-        )
-        if axiom == "arrow-suite":
-            report = axioms.run_arrow_suite(rule, config)
-        else:
-            report = axioms.run_gs_suite(rule, config)
+    elif axiom == "arrow-suite":
+        report = axioms.run_arrow_suite(rule, alternatives, args.voters, args.trials, args.seed, args.eps)
     else:
-        raise ParseError(f"unknown axiom {axiom!r}", "axiom")
+        report = axioms.run_gs_suite(rule, alternatives, args.voters, args.trials, args.seed, args.eps, family)
 
     payload = report.to_jsonable(include_elapsed=args.timing)
     payload.update(alternatives=list(alternatives.names), voters=args.voters)
@@ -269,14 +258,6 @@ def _run_check(args, axiom: str) -> int:
     if expected is not None and report.verdict != expected:
         return 1
     return 0
-
-
-def cmd_check(args) -> int:
-    return _run_check(args, args.axiom)
-
-
-def cmd_suite(args) -> int:
-    return _run_check(args, f"{args.suite}-suite")
 
 
 def _add_common_check_flags(sub) -> None:
@@ -320,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     check = commands.add_parser("check", help="run one axiom check")
     check.add_argument("--axiom", required=True, choices=CHECK_AXIOMS)
     _add_common_check_flags(check)
-    check.set_defaults(handler=cmd_check)
+    check.set_defaults(handler=lambda args: _run_check(args, args.axiom))
 
     suite = commands.add_parser("suite", help="run a bundled axiom suite")
     suite.add_argument("suite", choices=("arrow", "gs"))
     _add_common_check_flags(suite)
-    suite.set_defaults(handler=cmd_suite)
+    suite.set_defaults(handler=lambda args: _run_check(args, f"{args.suite}-suite"))
 
     return parser
 

@@ -300,12 +300,20 @@ class ProfileState:
 
     @classmethod
     def correlated(
-        cls,
-        space: RankingSpace,
-        terms: Sequence[tuple[float, Sequence[Ranking]]],
-        eps: float = DEFAULT_EPS,
+        cls, space: RankingSpace, terms: Sequence[tuple[float, Sequence[Ranking]]], eps: float = DEFAULT_EPS
     ) -> "ProfileState":
         """Profile from (weight, ranking tuple) terms, stored by basis index."""
+        return cls.correlated_indices(space, [(w, tuple(map(space.basis_index, rs))) for w, rs in terms], eps)
+
+    @classmethod
+    def correlated_indices(
+        cls, space: RankingSpace, terms: Sequence[tuple[float, Sequence[int]]], eps: float = DEFAULT_EPS
+    ) -> "ProfileState":
+        """Profile from (weight, basis-index tuple) terms.
+
+        The weights must be positive and sum to 1 within eps, and every term
+        must give one index per voter.
+        """
         if not terms:
             raise InvalidArgument("correlated profile needs at least one term")
         n = len(terms[0][1])
@@ -313,13 +321,13 @@ class ProfileState:
             raise InvalidArgument("correlated profile needs at least one voter")
         cleaned = []
         total = 0.0
-        for weight, rankings in terms:
+        for weight, key in terms:
             w = float(weight)
             if w <= 0.0:
                 raise InvalidArgument(f"correlated weights must be positive, got {w}")
-            if len(rankings) != n:
+            if len(key) != n:
                 raise InvalidArgument("all correlated terms must rank the same voters")
-            cleaned.append((w, tuple(space.basis_index(r) for r in rankings)))
+            cleaned.append((w, tuple(key)))
             total += w
         if abs(total - 1.0) > eps:
             raise InvalidArgument(f"correlated weights sum to {total}, expected 1")

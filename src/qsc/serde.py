@@ -24,7 +24,7 @@ from .hilbert import (
     mixed_state,
     pure_state,
 )
-from .rankings import AlternativeSet, Ranking, basis_table
+from .rankings import AlternativeSet, Ranking, basis_table, ranking_index
 
 
 def canonical_json(payload: dict) -> str:
@@ -169,6 +169,7 @@ def parse_profile(document: str | dict, eps: float = DEFAULT_EPS) -> ProfileStat
     entries = data["correlated"]
     if not isinstance(entries, list) or not entries:
         raise ParseError("'correlated' must be a nonempty term list", "correlated")
+    string_index = basis_table(alternatives).string_index
     terms = []
     total = 0.0
     for t, entry in enumerate(entries):
@@ -181,15 +182,18 @@ def parse_profile(document: str | dict, eps: float = DEFAULT_EPS) -> ProfileStat
         tuple_spec = entry[1]
         if not isinstance(tuple_spec, list) or not tuple_spec:
             raise ParseError("correlated term needs one ranking per voter", locus)
-        rankings = tuple(
-            _parse_ranking(alternatives, r, f"{locus}[{k}]") for k, r in enumerate(tuple_spec)
+        # Only a string that is not a compact spelling reaches the parser, which reads padding and names faults.
+        key = tuple(
+            string_index[r] if isinstance(r, str) and r in string_index
+            else ranking_index(_parse_ranking(alternatives, r, f"{locus}[{k}]"))
+            for k, r in enumerate(tuple_spec)
         )
-        terms.append((weight, rankings))
+        terms.append((weight, key))
         total += weight
     if not math.isfinite(total):
         raise ParseError(f"correlated total weight {total} is not finite", "correlated")
-    normalized = [(w / total, rankings) for w, rankings in terms]
+    normalized = [(w / total, key) for w, key in terms]
     try:
-        return ProfileState.correlated(space, normalized, eps)
+        return ProfileState.correlated_indices(space, normalized, eps)
     except InvalidArgument as exc:
         raise ParseError(str(exc), "correlated") from None

@@ -21,7 +21,6 @@ from qsc import (
     QcvParams,
     Ranking,
     RankingSpace,
-    SuiteConfig,
     check_composition_preservation,
     check_dictatorship,
     check_qic,
@@ -209,8 +208,7 @@ def test_criterion_07_gs_bundle_via_cli():
 
 def test_criterion_08_arrow_bundle(alts3):
     with criterion(8, "arrow bundle: all five components pass"):
-        config = SuiteConfig(alternatives=alts3, n_voters=3, trials=500, seed=42)
-        report = run_arrow_suite(qcv_rule(QcvParams(0.05)), config)
+        report = run_arrow_suite(qcv_rule(QcvParams(0.05)), alts3, n_voters=3, trials=500, seed=42)
         assert report.verdict == VERDICT_BYPASS
         assert len(report.components) == 5
         assert all(component["ok"] for component in report.components)

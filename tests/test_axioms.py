@@ -19,7 +19,6 @@ from qsc import (
     QcvParams,
     Ranking,
     RankingSpace,
-    SuiteConfig,
     basis_state,
     check_composition_preservation,
     check_dictatorship,
@@ -621,21 +620,29 @@ class TestIia:
 
 class TestSuites:
     def test_gs_suite_on_composed_dictator_not_bypassed(self, alts3):
-        from qsc import SuiteConfig, run_gs_suite
         from qsc.axioms import VERDICT_NOT_BYPASSED
 
-        config = SuiteConfig(alternatives=alts3, n_voters=3, trials=60, seed=21)
-        report = run_gs_suite(compose(dictator_rule(1)), config)
+        report = run_gs_suite(compose(dictator_rule(1)), alts3, n_voters=3, trials=60, seed=21)
         assert report.verdict == VERDICT_NOT_BYPASSED
         by_name = {c["name"]: c for c in report.components}
         assert by_name["non-dictatorship"]["ok"] is False
         assert by_name["onto"]["ok"] is True
 
-    def test_suites_require_three_alternatives(self):
-        from qsc import InvalidArgument, SuiteConfig
+    # Each suite gets a rule of the wrong kind, so a refusal that came after the
+    # rule-kind check would name the rule instead; no sampler may be built.
+    def test_suites_require_three_alternatives(self, monkeypatch):
+        monkeypatch.setattr(axioms, "default_profile_sampler", refuse_to_hunt)
+        two = AlternativeSet(("a", "b"))
+        for suite, wrong_kind in ((run_gs_suite, qcv_rule(PARAMS)), (run_arrow_suite, qcvne_rule(PARAMS))):
+            with pytest.raises(InvalidArgument, match="^suites need at least 3 alternatives$"):
+                suite(wrong_kind, two)
 
-        with pytest.raises(InvalidArgument):
-            SuiteConfig(alternatives=AlternativeSet(("a", "b")))
+    def test_suites_require_a_voter_and_a_trial(self, alts3, monkeypatch):
+        monkeypatch.setattr(axioms, "default_profile_sampler", refuse_to_hunt)
+        for suite, wrong_kind in ((run_gs_suite, qcv_rule(PARAMS)), (run_arrow_suite, qcvne_rule(PARAMS))):
+            for size in ({"n_voters": 0}, {"trials": 0}):
+                with pytest.raises(InvalidArgument, match="^need at least one voter and one trial$"):
+                    suite(wrong_kind, alts3, **size)
 
 
 def refuse_to_hunt(*args):
@@ -651,7 +658,7 @@ class TestRuleKind:
         with pytest.raises(InvalidArgument, match=refused):
             check_onto(qcv_rule(PARAMS), alts3, n_voters=3)
         with pytest.raises(InvalidArgument, match=refused):
-            run_gs_suite(qcv_rule(PARAMS), SuiteConfig(alts3))
+            run_gs_suite(qcv_rule(PARAMS), alts3)
 
     def test_welfare_checks_refuse_a_choice_rule(self, alts3, space3):
         rule = qcvne_rule(PARAMS)
@@ -662,7 +669,7 @@ class TestRuleKind:
         with pytest.raises(InvalidArgument, match=refused):
             check_iia(rule, space3, default_paired_sampler(space3, 3), 5, seed=0)
         with pytest.raises(InvalidArgument, match=refused):
-            run_arrow_suite(rule, SuiteConfig(alts3))
+            run_arrow_suite(rule, alts3)
         with pytest.raises(InvalidArgument, match=refused):
             check_composition_preservation(rule, sampler, FAMILY, trials=5, seed=0)
 
@@ -749,8 +756,8 @@ class TestEngineEps:
             lambda alts, space, eps: manipulation_witness(
                 qcv_rule(PARAMS), ProfileState.basis([rk(alts, "a>b>c")] * 3), 1, ("a", "b"), FAMILY, eps
             ),
-            lambda alts, space, eps: run_gs_suite(qcvne_rule(PARAMS), SuiteConfig(alts, eps=eps)),
-            lambda alts, space, eps: run_arrow_suite(qcv_rule(PARAMS), SuiteConfig(alts, eps=eps)),
+            lambda alts, space, eps: run_gs_suite(qcvne_rule(PARAMS), alts, eps=eps),
+            lambda alts, space, eps: run_arrow_suite(qcv_rule(PARAMS), alts, eps=eps),
         ],
         ids=[
             "qic", "qic-hookless", "dictatorship", "onto", "unanimity", "iia",
@@ -1218,10 +1225,9 @@ class TestBatchedSearch:
                 variant(rule), sampler(space, 3), FAMILY, trials, seed=5
             ), search))
         if sampler is default_profile_sampler:
-            config = SuiteConfig(space.alternatives, trials=trials, seed=7)
             for rule in choice_rules:
                 same(lambda variant, search: report_bytes(
-                    run_gs_suite(variant(rule), config), search
+                    run_gs_suite(variant(rule), space.alternatives, trials=trials, seed=7), search
                 ))
 
     def test_composition_shares_the_welfare_rules_hook(self, alts3):
@@ -1342,14 +1348,13 @@ class TestDrawBatches:
             assert report_bytes(check_qic(hooked, sampler, FAMILY, 10, seed), "vertices") == want
 
     def test_reports_do_not_depend_on_the_batch_size(self, alts3, space3, monkeypatch):
-        config = SuiteConfig(alts3, trials=40, seed=3)
         sampler = default_profile_sampler(space3, 3)
         mix = reverse_mix_rule(hooked=True)
 
         def reports():
             return [
-                run_gs_suite(qcvne_rule(PARAMS), config).to_json(),
-                run_arrow_suite(qcv_rule(PARAMS), config).to_json(),
+                run_gs_suite(qcvne_rule(PARAMS), alts3, trials=40, seed=3).to_json(),
+                run_arrow_suite(qcv_rule(PARAMS), alts3, trials=40, seed=3).to_json(),
                 check_composition_preservation(qcv_rule(PARAMS), sampler, FAMILY, 40, 5).to_json(),
                 check_composition_preservation(mix, sampler, FAMILY, 20, 5).to_json(),
                 check_dictatorship(dictator_rule(2), space3, sampler, 40, 1).to_json(),
@@ -1393,7 +1398,6 @@ class TestDrawBatches:
             return kernel(alternatives, signatures, params)
 
         monkeypatch.setattr(welfare, "_qcv_rows", counted)
-        config = SuiteConfig(alts4, trials=10, seed=117406795)
-        report = run_gs_suite(qcvne_rule(QcvParams.for_alternatives(4)), config)
+        report = run_gs_suite(qcvne_rule(QcvParams.for_alternatives(4)), alts4, trials=10, seed=117406795)
         assert report.reports[0].details["trials_run"] == 10
         assert len(calls) == 4, calls

@@ -161,6 +161,24 @@ RANKING_SPELLINGS = [
 ]
 
 
+@st.composite
+def correlated_entries(draw):
+    """Correlated terms of n canonical or padded spellings each; at most one term then
+    gets an invalid entry in place of one spelling, or one ranking too many."""
+    valid = [t for t in RANKING_SPELLINGS if not isinstance(reference_outcome(AlternativeSet(tuple("abc")), t), str)]
+    invalid = [t for t in RANKING_SPELLINGS if t not in valid] + [None, 3, ["a>b>c"]]
+    n = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.sampled_from([1, 2, 0.5, 3.25, 7, 1e-10]), min_size=1, max_size=5))
+    entries = [(w, draw(st.lists(st.sampled_from(valid), min_size=n, max_size=n))) for w in weights]
+    fault = draw(st.sampled_from([None, "spelling", "length"]))
+    texts = draw(st.sampled_from(entries))[1]
+    if fault == "spelling":
+        texts[draw(st.integers(0, n - 1))] = draw(st.sampled_from(invalid))
+    elif fault == "length":
+        texts.append("a>b>c")
+    return entries
+
+
 class TestRankingStrings:
     """Every entry point that reads a ranking string reads what the label-by-label parse read."""
 
@@ -209,6 +227,21 @@ class TestRankingStrings:
             return
         assert profile.joint == ((1.0, (4, rankings.basis_table(alts3).index[expected])),)
 
+    @given(entries=correlated_entries())
+    @settings(max_examples=300, deadline=None)
+    def test_correlated_document_reads_as_through_rankings(self, entries):
+        # The index path keeps the joint keys and weight bits, or the error and
+        # its locus, of ``ProfileState.correlated`` fed ``Ranking.from_string``.
+        alts = AlternativeSet(("a", "b", "c"))
+        doc = {"alternatives": list(alts.names), "correlated": [[w, list(texts)] for w, texts in entries]}
+        try:
+            joint = parse_profile(doc).joint
+        except ParseError as exc:
+            outcome = (str(exc), exc.locus)
+        else:
+            outcome = [(w.hex(), key) for w, key in joint]
+        assert outcome == correlated_through_rankings(alts, entries)
+
     @pytest.mark.parametrize("text", RANKING_SPELLINGS)
     def test_veto_rule(self, alts3, text):
         name = f"veto:{text}"
@@ -223,6 +256,30 @@ class TestRankingStrings:
             )
             return
         assert rule.name == "veto:" + ">".join("abc"[i] for i in expected)
+
+
+def correlated_through_rankings(alternatives, entries):
+    """A valid-weight correlated block read ranking by ranking: each string through
+    ``Ranking.from_string``, the normalized terms through ``ProfileState.correlated``.
+    Gives the (hex weight, key) terms, or the (message, locus) of the first error."""
+    terms = []
+    total = 0.0
+    for t, (weight, texts) in enumerate(entries):
+        parsed = []
+        for k, text in enumerate(texts):
+            if not isinstance(text, str):
+                return (f"expected a ranking string, got {text!r}", f"correlated[{t}][{k}]")
+            try:
+                parsed.append(Ranking.from_string(alternatives, text))
+            except InvalidArgument as exc:
+                return (str(exc), f"correlated[{t}][{k}]")
+        terms.append((float(weight), tuple(parsed)))
+        total += float(weight)
+    try:
+        profile = ProfileState.correlated(RankingSpace(alternatives), [(w / total, rs) for w, rs in terms])
+    except InvalidArgument as exc:
+        return (str(exc), "correlated")
+    return [(w.hex(), key) for w, key in profile.joint]
 
 
 def reference_serialize_density(state, eps):
