@@ -356,7 +356,7 @@ def per_ballot_family(
     rankings = space.rankings()
     if family.basis:
         for ranking in rankings:
-            yield basis_state(space, ranking, eps)
+            yield basis_state(space, ranking)
     for k, on in ((2, family.pair_superpositions), (3, family.triple_superpositions)):
         if on:
             for chosen in combinations(range(space.dim), k):
@@ -366,7 +366,7 @@ def per_ballot_family(
     if weights:
         for i, j in combinations(range(space.dim), 2):
             for w in weights:
-                yield mixed_state(space, [(w, rankings[i]), (1.0 - w, rankings[j])], eps)
+                yield mixed_state(space, [(w, rankings[i]), (1.0 - w, rankings[j])])
     rng = random.Random(family.random_seed)
     for _ in range(family.random_pure):
         amplitudes = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in rankings]
@@ -672,7 +672,7 @@ def _near_vertices(
         near |= clause.holds(column - _VERTEX_MARGIN, eps)
         near |= clause.holds(column + _VERTEX_MARGIN, eps)
     rankings = adapter.space.rankings()
-    return (basis_state(adapter.space, rankings[k], eps) for k in np.flatnonzero(near))
+    return (basis_state(adapter.space, rankings[k]) for k in np.flatnonzero(near))
 
 
 _Scans = Iterator[tuple[int, list]]

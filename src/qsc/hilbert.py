@@ -92,10 +92,10 @@ def validate_density(matrix: np.ndarray, dim: int, eps: float = DEFAULT_EPS) -> 
     if not np.allclose(matrix, matrix.conj().T, atol=eps, rtol=0.0):
         raise InvalidArgument("density is not Hermitian within tolerance")
     trace = float(np.real(np.trace(matrix)))
-    if abs(trace - 1.0) > eps:
+    if not abs(trace - 1.0) <= eps:
         raise InvalidArgument(f"density trace {trace} is not 1 within tolerance")
     lowest = float(np.linalg.eigvalsh(matrix)[0])
-    if lowest < -eps:
+    if not lowest >= -eps:
         raise InvalidArgument(f"density has negative eigenvalue {lowest}")
 
 
@@ -168,8 +168,13 @@ class DensityOperator:
 
 
 def _unit_vector_state(space: RankingSpace, vector: np.ndarray, eps: float) -> DensityOperator:
-    """State of a unit vector, stored diagonal when no coherence exceeds eps."""
-    weights = (vector * vector.conj()).real
+    """State of a unit vector, stored diagonal when no coherence exceeds eps.
+
+    Its weights must be a distribution within eps (``diagonal_state``); a
+    vector normalized from amplitudes whose squares lose bits to underflow
+    is not.
+    """
+    weights = diagonal_state(space, (vector * vector.conj()).real, eps).diagonal
     magnitudes = np.abs(vector)
     first, second = np.sort(magnitudes)[:-3:-1]
     if first * second <= eps:
@@ -187,7 +192,7 @@ def pure_state(
     terms: Iterable[tuple[complex, Ranking]],
     eps: float = DEFAULT_EPS,
 ) -> DensityOperator:
-    """Rank-1 density from amplitude terms; amplitudes are normalized."""
+    """Rank-1 density from amplitude terms; amplitudes are normalized from any positive finite norm."""
     vector = np.zeros(space.dim, dtype=np.complex128)
     # A sum or norm past the float range is inf, refused below without a numpy warning.
     with np.errstate(over="ignore"):
@@ -197,38 +202,34 @@ def pure_state(
                 raise InvalidArgument(f"amplitudes must be finite, got {amplitude!r}")
             vector[space.basis_index(ranking)] += value
         norm = float(np.linalg.norm(vector))
-    if norm <= eps:
+    if not norm > 0.0:
         raise InvalidArgument("pure state needs at least one nonzero amplitude")
     if not math.isfinite(norm):
         raise InvalidArgument(f"amplitude norm {norm} is not finite")
     return _unit_vector_state(space, vector / norm, eps)
 
 
-def mixed_state(
-    space: RankingSpace,
-    terms: Iterable[tuple[float, Ranking]],
-    eps: float = DEFAULT_EPS,
-) -> DensityOperator:
-    """Diagonal density from weight terms; weights are normalized."""
+def mixed_state(space: RankingSpace, terms: Iterable[tuple[float, Ranking]]) -> DensityOperator:
+    """Diagonal density from weight terms; weights are normalized from any positive finite total."""
     diag = np.zeros(space.dim, dtype=np.float64)
     # A sum past the float range is inf, refused below without a numpy warning.
     with np.errstate(over="ignore"):
         for weight, ranking in terms:
             w = float(weight)
-            if not math.isfinite(w) or w < 0.0:
+            if not 0.0 <= w < math.inf:
                 raise InvalidArgument(f"mixture weights must be finite and nonnegative, got {w}")
             diag[space.basis_index(ranking)] += w
         total = float(diag.sum())
-    if total <= eps:
+    if not total > 0.0:
         raise InvalidArgument("mixture needs positive total weight")
     if not math.isfinite(total):
         raise InvalidArgument(f"mixture total weight {total} is not finite")
     return DensityOperator(space, diag / total)
 
 
-def basis_state(space: RankingSpace, ranking: Ranking, eps: float = DEFAULT_EPS) -> DensityOperator:
+def basis_state(space: RankingSpace, ranking: Ranking) -> DensityOperator:
     """Point mass on a single basis ranking."""
-    return mixed_state(space, [(1.0, ranking)], eps)
+    return mixed_state(space, [(1.0, ranking)])
 
 
 def diagonal_state(space: RankingSpace, diag: np.ndarray, eps: float = DEFAULT_EPS) -> DensityOperator:
@@ -236,10 +237,10 @@ def diagonal_state(space: RankingSpace, diag: np.ndarray, eps: float = DEFAULT_E
     vec = np.asarray(diag, dtype=np.float64)
     if vec.shape != (space.dim,):
         raise InvalidArgument(f"diagonal must have length {space.dim}, got {vec.shape}")
-    if float(vec.min()) < -eps:
+    if not float(vec.min()) >= -eps:
         raise InvalidArgument(f"diagonal has negative weight {float(vec.min())}")
     total = float(vec.sum())
-    if abs(total - 1.0) > eps:
+    if not abs(total - 1.0) <= eps:
         raise InvalidArgument(f"diagonal weights sum to {total}, expected 1")
     return DensityOperator(space, vec)
 
@@ -323,13 +324,13 @@ class ProfileState:
         total = 0.0
         for weight, key in terms:
             w = float(weight)
-            if w <= 0.0:
+            if not w > 0.0:
                 raise InvalidArgument(f"correlated weights must be positive, got {w}")
             if len(key) != n:
                 raise InvalidArgument("all correlated terms must rank the same voters")
             cleaned.append((w, tuple(key)))
             total += w
-        if abs(total - 1.0) > eps:
+        if not abs(total - 1.0) <= eps:
             raise InvalidArgument(f"correlated weights sum to {total}, expected 1")
         return cls(space, joint=tuple(cleaned))
 
@@ -388,7 +389,7 @@ class ProfileState:
                 raise ResourceLimit(f"profile support exceeds {DEFAULT_SUPPORT_CAP} ranking combinations")
             total = _total(combos.values())
             terms = sorted(combos.items())
-        if total <= eps:
+        if not total > eps:
             raise InvalidArgument("profile has no diagonal support")
         return [(w / total, key) for key, w in terms]
 
@@ -444,10 +445,10 @@ class AlternativeState:
         total = 0.0
         for name in self.alternatives.names:
             p = self.probabilities.get(name, 0.0)
-            if p < -eps or p > 1.0 + eps:
+            if not -eps <= p <= 1.0 + eps:
                 raise InvalidArgument(f"probability for {name!r} out of [0, 1]: {p}")
             total += p
-        if abs(total - 1.0) > eps:
+        if not abs(total - 1.0) <= eps:
             raise InvalidArgument(f"alternative probabilities sum to {total}, expected 1")
 
 

@@ -88,7 +88,7 @@ def _parse_number(value: Any, locus: str) -> float:
 # A ballot's shape -> its term's fields, the value its numbers give, and its builder.
 _BALLOT_TERMS = {
     "pure": (("re", "im", "ranking"), complex, pure_state),
-    "mixed": (("weight", "ranking"), float, mixed_state),
+    "mixed": (("weight", "ranking"), float, lambda space, terms, eps: mixed_state(space, terms)),
 }
 
 

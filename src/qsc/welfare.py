@@ -286,7 +286,7 @@ class _Request:
             ks = (ballot.diagonal > params.eps).nonzero()[0]
             codes, weights = _folded(codes, weights, packed[ks], ballot.diagonal[ks])
         total = weights.sum()
-        if total <= params.eps:
+        if not total > params.eps:
             raise InvalidArgument("profile has no diagonal support")
         tallies = (codes[:, None] // powers % (n + 1)).astype(np.intp)
         return cls(space, n, weights / total, tallies, np.zeros((1, pairs.shape[1]), bool) if voter is None else pairs)
@@ -386,7 +386,7 @@ def _mixed(params: QcvParams, group: list[tuple[_Request, int, int]]) -> Iterato
         request.result = part.sum(axis=0)
         if stop == len(request.weights):
             rows = request.result
-            if rows.min() < -params.eps or np.abs(rows.sum(axis=1) - 1.0).max() > params.eps:
+            if not (rows.min() >= -params.eps and np.abs(rows.sum(axis=1) - 1.0).max() <= params.eps):
                 for row in rows:
                     diagonal_state(space, row, params.eps)  # raises at the first that is not a distribution
             # A profile request has one row; a voter request has d = m! >= 2.
@@ -463,7 +463,7 @@ def veto_rule(pet_ranking: Ranking, eps: float = DEFAULT_EPS) -> WelfareRule:
             raise InvalidArgument("veto rule needs at least two voters")
         first = profile.partial_ballot(1, eps)
         if float(first.diagonal[pet_index]) >= 1.0 - eps:
-            return basis_state(space, pet_ranking, eps)
+            return basis_state(space, pet_ranking)
         return profile.partial_ballot(2, eps)
 
     return WelfareRule(f"veto:{pet_ranking.to_string()}", evaluate)

@@ -279,7 +279,7 @@ def stepwise_qcv(profile: ClassicalProfile, params: QcvParams) -> StepwiseStages
     scores = condorcet_scores(profile)
     weak_order = weak_order_from_scores(alternatives, scores)
     extensions = tuple(linear_extensions(weak_order))
-    sigma1 = mixed_state(space, [(1.0, r) for r in extensions], params.eps)
+    sigma1 = mixed_state(space, [(1.0, r) for r in extensions])
 
     pair_sets = [oriented_pairs(r) for r in profile.rankings]
     pairs_any = tuple(sorted(frozenset.union(*pair_sets)))

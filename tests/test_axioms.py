@@ -244,7 +244,7 @@ class TestWelfareWitnessSearch:
         # eps 1e-12; a record that dropped it would pin the pet and replay false.
         eps = 1e-12
         rule = veto_rule(rk(alts3, "a>b>c"), eps)
-        torn = mixed_state(space3, [(1.0 - 1e-10, rk(alts3, "a>b>c")), (1e-10, rk(alts3, "c>b>a"))], eps)
+        torn = mixed_state(space3, [(1.0 - 1e-10, rk(alts3, "a>b>c")), (1e-10, rk(alts3, "c>b>a"))])
         profile = ProfileState.product_of([torn, basis_state(space3, rk(alts3, "b>a>c"))])
         witness = manipulation_witness(rule, profile, 1, ("a", "b"), FAMILY, eps)
         assert witness is not None and reverify_witness(rule, witness, eps)
@@ -713,6 +713,21 @@ class TestSocietyIsChecked:
             check_unanimity(doubled, space3, sampler, 5, seed=0)
         with pytest.raises(InvalidArgument, match=refused):
             check_onto(compose(doubled), space3.alternatives, n_voters=3)
+
+    def test_a_hookless_output_with_nan_weights_is_refused(self, space3):
+        def with_nan(profile):
+            weights = profile.partial_ballot(1).diagonal.copy()
+            weights[-1] = np.nan
+            return DensityOperator(space3, weights)
+
+        rule = WelfareRule("nan", with_nan)
+        sampler = default_profile_sampler(space3, 3)
+        with pytest.raises(InvalidArgument, match="nan"):
+            check_qic(rule, sampler, FAMILY, trials=5, seed=0)
+        with pytest.raises(InvalidArgument, match="nan"):
+            check_dictatorship(rule, space3, sampler, 5, seed=0)
+        with pytest.raises(InvalidArgument, match="nan"):
+            check_unanimity(rule, space3, sampler, 5, seed=0)
 
 
 class TestTrials:
@@ -1271,7 +1286,7 @@ class TestBatchedSearch:
         rule = qcv_rule(QcvParams(0.05))
         # With a basis ballot substituted, the other two voters reach 6 distinct tallies, past the cap of 5.
         with pytest.raises(ResourceLimit) as want:
-            rule.evaluate(profile.substitute_ballot(1, basis_state(space3, rankings[0], 1e-9), 1e-9))
+            rule.evaluate(profile.substitute_ballot(1, basis_state(space3, rankings[0]), 1e-9))
 
         def refuse(*args):
             raise AssertionError("the kernel ran")

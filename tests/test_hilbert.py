@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,46 @@ class TestConstruction:
     def test_negative_weight_rejected(self, alts3, space3):
         with pytest.raises(InvalidArgument):
             mixed_state(space3, [(-0.5, rk(alts3, "a>b>c"))])
+
+    def test_ballots_normalize_at_any_finite_scale(self, alts3, space3):
+        # Powers of two scale exactly, so the normalized weights and amplitudes keep their bits.
+        weights = [(0.3, rk(alts3, "a>b>c")), (0.7, rk(alts3, "b>c>a"))]
+        amplitudes = [(0.6, rk(alts3, "a>b>c")), (0.8j, rk(alts3, "c>a>b"))]
+        mixed, pure = mixed_state(space3, weights), pure_state(space3, amplitudes)
+        for k in range(-200, 201):
+            scaled = mixed_state(space3, [(w * 2.0**k, r) for w, r in weights])
+            assert scaled.diagonal.tobytes() == mixed.diagonal.tobytes()
+            scaled = pure_state(space3, [(a * 2.0**k, r) for a, r in amplitudes])
+            assert scaled.diagonal.tobytes() == pure.diagonal.tobytes()
+            assert scaled.amplitudes.tobytes() == pure.amplitudes.tobytes()
+
+    @pytest.mark.parametrize(
+        "build, terms, message",
+        [
+            (mixed_state, [(0.0, "a>b>c"), (0.0, "b>a>c")], "mixture needs positive total weight"),
+            (pure_state, [(0.0, "a>b>c"), (0j, "b>a>c")], "pure state needs at least one nonzero amplitude"),
+            (pure_state, [(0.5j, "a>b>c"), (-0.5j, "a>b>c")], "pure state needs at least one nonzero amplitude"),
+            (mixed_state, [(1e308, "a>b>c"), (1e308, "b>a>c")], "mixture total weight inf is not finite"),
+            (pure_state, [(1e155 + 1e155j, "a>b>c"), (1e155, "b>a>c")], "amplitude norm inf is not finite"),
+            (
+                mixed_state,
+                [(1.0, "a>b>c"), (-1e-300, "b>a>c")],
+                "mixture weights must be finite and nonnegative, got -1e-300",
+            ),
+            # Their squares are subnormal and lose bits, so the normalized weights are no distribution.
+            (pure_state, [(1e-160, "a>b>c"), (1e-160, "b>a>c")], "diagonal weights sum to 1.0000"),
+        ],
+        ids=["zero-total", "zero-norm", "cancelling", "infinite-total", "infinite-norm", "negative", "underflowing"],
+    )
+    def test_unscalable_ballots_refused(self, alts3, space3, build, terms, message):
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}"):
+            build(space3, [(value, rk(alts3, text)) for value, text in terms])
+
+    def test_basis_and_mixed_states_take_no_eps(self, alts3, space3):
+        with pytest.raises(TypeError):
+            basis_state(space3, rk(alts3, "a>b>c"), 1e-9)
+        with pytest.raises(TypeError):
+            mixed_state(space3, [(1.0, rk(alts3, "a>b>c"))], 1e-9)
 
     def test_validation_catches_bad_matrices(self, space3):
         from qsc import validate_density
@@ -526,6 +567,23 @@ class TestAlternativeState:
             alternative_state(alts3, {"a": 0.9})
         with pytest.raises(InvalidArgument):
             alternative_state(alts3, {"a": 1.5, "b": -0.5})
+
+
+class TestNanIsRefused:
+    def test_diagonal_state(self, space3):
+        weights = np.full(space3.dim, 1 / 6)
+        weights[3] = np.nan
+        with pytest.raises(InvalidArgument, match="nan"):
+            hilbert.diagonal_state(space3, weights)
+
+    def test_correlated_indices(self, space3):
+        terms = [(0.5, (0, 1)), (math.nan, (1, 0)), (0.5, (2, 2))]
+        with pytest.raises(InvalidArgument, match="^correlated weights must be positive, got nan$"):
+            ProfileState.correlated_indices(space3, terms)
+
+    def test_alternative_state(self, alts3):
+        with pytest.raises(InvalidArgument, match="^probability for 'b' out of \\[0, 1\\]: nan$"):
+            alternative_state(alts3, {"a": 0.5, "b": math.nan, "c": 0.5})
 
 
 class TestValidationClosure:

@@ -555,6 +555,54 @@ class TestCliEvaluate:
             "resource-limit", "profile support exceeds 20000 ranking combinations"
         )
 
+    def test_scaled_ballots_give_the_unit_scale_report(self, tmp_path, capsys):
+        # Only a ballot's weight ratios carry meaning. Powers of two scale
+        # exactly, so the normalized weights, and the report, keep their bits.
+        def document(scale):
+            return {
+                "alternatives": ["a", "b", "c"],
+                "voters": [
+                    {"mixed": [[0.25 * scale, "a>b>c"], [0.75 * scale, "b>c>a"]]},
+                    {"pure": [[0.6 * scale, 0, "c>a>b"], [0, 0.8 * scale, "b>a>c"]]},
+                    {"mixed": [[scale, "c>b>a"]]},
+                ],
+            }
+
+        out = tmp_path / "report.json"
+
+        def report(rule, scale):
+            path = self.write(tmp_path, document(scale))
+            assert main(["evaluate", "--rule", rule, "--profile", path, "--out", str(out)]) == 0, scale
+            return out.read_bytes()
+
+        for rule in ("qcv", "qcvne"):
+            unit = report(rule, 1.0)
+            for k in range(-200, 201):
+                assert report(rule, 2.0**k) == unit, k
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "ballot, message",
+        [
+            ({"mixed": [[0, "a>b>c"], [0, "b>a>c"]]}, "mixture needs positive total weight"),
+            ({"pure": [[0, 0, "a>b>c"], [0, 0, "b>a>c"]]}, "pure state needs at least one nonzero amplitude"),
+            ({"pure": [[0.5, 0, "a>b>c"], [-0.5, 0, "a>b>c"]]}, "pure state needs at least one nonzero amplitude"),
+            ({"mixed": [[1e308, "a>b>c"], [1e308, "b>a>c"]]}, "mixture total weight inf is not finite"),
+            (
+                {"mixed": [[1, "a>b>c"], [-1e-300, "b>a>c"]]},
+                "mixture weights must be finite and nonnegative, got -1e-300",
+            ),
+            ({"pure": [[1e-160, 0, "a>b>c"], [0, 1e-160, "b>a>c"]]}, "diagonal weights sum to 1.0000"),
+        ],
+        ids=["zero-total", "zero-norm", "cancelling", "infinite-total", "negative", "underflowing"],
+    )
+    def test_unscalable_ballots_exit_2(self, tmp_path, capsys, ballot, message):
+        path = self.write(tmp_path, {"alternatives": ["a", "b", "c"], "voters": [{"mixed": [[1, "a>b>c"]]}, ballot]})
+        assert main(["evaluate", "--rule", "qcv", "--profile", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse-error" and err["message"].startswith(message)
+        assert err["locus"] == "voters[1]." + next(iter(ballot))
+
     def test_unknown_rule_exits_2(self, tmp_path, capsys):
         path = self.write(tmp_path, SPLIT_TOP_DOC)
         code = main(["evaluate", "--rule", "approval", "--profile", path])

@@ -654,6 +654,17 @@ class TestQcvResponses:
         with pytest.raises(error, match="^the kernel refused$"):
             qcv_responses(ProfileState.basis(cycle_profile), 1, QcvParams(0.05))
 
+    def test_nan_kernel_rows_are_refused(self, space3, cycle_profile, monkeypatch):
+        def nan_rows(alternatives, signatures, params):
+            return np.full_like(_qcv_rows(alternatives, signatures, params), np.nan)
+
+        monkeypatch.setattr(welfare, "_qcv_rows", nan_rows)
+        profile = ProfileState.basis(cycle_profile)
+        with pytest.raises(InvalidArgument, match="nan"):
+            qcv(profile, QcvParams(0.05))
+        with pytest.raises(InvalidArgument, match="nan"):
+            qcv_responses(profile, 1, QcvParams(0.05))
+
 
 class TestEpsFilter:
     """Where the support filter cuts a correlated profile: at each raw joint term of weight at most eps."""
