@@ -174,18 +174,10 @@ class _Targets:
     weights of the welfare rule's output, so a choice rule's value on an
     alternative is the natural extension's, at the adapter's eps.
     A rule of any other kind than ``kind``, when given, is refused, and so
-    is an explicit target that is not the rule kind's own, or an eps outside
-    [MIN_EPS, MAX_EPS].
+    is an eps outside [MIN_EPS, MAX_EPS].
     """
 
-    def __init__(
-        self,
-        rule: WelfareRule | ChoiceRule,
-        space: RankingSpace,
-        eps: float,
-        targets: list | None = None,
-        kind: str | None = None,
-    ):
+    def __init__(self, rule: WelfareRule | ChoiceRule, space: RankingSpace, eps: float, kind: str | None = None):
         check_eps(eps)
         self.kind = _rule_kind(rule, kind)
         pairs = self.kind == "welfare"
@@ -197,22 +189,13 @@ class _Targets:
         # unanimous and the final projection erases the rest), so counting it
         # would brand every such rule manipulable.
         self.clauses = tuple(PreferenceKind) if pairs else (PreferenceKind.STRONG_POSITIVE, PreferenceKind.WEAK)
-        own = space.alternatives.ordered_pairs() if pairs else list(space.alternatives.names)
-        for target in targets or ():
-            if target not in own:
-                wanted = "an ordered pair of distinct" if pairs else "one of the"
-                raise InvalidArgument(
-                    f"a {self.kind} rule's target must be {wanted} alternatives "
-                    f"{', '.join(space.alternatives.names)}, got {target!r}"
-                )
-        self.targets = own if targets is None else targets
+        self.targets = space.alternatives.ordered_pairs() if pairs else list(space.alternatives.names)
         # Row j: the basis indices of target j's subspace (all of one size).
         table, at = basis_table(space.alternatives), space.alternatives.index
         self._index = np.stack([
             table.pair_rows[at(t[0]), at(t[1])] if pairs else table.winner_rows[at(t)]
             for t in self.targets
         ])
-        self._row = {t: j for j, t in enumerate(self.targets)}
         self.rule = rule
         self.welfare = rule if pairs else rule.welfare
         self.space = space
@@ -222,6 +205,10 @@ class _Targets:
         """Each target's value on a state's basis weights: their sum inside its subspace."""
         values = support_probabilities(weights, self._index, self.eps)
         return dict(zip(self.targets, values.tolist()))
+
+    def voter_values(self, profile: ProfileState, voter: int) -> dict:
+        """A voter's values: those of the basis weights of the voter's marginal ballot."""
+        return self.values(profile.partial_ballot(voter, self.eps).diagonal)
 
     def _evaluated(self, profile: ProfileState) -> np.ndarray:
         """The basis weights of the welfare rule's exact output, refused unless a distribution within eps."""
@@ -254,7 +241,7 @@ class _Targets:
         with the targets' 0/1 membership columns.
         """
         member = np.zeros((self.space.dim, len(targets)))
-        member[self._index[[self._row[t] for t in targets]].T, np.arange(len(targets))] = 1.0
+        member[self._index[[self.targets.index(t) for t in targets]].T, np.arange(len(targets))] = 1.0
         return responses @ member
 
 
@@ -581,16 +568,14 @@ def _report(
     )
 
 
-def _fired(
-    adapter: _Targets, profile: ProfileState, voter: int, society: dict, eps: float
-) -> list[tuple[object, PreferenceKind]]:
+def _fired(adapter: _Targets, profile: ProfileState, voter: int, society: dict) -> list[tuple[object, PreferenceKind]]:
     """The (target, clause) pairs that fire for a voter: the voter's value holds the clause, society's does not.
 
     The clauses are the adapter's (``_Targets.clauses``). A dishonest ballot
     achieves a fired clause when society's value then holds it. A certain
     value is also supported, so both of those clauses can fire for it.
     """
-    ballot_values = adapter.values(profile.partial_ballot(voter, eps).diagonal)
+    ballot_values, eps = adapter.voter_values(profile, voter), adapter.eps
     return [
         (target, clause)
         for target in adapter.targets
@@ -607,7 +592,6 @@ def _first_witness(
     society: dict,
     family: CandidateBallotFamily,
     responses: np.ndarray | None,
-    eps: float,
 ) -> ManipulationWitness | None:
     """The first dishonest ballot whose exact evaluation achieves a fired clause.
 
@@ -618,10 +602,11 @@ def _first_witness(
     targets: society only changes with the substituted ballot, not with the
     pair or alternative under scrutiny.
     """
+    eps = adapter.eps
     if adapter.rule.responses is None:
         candidates = family.ballots(adapter.space, eps)
     else:
-        candidates = _near_vertices(adapter, responses, fired, eps)
+        candidates = _near_vertices(adapter, responses, fired)
     for candidate in candidates:
         substituted = profile.substitute_ballot(voter, candidate, eps)
         dishonest = adapter.society_values(substituted)
@@ -642,10 +627,7 @@ def _first_witness(
 
 
 def _near_vertices(
-    adapter: _Targets,
-    responses: np.ndarray,
-    fired: list[tuple[object, PreferenceKind]],
-    eps: float,
+    adapter: _Targets, responses: np.ndarray, fired: list[tuple[object, PreferenceKind]]
 ) -> Iterator[DensityOperator]:
     """The basis ballots that could achieve a fired clause, in basis order.
 
@@ -669,8 +651,8 @@ def _near_vertices(
     near = np.zeros(len(values), dtype=bool)
     for target, clause in fired:
         column = values[:, targets.index(target)]
-        near |= clause.holds(column - _VERTEX_MARGIN, eps)
-        near |= clause.holds(column + _VERTEX_MARGIN, eps)
+        near |= clause.holds(column - _VERTEX_MARGIN, adapter.eps)
+        near |= clause.holds(column + _VERTEX_MARGIN, adapter.eps)
     rankings = adapter.space.rankings()
     return (basis_state(adapter.space, rankings[k]) for k in np.flatnonzero(near))
 
@@ -719,7 +701,7 @@ def _hunt(
                 scans = [(a, a.values(weights)) for a in targets(profile.space)]
                 fired = {}
                 for voter in range(1, profile.n_voters + 1):
-                    clauses = [_fired(a, profile, voter, s, eps) for a, s in scans]
+                    clauses = [_fired(a, profile, voter, s) for a, s in scans]
                     if any(clauses):
                         fired[voter] = clauses
                 trials.append((profile, scans, fired))
@@ -730,7 +712,7 @@ def _hunt(
         for profile, scans, fired in trials:
             yield profile, (
                 (voter, [
-                    _first_witness(a, profile, voter, f, s, family, rows, eps) if f else None
+                    _first_witness(a, profile, voter, f, s, family, rows) if f else None
                     for (a, s), f in zip(scans, clauses)
                 ])
                 for (voter, clauses), rows in zip(fired.items(), responses)
@@ -762,13 +744,19 @@ def manipulation_witness(
     searched over the family, and absence of a witness means none was found
     in it, not a proof.
     """
-    adapter = _Targets(rule, profile.space, eps, targets=[target])
+    adapter = _Targets(rule, profile.space, eps)
+    if target not in adapter.targets:
+        wanted = "an ordered pair of distinct" if adapter.kind == "welfare" else "one of the"
+        raise InvalidArgument(
+            f"a {adapter.kind} rule's target must be {wanted} alternatives "
+            f"{', '.join(profile.space.alternatives.names)}, got {target!r}"
+        )
     society = adapter.society_values(profile)
-    fired = _fired(adapter, profile, voter, society, eps)
+    fired = [(t, clause) for t, clause in _fired(adapter, profile, voter, society) if t == target]
     if not fired:
         return None
     responses = None if rule.responses is None else next(iter(rule.responses([(profile, voter)])))
-    return _first_witness(adapter, profile, voter, fired, society, family, responses, eps)
+    return _first_witness(adapter, profile, voter, fired, society, family, responses)
 
 
 def reverify_witness(
@@ -836,7 +824,7 @@ def check_dictatorship(
         for voter in range(1, profile.n_voters + 1):
             if all((voter, variant) in counterexamples for variant, _ in _VARIANTS):
                 continue
-            ballot_values = adapter.values(profile.partial_ballot(voter, eps).diagonal)
+            ballot_values = adapter.voter_values(profile, voter)
             for target in adapter.targets:
                 tv, sv = ballot_values[target], society[target]
                 for variant, kind in _VARIANTS:
@@ -923,10 +911,7 @@ def check_unanimity(
     violations: list[dict] = []
     details = {variant: {"instances": 0, "violations": 0} for variant, _ in _VARIANTS}
     for profile, society in _societies(adapter, draws):
-        marginals = [
-            adapter.values(profile.partial_ballot(v, eps).diagonal)
-            for v in range(1, profile.n_voters + 1)
-        ]
+        marginals = [adapter.voter_values(profile, v) for v in range(1, profile.n_voters + 1)]
         for target in adapter.targets:
             values = [marginal[target] for marginal in marginals]
             society_value = society[target]
@@ -968,8 +953,7 @@ def check_iia(
         societies = adapter.society_batch([profile for draw in batch for profile in draw[:2]])
         for profile, twin, pair in batch:
             for voter in range(1, profile.n_voters + 1):
-                mine = adapter.values(profile.partial_ballot(voter, eps).diagonal)[pair]
-                theirs = adapter.values(twin.partial_ballot(voter, eps).diagonal)[pair]
+                mine, theirs = (adapter.voter_values(p, voter)[pair] for p in (profile, twin))
                 if abs(mine - theirs) > eps:
                     raise InvalidArgument(
                         f"paired sampler broke its contract: voter {voter} disagrees on "

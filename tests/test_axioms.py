@@ -198,7 +198,7 @@ class TestFiredClauses:
         inside, outside = (space3.basis_index(rk(alts3, text)) for text in ("a>b>c", "b>a>c"))
         other = basis_state(space3, rk(alts3, "c>b>a"))
         for rule, target in ((qcv_rule(PARAMS), ("a", "b")), (qcvne_rule(PARAMS), "a")):
-            adapter = axioms._Targets(rule, space3, eps, targets=[target])
+            adapter = axioms._Targets(rule, space3, eps)
             for value, want in zip(values, fired):
                 # a>b>c lies inside both targets and b>a>c outside both, so the value is exact.
                 weights = np.zeros(space3.dim)
@@ -207,7 +207,8 @@ class TestFiredClauses:
                 for society, clauses in zip((0.5, 0.0), want):
                     # A choice rule's strong-negative clause is not hunted.
                     clauses = [c for c in clauses if adapter.kind == "welfare" or c is not sn]
-                    got = axioms._fired(adapter, profile, 1, {target: society}, eps)
+                    got = axioms._fired(adapter, profile, 1, dict.fromkeys(adapter.targets, society))
+                    got = [(t, c) for t, c in got if t == target]
                     assert got == [(target, c) for c in clauses], (adapter.kind, value, society)
 
 
@@ -1068,12 +1069,12 @@ def search_voter(adapter, profile, voter, family, society=None):
     """One voter's search as the hunt runs it: its fired clauses, its hook responses, ``_first_witness``."""
     if society is None:
         society = adapter.society_values(profile)
-    fired = axioms._fired(adapter, profile, voter, society, 1e-9)
+    fired = axioms._fired(adapter, profile, voter, society)
     if not fired:
         return None
     hook = adapter.rule.responses
     responses = None if hook is None else next(iter(hook([(profile, voter)])))
-    return axioms._first_witness(adapter, profile, voter, fired, society, family, responses, 1e-9)
+    return axioms._first_witness(adapter, profile, voter, fired, society, family, responses)
 
 
 class TestBatchedSearch:
