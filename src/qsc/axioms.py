@@ -747,10 +747,8 @@ def manipulation_witness(
     adapter = _Targets(rule, profile.space, eps)
     if target not in adapter.targets:
         wanted = "an ordered pair of distinct" if adapter.kind == "welfare" else "one of the"
-        raise InvalidArgument(
-            f"a {adapter.kind} rule's target must be {wanted} alternatives "
-            f"{', '.join(profile.space.alternatives.names)}, got {target!r}"
-        )
+        names = ", ".join(profile.space.alternatives.names)
+        raise InvalidArgument(f"a {adapter.kind} rule's target must be {wanted} alternatives {names}, got {target!r}")
     society = adapter.society_values(profile)
     fired = [(t, clause) for t, clause in _fired(adapter, profile, voter, society) if t == target]
     if not fired:

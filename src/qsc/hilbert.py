@@ -38,6 +38,16 @@ def check_eps(eps: float) -> None:
         raise InvalidArgument(f"eps must lie in [{MIN_EPS}, {MAX_EPS}], got {eps}")
 
 
+def check_basis_indices(keys: Sequence[Sequence[int]], dim: int) -> None:
+    """Refuse keys of basis indices unless each index is an integer in 0..dim-1, naming the first bad key."""
+    valid = frozenset(range(dim))
+    # The set also admits integral floats; a float makes a sum a float, which has no __index__.
+    # All keys are tested in one pass, and one by one only to find the first that fails.
+    if not (all(map(valid.issuperset, keys)) and hasattr(sum(map(sum, keys)), "__index__")):
+        bad = next(k for k in keys if not (valid.issuperset(k) and hasattr(sum(k), "__index__")))
+        raise InvalidArgument(f"ranking indices must lie in 0..{dim - 1}, got {list(bad)}")
+
+
 @dataclass(frozen=True)
 class RankingSpace:
     """Hilbert space with one basis vector per strict ranking."""
@@ -164,7 +174,20 @@ class DensityOperator:
         return _unit_vector_state(self.space, moved, DEFAULT_EPS)
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:
-        validate_density(self.matrix, self.space.dim, eps)
+        """Raise unless the basis weights are a distribution within eps (``diagonal_state``) and a
+        pure state's amplitudes square to them within eps; no dense matrix is built."""
+        diagonal_state(self.space, self.diagonal, eps)
+        squares = self.diagonal if self.amplitudes is None else np.abs(self.amplitudes) ** 2
+        if not (squares.shape == self.diagonal.shape and np.abs(squares - self.diagonal).max() <= eps):
+            raise InvalidArgument("amplitudes do not square to the basis weights within tolerance")
+
+
+def _as_float(value) -> float:
+    """``float(value)``, with an integer past the float range read as the infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _unit_vector_state(space: RankingSpace, vector: np.ndarray, eps: float) -> DensityOperator:
@@ -197,7 +220,10 @@ def pure_state(
     # A sum or norm past the float range is inf, refused below without a numpy warning.
     with np.errstate(over="ignore"):
         for amplitude, ranking in terms:
-            value = complex(amplitude)
+            try:
+                value = complex(amplitude)
+            except OverflowError:  # an integer past the float range
+                amplitude = value = _as_float(amplitude)
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise InvalidArgument(f"amplitudes must be finite, got {amplitude!r}")
             vector[space.basis_index(ranking)] += value
@@ -215,7 +241,7 @@ def mixed_state(space: RankingSpace, terms: Iterable[tuple[float, Ranking]]) -> 
     # A sum past the float range is inf, refused below without a numpy warning.
     with np.errstate(over="ignore"):
         for weight, ranking in terms:
-            w = float(weight)
+            w = _as_float(weight)
             if not 0.0 <= w < math.inf:
                 raise InvalidArgument(f"mixture weights must be finite and nonnegative, got {w}")
             diag[space.basis_index(ranking)] += w
@@ -313,7 +339,7 @@ class ProfileState:
         """Profile from (weight, basis-index tuple) terms.
 
         The weights must be positive and sum to 1 within eps, and every term
-        must give one index per voter.
+        must give one basis index in 0..d-1 per voter.
         """
         if not terms:
             raise InvalidArgument("correlated profile needs at least one term")
@@ -321,7 +347,6 @@ class ProfileState:
         if n < 1:
             raise InvalidArgument("correlated profile needs at least one voter")
         cleaned = []
-        total = 0.0
         for weight, key in terms:
             w = float(weight)
             if not w > 0.0:
@@ -329,7 +354,8 @@ class ProfileState:
             if len(key) != n:
                 raise InvalidArgument("all correlated terms must rank the same voters")
             cleaned.append((w, tuple(key)))
-            total += w
+        check_basis_indices([key for _, key in cleaned], space.dim)
+        total = _total(w for w, _ in cleaned)
         if not abs(total - 1.0) <= eps:
             raise InvalidArgument(f"correlated weights sum to {total}, expected 1")
         return cls(space, joint=tuple(cleaned))

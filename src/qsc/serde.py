@@ -21,6 +21,7 @@ from .hilbert import (
     DensityOperator,
     ProfileState,
     RankingSpace,
+    _as_float,
     mixed_state,
     pure_state,
 )
@@ -79,10 +80,11 @@ def _parse_ranking(alternatives: AlternativeSet, text: Any, locus: str) -> Ranki
 def _parse_number(value: Any, locus: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"expected a number, got {value!r}", locus)
-    # json.loads admits the Infinity/NaN literals; they stop here.
-    if not math.isfinite(value):
-        raise ParseError(f"expected a finite number, got {value!r}", locus)
-    return float(value)
+    # json.loads admits the Infinity/NaN literals and integers past the float range; they stop here.
+    number = _as_float(value)
+    if not math.isfinite(number):
+        raise ParseError(f"expected a finite number, got {number!r}", locus)
+    return number
 
 
 # A ballot's shape -> its term's fields, the value its numbers give, and its builder.
@@ -130,6 +132,8 @@ def parse_profile(document: str | dict, eps: float = DEFAULT_EPS) -> ProfileStat
             raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from None
         except RecursionError:
             raise ParseError("document nests too deeply to parse", "$") from None
+        except ValueError:  # an integer literal past int()'s digit limit
+            raise ParseError("document holds an integer of too many digits to parse", "$") from None
     else:
         data = document
     if not isinstance(data, dict):
@@ -179,15 +183,14 @@ def parse_profile(document: str | dict, eps: float = DEFAULT_EPS) -> ProfileStat
         weight = _parse_number(entry[0], locus)
         if weight <= 0:
             raise ParseError(f"correlated weight must be positive, got {weight}", locus)
-        tuple_spec = entry[1]
-        if not isinstance(tuple_spec, list) or not tuple_spec:
+        strings = entry[1]
+        if not isinstance(strings, list) or not strings:
             raise ParseError("correlated term needs one ranking per voter", locus)
-        # Only a string that is not a compact spelling reaches the parser, which reads padding and names faults.
-        key = tuple(
-            string_index[r] if isinstance(r, str) and r in string_index
-            else ranking_index(_parse_ranking(alternatives, r, f"{locus}[{k}]"))
-            for k, r in enumerate(tuple_spec)
-        )
+        # A key of compact spellings is looked up; any other goes to the parser, which reads padding and names faults.
+        try:
+            key = tuple(map(string_index.__getitem__, strings))
+        except (KeyError, TypeError):
+            key = tuple(ranking_index(_parse_ranking(alternatives, r, f"{locus}[{k}]")) for k, r in enumerate(strings))
         terms.append((weight, key))
         total += weight
     if not math.isfinite(total):

@@ -23,6 +23,7 @@ from .hilbert import (
     ProfileState,
     RankingSpace,
     basis_state,
+    check_basis_indices,
     check_eps,
     diagonal_state,
 )
@@ -213,12 +214,10 @@ def qcv_basis(alternatives: AlternativeSet, indices: Sequence[int], params: QcvP
     row ``_qcv_rows`` gives for the tuple's signature.
     """
     table = basis_table(alternatives)
-    idx = np.array([indices], dtype=np.intp)
-    d = len(table.rankings)
-    if idx.size == 0:
+    if len(indices) == 0:
         raise InvalidArgument("a profile needs at least one voter")
-    if idx.min() < 0 or idx.max() >= d:
-        raise InvalidArgument(f"ranking indices must lie in 0..{d - 1}, got {list(indices)}")
+    check_basis_indices([indices], len(table.rankings))
+    idx = np.array([indices], dtype=np.intp)
     stages = _qcv_stages(alternatives, _classes(idx.shape[1])[table.pairs[idx].sum(axis=1)], params)
     sigma2 = stages.sigma[0].copy()
     sigma3 = _projected(stages, params.eps)[0]

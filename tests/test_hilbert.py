@@ -27,6 +27,7 @@ from qsc import (
 )
 from qsc import hilbert
 from qsc.serde import parse_density, serialize_density
+from qsc.welfare import QcvParams, qcv_basis
 
 from oracles import lehmer_index, ranks_above
 from stepwise import project_and_renormalize, uniform_subspace_state
@@ -584,6 +585,75 @@ class TestNanIsRefused:
     def test_alternative_state(self, alts3):
         with pytest.raises(InvalidArgument, match="^probability for 'b' out of \\[0, 1\\]: nan$"):
             alternative_state(alts3, {"a": 0.5, "b": math.nan, "c": 0.5})
+
+
+class TestHugeIntegers:
+    """An integer past the float range is refused with the message of the infinity of its sign."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_mixture_weight(self, alts3, space3, sign):
+        ranking = rk(alts3, "a>b>c")
+        with pytest.raises(InvalidArgument) as want:
+            mixed_state(space3, [(sign * math.inf, ranking)])
+        with pytest.raises(InvalidArgument) as got:
+            mixed_state(space3, [(sign * 10**400, ranking)])
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_amplitude(self, alts3, space3, sign):
+        ranking = rk(alts3, "a>b>c")
+        with pytest.raises(InvalidArgument) as want:
+            pure_state(space3, [(sign * math.inf, ranking)])
+        with pytest.raises(InvalidArgument) as got:
+            # Past 4,300 digits str() of the integer itself raises, so no message may show it.
+            pure_state(space3, [(sign * 10**5000, ranking)])
+        assert str(got.value) == str(want.value)
+
+
+class TestBasisIndices:
+    """A basis index must be an integer in 0..d-1 wherever a caller gives one."""
+
+    @pytest.mark.parametrize("key", [(0, 99), (0, -1), (0.0, 1.7), (0.0, 1.0), (0, 10**30)])
+    def test_correlated_indices(self, space3, key):
+        with pytest.raises(InvalidArgument, match=re.escape(f"ranking indices must lie in 0..5, got {list(key)}")):
+            ProfileState.correlated_indices(space3, [(0.5, (1, 2)), (0.5, key)])
+
+    def test_numpy_integers_are_integers(self, space3):
+        profile = ProfileState.correlated_indices(space3, [(1.0, (np.int64(4), 5))])
+        assert profile.partial_ballot(1).diagonal[4] == 1.0
+
+    @pytest.mark.parametrize("indices", [[0.5, 1], [0, 2.0]])
+    def test_qcv_basis(self, alts3, indices):
+        with pytest.raises(InvalidArgument, match=re.escape(f"ranking indices must lie in 0..5, got {indices}")):
+            qcv_basis(alts3, indices, QcvParams.for_alternatives(3))
+
+
+class TestValidate:
+    """``DensityOperator.validate`` checks the weights every rule reads, and no dense matrix."""
+
+    def test_amplitudes_must_give_the_weights(self, space3):
+        e0 = np.eye(space3.dim)[0]
+        state = DensityOperator(space3, [0.5, 0.5, 0, 0, 0, 0], amplitudes=e0)
+        with pytest.raises(InvalidArgument, match="^amplitudes do not square to the basis weights"):
+            state.validate()
+
+    def test_nan_weight(self, space3):
+        with pytest.raises(InvalidArgument, match="nan"):
+            DensityOperator(space3, [math.nan, 1, 0, 0, 0, 0]).validate()
+
+    def test_m6_builds_no_matrix(self, monkeypatch):
+        space = RankingSpace(AlternativeSet(tuple("abcdef")))
+        rng = random.Random(6)
+        states = [random_diagonal_state(space, rng), random_pure_state(space, rng)]
+        assert states[1].amplitudes is not None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense matrix was built")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(DensityOperator, "matrix", property(refuse))
+        for state in states:
+            state.validate()
 
 
 class TestValidationClosure:

@@ -92,6 +92,31 @@ class TestParseProfile:
             parse_profile('{"alternatives": ' + "[" * 5000 + "]" * 5000 + "}")
         assert err.value.locus == "$"
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize(
+        "block, locus",
+        [
+            ('"voters":[{"mixed":[[%s,"a>b"]]}]', "voters[0].mixed[0]"),
+            ('"voters":[{"pure":[[%s,0,"a>b"]]}]', "voters[0].pure[0]"),
+            ('"correlated":[[%s,["a>b"]]]', "correlated[0]"),
+        ],
+    )
+    def test_integer_past_the_float_range_is_refused_like_infinity(self, block, locus, sign):
+        # float() of a 400-digit integer overflows; it reads as the infinity of its sign.
+        text = '{"alternatives":["a","b"],' + block % (sign + "1" + "0" * 399) + "}"
+        with pytest.raises(ParseError) as err:
+            parse_profile(text)
+        assert (err.value.locus, str(err.value)) == (locus, f"expected a finite number, got {sign}inf")
+        with pytest.raises(ParseError) as err:
+            parse_profile(json.loads(text))
+        assert err.value.locus == locus
+
+    def test_integer_past_the_digit_limit_is_a_parse_error(self):
+        # json.loads raises a ValueError that is not a JSONDecodeError for it.
+        with pytest.raises(ParseError) as err:
+            parse_profile('{"alternatives":["a","b"],"voters":[{"mixed":[[1' + "0" * 5000 + ',"a>b"]]}]}')
+        assert err.value.locus == "$"
+
     def test_zero_ballot_rejected(self):
         doc = {"alternatives": ["a", "b"], "voters": [{"pure": [[0, 0, "a>b"]]}]}
         with pytest.raises(ParseError):
@@ -918,7 +943,7 @@ class TestCliInputErrors:
             "eps-large", "family-empty", "family-seed-only", "family-over-cap", "family-grid-fine",
             "family-weights-over-cap", "trials-zero-dictatorship", "trials-zero-unanimity",
             "trials-zero-iia", "trials-zero-onto", "usage-bad-int", "usage-bad-choice",
-            "voters-over-cap", "profile-too-deep", "eps-tiny",
+            "voters-over-cap", "profile-too-deep", "eps-tiny", "profile-huge-int", "profile-long-int",
         ],
     )
     def test_exits_2_with_one_json_line(self, case, tmp_path, capsys, monkeypatch):
@@ -936,6 +961,11 @@ class TestCliInputErrors:
         undecodable.write_bytes(b"\xff\xfe")
         too_deep = tmp_path / "deep.json"
         too_deep.write_text('{"alternatives": ' + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
+        # A 400-digit weight overflows float(); a 5,001-digit one passes int()'s digit limit.
+        huge_int, long_int = tmp_path / "huge.json", tmp_path / "long.json"
+        for path, digits in ((huge_int, 400), (long_int, 5001)):
+            path.write_text('{"alternatives":["a","b","c"],"voters":[{"mixed":[[1' + "0" * (digits - 1)
+                            + ',"a>b>c"]]}]}', encoding="utf-8")
         argv = {
             "eps-nan": [*check, "--eps", "nan"],
             "eps-inf": [*check, "--eps", "inf"],
@@ -962,6 +992,8 @@ class TestCliInputErrors:
             "usage-bad-choice": ["check", "--axiom", "warp"],
             "voters-over-cap": ["check", "--axiom", "onto", "--voters", "100000000"],
             "profile-too-deep": ["evaluate", "--rule", "qcv", "--profile", str(too_deep)],
+            "profile-huge-int": ["evaluate", "--rule", "qcv", "--profile", str(huge_int)],
+            "profile-long-int": ["evaluate", "--rule", "qcv", "--profile", str(long_int)],
         }[case]
         assert main(argv) == 2
         captured = capsys.readouterr()
