@@ -38,14 +38,13 @@ def check_eps(eps: float) -> None:
         raise InvalidArgument(f"eps must lie in [{MIN_EPS}, {MAX_EPS}], got {eps}")
 
 
-def check_basis_indices(keys: Sequence[Sequence[int]], dim: int) -> None:
-    """Refuse keys of basis indices unless each index is an integer in 0..dim-1, naming the first bad key."""
+def check_basis_indices(keys: Iterable[Sequence[int]], dim: int) -> None:
+    """Refuse a key of basis indices unless each index is an integer in 0..dim-1."""
     valid = frozenset(range(dim))
-    # The set also admits integral floats; a float makes a sum a float, which has no __index__.
-    # All keys are tested in one pass, and one by one only to find the first that fails.
-    if not (all(map(valid.issuperset, keys)) and hasattr(sum(map(sum, keys)), "__index__")):
-        bad = next(k for k in keys if not (valid.issuperset(k) and hasattr(sum(k), "__index__")))
-        raise InvalidArgument(f"ranking indices must lie in 0..{dim - 1}, got {list(bad)}")
+    for key in keys:
+        # The set also admits integral floats; a float makes the key's sum a float, which has no __index__.
+        if not (valid.issuperset(key) and hasattr(sum(key), "__index__")):
+            raise InvalidArgument(f"ranking indices must lie in 0..{dim - 1}, got {list(key)}")
 
 
 @dataclass(frozen=True)
@@ -354,7 +353,7 @@ class ProfileState:
             if len(key) != n:
                 raise InvalidArgument("all correlated terms must rank the same voters")
             cleaned.append((w, tuple(key)))
-        check_basis_indices([key for _, key in cleaned], space.dim)
+        check_basis_indices((key for _, key in cleaned), space.dim)
         total = _total(w for w, _ in cleaned)
         if not abs(total - 1.0) <= eps:
             raise InvalidArgument(f"correlated weights sum to {total}, expected 1")
