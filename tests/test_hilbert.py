@@ -27,7 +27,6 @@ from qsc import (
 )
 from qsc import hilbert
 from qsc.serde import parse_density, serialize_density
-from qsc.welfare import QcvParams, qcv_basis
 
 from oracles import lehmer_index, ranks_above
 from stepwise import project_and_renormalize, uniform_subspace_state
@@ -132,8 +131,17 @@ class TestConstruction:
             ),
             # Their squares are subnormal and lose bits, so the normalized weights are no distribution.
             (pure_state, [(1e-160, "a>b>c"), (1e-160, "b>a>c")], "diagonal weights sum to 1.0000"),
+            # An integer past the float range reads as the infinity of its sign. Past 4,300
+            # digits str() of the integer itself raises, so no message may show it.
+            (mixed_state, [(10**400, "a>b>c")], "mixture weights must be finite and nonnegative, got inf"),
+            (mixed_state, [(-(10**400), "a>b>c")], "mixture weights must be finite and nonnegative, got -inf"),
+            (pure_state, [(10**5000, "a>b>c")], "amplitudes must be finite, got inf"),
+            (pure_state, [(-(10**400), "a>b>c")], "amplitudes must be finite, got -inf"),
         ],
-        ids=["zero-total", "zero-norm", "cancelling", "infinite-total", "infinite-norm", "negative", "underflowing"],
+        ids=[
+            "zero-total", "zero-norm", "cancelling", "infinite-total", "infinite-norm", "negative", "underflowing",
+            "huge-weight", "huge-negative-weight", "huge-amplitude", "huge-negative-amplitude",
+        ],
     )
     def test_unscalable_ballots_refused(self, alts3, space3, build, terms, message):
         with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}"):
@@ -587,29 +595,6 @@ class TestNanIsRefused:
             alternative_state(alts3, {"a": 0.5, "b": math.nan, "c": 0.5})
 
 
-class TestHugeIntegers:
-    """An integer past the float range is refused with the message of the infinity of its sign."""
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_mixture_weight(self, alts3, space3, sign):
-        ranking = rk(alts3, "a>b>c")
-        with pytest.raises(InvalidArgument) as want:
-            mixed_state(space3, [(sign * math.inf, ranking)])
-        with pytest.raises(InvalidArgument) as got:
-            mixed_state(space3, [(sign * 10**400, ranking)])
-        assert str(got.value) == str(want.value)
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_amplitude(self, alts3, space3, sign):
-        ranking = rk(alts3, "a>b>c")
-        with pytest.raises(InvalidArgument) as want:
-            pure_state(space3, [(sign * math.inf, ranking)])
-        with pytest.raises(InvalidArgument) as got:
-            # Past 4,300 digits str() of the integer itself raises, so no message may show it.
-            pure_state(space3, [(sign * 10**5000, ranking)])
-        assert str(got.value) == str(want.value)
-
-
 class TestBasisIndices:
     """A basis index must be an integer in 0..d-1 wherever a caller gives one."""
 
@@ -621,11 +606,6 @@ class TestBasisIndices:
     def test_numpy_integers_are_integers(self, space3):
         profile = ProfileState.correlated_indices(space3, [(1.0, (np.int64(4), 5))])
         assert profile.partial_ballot(1).diagonal[4] == 1.0
-
-    @pytest.mark.parametrize("indices", [[0.5, 1], [0, 2.0]])
-    def test_qcv_basis(self, alts3, indices):
-        with pytest.raises(InvalidArgument, match=re.escape(f"ranking indices must lie in 0..5, got {indices}")):
-            qcv_basis(alts3, indices, QcvParams.for_alternatives(3))
 
 
 class TestValidate:

@@ -209,9 +209,9 @@ class TestRankingIndex:
         assert all_rankings(alts3)[0].to_string() == "a>b>c"
 
     def test_index_range(self, alts3):
-        # The one public reader of raw basis indices refuses those outside 0..m!-1.
+        # The one public reader of raw basis indices refuses those outside 0..m!-1, and non-integers.
         params = QcvParams.for_alternatives(3)
-        for indices in ([6], [0, -1], []):
+        for indices in ([6], [0, -1], [], [0.5, 1], [0, 2.0]):
             with pytest.raises(InvalidArgument):
                 qcv_basis(alts3, indices, params)
 
