@@ -13,7 +13,7 @@ import random
 import sys
 import time
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, combinations, islice, repeat
@@ -477,16 +477,26 @@ def _draws(sampler: Callable[[random.Random], object], trials: int, seed: int) -
 
 @dataclass
 class AxiomReport:
-    """Outcome of one axiom check; serializes to a canonical JSON report."""
+    """Outcome of one axiom check, timed from ``started``; serializes to a canonical JSON report.
+
+    Unless the check gives its own verdict, it is falsified exactly when
+    there are witnesses.
+    """
 
     axiom: str
     rule: str
-    verdict: str
     trials: int
     seed: int | None
-    witnesses: list[dict] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    elapsed_ms: float = 0.0
+    started: InitVar[float]
+    witnesses: list[dict]
+    details: dict
+    verdict: str | None = None
+    elapsed_ms: float = field(init=False)
+
+    def __post_init__(self, started: float):
+        self.elapsed_ms = (time.perf_counter() - started) * 1000.0
+        if self.verdict is None:
+            self.verdict = VERDICT_FALSIFIED if self.witnesses else VERDICT_HOLDS
 
     def to_jsonable(self, include_elapsed: bool = False) -> dict:
         data = {
@@ -510,16 +520,24 @@ class AxiomReport:
 
 @dataclass
 class SuiteReport:
-    """Bundle of axiom reports with a single bypass verdict."""
+    """Bundle of axiom reports, timed from ``started``, with a single bypass verdict.
+
+    The bypass is demonstrated exactly when every component is ok.
+    """
 
     suite: str
     rule: str
-    verdict: str
-    components: list[dict]
-    reports: list[AxiomReport]
     trials: int
     seed: int
-    elapsed_ms: float = 0.0
+    started: InitVar[float]
+    components: list[dict]
+    reports: list[AxiomReport]
+    verdict: str = field(init=False)
+    elapsed_ms: float = field(init=False)
+
+    def __post_init__(self, started: float):
+        self.elapsed_ms = (time.perf_counter() - started) * 1000.0
+        self.verdict = VERDICT_BYPASS if all(c["ok"] for c in self.components) else VERDICT_NOT_BYPASSED
 
     def to_jsonable(self, include_elapsed: bool = False) -> dict:
         data = {
@@ -537,35 +555,6 @@ class SuiteReport:
 
     def to_json(self, include_elapsed: bool = False) -> str:
         return serde.canonical_json(self.to_jsonable(include_elapsed))
-
-
-def _report(
-    axiom: str,
-    rule: str,
-    trials: int,
-    seed: int | None,
-    started: float,
-    witnesses: list[dict],
-    details: dict,
-    verdict: str | None = None,
-) -> AxiomReport:
-    """A check's report, timed from ``started``.
-
-    Unless the check gives its own verdict, it is falsified exactly when
-    there are witnesses.
-    """
-    if verdict is None:
-        verdict = VERDICT_FALSIFIED if witnesses else VERDICT_HOLDS
-    return AxiomReport(
-        axiom=axiom,
-        rule=rule,
-        verdict=verdict,
-        trials=trials,
-        seed=seed,
-        witnesses=witnesses,
-        details=details,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
 
 
 def _fired(adapter: _Targets, profile: ProfileState, voter: int, society: dict) -> list[tuple[object, PreferenceKind]]:
@@ -792,7 +781,7 @@ def check_qic(
         if witnesses:
             break
     details = {"trials_run": trials_run, **_searched(rule, family)}
-    return _report("qic", rule.name, trials, seed, started, witnesses, details)
+    return AxiomReport("qic", rule.name, trials, seed, started, witnesses, details)
 
 
 def check_dictatorship(
@@ -856,7 +845,7 @@ def check_dictatorship(
     ordered = [counterexamples[k] for k in sorted(counterexamples)]
     details = {"trials_run": trials_run, "survivors": survivors, "voters": n_voters}
     axiom = f"dictatorship-{adapter.kind}"
-    return _report(axiom, rule.name, trials, seed, started, ordered, details, verdict)
+    return AxiomReport(axiom, rule.name, trials, seed, started, ordered, details, verdict)
 
 
 def check_onto(
@@ -891,7 +880,7 @@ def check_onto(
                 }
             )
     details = {"reached": reached, "alternatives": alternatives.m, "voters": n_voters}
-    return _report("onto", rule.name, alternatives.m, None, started, failures, details)
+    return AxiomReport("onto", rule.name, alternatives.m, None, started, failures, details)
 
 
 def check_unanimity(
@@ -929,7 +918,7 @@ def check_unanimity(
                             "profile": serde.serialize_profile(profile, _RECORD_EPS),
                         }
                     )
-    return _report("unanimity", rule.name, trials, seed, started, violations, details)
+    return AxiomReport("unanimity", rule.name, trials, seed, started, violations, details)
 
 
 def check_iia(
@@ -975,7 +964,7 @@ def check_iia(
                         }
                     )
     details["violations"] = len(violations)
-    return _report("iia", rule.name, trials, seed, started, violations, details)
+    return AxiomReport("iia", rule.name, trials, seed, started, violations, details)
 
 
 def check_composition_preservation(
@@ -1013,7 +1002,7 @@ def check_composition_preservation(
                     }
                 )
     details = {"welfare_witnesses": welfare_hits, "choice_witnesses": choice_hits, **_searched(rule, family)}
-    return _report("composition-preservation", composed.name, trials, seed, started, violations, details)
+    return AxiomReport("composition-preservation", composed.name, trials, seed, started, violations, details)
 
 
 def _component(name: str, ok: bool, verdict: str | None = None) -> dict:
@@ -1031,29 +1020,6 @@ def _suite_sampler(alternatives: AlternativeSet, n_voters: int, trials: int) -> 
         raise InvalidArgument("need at least one voter and one trial")
     space = RankingSpace(alternatives)
     return space, default_profile_sampler(space, n_voters)
-
-
-def _suite(
-    suite: str,
-    rule: str,
-    trials: int,
-    seed: int,
-    started: float,
-    components: list[dict],
-    reports: list[AxiomReport],
-) -> SuiteReport:
-    """A suite's report, timed from ``started``: the bypass is demonstrated when every component is ok."""
-    verdict = VERDICT_BYPASS if all(c["ok"] for c in components) else VERDICT_NOT_BYPASSED
-    return SuiteReport(
-        suite=suite,
-        rule=rule,
-        verdict=verdict,
-        components=components,
-        reports=reports,
-        trials=trials,
-        seed=seed,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
 
 
 def run_arrow_suite(
@@ -1077,7 +1043,7 @@ def run_arrow_suite(
         *(_component(f"iia-{v}", all(w["variant"] != v for w in iia.witnesses)) for v in variants),
         _component("non-dictatorship", dictatorship.verdict == VERDICT_NO_DICTATOR, dictatorship.verdict),
     ]
-    return _suite("arrow-suite", rule.name, trials, seed, started, components, [unanimity, iia, dictatorship])
+    return SuiteReport("arrow-suite", rule.name, trials, seed, started, components, [unanimity, iia, dictatorship])
 
 
 def run_gs_suite(
@@ -1101,4 +1067,4 @@ def run_gs_suite(
         _component("onto", onto.verdict == VERDICT_HOLDS),
         _component("non-dictatorship", dictatorship.verdict == VERDICT_NO_DICTATOR, dictatorship.verdict),
     ]
-    return _suite("gs-suite", rule.name, trials, seed, started, components, [qic, onto, dictatorship])
+    return SuiteReport("gs-suite", rule.name, trials, seed, started, components, [qic, onto, dictatorship])
