@@ -219,7 +219,15 @@ class _Targets:
 
         A rule with a ``responses`` hook scores every profile in one hook call;
         any other rule's welfare rule evaluates each profile as it is read.
+        A profile on another ranking space than the adapter's is refused
+        first, before any value of any profile is read.
         """
+        for profile in profiles:
+            if profile.space != self.space:
+                raise InvalidArgument(
+                    f"a profile on alternatives {profile.space.alternatives.names} is not on the "
+                    f"check's alternatives {self.space.alternatives.names}"
+                )
         if self.rule.responses is None:
             return map(self._evaluated, profiles)
         return self.rule.responses([(p, None) for p in profiles])
@@ -669,7 +677,9 @@ def _hunt(
     before it are scanned, and its fired voters search the family, whose
     size is refused before the draw is evaluated. A ``QscError`` on a draw
     of a batch is raised once the draws before it are scanned, as a
-    draw-by-draw hunt would raise it. An eps outside [MIN_EPS, MAX_EPS] is
+    draw-by-draw hunt would raise it; a batch whose draws do not share the
+    first one's space is refused before any of them is scanned
+    (``_Targets.welfare_weights``). An eps outside [MIN_EPS, MAX_EPS] is
     refused before the first draw.
     """
     check_eps(eps)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvalidArgument
 from .hilbert import (
     DEFAULT_EPS,
     AlternativeState,
@@ -29,11 +30,19 @@ class ChoiceRule:
     ``eps`` governs ``evaluate`` only. The axiom engine reads a choice rule
     on its welfare output's winner-row weights at the check's own eps
     (``axioms._Targets``), which gives the natural extension's values.
+    A ``welfare`` that is not a ``WelfareRule`` is refused.
     """
 
     name: str
     welfare: WelfareRule
     eps: float = DEFAULT_EPS
+
+    def __post_init__(self):
+        if not isinstance(self.welfare, WelfareRule):
+            raise InvalidArgument(
+                f"a choice rule extends a welfare rule, got the {type(self.welfare).__name__} "
+                f"{getattr(self.welfare, 'name', self.welfare)!r}"
+            )
 
     @property
     def responses(self) -> ResponsesHook | None:

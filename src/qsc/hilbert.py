@@ -44,7 +44,11 @@ def check_basis_indices(keys: Iterable[Sequence[int]], dim: int) -> None:
     for key in keys:
         # The set also admits integral floats; a float makes the key's sum a float, which has no __index__.
         if not (valid.issuperset(key) and hasattr(sum(key), "__index__")):
-            raise InvalidArgument(f"ranking indices must lie in 0..{dim - 1}, got {list(key)}")
+            try:
+                shown = str(list(key))
+            except ValueError:  # str() refuses an integer past 4,300 digits
+                shown = "an integer too long to print"
+            raise InvalidArgument(f"ranking indices must lie in 0..{dim - 1}, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -189,12 +193,20 @@ def _as_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _scale(magnitudes: Iterable[float]) -> int:
+    """The e for which 2**e brings the largest magnitude into [0.5, 1) (0 when there is none).
+
+    Scaling by a power of two (``math.ldexp``) is exact, so scaled terms keep
+    their ratios bit for bit, and a ballot's largest term can neither
+    overflow in a square or sum nor underflow in a square.
+    """
+    return -math.frexp(max(magnitudes, default=0.0))[1]
+
+
 def _unit_vector_state(space: RankingSpace, vector: np.ndarray, eps: float) -> DensityOperator:
     """State of a unit vector, stored diagonal when no coherence exceeds eps.
 
-    Its weights must be a distribution within eps (``diagonal_state``); a
-    vector normalized from amplitudes whose squares lose bits to underflow
-    is not.
+    Its weights must be a distribution within eps (``diagonal_state``).
     """
     weights = diagonal_state(space, (vector * vector.conj()).real, eps).diagonal
     magnitudes = np.abs(vector)
@@ -214,41 +226,41 @@ def pure_state(
     terms: Iterable[tuple[complex, Ranking]],
     eps: float = DEFAULT_EPS,
 ) -> DensityOperator:
-    """Rank-1 density from amplitude terms; amplitudes are normalized from any positive finite norm."""
+    """Rank-1 density from amplitude terms; amplitudes are normalized from any finite scale (``_scale``)."""
+    read = []
+    for amplitude, ranking in terms:
+        try:
+            value = complex(amplitude)
+        except OverflowError:  # an integer past the float range
+            amplitude = value = _as_float(amplitude)
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise InvalidArgument(f"amplitudes must be finite, got {amplitude!r}")
+        read.append((value, space.basis_index(ranking)))
+    e = _scale(max(abs(v.real), abs(v.imag)) for v, _ in read)
     vector = np.zeros(space.dim, dtype=np.complex128)
-    # A sum or norm past the float range is inf, refused below without a numpy warning.
-    with np.errstate(over="ignore"):
-        for amplitude, ranking in terms:
-            try:
-                value = complex(amplitude)
-            except OverflowError:  # an integer past the float range
-                amplitude = value = _as_float(amplitude)
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise InvalidArgument(f"amplitudes must be finite, got {amplitude!r}")
-            vector[space.basis_index(ranking)] += value
-        norm = float(np.linalg.norm(vector))
+    for value, k in read:
+        vector[k] += complex(math.ldexp(value.real, e), math.ldexp(value.imag, e))
+    norm = float(np.linalg.norm(vector))
     if not norm > 0.0:
         raise InvalidArgument("pure state needs at least one nonzero amplitude")
-    if not math.isfinite(norm):
-        raise InvalidArgument(f"amplitude norm {norm} is not finite")
     return _unit_vector_state(space, vector / norm, eps)
 
 
 def mixed_state(space: RankingSpace, terms: Iterable[tuple[float, Ranking]]) -> DensityOperator:
-    """Diagonal density from weight terms; weights are normalized from any positive finite total."""
+    """Diagonal density from weight terms; weights are normalized from any finite scale (``_scale``)."""
+    read = []
+    for weight, ranking in terms:
+        w = _as_float(weight)
+        if not 0.0 <= w < math.inf:
+            raise InvalidArgument(f"mixture weights must be finite and nonnegative, got {w}")
+        read.append((w, space.basis_index(ranking)))
+    e = _scale(w for w, _ in read)
     diag = np.zeros(space.dim, dtype=np.float64)
-    # A sum past the float range is inf, refused below without a numpy warning.
-    with np.errstate(over="ignore"):
-        for weight, ranking in terms:
-            w = _as_float(weight)
-            if not 0.0 <= w < math.inf:
-                raise InvalidArgument(f"mixture weights must be finite and nonnegative, got {w}")
-            diag[space.basis_index(ranking)] += w
-        total = float(diag.sum())
+    for w, k in read:
+        diag[k] += math.ldexp(w, e)
+    total = float(diag.sum())
     if not total > 0.0:
         raise InvalidArgument("mixture needs positive total weight")
-    if not math.isfinite(total):
-        raise InvalidArgument(f"mixture total weight {total} is not finite")
     return DensityOperator(space, diag / total)
 
 
@@ -347,7 +359,7 @@ class ProfileState:
             raise InvalidArgument("correlated profile needs at least one voter")
         cleaned = []
         for weight, key in terms:
-            w = float(weight)
+            w = _as_float(weight)
             if not w > 0.0:
                 raise InvalidArgument(f"correlated weights must be positive, got {w}")
             if len(key) != n:
@@ -384,9 +396,9 @@ class ProfileState:
         pos = self.voter_position(voter)
         if self.factors is not None:
             return self.factors[pos]
-        diag = np.zeros(self.space.dim, dtype=np.float64)
-        for weight, key in self.joint:
-            diag[key[pos]] += weight
+        # The column as integers (a bool key is basis index 0 or 1), its weights added in term order.
+        column = np.array([key[pos] for _, key in self.joint], dtype=np.intp)
+        diag = np.bincount(column, [w for w, _ in self.joint], self.space.dim)
         return diagonal_state(self.space, diag / diag.sum(), eps)
 
     def support_tuples(self, eps: float = DEFAULT_EPS) -> list[tuple[float, tuple[int, ...]]]:

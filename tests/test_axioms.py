@@ -696,6 +696,30 @@ def refuse_to_draw(rng):
     raise AssertionError("the sampler drew")
 
 
+class TestDrawSpace:
+    """A check refuses draws on another ranking space than its own before it reads their values."""
+
+    REFUSED = r"^a profile on alternatives \('a', 'b', 'c', 'd'\) is not on the check's alternatives \('a', 'b', 'c'\)$"
+
+    def test_sampled_checks_refuse_draws_on_another_space(self, space3, space4):
+        rule = qcv_rule(QcvParams.for_alternatives(4))
+        with pytest.raises(InvalidArgument, match=self.REFUSED):
+            check_dictatorship(rule, space3, default_profile_sampler(space4, 3), 20, 1)
+        with pytest.raises(InvalidArgument, match=self.REFUSED):
+            check_unanimity(rule, space3, default_profile_sampler(space4, 3), 20, 1)
+        with pytest.raises(InvalidArgument, match=self.REFUSED):
+            check_iia(rule, space3, default_paired_sampler(space4, 3), 20, 1)
+
+    def test_a_hooked_hunt_refuses_a_batch_mixing_spaces(self, space3, space4):
+        samplers = [default_profile_sampler(space, 2) for space in (space3, space4)]
+
+        def mixing(rng):
+            return samplers[rng.random() < 0.5](rng)
+
+        with pytest.raises(InvalidArgument, match="is not on the check's alternatives"):
+            check_qic(dictator_rule(1), mixing, FAMILY, 20, 1)
+
+
 class TestSocietyIsChecked:
     def test_a_hookless_output_that_is_no_distribution_is_refused(self, space3):
         # The engine checks what it evaluates itself at the check's eps, for

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from qsc import (
     DEFAULT_EPS,
     AlternativeSet,
+    ChoiceRule,
     DensityOperator,
+    InvalidArgument,
     ProfileState,
     QcvParams,
     Ranking,
@@ -21,6 +23,7 @@ from qsc import (
     natural_extension,
     qcv_rule,
     qcvne,
+    qcvne_rule,
     support_probability,
     winner_projector,
 )
@@ -123,6 +126,13 @@ class TestCompose:
         rule = compose(dictator_rule(1))
         result = rule.evaluate(ProfileState.basis(unanimous_profile))
         assert result["a"] == pytest.approx(1.0)
+
+    def test_a_choice_rule_must_extend_a_welfare_rule(self):
+        rule = qcvne_rule(QcvParams.for_alternatives(3))
+        with pytest.raises(InvalidArgument, match="^a choice rule extends a welfare rule, got the ChoiceRule 'qcvne'$"):
+            compose(rule)
+        with pytest.raises(InvalidArgument, match="^a choice rule extends a welfare rule, got the str 'qcv'$"):
+            ChoiceRule("by-name", "qcv")
 
 
 class TestQcvne:

@@ -12,6 +12,7 @@ from qsc import (
     DensityOperator,
     InvalidArgument,
     ProfileState,
+    QcvParams,
     Ranking,
     RankingSpace,
     ResourceLimit,
@@ -21,6 +22,7 @@ from qsc import (
     mixed_state,
     pair_projector,
     pure_state,
+    qcv_basis,
     support_probabilities,
     support_probability,
     winner_projector,
@@ -117,20 +119,20 @@ class TestConstruction:
             assert scaled.amplitudes.tobytes() == pure.amplitudes.tobytes()
 
     @pytest.mark.parametrize(
-        "build, terms, message",
+        "build, terms, outcome",
         [
             (mixed_state, [(0.0, "a>b>c"), (0.0, "b>a>c")], "mixture needs positive total weight"),
             (pure_state, [(0.0, "a>b>c"), (0j, "b>a>c")], "pure state needs at least one nonzero amplitude"),
             (pure_state, [(0.5j, "a>b>c"), (-0.5j, "a>b>c")], "pure state needs at least one nonzero amplitude"),
-            (mixed_state, [(1e308, "a>b>c"), (1e308, "b>a>c")], "mixture total weight inf is not finite"),
-            (pure_state, [(1e155 + 1e155j, "a>b>c"), (1e155, "b>a>c")], "amplitude norm inf is not finite"),
+            # The total and the norm overflow, and the squares underflow, unless the terms are scaled first.
+            (mixed_state, [(1e308, "a>b>c"), (1e308, "b>a>c")], [0.5, 0.5]),
+            (pure_state, [(1e155 + 1e155j, "a>b>c"), (1e155, "b>a>c")], [2 / 3, 1 / 3]),
             (
                 mixed_state,
                 [(1.0, "a>b>c"), (-1e-300, "b>a>c")],
                 "mixture weights must be finite and nonnegative, got -1e-300",
             ),
-            # Their squares are subnormal and lose bits, so the normalized weights are no distribution.
-            (pure_state, [(1e-160, "a>b>c"), (1e-160, "b>a>c")], "diagonal weights sum to 1.0000"),
+            (pure_state, [(1e-160, "a>b>c"), (1e-160, "b>a>c")], [0.5, 0.5]),
             # An integer past the float range reads as the infinity of its sign. Past 4,300
             # digits str() of the integer itself raises, so no message may show it.
             (mixed_state, [(10**400, "a>b>c")], "mixture weights must be finite and nonnegative, got inf"),
@@ -143,9 +145,33 @@ class TestConstruction:
             "huge-weight", "huge-negative-weight", "huge-amplitude", "huge-negative-amplitude",
         ],
     )
-    def test_unscalable_ballots_refused(self, alts3, space3, build, terms, message):
-        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}"):
-            build(space3, [(value, rk(alts3, text)) for value, text in terms])
+    def test_unscalable_ballots_refused(self, alts3, space3, build, terms, outcome):
+        # A ballot with no finite positive scale is refused with the message given; any
+        # other normalizes, to the weights given on its terms' rankings.
+        rankings = [rk(alts3, text) for _, text in terms]
+        ballot = [(value, ranking) for (value, _), ranking in zip(terms, rankings)]
+        if isinstance(outcome, str):
+            with pytest.raises(InvalidArgument, match=f"^{re.escape(outcome)}"):
+                build(space3, ballot)
+        else:
+            weights = build(space3, ballot).diagonal[[space3.basis_index(r) for r in rankings]]
+            assert weights.tolist() == pytest.approx(outcome, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "build, value, same_ranking",
+        [
+            (pure_state, 1e-162, False),  # the squares underflow to 0
+            (pure_state, 1e200, False),  # the squares overflow
+            (mixed_state, 1e308, False),  # the total overflows
+            (mixed_state, 1e308, True),  # one ranking's weight overflows
+        ],
+    )
+    def test_extreme_finite_ballots_normalize(self, alts3, space3, build, value, same_ranking):
+        a, b = rk(alts3, "a>b>c"), rk(alts3, "a>b>c" if same_ranking else "b>a>c")
+        state = build(space3, [(value, a), (value, b)])
+        unit = build(space3, [(1.0, a), (1.0, b)])
+        assert np.allclose(state.diagonal, unit.diagonal, rtol=0.0, atol=1e-15)
+        state.validate()
 
     def test_basis_and_mixed_states_take_no_eps(self, alts3, space3):
         with pytest.raises(TypeError):
@@ -355,6 +381,22 @@ class TestProfileState:
         first = profile.partial_ballot(1).diagonal
         for voter in (2, 3):
             assert np.allclose(profile.partial_ballot(voter).diagonal, first)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_correlated_marginal_adds_the_weights_in_term_order(self, m):
+        # The reference is the per-term loop; the marginal must have its bits.
+        space = RankingSpace(AlternativeSet(tuple("abcd")[:m]))
+        rng = random.Random(m)
+        for _ in range(20):
+            raw = [rng.random() for _ in range(rng.randint(1, 40))]
+            keys = [tuple(rng.randrange(space.dim) for _ in range(3)) for _ in raw]
+            profile = ProfileState.correlated_indices(space, [(w / sum(raw), key) for w, key in zip(raw, keys)])
+            for voter in (1, 2, 3):
+                loop = np.zeros(space.dim)
+                for weight, key in profile.joint:
+                    loop[key[voter - 1]] += weight
+                expected = loop / loop.sum()
+                assert profile.partial_ballot(voter).diagonal.tobytes() == expected.tobytes()
 
     def test_bad_voter_index(self, split_top_profile):
         with pytest.raises(InvalidArgument):
@@ -607,6 +649,26 @@ class TestBasisIndices:
         profile = ProfileState.correlated_indices(space3, [(1.0, (np.int64(4), 5))])
         assert profile.partial_ballot(1).diagonal[4] == 1.0
 
+    def test_bools_read_as_0_and_1(self, space3):
+        # As every other reader of a key does; numpy would read a bool scalar as a mask.
+        profile = ProfileState.correlated_indices(space3, [(0.25, (True, 0)), (0.75, (False, 1))])
+        assert profile.partial_ballot(1).diagonal.tolist() == [0.75, 0.25, 0, 0, 0, 0]
+        assert profile.partial_ballot(2).diagonal.tolist() == [0.25, 0.75, 0, 0, 0, 0]
+
+    def test_an_index_past_the_digit_limit_is_refused(self, alts3, space3):
+        # str() of an integer past 4,300 digits raises, so the message does not show it.
+        message = "^ranking indices must lie in 0..5, got an integer too long to print$"
+        with pytest.raises(InvalidArgument, match=message):
+            ProfileState.correlated_indices(space3, [(1.0, (10**5000, 0))])
+        with pytest.raises(InvalidArgument, match=message):
+            qcv_basis(alts3, [10**5000, 0], QcvParams.for_alternatives(3))
+
+    def test_a_weight_past_the_float_range_is_refused(self, space3):
+        with pytest.raises(InvalidArgument, match="^correlated weights sum to inf, expected 1$"):
+            ProfileState.correlated_indices(space3, [(10**400, (0,))])
+        with pytest.raises(InvalidArgument, match="^correlated weights must be positive, got -inf$"):
+            ProfileState.correlated_indices(space3, [(-(10**400), (0,))])
+
 
 class TestValidate:
     """``DensityOperator.validate`` checks the weights every rule reads, and no dense matrix."""
@@ -713,9 +775,12 @@ class TestFromMatrix:
         with pytest.raises(InvalidArgument):
             DensityOperator.from_matrix(space3, np.eye(6))  # trace 6
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_inputs_rejected(self, alts3, space3):
-        with pytest.raises(InvalidArgument):
-            pure_state(space3, [(1e308, rk(alts3, "a>b>c")), (1e308, rk(alts3, "b>a>c"))])
-        with pytest.raises(InvalidArgument):
-            mixed_state(space3, [(1e308, rk(alts3, "a>b>c")), (1e308, rk(alts3, "b>a>c"))])
+        # Squares and sums of these terms overflow, but the builders scale the terms first:
+        # each ballot normalizes, and its matrix round-trips.
+        a, b = rk(alts3, "a>b>c"), rk(alts3, "b>a>c")
+        for build in (pure_state, mixed_state):
+            state = build(space3, [(1e308, a), (1e308, b)])
+            assert state.diagonal[[space3.basis_index(a), space3.basis_index(b)]].tolist() == pytest.approx([0.5, 0.5])
+            rebuilt = DensityOperator.from_matrix(space3, state.matrix)
+            assert np.allclose(rebuilt.matrix, state.matrix, atol=1e-12)

@@ -607,25 +607,37 @@ class TestCliEvaluate:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
-        "ballot, message",
+        "ballot, outcome",
         [
             ({"mixed": [[0, "a>b>c"], [0, "b>a>c"]]}, "mixture needs positive total weight"),
             ({"pure": [[0, 0, "a>b>c"], [0, 0, "b>a>c"]]}, "pure state needs at least one nonzero amplitude"),
             ({"pure": [[0.5, 0, "a>b>c"], [-0.5, 0, "a>b>c"]]}, "pure state needs at least one nonzero amplitude"),
-            ({"mixed": [[1e308, "a>b>c"], [1e308, "b>a>c"]]}, "mixture total weight inf is not finite"),
+            # The total overflows, and the squares underflow, unless the terms are scaled first.
+            ({"mixed": [[1e308, "a>b>c"], [1e308, "b>a>c"]]}, {"mixed": [[1, "a>b>c"], [1, "b>a>c"]]}),
             (
                 {"mixed": [[1, "a>b>c"], [-1e-300, "b>a>c"]]},
                 "mixture weights must be finite and nonnegative, got -1e-300",
             ),
-            ({"pure": [[1e-160, 0, "a>b>c"], [0, 1e-160, "b>a>c"]]}, "diagonal weights sum to 1.0000"),
+            ({"pure": [[1e-160, 0, "a>b>c"], [0, 1e-160, "b>a>c"]]}, {"pure": [[1, 0, "a>b>c"], [0, 1, "b>a>c"]]}),
         ],
         ids=["zero-total", "zero-norm", "cancelling", "infinite-total", "negative", "underflowing"],
     )
-    def test_unscalable_ballots_exit_2(self, tmp_path, capsys, ballot, message):
-        path = self.write(tmp_path, {"alternatives": ["a", "b", "c"], "voters": [{"mixed": [[1, "a>b>c"]]}, ballot]})
-        assert main(["evaluate", "--rule", "qcv", "--profile", path]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "parse-error" and err["message"].startswith(message)
+    def test_unscalable_ballots_exit_2(self, tmp_path, capsys, ballot, outcome):
+        # A ballot with no finite positive scale exits 2 with the message given; any other
+        # normalizes, and gives the report of the unit-scale twin given.
+        def evaluate(voter):
+            doc = {"alternatives": ["a", "b", "c"], "voters": [{"mixed": [[1, "a>b>c"]]}, voter]}
+            code = main(["evaluate", "--rule", "qcv", "--profile", self.write(tmp_path, doc)])
+            return code, capsys.readouterr()
+
+        code, captured = evaluate(ballot)
+        if isinstance(outcome, dict):
+            assert (code, captured.err) == (0, "")
+            assert captured.out == evaluate(outcome)[1].out
+            return
+        assert code == 2
+        err = json.loads(captured.err)
+        assert err["error"] == "parse-error" and err["message"].startswith(outcome)
         assert err["locus"] == "voters[1]." + next(iter(ballot))
 
     def test_unknown_rule_exits_2(self, tmp_path, capsys):
@@ -838,15 +850,19 @@ class TestParserReuse:
 
 
 @pytest.mark.parametrize(
-    "ballot",
+    "ballot, refused",
     [
-        {"mixed": [[1e308, "a>b>c"], [1e308, "b>a>c"]]},  # the total overflows
-        {"mixed": [[1e308, "a>b>c"], [1e308, "a>b>c"]]},  # one ranking's weight overflows
-        {"pure": [[1e155, 1e155, "a>b>c"], [1e155, 0, "b>a>c"]]},  # the norm overflows
+        ({"mixed": [[1e308, "a>b>c"], [1e308, "b>a>c"]]}, False),  # the total would overflow
+        ({"mixed": [[1e308, "a>b>c"], [1e308, "a>b>c"]]}, False),  # one ranking's weight would overflow
+        ({"pure": [[1e155, 1e155, "a>b>c"], [1e155, 0, "b>a>c"]]}, False),  # the norm would overflow
+        ({"mixed": [[10**400, "a>b>c"]]}, True),  # past the float range
     ],
+    ids=["ballot0", "ballot1", "ballot2", "ballot3"],
 )
-def test_overflowing_ballot_gives_one_error_line(ballot):
-    # A fresh interpreter, since pytest collects numpy's warnings apart from stderr.
+def test_overflowing_ballot_gives_one_error_line(ballot, refused):
+    # A fresh interpreter, since pytest collects numpy's warnings apart from stderr. A
+    # finite ballot is scaled before any square or sum, so it evaluates with an empty
+    # stderr; a refused one exits 2 with one JSON line there.
     doc = json.dumps({"alternatives": ["a", "b", "c"], "voters": [ballot]})
     src = os.path.dirname(os.path.dirname(os.path.abspath(qsc.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
@@ -854,11 +870,15 @@ def test_overflowing_ballot_gives_one_error_line(ballot):
         [sys.executable, "-m", "qsc.cli", "evaluate", "--profile", "-"],
         input=doc, env=env, capture_output=True, text=True, timeout=60,
     )
+    if not refused:
+        assert (done.returncode, done.stderr) == (0, "")
+        assert "society" in json.loads(done.stdout)
+        return
     assert done.returncode == 2
     assert done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
-    assert "is not finite" in json.loads(lines[0])["message"]
+    assert json.loads(lines[0])["message"] == "expected a finite number, got inf"
 
 
 def test_import_builds_nothing(tmp_path):
