@@ -133,6 +133,9 @@ class TestConstruction:
                 "mixture weights must be finite and nonnegative, got -1e-300",
             ),
             (pure_state, [(1e-160, "a>b>c"), (1e-160, "b>a>c")], [0.5, 0.5]),
+            (pure_state, [(1e-162, "a>b>c"), (1e-162, "b>a>c")], [0.5, 0.5]),
+            (pure_state, [(1e200, "a>b>c"), (1e200, "b>a>c")], [0.5, 0.5]),
+            (mixed_state, [(1e308, "a>b>c"), (1e308, "a>b>c")], [1.0, 1.0]),
             # An integer past the float range reads as the infinity of its sign. Past 4,300
             # digits str() of the integer itself raises, so no message may show it.
             (mixed_state, [(10**400, "a>b>c")], "mixture weights must be finite and nonnegative, got inf"),
@@ -142,6 +145,7 @@ class TestConstruction:
         ],
         ids=[
             "zero-total", "zero-norm", "cancelling", "infinite-total", "infinite-norm", "negative", "underflowing",
+            "underflowing-to-zero", "overflowing-squares", "overflowing-one-weight",
             "huge-weight", "huge-negative-weight", "huge-amplitude", "huge-negative-amplitude",
         ],
     )
@@ -156,22 +160,6 @@ class TestConstruction:
         else:
             weights = build(space3, ballot).diagonal[[space3.basis_index(r) for r in rankings]]
             assert weights.tolist() == pytest.approx(outcome, rel=1e-15)
-
-    @pytest.mark.parametrize(
-        "build, value, same_ranking",
-        [
-            (pure_state, 1e-162, False),  # the squares underflow to 0
-            (pure_state, 1e200, False),  # the squares overflow
-            (mixed_state, 1e308, False),  # the total overflows
-            (mixed_state, 1e308, True),  # one ranking's weight overflows
-        ],
-    )
-    def test_extreme_finite_ballots_normalize(self, alts3, space3, build, value, same_ranking):
-        a, b = rk(alts3, "a>b>c"), rk(alts3, "a>b>c" if same_ranking else "b>a>c")
-        state = build(space3, [(value, a), (value, b)])
-        unit = build(space3, [(1.0, a), (1.0, b)])
-        assert np.allclose(state.diagonal, unit.diagonal, rtol=0.0, atol=1e-15)
-        state.validate()
 
     def test_basis_and_mixed_states_take_no_eps(self, alts3, space3):
         with pytest.raises(TypeError):
