@@ -11,11 +11,11 @@ verdict produced a different one, 2 for usage or input errors.
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import string
 import sys
-from functools import lru_cache
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 from . import serde
@@ -36,13 +36,9 @@ CHECK_AXIOMS = ("qic", "dictatorship", "onto", "unanimity", "iia", "arrow-suite"
 CHOICE_AXIOMS = {"onto", "gs-suite"}
 
 def _emit_error(exc: Exception) -> None:
-    record: dict[str, Any] = {
-        "error": getattr(exc, "kind", "error"),
-        "message": str(exc),
-    }
-    locus = getattr(exc, "locus", None)
-    if locus:
-        record["locus"] = locus
+    record: dict[str, Any] = {"error": getattr(exc, "kind", "error"), "message": str(exc)}
+    if getattr(exc, "locus", None):
+        record["locus"] = exc.locus
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
@@ -260,72 +256,114 @@ def _run_check(args, axiom: str) -> int:
     return 0
 
 
-def _add_common_check_flags(sub) -> None:
-    sub.add_argument("--rule", default="qcv", help="qcv | qcvne | dictator:N | veto:a>b>c")
-    sub.add_argument("--alternatives", type=int, default=3, metavar="M")
-    sub.add_argument("--voters", type=int, default=3, metavar="N")
-    sub.add_argument("--trials", type=int, default=200)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--delta", type=float, default=None, help="spread weight; default depends on M")
-    sub.add_argument("--eps", type=float, default=1e-9)
-    sub.add_argument("--family", default="basis,sup2,sup3,grid", help="dishonest-ballot family spec")
-    sub.add_argument("--timing", action="store_true", help="include elapsed_ms in reports")
-    sub.add_argument("--out", default=None, help="write the report to this path")
-    sub.add_argument("--format", choices=("json", "text"), default="json")
+# Each command's flags: name -> (kind, default, help). A kind is int, float or str, which reads the
+# value; a tuple of the values allowed; or bool, a switch that takes no value. A name without
+# dashes is set by the first bare token.
+REQUIRED = object()
+_COMMON_FLAGS = {
+    "--rule": (str, "qcv", "qcv | qcvne | dictator:N | veto:a>b>c"),
+    "--delta": (float, None, "spread weight; None picks it from the number of alternatives"),
+    "--eps": (float, 1e-9, "numerical tolerance, in [1e-12, 1e-3]"),
+    "--out": (str, None, "write the report to this path; None writes it to stdout"),
+    "--format": (("json", "text"), "json", "report format: json or text"),
+}
+_CHECK_FLAGS = {
+    **_COMMON_FLAGS,
+    "--alternatives": (int, 3, "number of alternatives, named a, b, ..."),
+    "--voters": (int, 3, "number of voters"),
+    "--trials": (int, 200, "sampled profiles per check"),
+    "--seed": (int, 0, "sampler seed"),
+    "--family": (str, "basis,sup2,sup3,grid", "dishonest-ballot family spec"),
+    "--timing": (bool, False, "include elapsed_ms in reports"),
+}
+# Each command: its help line, its flags and its handler.
+COMMANDS = {
+    "evaluate": ("run a rule on a profile document", {
+        "--profile": (str, REQUIRED, "profile JSON path, or - for stdin"), **_COMMON_FLAGS,
+        "--stages": (bool, False, "include intermediate rule stages"),
+    }, cmd_evaluate),
+    "check": ("run one axiom check", {"--axiom": (CHECK_AXIOMS, REQUIRED, " | ".join(CHECK_AXIOMS)), **_CHECK_FLAGS},
+              lambda args: _run_check(args, args.axiom)),
+    "suite": ("run a bundled axiom suite", {"suite": (("arrow", "gs"), REQUIRED, "arrow | gs"), **_CHECK_FLAGS},
+              lambda args: _run_check(args, f"{args.suite}-suite")),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors follow the one-JSON-line error contract."""
-
-    def error(self, message: str):
-        raise ParseError(message, "usage")
+def _usage(message: str) -> ParseError:
+    return ParseError(message, "usage")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qsc",
-        description="Quantum social choice rules and axiom checks over ranking spaces.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    evaluate = commands.add_parser("evaluate", help="run a rule on a profile document")
-    evaluate.add_argument("--rule", default="qcv")
-    evaluate.add_argument("--profile", required=True, help="profile JSON path, or - for stdin")
-    evaluate.add_argument("--delta", type=float, default=None)
-    evaluate.add_argument("--eps", type=float, default=1e-9)
-    evaluate.add_argument("--stages", action="store_true", help="include intermediate rule stages")
-    evaluate.add_argument("--out", default=None)
-    evaluate.add_argument("--format", choices=("json", "text"), default="json")
-    evaluate.set_defaults(handler=cmd_evaluate)
-
-    check = commands.add_parser("check", help="run one axiom check")
-    check.add_argument("--axiom", required=True, choices=CHECK_AXIOMS)
-    _add_common_check_flags(check)
-    check.set_defaults(handler=lambda args: _run_check(args, args.axiom))
-
-    suite = commands.add_parser("suite", help="run a bundled axiom suite")
-    suite.add_argument("suite", choices=("arrow", "gs"))
-    _add_common_check_flags(suite)
-    suite.set_defaults(handler=lambda args: _run_check(args, f"{args.suite}-suite"))
-
-    return parser
+def _read(name: str, kind, text: str):
+    """``text`` read as the ``kind`` of a flag table."""
+    if isinstance(kind, tuple) and text not in kind:
+        raise _usage(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+    try:
+        return text if isinstance(kind, tuple) else kind(text)
+    except ValueError:
+        raise _usage(f"argument {name}: invalid {kind.__name__} value: {text!r}") from None
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The process's parser, built on the first ``main`` call: parsing leaves it unchanged."""
-    return build_parser()
+def _help(command: str) -> str:
+    summary, flags, _ = COMMANDS[command]
+    lines = [f"  {name:<16} {text} ({'required' if default is REQUIRED else f'default: {default}'})"
+             for name, (_, default, text) in flags.items()]
+    return "\n".join([f"qsc {command}: {summary}", *lines])
+
+
+def read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The flags and handler of the command that ``argv`` names, or None once the help it asks for is printed.
+
+    ``--flag value`` and ``--flag=value`` set a flag, the last one given wins,
+    and a unique prefix names its flag. A token starting with ``--`` is never
+    a value and every other token is, so ``--seed -5`` and ``--profile -``
+    read as written. Each usage fault raises ``ParseError`` at locus ``usage``.
+    """
+    if not argv:
+        raise _usage("the following arguments are required: command")
+    if argv[0] in ("-h", "--help"):
+        print("usage: qsc COMMAND [flags]\n\n" + "\n\n".join(map(_help, COMMANDS)))
+        return None
+    command = _read("command", tuple(COMMANDS), argv[0])
+    _, flags, handler = COMMANDS[command]
+    values = {name: default for name, (_, default, _) in flags.items()}
+    bare = [name for name in flags if not name.startswith("--")]
+    rest = iter(argv[1:])
+    for token in rest:
+        given, has_value, value = ("--help" if token == "-h" else token).partition("=")
+        if not given.startswith("--"):  # the value of the command's bare name, if it is still unset
+            if not bare or values[bare[0]] is not REQUIRED:
+                raise _usage(f"unrecognized arguments: {token}")
+            given, has_value, value = bare[0], True, token
+        matches = [given] if given in flags else [name for name in (*flags, "--help") if name.startswith(given)]
+        if len(matches) != 1:
+            raise _usage(f"ambiguous option: {given} could match {', '.join(matches)}" if matches
+                         else f"unrecognized arguments: {token}")
+        name = matches[0]
+        if name == "--help":
+            print(_help(command))
+            return None
+        kind = flags[name][0]
+        if kind is bool and has_value:
+            raise _usage(f"argument {name}: ignored explicit argument {value!r}")
+        if kind is not bool and not has_value:
+            value = next(rest, "--")
+            if value.startswith("--"):
+                raise _usage(f"argument {name}: expected one argument")
+        values[name] = True if kind is bool else _read(name, kind, value)
+    missing = [name for name, value in values.items() if value is REQUIRED]
+    if missing:
+        raise _usage(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(handler=handler, **{name.lstrip("-"): v for name, v in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    except ParseError as exc:
-        _emit_error(exc)
-        return 2
-    try:
+        args = read_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
+        # An --out that no report could be written to is refused before any work is done.
+        if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise InvalidArgument(f"--out {args.out!r} names a directory, or a file in a missing directory")
         return args.handler(args)
     except (QscError, OSError, UnicodeDecodeError) as exc:
         _emit_error(exc)

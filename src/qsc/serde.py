@@ -22,6 +22,8 @@ from .hilbert import (
     ProfileState,
     RankingSpace,
     _as_float,
+    _scale,
+    _total,
     mixed_state,
     pure_state,
 )
@@ -175,7 +177,6 @@ def parse_profile(document: str | dict, eps: float = DEFAULT_EPS) -> ProfileStat
         raise ParseError("'correlated' must be a nonempty term list", "correlated")
     string_index = basis_table(alternatives).string_index
     terms = []
-    total = 0.0
     for t, entry in enumerate(entries):
         locus = f"correlated[{t}]"
         if not isinstance(entry, list) or len(entry) != 2:
@@ -192,10 +193,11 @@ def parse_profile(document: str | dict, eps: float = DEFAULT_EPS) -> ProfileStat
         except (KeyError, TypeError):
             key = tuple(ranking_index(_parse_ranking(alternatives, r, f"{locus}[{k}]")) for k, r in enumerate(strings))
         terms.append((weight, key))
-        total += weight
-    if not math.isfinite(total):
-        raise ParseError(f"correlated total weight {total} is not finite", "correlated")
-    normalized = [(w / total, key) for w, key in terms]
+    # Scaled as the ballot builders scale (``_scale``): exact, and no sum of finite weights overflows.
+    e = _scale(w for w, _ in terms)
+    scaled = [(math.ldexp(w, e), key) for w, key in terms]
+    total = _total(w for w, _ in scaled)
+    normalized = [(w / total, key) for w, key in scaled]
     try:
         return ProfileState.correlated_indices(space, normalized, eps)
     except InvalidArgument as exc:

@@ -137,15 +137,24 @@ class TestParseProfile:
         with pytest.raises(ParseError):
             parse_profile(text)
 
-    def test_overflowing_correlated_total_refused(self):
-        # Each weight is finite, but their sum is not: dividing by it would zero them all.
+    def test_overflowing_correlated_total_normalizes(self):
+        # Each weight is finite but their sum is not; the weights are scaled by a power
+        # of two before the sum, as a ballot's are, so the document normalizes.
         doc = {
             "alternatives": ["a", "b", "c"],
             "correlated": [[1e308, ["a>b>c", "b>a>c"]], [1e308, ["b>a>c", "a>b>c"]]],
         }
-        with pytest.raises(ParseError, match="correlated total weight inf is not finite") as err:
-            parse_profile(doc)
-        assert err.value.locus == "correlated"
+        assert serialize_profile(parse_profile(doc))["correlated"] == [
+            [0.5, ["a>b>c", "b>a>c"]], [0.5, ["b>a>c", "a>b>c"]],
+        ]
+        # The scaling is exact: any power-of-two scale gives the unit document's bytes.
+        def scaled(scale):
+            return {"alternatives": ["a", "b", "c"],
+                    "correlated": [[scale, ["a>b>c", "b>a>c"]], [3 * scale, ["b>a>c", "a>b>c"]]]}
+
+        unit = serialize_profile(parse_profile(scaled(1.0)))
+        for scale in (2.0**-600, 2.0**-40, 2.0**1022):
+            assert serialize_profile(parse_profile(scaled(scale))) == unit
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_roundtrip_preserves_evaluations(self, space3, seed):
@@ -788,7 +797,7 @@ class TestCliCheck:
 
 
 class TestParserReuse:
-    """``main`` builds one parser per process; no call leaves state for the next."""
+    """``main`` keeps no state between calls: no call's output depends on the calls before it."""
 
     def calls(self, tmp_path):
         profile = tmp_path / "profile.json"
@@ -824,17 +833,11 @@ class TestParserReuse:
             text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         return code, text, err.getvalue(), report.read_text() if report.exists() else None
 
-    def test_calls_in_sequence_match_fresh_parsers(self, tmp_path, monkeypatch):
+    def test_calls_in_sequence_match_calls_in_reverse(self, tmp_path):
         calls = self.calls(tmp_path)
-        before = cli._parser.cache_info()
         reused = [self.run(argv, tmp_path) for argv in calls]
-        after = cli._parser.cache_info()
-        assert after.currsize == 1
-        assert after.hits + after.misses - before.hits - before.misses == len(calls)
-        assert after.misses <= 1
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)
-        fresh = [self.run(argv, tmp_path) for argv in calls]
-        assert reused == fresh
+        reverse = [self.run(argv, tmp_path) for argv in reversed(calls)]
+        assert reused == reverse[::-1]
         codes = [code for code, _, _, _ in reused]
         assert codes == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0]
         for code, out, err, _ in reused:
@@ -847,6 +850,103 @@ class TestParserReuse:
         assert reused[5][1] == "" and reused[5][3].startswith("axiom: onto")
         assert reused[8][1] == "" and json.loads(reused[8][3])["suite"] == "gs-suite"
         assert reused[9][3] is None and json.loads(reused[9][1])["axiom"] == "qic"
+
+
+CHECK_QIC = ["check", "--axiom", "qic", "--trials", "2"]
+
+# Each case: argv, and what it gives. ("args", {...}) names attributes of the
+# namespace read; ("usage", message) and ("invalid-argument", message) the one
+# error line; ("help", command) the help, which names every flag of the command.
+READER_CASES = {
+    "flag-space-value": (["check", "--axiom", "qic", "--trials", "7"], ("args", {"axiom": "qic", "trials": 7})),
+    "flag-equals-value": (["check", "--axiom=qic", "--trials=7"], ("args", {"axiom": "qic", "trials": 7})),
+    "equals-value-with-equals": (["evaluate", "--profile=a=b.json"], ("args", {"profile": "a=b.json"})),
+    "last-repeat-wins": ([*CHECK_QIC, "--trials", "7", "--rule", "qcv", "--rule=qcvne"],
+                         ("args", {"trials": 7, "rule": "qcvne"})),
+    "defaults": (["suite", "gs"], ("args", {"rule": "qcv", "alternatives": 3, "voters": 3, "trials": 200,
+                                            "seed": 0, "delta": None, "eps": 1e-9, "timing": False,
+                                            "family": "basis,sup2,sup3,grid", "out": None,
+                                            "format": "json", "suite": "gs"})),
+    "unique-prefix": (["evaluate", "--prof", "p.json", "--st"], ("args", {"profile": "p.json", "stages": True})),
+    "exact-name-before-prefix": (["check", "--axiom", "qic", "--alternatives", "4"],
+                                 ("args", {"alternatives": 4})),
+    "ambiguous-prefix": (["check", "--a", "qic"],
+                         ("usage", "ambiguous option: --a could match --axiom, --alternatives")),
+    "negative-int": ([*CHECK_QIC, "--seed", "-5"], ("args", {"seed": -5})),
+    "negative-float": ([*CHECK_QIC, "--delta", "-1e-3"], ("args", {"delta": -1e-3})),
+    "negative-inf": ([*CHECK_QIC, "--delta", "-inf"], ("args", {"delta": -float("inf")})),
+    "stdin-profile": (["evaluate", "--profile", "-"], ("args", {"profile": "-"})),
+    "single-dash-value": (["evaluate", "--profile", "-h"], ("args", {"profile": "-h"})),
+    "negative-float-reaches-check": ([*CHECK_QIC, "--delta", "-1e-3"],
+                                     ("invalid-argument", "delta must lie in (0, 1), got -0.001")),
+    "negative-inf-reaches-check": ([*CHECK_QIC, "--delta", "-inf"],
+                                   ("invalid-argument", "delta must lie in (0, 1), got -inf")),
+    "negative-trials-reach-check": (["check", "--axiom", "qic", "--trials", "-3"],
+                                    ("invalid-argument", "--trials must be at least 1, got -3")),
+    "double-dash-is-never-a-value": (["evaluate", "--profile", "--stages"],
+                                     ("usage", "argument --profile: expected one argument")),
+    "suite-name-first": (["suite", "gs", "--trials", "2"], ("args", {"suite": "gs", "trials": 2})),
+    "suite-name-between": (["suite", "--trials", "2", "arrow", "--seed", "1"],
+                           ("args", {"suite": "arrow", "trials": 2, "seed": 1})),
+    "suite-name-last": (["suite", "--trials", "2", "gs"], ("args", {"suite": "gs"})),
+    "help-top": (["--help"], ("help", None)),
+    "help-top-short": (["-h"], ("help", None)),
+    "help-evaluate": (["evaluate", "--help"], ("help", "evaluate")),
+    "help-check": (["check", "--axiom", "qic", "-h"], ("help", "check")),
+    "help-suite": (["suite", "--help"], ("help", "suite")),
+    "help-prefix": (["suite", "--he"], ("help", "suite")),
+    "no-command": ([], ("usage", "the following arguments are required: command")),
+    "unknown-command": (["frob"], ("usage", "argument command: invalid choice: 'frob' "
+                                            "(choose from 'evaluate', 'check', 'suite')")),
+    "unknown-flag": ([*CHECK_QIC, "--warp"], ("usage", "unrecognized arguments: --warp")),
+    "unknown-flag-with-value": ([*CHECK_QIC, "--warp=1"], ("usage", "unrecognized arguments: --warp=1")),
+    "missing-value-at-end": ([*CHECK_QIC, "--seed"], ("usage", "argument --seed: expected one argument")),
+    "missing-value-before-flag": ([*CHECK_QIC, "--seed", "--timing"],
+                                  ("usage", "argument --seed: expected one argument")),
+    "bad-int": ([*CHECK_QIC, "--voters", "three"], ("usage", "argument --voters: invalid int value: 'three'")),
+    "bad-float": ([*CHECK_QIC, "--eps", "small"], ("usage", "argument --eps: invalid float value: 'small'")),
+    "bad-choice": ([*CHECK_QIC, "--format", "yaml"],
+                   ("usage", "argument --format: invalid choice: 'yaml' (choose from 'json', 'text')")),
+    "bad-axiom": (["check", "--axiom", "warp"], ("usage", "argument --axiom: invalid choice: 'warp' (choose from "
+                  "'qic', 'dictatorship', 'onto', 'unanimity', 'iia', 'arrow-suite', 'gs-suite')")),
+    "bad-suite": (["suite", "warp"],
+                  ("usage", "argument suite: invalid choice: 'warp' (choose from 'arrow', 'gs')")),
+    "missing-profile": (["evaluate", "--rule", "qcv"],
+                        ("usage", "the following arguments are required: --profile")),
+    "missing-axiom": (["check", "--trials", "2"], ("usage", "the following arguments are required: --axiom")),
+    "missing-suite": (["suite", "--trials", "2"], ("usage", "the following arguments are required: suite")),
+    "stray-token": ([*CHECK_QIC, "extra"], ("usage", "unrecognized arguments: extra")),
+    "second-suite-name": (["suite", "gs", "arrow"], ("usage", "unrecognized arguments: arrow")),
+    "switch-with-value": (["evaluate", "--profile", "p.json", "--stages=x"],
+                          ("usage", "argument --stages: ignored explicit argument 'x'")),
+}
+
+
+@pytest.mark.parametrize("case", list(READER_CASES))
+def test_command_line_reader(case, capsys, monkeypatch):
+    argv, (kind, expected) = READER_CASES[case]
+    # No case may reach a draw: a usage fault is refused before the handler runs.
+    monkeypatch.setattr(axioms, "_draws", refuse_to_build)
+    if kind == "args":
+        args = cli.read_args(argv)
+        assert {name: getattr(args, name) for name in expected} == expected
+        return
+    code = main(argv)
+    captured = capsys.readouterr()
+    if kind == "help":
+        assert (code, captured.err) == (0, "")
+        names = cli.COMMANDS if expected is None else cli.COMMANDS[expected][1]
+        assert all(name in captured.out for name in names)
+        if expected == "check":
+            assert "(default: 200)" in captured.out and "(required)" in captured.out
+        return
+    assert (code, captured.out) == (2, "")
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    error = {"error": kind, "message": expected}
+    if kind == "usage":
+        error = {"error": "parse-error", "locus": "usage", "message": expected}
+    assert json.loads(lines[0]) == error
 
 
 @pytest.mark.parametrize(
@@ -882,18 +982,19 @@ def test_overflowing_ballot_gives_one_error_line(ballot, refused):
 
 
 def test_import_builds_nothing(tmp_path):
-    # Parser, basis tables and family ballots are built on first use, and
-    # neither the imports nor an evaluate run load the axiom engine.
+    # Basis tables and family ballots are built on first use, neither the imports
+    # nor an evaluate run load the axiom engine, and the command line is read
+    # without argparse and the gettext and locale modules it loads.
     document = tmp_path / "profile.json"
     document.write_text(json.dumps(SPLIT_TOP_DOC), encoding="utf-8")
     probe = (
         "import contextlib, io, sys\n"
         "import qsc, qsc.cli\n"
-        "caches = [qsc.cli._parser, qsc.rankings.basis_table]\n"
-        "print([f.cache_info().currsize for f in caches], 'qsc.axioms' in sys.modules)\n"
+        "print(qsc.rankings.basis_table.cache_info().currsize, 'qsc.axioms' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = qsc.cli.main(['evaluate', '--rule', 'qcvne', '--profile', {str(document)!r}])\n"
         "print(code, 'qsc.axioms' in sys.modules)\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
         "import qsc.axioms\n"
         "print(qsc.axioms._family_ballots.cache_info().currsize)\n"
     )
@@ -903,7 +1004,7 @@ def test_import_builds_nothing(tmp_path):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[0, 0] False", "0 False", "0"]
+    assert done.stdout.splitlines() == ["0 False", "0 False", "[]", "0"]
 
 
 def test_every_public_name_is_its_module_object():
@@ -1037,6 +1138,24 @@ class TestCliInputErrors:
         assert json.loads(captured.err) == {
             "error": "invalid-argument", "message": "eps must lie in [1e-12, 0.001], got 1e-20",
         }
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["check", "suite", "evaluate"])
+    def test_unusable_out_is_refused_before_any_work(self, command, target, tmp_path, capsys, monkeypatch):
+        # Refused before a draw is made or the profile is read: the profile path does not exist.
+        monkeypatch.setattr(axioms, "_draws", refuse_to_build)
+        out = tmp_path / "missing" / "report.json" if target == "missing-directory" else tmp_path
+        argv = {
+            "check": ["check", "--axiom", "qic", "--trials", "500"],
+            "suite": ["suite", "gs", "--rule", "qcvne", "--trials", "500"],
+            "evaluate": ["evaluate", "--profile", str(tmp_path / "absent.json")],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        error = json.loads(captured.err)
+        assert error["error"] == "invalid-argument" and error["message"].startswith(f"--out {str(out)!r}")
+        assert not out.exists() if target == "missing-directory" else out.is_dir()
 
     @pytest.mark.parametrize("error", [InvalidArgument, ZeroMassProjection])
     def test_kernel_error_in_the_batched_search(self, error, capsys, monkeypatch):
