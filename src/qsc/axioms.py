@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import InitVar, asdict, dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, combinations, islice, repeat
+from itertools import accumulate, chain, combinations, islice, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -79,7 +79,7 @@ FAMILY_WEIGHT_CAP = 4_000_000
 # Vertex values this close to a clause threshold are re-checked exactly; the
 # hook's and the rule's sums differ only by rounding, far below this.
 _VERTEX_MARGIN = 1e-11
-# Draws a hooked hunt, and each batched check, scores with one hook call.
+# Draws a hunt, and each batched check, scores together (with one hook call when the rule has a hook).
 _BATCH_DRAWS = 64
 # Records list every nonzero weight and amplitude: dropping those at most the
 # default eps would lose weights a check at a smaller eps read.
@@ -196,6 +196,9 @@ class _Targets:
             table.pair_rows[at(t[0]), at(t[1])] if pairs else table.winner_rows[at(t)]
             for t in self.targets
         ])
+        # Column j: target j's 0/1 membership over the basis (``vertex_values``).
+        self._member = np.zeros((space.dim, len(self.targets)))
+        self._member[self._index.T, np.arange(len(self.targets))] = 1.0
         self.rule = rule
         self.welfare = rule if pairs else rule.welfare
         self.space = space
@@ -246,17 +249,15 @@ class _Targets:
         ``responses`` is the hook's d x d result for the voter. Row k of the
         d x len(targets) result holds the values with basis ballot k: each
         target sums the response weights inside its subspace, one product
-        with the targets' 0/1 membership columns.
+        with the given targets' columns of the membership.
         """
-        member = np.zeros((self.space.dim, len(targets)))
-        member[self._index[[self.targets.index(t) for t in targets]].T, np.arange(len(targets))] = 1.0
-        return responses @ member
+        return responses @ self._member[:, [self.targets.index(t) for t in targets]]
 
 
 def _batches(draws: Iterator) -> Iterator[list]:
-    """The draws in batches of ``_BATCH_DRAWS``: one hook call scores a batch's profiles.
+    """The draws in batches of ``_BATCH_DRAWS``, for every rule: one hook call scores a hooked rule's batch.
 
-    The hook bounds the memory of its scoring (``welfare._scored``); a
+    A hook bounds the memory of its scoring (``welfare._scored``); a
     batch's size sets how many drawn profiles are held at once and how many
     draws past a witness may be scored and dropped.
     """
@@ -668,36 +669,30 @@ def _hunt(
     A scan is (voter, [witness or None, one per rule]) for a voter whose
     clause fires under some rule. Each draw's scans must be read before the
     next draw is asked for. The rules share one welfare rule (a composed
-    rule shares its welfare rule's, and so its hook). With a ``responses``
-    hook the draws come a batch at a time (``_batches``): one hook call
-    scores every profile of the batch, the fired clauses follow from it,
-    and one more call gives the basis responses of every fired voter, read
-    as the scan reaches that voter, whose vertices are searched. Without a
-    hook each draw is a batch of its own, evaluated only once the draws
-    before it are scanned, and its fired voters search the family, whose
-    size is refused before the draw is evaluated. A ``QscError`` on a draw
-    of a batch is raised once the draws before it are scanned, as a
-    draw-by-draw hunt would raise it; a batch whose draws do not share the
-    first one's space is refused before any of them is scanned
-    (``_Targets.welfare_weights``). An eps outside [MIN_EPS, MAX_EPS] is
-    refused before the first draw.
+    rule shares its welfare rule's, and so its hook). The draws come a
+    batch at a time (``_batches``), and every value is read on the first
+    draw's space: a draw on another space is refused before any draw of its
+    batch is scanned (``_Targets.welfare_weights``). The batch's profiles
+    are scored first, with one hook call when the rules have a ``responses``
+    hook, and the fired clauses follow. With a hook one more call gives the
+    basis responses of every fired voter, read as the scan reaches that
+    voter, whose vertices are searched; without one, the fired voters
+    search the family, whose caps are checked once, before the first draw
+    is scored. A ``QscError`` on a draw of a batch is raised once the draws
+    before it are scanned, as a draw-by-draw hunt would raise it. An eps
+    outside [MIN_EPS, MAX_EPS] is refused before the first draw.
     """
     check_eps(eps)
-    adapters: dict[RankingSpace, list[_Targets]] = {}
-
-    def targets(space: RankingSpace) -> list[_Targets]:
-        if space not in adapters:
-            adapters[space] = [_Targets(rule, space, eps) for rule in rules]
-        return adapters[space]
-
-    hook = rules[0].responses
-    for batch in _batches(draws) if hook is not None else ([draw] for draw in draws):
-        if hook is None:
-            family.check_size(batch[0].space)
+    hook, adapters = rules[0].responses, []
+    for batch in _batches(draws):
+        if not adapters:
+            if hook is None:
+                family.check_size(batch[0].space)
+            adapters = [_Targets(rule, batch[0].space, eps) for rule in rules]
         trials, failure = [], None
         try:
-            for profile, weights in zip(batch, targets(batch[0].space)[0].welfare_weights(batch)):
-                scans = [(a, a.values(weights)) for a in targets(profile.space)]
+            for profile, weights in zip(batch, adapters[0].welfare_weights(batch)):
+                scans = [(a, a.values(weights)) for a in adapters]
                 fired = {}
                 for voter in range(1, profile.n_voters + 1):
                     clauses = [_fired(a, profile, voter, s) for a, s in scans]
@@ -806,19 +801,22 @@ def check_dictatorship(
 
     A voter survives a variant only if no sampled profile broke the
     corresponding equivalence on any target, in either direction: ordered
-    pairs for a welfare rule, winner subspaces for a choice rule.
+    pairs for a welfare rule, winner subspaces for a choice rule. Every
+    draw must have the first draw's voters: a draw of another electorate
+    is refused before any of its voters is read.
     """
     adapter = _Targets(rule, space, eps)
     draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
+    first = next(draws)
+    n_voters = first.n_voters
     counterexamples: dict[tuple[int, str], dict] = {}
-    n_voters: int | None = None
     trials_run = 0
-    for profile, society in _societies(adapter, draws):
+    for profile, society in _societies(adapter, chain([first], draws)):
         trials_run += 1
-        if n_voters is None:
-            n_voters = profile.n_voters
-        for voter in range(1, profile.n_voters + 1):
+        if profile.n_voters != n_voters:
+            raise InvalidArgument(f"a profile of {profile.n_voters} voters is not of the first draw's {n_voters}")
+        for voter in range(1, n_voters + 1):
             if all((voter, variant) in counterexamples for variant, _ in _VARIANTS):
                 continue
             ballot_values = adapter.voter_values(profile, voter)
@@ -844,7 +842,6 @@ def check_dictatorship(
                     }
         if len(counterexamples) == len(_VARIANTS) * n_voters:
             break
-    assert n_voters is not None
     survivors = [
         {"voter": voter, "variant": variant}
         for voter in range(1, n_voters + 1)

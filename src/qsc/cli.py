@@ -48,34 +48,33 @@ def _default_labels(m: int) -> AlternativeSet:
     return AlternativeSet(tuple(string.ascii_lowercase[:m]))
 
 
+# Each --family token: the family field it sets, the reader of its argument (None for a switch, which
+# takes none), and the value of the bare token (None when it needs an argument).
+_FAMILY_TOKENS = {
+    "basis": ("basis", None, True),
+    "sup2": ("pair_superpositions", None, True),
+    "sup3": ("triple_superpositions", None, True),
+    "grid": ("mixture_grid_step", float, 0.25),
+    "random": ("random_pure", int, 16),
+    "seed": ("random_seed", int, None),
+}
+
+
 def parse_family(spec: str) -> CandidateBallotFamily:
     """Parse a --family spec like ``basis,sup2,sup3,grid:0.25,random:16``."""
     from .axioms import CandidateBallotFamily
 
-    settings: dict[str, Any] = {
-        "basis": False, "pair_superpositions": False, "triple_superpositions": False,
-        "mixture_grid_step": 0.0,
-    }
-    for raw in spec.split(","):
-        token = raw.strip()
-        if not token:
-            continue
-        name, _, arg = token.partition(":")
+    settings: dict[str, Any] = dict(basis=False, pair_superpositions=False, triple_superpositions=False,
+                                    mixture_grid_step=0.0)
+    for token in filter(None, map(str.strip, spec.split(","))):
+        name, colon, arg = token.partition(":")
+        if name not in _FAMILY_TOKENS:
+            raise ParseError(f"unknown family token {token!r}", "family")
+        field, read, bare = _FAMILY_TOKENS[name]
         try:
-            if name == "basis":
-                settings["basis"] = True
-            elif name == "sup2":
-                settings["pair_superpositions"] = True
-            elif name == "sup3":
-                settings["triple_superpositions"] = True
-            elif name == "grid":
-                settings["mixture_grid_step"] = float(arg) if arg else 0.25
-            elif name == "random":
-                settings["random_pure"] = int(arg) if arg else 16
-            elif name == "seed":
-                settings["random_seed"] = int(arg)
-            else:
-                raise ParseError(f"unknown family token {token!r}", "family")
+            if colon and read is None:
+                raise ValueError(f"{name} takes no argument")
+            settings[field] = read(arg) if arg or bare is None else bare
         except ValueError as exc:
             raise ParseError(f"bad family token {token!r}: {exc}", "family") from None
     try:

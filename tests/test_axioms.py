@@ -544,6 +544,20 @@ class TestDictatorshipChecks:
         eliminated = {(w["voter"], w["variant"]) for w in report.witnesses}
         assert (1, "unsharp") in eliminated and (2, "unsharp") in eliminated
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_a_change_of_electorate_is_refused(self, space3, seed):
+        # Draws alternate 2 and 5 voters; on these seeds the scan reaches the
+        # second draw, whose voters would be read against the first draw's 2.
+        samplers = [default_profile_sampler(space3, n) for n in (2, 5)]
+        drawn = []
+
+        def alternating(rng):
+            drawn.append(None)
+            return samplers[len(drawn) % 2 == 0](rng)
+
+        with pytest.raises(InvalidArgument, match="^a profile of 5 voters is not of the first draw's 2$"):
+            check_dictatorship(qcv_rule(PARAMS), space3, alternating, 200, seed)
+
     def test_welfare_elimination_carries_to_choice(self, space3):
         """Voters with welfare counterexamples also fall for the composed rule."""
         sampler_w = default_profile_sampler(space3, 3)
@@ -718,6 +732,25 @@ class TestDrawSpace:
 
         with pytest.raises(InvalidArgument, match="is not on the check's alternatives"):
             check_qic(dictator_rule(1), mixing, FAMILY, 20, 1)
+
+    def test_hunts_refuse_draws_off_the_first_draws_space(self, space3, space4):
+        # A hookless hunt whose first batch mixes spaces, and a hooked one whose
+        # sampler switches space after the first batch.
+        samplers = [default_profile_sampler(space, 2) for space in (space3, space4)]
+        drawn = []
+
+        def mixing(rng):
+            return samplers[rng.random() < 0.5](rng)
+
+        def switching(rng):
+            drawn.append(None)
+            return samplers[len(drawn) > axioms._BATCH_DRAWS](rng)
+
+        for rule, sampler in ((reverse_mix_rule(hooked=False), mixing), (dictator_rule(1), switching)):
+            for check in (check_qic, check_composition_preservation):
+                drawn.clear()
+                with pytest.raises(InvalidArgument, match="is not on the check's alternatives"):
+                    check(rule, sampler, FAMILY, 100, 1)
 
 
 class TestSocietyIsChecked:
@@ -1362,7 +1395,7 @@ def failing_at(rule, draw, sampler):
 
 
 class TestDrawBatches:
-    """Hunts take a batch of draws at a time (one for a rule without a hook), with the reports of a draw-by-draw check."""
+    """Hunts take a batch of draws at a time, with or without a hook, with the reports of a draw-by-draw check."""
 
     def test_batches_hold_a_fixed_number_of_draws(self, monkeypatch):
         # At every m: the hook, not the batch, bounds what a hook call holds.
@@ -1389,7 +1422,7 @@ class TestDrawBatches:
 
     def test_reports_do_not_depend_on_the_batch_size(self, alts3, space3, monkeypatch):
         sampler = default_profile_sampler(space3, 3)
-        mix = reverse_mix_rule(hooked=True)
+        mix, generic = reverse_mix_rule(hooked=True), reverse_mix_rule(hooked=False)
 
         def reports():
             return [
@@ -1399,6 +1432,10 @@ class TestDrawBatches:
                 check_composition_preservation(mix, sampler, FAMILY, 20, 5).to_json(),
                 check_dictatorship(dictator_rule(2), space3, sampler, 40, 1).to_json(),
                 check_qic(compose(mix), sampler, FAMILY, 40, 2).to_json(),
+                # Rules without a hook, which search the family.
+                check_qic(veto_rule(rk(alts3, "a>b>c")), sampler, FAMILY, 40, 2).to_json(),
+                check_qic(generic, sampler, FAMILY, 40, 2).to_json(),
+                check_composition_preservation(generic, sampler, FAMILY, 20, 5).to_json(),
             ]
 
         batched = reports()
@@ -1411,7 +1448,7 @@ class TestDrawBatches:
     def test_an_error_is_raised_where_a_draw_by_draw_check_raises_it(self, space3, monkeypatch, draw):
         # On this seed the witness comes from draw 2: an error on a later draw
         # of the batch is never raised, an error on draw 2 or before is. A rule
-        # without a hook is hunted in one-draw batches, with the same reports.
+        # without a hook is hunted in the same batches, with the same reports.
         sampler = default_profile_sampler(space3, 3)
         rules = [reverse_mix_rule(hooked=True), reverse_mix_rule(hooked=False)]
         wants = [check_qic(rule, sampler, FAMILY, 10, 11) for rule in rules]

@@ -481,6 +481,14 @@ class TestFamilySpec:
         with pytest.raises(ParseError):
             parse_family("basis,warp")
 
+    @pytest.mark.parametrize("token", ["basis:7", "sup2:x", "sup3:"])
+    def test_switches_take_no_argument(self, token):
+        with pytest.raises(ParseError) as got:
+            parse_family(f"grid,{token}")
+        name = token.partition(":")[0]
+        assert str(got.value) == f"bad family token {token!r}: {name} takes no argument"
+        assert got.value.locus == "family"
+
 
 class TestCliEvaluate:
     def write(self, tmp_path, doc):
@@ -1065,6 +1073,7 @@ class TestCliInputErrors:
             "family-weights-over-cap", "trials-zero-dictatorship", "trials-zero-unanimity",
             "trials-zero-iia", "trials-zero-onto", "usage-bad-int", "usage-bad-choice",
             "voters-over-cap", "profile-too-deep", "eps-tiny", "profile-huge-int", "profile-long-int",
+            "family-basis-arg", "family-sup2-arg",
         ],
     )
     def test_exits_2_with_one_json_line(self, case, tmp_path, capsys, monkeypatch):
@@ -1100,6 +1109,8 @@ class TestCliInputErrors:
             "eps-tiny": [*check, "--eps", "1e-20"],
             "family-empty": [*check, "--family", ""],
             "family-seed-only": [*check, "--family", "seed:3"],
+            "family-basis-arg": [*veto, "veto:a>b>c", "--family", "basis:7"],
+            "family-sup2-arg": [*veto, "veto:a>b>c", "--family", "sup2:x"],
             "family-over-cap": [*veto, "veto:a>b>c>d>e", "--alternatives", "5"],
             "family-grid-fine": [*veto, "veto:a>b>c", "--family", "grid:1e-9"],
             "family-weights-over-cap": [
@@ -1338,7 +1349,8 @@ _bad_check_flag = st.sampled_from([
     ["--trials", "-1"], ["--trials", "1.5"], ["--seed", "x"], ["--delta", "0.2"], ["--delta", "0"],
     ["--delta", "-1"], ["--delta", "nan"], ["--eps", "0"], ["--eps", "-1e-9"], ["--eps", "0.5"],
     ["--eps", "nan"], ["--eps", "inf"], ["--family", ""], ["--family", "seed:1"],
-    ["--family", "grid:-1"], ["--family", "warp"], ["--format", "yaml"], ["--axiom", "warp"],
+    ["--family", "grid:-1"], ["--family", "warp"], ["--family", "basis:7"], ["--family", "sup2:x"],
+    ["--format", "yaml"], ["--axiom", "warp"],
     ["--warp"],
 ])
 _maybe_bad = st.one_of(st.just([]), _bad_check_flag)
