@@ -179,7 +179,7 @@ class DensityOperator:
     def validate(self, eps: float = DEFAULT_EPS) -> None:
         """Raise unless the basis weights are a distribution within eps (``diagonal_state``) and a
         pure state's amplitudes square to them within eps; no dense matrix is built."""
-        diagonal_state(self.space, self.diagonal, eps)
+        _distribution(self.space, self.diagonal, eps)
         squares = self.diagonal if self.amplitudes is None else np.abs(self.amplitudes) ** 2
         if not (squares.shape == self.diagonal.shape and np.abs(squares - self.diagonal).max() <= eps):
             raise InvalidArgument("amplitudes do not square to the basis weights within tolerance")
@@ -208,7 +208,7 @@ def _unit_vector_state(space: RankingSpace, vector: np.ndarray, eps: float) -> D
 
     Its weights must be a distribution within eps (``diagonal_state``).
     """
-    weights = diagonal_state(space, (vector * vector.conj()).real, eps).diagonal
+    weights = _distribution(space, (vector * vector.conj()).real, eps)
     magnitudes = np.abs(vector)
     first, second = np.sort(magnitudes)[:-3:-1]
     if first * second <= eps:
@@ -269,8 +269,8 @@ def basis_state(space: RankingSpace, ranking: Ranking) -> DensityOperator:
     return mixed_state(space, [(1.0, ranking)])
 
 
-def diagonal_state(space: RankingSpace, diag: np.ndarray, eps: float = DEFAULT_EPS) -> DensityOperator:
-    """Density with the given (already normalized) basis weights."""
+def _distribution(space: RankingSpace, diag: np.ndarray, eps: float) -> np.ndarray:
+    """The basis weights as float64, refused unless they are a distribution on the space within eps."""
     vec = np.asarray(diag, dtype=np.float64)
     if vec.shape != (space.dim,):
         raise InvalidArgument(f"diagonal must have length {space.dim}, got {vec.shape}")
@@ -279,7 +279,12 @@ def diagonal_state(space: RankingSpace, diag: np.ndarray, eps: float = DEFAULT_E
     total = float(vec.sum())
     if not abs(total - 1.0) <= eps:
         raise InvalidArgument(f"diagonal weights sum to {total}, expected 1")
-    return DensityOperator(space, vec)
+    return vec
+
+
+def diagonal_state(space: RankingSpace, diag: np.ndarray, eps: float = DEFAULT_EPS) -> DensityOperator:
+    """Density with the given (already normalized) basis weights."""
+    return DensityOperator(space, _distribution(space, diag, eps))
 
 
 def support_probability(state: DensityOperator, projector: Subspace, eps: float = DEFAULT_EPS) -> float:

@@ -8,7 +8,7 @@ once per set. Everything here is immutable and pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import factorial
 from typing import Mapping, Sequence
@@ -128,9 +128,9 @@ class Ranking:
 class BasisTable:
     """The m! basis rankings of one alternative set and their per-ranking facts.
 
-    Entry k of each tuple and row k of each array describe basis ranking k;
-    ``index`` maps an order, and ``string_index`` a compact string, back to k.
-    The arrays are read-only.
+    Entry k of each tuple and row k of each array (column k of ``orients``)
+    describe basis ranking k; ``index`` maps an order, and ``string_index`` a
+    compact string, back to k. The arrays are read-only.
     """
 
     rankings: tuple[Ranking, ...]
@@ -142,6 +142,18 @@ class BasisTable:
     pairs: np.ndarray  # d x C(m,2) bool: ``above`` at the pairs ``upper``
     pair_rows: Mapping[tuple[int, int], np.ndarray]  # (x, y), x != y -> the rankings placing x above y
     winner_rows: np.ndarray  # m x d/m: row a lists the rankings topped by a, one Lehmer block
+
+    @cached_property
+    def orients(self) -> np.ndarray:
+        """``above`` as an m*m x d float32 array, row (x, y) by ordered pair: the kernel's right factor.
+
+        Built at its first read, once per table, so only a process that
+        scores a profile on the set holds it.
+        """
+        d, m, _ = self.above.shape
+        orients = self.above.reshape(d, m * m).astype(np.float32).T
+        orients.setflags(write=False)
+        return orients
 
 
 @lru_cache(maxsize=64)

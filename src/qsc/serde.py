@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -30,9 +31,56 @@ from .hilbert import (
 from .rankings import AlternativeSet, Ranking, basis_table, ranking_index
 
 
+# Items are joined by NUL, which ensure_ascii output never holds raw (a string's NUL is escaped).
+_FLAT = json.JSONEncoder(sort_keys=True, separators=("\0", ": "))
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+_SEQUENCES = frozenset({list, tuple})
+_STR = frozenset({str})
+
+
 def canonical_json(payload: dict) -> str:
-    """The canonical bytes of a report: sorted keys, two-space indent, no trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2)
+    """The canonical bytes of a report: sorted keys, two-space indent, no trailing newline.
+
+    The bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)``,
+    written through json's C encoder (``_rendered``).
+    """
+    return _rendered(payload, "\n")
+
+
+def _rendered(value: Any, newline: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, each of its line breaks written as ``newline``.
+
+    A nonempty list, tuple or str-keyed dict of plain scalars is encoded by
+    json's C encoder in one call, and so is a list of nonempty lists or
+    tuples of them (rows); Python only writes the line breaks and indents in
+    place of the NUL separators. A row ends where "]" comes before a
+    separator, since no scalar's text ends in "]". Other containers recurse.
+    Anything else (a non-str key, a scalar subclass such as ``np.float64``)
+    goes to ``json.dumps`` itself and is re-indented: all its line breaks are
+    indents, since it escapes a string's newlines.
+    """
+    kind = type(value)
+    if kind in _PLAIN:
+        return _FLAT.encode(value)
+    if kind is dict and value and _STR.issuperset(map(type, value)):
+        items = value.values()
+    elif kind in _SEQUENCES and value:
+        items = value
+    else:
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
+    inner = newline + "  "
+    if _PLAIN.issuperset(map(type, items)):
+        text = _FLAT.encode(value)
+        return text[0] + inner + text[1:-1].replace("\0", "," + inner) + newline + text[-1]
+    if kind is dict:
+        parts = [f"{_FLAT.encode(k)}: {_rendered(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if _SEQUENCES.issuperset(map(type, value)) and all(value) and _PLAIN.issuperset(map(type, chain(*value))):
+        row = inner + "  "
+        body = _FLAT.encode(value)[2:-2].replace("\0", "," + row)
+        body = body.replace("]," + row + "[", inner + "]," + inner + "[" + row)
+        return "[" + inner + "[" + row + body + inner + "]" + newline + "]"
+    return "[" + inner + ("," + inner).join([_rendered(v, inner) for v in value]) + newline + "]"
 
 
 def format_probability(value: float) -> float:
@@ -44,18 +92,29 @@ def serialize_alternative_state(state: AlternativeState) -> dict[str, float]:
     return {name: format_probability(p) for name, p in state.as_dict().items()}
 
 
+def _formatted(values: np.ndarray) -> list[float]:
+    """``format_probability`` of each value, each distinct value formatted once.
+
+    Weights repeat: an m=6 ``qcv`` report has 19 distinct weights in 495
+    rows. Zeros format to themselves and are not looked up, since -0.0 and
+    0.0 share a dict entry.
+    """
+    values = values.tolist()
+    table = {w: format_probability(w) for w in set(values)}
+    return [table[w] if w else w for w in values]
+
+
 def serialize_density(state: DensityOperator, eps: float = DEFAULT_EPS) -> dict:
     """Term-list form: the pure ballot's amplitudes, else the basis weights, above eps."""
     strings = basis_table(state.space.alternatives).strings
     if state.amplitudes is None:
-        return {"mixed": [[format_probability(w), strings[k]] for k, w in state.diagonal_support(eps)]}
-    vector = state.amplitudes
-    return {
-        "pure": [
-            [format_probability(vector[k].real), format_probability(vector[k].imag), strings[k]]
-            for k in np.flatnonzero(np.abs(vector) > eps)
-        ]
-    }
+        support = np.flatnonzero(state.diagonal > eps)
+        weights = _formatted(state.diagonal[support])
+        return {"mixed": [[w, strings[k]] for w, k in zip(weights, support.tolist())]}
+    support = np.flatnonzero(np.abs(state.amplitudes) > eps)
+    amplitudes = state.amplitudes[support]
+    terms = zip(_formatted(amplitudes.real), _formatted(amplitudes.imag), support.tolist())
+    return {"pure": [[re, im, strings[k]] for re, im, k in terms]}
 
 
 def serialize_profile(profile: ProfileState, eps: float = DEFAULT_EPS) -> dict:

@@ -128,17 +128,16 @@ def _qcv_stages(alternatives: AlternativeSet, signatures: np.ndarray, params: Qc
     A pair's class read the other way round is 4 minus its class. At least
     half the voters place x above y from class 2 on, every voter at class 4,
     and some voter from class 1 on. Every indicator over ordered pairs
-    (x, y) is an m x m mask, and a ranking's agreement with a mask is one
-    product with the ``above`` table.
+    (x, y) is an m x m mask, and a ranking's agreement with all three masks
+    is one float32 product with the basis table's ``orients`` (three float32
+    per signature-row cell).
     Sigma1 is uniform over the extensions; the spread adds delta / (d/2) once
     per covered pair, so its weights come from a table of running sums.
     """
     params.check_alternatives(alternatives.m)
     basis = basis_table(alternatives)
-    above = basis.above
-    d, m, _ = above.shape
+    d, m, _ = basis.above.shape
     k = len(signatures)
-    table = above.reshape(d, m * m).T.astype(np.float32)  # (x, y) x ranking
     classes = np.zeros((k, m, m), dtype=np.intp)  # the class of the voters placing x above y
     x, y = basis.upper
     classes[:, x, y] = signatures
@@ -146,19 +145,22 @@ def _qcv_stages(alternatives: AlternativeSet, signatures: np.ndarray, params: Qc
     wins = (classes >= 2).sum(axis=2)
     strict = wins[:, :, None] > wins[:, None, :]
     unanimous = classes == 4
-    # A ranking breaks the order of (x, y) when it places y above x: flip the masks.
-    broken = np.concatenate([strict, unanimous]).transpose(0, 2, 1).reshape(2 * k, m * m)
-    extension, keep = (broken.astype(np.float32) @ table == 0.0).reshape(2, k, d)
-
     present = classes >= 1
     n_any = present.sum(axis=(1, 2))
     if np.any(n_any * params.delta >= 1.0):
         raise InvalidArgument(
             f"{int(n_any.max())} pairs at delta {params.delta} leave no weight for the base state"
         )
-    running = np.concatenate(([0.0], np.cumsum(np.full(m * m, params.delta / (d // 2)))))
+    # A ranking breaks the order of (x, y) when it places y above x, so the two order masks are read
+    # flipped. Flipping the stack flips them and restores the present pairs, flipped in beforehand.
+    masks = np.concatenate([strict, unanimous, present.transpose(0, 2, 1)]).transpose(0, 2, 1)
+    counts = (masks.reshape(3 * k, m * m).astype(np.float32) @ basis.orients).reshape(3, k, d)
+    extension, keep = counts[:2] == 0.0  # no broken pair
     # A ranking covers at most m(m-1)/2 <= 15 pairs: a uint8 index holds an eighth of an intp one.
-    sigma = running[(present.reshape(k, m * m).astype(np.float32) @ table).astype(np.uint8)]  # the spread
+    covered = counts[2].astype(np.uint8)
+    del counts  # freed before the spread's float64 rows are allocated, so the two never coexist
+    running = np.concatenate(([0.0], np.cumsum(np.full(m * m, params.delta / (d // 2)))))
+    sigma = running[covered]  # the spread
     base = (1.0 - n_any * params.delta) * (1.0 / extension.sum(axis=1))
     np.add(sigma, base[:, None], out=sigma, where=extension)
     return _Stages(wins, extension, present, unanimous, keep, sigma)

@@ -273,9 +273,12 @@ class TestBasisTable:
     def test_one_table_per_alternative_set(self, alts3):
         assert basis_table(AlternativeSet(("a", "b", "c"))) is basis_table(alts3)
         table = basis_table(alts3)
-        for array in (table.above, table.pairs, table.winner_rows, *table.upper,
+        for array in (table.above, table.orients, table.pairs, table.winner_rows, *table.upper,
                       *table.pair_rows.values()):
             assert not array.flags.writeable
+        d, m, _ = table.above.shape
+        assert table.orients.dtype == np.float32
+        assert np.array_equal(table.orients, table.above.reshape(d, m * m).T.astype(np.float32))
 
 
 class TestAlternativeSet:

@@ -341,6 +341,40 @@ def near(value, ulps):
     return float(value)
 
 
+# Scalars json writes in every form it knows; the text holds what its C encoder escapes.
+_json_text = st.text(
+    st.sampled_from(["\0", "[", "]", "{", "}", '"', "\\", "\n", ",", ":", " ", "a", "é", "\u2603", "\U0001f600"])
+)
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()
+    | st.floats().map(np.float64)
+    | _json_text
+    | st.text()
+)
+# Each dict's keys are of one kind (str; int, float and bool, which sort together; or None):
+# json cannot sort mixed keys.
+_json_keys = [_json_text, st.integers() | st.floats(allow_nan=False) | st.booleans(), st.none()]
+_json_documents = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.one_of([st.dictionaries(keys, children, max_size=4) for keys in _json_keys])
+    | st.lists(st.lists(_json_scalars, min_size=1, max_size=3) | st.tuples(_json_scalars), max_size=4),
+    max_leaves=16,
+)
+
+
+class TestCanonicalJson:
+    @given(value=_json_documents)
+    @settings(max_examples=500, deadline=None)
+    def test_writes_the_bytes_json_dumps_writes(self, value):
+        assert canonical_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
 class TestSerializeDensity:
     """``serialize_density`` writes the bytes the reference formula writes."""
 
@@ -352,13 +386,24 @@ class TestSerializeDensity:
         rng = np.random.default_rng([m, seed])
         # Entries within a few ulp of eps, on both sides, at random places.
         edge = np.array([near(eps, u) for u in range(-3, 4)] + [0.0, 0.5 * eps, 2 * eps])
+        # A few distinct values, each beside its neighbours one ulp away, and zeros of both signs.
+        few = np.array([near(v, u) for v in rng.random(2) for u in (-1, 0, 1)])
+        signed = np.concatenate([few, -few, [0.0, -0.0]])
         for _ in range(5):
             spots = rng.choice(space.dim, space.dim // 2, replace=False)
             diag = rng.random(space.dim) ** 4
             diag[spots] = rng.choice(edge, spots.size)
             amplitudes = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
             amplitudes[spots] = rng.choice(edge, spots.size) * rng.choice([1, 1j, -1, -1j], spots.size)
-            for state in (DensityOperator(space, diag), DensityOperator(space, diag, amplitudes)):
+            repeated = np.zeros(space.dim, dtype=complex)
+            repeated.real, repeated.imag = rng.choice(signed, space.dim), rng.choice(signed, space.dim)
+            states = (
+                DensityOperator(space, diag),
+                DensityOperator(space, diag, amplitudes),
+                DensityOperator(space, rng.choice(few, space.dim)),
+                DensityOperator(space, diag, repeated),
+            )
+            for state in states:
                 written = serialize_density(state, eps)
                 assert canonical_json(written) == canonical_json(reference_serialize_density(state, eps))
 
