@@ -79,7 +79,7 @@ FAMILY_WEIGHT_CAP = 4_000_000
 # Vertex values this close to a clause threshold are re-checked exactly; the
 # hook's and the rule's sums differ only by rounding, far below this.
 _VERTEX_MARGIN = 1e-11
-# Draws a hunt, and each batched check, scores together (with one hook call when the rule has a hook).
+# The most draws a hunt, and each batched check, scores together (with one hook call when the rule has a hook).
 _BATCH_DRAWS = 64
 # Records list every nonzero weight and amplitude: dropping those at most the
 # default eps would lose weights a check at a smaller eps read.
@@ -254,20 +254,30 @@ class _Targets:
         return responses @ self._member[:, [self.targets.index(t) for t in targets]]
 
 
-def _batches(draws: Iterator) -> Iterator[list]:
-    """The draws in batches of ``_BATCH_DRAWS``, for every rule: one hook call scores a hooked rule's batch.
+def _batches(draws: Iterator, first: int | None = None) -> Iterator[list]:
+    """The draws in batches, for every rule: one hook call scores a hooked rule's batch.
 
-    A hook bounds the memory of its scoring (``welfare._scored``); a
-    batch's size sets how many drawn profiles are held at once and how many
-    draws past a witness may be scored and dropped.
+    Batches hold ``_BATCH_DRAWS`` draws, or, given a ``first`` size, start
+    there and double up to ``_BATCH_DRAWS``. A check that stops early starts
+    small, so it scores at most twice the draws it reads in O(log) hook
+    calls; a check that reads every draw while its rule holds (a hunt,
+    unanimity, IIA) takes full batches. A hook bounds the memory of its
+    scoring (``welfare._scored``); a batch's size sets how many drawn
+    profiles are held at once and how many draws past a stop may be scored
+    and dropped.
     """
-    for first in draws:
-        yield [first, *islice(draws, _BATCH_DRAWS - 1)]
+    cap = _BATCH_DRAWS  # read per call, so a patched value takes effect
+    size = cap if first is None else min(first, cap)
+    for draw in draws:
+        yield [draw, *islice(draws, size - 1)]
+        size = min(2 * size, cap)
 
 
-def _societies(adapter: _Targets, draws: Iterator[ProfileState]) -> Iterator[tuple[ProfileState, dict]]:
-    """Each drawn profile with society's values on it, a batch at a time (``_batches``)."""
-    for batch in _batches(draws):
+def _societies(
+    adapter: _Targets, draws: Iterator[ProfileState], first: int | None = None
+) -> Iterator[tuple[ProfileState, dict]]:
+    """Each drawn profile with society's values on it, a batch at a time (``_batches`` from ``first``)."""
+    for batch in _batches(draws, first):
         yield from zip(batch, adapter.society_batch(batch))
 
 
@@ -803,7 +813,10 @@ def check_dictatorship(
     corresponding equivalence on any target, in either direction: ordered
     pairs for a welfare rule, winner subspaces for a choice rule. Every
     draw must have the first draw's voters: a draw of another electorate
-    is refused before any of its voters is read.
+    is refused before any of its voters is read. The scan stops once every
+    voter is eliminated, often within a few draws, so its batches start at
+    one draw and double (``_batches``): it scores at most 2t - 1 draws to
+    read t.
     """
     adapter = _Targets(rule, space, eps)
     draws = _draws(sampler, trials, seed)
@@ -812,7 +825,7 @@ def check_dictatorship(
     n_voters = first.n_voters
     counterexamples: dict[tuple[int, str], dict] = {}
     trials_run = 0
-    for profile, society in _societies(adapter, chain([first], draws)):
+    for profile, society in _societies(adapter, chain([first], draws), 1):
         trials_run += 1
         if profile.n_voters != n_voters:
             raise InvalidArgument(f"a profile of {profile.n_voters} voters is not of the first draw's {n_voters}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import factorial
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -57,7 +57,7 @@ class RankingSpace:
 
     alternatives: AlternativeSet
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return factorial(self.alternatives.m)
 
@@ -214,7 +214,7 @@ def _unit_vector_state(space: RankingSpace, vector: np.ndarray, eps: float) -> D
     if first * second <= eps:
         return DensityOperator(space, weights)
     # Fix the global phase so serialization is reproducible.
-    lead = int(np.argmax(magnitudes > eps))
+    lead = int((magnitudes > eps).argmax())
     amplitudes = vector * (magnitudes[lead] / vector[lead])
     # The product can leave a rounding-level imaginary part on the lead.
     amplitudes[lead] = magnitudes[lead]
@@ -265,8 +265,10 @@ def mixed_state(space: RankingSpace, terms: Iterable[tuple[float, Ranking]]) -> 
 
 
 def basis_state(space: RankingSpace, ranking: Ranking) -> DensityOperator:
-    """Point mass on a single basis ranking."""
-    return mixed_state(space, [(1.0, ranking)])
+    """Point mass on a single basis ranking: ``mixed_state(space, [(1.0, ranking)])``, bit for bit."""
+    diag = np.zeros(space.dim)
+    diag[space.basis_index(ranking)] = 1.0
+    return DensityOperator(space, diag)
 
 
 def _distribution(space: RankingSpace, diag: np.ndarray, eps: float) -> np.ndarray:
@@ -305,8 +307,10 @@ def support_probabilities(weights: np.ndarray, index: np.ndarray, eps: float = D
     one 3-D gather does not: numpy may reorder that reduction.)
     """
     values = weights[index].sum(axis=1)
-    values[(-eps <= values) & (values < 0.0)] = 0.0
-    values[(1.0 < values) & (values <= 1.0 + eps)] = 1.0
+    listed = values.tolist()  # Python's min and max read a few values faster than numpy's reductions
+    if not (0.0 <= min(listed, default=0.0) and max(listed, default=0.0) <= 1.0):
+        values[(-eps <= values) & (values < 0.0)] = 0.0
+        values[(1.0 < values) & (values <= 1.0 + eps)] = 1.0
     return values
 
 

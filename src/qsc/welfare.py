@@ -11,6 +11,7 @@ engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -147,7 +148,7 @@ def _qcv_stages(alternatives: AlternativeSet, signatures: np.ndarray, params: Qc
     unanimous = classes == 4
     present = classes >= 1
     n_any = present.sum(axis=(1, 2))
-    if np.any(n_any * params.delta >= 1.0):
+    if (n_any * params.delta >= 1.0).any():
         raise InvalidArgument(
             f"{int(n_any.max())} pairs at delta {params.delta} leave no weight for the base state"
         )
@@ -178,7 +179,7 @@ def _projected(stages: _Stages, eps: float) -> np.ndarray:
     constrained = stages.unanimous.any(axis=(1, 2))
     mass = sigma.sum(axis=1)
     mass[(mass > 1.0) & (mass <= 1.0 + eps)] = 1.0
-    if np.any(constrained & (mass <= eps)):
+    if (constrained & (mass <= eps)).any():
         low = float(mass[constrained].min())
         raise ZeroMassProjection(f"no probability mass on the target subspace (Tr = {low:.3e})")
     mass[~constrained] = 1.0
@@ -247,6 +248,22 @@ def qcv_basis(alternatives: AlternativeSet, indices: Sequence[int], params: QcvP
     )
 
 
+@lru_cache(maxsize=64)
+def _packing(alternatives: AlternativeSet, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """How n voters' tallies pack into integers: place values, each ranking's packed ``pairs`` row, zero shift.
+
+    A tally packs into one integer, base n + 1, so adding packed rows adds
+    tallies and keeps their order; Python ints hold it past int64. Built
+    once per (alternatives, n) and kept, as the basis table is.
+    """
+    pairs = basis_table(alternatives).pairs
+    powers = (n + 1) ** np.arange(pairs.shape[1], dtype=np.int64 if (n + 1) ** pairs.shape[1] < 2**63 else object)
+    packing = powers, pairs @ powers, np.zeros((1, pairs.shape[1]), bool)
+    for table in packing:
+        table.setflags(write=False)  # shared by every request on (alternatives, n)
+    return packing
+
+
 @dataclass(eq=False)
 class _Request:
     """One request as (weight, tally) terms, and its result while its pieces are mixed.
@@ -264,19 +281,15 @@ class _Request:
     space: RankingSpace
     n: int  # the profile's voters
     weights: np.ndarray  # T, summing to 1
-    tallies: np.ndarray  # T x C(m,2), by ascending packed tally
+    codes: np.ndarray  # T: the packed tallies (``_packing``), ascending
     shifts: np.ndarray  # columns x C(m,2): a zero row, or the d ``pairs`` rows
     result: np.ndarray | None = None
 
     @classmethod
     def of(cls, params: QcvParams, profile: ProfileState, voter: int | None) -> "_Request":
         space, n = profile.space, profile.n_voters
-        pairs = basis_table(space.alternatives).pairs
-        # A tally packs into one integer, base n + 1, so adding packed rows adds
-        # tallies and keeps their order; Python ints hold it past int64.
-        dtype = np.int64 if (n + 1) ** pairs.shape[1] < 2**63 else object
-        powers = (n + 1) ** np.arange(pairs.shape[1], dtype=dtype)
-        packed, codes, weights = pairs @ powers, np.zeros(1, dtype), np.ones(1)
+        powers, packed, zero = _packing(space.alternatives, n)
+        codes, weights = np.zeros(1, powers.dtype), np.ones(1)
         pos = None if voter is None else profile.voter_position(voter)
         if profile.joint is not None:
             kept = [(w, key) for w, key in profile.joint if w > params.eps]
@@ -289,19 +302,23 @@ class _Request:
         total = weights.sum()
         if not total > params.eps:
             raise InvalidArgument("profile has no diagonal support")
-        tallies = (codes[:, None] // powers % (n + 1)).astype(np.intp)
-        return cls(space, n, weights / total, tallies, np.zeros((1, pairs.shape[1]), bool) if voter is None else pairs)
+        return cls(space, n, weights / total, codes, zero if voter is None else basis_table(space.alternatives).pairs)
 
 
 def _folded(codes: np.ndarray, weights: np.ndarray, rows: np.ndarray, row_weights: np.ndarray):
     """The terms after one more voter: each packed tally plus each of the voter's rows, weights multiplied.
 
-    Equal tallies merge, by ascending tally, their weights added in the
-    order the terms come (tally-major). New terms come a cap's worth at a
-    time, so no more than about twice ``hilbert.DEFAULT_SUPPORT_CAP`` terms
-    are alive, and more distinct tallies than the cap are refused as they
-    appear. One row only shifts the tallies, which keeps them distinct and
-    in order: merging would change no bit.
+    Equal tallies merge, by ascending tally, their weights added onto 0.0
+    in the order the terms come (tally-major), as ``np.unique`` and
+    ``np.bincount`` would add them. One argsort orders the terms and a
+    comparison of neighbours finds the tallies that meet. Only when two
+    meet does ``np.bincount`` add the weights, each term binned by its
+    tally's place in input order; otherwise each weight is added to 0.0 in
+    sorted order, which gives the same bits. New terms come a cap's worth
+    at a time, so no more than about twice ``hilbert.DEFAULT_SUPPORT_CAP``
+    terms are alive, and more distinct tallies than the cap are refused as
+    they appear. One row only shifts the tallies, which keeps them distinct
+    and in order: merging would change no bit.
     """
     if len(rows) == 1:
         return codes + rows[0], weights * row_weights[0]
@@ -309,10 +326,21 @@ def _folded(codes: np.ndarray, weights: np.ndarray, rows: np.ndarray, row_weight
     out, summed, step = codes[:0], weights[:0], max(1, cap // len(codes))  # a cap's worth of new terms a merge
     for start in range(0, len(rows), step):
         part = slice(start, start + step)
-        out, inverse = np.unique(np.concatenate([out, (codes[:, None] + rows[part]).ravel()]), return_inverse=True)
+        terms = np.concatenate([out, (codes[:, None] + rows[part]).ravel()])
+        term_weights = np.concatenate([summed, (weights[:, None] * row_weights[part]).ravel()])
+        # The default kind, as np.unique's: a stable sort loads numpy code that nothing else runs.
+        order = terms.argsort()
+        terms = terms[order]
+        fresh = np.concatenate(([True], terms[1:] != terms[:-1]))  # the first term of each distinct tally
+        out = terms[fresh]
         if len(out) > cap:
             raise ResourceLimit(f"profile support exceeds {cap} distinct tallies")
-        summed = np.bincount(inverse, np.concatenate([summed, (weights[:, None] * row_weights[part]).ravel()]))
+        if len(out) == len(terms):
+            summed = term_weights[order] + 0.0
+        else:
+            place = np.empty_like(order)
+            place[order] = np.cumsum(fresh) - 1
+            summed = np.bincount(place, term_weights)
     return out, summed
 
 
@@ -323,12 +351,12 @@ def _scored(params: QcvParams, requests: Iterable[tuple[ProfileState, int | None
     request (profile, v) gives the d x d weights of ``qcv_responses(profile,
     v)``, row k with voter v's ballot replaced by basis ranking k. Each
     request (``_Request``) is cut into pieces of terms, and consecutive
-    pieces on one ranking space are grouped, up to ``_KERNEL_CELLS``
-    signature-row cells a group (a piece holds at least one term: 720 x 720
-    cells for a voter request at m=6). ``_mixed`` scores and mixes a group.
-    A result is yielded once its last piece is mixed, so no more than one
-    group's rows are alive at once, and no more than one result besides the
-    caller's.
+    pieces of one kind (ranking space, electorate size and columns) are
+    grouped, up to ``_KERNEL_CELLS`` signature-row cells a group (a piece
+    holds at least one term: 720 x 720 cells for a voter request at m=6).
+    ``_mixed`` scores and mixes a group. A result is yielded once its
+    group is mixed, so no more than one group's rows and results are alive
+    at once, besides the caller's.
 
     A ``QscError`` (the support cap, a kernel refusal, a result that is not
     a distribution) is raised only after every earlier request's result has
@@ -345,12 +373,17 @@ def _scored(params: QcvParams, requests: Iterable[tuple[ProfileState, int | None
         step = max(1, _KERNEL_CELLS // width)
         for first in range(0, terms, step):
             size = (min(first + step, terms) - first) * width
-            if group and (cells + size > _KERNEL_CELLS or request.space != group[0][0].space):
+            if group and (cells + size > _KERNEL_CELLS or _kind(request) != _kind(group[0][0])):
                 yield from _mixed(params, group)
                 group, cells = [], 0
             group.append((request, first, min(first + step, terms)))
             cells += size
     yield from _mixed(params, group)
+
+
+def _kind(request: _Request) -> tuple:
+    """What the pieces of one group share: ranking space, electorate size and columns."""
+    return request.space, request.n, len(request.shifts)
 
 
 def _mixed(params: QcvParams, group: list[tuple[_Request, int, int]]) -> Iterator[np.ndarray]:
@@ -359,39 +392,47 @@ def _mixed(params: QcvParams, group: list[tuple[_Request, int, int]]) -> Iterato
     Row b of a request is the sum, over terms t in order, of ``weights[t]``
     times the six-step rule's sigma3 row for term t's signature in column
     b. Signatures are keyed as base-5 numbers, and one ``_qcv_rows`` call
-    scores the group's distinct ones. With parameters ``QcvParams`` accepts,
-    that call refuses only a delta too large for the space's m, so it
-    refuses every signature of the group; a group holds one ranking space,
-    so its first request is the first refused, and every request before it
-    has been yielded. (Its spread and zero-mass refusals need parameters
-    ``QcvParams`` refuses.)
+    scores the group's distinct ones. The pieces are of one kind
+    (``_kind``), so their tallies are unpacked, their signatures keyed,
+    their rows gathered and weighed and their results checked in one pass
+    each; only the sum over a piece's terms runs piece by piece. A request
+    whose result is not a distribution is refused when it is reached. With
+    parameters ``QcvParams`` accepts, the kernel call refuses only a delta
+    too large for the space's m, so it refuses every signature of the
+    group; a group holds one ranking space, so its first request is the
+    first refused, and every request before it has been yielded. (Its
+    spread and zero-mass refusals need parameters ``QcvParams`` refuses.)
     """
     if not group:
         return
-    space = group[0][0].space
-    fives = 5 ** np.arange(group[0][0].shifts.shape[1], dtype=np.int64)  # 5^15 < 2^63
+    (lead, _, _), eps = group[0], params.eps
+    space, columns = lead.space, len(lead.shifts)
+    fives = 5 ** np.arange(lead.shifts.shape[1], dtype=np.int64)  # 5^15 < 2^63
+    codes = np.concatenate([request.codes[first:stop] for request, first, stop in group])
+    tallies = (codes[:, None] // _packing(space.alternatives, lead.n)[0] % (lead.n + 1)).astype(np.intp)
     # Term t's signature in column b: the classes of its tally plus the column's shift.
-    codes = np.concatenate([(_classes(r.n)[r.tallies[a:b, None] + r.shifts] @ fives).ravel() for r, a, b in group])
-    distinct, inverse = np.unique(codes, return_inverse=True)
+    distinct, inverse = np.unique(_classes(lead.n)[tallies[:, None] + lead.shifts] @ fives, return_inverse=True)
     table = _qcv_rows(space.alternatives, distinct[:, None] // fives % 5, params)
-    offset = 0
-    for request, first, stop in group:
-        size = (stop - first) * len(request.shifts)
-        part = table[inverse[offset : offset + size]].reshape(stop - first, len(request.shifts), space.dim)
-        offset += size
-        part *= request.weights[first:stop, None, None]
+    parts = table[inverse].reshape(len(codes), columns, space.dim)
+    parts *= np.concatenate([request.weights[first:stop] for request, first, stop in group])[:, None, None]
+    results, start = np.empty((len(group), columns, space.dim)), 0
+    for result, (request, first, stop) in zip(results, group):
         if first:
-            part[0] += request.result
+            parts[start] += request.result
         # Along the outer axis numpy adds one term at a time, in order, as
         # ``acc += weight * row`` would: the bits do not depend on the pieces.
-        request.result = part.sum(axis=0)
+        np.add.reduce(parts[start : start + stop - first], axis=0, out=result)
+        start += stop - first
+    rows = results.reshape(-1, space.dim)
+    distributions = ((rows.min(axis=1) >= -eps) & (np.abs(rows.sum(axis=1) - 1.0) <= eps)).reshape(-1, columns)
+    for (request, _, stop), result, ok in zip(group, results, distributions.all(axis=1)):
+        request.result = result
         if stop == len(request.weights):
-            rows = request.result
-            if not (rows.min() >= -params.eps and np.abs(rows.sum(axis=1) - 1.0).max() <= params.eps):
-                for row in rows:
-                    diagonal_state(space, row, params.eps)  # raises at the first that is not a distribution
+            if not ok:
+                for row in result:
+                    diagonal_state(space, row, eps)  # raises at the first that is not a distribution
             # A profile request has one row; a voter request has d = m! >= 2.
-            yield rows[0] if len(rows) == 1 else rows
+            yield result[0] if len(result) == 1 else result
 
 
 def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:

@@ -1400,8 +1400,34 @@ class TestDrawBatches:
     def test_batches_hold_a_fixed_number_of_draws(self, monkeypatch):
         # At every m: the hook, not the batch, bounds what a hook call holds.
         assert [len(batch) for batch in axioms._batches(iter(range(150)))] == [64, 64, 22]
+        # From a first size, batches double up to _BATCH_DRAWS.
+        assert [len(batch) for batch in axioms._batches(iter(range(150)), 1)] == [1, 2, 4, 8, 16, 32, 64, 23]
         streaming(monkeypatch)
         assert [len(batch) for batch in axioms._batches(iter(range(3)))] == [1, 1, 1]
+        assert [len(batch) for batch in axioms._batches(iter(range(3)), 1)] == [1, 1, 1]
+
+    def test_dictatorship_draws_at_most_twice_what_it_reads(self, space3, space4):
+        # Its batches start at one draw and double, so every batch it scores but
+        # one is read whole, and the last is read at least in its first draw.
+        stopped = 0
+        for space, rule in ((space3, qcv_rule(PARAMS)), (space4, qcvne_rule(QcvParams.for_alternatives(4)))):
+            sampler = default_profile_sampler(space, 3)
+            for seed in range(12):
+                drawn = []
+
+                def counting(rng):
+                    drawn.append(seed)
+                    return sampler(rng)
+
+                report = check_dictatorship(rule, space, counting, 100, seed)
+                assert len(drawn) <= 2 * report.details["trials_run"] - 1
+                stopped += report.details["trials_run"] < 100
+        assert stopped == 24
+        # A dictator survives every draw, and every draw is read.
+        drawn = []
+        sampler = default_profile_sampler(space3, 3)
+        report = check_dictatorship(dictator_rule(2), space3, lambda rng: drawn.append(0) or sampler(rng), 100, 1)
+        assert report.details["trials_run"] == len(drawn) == 100
 
     def test_witness_in_the_middle_of_a_batch(self, space3, monkeypatch):
         # Ten draws make one batch at m=3; the witness comes from a draw inside
@@ -1439,7 +1465,7 @@ class TestDrawBatches:
             ]
 
         batched = reports()
-        # The dictatorship scan stopped early, inside its first batch.
+        # The dictatorship scan stopped early, before its 40 draws were read.
         assert json.loads(batched[0])["reports"][2]["details"]["trials_run"] < 40
         streaming(monkeypatch)
         assert reports() == batched
@@ -1464,9 +1490,10 @@ class TestDrawBatches:
                 else:
                     assert check_qic(failing, recording, FAMILY, 10, 11).to_json() == want.to_json()
 
-    def test_gs_suite_at_m4_scores_each_stage_in_one_kernel_call(self, alts4, monkeypatch):
-        # The hunt's truthful profiles, the scanned voters' basis responses,
-        # the onto profiles and the dictatorship draws: one kernel call each.
+    def test_gs_suite_at_m4_kernel_calls_by_stage(self, alts4, monkeypatch):
+        # One kernel call each for the hunt's truthful profiles, the scanned
+        # voters' basis responses and the onto profiles; the dictatorship scan
+        # reads 2 draws, scored in batches of 1 and 2 (one call each).
         calls = []
         kernel = welfare._qcv_rows
 
@@ -1477,4 +1504,6 @@ class TestDrawBatches:
         monkeypatch.setattr(welfare, "_qcv_rows", counted)
         report = run_gs_suite(qcvne_rule(QcvParams.for_alternatives(4)), alts4, trials=10, seed=117406795)
         assert report.reports[0].details["trials_run"] == 10
-        assert len(calls) == 4, calls
+        assert report.reports[2].details["trials_run"] == 2
+        # Rows a call: the distinct majority signatures it scores.
+        assert calls == [21, 346, 4, 2, 2], calls

@@ -93,6 +93,14 @@ class TestConstruction:
         with pytest.raises(InvalidArgument):
             pure_state(space3, [(0.0, rk(alts3, "a>b>c"))])
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_basis_state_is_the_unit_mixture(self, m):
+        space = RankingSpace(AlternativeSet(tuple("abcd"[:m])))
+        for ranking in space.rankings():
+            state, want = basis_state(space, ranking), mixed_state(space, [(1.0, ranking)])
+            assert state.diagonal.tobytes() == want.diagonal.tobytes()
+            assert state.amplitudes is None and not state.diagonal.flags.writeable
+
     def test_mixed_normalizes(self, alts3, space3):
         state = mixed_state(space3, [(2.0, rk(alts3, "a>b>c")), (2.0, rk(alts3, "a>c>b"))])
         assert state.diagonal[0] == pytest.approx(0.5)

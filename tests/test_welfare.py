@@ -547,6 +547,109 @@ class TestQcvGeneralProfiles:
             assert perm_w[mapped] == pytest.approx(float(w), abs=1e-12)
 
 
+def unique_folded(codes, weights, rows, row_weights):
+    """The fold as written with ``np.unique``: the oracle ``welfare._folded`` matches bit for bit."""
+    if len(rows) == 1:
+        return codes + rows[0], weights * row_weights[0]
+    cap = hilbert.DEFAULT_SUPPORT_CAP
+    out, summed, step = codes[:0], weights[:0], max(1, cap // len(codes))
+    for start in range(0, len(rows), step):
+        part = slice(start, start + step)
+        out, inverse = np.unique(np.concatenate([out, (codes[:, None] + rows[part]).ravel()]), return_inverse=True)
+        if len(out) > cap:
+            raise ResourceLimit(f"profile support exceeds {cap} distinct tallies")
+        summed = np.bincount(inverse, np.concatenate([summed, (weights[:, None] * row_weights[part]).ravel()]))
+    return out, summed
+
+
+def fold_voters(fold, voters, dtype=np.int64):
+    """Fold each voter's (rows, row weights) in turn from the zero tally, as ``_Request.of`` does."""
+    codes, weights = np.zeros(1, dtype), np.ones(1)
+    for rows, row_weights in voters:
+        codes, weights = fold(codes, weights, rows, row_weights)
+    return codes, weights
+
+
+def same_bits(got, want):
+    (codes, weights), (want_codes, want_weights) = got, want
+    return (
+        codes.dtype == want_codes.dtype and codes.tolist() == want_codes.tolist()
+        and weights.dtype == want_weights.dtype and weights.tobytes() == want_weights.tobytes()
+    )
+
+
+def random_voters(rng, n, width, dtype=np.int64, offset=0):
+    """n voters, each with 1-5 rows drawn from ``width`` codes (so tallies meet often) at weights of mixed scales."""
+    voters = []
+    for _ in range(n):
+        size = int(rng.integers(1, 6))
+        rows = np.array([offset + int(c) for c in rng.integers(0, width, size)], dtype=dtype)
+        voters.append((rows, rng.random(size) * 2.0 ** rng.integers(-40, 1, size)))
+    return voters
+
+
+class TestFold:
+    """``_folded`` merges by argsort and neighbours, with the bits of the ``np.unique`` fold."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_unique_fold(self, seed):
+        rng = np.random.default_rng(seed)
+        voters = random_voters(rng, int(rng.integers(1, 7)), int(rng.integers(2, 40)))
+        assert same_bits(fold_voters(welfare._folded, voters), fold_voters(unique_folded, voters))
+
+    def test_rows_with_repeats_merge_like_the_unique_fold(self):
+        # A correlated profile folds its joint terms' packed sums at once, repeats included.
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            rows = rng.integers(0, 5, int(rng.integers(2, 60)))
+            weights = rng.random(len(rows))
+            voters = [(rows, weights)]
+            assert same_bits(fold_voters(welfare._folded, voters), fold_voters(unique_folded, voters))
+
+    def test_single_rows_only_shift(self):
+        rng = np.random.default_rng(3)
+        voters = [(np.array([5]), np.array([0.3])), (np.array([2, 9, 2]), np.array([0.5, 0.25, 0.25])),
+                  (np.array([11]), np.array([0.7]))]
+        codes, weights = fold_voters(welfare._folded, voters)
+        assert same_bits((codes, weights), fold_voters(unique_folded, voters))
+        assert codes.tolist() == [18, 25]
+        assert same_bits(welfare._folded(codes, weights, np.array([4]), np.array([0.5])),
+                         unique_folded(codes, weights, np.array([4]), np.array([0.5])))
+        for seed in range(10):
+            voters = [(np.array([int(c)]), rng.random(1)) for c in rng.integers(0, 100, 6)]
+            assert same_bits(fold_voters(welfare._folded, voters), fold_voters(unique_folded, voters))
+
+    def test_tallies_past_int64(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            voters = random_voters(rng, 4, 12, object, offset=2**70)
+            assert same_bits(fold_voters(welfare._folded, voters, object), fold_voters(unique_folded, voters, object))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cap_chunks_and_refusals_match(self, seed, monkeypatch):
+        # A small cap cuts each voter's new terms into chunks, and refuses a fold
+        # at the chunk where the distinct tallies first pass it.
+        rng = np.random.default_rng(100 + seed)
+        voters = random_voters(rng, 5, 30)
+        for cap in range(1, 40):
+            monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", cap)
+            results = []
+            for fold in (welfare._folded, unique_folded):
+                calls = []
+
+                def counted(*args, fold=fold):
+                    calls.append(len(args[0]))
+                    return fold(*args)
+
+                try:
+                    results.append((fold_voters(counted, voters), calls))
+                except ResourceLimit as refusal:
+                    results.append((str(refusal), calls))
+            (got, got_calls), (want, want_calls) = results
+            assert got_calls == want_calls
+            assert got == want if isinstance(want, str) else same_bits(got, want)
+
+
 def space_of(m):
     return RankingSpace(AlternativeSet(tuple("abcde")[:m]))
 
