@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import InitVar, asdict, dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, islice, repeat
+from itertools import accumulate, combinations, islice, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -204,12 +204,11 @@ class _Targets:
         self.space = space
         self.eps = eps
 
-    def values(self, weights: np.ndarray) -> dict:
-        """Each target's value on a state's basis weights: their sum inside its subspace."""
-        values = support_probabilities(weights, self._index, self.eps)
-        return dict(zip(self.targets, values.tolist()))
+    def values(self, weights: np.ndarray) -> list[float]:
+        """Each target's value on a state's basis weights, in target order: their sum inside its subspace."""
+        return support_probabilities(weights, self._index, self.eps).tolist()
 
-    def voter_values(self, profile: ProfileState, voter: int) -> dict:
+    def voter_values(self, profile: ProfileState, voter: int) -> list[float]:
         """A voter's values: those of the basis weights of the voter's marginal ballot."""
         return self.values(profile.partial_ballot(voter, self.eps).diagonal)
 
@@ -235,23 +234,23 @@ class _Targets:
             return map(self._evaluated, profiles)
         return self.rule.responses([(p, None) for p in profiles])
 
-    def society_values(self, profile: ProfileState) -> dict:
+    def society_values(self, profile: ProfileState) -> list[float]:
         """Society's values on one profile, from an exact evaluation of the welfare rule."""
         return self.values(self._evaluated(profile))
 
-    def society_batch(self, profiles: list[ProfileState]) -> Iterator[dict]:
+    def society_batch(self, profiles: list[ProfileState]) -> Iterator[list[float]]:
         """Society's values on each profile, in order, computed as they are read (``welfare_weights``)."""
         return map(self.values, self.welfare_weights(profiles))
 
-    def vertex_values(self, responses: np.ndarray, targets: list) -> np.ndarray:
-        """Society's value on each target with a voter's ballot replaced by each basis ballot.
+    def vertex_values(self, responses: np.ndarray, positions: list[int]) -> np.ndarray:
+        """Society's value on each target at ``positions`` with a voter's ballot replaced by each basis ballot.
 
         ``responses`` is the hook's d x d result for the voter. Row k of the
-        d x len(targets) result holds the values with basis ballot k: each
+        d x len(positions) result holds the values with basis ballot k: each
         target sums the response weights inside its subspace, one product
-        with the given targets' columns of the membership.
+        with those targets' columns of the membership.
         """
-        return responses @ self._member[:, [self.targets.index(t) for t in targets]]
+        return responses @ self._member[:, positions]
 
 
 def _batches(draws: Iterator, first: int | None = None) -> Iterator[list]:
@@ -275,7 +274,7 @@ def _batches(draws: Iterator, first: int | None = None) -> Iterator[list]:
 
 def _societies(
     adapter: _Targets, draws: Iterator[ProfileState], first: int | None = None
-) -> Iterator[tuple[ProfileState, dict]]:
+) -> Iterator[tuple[ProfileState, list[float]]]:
     """Each drawn profile with society's values on it, a batch at a time (``_batches`` from ``first``)."""
     for batch in _batches(draws, first):
         yield from zip(batch, adapter.society_batch(batch))
@@ -576,19 +575,23 @@ class SuiteReport:
         return serde.canonical_json(self.to_jsonable(include_elapsed))
 
 
-def _fired(adapter: _Targets, profile: ProfileState, voter: int, society: dict) -> list[tuple[object, PreferenceKind]]:
-    """The (target, clause) pairs that fire for a voter: the voter's value holds the clause, society's does not.
+def _fired(
+    adapter: _Targets, profile: ProfileState, voter: int, society: list[float]
+) -> list[tuple[int, PreferenceKind]]:
+    """The (position, clause) pairs that fire for a voter: the voter's value holds the clause, society's does not.
 
-    The clauses are the adapter's (``_Targets.clauses``). A dishonest ballot
-    achieves a fired clause when society's value then holds it. A certain
-    value is also supported, so both of those clauses can fire for it.
+    A position indexes the adapter's targets, and so the values of
+    ``society`` and the voter's, which are in target order. The clauses are
+    the adapter's (``_Targets.clauses``). A dishonest ballot achieves a
+    fired clause when society's value then holds it. A certain value is
+    also supported, so both of those clauses can fire for it.
     """
     ballot_values, eps = adapter.voter_values(profile, voter), adapter.eps
     return [
-        (target, clause)
-        for target in adapter.targets
+        (j, clause)
+        for j, (mine, theirs) in enumerate(zip(ballot_values, society))
         for clause in adapter.clauses
-        if clause.holds(ballot_values[target], eps) and not clause.holds(society[target], eps)
+        if clause.holds(mine, eps) and not clause.holds(theirs, eps)
     ]
 
 
@@ -596,8 +599,8 @@ def _first_witness(
     adapter: _Targets,
     profile: ProfileState,
     voter: int,
-    fired: list[tuple[object, PreferenceKind]],
-    society: dict,
+    fired: list[tuple[int, PreferenceKind]],
+    society: list[float],
     family: CandidateBallotFamily,
     responses: np.ndarray | None,
 ) -> ManipulationWitness | None:
@@ -618,16 +621,16 @@ def _first_witness(
     for candidate in candidates:
         substituted = profile.substitute_ballot(voter, candidate, eps)
         dishonest = adapter.society_values(substituted)
-        for target, clause in fired:
-            if clause.holds(dishonest[target], eps):
+        for j, clause in fired:
+            if clause.holds(dishonest[j], eps):
                 return ManipulationWitness(
                     rule_name=adapter.rule.name,
                     rule_kind=adapter.kind,
                     voter=voter,
                     clause=clause,
-                    target=target,
-                    truthful_value=society[target],
-                    dishonest_value=dishonest[target],
+                    target=adapter.targets[j],
+                    truthful_value=society[j],
+                    dishonest_value=dishonest[j],
                     dishonest_ballot=candidate,
                     profile=profile,
                 )
@@ -635,14 +638,15 @@ def _first_witness(
 
 
 def _near_vertices(
-    adapter: _Targets, responses: np.ndarray, fired: list[tuple[object, PreferenceKind]]
+    adapter: _Targets, responses: np.ndarray, fired: list[tuple[int, PreferenceKind]]
 ) -> Iterator[DensityOperator]:
     """The basis ballots that could achieve a fired clause, in basis order.
 
     The hook's rule reads a ballot only through its basis weights, and is
     linear in them: with ballot c substituted, society's value on target t
     is c . R[:, t], where row k of R is its value with basis ballot k
-    (``_Targets.vertex_values`` of the hook's ``responses`` for the voter).
+    (``_Targets.vertex_values`` of the hook's ``responses`` for the voter:
+    one product gives the column of each fired clause's target).
     A threshold on a linear function over the simplex is reached at a
     vertex, so the d basis ballots stand for every ballot. A vertex is
     yielded when its value achieves a clause or lies within _VERTEX_MARGIN
@@ -654,18 +658,13 @@ def _near_vertices(
     ballots that put such weight on some ranking. There the vertices stand
     for every ballot that keeps each joint term above that filter.
     """
-    targets = list(dict.fromkeys(target for target, _ in fired))
-    values = adapter.vertex_values(responses, targets)
-    near = np.zeros(len(values), dtype=bool)
-    for target, clause in fired:
-        column = values[:, targets.index(target)]
+    columns = adapter.vertex_values(responses, [j for j, _ in fired])
+    near = np.zeros(len(columns), dtype=bool)
+    for column, (_, clause) in zip(columns.T, fired):
         near |= clause.holds(column - _VERTEX_MARGIN, adapter.eps)
         near |= clause.holds(column + _VERTEX_MARGIN, adapter.eps)
     rankings = adapter.space.rankings()
     return (basis_state(adapter.space, rankings[k]) for k in np.flatnonzero(near))
-
-
-_Scans = Iterator[tuple[int, list]]
 
 
 def _hunt(
@@ -673,54 +672,48 @@ def _hunt(
     draws: Iterator[ProfileState],
     family: CandidateBallotFamily,
     eps: float,
-) -> Iterator[tuple[ProfileState, _Scans]]:
-    """Each draw with the scans of its fired voters, in trial and voter order.
+) -> Iterator[tuple[int, ProfileState, int, list[ManipulationWitness | None]]]:
+    """Each fired voter as (trial, profile, voter, [witness or None, one per rule]), in trial and voter order.
 
-    A scan is (voter, [witness or None, one per rule]) for a voter whose
-    clause fires under some rule. Each draw's scans must be read before the
-    next draw is asked for. The rules share one welfare rule (a composed
-    rule shares its welfare rule's, and so its hook). The draws come a
-    batch at a time (``_batches``), and every value is read on the first
-    draw's space: a draw on another space is refused before any draw of its
-    batch is scanned (``_Targets.welfare_weights``). The batch's profiles
-    are scored first, with one hook call when the rules have a ``responses``
+    A voter is yielded when its clause fires under some rule; the trial
+    counts draws from 1. The rules share one welfare rule (a composed rule
+    shares its welfare rule's, and so its hook). The draws come a batch at
+    a time (``_batches``), and every value is read on the first draw's
+    space: a draw on another space is refused before any draw of its batch
+    is scanned (``_Targets.welfare_weights``). The batch's profiles are
+    scored first, with one hook call when the rules have a ``responses``
     hook, and the fired clauses follow. With a hook one more call gives the
-    basis responses of every fired voter, read as the scan reaches that
-    voter, whose vertices are searched; without one, the fired voters
-    search the family, whose caps are checked once, before the first draw
-    is scored. A ``QscError`` on a draw of a batch is raised once the draws
-    before it are scanned, as a draw-by-draw hunt would raise it. An eps
-    outside [MIN_EPS, MAX_EPS] is refused before the first draw.
+    basis responses of every fired voter, whose vertices are searched as
+    the voter is reached; without one, the fired voters search the family,
+    whose caps are checked once, before the first draw is scored. A
+    ``QscError`` on a draw of a batch is raised once the draws before it
+    are scanned, as a draw-by-draw hunt would raise it. An eps outside
+    [MIN_EPS, MAX_EPS] is refused before the first draw.
     """
     check_eps(eps)
-    hook, adapters = rules[0].responses, []
+    hook, adapters, drawn = rules[0].responses, [], 0
     for batch in _batches(draws):
         if not adapters:
             if hook is None:
                 family.check_size(batch[0].space)
             adapters = [_Targets(rule, batch[0].space, eps) for rule in rules]
-        trials, failure = [], None
+        scans, failure = [], None
         try:
             for profile, weights in zip(batch, adapters[0].welfare_weights(batch)):
-                scans = [(a, a.values(weights)) for a in adapters]
-                fired = {}
+                drawn += 1
+                societies = [a.values(weights) for a in adapters]
                 for voter in range(1, profile.n_voters + 1):
-                    clauses = [_fired(a, profile, voter, s) for a, s in scans]
-                    if any(clauses):
-                        fired[voter] = clauses
-                trials.append((profile, scans, fired))
+                    fired = [_fired(a, profile, voter, s) for a, s in zip(adapters, societies)]
+                    if any(fired):
+                        scans.append((drawn, profile, voter, societies, fired))
         except QscError as error:  # raised below, after the draws before it
             failure = error
-        requests = [(profile, voter) for profile, _, fired in trials for voter in fired]
-        responses = iter(hook(requests)) if hook is not None else repeat(None)
-        for profile, scans, fired in trials:
-            yield profile, (
-                (voter, [
-                    _first_witness(a, profile, voter, f, s, family, rows) if f else None
-                    for (a, s), f in zip(scans, clauses)
-                ])
-                for (voter, clauses), rows in zip(fired.items(), responses)
-            )
+        responses = repeat(None) if hook is None else hook([(profile, voter) for _, profile, voter, _, _ in scans])
+        for (trial, profile, voter, societies, fired), rows in zip(scans, responses):
+            yield trial, profile, voter, [
+                _first_witness(a, profile, voter, f, s, family, rows) if f else None
+                for a, s, f in zip(adapters, societies, fired)
+            ]
         if failure is not None:
             raise failure
 
@@ -753,8 +746,8 @@ def manipulation_witness(
         wanted = "an ordered pair of distinct" if adapter.kind == "welfare" else "one of the"
         names = ", ".join(profile.space.alternatives.names)
         raise InvalidArgument(f"a {adapter.kind} rule's target must be {wanted} alternatives {names}, got {target!r}")
-    society = adapter.society_values(profile)
-    fired = [(t, clause) for t, clause in _fired(adapter, profile, voter, society) if t == target]
+    society, position = adapter.society_values(profile), adapter.targets.index(target)
+    fired = [(j, clause) for j, clause in _fired(adapter, profile, voter, society) if j == position]
     if not fired:
         return None
     responses = None if rule.responses is None else next(iter(rule.responses([(profile, voter)])))
@@ -766,9 +759,10 @@ def reverify_witness(
 ) -> bool:
     """Replay a witness from scratch and confirm values and inequality pattern."""
     adapter = _Targets(rule, witness.profile.space, eps)
-    truthful = adapter.society_values(witness.profile)[witness.target]
+    position = adapter.targets.index(witness.target)
+    truthful = adapter.society_values(witness.profile)[position]
     substituted = witness.profile.substitute_ballot(witness.voter, witness.dishonest_ballot, eps)
-    dishonest = adapter.society_values(substituted)[witness.target]
+    dishonest = adapter.society_values(substituted)[position]
     if abs(truthful - witness.truthful_value) > 1e-6 or abs(dishonest - witness.dishonest_value) > 1e-6:
         return False
     return not witness.clause.holds(truthful, eps) and witness.clause.holds(dishonest, eps)
@@ -782,18 +776,18 @@ def check_qic(
     seed: int,
     eps: float = DEFAULT_EPS,
 ) -> AxiomReport:
-    """Hunt for strategic-manipulation witnesses over sampled profiles."""
+    """Hunt for strategic-manipulation witnesses over sampled profiles.
+
+    The hunt stops at its first witness, and ``trials_run`` counts the draws
+    up to the witness's, or every trial when there is none.
+    """
     draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
     witnesses: list[dict] = []
-    trials_run = 0
-    for _, scans in _hunt([rule], draws, family, eps):
-        trials_run += 1
-        for _, (found,) in scans:
-            if found is not None:
-                witnesses.append(found.to_jsonable())
-                break
-        if witnesses:
+    trials_run = trials
+    for trial, _, _, (found,) in _hunt([rule], draws, family, eps):
+        if found is not None:
+            trials_run, witnesses = trial, [found.to_jsonable()]
             break
     details = {"trials_run": trials_run, **_searched(rule, family)}
     return AxiomReport("qic", rule.name, trials, seed, started, witnesses, details)
@@ -811,30 +805,28 @@ def check_dictatorship(
 
     A voter survives a variant only if no sampled profile broke the
     corresponding equivalence on any target, in either direction: ordered
-    pairs for a welfare rule, winner subspaces for a choice rule. Every
-    draw must have the first draw's voters: a draw of another electorate
-    is refused before any of its voters is read. The scan stops once every
-    voter is eliminated, often within a few draws, so its batches start at
-    one draw and double (``_batches``): it scores at most 2t - 1 draws to
-    read t.
+    pairs for a welfare rule, winner subspaces for a choice rule. The
+    electorate is read from the first scored draw, and every later draw
+    must have its voters: a draw of another electorate is refused before
+    any of its voters is read. The scan stops once every voter is
+    eliminated, often within a few draws, so its batches start at one draw
+    and double (``_batches``): it scores at most 2t - 1 draws to read t.
     """
     adapter = _Targets(rule, space, eps)
     draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
-    first = next(draws)
-    n_voters = first.n_voters
     counterexamples: dict[tuple[int, str], dict] = {}
     trials_run = 0
-    for profile, society in _societies(adapter, chain([first], draws), 1):
+    for profile, society in _societies(adapter, draws, 1):
         trials_run += 1
-        if profile.n_voters != n_voters:
+        if trials_run == 1:
+            n_voters = profile.n_voters
+        elif profile.n_voters != n_voters:
             raise InvalidArgument(f"a profile of {profile.n_voters} voters is not of the first draw's {n_voters}")
         for voter in range(1, n_voters + 1):
             if all((voter, variant) in counterexamples for variant, _ in _VARIANTS):
                 continue
-            ballot_values = adapter.voter_values(profile, voter)
-            for target in adapter.targets:
-                tv, sv = ballot_values[target], society[target]
+            for target, tv, sv in zip(adapter.targets, adapter.voter_values(profile, voter), society):
                 for variant, kind in _VARIANTS:
                     voter_holds, society_holds = kind.holds(tv, eps), kind.holds(sv, eps)
                     if voter_holds == society_holds or (voter, variant) in counterexamples:
@@ -887,7 +879,7 @@ def check_onto(
         for first in table.winner_rows[:, 0].tolist()
     ]
     for a, profile, society in zip(alternatives.names, profiles, adapter.society_batch(profiles)):
-        value = society[a]
+        value = society[alternatives.index(a)]
         if PreferenceKind.STRONG_POSITIVE.holds(value, eps):
             reached += 1
         else:
@@ -919,9 +911,7 @@ def check_unanimity(
     details = {variant: {"instances": 0, "violations": 0} for variant, _ in _VARIANTS}
     for profile, society in _societies(adapter, draws):
         marginals = [adapter.voter_values(profile, v) for v in range(1, profile.n_voters + 1)]
-        for target in adapter.targets:
-            values = [marginal[target] for marginal in marginals]
-            society_value = society[target]
+        for target, society_value, *values in zip(adapter.targets, society, *marginals):
             for variant, kind in _VARIANTS:
                 if not all(kind.holds(v, eps) for v in values):
                     continue
@@ -959,14 +949,15 @@ def check_iia(
     for batch in _batches(draws):
         societies = adapter.society_batch([profile for draw in batch for profile in draw[:2]])
         for profile, twin, pair in batch:
+            j = adapter.targets.index(pair)
             for voter in range(1, profile.n_voters + 1):
-                mine, theirs = (adapter.voter_values(p, voter)[pair] for p in (profile, twin))
+                mine, theirs = (adapter.voter_values(p, voter)[j] for p in (profile, twin))
                 if abs(mine - theirs) > eps:
                     raise InvalidArgument(
                         f"paired sampler broke its contract: voter {voter} disagrees on "
                         f"{pair} ({mine} vs {theirs})"
                     )
-            value, twin_value = next(societies)[pair], next(societies)[pair]
+            value, twin_value = next(societies)[j], next(societies)[j]
             for variant, kind in _VARIANTS:
                 status, twin_status = kind.holds(value, eps), kind.holds(twin_value, eps)
                 if status or twin_status:
@@ -1008,19 +999,18 @@ def check_composition_preservation(
     violations: list[dict] = []
     welfare_hits = 0
     choice_hits = 0
-    for profile, scans in _hunt([rule, composed], draws, family, eps):
-        for voter, (w_witness, c_witness) in scans:
-            welfare_hits += w_witness is not None
-            choice_hits += c_witness is not None
-            if w_witness is None and c_witness is not None:
-                violations.append(
-                    {
-                        "kind": "composition-violation",
-                        "voter": voter,
-                        "choice_witness": c_witness.to_jsonable(),
-                        "profile": serde.serialize_profile(profile, _RECORD_EPS),
-                    }
-                )
+    for _, profile, voter, (w_witness, c_witness) in _hunt([rule, composed], draws, family, eps):
+        welfare_hits += w_witness is not None
+        choice_hits += c_witness is not None
+        if w_witness is None and c_witness is not None:
+            violations.append(
+                {
+                    "kind": "composition-violation",
+                    "voter": voter,
+                    "choice_witness": c_witness.to_jsonable(),
+                    "profile": serde.serialize_profile(profile, _RECORD_EPS),
+                }
+            )
     details = {"welfare_witnesses": welfare_hits, "choice_witnesses": choice_hits, **_searched(rule, family)}
     return AxiomReport("composition-preservation", composed.name, trials, seed, started, violations, details)
 

@@ -207,9 +207,10 @@ class TestFiredClauses:
                 for society, clauses in zip((0.5, 0.0), want):
                     # A choice rule's strong-negative clause is not hunted.
                     clauses = [c for c in clauses if adapter.kind == "welfare" or c is not sn]
-                    got = axioms._fired(adapter, profile, 1, dict.fromkeys(adapter.targets, society))
-                    got = [(t, c) for t, c in got if t == target]
-                    assert got == [(target, c) for c in clauses], (adapter.kind, value, society)
+                    got = axioms._fired(adapter, profile, 1, [society] * len(adapter.targets))
+                    position = adapter.targets.index(target)
+                    got = [(j, c) for j, c in got if j == position]
+                    assert got == [(position, c) for c in clauses], (adapter.kind, value, society)
 
 
 class TestWelfareWitnessSearch:
@@ -1328,7 +1329,7 @@ class TestBatchedSearch:
         monkeypatch.setattr(ProfileState, "substitute_ballot", counted_substitute)
         monkeypatch.setattr(choice, "natural_extension", counted_extension)
         # Voter 1 is certain that a wins and society is not: the clause fires.
-        assert society["a"] < 1.0 - 1e-9
+        assert society[adapter.targets.index("a")] < 1.0 - 1e-9
         assert search_voter(adapter, profile, 1, FAMILY, society) is None
         # A product profile folds the other voters' factors, and a correlated
         # one its joint terms without the voter's column: neither substitutes.

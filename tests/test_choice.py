@@ -96,7 +96,7 @@ class TestNaturalExtension:
             result = natural_extension(DensityOperator(space, weights), DEFAULT_EPS)
             for a, name in enumerate(space.alternatives.names):
                 assert result[name] == weights[np.flatnonzero(orders[:, 0] == a)].sum()
-            assert adapter.values(weights) == result.as_dict()
+            assert dict(zip(adapter.targets, adapter.values(weights))) == result.as_dict()
 
     def test_support_iff_topped_ranking_supported(self, alts3, space3):
         state = mixed_state(

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -1085,13 +1086,18 @@ def test_every_public_name_is_its_module_object():
 
 
 def test_two_m6_hunts_stay_under_150_mb():
+    # The probe reads its own high-water mark, VmHWM. Its ru_maxrss would not
+    # do: Linux starts a child's ru_maxrss at its parent's peak, so a pytest
+    # process that once grew past the bound would fail the probe.
     probe = (
-        "import contextlib, io, resource\n"
+        "import contextlib, io\n"
         "from qsc.cli import main\n"
         "argv = ['check', '--axiom', 'qic', '--rule', 'qcv', '--alternatives', '6', '--trials', '10']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(argv + ['--seed', '1']), main(argv + ['--family', 'basis', '--seed', '2'])]\n"
-        "print(*codes, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"  # KiB on Linux
+        "with open('/proc/self/status') as status:\n"
+        "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+        "print(*codes, peak)\n"  # KiB
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(qsc.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
@@ -1102,6 +1108,25 @@ def test_two_m6_hunts_stay_under_150_mb():
     first, second, peak_kib = map(int, done.stdout.split())
     assert (first, second) == (0, 0)
     assert peak_kib < 150 * 1024, f"peak RSS {peak_kib / 1024:.0f} MB"
+
+
+def test_ci_command_line_steps_read_resolve_and_have_an_expected_verdict():
+    # A check exits 1 on a wrong verdict only when EXPECTED_VERDICTS has its
+    # (rule family, axiom), so each single-line `python -m qsc.cli` step of CI
+    # must read, name a rule that resolves at its --alternatives, and have one.
+    workflow = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            ".github", "workflows", "tests.yml")
+    with open(workflow, encoding="utf-8") as handle:
+        steps = [shlex.split(line.partition("python -m qsc.cli ")[2])
+                 for line in handle if line.strip().startswith("run: ") and "python -m qsc.cli " in line]
+    assert len(steps) >= 7, steps  # the workflow has seven
+    for argv in steps:
+        args = cli.read_args(argv)
+        assert args is not None, argv
+        alternatives = cli._default_labels(args.alternatives)
+        cli._rule_and_params(args, alternatives)
+        axiom = args.axiom if argv[0] == "check" else f"{args.suite}-suite"
+        assert (cli._rule_family(args.rule), axiom) in EXPECTED_VERDICTS, argv
 
 
 def refuse_to_build(*args):
