@@ -174,7 +174,8 @@ class _Targets:
     weights of the welfare rule's output, so a choice rule's value on an
     alternative is the natural extension's, at the adapter's eps.
     A rule of any other kind than ``kind``, when given, is refused, and so
-    is an eps outside [MIN_EPS, MAX_EPS].
+    is an eps outside [MIN_EPS, MAX_EPS]. A target is looked up by
+    ``position``, which refuses anything not in ``targets``.
     """
 
     def __init__(self, rule: WelfareRule | ChoiceRule, space: RankingSpace, eps: float, kind: str | None = None):
@@ -204,13 +205,21 @@ class _Targets:
         self.space = space
         self.eps = eps
 
+    def position(self, target: tuple[str, str] | str) -> int:
+        """The position of a target in ``targets``; anything else is refused."""
+        if target not in self.targets:
+            wanted = "an ordered pair of distinct" if self.kind == "welfare" else "one of the"
+            names = ", ".join(self.space.alternatives.names)
+            raise InvalidArgument(f"a {self.kind} rule's target must be {wanted} alternatives {names}, got {target!r}")
+        return self.targets.index(target)
+
     def values(self, weights: np.ndarray) -> list[float]:
         """Each target's value on a state's basis weights, in target order: their sum inside its subspace."""
         return support_probabilities(weights, self._index, self.eps).tolist()
 
     def voter_values(self, profile: ProfileState, voter: int) -> list[float]:
         """A voter's values: those of the basis weights of the voter's marginal ballot."""
-        return self.values(profile.partial_ballot(voter, self.eps).diagonal)
+        return self.values(profile.partial_ballot(voter).diagonal)
 
     def _evaluated(self, profile: ProfileState) -> np.ndarray:
         """The basis weights of the welfare rule's exact output, refused unless a distribution within eps."""
@@ -437,11 +446,7 @@ def default_profile_sampler(space: RankingSpace, n_voters: int) -> ProfileSample
             return ProfileState.product_of([one_ballot(rng, "mixed") for _ in range(n_voters)])
         terms = rng.choice((1, 2, 3))
         picks = rng.sample(range(dim), min(terms, dim))
-        raw = [rng.choice((1, 2, 3)) for _ in picks]
-        total = sum(raw)
-        return ProfileState.correlated_indices(
-            space, [(raw[t] / total, (k,) * n_voters) for t, k in enumerate(picks)]
-        )
+        return ProfileState.correlated_indices(space, [(rng.choice((1, 2, 3)), (k,) * n_voters) for k in picks])
 
     return sample
 
@@ -742,11 +747,8 @@ def manipulation_witness(
     in it, not a proof.
     """
     adapter = _Targets(rule, profile.space, eps)
-    if target not in adapter.targets:
-        wanted = "an ordered pair of distinct" if adapter.kind == "welfare" else "one of the"
-        names = ", ".join(profile.space.alternatives.names)
-        raise InvalidArgument(f"a {adapter.kind} rule's target must be {wanted} alternatives {names}, got {target!r}")
-    society, position = adapter.society_values(profile), adapter.targets.index(target)
+    position = adapter.position(target)
+    society = adapter.society_values(profile)
     fired = [(j, clause) for j, clause in _fired(adapter, profile, voter, society) if j == position]
     if not fired:
         return None
@@ -759,7 +761,7 @@ def reverify_witness(
 ) -> bool:
     """Replay a witness from scratch and confirm values and inequality pattern."""
     adapter = _Targets(rule, witness.profile.space, eps)
-    position = adapter.targets.index(witness.target)
+    position = adapter.position(witness.target)
     truthful = adapter.society_values(witness.profile)[position]
     substituted = witness.profile.substitute_ballot(witness.voter, witness.dishonest_ballot, eps)
     dishonest = adapter.society_values(substituted)[position]
@@ -949,7 +951,7 @@ def check_iia(
     for batch in _batches(draws):
         societies = adapter.society_batch([profile for draw in batch for profile in draw[:2]])
         for profile, twin, pair in batch:
-            j = adapter.targets.index(pair)
+            j = adapter.position(pair)
             for voter in range(1, profile.n_voters + 1):
                 mine, theirs = (adapter.voter_values(p, voter)[j] for p in (profile, twin))
                 if abs(mine - theirs) > eps:

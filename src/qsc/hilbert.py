@@ -346,38 +346,39 @@ class ProfileState:
         return cls(space, factors=ballots)
 
     @classmethod
-    def correlated(
-        cls, space: RankingSpace, terms: Sequence[tuple[float, Sequence[Ranking]]], eps: float = DEFAULT_EPS
-    ) -> "ProfileState":
+    def correlated(cls, space: RankingSpace, terms: Sequence[tuple[float, Sequence[Ranking]]]) -> "ProfileState":
         """Profile from (weight, ranking tuple) terms, stored by basis index."""
-        return cls.correlated_indices(space, [(w, tuple(map(space.basis_index, rs))) for w, rs in terms], eps)
+        return cls.correlated_indices(space, [(w, tuple(map(space.basis_index, rs))) for w, rs in terms])
 
     @classmethod
-    def correlated_indices(
-        cls, space: RankingSpace, terms: Sequence[tuple[float, Sequence[int]]], eps: float = DEFAULT_EPS
-    ) -> "ProfileState":
+    def correlated_indices(cls, space: RankingSpace, terms: Sequence[tuple[float, Sequence[int]]]) -> "ProfileState":
         """Profile from (weight, basis-index tuple) terms.
 
-        The weights must be positive and sum to 1 within eps, and every term
-        must give one basis index in 0..d-1 per voter.
+        The weights must be finite and positive; they are normalized from any
+        scale as a ballot's are (``_scale``, then divided by their ``_total``),
+        and a weight that underflows to 0 there is refused. Every term must
+        give one basis index in 0..d-1 per voter.
         """
         if not terms:
             raise InvalidArgument("correlated profile needs at least one term")
         n = len(terms[0][1])
         if n < 1:
             raise InvalidArgument("correlated profile needs at least one voter")
+        read = [(_as_float(weight), key) for weight, key in terms]
+        for w, _ in read:
+            if not 0.0 < w < math.inf:
+                raise InvalidArgument(f"correlated weights must be {'finite' if w > 0.0 else 'positive'}, got {w}")
+        e = _scale(w for w, _ in read)
+        total = _total(math.ldexp(w, e) for w, _ in read)
         cleaned = []
-        for weight, key in terms:
-            w = _as_float(weight)
+        for weight, key in read:
+            w = math.ldexp(weight, e) / total
             if not w > 0.0:
                 raise InvalidArgument(f"correlated weights must be positive, got {w}")
             if len(key) != n:
                 raise InvalidArgument("all correlated terms must rank the same voters")
             cleaned.append((w, tuple(key)))
         check_basis_indices((key for _, key in cleaned), space.dim)
-        total = _total(w for w, _ in cleaned)
-        if not abs(total - 1.0) <= eps:
-            raise InvalidArgument(f"correlated weights sum to {total}, expected 1")
         return cls(space, joint=tuple(cleaned))
 
     @classmethod
@@ -400,15 +401,15 @@ class ProfileState:
             raise InvalidArgument(f"voter index {voter} out of range 1..{self.n_voters}")
         return voter - 1
 
-    def partial_ballot(self, voter: int, eps: float = DEFAULT_EPS) -> DensityOperator:
-        """Marginal ballot of one voter (1-based index)."""
+    def partial_ballot(self, voter: int) -> DensityOperator:
+        """Marginal ballot of one voter (1-based index); a correlated profile's is its column's weights, normalized."""
         pos = self.voter_position(voter)
         if self.factors is not None:
             return self.factors[pos]
         # The column as integers (a bool key is basis index 0 or 1), its weights added in term order.
         column = np.array([key[pos] for _, key in self.joint], dtype=np.intp)
         diag = np.bincount(column, [w for w, _ in self.joint], self.space.dim)
-        return diagonal_state(self.space, diag / diag.sum(), eps)
+        return DensityOperator(self.space, diag / diag.sum())
 
     def support_tuples(self, eps: float = DEFAULT_EPS) -> list[tuple[float, tuple[int, ...]]]:
         """Diagonal support as (weight, basis-index tuple) terms summing to 1, by ascending tuple.

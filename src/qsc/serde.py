@@ -23,8 +23,6 @@ from .hilbert import (
     ProfileState,
     RankingSpace,
     _as_float,
-    _scale,
-    _total,
     mixed_state,
     pure_state,
 )
@@ -252,12 +250,7 @@ def parse_profile(document: str | dict, eps: float = DEFAULT_EPS) -> ProfileStat
         except (KeyError, TypeError):
             key = tuple(ranking_index(_parse_ranking(alternatives, r, f"{locus}[{k}]")) for k, r in enumerate(strings))
         terms.append((weight, key))
-    # Scaled as the ballot builders scale (``_scale``): exact, and no sum of finite weights overflows.
-    e = _scale(w for w, _ in terms)
-    scaled = [(math.ldexp(w, e), key) for w, key in terms]
-    total = _total(w for w, _ in scaled)
-    normalized = [(w / total, key) for w, key in scaled]
     try:
-        return ProfileState.correlated_indices(space, normalized, eps)
+        return ProfileState.correlated_indices(space, terms)
     except InvalidArgument as exc:
         raise ParseError(str(exc), "correlated") from None

@@ -503,9 +503,9 @@ def veto_rule(pet_ranking: Ranking, eps: float = DEFAULT_EPS) -> WelfareRule:
     def evaluate(profile: ProfileState) -> DensityOperator:
         if profile.n_voters < 2:
             raise InvalidArgument("veto rule needs at least two voters")
-        first = profile.partial_ballot(1, eps)
+        first = profile.partial_ballot(1)
         if float(first.diagonal[pet_index]) >= 1.0 - eps:
             return basis_state(space, pet_ranking)
-        return profile.partial_ballot(2, eps)
+        return profile.partial_ballot(2)
 
     return WelfareRule(f"veto:{pet_ranking.to_string()}", evaluate)

@@ -189,7 +189,7 @@ def encoded_pairs_any(profile: ProfileState, eps: float = DEFAULT_EPS) -> frozen
     space = profile.space
     pairs = set()
     for voter in range(1, profile.n_voters + 1):
-        ballot = profile.partial_ballot(voter, eps)
+        ballot = profile.partial_ballot(voter)
         for x, y in space.alternatives.ordered_pairs():
             if support_probability(ballot, pair_projector(space, x, y), eps) > eps:
                 pairs.add((x, y))
@@ -209,7 +209,7 @@ def encoded_pairs_all(profile: ProfileState, eps: float = DEFAULT_EPS) -> frozen
     for x, y in space.alternatives.ordered_pairs():
         projector = pair_projector(space, x, y)
         if all(
-            support_probability(profile.partial_ballot(v, eps), projector, eps) >= 1.0 - eps
+            support_probability(profile.partial_ballot(v), projector, eps) >= 1.0 - eps
             for v in range(1, profile.n_voters + 1)
         ):
             pairs.add((x, y))

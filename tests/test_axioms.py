@@ -295,6 +295,14 @@ class TestChoiceWitnessSearch:
         assert truthful == pytest.approx(record["truthful_value"], abs=1e-9)
         assert dishonest == pytest.approx(record["dishonest_value"], abs=1e-9)
 
+    def test_welfare_witness_replayed_on_the_composed_rule_is_refused(self, veto_setup):
+        # The witness's target is a pair; the composed rule is scored on alternatives.
+        rule, profile = veto_setup
+        witness = manipulation_witness(rule, profile, 1, ("a", "b"), FAMILY)
+        message = r"^a choice rule's target must be one of the alternatives a, b, c, got \('a', 'b'\)$"
+        with pytest.raises(InvalidArgument, match=message):
+            reverify_witness(compose(rule), witness)
+
     def test_dictator_choice_other_voters_inert(self, alts3, veto_setup):
         _, profile = veto_setup
         choice = compose(dictator_rule(1))
@@ -899,6 +907,13 @@ class TestPairedSampler:
         bad = lambda rng: (profile, twin, ("a", "b"))
         with pytest.raises(InvalidArgument):
             check_iia(qcv_rule(PARAMS), space3, bad, 1, seed=0)
+
+    def test_iia_refuses_a_pair_that_is_not_a_target(self, space3):
+        sampler = default_paired_sampler(space3, 2)
+        same = lambda rng: (*sampler(rng)[:2], ("a", "a"))
+        message = r"^a welfare rule's target must be an ordered pair of distinct alternatives a, b, c, got \('a', 'a'\)$"
+        with pytest.raises(InvalidArgument, match=message):
+            check_iia(qcv_rule(PARAMS), space3, same, 1, seed=0)
 
     def test_iia_guard_tolerance_is_eps(self, alts3, space3):
         def ballot(w):

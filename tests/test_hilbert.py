@@ -28,7 +28,7 @@ from qsc import (
     winner_projector,
 )
 from qsc import hilbert
-from qsc.serde import parse_density, serialize_density
+from qsc.serde import parse_density, parse_profile, serialize_density
 
 from oracles import lehmer_index, ranks_above
 from stepwise import project_and_renormalize, uniform_subspace_state
@@ -525,11 +525,12 @@ class TestProfileState:
             heavy = [w * (1.0 - sum(light)) / sum(raw) for w in raw]
             terms = [(float(w), rng.choice(pool)) for w in heavy + light]
             rng.shuffle(terms)
-            got = ProfileState.correlated(space, terms).support_tuples()
+            profile = ProfileState.correlated(space, terms)
+            got = profile.support_tuples()
             combos = {}
-            for weight, key in terms:
+            for (weight, _), (_, rankings) in zip(profile.joint, terms):
                 if weight > 1e-9:
-                    key = lehmer_key(key)
+                    key = lehmer_key(rankings)
                     combos[key] = combos.get(key, 0.0) + weight
             total = sum(combos.values())
             want = [(w / total, key) for key, w in sorted(combos.items())]
@@ -594,8 +595,10 @@ class TestProfileState:
         for weight in (0.0, -0.5):
             with pytest.raises(InvalidArgument, match="correlated weights must be positive"):
                 ProfileState.correlated(space3, [(1.0 - weight, (abc,)), (weight, (bac,))])
-        with pytest.raises(InvalidArgument, match="correlated weights sum to 0.9"):
-            ProfileState.correlated(space3, [(0.5, (abc,)), (0.4, (bac,))])
+        # Weights that do not sum to 1 normalize, to the document route's bits.
+        document = {"alternatives": ["a", "b", "c"], "correlated": [[0.5, ["a>b>c"]], [0.4, ["b>a>c"]]]}
+        joint = ProfileState.correlated(space3, [(0.5, (abc,)), (0.4, (bac,))]).joint
+        assert [(w.hex(), key) for w, key in joint] == [(w.hex(), key) for w, key in parse_profile(document).joint]
 
     def test_forms_are_exclusive(self, space3, alts3):
         with pytest.raises(InvalidArgument):
@@ -660,7 +663,7 @@ class TestBasisIndices:
             qcv_basis(alts3, [10**5000, 0], QcvParams.for_alternatives(3))
 
     def test_a_weight_past_the_float_range_is_refused(self, space3):
-        with pytest.raises(InvalidArgument, match="^correlated weights sum to inf, expected 1$"):
+        with pytest.raises(InvalidArgument, match="^correlated weights must be finite, got inf$"):
             ProfileState.correlated_indices(space3, [(10**400, (0,))])
         with pytest.raises(InvalidArgument, match="^correlated weights must be positive, got -inf$"):
             ProfileState.correlated_indices(space3, [(-(10**400), (0,))])

@@ -157,6 +157,34 @@ class TestParseProfile:
         for scale in (2.0**-600, 2.0**-40, 2.0**1022):
             assert serialize_profile(parse_profile(scaled(scale))) == unit
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[2.0**-600, 3 * 2.0**-600], [1.0, 3.0], [2.0**600, 3 * 2.0**600], [2.0**1022, 3 * 2.0**1022],
+         [0.1] * 10, [0.5, 0.5 - 1e-9 - 2.0**-53, 1e-9]],
+        ids=["tiny", "unit", "huge", "top", "tenths", "near-eps"],
+    )
+    def test_python_terms_normalize_as_their_document_does(self, weights):
+        # One normalization serves both routes: the same weight bits and support.
+        space = RankingSpace(AlternativeSet(("a", "b", "c")))
+        strings = [r.to_string() for r in space.rankings()]
+        terms = [(w, (t % 6, (t + 1) % 6)) for t, w in enumerate(weights)]
+        document = {"alternatives": ["a", "b", "c"], "correlated": [[w, [strings[k] for k in key]] for w, key in terms]}
+        python, parsed = ProfileState.correlated_indices(space, terms), parse_profile(document)
+        assert [(w.hex(), key) for w, key in python.joint] == [(w.hex(), key) for w, key in parsed.joint]
+        assert [(w.hex(), key) for w, key in python.support_tuples()] == [
+            (w.hex(), key) for w, key in parsed.support_tuples()
+        ]
+
+    def test_a_weight_that_underflows_once_normalized_is_refused_on_both_routes(self):
+        space = RankingSpace(AlternativeSet(("a", "b", "c")))
+        message = "^correlated weights must be positive, got 0.0$"
+        with pytest.raises(InvalidArgument, match=message):
+            ProfileState.correlated_indices(space, [(2.0**900, (0,)), (2.0**-900, (1,))])
+        document = {"alternatives": ["a", "b", "c"], "correlated": [[2.0**900, ["a>b>c"]], [2.0**-900, ["a>c>b"]]]}
+        with pytest.raises(ParseError, match=message) as err:
+            parse_profile(document)
+        assert err.value.locus == "correlated"
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_roundtrip_preserves_evaluations(self, space3, seed):
         sampler = default_profile_sampler(space3, 3)
@@ -295,10 +323,9 @@ class TestRankingStrings:
 
 def correlated_through_rankings(alternatives, entries):
     """A valid-weight correlated block read ranking by ranking: each string through
-    ``Ranking.from_string``, the normalized terms through ``ProfileState.correlated``.
+    ``Ranking.from_string``, the terms as written through ``ProfileState.correlated``.
     Gives the (hex weight, key) terms, or the (message, locus) of the first error."""
     terms = []
-    total = 0.0
     for t, (weight, texts) in enumerate(entries):
         parsed = []
         for k, text in enumerate(texts):
@@ -309,9 +336,8 @@ def correlated_through_rankings(alternatives, entries):
             except InvalidArgument as exc:
                 return (str(exc), f"correlated[{t}][{k}]")
         terms.append((float(weight), tuple(parsed)))
-        total += float(weight)
     try:
-        profile = ProfileState.correlated(RankingSpace(alternatives), [(w / total, rs) for w, rs in terms])
+        profile = ProfileState.correlated(RankingSpace(alternatives), terms)
     except InvalidArgument as exc:
         return (str(exc), "correlated")
     return [(w.hex(), key) for w, key in profile.joint]
@@ -1013,7 +1039,7 @@ def test_command_line_reader(case, capsys, monkeypatch):
     ],
     ids=["ballot0", "ballot1", "ballot2", "ballot3"],
 )
-def test_overflowing_ballot_gives_one_error_line(ballot, refused):
+def test_finite_ballots_normalize_and_an_overflowing_one_gives_one_error_line(ballot, refused):
     # A fresh interpreter, since pytest collects numpy's warnings apart from stderr. A
     # finite ballot is scaled before any square or sum, so it evaluates with an empty
     # stderr; a refused one exits 2 with one JSON line there.
