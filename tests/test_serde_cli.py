@@ -1039,7 +1039,7 @@ def test_command_line_reader(case, capsys, monkeypatch):
     ],
     ids=["ballot0", "ballot1", "ballot2", "ballot3"],
 )
-def test_finite_ballots_normalize_and_an_overflowing_one_gives_one_error_line(ballot, refused):
+def test_overflowing_ballot_gives_one_error_line(ballot, refused):
     # A fresh interpreter, since pytest collects numpy's warnings apart from stderr. A
     # finite ballot is scaled before any square or sum, so it evaluates with an empty
     # stderr; a refused one exits 2 with one JSON line there.
