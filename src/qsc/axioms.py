@@ -13,7 +13,7 @@ import random
 import sys
 import time
 from collections.abc import Sequence
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, combinations, islice, repeat
@@ -498,9 +498,28 @@ def _draws(sampler: Callable[[random.Random], object], trials: int, seed: int) -
     return (sampler(rng) for _ in range(trials))
 
 
+class _Report:
+    """What both report classes share: their JSON is their dataclass fields, with the timing on request.
+
+    ``to_jsonable`` gives every field but ``elapsed_ms``, and adds
+    ``elapsed_ms`` rounded to 3 places only when ``include_elapsed`` is set.
+    """
+
+    def to_jsonable(self, include_elapsed: bool = False) -> dict:
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "elapsed_ms"}
+        if include_elapsed:
+            data["elapsed_ms"] = round(self.elapsed_ms, 3)
+        return data
+
+    def to_json(self, include_elapsed: bool = False) -> str:
+        # Wall-clock timing is kept out of the canonical bytes so equal
+        # seeds and flags give byte-identical reports.
+        return serde.canonical_json(self.to_jsonable(include_elapsed))
+
+
 @dataclass
-class AxiomReport:
-    """Outcome of one axiom check, timed from ``started``; serializes to a canonical JSON report.
+class AxiomReport(_Report):
+    """Outcome of one axiom check, timed from ``started``; serializes to a canonical JSON report of its fields.
 
     Unless the check gives its own verdict, it is falsified exactly when
     there are witnesses.
@@ -521,31 +540,13 @@ class AxiomReport:
         if self.verdict is None:
             self.verdict = VERDICT_FALSIFIED if self.witnesses else VERDICT_HOLDS
 
-    def to_jsonable(self, include_elapsed: bool = False) -> dict:
-        data = {
-            "axiom": self.axiom,
-            "rule": self.rule,
-            "verdict": self.verdict,
-            "trials": self.trials,
-            "seed": self.seed,
-            "witnesses": self.witnesses,
-            "details": self.details,
-        }
-        if include_elapsed:
-            data["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return data
-
-    def to_json(self, include_elapsed: bool = False) -> str:
-        # Wall-clock timing is kept out of the canonical bytes so equal
-        # seeds and flags give byte-identical reports.
-        return serde.canonical_json(self.to_jsonable(include_elapsed))
-
 
 @dataclass
-class SuiteReport:
+class SuiteReport(_Report):
     """Bundle of axiom reports, timed from ``started``, with a single bypass verdict.
 
-    The bypass is demonstrated exactly when every component is ok.
+    The bypass is demonstrated exactly when every component is ok. Its JSON
+    holds each nested report's JSON, timed when the suite's is.
     """
 
     suite: str
@@ -563,21 +564,8 @@ class SuiteReport:
         self.verdict = VERDICT_BYPASS if all(c["ok"] for c in self.components) else VERDICT_NOT_BYPASSED
 
     def to_jsonable(self, include_elapsed: bool = False) -> dict:
-        data = {
-            "suite": self.suite,
-            "rule": self.rule,
-            "verdict": self.verdict,
-            "trials": self.trials,
-            "seed": self.seed,
-            "components": self.components,
-            "reports": [r.to_jsonable(include_elapsed) for r in self.reports],
-        }
-        if include_elapsed:
-            data["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return data
-
-    def to_json(self, include_elapsed: bool = False) -> str:
-        return serde.canonical_json(self.to_jsonable(include_elapsed))
+        nested = [r.to_jsonable(include_elapsed) for r in self.reports]
+        return super().to_jsonable(include_elapsed) | {"reports": nested}
 
 
 def _fired(

@@ -38,6 +38,12 @@ def check_eps(eps: float) -> None:
         raise InvalidArgument(f"eps must lie in [{MIN_EPS}, {MAX_EPS}], got {eps}")
 
 
+def check_voter_index(voter: int) -> None:
+    """Refuse a voter index that is not an integer (has no ``__index__``); an integral float is not one."""
+    if not hasattr(voter, "__index__"):
+        raise InvalidArgument(f"voter index must be an integer, got {voter!r}")
+
+
 def check_basis_indices(keys: Iterable[Sequence[int]], dim: int) -> None:
     """Refuse a key of basis indices unless each index is an integer in 0..dim-1."""
     valid = frozenset(range(dim))
@@ -167,14 +173,19 @@ class DensityOperator:
         return tuple((int(k), float(diag[k])) for k in np.flatnonzero(diag > eps))
 
     def permuted(self, perm: Sequence[int]) -> "DensityOperator":
-        """The state with basis weight (and amplitude) k moved to index perm[k]."""
+        """The state with basis weight (and amplitude) k moved to index perm[k].
+
+        The weights move bit for bit, and a pure state stays pure: its moved
+        amplitudes are only re-phased, so that the first above DEFAULT_EPS
+        is real and positive (``_phase_fixed``).
+        """
+        weights = np.empty_like(self.diagonal)
+        weights[perm] = self.diagonal
         if self.amplitudes is None:
-            moved = np.empty_like(self.diagonal)
-            moved[perm] = self.diagonal
-            return DensityOperator(self.space, moved)
+            return DensityOperator(self.space, weights)
         moved = np.empty_like(self.amplitudes)
         moved[perm] = self.amplitudes
-        return _unit_vector_state(self.space, moved, DEFAULT_EPS)
+        return DensityOperator(self.space, weights, _phase_fixed(moved, np.abs(moved), DEFAULT_EPS))
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:
         """Raise unless the basis weights are a distribution within eps (``diagonal_state``) and a
@@ -213,12 +224,19 @@ def _unit_vector_state(space: RankingSpace, vector: np.ndarray, eps: float) -> D
     first, second = np.sort(magnitudes)[:-3:-1]
     if first * second <= eps:
         return DensityOperator(space, weights)
-    # Fix the global phase so serialization is reproducible.
+    return DensityOperator(space, weights, _phase_fixed(vector, magnitudes, eps))
+
+
+def _phase_fixed(vector: np.ndarray, magnitudes: np.ndarray, eps: float) -> np.ndarray:
+    """The vector under the global phase that makes its first entry of magnitude above eps real and positive.
+
+    A fixed phase makes serialization reproducible.
+    """
     lead = int((magnitudes > eps).argmax())
     amplitudes = vector * (magnitudes[lead] / vector[lead])
     # The product can leave a rounding-level imaginary part on the lead.
     amplitudes[lead] = magnitudes[lead]
-    return DensityOperator(space, weights, amplitudes)
+    return amplitudes
 
 
 def pure_state(
@@ -396,7 +414,12 @@ class ProfileState:
         return len(self.joint[0][1])
 
     def voter_position(self, voter: int) -> int:
-        """The 0-based factor or joint column of a 1-based voter index, which must lie in 1..n."""
+        """The 0-based factor or joint column of a 1-based voter index, which must be an integer in 1..n.
+
+        A value with no ``__index__`` is refused (``check_voter_index``),
+        integral floats such as 2.0 and strings such as "1" included.
+        """
+        check_voter_index(voter)
         if not 1 <= voter <= self.n_voters:
             raise InvalidArgument(f"voter index {voter} out of range 1..{self.n_voters}")
         return voter - 1
@@ -504,7 +527,12 @@ def alternative_state(
     probabilities: Mapping[str, float],
     eps: float = DEFAULT_EPS,
 ) -> AlternativeState:
-    """Validated distribution over alternatives; tiny negatives are clamped."""
+    """Validated distribution over alternatives; tiny negatives are clamped.
+
+    A label outside the alternative set is refused (``AlternativeSet.index``).
+    """
+    for label in probabilities:
+        alternatives.index(label)
     cleaned = {}
     for name in alternatives.names:
         p = float(probabilities.get(name, 0.0))

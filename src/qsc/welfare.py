@@ -26,6 +26,7 @@ from .hilbert import (
     basis_state,
     check_basis_indices,
     check_eps,
+    check_voter_index,
     diagonal_state,
 )
 from .rankings import AlternativeSet, Ranking, basis_table, ranking_index
@@ -473,7 +474,8 @@ def qcv_rule(params: QcvParams) -> WelfareRule:
 
 
 def dictator_rule(voter: int) -> WelfareRule:
-    """Welfare rule that returns one voter's marginal ballot verbatim."""
+    """Welfare rule that returns one voter's marginal ballot verbatim; the voter must be a positive integer."""
+    check_voter_index(voter)
     if voter < 1:
         raise InvalidArgument(f"voter index must be positive, got {voter}")
 

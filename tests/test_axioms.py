@@ -1008,6 +1008,47 @@ class TestDeterminism:
         assert run() == run()
 
 
+AXIOM_REPORT_KEYS = {"axiom", "rule", "verdict", "trials", "seed", "witnesses", "details"}
+SUITE_REPORT_KEYS = {"suite", "rule", "verdict", "trials", "seed", "components", "reports"}
+
+
+class TestReportShapes:
+    """A report's JSON keys, and its timing only on request, on a suite and on each of its reports."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda alts, space: check_qic(qcv_rule(PARAMS), default_profile_sampler(space, 3), FAMILY, 5, 0),
+            lambda alts, space: check_dictatorship(qcv_rule(PARAMS), space, default_profile_sampler(space, 3), 5, 0),
+            lambda alts, space: check_onto(qcvne_rule(PARAMS), alts, 3),
+            lambda alts, space: check_unanimity(qcv_rule(PARAMS), space, default_profile_sampler(space, 3), 5, 0),
+            lambda alts, space: check_iia(qcv_rule(PARAMS), space, default_paired_sampler(space, 3), 5, 0),
+            lambda alts, space: check_composition_preservation(
+                qcv_rule(PARAMS), default_profile_sampler(space, 3), FAMILY, 5, 0
+            ),
+            lambda alts, space: run_gs_suite(qcvne_rule(PARAMS), alts, trials=5, seed=0),
+            lambda alts, space: run_arrow_suite(qcv_rule(PARAMS), alts, trials=5, seed=0),
+        ],
+        ids=["qic", "dictatorship", "onto", "unanimity", "iia", "composition-preservation", "gs-suite", "arrow-suite"],
+    )
+    def test_keys_timing_and_bytes(self, alts3, space3, run):
+        report = run(alts3, space3)
+        nested = getattr(report, "reports", [])
+        keys = SUITE_REPORT_KEYS if hasattr(report, "suite") else AXIOM_REPORT_KEYS
+        data, timed = report.to_jsonable(), report.to_jsonable(include_elapsed=True)
+        assert set(data) == keys
+        assert set(timed) == keys | {"elapsed_ms"}
+        assert timed["elapsed_ms"] == round(report.elapsed_ms, 3)
+        assert [set(part) for part in data.get("reports", [])] == [AXIOM_REPORT_KEYS] * len(nested)
+        assert [part.pop("elapsed_ms") for part in timed.get("reports", [])] == [
+            round(part.elapsed_ms, 3) for part in nested
+        ]
+        assert "elapsed_ms" not in report.to_json()
+        assert report.to_json(include_elapsed=True).count('"elapsed_ms"') == 1 + len(nested)
+        assert json.loads(report.to_json()) == report.to_jsonable()
+        assert json.loads(report.to_json(include_elapsed=True)) == report.to_jsonable(include_elapsed=True)
+
+
 HOOKED_RULES = {
     "qcv": qcv_rule(PARAMS),
     "qcvne": qcvne_rule(PARAMS),

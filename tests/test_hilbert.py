@@ -561,6 +561,29 @@ class TestProfileState:
                 after = twin.partial_ballot(v + 1).diagonal
                 np.testing.assert_allclose(after[perm], before, rtol=0.0, atol=1e-15)
 
+    def test_permuted_pure_ballots_move_their_weights_bit_for_bit(self, space4):
+        rankings = space4.rankings()
+        rng = random.Random(40)
+        for _ in range(200):
+            terms = [(complex(rng.gauss(0, 1), rng.gauss(0, 1)), r) for r in rng.sample(rankings, 3)]
+            ballot = pure_state(space4, terms)
+            perm = rng.sample(range(space4.dim), space4.dim)
+            for twin in (ballot.permuted(perm), ProfileState.product_of([ballot]).permuted([perm]).factors[0]):
+                assert twin.diagonal[perm].tobytes() == ballot.diagonal.tobytes()
+                # The amplitudes move under one global phase, which puts the first above eps on the positive reals.
+                moved, top = twin.amplitudes[perm], int(np.argmax(np.abs(ballot.amplitudes)))
+                np.testing.assert_allclose(moved, ballot.amplitudes * (moved[top] / ballot.amplitudes[top]), atol=1e-15)
+                lead = twin.amplitudes[np.flatnonzero(np.abs(twin.amplitudes) > 1e-9)[0]]
+                assert lead.imag == 0.0 and lead.real > 0.0
+
+    def test_a_permuted_pure_ballot_stays_pure_at_a_small_eps(self, alts3, space3):
+        ballot = pure_state(space3, [(1.0, rk(alts3, "a>b>c")), (1e-10, rk(alts3, "b>a>c"))], eps=1e-12)
+        perm = [5, 4, 3, 2, 1, 0]
+        twins = [ballot.permuted(perm), ProfileState.product_of([ballot]).permuted([perm]).factors[0]]
+        for twin in twins:
+            assert serialize_density(twin, 1e-12) == {"pure": [[1e-10, 0.0, "b>c>a"], [1.0, 0.0, "c>b>a"]]}
+            assert twin.diagonal[perm].tobytes() == ballot.diagonal.tobytes()
+
     def test_support_queries_write_nothing_to_the_states(self, space3):
         ballot = DensityOperator(space3, np.full(6, 1 / 6))
         profile = ProfileState.product_of([ballot, ballot])
@@ -617,6 +640,11 @@ class TestAlternativeState:
             alternative_state(alts3, {"a": 0.9})
         with pytest.raises(InvalidArgument):
             alternative_state(alts3, {"a": 1.5, "b": -0.5})
+
+    @pytest.mark.parametrize("label", ["z", 0, ("a",)])
+    def test_a_label_outside_the_set_is_refused(self, alts3, label):
+        with pytest.raises(InvalidArgument, match=f"^unknown alternative {re.escape(repr(label))}$"):
+            alternative_state(alts3, {"a": 1.0, label: 0.5})
 
 
 class TestNanIsRefused:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -747,6 +748,30 @@ class TestQcvResponses:
             for hook in hooks:
                 with pytest.raises(InvalidArgument, match=f"^voter index {voter} out of range 1..3$"):
                     list(hook([(profile, voter)]))
+
+    @pytest.mark.parametrize("voter", [1.5, 2.0, "1"])
+    @pytest.mark.parametrize("correlated", [False, True], ids=["product", "correlated"])
+    def test_voters_that_are_not_integers_are_refused(self, space3, correlated, voter):
+        cast = space3.rankings()[:3]
+        profile = ProfileState.correlated(space3, [(1.0, cast)]) if correlated else ProfileState.basis(cast)
+        params = QcvParams(0.05)
+        message = f"^voter index must be an integer, got {re.escape(repr(voter))}$"
+        calls = [
+            lambda: qcv_responses(profile, voter, params),
+            lambda: list(qcv_rule(params).responses([(profile, voter)])),
+            lambda: list(dictator_rule(1).responses([(profile, voter)])),
+            lambda: profile.partial_ballot(voter),
+            lambda: profile.substitute_ballot(voter, basis_state(space3, cast[0])),
+            lambda: dictator_rule(voter),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidArgument, match=message):
+                call()
+
+    @pytest.mark.parametrize("voter", [0, -1])
+    def test_a_dictator_below_voter_1_is_refused_when_built(self, voter):
+        with pytest.raises(InvalidArgument, match=f"^voter index must be positive, got {voter}$"):
+            dictator_rule(voter)
 
     @pytest.mark.parametrize("error", [InvalidArgument, ZeroMassProjection])
     def test_kernel_errors_propagate(self, space3, cycle_profile, monkeypatch, error):
