@@ -39,9 +39,18 @@ def check_eps(eps: float) -> None:
 
 
 def check_voter_index(voter: int) -> None:
-    """Refuse a voter index that is not an integer (has no ``__index__``); an integral float is not one."""
-    if not hasattr(voter, "__index__"):
+    """Refuse a voter index that is not an integer, or that no message can print.
+
+    An integer has ``__index__``. A bool has one too, but is refused, as an
+    integral float is. An integer past str()'s digit limit is out of range
+    of every profile, and no message could name it.
+    """
+    if isinstance(voter, bool) or not hasattr(voter, "__index__"):
         raise InvalidArgument(f"voter index must be an integer, got {voter!r}")
+    try:
+        str(voter)
+    except ValueError:  # str() refuses an integer past 4,300 digits
+        raise InvalidArgument("voter index out of range, got an integer too long to print") from None
 
 
 def check_basis_indices(keys: Iterable[Sequence[int]], dim: int) -> None:
@@ -417,7 +426,8 @@ class ProfileState:
         """The 0-based factor or joint column of a 1-based voter index, which must be an integer in 1..n.
 
         A value with no ``__index__`` is refused (``check_voter_index``),
-        integral floats such as 2.0 and strings such as "1" included.
+        integral floats such as 2.0 and strings such as "1" included, and so
+        is a bool.
         """
         check_voter_index(voter)
         if not 1 <= voter <= self.n_voters:

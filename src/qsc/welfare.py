@@ -121,7 +121,8 @@ class _Stages:
     present: np.ndarray  # k x m x m bool: some voter places x above y
     unanimous: np.ndarray  # k x m x m bool: every voter places x above y
     keep: np.ndarray  # k x d bool: the rankings keeping every unanimous pair
-    sigma: np.ndarray  # k x d: sigma2, which ``_qcv_rows`` projects to sigma3 in place
+    sigma: np.ndarray  # k x d: sigma2 on the kept rankings, which ``_projected`` turns to sigma3 in place
+    running: np.ndarray  # C(m,2) + 1: the spread of a ranking covering 0..C(m,2) present pairs
 
 
 def _qcv_stages(alternatives: AlternativeSet, signatures: np.ndarray, params: QcvParams) -> _Stages:
@@ -130,11 +131,16 @@ def _qcv_stages(alternatives: AlternativeSet, signatures: np.ndarray, params: Qc
     A pair's class read the other way round is 4 minus its class. At least
     half the voters place x above y from class 2 on, every voter at class 4,
     and some voter from class 1 on. Every indicator over ordered pairs
-    (x, y) is an m x m mask, and a ranking's agreement with all three masks
-    is one float32 product with the basis table's ``orients`` (three float32
-    per signature-row cell).
+    (x, y) is an m x m mask, and the pairs a ranking breaks in the two order
+    masks are one float32 product with the basis table's ``orients`` (two
+    float32 per signature-row cell).
     Sigma1 is uniform over the extensions; the spread adds delta / (d/2) once
-    per covered pair, so its weights come from a table of running sums.
+    per covered pair, a pair being covered when some voter orients it as the
+    ranking does. A kept ranking breaks no unanimous pair, and every other
+    pair some voter orients each way, so it covers all C(m,2) pairs: its
+    spread is the one constant ``running[C(m,2)]``. The rows carry that
+    constant on every ranking; ``_projected`` zeroes the rankings not kept,
+    and ``qcv_basis`` reads sigma2 on them from ``running``.
     """
     params.check_alternatives(alternatives.m)
     basis = basis_table(alternatives)
@@ -153,19 +159,15 @@ def _qcv_stages(alternatives: AlternativeSet, signatures: np.ndarray, params: Qc
         raise InvalidArgument(
             f"{int(n_any.max())} pairs at delta {params.delta} leave no weight for the base state"
         )
-    # A ranking breaks the order of (x, y) when it places y above x, so the two order masks are read
-    # flipped. Flipping the stack flips them and restores the present pairs, flipped in beforehand.
-    masks = np.concatenate([strict, unanimous, present.transpose(0, 2, 1)]).transpose(0, 2, 1)
-    counts = (masks.reshape(3 * k, m * m).astype(np.float32) @ basis.orients).reshape(3, k, d)
-    extension, keep = counts[:2] == 0.0  # no broken pair
-    # A ranking covers at most m(m-1)/2 <= 15 pairs: a uint8 index holds an eighth of an intp one.
-    covered = counts[2].astype(np.uint8)
-    del counts  # freed before the spread's float64 rows are allocated, so the two never coexist
-    running = np.concatenate(([0.0], np.cumsum(np.full(m * m, params.delta / (d // 2)))))
-    sigma = running[covered]  # the spread
+    # A ranking breaks the order of (x, y) when it places y above x, so the order masks are read flipped.
+    masks = np.concatenate([strict, unanimous]).transpose(0, 2, 1).reshape(2 * k, m * m)
+    extension, keep = (masks.astype(np.float32) @ basis.orients).reshape(2, k, d) == 0.0  # no broken pair
+    # One add of delta / (d/2) per covered pair, in order, as the step-by-step rule adds them.
+    running = np.concatenate(([0.0], np.cumsum(np.full(len(x), params.delta / (d // 2)))))
+    sigma = np.full((k, d), running[len(x)])  # the spread of a kept ranking
     base = (1.0 - n_any * params.delta) * (1.0 / extension.sum(axis=1))
     np.add(sigma, base[:, None], out=sigma, where=extension)
-    return _Stages(wins, extension, present, unanimous, keep, sigma)
+    return _Stages(wins, extension, present, unanimous, keep, sigma, running)
 
 
 def _projected(stages: _Stages, eps: float) -> np.ndarray:
@@ -223,7 +225,10 @@ def qcv_basis(alternatives: AlternativeSet, indices: Sequence[int], params: QcvP
     check_basis_indices([indices], len(table.rankings))
     idx = np.array([indices], dtype=np.intp)
     stages = _qcv_stages(alternatives, _classes(idx.shape[1])[table.pairs[idx].sum(axis=1)], params)
-    sigma2 = stages.sigma[0].copy()
+    # The kernel's row is sigma2 on the kept rankings, which hold every extension; on the others sigma2 is
+    # the spread of the pairs each covers.
+    covered = (table.above & stages.present[0]).sum(axis=(1, 2))
+    sigma2 = np.where(stages.keep[0], stages.sigma[0], stages.running[covered])
     sigma3 = _projected(stages, params.eps)[0]
     names = alternatives.names
     scores = dict(zip(names, stages.wins[0].tolist()))

@@ -857,6 +857,51 @@ class TestEngineEps:
             assert report.verdict == VERDICT_HOLDS
 
 
+class TestEpsWindow:
+    """Where qcv's status claim meets the engine's eps: the window (eps, eps/gamma].
+
+    On one fold term, society's value on a pair is 1 or 0 when the pair or
+    its reverse is unanimous, and otherwise lies in [gamma_3, 1 - gamma_3],
+    gamma_3 = 1/18 (``tests/test_status.py``). So society's value on (a, b)
+    is at least gamma_3, and at most 1, times the mass of the terms on which
+    some voter places a above b. A clause reads the voter's value and
+    society's against one eps. A voter whose value lies in (eps,
+    eps/gamma_3] = (1e-9, 1.8e-8] can then back (a, b) while society's value
+    is eps or less, and the engine prints ``falsified``, as its definitions
+    say. Above the window both read as support. Voter 1 below puts w on
+    each of a>b>c, a>c>b and c>a>b, so 3w on (a, b), and 1 - 3w on b>a>c;
+    voters 2 and 3 cast b>a>c. At w = 6e-10 qcv's filter drops voter 1's
+    three light weights, so society's value is 0. The default sampler draws
+    no such ballot, so no golden shows the window.
+    """
+
+    @staticmethod
+    def voter_1(space, w):
+        weights = np.zeros(space.dim)
+        weights[[0, 1, 4]] = w  # a>b>c, a>c>b, c>a>b
+        weights[2] = 1.0 - 3 * w  # b>a>c
+        return diagonal_state(space, weights)
+
+    @pytest.mark.parametrize("w, verdict", [(6e-10, VERDICT_FALSIFIED), (6e-8, VERDICT_HOLDS)])
+    @pytest.mark.parametrize("rule", [qcv_rule(PARAMS), qcvne_rule(PARAMS)], ids=["qcv", "qcvne"])
+    def test_qic(self, alts3, space3, rule, w, verdict):
+        bac = basis_state(space3, rk(alts3, "b>a>c"))
+        profile = ProfileState.product_of([self.voter_1(space3, w), bac, bac])
+        report = check_qic(rule, lambda rng: profile, FAMILY, trials=1, seed=0)
+        assert report.verdict == verdict
+        if verdict == VERDICT_FALSIFIED:
+            (witness,) = report.witnesses
+            assert (witness["voter"], witness["clause"], witness["truthful_value"]) == (1, "weak", 0.0)
+
+    @pytest.mark.parametrize("w, verdict, violations", [(6e-10, VERDICT_FALSIFIED, 2), (6e-8, VERDICT_HOLDS, 0)])
+    def test_unanimity(self, space3, w, verdict, violations):
+        profile = ProfileState.product_of([self.voter_1(space3, w)] * 2)
+        report = check_unanimity(qcv_rule(PARAMS), space3, lambda rng: profile, 1, seed=0)
+        assert report.verdict == verdict
+        assert report.details["unsharp"]["violations"] == violations
+        assert report.details["sharp"]["violations"] == 0
+
+
 def per_index_bijection(space, pair, rng):
     """The IIA sampler's bijection as first written: the inside set is rebuilt per index."""
     inside = pair_projector(space, *pair).indices.tolist()

@@ -62,6 +62,9 @@ def test_support_statements_on_every_basis_profile(alts3, space3):
             value = support_probability(society, pair_projector(space3, *pair))
             if pair in all_pairs:
                 assert value == pytest.approx(1.0, abs=1e-12)
+            else:
+                # Only a unanimous pair is certain: any other keeps gamma_3 = 1/18 off 1 (tests/test_status.py).
+                assert value <= 1.0 - 1 / 18 + 1e-12
             if pair in any_pairs:
                 assert value > 1e-9
             if pair not in any_pairs:

@@ -749,24 +749,18 @@ class TestQcvResponses:
                 with pytest.raises(InvalidArgument, match=f"^voter index {voter} out of range 1..3$"):
                     list(hook([(profile, voter)]))
 
-    @pytest.mark.parametrize("voter", [1.5, 2.0, "1"])
+    # A bool has __index__, but True is not voter 1, and dictator:True names no voter.
+    @pytest.mark.parametrize("voter", [1.5, 2.0, "1", True, False])
     @pytest.mark.parametrize("correlated", [False, True], ids=["product", "correlated"])
     def test_voters_that_are_not_integers_are_refused(self, space3, correlated, voter):
-        cast = space3.rankings()[:3]
-        profile = ProfileState.correlated(space3, [(1.0, cast)]) if correlated else ProfileState.basis(cast)
-        params = QcvParams(0.05)
-        message = f"^voter index must be an integer, got {re.escape(repr(voter))}$"
-        calls = [
-            lambda: qcv_responses(profile, voter, params),
-            lambda: list(qcv_rule(params).responses([(profile, voter)])),
-            lambda: list(dictator_rule(1).responses([(profile, voter)])),
-            lambda: profile.partial_ballot(voter),
-            lambda: profile.substitute_ballot(voter, basis_state(space3, cast[0])),
-            lambda: dictator_rule(voter),
-        ]
-        for call in calls:
-            with pytest.raises(InvalidArgument, match=message):
-                call()
+        assert_every_voter_call_refuses(space3, correlated, voter, f"voter index must be an integer, got {voter!r}")
+
+    @pytest.mark.parametrize("correlated", [False, True], ids=["product", "correlated"])
+    def test_a_voter_past_the_digit_limit_is_refused(self, space3, correlated):
+        # str() of an integer past 4,300 digits raises, so the message does not show it.
+        message = "voter index out of range, got an integer too long to print"
+        for voter in (10**5000, -(10**5000)):
+            assert_every_voter_call_refuses(space3, correlated, voter, message)
 
     @pytest.mark.parametrize("voter", [0, -1])
     def test_a_dictator_below_voter_1_is_refused_when_built(self, voter):
@@ -848,6 +842,25 @@ class TestEpsFilter:
         for voter in range(1, 5):
             with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
                 qcv_responses(profile, voter, params)
+
+
+def assert_every_voter_call_refuses(space, correlated, voter, message):
+    """Every call that takes a voter index refuses ``voter`` with exactly ``message``."""
+    cast = space.rankings()[:3]
+    profile = ProfileState.correlated(space, [(1.0, cast)]) if correlated else ProfileState.basis(cast)
+    params = QcvParams(0.05)
+    calls = [
+        lambda: qcv_responses(profile, voter, params),
+        lambda: list(qcv_rule(params).responses([(profile, voter)])),
+        lambda: list(dictator_rule(1).responses([(profile, voter)])),
+        lambda: profile.voter_position(voter),
+        lambda: profile.partial_ballot(voter),
+        lambda: profile.substitute_ballot(voter, basis_state(space, cast[0])),
+        lambda: dictator_rule(voter),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def mixed_batch(space, n, rng, correlated, profiles=3):
