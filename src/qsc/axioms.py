@@ -86,6 +86,16 @@ _BATCH_DRAWS = 64
 _RECORD_EPS = 0.0
 
 
+def _record(kind: str, profile: ProfileState, **fields) -> dict:
+    """One record of a report's witnesses: its kind, its fields, and its profile with every nonzero weight.
+
+    A pair ``target`` is written as a list.
+    """
+    if isinstance(fields.get("target"), tuple):
+        fields["target"] = list(fields["target"])
+    return {"kind": kind, **fields, "profile": serde.serialize_profile(profile, _RECORD_EPS)}
+
+
 class PreferenceKind(Enum):
     """How a value on a target reads: certain, excluded or supported.
 
@@ -114,6 +124,12 @@ class PreferenceKind(Enum):
 
 # The sharp variant of an Arrow axiom reads certainty, the unsharp one support.
 _VARIANTS = (("sharp", PreferenceKind.STRONG_POSITIVE), ("unsharp", PreferenceKind.WEAK))
+# How a dictatorship counterexample breaks its variant, by whether the voter's value holds
+# the variant (True) or society's does (False).
+_DIRECTIONS = {
+    "sharp": {True: "voter-certain-society-not", False: "society-holds-voter-not"},
+    "unsharp": {True: "voter-supports-society-not", False: "society-supports-voter-not"},
+}
 
 
 def classify_value(value: float, eps: float = DEFAULT_EPS) -> PreferenceKind:
@@ -140,18 +156,18 @@ class ManipulationWitness:
     profile: ProfileState
 
     def to_jsonable(self) -> dict:
-        return {
-            "kind": "manipulation",
-            "rule": self.rule_name,
-            "rule_kind": self.rule_kind,
-            "voter": self.voter,
-            "clause": self.clause.value,
-            "target": list(self.target) if isinstance(self.target, tuple) else self.target,
-            "truthful_value": self.truthful_value,
-            "dishonest_value": self.dishonest_value,
-            "dishonest_ballot": serde.serialize_density(self.dishonest_ballot, _RECORD_EPS),
-            "profile": serde.serialize_profile(self.profile, _RECORD_EPS),
-        }
+        return _record(
+            "manipulation",
+            self.profile,
+            rule=self.rule_name,
+            rule_kind=self.rule_kind,
+            voter=self.voter,
+            clause=self.clause.value,
+            target=self.target,
+            truthful_value=self.truthful_value,
+            dishonest_value=self.dishonest_value,
+            dishonest_ballot=serde.serialize_density(self.dishonest_ballot, _RECORD_EPS),
+        )
 
 
 def _rule_kind(rule: WelfareRule | ChoiceRule, expected: str | None = None) -> str:
@@ -821,20 +837,16 @@ def check_dictatorship(
                     voter_holds, society_holds = kind.holds(tv, eps), kind.holds(sv, eps)
                     if voter_holds == society_holds or (voter, variant) in counterexamples:
                         continue
-                    counterexamples[(voter, variant)] = {
-                        "kind": "dictatorship-counterexample",
-                        "variant": variant,
-                        "voter": voter,
-                        "target": list(target) if isinstance(target, tuple) else target,
-                        "direction": (
-                            "voter-certain-society-not" if voter_holds else "society-holds-voter-not"
-                        ) if variant == "sharp" else (
-                            "voter-supports-society-not" if voter_holds else "society-supports-voter-not"
-                        ),
-                        "voter_value": tv,
-                        "society_value": sv,
-                        "profile": serde.serialize_profile(profile, _RECORD_EPS),
-                    }
+                    counterexamples[(voter, variant)] = _record(
+                        "dictatorship-counterexample",
+                        profile,
+                        variant=variant,
+                        voter=voter,
+                        target=target,
+                        direction=_DIRECTIONS[variant][voter_holds],
+                        voter_value=tv,
+                        society_value=sv,
+                    )
         if len(counterexamples) == len(_VARIANTS) * n_voters:
             break
     survivors = [
@@ -873,14 +885,7 @@ def check_onto(
         if PreferenceKind.STRONG_POSITIVE.holds(value, eps):
             reached += 1
         else:
-            failures.append(
-                {
-                    "kind": "onto-failure",
-                    "alternative": a,
-                    "achieved": value,
-                    "profile": serde.serialize_profile(profile, _RECORD_EPS),
-                }
-            )
+            failures.append(_record("onto-failure", profile, alternative=a, achieved=value))
     details = {"reached": reached, "alternatives": alternatives.m, "voters": n_voters}
     return AxiomReport("onto", rule.name, alternatives.m, None, started, failures, details)
 
@@ -908,16 +913,14 @@ def check_unanimity(
                 details[variant]["instances"] += 1
                 if not kind.holds(society_value, eps):
                     details[variant]["violations"] += 1
-                    violations.append(
-                        {
-                            "kind": "unanimity-violation",
-                            "variant": variant,
-                            "target": list(target),
-                            "ballot_values": values,
-                            "society_value": society_value,
-                            "profile": serde.serialize_profile(profile, _RECORD_EPS),
-                        }
-                    )
+                    violations.append(_record(
+                        "unanimity-violation",
+                        profile,
+                        variant=variant,
+                        target=target,
+                        ballot_values=values,
+                        society_value=society_value,
+                    ))
     return AxiomReport("unanimity", rule.name, trials, seed, started, violations, details)
 
 
@@ -953,17 +956,15 @@ def check_iia(
                 if status or twin_status:
                     details[variant]["instances"] += 1
                 if status != twin_status:
-                    violations.append(
-                        {
-                            "kind": "iia-violation",
-                            "variant": variant,
-                            "target": list(pair),
-                            "society_value": value,
-                            "twin_society_value": twin_value,
-                            "profile": serde.serialize_profile(profile, _RECORD_EPS),
-                            "twin_profile": serde.serialize_profile(twin, _RECORD_EPS),
-                        }
-                    )
+                    violations.append(_record(
+                        "iia-violation",
+                        profile,
+                        variant=variant,
+                        target=pair,
+                        society_value=value,
+                        twin_society_value=twin_value,
+                        twin_profile=serde.serialize_profile(twin, _RECORD_EPS),
+                    ))
     details["violations"] = len(violations)
     return AxiomReport("iia", rule.name, trials, seed, started, violations, details)
 
@@ -994,12 +995,7 @@ def check_composition_preservation(
         choice_hits += c_witness is not None
         if w_witness is None and c_witness is not None:
             violations.append(
-                {
-                    "kind": "composition-violation",
-                    "voter": voter,
-                    "choice_witness": c_witness.to_jsonable(),
-                    "profile": serde.serialize_profile(profile, _RECORD_EPS),
-                }
+                _record("composition-violation", profile, voter=voter, choice_witness=c_witness.to_jsonable())
             )
     details = {"welfare_witnesses": welfare_hits, "choice_witnesses": choice_hits, **_searched(rule, family)}
     return AxiomReport("composition-preservation", composed.name, trials, seed, started, violations, details)

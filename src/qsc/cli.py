@@ -92,8 +92,10 @@ def resolve_rule(
         return qcvne_rule(params)
     base, _, arg = name.partition(":")
     if base == "dictator":
+        # An optional "-" and ASCII digits only: int() alone also reads spaces, "+", "_" and
+        # other scripts' digits, so anything else reaches it as "" and is refused.
         try:
-            voter = int(arg)
+            voter = int(arg if arg.isascii() and arg.removeprefix("-").isdigit() else "")
         except ValueError:
             raise ParseError(f"dictator rule needs a voter index, got {name!r}", "rule") from None
         return dictator_rule(voter)

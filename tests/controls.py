@@ -100,3 +100,26 @@ def constant_choice_rule(alternatives: AlternativeSet, winner: str) -> ChoiceRul
     rest = [name for name in alternatives.names if name != winner]
     society = basis_state(space, Ranking.from_labels(alternatives, [winner, *rest]))
     return ChoiceRule(f"constant:{winner}", WelfareRule(f"constant:{winner}", lambda profile: society))
+
+
+def split_top_rule() -> WelfareRule:
+    """Every pair at 1/2, but which alternative wins turns on voter 1's a-topped weight.
+
+    Society is 1/2 b>a>c + 1/2 c>a>b when voter 1 puts at least 1/2 on the
+    rankings a tops, and 1/2 a>b>c + 1/2 c>b>a otherwise. Both outputs give
+    every ordered pair 1/2, so no welfare witness exists; the winners move
+    with voter 1's ballot, so the natural extension is manipulable.
+    Three alternatives only.
+    """
+
+    def evaluate(profile):
+        space = profile.space
+        ballot = profile.partial_ballot(1).diagonal
+        a_topped = sum(ballot[space.basis_index(r)] for r in space.rankings() if r.labels[0] == "a")
+        texts = ("b>a>c", "c>a>b") if a_topped >= 0.5 else ("a>b>c", "c>b>a")
+        weights = np.zeros(space.dim)
+        for text in texts:
+            weights[space.basis_index(Ranking.from_string(space.alternatives, text))] = 0.5
+        return diagonal_state(space, weights)
+
+    return WelfareRule("split-top", evaluate)

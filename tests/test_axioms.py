@@ -57,7 +57,7 @@ from qsc.axioms import (
 )
 from qsc import axioms, choice, hilbert, welfare
 from qsc.hilbert import diagonal_state
-from qsc.serde import parse_density, parse_profile
+from qsc.serde import canonical_json, parse_density, parse_profile
 
 from controls import (
     batch_hook,
@@ -65,6 +65,7 @@ from controls import (
     constant_choice_rule,
     reverse_mix_rule,
     reverse_rule,
+    split_top_rule,
 )
 
 ROOT2 = 2 ** -0.5
@@ -222,6 +223,14 @@ class TestWelfareWitnessSearch:
         assert witness.truthful_value < 1 - 1e-9
         assert witness.dishonest_value >= 1 - 1e-9
         assert reverify_witness(rule, witness)
+
+    @pytest.mark.parametrize("field", ["truthful_value", "dishonest_value"])
+    @pytest.mark.parametrize("offset, replays", [(5e-7, True), (2e-6, False)])
+    def test_a_recorded_value_off_by_more_than_1e_6_does_not_replay(self, veto_setup, field, offset, replays):
+        rule, profile = veto_setup
+        witness = manipulation_witness(rule, profile, 1, ("a", "b"), FAMILY)
+        moved = dataclasses.replace(witness, **{field: getattr(witness, field) - offset})
+        assert reverify_witness(rule, moved) is replays
 
     def test_witness_replays_from_json_record(self, alts3, space3, veto_setup):
         rule, profile = veto_setup
@@ -668,6 +677,10 @@ class TestSuites:
                 with pytest.raises(InvalidArgument, match="^need at least one voter and one trial$"):
                     suite(wrong_kind, alts3, **size)
 
+    def test_a_sampler_needs_a_voter(self, space3):
+        with pytest.raises(InvalidArgument, match="^need at least one voter$"):
+            default_profile_sampler(space3, 0)
+
 
 def refuse_to_hunt(*args):
     raise AssertionError("the hunt ran")
@@ -1092,6 +1105,40 @@ class TestReportShapes:
         assert report.to_json(include_elapsed=True).count('"elapsed_ms"') == 1 + len(nested)
         assert json.loads(report.to_json()) == report.to_jsonable()
         assert json.loads(report.to_json(include_elapsed=True)) == report.to_jsonable(include_elapsed=True)
+
+
+# Each record kind's control, run at m=3 with two voters (20 trials, seed 0
+# where sampled), and the sha256 of the canonical JSON of its first record.
+RECORD_CONTROLS = {
+    "manipulation": lambda alts, space, sampler: check_qic(reverse_mix_rule(hooked=True), sampler, FAMILY, 20, 0),
+    "dictatorship-counterexample": lambda alts, space, sampler: check_dictatorship(
+        qcv_rule(PARAMS), space, sampler, 20, 0
+    ),
+    "onto-failure": lambda alts, space, sampler: check_onto(constant_choice_rule(alts, "a"), alts, 2),
+    "unanimity-violation": lambda alts, space, sampler: check_unanimity(reverse_rule(), space, sampler, 20, 0),
+    "iia-violation": lambda alts, space, sampler: check_iia(
+        borda_welfare_rule(), space, default_paired_sampler(space, 2), 20, 0
+    ),
+    "composition-violation": lambda alts, space, sampler: check_composition_preservation(
+        split_top_rule(), sampler, FAMILY, 20, 0
+    ),
+}
+RECORD_DIGESTS = {
+    "manipulation": "9c6cee8511eaeb8d2a68b2e2149f90d64fe58e444cf5ca125ec8b6e86e288ae5",
+    "dictatorship-counterexample": "b3e2c9940f6fbf0f010a40171688a460db47b4fc7150656e7446005d790cb1db",
+    "onto-failure": "5b903ee13dfe53b1d617f8b62c1769b91987fd75bfa816dacd30a5ac79283127",
+    "unanimity-violation": "6884b27d33a4edb2bac36058ddddd87f31570d34834af64a2ba0e71bce4a279b",
+    "iia-violation": "be61bef720047c675cda2381ff5f620c075cbef1ecc9a5ed39eb5c431dcf9b67",
+    "composition-violation": "437f01ad97e517eeefc32fd4cfbab59a75bfc6ef80c3a1f09930e6d1ac4fe1b1",
+}
+
+
+@pytest.mark.parametrize("kind", list(RECORD_DIGESTS))
+def test_each_record_kind_is_pinned(alts3, space3, kind):
+    report = RECORD_CONTROLS[kind](alts3, space3, default_profile_sampler(space3, 2))
+    record = report.witnesses[0]
+    assert record["kind"] == kind
+    assert hashlib.sha256(canonical_json(record).encode()).hexdigest() == RECORD_DIGESTS[kind]
 
 
 HOOKED_RULES = {

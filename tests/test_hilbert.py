@@ -811,3 +811,59 @@ class TestFromMatrix:
             assert state.diagonal[[space3.basis_index(a), space3.basis_index(b)]].tolist() == pytest.approx([0.5, 0.5])
             rebuilt = DensityOperator.from_matrix(space3, state.matrix)
             assert np.allclose(rebuilt.matrix, state.matrix, atol=1e-12)
+
+
+def _negative_eigenvalue_matrix():
+    """Hermitian with unit trace, but weight -0.5 on the second ranking."""
+    matrix = np.zeros((6, 6))
+    matrix[0, 0], matrix[1, 1] = 1.5, -0.5
+    return matrix
+
+
+def _first_basis(space):
+    return basis_state(space, space.rankings()[0])
+
+
+SPACE3 = RankingSpace(AlternativeSet(("a", "b", "c")))
+SPACE4 = RankingSpace(AlternativeSet(("a", "b", "c", "d")))
+
+# Each refusal on a three-alternative space, and the message it raises.
+REFUSALS = {
+    "matrix-shape": (
+        lambda: DensityOperator.from_matrix(SPACE3, np.eye(4) / 4), "density must be 6x6, got (4, 4)"
+    ),
+    "negative-eigenvalue": (
+        lambda: DensityOperator.from_matrix(SPACE3, _negative_eigenvalue_matrix()),
+        "density has negative eigenvalue -0.5",
+    ),
+    "weights-length": (lambda: DensityOperator(SPACE3, [1.0, 0.0, 0.0]), "diagonal must have length 6, got (3,)"),
+    "diagonal-state-length": (
+        lambda: hilbert.diagonal_state(SPACE3, [1.0, 0.0, 0.0]), "diagonal must have length 6, got (3,)"
+    ),
+    "product-of-nothing": (lambda: ProfileState.product_of([]), "profile needs at least one voter"),
+    "product-across-spaces": (
+        lambda: ProfileState.product_of([_first_basis(SPACE3), _first_basis(SPACE4)]),
+        "all ballots must share one ranking space",
+    ),
+    "correlated-no-terms": (
+        lambda: ProfileState.correlated_indices(SPACE3, []), "correlated profile needs at least one term"
+    ),
+    "correlated-no-voters": (
+        lambda: ProfileState.correlated_indices(SPACE3, [(1.0, ())]), "correlated profile needs at least one voter"
+    ),
+    "support-below-eps": (  # every weight 1/6, none above eps 0.2
+        lambda: ProfileState.product_of([hilbert.diagonal_state(SPACE3, np.full(6, 1 / 6))]).support_tuples(0.2),
+        "profile has no diagonal support",
+    ),
+    "substitute-across-spaces": (
+        lambda: ProfileState.product_of([_first_basis(SPACE3)]).substitute_ballot(1, _first_basis(SPACE4)),
+        "replacement ballot lives on a different space",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusal_names_its_fault(case):
+    build, message = REFUSALS[case]
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+        build()

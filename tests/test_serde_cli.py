@@ -36,6 +36,43 @@ SPLIT_TOP_DOC = {
     ],
 }
 
+ABC = ["a", "b", "c"]
+# Each malformed document's fields past "alternatives" (a, b, c unless given),
+# and the locus and message of its parse error.
+MALFORMED_DOCUMENTS = {
+    "string-term-value": ({"voters": [{"mixed": [["1", "a>b>c"]]}]},
+                          "voters[0].mixed[0]", "expected a number, got '1'"),
+    "bool-term-value": ({"voters": [{"pure": [[True, 0, "a>b>c"]]}]},
+                        "voters[0].pure[0]", "expected a number, got True"),
+    "ballot-not-object": ({"voters": [["mixed"]]}, "voters[0]", "voter ballot must be an object"),
+    "ballot-both-shapes": ({"voters": [{"mixed": [[1, "a>b>c"]], "pure": [[1, 0, "a>b>c"]]}]}, "voters[0]",
+                           "voter ballot must have exactly one of 'pure' or 'mixed', got ['mixed', 'pure']"),
+    "ballot-no-shape": ({"voters": [{}]}, "voters[0]",
+                        "voter ballot must have exactly one of 'pure' or 'mixed', got []"),
+    "empty-term-list": ({"voters": [{"mixed": []}]}, "voters[0].mixed", "mixed ballot needs a nonempty term list"),
+    "term-list-not-list": ({"voters": [{"pure": {"re": 1}}]},
+                           "voters[0].pure", "pure ballot needs a nonempty term list"),
+    "term-wrong-length": ({"voters": [{"pure": [[1, "a>b>c"]]}]},
+                          "voters[0].pure[0]", "pure term must be [re, im, ranking]"),
+    "label-not-string": ({"alternatives": ["a", 2, "c"], "voters": [{"mixed": [[1, "a>b>c"]]}]},
+                         "alternatives", "alternative labels must be strings"),
+    "no-block": ({}, "$", "document needs a 'voters' or 'correlated' block"),
+    "unknown-field": ({"voters": [{"mixed": [[1, "a>b>c"]]}], "weights": []},
+                      "$", "unknown top-level fields ['weights']"),
+    "empty-voters": ({"voters": []}, "voters", "'voters' must be a nonempty list"),
+    "empty-correlated": ({"correlated": []}, "correlated", "'correlated' must be a nonempty term list"),
+    "correlated-term-shape": ({"correlated": [[1, "a>b>c", "b>a>c"]]},
+                              "correlated[0]", "correlated term must be [weight, [rankings...]]"),
+    "correlated-weight-zero": ({"correlated": [[0, ["a>b>c"]]]},
+                               "correlated[0]", "correlated weight must be positive, got 0.0"),
+    "correlated-weight-negative": ({"correlated": [[-0.5, ["a>b>c"]]]},
+                                   "correlated[0]", "correlated weight must be positive, got -0.5"),
+    "empty-ranking-list": ({"correlated": [[1, []]]},
+                           "correlated[0]", "correlated term needs one ranking per voter"),
+    "ranking-list-not-list": ({"correlated": [[1, "a>b>c"]]},
+                              "correlated[0]", "correlated term needs one ranking per voter"),
+}
+
 
 def rk(alts, text):
     return Ranking.from_string(alts, text)
@@ -117,6 +154,13 @@ class TestParseProfile:
         with pytest.raises(ParseError) as err:
             parse_profile('{"alternatives":["a","b"],"voters":[{"mixed":[[1' + "0" * 5000 + ',"a>b"]]}]}')
         assert err.value.locus == "$"
+
+    @pytest.mark.parametrize("case", list(MALFORMED_DOCUMENTS))
+    def test_malformed_document_names_kind_locus_and_message(self, case):
+        fields, locus, message = MALFORMED_DOCUMENTS[case]
+        with pytest.raises(ParseError) as err:
+            parse_profile(json.dumps({"alternatives": ABC, **fields}))
+        assert (err.value.kind, err.value.locus, str(err.value)) == ("parse-error", locus, message)
 
     def test_zero_ballot_rejected(self):
         doc = {"alternatives": ["a", "b"], "voters": [{"pure": [[0, 0, "a>b"]]}]}
@@ -568,6 +612,44 @@ class TestCliEvaluate:
         path.write_text(json.dumps(doc))
         return str(path)
 
+    CYCLE = {"alternatives": ["a", "b", "c"], "voters": [{"mixed": [[1, r]]} for r in ("a>b>c", "b>c>a", "c>a>b")]}
+    SUPERPOSITION = {
+        "alternatives": ["x", "y", "z"],
+        "voters": [{"pure": [[0.6, 0, "x>y>z"], [0, 0.8, "y>x>z"]]}, {"pure": [[1, 0, "z>x>y"]]}],
+    }
+    A_FIRST = {"alternatives": ["a", "b", "c"], "voters": [{"mixed": [[1, "a>b>c"]]}, {"mixed": [[1, "a>c>b"]]}]}
+    STAGES_LINE = (
+        '  stages: {"extensions": ["a>b>c", "a>c>b"], "pairs_all": [["a", "b"], ["a", "c"]], '
+        '"pairs_any": [["a", "b"], ["a", "c"], ["b", "c"], ["c", "b"]], "scores": {"a": 2, "b": 1, "c": 1}, '
+        '"sigma1": {"mixed": [[0.5, "a>b>c"], [0.5, "a>c>b"]]}, '
+        '"sigma2": {"mixed": [[0.45, "a>b>c"], [0.45, "a>c>b"], [0.0333333333333, "b>a>c"], '
+        '[0.0166666666667, "b>c>a"], [0.0333333333333, "c>a>b"], [0.0166666666667, "c>b>a"]]}, '
+        '"sigma3": {"mixed": [[0.5, "a>b>c"], [0.5, "a>c>b"]]}, "weak_order": [["a"], ["b", "c"]]}'
+    )
+
+    @pytest.mark.parametrize(
+        "flags, doc, lines",
+        [
+            (["--rule", "qcv"], CYCLE, [
+                "rule: qcv",
+                "  society (mixed):",
+                *(f"    [0.166666666667, '{r}']" for r in ("a>b>c", "a>c>b", "b>a>c", "b>c>a", "c>a>b", "c>b>a")),
+            ]),
+            (["--rule", "dictator:1"], SUPERPOSITION, [
+                "rule: dictator:1", "  society (pure):", "    [0.6, 0.0, 'x>y>z']", "    [0.0, 0.8, 'y>x>z']",
+            ]),
+            (["--rule", "qcvne"], CYCLE, ["rule: qcvne", *(f"  {a}: 0.333333333333" for a in "abc")]),
+            (["--rule", "qcv", "--stages"], A_FIRST, [
+                "rule: qcv", "  society (mixed):", "    [0.5, 'a>b>c']", "    [0.5, 'a>c>b']", STAGES_LINE,
+            ]),
+        ],
+        ids=["mixed-society", "pure-society", "distribution", "stages"],
+    )
+    def test_text_format_lines(self, tmp_path, capsys, flags, doc, lines):
+        code = main(["evaluate", *flags, "--profile", self.write(tmp_path, doc), "--format", "text"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
     def test_split_top_dictator(self, tmp_path, capsys):
         path = self.write(tmp_path, SPLIT_TOP_DOC)
         code = main(["evaluate", "--rule", "dictator:1", "--profile", path])
@@ -828,6 +910,15 @@ class TestCliCheck:
         code = main(["check", "--axiom", "onto", "--rule", "qcvne", "--format", "text"])
         assert code == 0
         assert "verdict: holds-on-sample" in capsys.readouterr().out
+
+    def test_suite_text_format_lines(self, capsys):
+        assert main(["suite", "gs", "--trials", "3", "--seed", "0", "--format", "text"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "suite: gs-suite rule: natural-extension(qcv) verdict: bypass-demonstrated",
+            "  qic: holds-on-sample",
+            "  onto: holds-on-sample",
+            "  non-dictatorship: falsified-dictatorship",
+        ]
 
     def test_suite_command_small_arrow(self, capsys):
         code = main(["suite", "arrow", "--rule", "qcv", "--trials", "25", "--seed", "4"])
@@ -1230,6 +1321,27 @@ class TestCliInputErrors:
         assert len(lines) == 1 and "Traceback" not in captured.err
         assert "error" in json.loads(lines[0])
 
+    @pytest.mark.parametrize(
+        "rule, error",
+        [
+            *(
+                (rule, {"error": "parse-error", "locus": "rule",
+                        "message": f"dictator rule needs a voter index, got {rule!r}"})
+                for rule in (
+                    "dictator:x", "dictator: 1", "dictator:+1", "dictator:1_0", "dictator:\u0663", "dictator:" + "1" * 5000
+                )
+            ),
+            ("dictator:-1", {"error": "invalid-argument", "message": "voter index must be positive, got -1"}),
+        ],
+        ids=["letter", "space", "plus", "underscore", "arabic-indic-digit", "past-the-digit-limit", "negative"],
+    )
+    def test_a_dictator_index_is_an_optional_minus_and_ascii_digits(self, rule, error, capsys, monkeypatch):
+        monkeypatch.setattr(axioms, "_draws", refuse_to_build)
+        assert main(["check", "--axiom", "unanimity", "--rule", rule, "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [json.loads(line) for line in captured.err.splitlines()] == [error]
+
     @pytest.mark.parametrize("rule", ["qcv", "qcvne", "dictator:1", "veto:a>b>c"])
     def test_eps_below_the_floor_is_refused_before_any_draw(self, rule, capsys, monkeypatch):
         # Every rule, the hookless veto too: at eps 1e-20 the hooked ones would
@@ -1439,7 +1551,8 @@ _check_flags = st.tuples(
     st.sampled_from([[], ["--timing"]]),
 )
 _bad_check_flag = st.sampled_from([
-    ["--rule", "dictator:4"], ["--rule", "dictator:x"], ["--rule", "veto:a>b"], ["--rule", "borda"],
+    ["--rule", "dictator:4"], ["--rule", "dictator:x"], ["--rule", "dictator: 1"], ["--rule", "dictator:+1"],
+    ["--rule", "dictator:1_0"], ["--rule", "dictator:\u0663"], ["--rule", "veto:a>b"], ["--rule", "borda"],
     ["--alternatives", "1"], ["--alternatives", "0"], ["--alternatives", "27"],
     ["--alternatives", "three"], ["--voters", "0"], ["--voters", "-2"], ["--trials", "0"],
     ["--trials", "-1"], ["--trials", "1.5"], ["--seed", "x"], ["--delta", "0.2"], ["--delta", "0"],
