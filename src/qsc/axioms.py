@@ -31,6 +31,7 @@ from .hilbert import (
     RankingSpace,
     basis_state,
     check_eps,
+    check_integer,
     diagonal_state,
     mixed_state,
     pure_state,
@@ -436,6 +437,7 @@ _GRID_WEIGHTS = (0.25, 0.5, 0.75)
 
 def default_profile_sampler(space: RankingSpace, n_voters: int) -> ProfileSampler:
     """Seeded mix of basis profiles, superpositions, mixtures and party lines."""
+    check_integer("n_voters", n_voters)
     if n_voters < 1:
         raise InvalidArgument("need at least one voter")
     rankings = space.rankings()
@@ -505,9 +507,10 @@ def default_paired_sampler(space: RankingSpace, n_voters: int) -> PairedSampler:
 def _draws(sampler: Callable[[random.Random], object], trials: int, seed: int) -> Iterator:
     """The trials' draws from a sampler, on one RNG seeded with ``seed``.
 
-    Fewer than one trial is refused here, when called, before the caller
-    builds anything.
+    A ``trials`` that is not an integer, or fewer than one trial, is
+    refused here, when called, before the caller builds anything.
     """
+    check_integer("trials", trials)
     if trials < 1:
         raise InvalidArgument("trials must be at least 1")
     rng = random.Random(seed)
@@ -869,6 +872,7 @@ def check_onto(
     eps: float = DEFAULT_EPS,
 ) -> AxiomReport:
     """Each alternative must win outright on its unanimous basis profile."""
+    check_integer("n_voters", n_voters)
     started = time.perf_counter()
     space = RankingSpace(alternatives)
     adapter = _Targets(rule, space, eps, kind="choice")
@@ -1012,6 +1016,8 @@ def _suite_sampler(alternatives: AlternativeSet, n_voters: int, trials: int) -> 
     """A suite's space and profile sampler; a suite too small to run is refused before its rule is read."""
     if alternatives.m < 3:
         raise InvalidArgument("suites need at least 3 alternatives")
+    check_integer("n_voters", n_voters)
+    check_integer("trials", trials)
     if n_voters < 1 or trials < 1:
         raise InvalidArgument("need at least one voter and one trial")
     space = RankingSpace(alternatives)

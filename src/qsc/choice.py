@@ -16,6 +16,7 @@ from .hilbert import (
     DensityOperator,
     ProfileState,
     alternative_state,
+    check_eps,
     support_probabilities,
 )
 from .rankings import basis_table
@@ -30,7 +31,8 @@ class ChoiceRule:
     ``eps`` governs ``evaluate`` only. The axiom engine reads a choice rule
     on its welfare output's winner-row weights at the check's own eps
     (``axioms._Targets``), which gives the natural extension's values.
-    A ``welfare`` that is not a ``WelfareRule`` is refused.
+    A ``welfare`` that is not a ``WelfareRule`` is refused, and so is an
+    ``eps`` outside [MIN_EPS, MAX_EPS] (``check_eps``).
     """
 
     name: str
@@ -43,6 +45,7 @@ class ChoiceRule:
                 f"a choice rule extends a welfare rule, got the {type(self.welfare).__name__} "
                 f"{getattr(self.welfare, 'name', self.welfare)!r}"
             )
+        check_eps(self.eps)
 
     @property
     def responses(self) -> ResponsesHook | None:

@@ -12,6 +12,7 @@ verdict produced a different one, 2 for usage or input errors.
 from __future__ import annotations
 
 import json
+import math
 import os
 import string
 import sys
@@ -157,14 +158,25 @@ def _as_text(payload: dict) -> str:
 
 
 def _stages_payload(profile: ProfileState, params: QcvParams) -> dict:
-    """The kernel's stages for a profile supported on one basis-index tuple (``qcv_basis``)."""
-    tuples = profile.support_tuples(params.eps)
-    if len(tuples) != 1:
-        raise InvalidArgument(
-            "--stages needs a profile supported on a single ranking tuple; "
-            f"this one mixes {len(tuples)}"
-        )
-    stages = qcv_basis(profile.space.alternatives, tuples[0][1], params)
+    """The kernel's stages for a profile supported on one basis-index tuple (``qcv_basis``).
+
+    The support is read as the rule's fold reads it: each ballot's basis
+    weights above eps, or the distinct keys of the joint terms above eps.
+    Nothing is enumerated: a product's count is the product of its ballots'
+    support sizes. A profile that keeps nothing is refused as the rule
+    refuses it.
+    """
+    if profile.factors is not None:
+        supports = [ballot.diagonal_support(params.eps) for ballot in profile.factors]
+        count, key = math.prod(map(len, supports)), tuple(support[0][0] for support in supports if support)
+    else:
+        keys = {key for w, key in profile.joint if w > params.eps}
+        count, key = len(keys), next(iter(keys), ())
+    if count != 1:
+        shown = count if count < 10**600 else "over 10^600"  # str() may refuse a longer count
+        raise InvalidArgument("--stages needs a profile supported on a single ranking tuple; "
+                              f"this one mixes {shown}" if count else "profile has no diagonal support")
+    stages = qcv_basis(profile.space.alternatives, key, params)
     return {
         "scores": stages.scores,
         "weak_order": [list(tier) for tier in stages.tiers],

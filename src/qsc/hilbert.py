@@ -38,15 +38,23 @@ def check_eps(eps: float) -> None:
         raise InvalidArgument(f"eps must lie in [{MIN_EPS}, {MAX_EPS}], got {eps}")
 
 
-def check_voter_index(voter: int) -> None:
-    """Refuse a voter index that is not an integer, or that no message can print.
+def check_integer(name: str, value: int) -> None:
+    """Refuse a value that is not an integer, naming it ``name``.
 
     An integer has ``__index__``. A bool has one too, but is refused, as an
-    integral float is. An integer past str()'s digit limit is out of range
-    of every profile, and no message could name it.
+    integral float is.
     """
-    if isinstance(voter, bool) or not hasattr(voter, "__index__"):
-        raise InvalidArgument(f"voter index must be an integer, got {voter!r}")
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+
+
+def check_voter_index(voter: int) -> None:
+    """Refuse a voter index that is not an integer (``check_integer``), or that no message can print.
+
+    An integer past str()'s digit limit is out of range of every profile,
+    and no message could name it.
+    """
+    check_integer("voter index", voter)
     try:
         str(voter)
     except ValueError:  # str() refuses an integer past 4,300 digits
@@ -448,7 +456,7 @@ class ProfileState:
         """Diagonal support as (weight, basis-index tuple) terms summing to 1, by ascending tuple.
 
         A support of more than DEFAULT_SUPPORT_CAP ranking combinations is
-        refused.
+        refused, and so is a profile that keeps nothing above eps.
         """
         if self.factors is not None:
             per_voter = [ballot.diagonal_support(eps) for ballot in self.factors]
@@ -469,7 +477,7 @@ class ProfileState:
                 raise ResourceLimit(f"profile support exceeds {DEFAULT_SUPPORT_CAP} ranking combinations")
             total = _total(combos.values())
             terms = sorted(combos.items())
-        if not total > eps:
+        if not total > 0.0:  # nothing was kept
             raise InvalidArgument("profile has no diagonal support")
         return [(w / total, key) for key, w in terms]
 

@@ -306,7 +306,7 @@ class _Request:
             ks = (ballot.diagonal > params.eps).nonzero()[0]
             codes, weights = _folded(codes, weights, packed[ks], ballot.diagonal[ks])
         total = weights.sum()
-        if not total > params.eps:
+        if not total > 0.0:  # nothing was kept
             raise InvalidArgument("profile has no diagonal support")
         return cls(space, n, weights / total, codes, zero if voter is None else basis_table(space.alternatives).pairs)
 
@@ -503,7 +503,9 @@ def veto_rule(pet_ranking: Ranking, eps: float = DEFAULT_EPS) -> WelfareRule:
     If voter 1's ballot is exactly the point mass on ``pet_ranking`` the
     society adopts it; otherwise voter 2's ballot is returned. Lying about
     conviction therefore pays, which is what the axiom engine must detect.
+    An eps outside [MIN_EPS, MAX_EPS] is refused (``check_eps``).
     """
+    check_eps(eps)
     space = RankingSpace(pet_ranking.alternatives)
     pet_index = ranking_index(pet_ranking)
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -828,6 +829,44 @@ class TestTrials:
     def test_every_sampled_check_refuses_before_drawing(self, space3, check, trials):
         with pytest.raises(InvalidArgument, match="trials must be at least 1"):
             check(space3, trials)
+
+    # A bool is refused as check_voter_index refuses it: True would run one trial, and be reported as true.
+    @pytest.mark.parametrize("trials", [2.0, 1.5, "3", True])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda alts, space, trials: check_qic(qcv_rule(PARAMS), refuse_to_draw, FAMILY, trials, 0),
+            lambda alts, space, trials: check_dictatorship(qcv_rule(PARAMS), space, refuse_to_draw, trials, 0),
+            lambda alts, space, trials: check_unanimity(qcv_rule(PARAMS), space, refuse_to_draw, trials, 0),
+            lambda alts, space, trials: check_iia(qcv_rule(PARAMS), space, refuse_to_draw, trials, 0),
+            lambda alts, space, trials: check_composition_preservation(
+                qcv_rule(PARAMS), refuse_to_draw, FAMILY, trials, 0
+            ),
+            lambda alts, space, trials: run_arrow_suite(qcv_rule(PARAMS), alts, trials=trials),
+            lambda alts, space, trials: run_gs_suite(qcvne_rule(PARAMS), alts, trials=trials),
+        ],
+        ids=["qic", "dictatorship", "unanimity", "iia", "composition-preservation", "arrow-suite", "gs-suite"],
+    )
+    def test_trials_must_be_an_integer(self, alts3, space3, check, trials, monkeypatch):
+        monkeypatch.setattr(axioms, "default_profile_sampler", refuse_to_hunt)
+        with pytest.raises(InvalidArgument, match=f"^trials must be an integer, got {re.escape(repr(trials))}$"):
+            check(alts3, space3, trials)
+
+    @pytest.mark.parametrize("n_voters", [2.0, 1.5, "3", True])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda alts, space, n: default_profile_sampler(space, n),
+            lambda alts, space, n: default_paired_sampler(space, n),
+            lambda alts, space, n: check_onto(qcvne_rule(PARAMS), alts, n),
+            lambda alts, space, n: run_arrow_suite(qcv_rule(PARAMS), alts, n_voters=n),
+            lambda alts, space, n: run_gs_suite(qcvne_rule(PARAMS), alts, n_voters=n),
+        ],
+        ids=["sampler", "paired-sampler", "onto", "arrow-suite", "gs-suite"],
+    )
+    def test_n_voters_must_be_an_integer(self, alts3, space3, build, n_voters):
+        with pytest.raises(InvalidArgument, match=f"^n_voters must be an integer, got {re.escape(repr(n_voters))}$"):
+            build(alts3, space3, n_voters)
 
 
 class TestEngineEps:

@@ -25,6 +25,7 @@ from qsc import (
     qcvne,
     qcvne_rule,
     support_probability,
+    veto_rule,
     winner_projector,
 )
 
@@ -133,6 +134,21 @@ class TestCompose:
             compose(rule)
         with pytest.raises(InvalidArgument, match="^a choice rule extends a welfare rule, got the str 'qcv'$"):
             ChoiceRule("by-name", "qcv")
+
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), 2.0])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda alts, eps: veto_rule(rk(alts, "a>b>c"), eps),
+            lambda alts, eps: ChoiceRule("qcvne", qcv_rule(QcvParams(0.05)), eps),
+            lambda alts, eps: compose(qcv_rule(QcvParams(0.05)), eps),
+        ],
+        ids=["veto", "choice-rule", "compose"],
+    )
+    def test_a_rule_refuses_an_eps_outside_the_window_when_built(self, alts3, build, eps):
+        with pytest.raises(InvalidArgument, match=r"^eps must lie in \[1e-12, 0\.001\], got "):
+            build(alts3, eps)
 
 
 class TestQcvne:

@@ -1,8 +1,10 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -23,7 +25,7 @@ from qsc.errors import InvalidArgument, ZeroMassProjection
 from qsc.axioms import EXPECTED_VERDICTS, default_profile_sampler
 from qsc.cli import main, parse_family, resolve_rule
 from qsc.rankings import all_rankings
-from qsc.hilbert import DensityOperator, RankingSpace, mixed_state, pure_state
+from qsc.hilbert import DensityOperator, RankingSpace, diagonal_state, mixed_state, pure_state
 from qsc.serde import (
     canonical_json, format_probability, parse_profile, serialize_density, serialize_profile,
 )
@@ -35,6 +37,22 @@ SPLIT_TOP_DOC = {
         {"pure": [[1, 0, "z>x>y"]]},
     ],
 }
+
+RANKINGS_M4 = [">".join(p) for p in itertools.permutations("abcd")]
+RANKINGS_M6 = [">".join(p) for p in itertools.permutations("abcdef")]
+# Four voters, each uniform over the 24 rankings: 24^4 = 331,776 ranking tuples.
+UNIFORM_M4_DOC = {"alternatives": list("abcd"), "voters": [{"mixed": [[1, r] for r in RANKINGS_M4]}] * 4}
+# Six voters, each 0.281 on a>b>c>d>e>f and 0.001 on each other ranking: at eps 1e-3
+# each keeps one ranking, though the kept masses multiply to 0.281^6 = 4.9e-4, below eps.
+ONE_KEPT_M6_DOC = {
+    "alternatives": list("abcdef"),
+    "voters": [{"mixed": [[0.281, RANKINGS_M6[0]], *([0.001, r] for r in RANKINGS_M6[1:])]}] * 6,
+}
+
+
+def refuse_support_tuples(*args):
+    raise AssertionError("support_tuples was called")
+
 
 ABC = ["a", "b", "c"]
 # Each malformed document's fields past "alternatives" (a, b, c unless given),
@@ -683,7 +701,9 @@ class TestCliEvaluate:
         weights = [w for w, _ in payload["society"]["mixed"]]
         assert weights == [pytest.approx(0.166666666667)] * 6
 
-    def test_stages_on_single_tuple_profile(self, tmp_path, capsys):
+    def test_stages_on_single_tuple_profile(self, tmp_path, capsys, monkeypatch):
+        # --stages reads the support as the rule's fold does, never through support_tuples.
+        monkeypatch.setattr(ProfileState, "support_tuples", refuse_support_tuples)
         doc = {
             "alternatives": ["a", "b", "c"],
             "voters": [{"mixed": [[1, "a>b>c"]]}, {"mixed": [[1, "a>c>b"]]}],
@@ -696,16 +716,38 @@ class TestCliEvaluate:
         assert stages["weak_order"] == [["a"], ["b", "c"]]
         assert stages["extensions"] == ["a>b>c", "a>c>b"]
         assert stages["pairs_all"] == [["a", "b"], ["a", "c"]]
+        # Each of six voters keeps one ranking at eps 1e-3, so the profile is one
+        # tuple, whatever the product of the kept masses.
+        path = self.write(tmp_path, ONE_KEPT_M6_DOC)
+        unanimous = [{"rule": "qcv", "society": {"mixed": [[1.0, RANKINGS_M6[0]]]}}]
+        for stages in ([], ["--stages"]):
+            assert main(["evaluate", "--rule", "qcv", "--eps", "1e-3", *stages, "--profile", path]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert [{key: payload[key] for key in ("rule", "society")}] == unanimous
+        assert payload["stages"]["weak_order"] == [[a] for a in "abcdef"]
 
     def test_stages_rejects_mixed_support(self, tmp_path, capsys):
         doc = {
             "alternatives": ["a", "b", "c"],
             "voters": [{"mixed": [[0.5, "a>b>c"], [0.5, "b>a>c"]]}, {"mixed": [[1, "a>c>b"]]}],
         }
-        code = main(["evaluate", "--rule", "qcv", "--stages", "--profile", self.write(tmp_path, doc)])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "invalid-argument"
+        # The m=4 uniform document is counted, not enumerated: no cap on ranking combinations applies.
+        for doc, count in ((doc, 2), (UNIFORM_M4_DOC, 331_776)):
+            code = main(["evaluate", "--rule", "qcv", "--stages", "--profile", self.write(tmp_path, doc)])
+            assert code == 2
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err == {
+                "error": "invalid-argument",
+                "message": f"--stages needs a profile supported on a single ranking tuple; this one mixes {count}",
+            }
+        assert main(["evaluate", "--rule", "qcv", "--profile", self.write(tmp_path, UNIFORM_M4_DOC)]) == 0
+
+    def test_stages_count_past_the_digit_limit_is_refused_by_its_bound(self):
+        # 720^1600 has 4,572 digits, past what str() prints by default.
+        space = RankingSpace(AlternativeSet(tuple("abcdef")))
+        profile = ProfileState.product_of([diagonal_state(space, np.full(720, 1 / 720))] * 1600)
+        with pytest.raises(InvalidArgument, match=r"; this one mixes over 10\^600$"):
+            cli._stages_payload(profile, QcvParams.for_alternatives(6))
 
     def test_stages_rejects_non_condorcet_rules(self, tmp_path, capsys):
         path = self.write(tmp_path, SPLIT_TOP_DOC)
@@ -726,20 +768,30 @@ class TestCliEvaluate:
             raise AssertionError("the rule ran")
 
         monkeypatch.setattr(welfare, "_scored", refuse)
-        doc = {
+        monkeypatch.setattr(ProfileState, "support_tuples", refuse_support_tuples)
+        product = {
             "alternatives": ["a", "b", "c"],
             "voters": [{"mixed": [[0.5, "a>b>c"], [0.5, "b>a>c"]]}, {"mixed": [[1, "a>c>b"]]}],
         }
-        for rule in ("qcv", "qcvne"):
+        # Two distinct keys above eps; the two light terms on a third key are not counted.
+        correlated = {
+            "alternatives": ["a", "b", "c"],
+            "correlated": [[1, ["a>b>c", "a>c>b"]], [1, ["b>a>c", "a>c>b"]], [1, ["a>b>c", "a>c>b"]],
+                           [1e-10, ["c>b>a", "c>b>a"]], [1e-10, ["c>b>a", "c>b>a"]]],
+        }
+        for doc, rule in itertools.product((product, correlated), ("qcv", "qcvne")):
             code = main(["evaluate", "--rule", rule, "--stages", "--profile", self.write(tmp_path, doc)])
             assert code == 2
             err = json.loads(capsys.readouterr().err.strip())
-            assert err["error"] == "invalid-argument" and "single ranking tuple" in err["message"]
+            assert err == {
+                "error": "invalid-argument",
+                "message": "--stages needs a profile supported on a single ranking tuple; this one mixes 2",
+            }
 
     def test_correlated_support_is_capped_by_distinct_tallies_only(self, tmp_path, capsys):
         # 20,001 distinct joint keys of 8 voters fold to at most 9^3 tallies at
-        # m=3, so qcv scores them; --stages still reads the merged support,
-        # whose cap counts ranking combinations.
+        # m=3, so qcv scores them; --stages counts the distinct keys, with no
+        # cap, and refuses them as more than one ranking tuple.
         strings = [r.to_string() for r in all_rankings(AlternativeSet(("a", "b", "c")))]
         keys = [[strings[(t // 6**v) % 6] for v in range(8)] for t in range(20_001)]
         path = self.write(tmp_path, {"alternatives": ["a", "b", "c"], "correlated": [[1, key] for key in keys]})
@@ -748,7 +800,7 @@ class TestCliEvaluate:
         assert main(["evaluate", "--rule", "qcv", "--stages", "--profile", path]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert (err["error"], err["message"]) == (
-            "resource-limit", "profile support exceeds 20000 ranking combinations"
+            "invalid-argument", "--stages needs a profile supported on a single ranking tuple; this one mixes 20001"
         )
 
     def test_scaled_ballots_give_the_unit_scale_report(self, tmp_path, capsys):
@@ -1106,7 +1158,9 @@ def test_command_line_reader(case, capsys, monkeypatch):
     captured = capsys.readouterr()
     if kind == "help":
         assert (code, captured.err) == (0, "")
-        names = cli.COMMANDS if expected is None else cli.COMMANDS[expected][1]
+        # The top level names every command and each of its flags; a command's help, itself and its own.
+        commands = list(cli.COMMANDS) if expected is None else [expected]
+        names = [*commands, *(name for command in commands for name in cli.COMMANDS[command][1])]
         assert all(name in captured.out for name in names)
         if expected == "check":
             assert "(default: 200)" in captured.out and "(required)" in captured.out
@@ -1244,6 +1298,17 @@ def test_ci_command_line_steps_read_resolve_and_have_an_expected_verdict():
         cli._rule_and_params(args, alternatives)
         axiom = args.axiom if argv[0] == "check" else f"{args.suite}-suite"
         assert (cli._rule_family(args.rule), axiom) in EXPECTED_VERDICTS, argv
+
+
+def test_readme_python_blocks_run_in_order_in_one_namespace():
+    # A reader pastes the README's python blocks in order; each later block uses names an earlier one set.
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        blocks = re.findall(r"^```python\n(.*?)^```", handle.read(), re.M | re.S)
+    assert blocks, "no python block in README.md"
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 def refuse_to_build(*args):

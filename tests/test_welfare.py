@@ -789,7 +789,10 @@ class TestQcvResponses:
 
 
 class TestEpsFilter:
-    """Where the support filter cuts a correlated profile: at each raw joint term of weight at most eps."""
+    """Where the support filter cuts a profile: at each raw joint term, or ballot weight, of at most eps.
+
+    A profile is refused as having no diagonal support only when nothing is kept.
+    """
 
     def test_a_profile_request_drops_each_light_joint_term(self, space3):
         r, params = space3.rankings(), QcvParams(0.05)
@@ -828,6 +831,18 @@ class TestEpsFilter:
         got = qcv(ProfileState.correlated(space, terms), params).diagonal
         want = sum(w * qcv(ProfileState.correlated(space, [(1.0, key)]), params).diagonal for w, key in terms)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_a_product_profile_that_keeps_a_ranking_per_voter_is_scored(self):
+        # Each of six voters keeps one ranking at eps 1e-3, though the kept masses
+        # multiply to 0.281^6 = 4.9e-4, below eps: the profile is that one tuple.
+        space, params = RankingSpace(AlternativeSet(tuple("abcdef"))), QcvParams.for_alternatives(6, eps=1e-3)
+        weights = np.full(space.dim, 0.001)
+        weights[0] = 0.281
+        profile = ProfileState.product_of([hilbert.diagonal_state(space, weights)] * 6)
+        unanimous = ProfileState.basis([space.rankings()[0]] * 6)
+        assert np.array_equal(qcv(profile, params).diagonal, qcv(unanimous, params).diagonal)
+        assert np.array_equal(qcv_responses(profile, 6, params), qcv_responses(unanimous, 6, params))
+        assert [key for _, key in profile.support_tuples(1e-3)] == [(0,) * 6]
 
     def test_profile_and_voter_requests_drop_the_same_terms(self, space3):
         # 1,001 terms of weight 1/1001, each below eps 1e-3, on keys that
