@@ -32,6 +32,7 @@ from .hilbert import (
     basis_state,
     check_eps,
     check_integer,
+    check_profile_space,
     diagonal_state,
     mixed_state,
     pure_state,
@@ -251,11 +252,7 @@ class _Targets:
         first, before any value of any profile is read.
         """
         for profile in profiles:
-            if profile.space != self.space:
-                raise InvalidArgument(
-                    f"a profile on alternatives {profile.space.alternatives.names} is not on the "
-                    f"check's alternatives {self.space.alternatives.names}"
-                )
+            check_profile_space(profile, self.space, "check's")
         if self.rule.responses is None:
             return map(self._evaluated, profiles)
         return self.rule.responses([(p, None) for p in profiles])
@@ -508,11 +505,13 @@ def _draws(sampler: Callable[[random.Random], object], trials: int, seed: int) -
     """The trials' draws from a sampler, on one RNG seeded with ``seed``.
 
     A ``trials`` that is not an integer, or fewer than one trial, is
-    refused here, when called, before the caller builds anything.
+    refused here, when called, before the caller builds anything, and so is
+    a ``seed`` that is not an integer: a report records its seed for replay.
     """
     check_integer("trials", trials)
     if trials < 1:
         raise InvalidArgument("trials must be at least 1")
+    check_integer("seed", seed)
     rng = random.Random(seed)
     return (sampler(rng) for _ in range(trials))
 
@@ -1012,12 +1011,16 @@ def _component(name: str, ok: bool, verdict: str | None = None) -> dict:
     return {"name": name, "ok": ok, "verdict": verdict}
 
 
-def _suite_sampler(alternatives: AlternativeSet, n_voters: int, trials: int) -> tuple[RankingSpace, ProfileSampler]:
-    """A suite's space and profile sampler; a suite too small to run is refused before its rule is read."""
+def _suite_sampler(
+    alternatives: AlternativeSet, n_voters: int, trials: int, seed: int
+) -> tuple[RankingSpace, ProfileSampler]:
+    """A suite's space and profile sampler; a suite too small to run, or a seed that is not an integer, is
+    refused before its rule is read."""
     if alternatives.m < 3:
         raise InvalidArgument("suites need at least 3 alternatives")
     check_integer("n_voters", n_voters)
     check_integer("trials", trials)
+    check_integer("seed", seed)
     if n_voters < 1 or trials < 1:
         raise InvalidArgument("need at least one voter and one trial")
     space = RankingSpace(alternatives)
@@ -1034,7 +1037,7 @@ def run_arrow_suite(
 ) -> SuiteReport:
     """Unanimity, independence and non-dictatorship, bundled."""
     started = time.perf_counter()
-    space, sampler = _suite_sampler(alternatives, n_voters, trials)
+    space, sampler = _suite_sampler(alternatives, n_voters, trials, seed)
     paired = default_paired_sampler(space, n_voters)
     unanimity = check_unanimity(rule, space, sampler, trials, seed, eps)
     iia = check_iia(rule, space, paired, trials, seed + 1, eps)
@@ -1059,7 +1062,7 @@ def run_gs_suite(
 ) -> SuiteReport:
     """Incentive compatibility, onto and non-dictatorship, bundled."""
     started = time.perf_counter()
-    space, sampler = _suite_sampler(alternatives, n_voters, trials)
+    space, sampler = _suite_sampler(alternatives, n_voters, trials, seed)
     _rule_kind(rule, "choice")
     qic = check_qic(rule, sampler, family, trials, seed, eps)
     onto = check_onto(rule, alternatives, n_voters, eps)

@@ -14,7 +14,11 @@ class InvalidArgument(QscError, ValueError):
 
 
 class ZeroMassProjection(QscError):
-    """Projection onto a subspace carrying (numerically) no probability mass."""
+    """Projection onto a subspace carrying (numerically) no probability mass.
+
+    No shipped rule raises it: at every delta ``QcvParams`` accepts, the
+    quantum Condorcet projection keeps more than 1/m of a row's mass.
+    """
 
     kind = "zero-mass-projection"
 

@@ -15,6 +15,7 @@ matrix is never materialized.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import factorial
@@ -32,8 +33,15 @@ MIN_EPS = 1e-12  # a smaller one would fail a sum of m! weights on its rounding 
 DEFAULT_SUPPORT_CAP = 20_000
 
 
+def check_number(name: str, value: float) -> None:
+    """Refuse a value that is not a real number (``numbers.Real``), naming it ``name``."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidArgument(f"{name} must be a number, got {value!r}")
+
+
 def check_eps(eps: float) -> None:
-    """Refuse a tolerance outside [MIN_EPS, MAX_EPS], NaN included."""
+    """Refuse a tolerance that is not a number, or outside [MIN_EPS, MAX_EPS], NaN included."""
+    check_number("eps", eps)
     if not MIN_EPS <= eps <= MAX_EPS:
         raise InvalidArgument(f"eps must lie in [{MIN_EPS}, {MAX_EPS}], got {eps}")
 
@@ -121,8 +129,8 @@ def winner_projector(space: RankingSpace, alternative: str) -> Subspace:
     return Subspace(space, basis_table(space.alternatives).winner_rows[top])
 
 
-def validate_density(matrix: np.ndarray, dim: int, eps: float = DEFAULT_EPS) -> None:
-    """Raise unless ``matrix`` is Hermitian, PSD and unit-trace within eps."""
+def _check_hermitian_unit_trace(matrix: np.ndarray, dim: int, eps: float) -> None:
+    """Raise unless ``matrix`` is dim x dim, Hermitian and unit-trace within eps."""
     if matrix.shape != (dim, dim):
         raise InvalidArgument(f"density must be {dim}x{dim}, got {matrix.shape}")
     if not np.allclose(matrix, matrix.conj().T, atol=eps, rtol=0.0):
@@ -130,9 +138,17 @@ def validate_density(matrix: np.ndarray, dim: int, eps: float = DEFAULT_EPS) -> 
     trace = float(np.real(np.trace(matrix)))
     if not abs(trace - 1.0) <= eps:
         raise InvalidArgument(f"density trace {trace} is not 1 within tolerance")
-    lowest = float(np.linalg.eigvalsh(matrix)[0])
+
+
+def _check_lowest_eigenvalue(lowest: float, eps: float) -> None:
     if not lowest >= -eps:
         raise InvalidArgument(f"density has negative eigenvalue {lowest}")
+
+
+def validate_density(matrix: np.ndarray, dim: int, eps: float = DEFAULT_EPS) -> None:
+    """Raise unless ``matrix`` is Hermitian, PSD and unit-trace within eps."""
+    _check_hermitian_unit_trace(matrix, dim, eps)
+    _check_lowest_eigenvalue(float(np.linalg.eigvalsh(matrix)[0]), eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,15 +182,21 @@ class DensityOperator:
 
         A matrix within eps of diagonal is stored by its diagonal, a rank-1
         one by its leading eigenvector. A mixture with coherences has
-        neither form and is rejected.
+        neither form and is rejected. The matrix is decomposed once: a
+        near-diagonal one by ``eigvalsh`` for the PSD check, any other by
+        one ``eigh``, whose values give the PSD check and the purity (the
+        sum of their squares is Tr(rho^2)) and whose last column the vector.
         """
         matrix = np.asarray(matrix, dtype=np.complex128)
-        validate_density(matrix, space.dim, eps)
+        _check_hermitian_unit_trace(matrix, space.dim, eps)
         off = matrix - np.diag(matrix.diagonal())
         if float(np.abs(off).max(initial=0.0)) <= eps:
+            _check_lowest_eigenvalue(float(np.linalg.eigvalsh(matrix)[0]), eps)
             return cls(space, np.real(matrix.diagonal()))
-        if float(np.real(np.trace(matrix @ matrix))) >= 1.0 - 2 * eps:
-            return _unit_vector_state(space, np.linalg.eigh(matrix)[1][:, -1], eps)
+        values, vectors = np.linalg.eigh(matrix)
+        _check_lowest_eigenvalue(float(values[0]), eps)
+        if float(values @ values) >= 1.0 - 2 * eps:
+            return _unit_vector_state(space, vectors[:, -1], eps)
         raise InvalidArgument("density has no term-list form (mixed with coherences)")
 
     @property
@@ -234,9 +256,10 @@ def _scale(magnitudes: Iterable[float]) -> int:
 def _unit_vector_state(space: RankingSpace, vector: np.ndarray, eps: float) -> DensityOperator:
     """State of a unit vector, stored diagonal when no coherence exceeds eps.
 
-    Its weights must be a distribution within eps (``diagonal_state``).
+    Its squares are its weights: those of a unit vector of d entries sum to
+    1 within d ulp (1.6e-13 at d = 720), below MIN_EPS.
     """
-    weights = _distribution(space, (vector * vector.conj()).real, eps)
+    weights = (vector * vector.conj()).real
     magnitudes = np.abs(vector)
     first, second = np.sort(magnitudes)[:-3:-1]
     if first * second <= eps:
@@ -513,6 +536,15 @@ class ProfileState:
             return ProfileState.product_of([b.permuted(perms[v]) for v, b in enumerate(self.factors)])
         joint = tuple((w, tuple(perms[v][k] for v, k in enumerate(key))) for w, key in self.joint)
         return ProfileState(self.space, joint=joint)
+
+
+def check_profile_space(profile: ProfileState, space: RankingSpace, owner: str) -> None:
+    """Refuse a profile on another ranking space than ``space``, naming both alternative sets and ``owner``."""
+    if profile.space != space:
+        raise InvalidArgument(
+            f"a profile on alternatives {profile.space.alternatives.names} is not on the "
+            f"{owner} alternatives {space.alternatives.names}"
+        )
 
 
 @dataclass(frozen=True, eq=False)

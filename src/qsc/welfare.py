@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import hilbert
-from .errors import InvalidArgument, QscError, ResourceLimit, ZeroMassProjection
+from .errors import InvalidArgument, QscError, ResourceLimit
 from .hilbert import (
     DEFAULT_EPS,
     DensityOperator,
@@ -26,6 +26,8 @@ from .hilbert import (
     basis_state,
     check_basis_indices,
     check_eps,
+    check_number,
+    check_profile_space,
     check_voter_index,
     diagonal_state,
 )
@@ -47,16 +49,14 @@ class QcvParams:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
+        check_number("delta", self.delta)
         if not 0.0 < self.delta < 1.0:
             raise InvalidArgument(f"delta must lie in (0, 1), got {self.delta}")
         check_eps(self.eps)
 
     def check_alternatives(self, m: int) -> None:
-        limit = 1.0 / (m * m)
-        if self.delta >= limit:
-            raise InvalidArgument(
-                f"delta {self.delta} must be strictly below 1/{m * m} for {m} alternatives"
-            )
+        if self.delta >= 1.0 / (m * m):
+            raise InvalidArgument(f"delta {self.delta} must be strictly below 1/{m * m} for {m} alternatives")
 
     @classmethod
     def for_alternatives(cls, m: int, eps: float = DEFAULT_EPS) -> "QcvParams":
@@ -154,11 +154,7 @@ def _qcv_stages(alternatives: AlternativeSet, signatures: np.ndarray, params: Qc
     strict = wins[:, :, None] > wins[:, None, :]
     unanimous = classes == 4
     present = classes >= 1
-    n_any = present.sum(axis=(1, 2))
-    if (n_any * params.delta >= 1.0).any():
-        raise InvalidArgument(
-            f"{int(n_any.max())} pairs at delta {params.delta} leave no weight for the base state"
-        )
+    n_any = present.sum(axis=(1, 2))  # at most m(m-1), and delta < 1/m^2, so the base weight is above 1/m
     # A ranking breaks the order of (x, y) when it places y above x, so the order masks are read flipped.
     masks = np.concatenate([strict, unanimous]).transpose(0, 2, 1).reshape(2 * k, m * m)
     extension, keep = (masks.astype(np.float32) @ basis.orients).reshape(2, k, d) == 0.0  # no broken pair
@@ -174,18 +170,18 @@ def _projected(stages: _Stages, eps: float) -> np.ndarray:
     """Sigma3 from the stages, in place of their sigma2.
 
     The unanimous pairs are enforced by one renormalization rather than one
-    per pair, which moves weights by at most a few ulp.
+    per pair, which moves weights by at most a few ulp. No row needs a
+    zero-mass check: on a profile's signature a unanimous pair (x, y) gives
+    x more Condorcet wins than y (each voter placing y above z places x
+    above z), so every extension is kept, and with them the base weight
+    1 - n_any * delta > 1/m.
     """
     sigma = stages.sigma
     # keep is all True on a row without unanimous pairs, so such rows pass unchanged.
     sigma[~stages.keep] = 0.0
-    constrained = stages.unanimous.any(axis=(1, 2))
     mass = sigma.sum(axis=1)
     mass[(mass > 1.0) & (mass <= 1.0 + eps)] = 1.0
-    if (constrained & (mass <= eps)).any():
-        low = float(mass[constrained].min())
-        raise ZeroMassProjection(f"no probability mass on the target subspace (Tr = {low:.3e})")
-    mass[~constrained] = 1.0
+    mass[~stages.unanimous.any(axis=(1, 2))] = 1.0
     sigma /= mass[:, None]
     return sigma
 
@@ -402,12 +398,11 @@ def _mixed(params: QcvParams, group: list[tuple[_Request, int, int]]) -> Iterato
     (``_kind``), so their tallies are unpacked, their signatures keyed,
     their rows gathered and weighed and their results checked in one pass
     each; only the sum over a piece's terms runs piece by piece. A request
-    whose result is not a distribution is refused when it is reached. With
-    parameters ``QcvParams`` accepts, the kernel call refuses only a delta
-    too large for the space's m, so it refuses every signature of the
+    whose result is not a distribution is refused when it is reached. The
+    kernel call refuses only a delta too large for the space's m
+    (``QcvParams.check_alternatives``), so it refuses every signature of the
     group; a group holds one ranking space, so its first request is the
-    first refused, and every request before it has been yielded. (Its
-    spread and zero-mass refusals need parameters ``QcvParams`` refuses.)
+    first refused, and every request before it has been yielded.
     """
     if not group:
         return
@@ -503,13 +498,15 @@ def veto_rule(pet_ranking: Ranking, eps: float = DEFAULT_EPS) -> WelfareRule:
     If voter 1's ballot is exactly the point mass on ``pet_ranking`` the
     society adopts it; otherwise voter 2's ballot is returned. Lying about
     conviction therefore pays, which is what the axiom engine must detect.
-    An eps outside [MIN_EPS, MAX_EPS] is refused (``check_eps``).
+    An eps outside [MIN_EPS, MAX_EPS] is refused (``check_eps``), and so is a
+    profile on other alternatives than the pet ranking's.
     """
     check_eps(eps)
     space = RankingSpace(pet_ranking.alternatives)
     pet_index = ranking_index(pet_ranking)
 
     def evaluate(profile: ProfileState) -> DensityOperator:
+        check_profile_space(profile, space, "veto rule's")
         if profile.n_voters < 2:
             raise InvalidArgument("veto rule needs at least two voters")
         first = profile.partial_ballot(1)

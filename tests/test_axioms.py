@@ -775,6 +775,15 @@ class TestDrawSpace:
                 with pytest.raises(InvalidArgument, match="is not on the check's alternatives"):
                     check(rule, sampler, FAMILY, 100, 1)
 
+    @pytest.mark.parametrize("pet", ["d>c>b>a", "a>b>c>d"])
+    def test_a_veto_rule_on_other_alternatives_is_refused(self, alts3, space3, pet):
+        # The hookless hunt evaluates the m=4 rule on m=3 draws; the rule names both sets.
+        rule = veto_rule(Ranking.from_string(AlternativeSet(tuple("abcd")), pet))
+        refused = r"^a profile on alternatives \('a', 'b', 'c'\) is not on the veto rule's alternatives \('a', 'b', 'c', 'd'\)$"
+        for check in (check_qic, check_composition_preservation):
+            with pytest.raises(InvalidArgument, match=refused):
+                check(rule, default_profile_sampler(space3, 3), FAMILY, 5, 1)
+
 
 class TestSocietyIsChecked:
     def test_a_hookless_output_that_is_no_distribution_is_refused(self, space3):
@@ -868,6 +877,28 @@ class TestTrials:
         with pytest.raises(InvalidArgument, match=f"^n_voters must be an integer, got {re.escape(repr(n_voters))}$"):
             build(alts3, space3, n_voters)
 
+    # A report records its seed for replay: None would hunt unreplayably, and True be written as true.
+    @pytest.mark.parametrize("seed", [None, True, 1.0, "1"])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda alts, space, seed: check_qic(qcv_rule(PARAMS), refuse_to_draw, FAMILY, 5, seed),
+            lambda alts, space, seed: check_dictatorship(qcv_rule(PARAMS), space, refuse_to_draw, 5, seed),
+            lambda alts, space, seed: check_unanimity(qcv_rule(PARAMS), space, refuse_to_draw, 5, seed),
+            lambda alts, space, seed: check_iia(qcv_rule(PARAMS), space, refuse_to_draw, 5, seed),
+            lambda alts, space, seed: check_composition_preservation(
+                qcv_rule(PARAMS), refuse_to_draw, FAMILY, 5, seed
+            ),
+            # A suite refuses the seed before it reads the rule.
+            lambda alts, space, seed: run_arrow_suite(object(), alts, seed=seed),
+            lambda alts, space, seed: run_gs_suite(object(), alts, seed=seed),
+        ],
+        ids=["qic", "dictatorship", "unanimity", "iia", "composition-preservation", "arrow-suite", "gs-suite"],
+    )
+    def test_seed_must_be_an_integer(self, alts3, space3, check, seed):
+        with pytest.raises(InvalidArgument, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            check(alts3, space3, seed)
+
 
 class TestEngineEps:
     """The engine reads values at an eps in [MIN_EPS, MAX_EPS], the range ``QcvParams`` accepts."""
@@ -900,6 +931,21 @@ class TestEngineEps:
     )
     def test_every_check_refuses_before_drawing(self, alts3, space3, check, eps):
         with pytest.raises(InvalidArgument, match=r"^eps must lie in \[1e-12, 0\.001\], got "):
+            check(alts3, space3, eps)
+
+    @pytest.mark.parametrize("eps", ["x", "1e-9", None])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda alts, space, eps: check_qic(qcv_rule(PARAMS), refuse_to_draw, FAMILY, 5, 0, eps),
+            lambda alts, space, eps: check_onto(qcvne_rule(PARAMS), alts, 3, eps),
+            lambda alts, space, eps: run_arrow_suite(qcv_rule(PARAMS), alts, eps=eps),
+            lambda alts, space, eps: veto_rule(rk(alts, "a>b>c"), eps),
+        ],
+        ids=["qic", "onto", "arrow-suite", "veto-rule"],
+    )
+    def test_an_eps_that_is_not_a_number_is_refused(self, alts3, space3, check, eps):
+        with pytest.raises(InvalidArgument, match=f"^eps must be a number, got {re.escape(repr(eps))}$"):
             check(alts3, space3, eps)
 
     def test_the_range_ends_are_accepted(self, space3):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qsc import (
     qcv_basis,
     support_probabilities,
     support_probability,
+    validate_density,
     winner_projector,
 )
 from qsc import hilbert
@@ -416,6 +418,17 @@ class TestProfileState:
         with pytest.raises(ResourceLimit):
             profile.support_tuples()
 
+    def test_support_cap_counts_distinct_correlated_keys(self, alts3, space3, monkeypatch):
+        # 101 distinct kept keys pass a cap of 100; 101 terms on 100 distinct keys merge to 100 and pass it.
+        keys = list(product(range(6), repeat=3))
+        monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 100)
+        with pytest.raises(ResourceLimit, match="^profile support exceeds 100 ranking combinations$"):
+            ProfileState.correlated_indices(space3, [(1.0, key) for key in keys[:101]]).support_tuples()
+        merged = ProfileState.correlated_indices(space3, [(1.0, key) for key in keys[:100] + keys[:1]])
+        support = merged.support_tuples()
+        assert [key for _, key in support] == keys[:100]
+        assert support[0][0] == 2 * support[1][0]
+
     def test_substitute_ballot_product(self, alts3, space3, split_top_profile):
         replacement = basis_state(space3, rk(alts3, "c>b>a"))
         profile = ProfileState.product_of(
@@ -797,6 +810,43 @@ class TestFromMatrix:
         matrix[0, 0] = weights[0] = 0.5
         for state in (from_matrix, direct):
             assert state.diagonal[0] == 0.25 and not state.diagonal.flags.writeable
+
+    def test_one_decomposition_per_call(self, alts3, space3, monkeypatch):
+        # A near-diagonal matrix is decomposed by eigvalsh, any other by one eigh, whose
+        # values give the PSD check and the purity and whose last column the vector.
+        calls = []
+
+        def counted(name):
+            decompose = getattr(np.linalg, name)
+
+            def call(matrix):
+                calls.append(name)
+                return decompose(matrix)
+
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        half = pure_state(space3, [(ROOT2, rk(alts3, "a>b>c")), (ROOT2, rk(alts3, "a>c>b"))])
+        point = basis_state(space3, rk(alts3, "b>a>c"))
+        coherent_negative = half.matrix - 0.5 * point.matrix + 0.5 * basis_state(space3, rk(alts3, "c>b>a")).matrix
+        cases = [
+            (point.matrix, "eigvalsh", None),
+            (half.matrix, "eigh", None),
+            (0.5 * half.matrix + 0.5 * point.matrix, "eigh", "density has no term-list form"),
+            (coherent_negative, "eigh", "density has negative eigenvalue -0.5"),
+        ]
+        for matrix, decomposition, refused in cases:
+            calls.clear()
+            if refused is None:
+                DensityOperator.from_matrix(space3, matrix)
+            else:
+                with pytest.raises(InvalidArgument, match=refused):
+                    DensityOperator.from_matrix(space3, matrix)
+            assert calls == [decomposition]
+        calls.clear()
+        validate_density(half.matrix, 6)
+        assert calls == ["eigvalsh"]
 
     def test_invalid_matrix_rejected(self, space3):
         with pytest.raises(InvalidArgument):

@@ -222,8 +222,8 @@ class TestParseProfile:
     @pytest.mark.parametrize(
         "weights",
         [[2.0**-600, 3 * 2.0**-600], [1.0, 3.0], [2.0**600, 3 * 2.0**600], [2.0**1022, 3 * 2.0**1022],
-         [0.1] * 10, [0.5, 0.5 - 1e-9 - 2.0**-53, 1e-9]],
-        ids=["tiny", "unit", "huge", "top", "tenths", "near-eps"],
+         [0.1] * 10, [0.5, 0.5 - 1e-9 - 2.0**-53, 1e-9], [2.0**-40, 3 * 2.0**-40]],
+        ids=["tiny", "unit", "huge", "top", "tenths", "near-eps", "small"],
     )
     def test_python_terms_normalize_as_their_document_does(self, weights):
         # One normalization serves both routes: the same weight bits and support.
@@ -816,17 +816,44 @@ class TestCliEvaluate:
                 ],
             }
 
+        # Weights 1 and 3: at 2**1022 their sum passes the float range.
+        def correlated(scale):
+            return {
+                "alternatives": ["a", "b", "c"],
+                "correlated": [[scale, ["a>b>c", "b>a>c"]], [3 * scale, ["b>a>c", "a>b>c"]]],
+            }
+
         out = tmp_path / "report.json"
 
-        def report(rule, scale):
-            path = self.write(tmp_path, document(scale))
-            assert main(["evaluate", "--rule", rule, "--profile", path, "--out", str(out)]) == 0, scale
+        def report(rule, doc):
+            path = self.write(tmp_path, doc)
+            assert main(["evaluate", "--rule", rule, "--profile", path, "--out", str(out)]) == 0, doc
             return out.read_bytes()
 
         for rule in ("qcv", "qcvne"):
-            unit = report(rule, 1.0)
-            for k in range(-200, 201):
-                assert report(rule, 2.0**k) == unit, k
+            unit = report(rule, document(1.0))
+            for k in (*range(-200, 201), -600, 600):
+                assert report(rule, document(2.0**k)) == unit, k
+            unit = report(rule, correlated(1.0))
+            for k in (-600, -40, 1022):
+                assert report(rule, correlated(2.0**k)) == unit, k
+        assert capsys.readouterr().err == ""
+
+    def test_an_m6_report_is_canonical_json(self, tmp_path, capsys):
+        # The goldens stop at m=4: a 720-row qcv report has the bytes of json.dumps(sort_keys=True, indent=2).
+        doc = {
+            "alternatives": ["a", "b", "c", "d", "e", "f"],
+            "voters": [
+                {"mixed": [[0.5, "a>b>c>d>e>f"], [0.3, "f>e>d>c>b>a"], [0.2, "c>a>e>b>f>d"]]},
+                {"pure": [[0.6, 0, "b>a>d>c>f>e"], [0, 0.8, "e>f>a>b>c>d"]]},
+                {"mixed": [[1, "d>c>b>a>f>e"], [2, "a>c>e>b>d>f"]]},
+            ],
+        }
+        out = tmp_path / "m6.json"
+        assert main(["evaluate", "--rule", "qcv", "--profile", self.write(tmp_path, doc), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert len(json.loads(text)["society"]["mixed"]) == 720
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(

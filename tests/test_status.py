@@ -12,6 +12,14 @@ signature of every basis profile at every electorate size: 105 at m=3,
   covers all C(m,2) pairs, a pair being covered when some voter orients it
   as the ranking does. A kept ranking breaks no unanimous pair, and every
   other pair is oriented both ways by some voter;
+- the kept-mass bound that lets the projection divide without a check,
+  on the vectors a transitive voter allows (``transitive``), which hold
+  every basis profile's signature: a unanimous pair (x, y) gives x more
+  Condorcet wins than y, so every linear extension of the weak order is
+  kept, and a row with unanimous pairs keeps at least its base weight
+  1 - |any| delta > 1/m, |any| being its ordered pairs some voter orients.
+  Closed vectors outside that set (18 at m=3, 4,152 at m=4) can drop an
+  extension, but no profile has their signature;
 - the status claim: a pair's value is exactly 1 if it is in U, exactly 0
   if its reverse is, and otherwise lies in [gamma_m, 1 - gamma_m]. A
   winner's value is exactly 0 if some y has (y, x) in U, exactly 1 if x is
@@ -60,6 +68,20 @@ def unanimous_pairs(alternatives: AlternativeSet, vectors: np.ndarray) -> np.nda
     return unanimous
 
 
+def transitive(alternatives: AlternativeSet, vectors: np.ndarray) -> np.ndarray:
+    """Which class vectors a transitive voter allows: (x, y) in U gives class(x, z) >= class(y, z) for every z.
+
+    Every voter placing x above y places x above each z it places y above,
+    so every basis profile's signature passes; a closed vector such as
+    x >> y, y > z by majority and z > x by majority does not.
+    """
+    m, (x, y) = alternatives.m, basis_table(alternatives).upper
+    classes = np.zeros((len(vectors), m, m), dtype=np.intp)
+    classes[:, x, y], classes[:, y, x] = vectors, 4 - vectors
+    unanimous = (classes == 4)[:, :, :, None]  # (x, y) in U, for each z
+    return ~(unanimous & (classes[:, :, None, :] < classes[:, None, :, :])).any(axis=(1, 2, 3))
+
+
 def closed_vectors(alternatives: AlternativeSet, chunk: int = 5**7):
     """Every class vector whose unanimous pairs are transitively closed, in chunks (base-5 order)."""
     pairs = comb(alternatives.m, 2)
@@ -88,6 +110,14 @@ def status_pass(alternatives: AlternativeSet, vectors: np.ndarray, gamma: float)
         stages = _qcv_stages(alternatives, part, params)
         covered = stages.present.reshape(-1, m * m).astype(np.intp) @ above.T.astype(np.intp)
         assert (covered[stages.keep] == comb(m, 2)).all(), "a kept ranking misses a present pair"
+        # On a signature, every extension is kept, so a constrained row keeps its base weight 1 - |any| delta.
+        signature = transitive(alternatives, part)
+        kept_all = (stages.keep | ~stages.extension).all(axis=1)
+        assert kept_all[signature].all(), "the projection drops an extension of a signature's weak order"
+        kept = np.where(stages.keep, stages.sigma, 0.0).sum(axis=1)
+        base = 1.0 - stages.present.sum(axis=(1, 2)) * params.delta
+        low = signature & stages.unanimous.any(axis=(1, 2)) & (kept < base)
+        assert not low.any(), "a signature's constrained row keeps less than its base weight"
         unanimous, off = unanimous_pairs(alternatives, part).astype(bool), ~np.eye(m, dtype=bool)  # (x, x) is no target
         rows = _projected(stages, params.eps)
         targets = [  # values, where they must be 1, where they must be 0
@@ -130,13 +160,28 @@ def test_the_closure_condition_is_needed():
         status_pass(alternatives, np.array([[4, 2, 4]]), float(MARGIN[3]))
 
 
+def test_the_transitivity_condition_is_needed():
+    # (a, b) unanimous, c above a and b above c by majority: closed, but no voter ranks so. Every ranking ties
+    # on one win, and the projection keeps 3 of the 6 extensions: 3 * (0.75 / 6 + 0.05) < 1 - 5 * 0.05.
+    alternatives = alternatives_of(3)
+    vectors = np.concatenate(list(closed_vectors(alternatives)))
+    assert [4, 1, 3] in vectors.tolist()
+    assert (~transitive(alternatives, vectors)).sum() == 18
+    assert not transitive(alternatives, np.array([[4, 1, 3]]))[0]
+    stages = _qcv_stages(alternatives, np.array([[4, 1, 3]]), QcvParams.for_alternatives(3))
+    assert stages.extension.all() and stages.keep.sum() == 3
+    assert stages.sigma[stages.keep].sum() == pytest.approx(0.525)
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_sampled_basis_profiles_meet_the_proved_bound(m):
     alternatives = alternatives_of(m)
     d, rng = factorial(m), random.Random(m)
     for n in range(1, 7):
         idx = np.array([[rng.randrange(d) for _ in range(n)] for _ in range(40)], dtype=np.intp)
-        status_pass(alternatives, signatures(alternatives, idx), proved_bound(m))
+        vectors = signatures(alternatives, idx)
+        assert transitive(alternatives, vectors).all()
+        status_pass(alternatives, vectors, proved_bound(m))
 
 
 if __name__ == "__main__":

@@ -203,6 +203,16 @@ class TestQcvBasisExamples:
         with pytest.raises(InvalidArgument, match="eps"):
             QcvParams(0.05, eps=0.6)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("0.05",), "delta must be a number, got '0.05'"), ((0.05, "1e-9"), "eps must be a number, got '1e-9'"),
+         ((None,), "delta must be a number, got None"), ((0.05, 1j), "eps must be a number, got 1j")],
+        ids=["string-delta", "string-eps", "none-delta", "complex-eps"],
+    )
+    def test_parameters_that_are_not_numbers_are_refused(self, args, message):
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            QcvParams(*args)
+
     def test_eps_bounded_below(self):
         # Below about 1e-15 the distribution checks fail on a sum's rounding alone.
         assert QcvParams(0.05, eps=1e-12).eps == 1e-12
@@ -352,37 +362,33 @@ class TestQcvKernel:
             stepwise_qcv(ClassicalProfile(cycle_profile), QcvParams(1 / 9))
 
     def test_spread_bound_raises_like_the_step_rule(self, alts3):
-        # Unchecked delta 0.2: a cycle orients all six pairs and 6 * 0.2 >= 1.
-        params = UncheckedParams(0.2)
+        # Delta 0.2 would leave a cycle, which orients all six pairs, no base
+        # weight (6 * 0.2 >= 1); check_alternatives refuses it first in both
+        # forms. Below 1/m^2, |any| * delta <= m(m-1) * delta < (m-1)/m.
+        params = QcvParams(0.2)
         cycle = (0, 3, 4)
-        with pytest.raises(InvalidArgument, match="leave no weight"):
+        message = r"^delta 0.2 must be strictly below 1/9 for 3 alternatives$"
+        with pytest.raises(InvalidArgument, match=message):
             basis_rule(alts3, cycle, params)
-        with pytest.raises(InvalidArgument, match="leave no weight"):
+        with pytest.raises(InvalidArgument, match=message):
             kernel_rows(alts3, np.array([cycle], dtype=np.intp), params)
+        unchecked = UncheckedParams(0.2)
         assert np.array_equal(
-            kernel_rows(alts3, np.array([[0, 0, 1]], dtype=np.intp), params)[0],
-            kernel_rows(alts3, np.array([[0, 1, 0]], dtype=np.intp), params)[0],
+            kernel_rows(alts3, np.array([[0, 0, 1]], dtype=np.intp), unchecked)[0],
+            kernel_rows(alts3, np.array([[0, 1, 0]], dtype=np.intp), unchecked)[0],
         )
 
     def test_zero_mass_follows_the_step_rule(self, alts3):
-        # Admissible parameters keep at least 1 - |any| * delta > 1/m of mass in
-        # the unanimous subspace, so neither form can raise; an eps far above
-        # MAX_EPS is needed to reach the check. The step rule divides once per
-        # unanimous pair and raises when any partial mass is at most eps; the
-        # kernel divides once, by the product of those masses, so it raises
-        # whenever the step rule does.
-        raised = 0
-        for delta, eps in [(0.1, 0.9), (0.2, 0.9), (0.3, 0.7), (0.32, 0.5)]:
-            params = UncheckedParams(delta, eps)
-            for n in (1, 2, 3):
-                for indices in product(range(6), repeat=n):
-                    try:
-                        basis_rule(alts3, indices, params)
-                    except (InvalidArgument, ZeroMassProjection) as exc:
-                        raised += isinstance(exc, ZeroMassProjection)
-                        with pytest.raises(type(exc)):
-                            kernel_rows(alts3, np.array([indices], dtype=np.intp), params)
-        assert raised > 0
+        # At the largest delta and eps the rule accepts, a constrained row
+        # keeps at least 1 - |any| * delta > 1/m of mass in the unanimous
+        # subspace, far above eps, so neither form raises ZeroMassProjection
+        # (or anything else) on any basis profile.
+        params = QcvParams(float(np.nextafter(1 / 9, 0)), hilbert.MAX_EPS)
+        for n in (1, 2, 3):
+            idx = np.array(list(combinations_with_replacement(range(6), n)), dtype=np.intp)
+            rows = kernel_rows(alts3, idx, params)
+            for indices, row in zip(idx, rows):
+                assert np.abs(row - basis_rule(alts3, indices, params)).max() <= 1e-15
 
 
 class TestStageReadout:
@@ -1020,6 +1026,15 @@ class TestBaselineRules:
         profile = ProfileState.product_of([nearly, basis_state(space3, rk(alts3, "b>a>c"))])
         assert veto_rule(pet).evaluate(profile).diagonal[0] == 0.0
         assert veto_rule(pet, eps=1e-3).evaluate(profile).diagonal[0] == 1.0
+
+    @pytest.mark.parametrize("pet", ["d>c>b>a", "a>b>c>d"])
+    def test_veto_refuses_a_profile_on_other_alternatives(self, alts3, pet):
+        # The pet's index would read past an m=3 ballot, or the rule would return an m=4 society.
+        rule = veto_rule(rk(AlternativeSet(tuple("abcd")), pet))
+        profile = ProfileState.basis([rk(alts3, "a>b>c")] * 3)
+        refused = "a profile on alternatives ('a', 'b', 'c') is not on the veto rule's alternatives ('a', 'b', 'c', 'd')"
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(refused)}$"):
+            rule.evaluate(profile)
 
     def test_veto_needs_two_voters(self, alts3, space3):
         rule = veto_rule(rk(alts3, "a>b>c"))
