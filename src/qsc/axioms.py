@@ -33,6 +33,7 @@ from .hilbert import (
     check_eps,
     check_integer,
     check_profile_space,
+    check_voter_index,
     diagonal_state,
     mixed_state,
     pure_state,
@@ -434,7 +435,7 @@ _GRID_WEIGHTS = (0.25, 0.5, 0.75)
 
 def default_profile_sampler(space: RankingSpace, n_voters: int) -> ProfileSampler:
     """Seeded mix of basis profiles, superpositions, mixtures and party lines."""
-    check_integer("n_voters", n_voters)
+    n_voters = check_integer("n_voters", n_voters)
     if n_voters < 1:
         raise InvalidArgument("need at least one voter")
     rankings = space.rankings()
@@ -501,19 +502,19 @@ def default_paired_sampler(space: RankingSpace, n_voters: int) -> PairedSampler:
     return sample
 
 
-def _draws(sampler: Callable[[random.Random], object], trials: int, seed: int) -> Iterator:
-    """The trials' draws from a sampler, on one RNG seeded with ``seed``.
+def _draws(sampler: Callable[[random.Random], object], trials: int, seed: int) -> tuple[int, int, Iterator]:
+    """The trials and seed as Python ints, and the trials' draws from a sampler on one RNG seeded with ``seed``.
 
     A ``trials`` that is not an integer, or fewer than one trial, is
     refused here, when called, before the caller builds anything, and so is
     a ``seed`` that is not an integer: a report records its seed for replay.
     """
-    check_integer("trials", trials)
+    trials = check_integer("trials", trials)
     if trials < 1:
         raise InvalidArgument("trials must be at least 1")
-    check_integer("seed", seed)
+    seed = check_integer("seed", seed)
     rng = random.Random(seed)
-    return (sampler(rng) for _ in range(trials))
+    return trials, seed, (sampler(rng) for _ in range(trials))
 
 
 class _Report:
@@ -755,6 +756,7 @@ def manipulation_witness(
     adapter = _Targets(rule, profile.space, eps)
     position = adapter.position(target)
     society = adapter.society_values(profile)
+    voter = check_voter_index(voter)
     fired = [(j, clause) for j, clause in _fired(adapter, profile, voter, society) if j == position]
     if not fired:
         return None
@@ -789,7 +791,7 @@ def check_qic(
     The hunt stops at its first witness, and ``trials_run`` counts the draws
     up to the witness's, or every trial when there is none.
     """
-    draws = _draws(sampler, trials, seed)
+    trials, seed, draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
     witnesses: list[dict] = []
     trials_run = trials
@@ -821,7 +823,7 @@ def check_dictatorship(
     and double (``_batches``): it scores at most 2t - 1 draws to read t.
     """
     adapter = _Targets(rule, space, eps)
-    draws = _draws(sampler, trials, seed)
+    trials, seed, draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
     counterexamples: dict[tuple[int, str], dict] = {}
     trials_run = 0
@@ -871,7 +873,7 @@ def check_onto(
     eps: float = DEFAULT_EPS,
 ) -> AxiomReport:
     """Each alternative must win outright on its unanimous basis profile."""
-    check_integer("n_voters", n_voters)
+    n_voters = check_integer("n_voters", n_voters)
     started = time.perf_counter()
     space = RankingSpace(alternatives)
     adapter = _Targets(rule, space, eps, kind="choice")
@@ -903,7 +905,7 @@ def check_unanimity(
 ) -> AxiomReport:
     """Whenever every ballot (fully / at all) supports a pair, society must too."""
     adapter = _Targets(rule, space, eps, kind="welfare")
-    draws = _draws(sampler, trials, seed)
+    trials, seed, draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
     violations: list[dict] = []
     details = {variant: {"instances": 0, "violations": 0} for variant, _ in _VARIANTS}
@@ -938,7 +940,7 @@ def check_iia(
     """Society's certainty / support status on a pair must transfer between
     profiles whose voters agree, trace for trace, on that pair."""
     adapter = _Targets(rule, space, eps, kind="welfare")
-    draws = _draws(paired_sampler, trials, seed)
+    trials, seed, draws = _draws(paired_sampler, trials, seed)
     started = time.perf_counter()
     violations: list[dict] = []
     details: dict = {variant: {"instances": 0} for variant, _ in _VARIANTS}
@@ -987,7 +989,7 @@ def check_composition_preservation(
     rule.
     """
     _rule_kind(rule, "welfare")
-    draws = _draws(sampler, trials, seed)
+    trials, seed, draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
     composed = compose(rule, eps)
     violations: list[dict] = []
@@ -1013,18 +1015,18 @@ def _component(name: str, ok: bool, verdict: str | None = None) -> dict:
 
 def _suite_sampler(
     alternatives: AlternativeSet, n_voters: int, trials: int, seed: int
-) -> tuple[RankingSpace, ProfileSampler]:
-    """A suite's space and profile sampler; a suite too small to run, or a seed that is not an integer, is
-    refused before its rule is read."""
+) -> tuple[RankingSpace, ProfileSampler, int, int]:
+    """A suite's space, profile sampler, and trials and seed as Python ints; a suite too small to run, or
+    a seed that is not an integer, is refused before its rule is read."""
     if alternatives.m < 3:
         raise InvalidArgument("suites need at least 3 alternatives")
-    check_integer("n_voters", n_voters)
-    check_integer("trials", trials)
-    check_integer("seed", seed)
+    n_voters = check_integer("n_voters", n_voters)
+    trials = check_integer("trials", trials)
+    seed = check_integer("seed", seed)
     if n_voters < 1 or trials < 1:
         raise InvalidArgument("need at least one voter and one trial")
     space = RankingSpace(alternatives)
-    return space, default_profile_sampler(space, n_voters)
+    return space, default_profile_sampler(space, n_voters), trials, seed
 
 
 def run_arrow_suite(
@@ -1037,7 +1039,7 @@ def run_arrow_suite(
 ) -> SuiteReport:
     """Unanimity, independence and non-dictatorship, bundled."""
     started = time.perf_counter()
-    space, sampler = _suite_sampler(alternatives, n_voters, trials, seed)
+    space, sampler, trials, seed = _suite_sampler(alternatives, n_voters, trials, seed)
     paired = default_paired_sampler(space, n_voters)
     unanimity = check_unanimity(rule, space, sampler, trials, seed, eps)
     iia = check_iia(rule, space, paired, trials, seed + 1, eps)
@@ -1062,7 +1064,7 @@ def run_gs_suite(
 ) -> SuiteReport:
     """Incentive compatibility, onto and non-dictatorship, bundled."""
     started = time.perf_counter()
-    space, sampler = _suite_sampler(alternatives, n_voters, trials, seed)
+    space, sampler, trials, seed = _suite_sampler(alternatives, n_voters, trials, seed)
     _rule_kind(rule, "choice")
     qic = check_qic(rule, sampler, family, trials, seed, eps)
     onto = check_onto(rule, alternatives, n_voters, eps)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import factorial
@@ -46,27 +47,29 @@ def check_eps(eps: float) -> None:
         raise InvalidArgument(f"eps must lie in [{MIN_EPS}, {MAX_EPS}], got {eps}")
 
 
-def check_integer(name: str, value: int) -> None:
-    """Refuse a value that is not an integer, naming it ``name``.
+def check_integer(name: str, value: int) -> int:
+    """The value as a Python int; refuse a value that is not an integer, naming it ``name``.
 
-    An integer has ``__index__``. A bool has one too, but is refused, as an
-    integral float is.
+    An integer has ``__index__``, so a numpy integer becomes the int it
+    holds. A bool has one too, but is refused, as an integral float is.
     """
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
-def check_voter_index(voter: int) -> None:
-    """Refuse a voter index that is not an integer (``check_integer``), or that no message can print.
+def check_voter_index(voter: int) -> int:
+    """The voter index as a Python int (``check_integer``); refuse one that no message can print.
 
     An integer past str()'s digit limit is out of range of every profile,
     and no message could name it.
     """
-    check_integer("voter index", voter)
+    voter = check_integer("voter index", voter)
     try:
         str(voter)
     except ValueError:  # str() refuses an integer past 4,300 digits
         raise InvalidArgument("voter index out of range, got an integer too long to print") from None
+    return voter
 
 
 def check_basis_indices(keys: Iterable[Sequence[int]], dim: int) -> None:
@@ -130,9 +133,15 @@ def winner_projector(space: RankingSpace, alternative: str) -> Subspace:
 
 
 def _check_hermitian_unit_trace(matrix: np.ndarray, dim: int, eps: float) -> None:
-    """Raise unless ``matrix`` is dim x dim, Hermitian and unit-trace within eps."""
+    """Raise unless ``matrix`` is dim x dim, finite, Hermitian and unit-trace within eps.
+
+    A non-finite entry is refused first: ``np.allclose`` reads inf as close
+    to inf, and the decomposition that follows fails on one.
+    """
     if matrix.shape != (dim, dim):
         raise InvalidArgument(f"density must be {dim}x{dim}, got {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise InvalidArgument("density has a non-finite entry")
     if not np.allclose(matrix, matrix.conj().T, atol=eps, rtol=0.0):
         raise InvalidArgument("density is not Hermitian within tolerance")
     trace = float(np.real(np.trace(matrix)))
@@ -284,9 +293,14 @@ def pure_state(
     terms: Iterable[tuple[complex, Ranking]],
     eps: float = DEFAULT_EPS,
 ) -> DensityOperator:
-    """Rank-1 density from amplitude terms; amplitudes are normalized from any finite scale (``_scale``)."""
+    """Rank-1 density from amplitude terms; amplitudes are normalized from any finite scale (``_scale``).
+
+    An amplitude that is not a number (``numbers.Complex``) is refused.
+    """
     read = []
     for amplitude, ranking in terms:
+        if not isinstance(amplitude, numbers.Complex):
+            raise InvalidArgument(f"amplitude must be a number, got {amplitude!r}")
         try:
             value = complex(amplitude)
         except OverflowError:  # an integer past the float range
@@ -305,9 +319,13 @@ def pure_state(
 
 
 def mixed_state(space: RankingSpace, terms: Iterable[tuple[float, Ranking]]) -> DensityOperator:
-    """Diagonal density from weight terms; weights are normalized from any finite scale (``_scale``)."""
+    """Diagonal density from weight terms; weights are normalized from any finite scale (``_scale``).
+
+    A weight that is not a number (``check_number``) is refused.
+    """
     read = []
     for weight, ranking in terms:
+        check_number("mixture weight", weight)
         w = _as_float(weight)
         if not 0.0 <= w < math.inf:
             raise InvalidArgument(f"mixture weights must be finite and nonnegative, got {w}")
@@ -412,16 +430,18 @@ class ProfileState:
     def correlated_indices(cls, space: RankingSpace, terms: Sequence[tuple[float, Sequence[int]]]) -> "ProfileState":
         """Profile from (weight, basis-index tuple) terms.
 
-        The weights must be finite and positive; they are normalized from any
-        scale as a ballot's are (``_scale``, then divided by their ``_total``),
-        and a weight that underflows to 0 there is refused. Every term must
-        give one basis index in 0..d-1 per voter.
+        The weights must be finite and positive numbers; they are normalized
+        from any scale as a ballot's are (``_scale``, then divided by their
+        ``_total``), and a weight that underflows to 0 there is refused. Every
+        term must give one basis index in 0..d-1 per voter.
         """
         if not terms:
             raise InvalidArgument("correlated profile needs at least one term")
         n = len(terms[0][1])
         if n < 1:
             raise InvalidArgument("correlated profile needs at least one voter")
+        for weight, _ in terms:
+            check_number("correlated weight", weight)
         read = [(_as_float(weight), key) for weight, key in terms]
         for w, _ in read:
             if not 0.0 < w < math.inf:
@@ -460,7 +480,7 @@ class ProfileState:
         integral floats such as 2.0 and strings such as "1" included, and so
         is a bool.
         """
-        check_voter_index(voter)
+        voter = check_voter_index(voter)
         if not 1 <= voter <= self.n_voters:
             raise InvalidArgument(f"voter index {voter} out of range 1..{self.n_voters}")
         return voter - 1
@@ -579,13 +599,16 @@ def alternative_state(
 ) -> AlternativeState:
     """Validated distribution over alternatives; tiny negatives are clamped.
 
-    A label outside the alternative set is refused (``AlternativeSet.index``).
+    A label outside the alternative set is refused (``AlternativeSet.index``),
+    and so is a probability that is not a number (``check_number``).
     """
     for label in probabilities:
         alternatives.index(label)
     cleaned = {}
     for name in alternatives.names:
-        p = float(probabilities.get(name, 0.0))
+        p = probabilities.get(name, 0.0)
+        check_number(f"probability for {name!r}", p)
+        p = float(p)
         cleaned[name] = 0.0 if -eps <= p < 0.0 else p
     state = AlternativeState(alternatives, cleaned)
     state.validate(eps)

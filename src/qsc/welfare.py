@@ -121,7 +121,7 @@ class _Stages:
     present: np.ndarray  # k x m x m bool: some voter places x above y
     unanimous: np.ndarray  # k x m x m bool: every voter places x above y
     keep: np.ndarray  # k x d bool: the rankings keeping every unanimous pair
-    sigma: np.ndarray  # k x d: sigma2 on the kept rankings, which ``_projected`` turns to sigma3 in place
+    sigma: np.ndarray  # k x d: sigma2 on the kept rankings, 0 elsewhere; ``_projected`` makes it sigma3 in place
     running: np.ndarray  # C(m,2) + 1: the spread of a ranking covering 0..C(m,2) present pairs
 
 
@@ -138,9 +138,9 @@ def _qcv_stages(alternatives: AlternativeSet, signatures: np.ndarray, params: Qc
     per covered pair, a pair being covered when some voter orients it as the
     ranking does. A kept ranking breaks no unanimous pair, and every other
     pair some voter orients each way, so it covers all C(m,2) pairs: its
-    spread is the one constant ``running[C(m,2)]``. The rows carry that
-    constant on every ranking; ``_projected`` zeroes the rankings not kept,
-    and ``qcv_basis`` reads sigma2 on them from ``running``.
+    spread is the one constant ``running[C(m,2)]``. The rows carry sigma2
+    on the kept rankings only, 0 elsewhere; ``qcv_basis`` reads sigma2 on the
+    others from ``running``.
     """
     params.check_alternatives(alternatives.m)
     basis = basis_table(alternatives)
@@ -160,27 +160,29 @@ def _qcv_stages(alternatives: AlternativeSet, signatures: np.ndarray, params: Qc
     extension, keep = (masks.astype(np.float32) @ basis.orients).reshape(2, k, d) == 0.0  # no broken pair
     # One add of delta / (d/2) per covered pair, in order, as the step-by-step rule adds them.
     running = np.concatenate(([0.0], np.cumsum(np.full(len(x), params.delta / (d // 2)))))
-    sigma = np.full((k, d), running[len(x)])  # the spread of a kept ranking
+    sigma = np.where(keep, running[len(x)], 0.0)  # the spread of a kept ranking
     base = (1.0 - n_any * params.delta) * (1.0 / extension.sum(axis=1))
-    np.add(sigma, base[:, None], out=sigma, where=extension)
+    np.add(sigma, base[:, None], out=sigma, where=extension & keep)
     return _Stages(wins, extension, present, unanimous, keep, sigma, running)
 
 
-def _projected(stages: _Stages, eps: float) -> np.ndarray:
+def _projected(stages: _Stages) -> np.ndarray:
     """Sigma3 from the stages, in place of their sigma2.
 
     The unanimous pairs are enforced by one renormalization rather than one
-    per pair, which moves weights by at most a few ulp. No row needs a
-    zero-mass check: on a profile's signature a unanimous pair (x, y) gives
-    x more Condorcet wins than y (each voter placing y above z places x
-    above z), so every extension is kept, and with them the base weight
-    1 - n_any * delta > 1/m.
+    per pair, which moves weights by at most a few ulp. A row without
+    unanimous pairs keeps every ranking and passes unchanged. A row with
+    one is divided by its kept mass, which lies in [1 - n_any * delta,
+    1 - (C(m,2) - 1) * delta], so it needs neither a zero-mass check nor a
+    clamp near 1. The lower bound: on a profile's signature a unanimous
+    pair (x, y) gives x more Condorcet wins than y (each voter placing y
+    above z places x above z), so every extension is kept, and with them
+    the base weight 1 - n_any * delta > 1/m. The upper bound, met with one
+    unanimous pair, is checked on every closed class vector at m = 3 to 5
+    (``tests/test_status.py``).
     """
     sigma = stages.sigma
-    # keep is all True on a row without unanimous pairs, so such rows pass unchanged.
-    sigma[~stages.keep] = 0.0
     mass = sigma.sum(axis=1)
-    mass[(mass > 1.0) & (mass <= 1.0 + eps)] = 1.0
     mass[~stages.unanimous.any(axis=(1, 2))] = 1.0
     sigma /= mass[:, None]
     return sigma
@@ -188,7 +190,7 @@ def _projected(stages: _Stages, eps: float) -> np.ndarray:
 
 def _qcv_rows(alternatives: AlternativeSet, signatures: np.ndarray, params: QcvParams) -> np.ndarray:
     """The six-step rule's sigma3 weights for each majority signature (k x C(m,2) -> k x d)."""
-    return _projected(_qcv_stages(alternatives, signatures, params), params.eps)
+    return _projected(_qcv_stages(alternatives, signatures, params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +227,7 @@ def qcv_basis(alternatives: AlternativeSet, indices: Sequence[int], params: QcvP
     # the spread of the pairs each covers.
     covered = (table.above & stages.present[0]).sum(axis=(1, 2))
     sigma2 = np.where(stages.keep[0], stages.sigma[0], stages.running[covered])
-    sigma3 = _projected(stages, params.eps)[0]
+    sigma3 = _projected(stages)[0]
     names = alternatives.names
     scores = dict(zip(names, stages.wins[0].tolist()))
     tiers = tuple(
@@ -475,7 +477,7 @@ def qcv_rule(params: QcvParams) -> WelfareRule:
 
 def dictator_rule(voter: int) -> WelfareRule:
     """Welfare rule that returns one voter's marginal ballot verbatim; the voter must be a positive integer."""
-    check_voter_index(voter)
+    voter = check_voter_index(voter)
     if voter < 1:
         raise InvalidArgument(f"voter index must be positive, got {voter}")
 

@@ -899,6 +899,41 @@ class TestTrials:
         with pytest.raises(InvalidArgument, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
             check(alts3, space3, seed)
 
+    # A numpy integer is the int it holds: the RNG is seeded with it and the report records it as an int.
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda alts, space, i: check_qic(
+                qcv_rule(PARAMS), default_profile_sampler(space, i(2)), FAMILY, i(3), i(3)
+            ),
+            lambda alts, space, i: check_dictatorship(
+                qcv_rule(PARAMS), space, default_profile_sampler(space, i(2)), i(3), i(3)
+            ),
+            lambda alts, space, i: check_unanimity(
+                qcv_rule(PARAMS), space, default_profile_sampler(space, i(2)), i(3), i(3)
+            ),
+            lambda alts, space, i: check_iia(qcv_rule(PARAMS), space, default_paired_sampler(space, i(2)), i(3), i(3)),
+            lambda alts, space, i: check_composition_preservation(
+                qcv_rule(PARAMS), default_profile_sampler(space, i(2)), FAMILY, i(3), i(3)
+            ),
+            lambda alts, space, i: check_onto(qcvne_rule(PARAMS), alts, i(3)),
+            lambda alts, space, i: run_arrow_suite(qcv_rule(PARAMS), alts, i(2), i(3), i(3)),
+            lambda alts, space, i: run_gs_suite(qcvne_rule(PARAMS), alts, i(2), i(3), i(3)),
+        ],
+        ids=[
+            "qic", "dictatorship", "unanimity", "iia", "composition-preservation", "onto", "arrow-suite", "gs-suite"
+        ],
+    )
+    def test_numpy_integers_give_the_report_bytes_of_ints(self, alts3, space3, check):
+        assert check(alts3, space3, np.int64).to_json() == check(alts3, space3, int).to_json()
+
+    def test_a_numpy_voter_is_recorded_as_an_int(self, veto_setup):
+        rule, profile = veto_setup
+        record = manipulation_witness(rule, profile, np.int64(1), ("a", "b"), FAMILY).to_jsonable()
+        assert type(record["voter"]) is int
+        expected = manipulation_witness(rule, profile, 1, ("a", "b"), FAMILY).to_jsonable()
+        assert canonical_json(record) == canonical_json(expected)
+
 
 class TestEngineEps:
     """The engine reads values at an eps in [MIN_EPS, MAX_EPS], the range ``QcvParams`` accepts."""

@@ -17,12 +17,15 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import qsc
 from qsc.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -85,6 +88,27 @@ def test_golden_report_bytes(name, tmp_path):
     code, stdout = run_case(argv, document, tmp_path)
     assert code == golden["exit_code"]
     assert stdout == golden["stdout"]
+
+
+def test_golden_report_bytes_under_a_fixed_hash_seed(tmp_path):
+    # The cases above run under the runner's own hash seed; a fresh interpreter under a fixed second one
+    # shows that no report byte follows set or dict hash order.
+    paths = [str(Path(qsc.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": os.pathsep.join(paths)}
+    render = (
+        "import json, sys, pathlib\n"
+        "from test_golden import CASES, run_case\n"
+        "print(json.dumps({name: run_case(*CASES[name], pathlib.Path(sys.argv[1])) for name in sorted(CASES)}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", render, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    rendered = json.loads(done.stdout)
+    assert sorted(rendered) == sorted(CASES)
+    for name, (code, stdout) in rendered.items():
+        golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+        assert (code, stdout) == (golden["exit_code"], golden["stdout"]), name
 
 
 def test_compare_separates_float_drift_from_other_changes():

@@ -677,6 +677,42 @@ class TestNanIsRefused:
             alternative_state(alts3, {"a": 0.5, "b": math.nan, "c": 0.5})
 
 
+SECOND = Ranking.from_string(AlternativeSet(("a", "b", "c")), "b>a>c")
+
+
+class TestTermsMustBeNumbers:
+    """A weight, probability or amplitude given as a string or None is refused, not read as the number it spells."""
+
+    BUILDERS = {
+        "mixed_state": lambda alts, space, value: mixed_state(space, [(value, rk(alts, "a>b>c")), (0.5, SECOND)]),
+        "pure_state": lambda alts, space, value: pure_state(space, [(1.0, rk(alts, "a>b>c")), (value, SECOND)]),
+        "correlated_indices": lambda alts, space, value: ProfileState.correlated_indices(space, [(value, (0, 1))]),
+        "alternative_state": lambda alts, space, value: alternative_state(alts, {"a": value}),
+    }
+    NAMES = {
+        "mixed_state": "mixture weight",
+        "pure_state": "amplitude",
+        "correlated_indices": "correlated weight",
+        "alternative_state": "probability for 'a'",
+    }
+
+    @pytest.mark.parametrize("value", ["0.5", "1", "1j", b"1", None])
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    def test_non_numbers_are_refused(self, alts3, space3, builder, value):
+        message = f"^{re.escape(self.NAMES[builder])} must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidArgument, match=message):
+            self.BUILDERS[builder](alts3, space3, value)
+
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    def test_numpy_scalars_read_as_numbers(self, alts3, space3, builder):
+        build = self.BUILDERS[builder]
+        for scalar in (np.float64(1.0), np.int64(1), np.float32(1.0)):
+            state, expected = build(alts3, space3, scalar), build(alts3, space3, 1.0)
+            for field in ("diagonal", "amplitudes", "joint", "probabilities"):
+                got, want = getattr(state, field, None), getattr(expected, field, None)
+                assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+
+
 class TestBasisIndices:
     """A basis index must be an integer in 0..d-1 wherever a caller gives one."""
 
@@ -851,6 +887,22 @@ class TestFromMatrix:
     def test_invalid_matrix_rejected(self, space3):
         with pytest.raises(InvalidArgument):
             DensityOperator.from_matrix(space3, np.eye(6))  # trace 6
+
+    # np.allclose reads inf as close to inf, and eigh fails to converge on one; NaN was read as "not Hermitian".
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "check", [DensityOperator.from_matrix, lambda space, matrix: validate_density(matrix, space.dim)],
+        ids=["from_matrix", "validate_density"],
+    )
+    def test_non_finite_entries_rejected(self, space3, check, value):
+        matrix = np.eye(6, dtype=np.complex128) / 6
+        matrix[0, 1] = matrix[1, 0] = value
+        with pytest.raises(InvalidArgument, match="^density has a non-finite entry$"):
+            check(space3, matrix)
+        matrix = np.eye(6, dtype=np.complex128) / 6
+        matrix[2, 2] = value
+        with pytest.raises(InvalidArgument, match="^density has a non-finite entry$"):
+            check(space3, matrix)
 
     def test_overflowing_inputs_rejected(self, alts3, space3):
         # Squares and sums of these terms overflow, but the builders scale the terms first:

@@ -19,7 +19,10 @@ signature of every basis profile at every electorate size: 105 at m=3,
   kept, and a row with unanimous pairs keeps at least its base weight
   1 - |any| delta > 1/m, |any| being its ordered pairs some voter orients.
   Closed vectors outside that set (18 at m=3, 4,152 at m=4) can drop an
-  extension, but no profile has their signature;
+  extension, but no profile has their signature. On every vector a row
+  with unanimous pairs keeps at most 1 - (C(m,2) - 1) delta, the mass of
+  one unanimous pair, so no kept mass exceeds 1. The kernel writes sigma2
+  on the kept rankings only;
 - the status claim: a pair's value is exactly 1 if it is in U, exactly 0
   if its reverse is, and otherwise lies in [gamma_m, 1 - gamma_m]. A
   winner's value is exactly 0 if some y has (y, x) in U, exactly 1 if x is
@@ -114,12 +117,15 @@ def status_pass(alternatives: AlternativeSet, vectors: np.ndarray, gamma: float)
         signature = transitive(alternatives, part)
         kept_all = (stages.keep | ~stages.extension).all(axis=1)
         assert kept_all[signature].all(), "the projection drops an extension of a signature's weak order"
-        kept = np.where(stages.keep, stages.sigma, 0.0).sum(axis=1)
+        assert (stages.sigma[~stages.keep] == 0.0).all(), "sigma2 has weight on a dropped ranking"
+        kept, constrained = stages.sigma.sum(axis=1), stages.unanimous.any(axis=(1, 2))
         base = 1.0 - stages.present.sum(axis=(1, 2)) * params.delta
-        low = signature & stages.unanimous.any(axis=(1, 2)) & (kept < base)
+        low = signature & constrained & (kept < base)
         assert not low.any(), "a signature's constrained row keeps less than its base weight"
+        high = constrained & (kept > 1.0 - (comb(m, 2) - 1) * params.delta + 1e-15)
+        assert not high.any(), "a constrained row keeps more than one unanimous pair allows"
         unanimous, off = unanimous_pairs(alternatives, part).astype(bool), ~np.eye(m, dtype=bool)  # (x, x) is no target
-        rows = _projected(stages, params.eps)
+        rows = _projected(stages)
         targets = [  # values, where they must be 1, where they must be 0
             ((rows @ above).reshape(-1, m, m)[:, off], unanimous[:, off], unanimous.transpose(0, 2, 1)[:, off]),
             (rows @ tops, unanimous.sum(axis=2) == m - 1, unanimous.any(axis=1)),
@@ -171,6 +177,23 @@ def test_the_transitivity_condition_is_needed():
     stages = _qcv_stages(alternatives, np.array([[4, 1, 3]]), QcvParams.for_alternatives(3))
     assert stages.extension.all() and stages.keep.sum() == 3
     assert stages.sigma[stages.keep].sum() == pytest.approx(0.525)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_no_constrained_row_keeps_more_than_it_started_with(m):
+    # The projection divides a constrained row by its kept mass without clamping a mass just above 1:
+    # on every class vector, closed or not, and at the extreme deltas, none exceeds 1.
+    alternatives = alternatives_of(m)
+    pairs = comb(m, 2)
+    vectors = np.arange(5**pairs, dtype=np.int64)[:, None] // 5 ** np.arange(pairs, dtype=np.int64) % 5
+    step = _KERNEL_CELLS // factorial(m)
+    for delta in (1e-300, QcvParams.for_alternatives(m).delta, float(np.nextafter(1.0 / (m * m), 0.0))):
+        params = QcvParams(delta)
+        for start in range(0, len(vectors), step):
+            stages = _qcv_stages(alternatives, vectors[start : start + step], params)
+            kept = stages.sigma.sum(axis=1)[stages.unanimous.any(axis=(1, 2))]
+            assert kept.size and (kept <= 1.0).all()
+            assert (kept <= 1.0 - (pairs - 1) * delta + 1e-15).all()
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
