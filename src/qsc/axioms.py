@@ -40,7 +40,7 @@ from .hilbert import (
     support_probabilities,
 )
 from .rankings import AlternativeSet, basis_table
-from .welfare import WelfareRule
+from .welfare import CERTAIN, EXCLUDED, UNDECIDED, Statuses, WelfareRule
 
 VERDICT_HOLDS = "holds-on-sample"
 VERDICT_FALSIFIED = "falsified"
@@ -80,7 +80,7 @@ FAMILY_CAP = 100_000  # ballots; the m=4 default family has 3,152, the m=5 one 3
 # ballot (a superposition or a random one). m=5 basis,sup2 holds 871,200.
 FAMILY_WEIGHT_CAP = 4_000_000
 # Vertex values this close to a clause threshold are re-checked exactly; the
-# hook's and the rule's sums differ only by rounding, far below this.
+# ``responses`` hook's and the rule's sums differ only by rounding, far below this.
 _VERTEX_MARGIN = 1e-11
 # The most draws a hunt, and each batched check, scores together (with one hook call when the rule has a hook).
 _BATCH_DRAWS = 64
@@ -124,6 +124,15 @@ class PreferenceKind(Enum):
             return value <= eps
         return value > eps
 
+    def reads(self, status):
+        """Whether society's status (``welfare.EXCLUDED``, ``UNDECIDED`` or ``CERTAIN``) reads as this kind,
+        elementwise for a numpy array: certain, excluded, or anything but excluded."""
+        if self is PreferenceKind.STRONG_POSITIVE:
+            return status == CERTAIN
+        if self is PreferenceKind.STRONG_NEGATIVE:
+            return status == EXCLUDED
+        return status != EXCLUDED
+
 
 # The sharp variant of an Arrow axiom reads certainty, the unsharp one support.
 _VARIANTS = (("sharp", PreferenceKind.STRONG_POSITIVE), ("unsharp", PreferenceKind.WEAK))
@@ -142,6 +151,12 @@ def classify_value(value: float, eps: float = DEFAULT_EPS) -> PreferenceKind:
     if PreferenceKind.STRONG_POSITIVE.holds(value, eps):
         return PreferenceKind.STRONG_POSITIVE
     return PreferenceKind.WEAK
+
+
+def _status_of(value: float, eps: float) -> int:
+    """Society's status as its value reads against eps, so that every kind ``reads`` it as it ``holds`` the value:
+    excluded at most eps, certain at least 1 - eps (eps is below 1/2), and undecided between."""
+    return EXCLUDED if value <= eps else CERTAIN if value >= 1.0 - eps else UNDECIDED
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,9 +207,11 @@ class _Targets:
     subspace. A ballot is read from its own weights, and society from the
     weights of the welfare rule's output, so a choice rule's value on an
     alternative is the natural extension's, at the adapter's eps.
-    A rule of any other kind than ``kind``, when given, is refused, and so
-    is an eps outside [MIN_EPS, MAX_EPS]. A target is looked up by
-    ``position``, which refuses anything not in ``targets``.
+    Society's side of a clause reads a status (``_Society``): a rule with a
+    ``statuses`` hook gives it exactly, and any other rule's value gives it
+    against eps. A rule of any other kind than ``kind``, when given, is
+    refused, and so is an eps outside [MIN_EPS, MAX_EPS]. A target is
+    looked up by ``position``, which refuses anything not in ``targets``.
     """
 
     def __init__(self, rule: WelfareRule | ChoiceRule, space: RankingSpace, eps: float, kind: str | None = None):
@@ -219,6 +236,8 @@ class _Targets:
         # Column j: target j's 0/1 membership over the basis (``vertex_values``).
         self._member = np.zeros((space.dim, len(self.targets)))
         self._member[self._index.T, np.arange(len(self.targets))] = 1.0
+        # Where each pair's status sits in a ``statuses`` hook's m x m result (``target_statuses``).
+        self._pair_at = tuple(zip(*(map(at, t) for t in self.targets))) if pairs else None
         self.rule = rule
         self.welfare = rule if pairs else rule.welfare
         self.space = space
@@ -244,27 +263,50 @@ class _Targets:
         """The basis weights of the welfare rule's exact output, refused unless a distribution within eps."""
         return diagonal_state(self.space, self.welfare.evaluate(profile).diagonal, self.eps).diagonal
 
-    def welfare_weights(self, profiles: list[ProfileState]) -> Iterable[np.ndarray]:
-        """The basis weights of the rule's welfare output on each profile, in order.
+    def read(self, profiles: list[ProfileState]) -> Iterable[Statuses | np.ndarray]:
+        """What society's side reads on each profile, in order, for every adapter of the rule's welfare rule.
 
-        A rule with a ``responses`` hook scores every profile in one hook call;
+        A rule with a ``statuses`` hook decides every profile in one hook
+        call; one with a ``responses`` hook scores every profile in one call;
         any other rule's welfare rule evaluates each profile as it is read.
         A profile on another ranking space than the adapter's is refused
-        first, before any value of any profile is read.
+        first, before any profile is read.
         """
         for profile in profiles:
             check_profile_space(profile, self.space, "check's")
+        requests = [(p, None) for p in profiles]
+        if self.rule.statuses is not None:
+            return self.rule.statuses(requests)
         if self.rule.responses is None:
             return map(self._evaluated, profiles)
-        return self.rule.responses([(p, None) for p in profiles])
+        return self.rule.responses(requests)
+
+    def society_of(self, profile: ProfileState, found: Statuses | np.ndarray) -> "_Society":
+        """Society on a profile, from what ``read`` gave for it."""
+        if self.rule.statuses is not None:
+            return _Society(self, profile, self.target_statuses(found).tolist())
+        values = self.values(found)
+        return _Society(self, profile, [_status_of(v, self.eps) for v in values], values)
+
+    def societies(self, profiles: list[ProfileState]) -> Iterator["_Society"]:
+        """Society on each profile, in order, read as they are reached (``read``)."""
+        return map(self.society_of, profiles, self.read(profiles))
+
+    def society(self, profile: ProfileState) -> "_Society":
+        """Society on one profile: from the ``statuses`` hook, or else from an exact evaluation."""
+        if self.rule.statuses is not None:
+            return next(self.societies([profile]))
+        return self.society_of(profile, self._evaluated(profile))
 
     def society_values(self, profile: ProfileState) -> list[float]:
         """Society's values on one profile, from an exact evaluation of the welfare rule."""
         return self.values(self._evaluated(profile))
 
-    def society_batch(self, profiles: list[ProfileState]) -> Iterator[list[float]]:
-        """Society's values on each profile, in order, computed as they are read (``welfare_weights``)."""
-        return map(self.values, self.welfare_weights(profiles))
+    def target_statuses(self, found: Statuses) -> np.ndarray:
+        """Society's status on each target, in target order along the last axis, from a ``statuses`` result."""
+        if self.kind == "welfare":
+            return found.pairs[..., self._pair_at[0], self._pair_at[1]]
+        return found.winners
 
     def vertex_values(self, responses: np.ndarray, positions: list[int]) -> np.ndarray:
         """Society's value on each target at ``positions`` with a voter's ballot replaced by each basis ballot.
@@ -275,6 +317,24 @@ class _Targets:
         with those targets' columns of the membership.
         """
         return responses @ self._member[:, positions]
+
+
+class _Society:
+    """Society on one profile: its status on each target, which clauses read, and its values, which records hold.
+
+    A rule with a ``statuses`` hook gives exact statuses, and its values
+    come from an exact evaluation the first time a record reads them. Any
+    other rule gives its values, and the statuses they read as against eps.
+    """
+
+    def __init__(self, adapter: _Targets, profile: ProfileState, statuses: list[int], values=None):
+        self.adapter, self.profile, self.statuses, self._values = adapter, profile, statuses, values
+
+    @property
+    def values(self) -> list[float]:
+        if self._values is None:
+            self._values = self.adapter.society_values(self.profile)
+        return self._values
 
 
 def _batches(draws: Iterator, first: int | None = None) -> Iterator[list]:
@@ -298,10 +358,10 @@ def _batches(draws: Iterator, first: int | None = None) -> Iterator[list]:
 
 def _societies(
     adapter: _Targets, draws: Iterator[ProfileState], first: int | None = None
-) -> Iterator[tuple[ProfileState, list[float]]]:
-    """Each drawn profile with society's values on it, a batch at a time (``_batches`` from ``first``)."""
+) -> Iterator[tuple[ProfileState, _Society]]:
+    """Each drawn profile with society on it, a batch at a time (``_batches`` from ``first``)."""
     for batch in _batches(draws, first):
-        yield from zip(batch, adapter.society_batch(batch))
+        yield from zip(batch, adapter.societies(batch))
 
 
 @dataclass(frozen=True)
@@ -588,23 +648,30 @@ class SuiteReport(_Report):
 
 
 def _fired(
-    adapter: _Targets, profile: ProfileState, voter: int, society: list[float]
+    adapter: _Targets, profile: ProfileState, voter: int, statuses: list[int]
 ) -> list[tuple[int, PreferenceKind]]:
-    """The (position, clause) pairs that fire for a voter: the voter's value holds the clause, society's does not.
+    """The (position, clause) pairs that fire for a voter: the voter's value holds the clause, society's status
+    does not read as it.
 
-    A position indexes the adapter's targets, and so the values of
-    ``society`` and the voter's, which are in target order. The clauses are
-    the adapter's (``_Targets.clauses``). A dishonest ballot achieves a
-    fired clause when society's value then holds it. A certain value is
-    also supported, so both of those clauses can fire for it.
+    A position indexes the adapter's targets, and so society's
+    ``statuses`` (``_Society``) and the voter's values, which are in target
+    order. The clauses are the adapter's (``_Targets.clauses``). A
+    dishonest ballot achieves a fired clause when society's status then
+    reads as it. A certain value is also supported, so both of those
+    clauses can fire for it.
     """
     ballot_values, eps = adapter.voter_values(profile, voter), adapter.eps
     return [
         (j, clause)
-        for j, (mine, theirs) in enumerate(zip(ballot_values, society))
+        for j, (mine, theirs) in enumerate(zip(ballot_values, statuses))
         for clause in adapter.clauses
-        if clause.holds(mine, eps) and not clause.holds(theirs, eps)
+        if clause.holds(mine, eps) and not clause.reads(theirs)
     ]
+
+
+def _vertex_hook(rule: WelfareRule | ChoiceRule) -> Callable | None:
+    """The hook whose voter requests the vertex search reads: ``statuses``, else ``responses``, else None."""
+    return rule.statuses if rule.statuses is not None else rule.responses
 
 
 def _first_witness(
@@ -612,37 +679,37 @@ def _first_witness(
     profile: ProfileState,
     voter: int,
     fired: list[tuple[int, PreferenceKind]],
-    society: list[float],
+    society: _Society,
     family: CandidateBallotFamily,
-    responses: np.ndarray | None,
+    rows: Statuses | np.ndarray | None,
 ) -> ManipulationWitness | None:
-    """The first dishonest ballot whose exact evaluation achieves a fired clause.
+    """The first dishonest ballot whose exact reading achieves a fired clause.
 
-    A rule with a ``responses`` hook is searched at the basis ballots near a
-    fired clause (``_near_vertices`` of ``responses``, the hook's d x d
-    result for the voter); any other rule over the family, and
-    ``responses`` is then None. Candidate evaluations are shared across
-    targets: society only changes with the substituted ballot, not with the
-    pair or alternative under scrutiny.
+    A rule with a hook is searched at the basis ballots that could achieve
+    a fired clause (``_near_vertices`` of ``rows``, the voter request's
+    result from ``_vertex_hook``); any other rule over the family, and
+    ``rows`` is then None. Each candidate is read on the substituted
+    profile (``_Targets.society``), and its values are evaluated only for
+    the witness's record. Candidate readings are shared across targets:
+    society only changes with the substituted ballot, not with the pair or
+    alternative under scrutiny.
     """
-    eps = adapter.eps
-    if adapter.rule.responses is None:
-        candidates = family.ballots(adapter.space, eps)
+    if _vertex_hook(adapter.rule) is None:
+        candidates = family.ballots(adapter.space, adapter.eps)
     else:
-        candidates = _near_vertices(adapter, responses, fired)
+        candidates = _near_vertices(adapter, rows, fired)
     for candidate in candidates:
-        substituted = profile.substitute_ballot(voter, candidate, eps)
-        dishonest = adapter.society_values(substituted)
+        dishonest = adapter.society(profile.substitute_ballot(voter, candidate, adapter.eps))
         for j, clause in fired:
-            if clause.holds(dishonest[j], eps):
+            if clause.reads(dishonest.statuses[j]):
                 return ManipulationWitness(
                     rule_name=adapter.rule.name,
                     rule_kind=adapter.kind,
                     voter=voter,
                     clause=clause,
                     target=adapter.targets[j],
-                    truthful_value=society[j],
-                    dishonest_value=dishonest[j],
+                    truthful_value=society.values[j],
+                    dishonest_value=dishonest.values[j],
                     dishonest_ballot=candidate,
                     profile=profile,
                 )
@@ -650,31 +717,41 @@ def _first_witness(
 
 
 def _near_vertices(
-    adapter: _Targets, responses: np.ndarray, fired: list[tuple[int, PreferenceKind]]
+    adapter: _Targets, rows: Statuses | np.ndarray, fired: list[tuple[int, PreferenceKind]]
 ) -> Iterator[DensityOperator]:
     """The basis ballots that could achieve a fired clause, in basis order.
 
     The hook's rule reads a ballot only through its basis weights, and is
     linear in them: with ballot c substituted, society's value on target t
     is c . R[:, t], where row k of R is its value with basis ballot k
-    (``_Targets.vertex_values`` of the hook's ``responses`` for the voter:
-    one product gives the column of each fired clause's target).
+    (``_Targets.vertex_values`` of a ``responses`` hook's d x d result for
+    the voter: one product gives the column of each fired clause's target).
     A threshold on a linear function over the simplex is reached at a
     vertex, so the d basis ballots stand for every ballot. A vertex is
     yielded when its value achieves a clause or lies within _VERTEX_MARGIN
-    of its threshold; the caller evaluates it exactly, and the witness
-    comes from that evaluation.
+    of its threshold; the caller reads it exactly, and the witness comes
+    from that reading. A status is as linear: society is certain of, or
+    excluded from, a target exactly when it is at every vertex a ballot
+    keeps, and supports it when it does at some kept vertex. So a
+    ``statuses`` hook's rows are read as they are, and a vertex is yielded
+    exactly when its status achieves a clause.
 
     Substituting into a correlated profile drops joint terms whose weight
     times the ballot's weight is at most eps, which breaks linearity for
     ballots that put such weight on some ranking. There the vertices stand
     for every ballot that keeps each joint term above that filter.
     """
-    columns = adapter.vertex_values(responses, [j for j, _ in fired])
-    near = np.zeros(len(columns), dtype=bool)
-    for column, (_, clause) in zip(columns.T, fired):
-        near |= clause.holds(column - _VERTEX_MARGIN, adapter.eps)
-        near |= clause.holds(column + _VERTEX_MARGIN, adapter.eps)
+    if adapter.rule.statuses is not None:
+        statuses = adapter.target_statuses(rows)
+        near = np.zeros(len(statuses), dtype=bool)
+        for j, clause in fired:
+            near |= clause.reads(statuses[:, j])
+    else:
+        columns = adapter.vertex_values(rows, [j for j, _ in fired])
+        near = np.zeros(len(columns), dtype=bool)
+        for column, (_, clause) in zip(columns.T, fired):
+            near |= clause.holds(column - _VERTEX_MARGIN, adapter.eps)
+            near |= clause.holds(column + _VERTEX_MARGIN, adapter.eps)
     rankings = adapter.space.rankings()
     return (basis_state(adapter.space, rankings[k]) for k in np.flatnonzero(near))
 
@@ -690,20 +767,20 @@ def _hunt(
     A voter is yielded when its clause fires under some rule; the trial
     counts draws from 1. The rules share one welfare rule (a composed rule
     shares its welfare rule's, and so its hook). The draws come a batch at
-    a time (``_batches``), and every value is read on the first draw's
+    a time (``_batches``), and every profile is read on the first draw's
     space: a draw on another space is refused before any draw of its batch
-    is scanned (``_Targets.welfare_weights``). The batch's profiles are
-    scored first, with one hook call when the rules have a ``responses``
+    is scanned (``_Targets.read``). The batch's profiles are read first,
+    with one hook call when the rules have a ``statuses`` or ``responses``
     hook, and the fired clauses follow. With a hook one more call gives the
-    basis responses of every fired voter, whose vertices are searched as
-    the voter is reached; without one, the fired voters search the family,
-    whose caps are checked once, before the first draw is scored. A
-    ``QscError`` on a draw of a batch is raised once the draws before it
+    vertex rows of every fired voter (``_vertex_hook``), whose vertices are
+    searched as the voter is reached; without one, the fired voters search
+    the family, whose caps are checked once, before the first draw is read.
+    A ``QscError`` on a draw of a batch is raised once the draws before it
     are scanned, as a draw-by-draw hunt would raise it. An eps outside
     [MIN_EPS, MAX_EPS] is refused before the first draw.
     """
     check_eps(eps)
-    hook, adapters, drawn = rules[0].responses, [], 0
+    hook, adapters, drawn = _vertex_hook(rules[0]), [], 0
     for batch in _batches(draws):
         if not adapters:
             if hook is None:
@@ -711,11 +788,11 @@ def _hunt(
             adapters = [_Targets(rule, batch[0].space, eps) for rule in rules]
         scans, failure = [], None
         try:
-            for profile, weights in zip(batch, adapters[0].welfare_weights(batch)):
+            for profile, found in zip(batch, adapters[0].read(batch)):
                 drawn += 1
-                societies = [a.values(weights) for a in adapters]
+                societies = [a.society_of(profile, found) for a in adapters]
                 for voter in range(1, profile.n_voters + 1):
-                    fired = [_fired(a, profile, voter, s) for a, s in zip(adapters, societies)]
+                    fired = [_fired(a, profile, voter, s.statuses) for a, s in zip(adapters, societies)]
                     if any(fired):
                         scans.append((drawn, profile, voter, societies, fired))
         except QscError as error:  # raised below, after the draws before it
@@ -732,7 +809,7 @@ def _hunt(
 
 def _searched(rule: WelfareRule | ChoiceRule, family: CandidateBallotFamily) -> dict:
     """A hunt's report of its search: the basis vertices for a rule with a hook, else the family."""
-    return {"family": family.describe(), "search": "family" if rule.responses is None else "vertices"}
+    return {"family": family.describe(), "search": "family" if _vertex_hook(rule) is None else "vertices"}
 
 
 def manipulation_witness(
@@ -747,35 +824,39 @@ def manipulation_witness(
 
     The target is an ordered pair (x, y), ranking x above y, for a welfare
     rule, and an alternative, winning, for a choice rule. A rule with a
-    ``responses`` hook is searched at the d basis ballots, which stand for
-    every density-operator ballot on a product profile (see
+    ``statuses`` or ``responses`` hook is searched at the d basis ballots,
+    which stand for every density-operator ballot on a product profile (see
     ``_near_vertices``); ``family`` is then not read. Any other rule is
     searched over the family, and absence of a witness means none was found
     in it, not a proof.
     """
     adapter = _Targets(rule, profile.space, eps)
     position = adapter.position(target)
-    society = adapter.society_values(profile)
+    society = adapter.society(profile)
     voter = check_voter_index(voter)
-    fired = [(j, clause) for j, clause in _fired(adapter, profile, voter, society) if j == position]
+    fired = [(j, clause) for j, clause in _fired(adapter, profile, voter, society.statuses) if j == position]
     if not fired:
         return None
-    responses = None if rule.responses is None else next(iter(rule.responses([(profile, voter)])))
-    return _first_witness(adapter, profile, voter, fired, society, family, responses)
+    hook = _vertex_hook(rule)
+    rows = None if hook is None else next(iter(hook([(profile, voter)])))
+    return _first_witness(adapter, profile, voter, fired, society, family, rows)
 
 
 def reverify_witness(
     rule: WelfareRule | ChoiceRule, witness: ManipulationWitness, eps: float = DEFAULT_EPS
 ) -> bool:
-    """Replay a witness from scratch and confirm values and inequality pattern."""
+    """Replay a witness from scratch and confirm its values within 1e-6 and its clause on society's statuses."""
     adapter = _Targets(rule, witness.profile.space, eps)
     position = adapter.position(witness.target)
-    truthful = adapter.society_values(witness.profile)[position]
+    truthful = adapter.society(witness.profile)
     substituted = witness.profile.substitute_ballot(witness.voter, witness.dishonest_ballot, eps)
-    dishonest = adapter.society_values(substituted)[position]
-    if abs(truthful - witness.truthful_value) > 1e-6 or abs(dishonest - witness.dishonest_value) > 1e-6:
+    dishonest = adapter.society(substituted)
+    if (
+        abs(truthful.values[position] - witness.truthful_value) > 1e-6
+        or abs(dishonest.values[position] - witness.dishonest_value) > 1e-6
+    ):
         return False
-    return not witness.clause.holds(truthful, eps) and witness.clause.holds(dishonest, eps)
+    return not witness.clause.reads(truthful.statuses[position]) and witness.clause.reads(dishonest.statuses[position])
 
 
 def check_qic(
@@ -836,9 +917,10 @@ def check_dictatorship(
         for voter in range(1, n_voters + 1):
             if all((voter, variant) in counterexamples for variant, _ in _VARIANTS):
                 continue
-            for target, tv, sv in zip(adapter.targets, adapter.voter_values(profile, voter), society):
+            values = adapter.voter_values(profile, voter)
+            for j, (target, tv, status) in enumerate(zip(adapter.targets, values, society.statuses)):
                 for variant, kind in _VARIANTS:
-                    voter_holds, society_holds = kind.holds(tv, eps), kind.holds(sv, eps)
+                    voter_holds, society_holds = kind.holds(tv, eps), kind.reads(status)
                     if voter_holds == society_holds or (voter, variant) in counterexamples:
                         continue
                     counterexamples[(voter, variant)] = _record(
@@ -849,7 +931,7 @@ def check_dictatorship(
                         target=target,
                         direction=_DIRECTIONS[variant][voter_holds],
                         voter_value=tv,
-                        society_value=sv,
+                        society_value=society.values[j],
                     )
         if len(counterexamples) == len(_VARIANTS) * n_voters:
             break
@@ -885,12 +967,11 @@ def check_onto(
         ProfileState.product_of([basis_state(space, table.rankings[first])] * n_voters)
         for first in table.winner_rows[:, 0].tolist()
     ]
-    for a, profile, society in zip(alternatives.names, profiles, adapter.society_batch(profiles)):
-        value = society[alternatives.index(a)]
-        if PreferenceKind.STRONG_POSITIVE.holds(value, eps):
+    for j, (a, profile, society) in enumerate(zip(alternatives.names, profiles, adapter.societies(profiles))):
+        if PreferenceKind.STRONG_POSITIVE.reads(society.statuses[j]):
             reached += 1
         else:
-            failures.append(_record("onto-failure", profile, alternative=a, achieved=value))
+            failures.append(_record("onto-failure", profile, alternative=a, achieved=society.values[j]))
     details = {"reached": reached, "alternatives": alternatives.m, "voters": n_voters}
     return AxiomReport("onto", rule.name, alternatives.m, None, started, failures, details)
 
@@ -911,12 +992,12 @@ def check_unanimity(
     details = {variant: {"instances": 0, "violations": 0} for variant, _ in _VARIANTS}
     for profile, society in _societies(adapter, draws):
         marginals = [adapter.voter_values(profile, v) for v in range(1, profile.n_voters + 1)]
-        for target, society_value, *values in zip(adapter.targets, society, *marginals):
+        for j, (target, status, *values) in enumerate(zip(adapter.targets, society.statuses, *marginals)):
             for variant, kind in _VARIANTS:
                 if not all(kind.holds(v, eps) for v in values):
                     continue
                 details[variant]["instances"] += 1
-                if not kind.holds(society_value, eps):
+                if not kind.reads(status):
                     details[variant]["violations"] += 1
                     violations.append(_record(
                         "unanimity-violation",
@@ -924,7 +1005,7 @@ def check_unanimity(
                         variant=variant,
                         target=target,
                         ballot_values=values,
-                        society_value=society_value,
+                        society_value=society.values[j],
                     ))
     return AxiomReport("unanimity", rule.name, trials, seed, started, violations, details)
 
@@ -945,7 +1026,7 @@ def check_iia(
     violations: list[dict] = []
     details: dict = {variant: {"instances": 0} for variant, _ in _VARIANTS}
     for batch in _batches(draws):
-        societies = adapter.society_batch([profile for draw in batch for profile in draw[:2]])
+        societies = adapter.societies([profile for draw in batch for profile in draw[:2]])
         for profile, twin, pair in batch:
             j = adapter.position(pair)
             for voter in range(1, profile.n_voters + 1):
@@ -955,9 +1036,9 @@ def check_iia(
                         f"paired sampler broke its contract: voter {voter} disagrees on "
                         f"{pair} ({mine} vs {theirs})"
                     )
-            value, twin_value = next(societies)[j], next(societies)[j]
+            society, twin_society = next(societies), next(societies)
             for variant, kind in _VARIANTS:
-                status, twin_status = kind.holds(value, eps), kind.holds(twin_value, eps)
+                status, twin_status = kind.reads(society.statuses[j]), kind.reads(twin_society.statuses[j])
                 if status or twin_status:
                     details[variant]["instances"] += 1
                 if status != twin_status:
@@ -966,8 +1047,8 @@ def check_iia(
                         profile,
                         variant=variant,
                         target=pair,
-                        society_value=value,
-                        twin_society_value=twin_value,
+                        society_value=society.values[j],
+                        twin_society_value=twin_society.values[j],
                         twin_profile=serde.serialize_profile(twin, _RECORD_EPS),
                     ))
     details["violations"] = len(violations)

@@ -20,7 +20,7 @@ from .hilbert import (
     support_probabilities,
 )
 from .rankings import basis_table
-from .welfare import QcvParams, ResponsesHook, WelfareRule, qcv, qcv_rule
+from .welfare import QcvParams, ResponsesHook, StatusesHook, WelfareRule, qcv, qcv_rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +51,11 @@ class ChoiceRule:
     def responses(self) -> ResponsesHook | None:
         """The welfare rule's hook: the natural extension is linear in the basis weights."""
         return self.welfare.responses
+
+    @property
+    def statuses(self) -> StatusesHook | None:
+        """The welfare rule's hook, whose ``winners`` are the natural extension's statuses."""
+        return self.welfare.statuses
 
     def evaluate(self, profile: ProfileState) -> AlternativeState:
         return natural_extension(self.welfare.evaluate(profile), self.eps)

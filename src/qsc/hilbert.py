@@ -17,11 +17,11 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import factorial
 from operator import add
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -433,10 +433,14 @@ class ProfileState:
         The weights must be finite and positive numbers; they are normalized
         from any scale as a ballot's are (``_scale``, then divided by their
         ``_total``), and a weight that underflows to 0 there is refused. Every
-        term must give one basis index in 0..d-1 per voter.
+        term must give one basis index in 0..d-1 per voter, as a sequence (a
+        string is none).
         """
         if not terms:
             raise InvalidArgument("correlated profile needs at least one term")
+        for _, key in terms:
+            if isinstance(key, (str, bytes)) or not isinstance(key, (Sequence, np.ndarray)):
+                raise InvalidArgument(f"a correlated key must be a sequence of basis indices, got {type(key).__name__}")
         n = len(terms[0][1])
         if n < 1:
             raise InvalidArgument("correlated profile needs at least one voter")
@@ -608,7 +612,7 @@ def alternative_state(
     for name in alternatives.names:
         p = probabilities.get(name, 0.0)
         check_number(f"probability for {name!r}", p)
-        p = float(p)
+        p = _as_float(p)
         cleaned[name] = 0.0 if -eps <= p < 0.0 else p
     state = AlternativeState(alternatives, cleaned)
     state.validate(eps)

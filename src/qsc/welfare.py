@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,6 +67,26 @@ class QcvParams:
 # A batch of (profile, voter or None) requests -> one result per request.
 ResponsesHook = Callable[[Sequence[tuple[ProfileState, int | None]]], Iterable[np.ndarray]]
 
+# Society's status on a target, as a ``statuses`` hook gives it: its value is exactly 0, strictly between
+# 0 and 1, or exactly 1.
+EXCLUDED, UNDECIDED, CERTAIN = 0, 1, 2
+
+
+class Statuses(NamedTuple):
+    """Society's status on every target of one request (int8 ``EXCLUDED``, ``UNDECIDED`` or ``CERTAIN``).
+
+    ``pairs[..., x, y]`` is the status of x ranked above y (its diagonal is
+    no target) and ``winners[..., x]`` that of x winning. A profile
+    request's arrays are m x m and m; a voter request's have a leading axis
+    of d, row k with the voter's ballot replaced by basis ranking k.
+    """
+
+    pairs: np.ndarray
+    winners: np.ndarray
+
+
+StatusesHook = Callable[[Sequence[tuple[ProfileState, int | None]]], Iterable[Statuses]]
+
 
 @dataclass(frozen=True, eq=False)
 class WelfareRule:
@@ -86,11 +107,17 @@ class WelfareRule:
     then the basis responses of every voter whose clause fires with one
     more, and searches dishonest ballots at those d vertices only (see
     ``axioms``).
+
+    ``statuses``, when set, answers the same requests with the exact status
+    of the output on every target (``Statuses``) instead of its weights,
+    and the axiom engine then reads society's side of every clause from it
+    and evaluates the rule only to write a record.
     """
 
     name: str
     fn: Callable[[ProfileState], DensityOperator]
     responses: ResponsesHook | None = None
+    statuses: StatusesHook | None = None
 
     def evaluate(self, profile: ProfileState) -> DensityOperator:
         return self.fn(profile)
@@ -467,11 +494,181 @@ def qcv_responses(profile: ProfileState, voter: int, params: QcvParams) -> np.nd
     return responses
 
 
+@dataclass(frozen=True, eq=False)
+class _Lattice:
+    """The 2^m sets of alternatives as bit masks (bit z for alternative z), and the tables ``_decided`` reads.
+
+    Ranking k's set above x holds the alternatives it places above x.
+    """
+
+    counts: np.ndarray  # d x m*2^m, 0/1: ranking k's set above x contains set c (column x * 2^m + c)
+    inside: np.ndarray  # m x 2^m x d: ``counts`` by x, transposed
+    zeta: np.ndarray  # 2^m x 2^m, 0/1: set s contains set c (row s, column c)
+    parity: np.ndarray  # 2^m: (-1)^|c|
+    above: np.ndarray  # d x m intp: ranking k's set above x
+
+
+@lru_cache(maxsize=64)
+def _lattice(alternatives: AlternativeSet) -> _Lattice:
+    table = basis_table(alternatives)
+    d, m, _ = table.above.shape
+    sets = np.arange(1 << m)
+    above = (table.above.transpose(0, 2, 1) @ 2.0 ** np.arange(m)).astype(np.intp)
+    zeta = ((sets[:, None] & sets) == sets).astype(float)
+    parity = np.ones(1)  # one bit at a time
+    for _ in range(m):
+        parity = np.concatenate([parity, -parity])
+    counts = zeta[above]  # d x m x 2^m
+    return _Lattice(
+        counts=counts.reshape(d, -1),
+        inside=counts.transpose(1, 2, 0).copy(),
+        zeta=zeta,
+        parity=parity,
+        above=above,
+    )
+
+
+def _reached(
+    params: QcvParams, lattice: _Lattice, group: list[tuple[ProfileState, int | None]]
+) -> tuple[np.ndarray, int]:
+    """For each request of a group on one space and electorate, the sets reached above each x, in zeta form
+    (k x m x 2^m), and how many requests lead the first whose kept support is empty (k when none is).
+
+    A request's position is None or its voter's factor or joint column.
+    The kept support is what ``_Request.of`` folds: each voter's basis
+    weights above eps, or a correlated profile's joint keys above eps. A
+    term is one kept ranking per voter, and it reaches, for each x, the set
+    of alternatives all its voters place above x; a voter request leaves
+    the voter out, so with no voter left every x reaches the set of all
+    alternatives. Row x holds the zeta transform of a positive weight on
+    each reached set: entry c sums the weights of the reached sets that
+    contain set c. A correlated profile weighs each set by its kept joint
+    keys. A product profile weighs it by its terms, folded one voter at a
+    time: a term and a kept ranking of the next voter both contain c in as
+    many ways as the product of their counts, so each voter multiplies the
+    row by its counts. Before a product could pass 2^52 / 2^m, where the
+    sums ``_decided`` reads stop being exact in float64, the weights are
+    reset to 1 on each reached set (the Mobius inversion, then ``zeta``).
+    """
+    m, sets = lattice.above.shape[1], len(lattice.zeta)
+    n = group[0][0].n_voters
+    reached, empty = np.zeros((len(group), m, sets)), np.zeros(len(group), dtype=bool)
+    product = [i for i, (profile, _) in enumerate(group) if profile.joint is None]
+    if product:
+        diagonals = np.array([ballot.diagonal for i in product for ballot in group[i][0].factors])
+        counts = ((diagonals > params.eps) @ lattice.counts).reshape(len(product), n, m, sets)
+        left_out = [(row, group[i][1]) for row, i in enumerate(product) if group[i][1] is not None]
+        if left_out:
+            counts[tuple(zip(*left_out))] = 1.0  # the set of all alternatives contains every set
+        kept = counts[:, :, 0, 0]  # each voter's kept rankings
+        empty[product] = (kept < 0.5).any(axis=1)
+        folded, bound = np.ones((len(product), m, sets)), 1.0  # the set of all alternatives
+        for voter, most in enumerate(kept.max(axis=0).tolist()):
+            if bound * most * sets >= 2.0**52:
+                # The Mobius inversion of zeta, (-1)^|s - c| = (-1)^|s| (-1)^|c| where s contains c.
+                mobius = lattice.zeta * np.outer(lattice.parity, lattice.parity)
+                folded, bound = (folded @ mobius > 0.5) @ lattice.zeta, float(sets)
+            folded *= counts[:, voter]
+            bound *= most
+        reached[product] = folded
+    joint = [(i, pos, [key for w, key in profile.joint if w > params.eps]) for i, (profile, pos) in enumerate(group)
+             if profile.joint is not None]
+    empty[[i for i, _, keys in joint if not keys]] = True
+    if any(keys for _, _, keys in joint):
+        terms = [(i, pos) for i, pos, keys in joint for _ in keys]
+        rankings = np.array([key for _, _, keys in joint for key in keys], dtype=np.intp).reshape(len(terms), n)
+        above = lattice.above[rankings]  # terms x n x m
+        left_out = [(t, pos) for t, (_, pos) in enumerate(terms) if pos is not None]
+        if left_out:
+            above[tuple(zip(*left_out))] = sets - 1  # the set of all alternatives
+        counted = [(i, len(keys)) for i, _, keys in joint if keys]  # terms come request by request
+        starts = list(accumulate([count for _, count in counted[:-1]], initial=0))
+        reached[[i for i, _ in counted]] = np.add.reduceat(lattice.zeta[np.bitwise_and.reduce(above, axis=1)], starts)
+    return reached, int(np.argmax(empty)) if empty.any() else len(group)
+
+
+def _status_rows(unanimous: np.ndarray, certain: np.ndarray, free: np.ndarray) -> Statuses:
+    """Statuses from ``unanimous[..., x, y]``, every voter of every kept term places x above y,
+    ``certain[..., x]``, x is so above every other alternative, and ``free[..., x]``, some kept term has
+    no alternative every voter places above x.
+
+    A term's value on a target is exactly 1 or 0 when its unanimous pairs
+    decide the target, and strictly between otherwise (the status lemma,
+    ``tests/test_status.py``), and every kept term has a positive weight.
+    So a pair is certain when it is unanimous on every term, and excluded
+    when its reverse is; a winner is certain when it is unanimously above
+    every other alternative on every term (and so is free), and excluded
+    when no term is free of an alternative unanimously above it.
+    """
+    pairs = UNDECIDED + unanimous.view(np.int8) - unanimous.swapaxes(-1, -2).view(np.int8)
+    return Statuses(pairs, free.view(np.int8) + certain.view(np.int8))
+
+
+def _decided(params: QcvParams, requests: Iterable[tuple[ProfileState, int | None]]) -> Iterator[Statuses]:
+    """``qcv``'s status on every target for each request, in order: the rule's ``statuses`` hook.
+
+    No request is folded or scored. Consecutive requests on one space and
+    electorate are decided together from the sets they reach
+    (``_reached``). Alternative z is unanimously above y on every term when
+    every set reached above y contains z, and x is free on some term when
+    the empty set is reached above x, which the alternating sum of the row
+    over ``parity`` counts. A voter request reads the sets of the other
+    voters, and its row k casts basis ranking k for the voter: it keeps the
+    reached sets that meet ranking k's set above x in nothing, which the
+    same sum, taken over the subsets of ranking k's set, counts. A ``QscError`` (a
+    delta too large for the space's m, as the kernel refuses it, a voter
+    out of range, a profile that keeps nothing) is raised after every
+    earlier request's result is yielded.
+    """
+    pending, failure = [], None
+    try:
+        for profile, voter in requests:
+            params.check_alternatives(profile.space.alternatives.m)
+            pending.append((profile, None if voter is None else profile.voter_position(voter)))
+    except QscError as error:  # raised below, after the requests before it
+        failure = error
+    while pending:
+        space, n = pending[0][0].space, pending[0][0].n_voters
+        lattice = _lattice(space.alternatives)
+        (d, m), sets = lattice.above.shape, len(lattice.zeta)
+        size, cells = 0, 0  # up to _KERNEL_CELLS voter-set counts and vertex statuses a group
+        for profile, pos in pending:
+            cells += n * m * sets + (0 if pos is None else d * m * m)
+            if size and (cells > _KERNEL_CELLS or not (profile.space is space or profile.space == space)
+                         or profile.n_voters != n):
+                break
+            size += 1
+        group, pending = pending[:size], pending[size:]
+        reached, kept = _reached(params, lattice, group)
+        if kept < len(group):  # raised below, after the requests before it, in place of any later failure
+            group, pending, failure = group[:kept], [], InvalidArgument("profile has no diagonal support")
+        reached = reached[:kept]
+        # unanimous[x, y]: every set reached above y holds x; (x, x) never is, but with no voter left.
+        unanimous = (reached[:, :, 1 << np.arange(m)] == reached[:, :, :1]).swapaxes(1, 2)
+        certain = (unanimous | np.eye(m, dtype=bool)).all(axis=2)
+        voters = [pos is not None for _, pos in group]
+        rows = [iter(()), iter(())]  # the profile requests' statuses, then the voter requests'
+        if not all(voters):
+            profiles = np.logical_not(voters)
+            free = reached[profiles] @ lattice.parity > 0.5
+            rows[0] = zip(*_status_rows(unanimous[profiles], certain[profiles], free))
+        if any(voters):
+            # Row k: ranking k cut into each set reached above x, and x certain only where ranking k tops it.
+            free = ((reached[voters] * lattice.parity).transpose(1, 0, 2) @ lattice.inside).transpose(1, 2, 0) > 0.5
+            above = unanimous[voters, None] & basis_table(space.alternatives).above
+            rows[1] = zip(*_status_rows(above, certain[voters, None] & (lattice.above == 0), free))
+        for is_voter in voters:
+            yield Statuses(*next(rows[is_voter]))
+    if failure is not None:
+        raise failure
+
+
 def qcv_rule(params: QcvParams) -> WelfareRule:
     return WelfareRule(
         "qcv",
         lambda p: qcv(p, params),
         responses=lambda requests: _scored(params, requests),
+        statuses=lambda requests: _decided(params, requests),
     )
 
 

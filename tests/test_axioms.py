@@ -117,7 +117,7 @@ def refuse_to_build(*args):
 
 
 def space_of(m):
-    return RankingSpace(AlternativeSet(tuple("abcde")[:m]))
+    return RankingSpace(AlternativeSet(tuple("abcdef")[:m]))
 
 
 def rk(alts, text):
@@ -1025,6 +1025,15 @@ class TestEpsWindow:
         if verdict == VERDICT_FALSIFIED:
             (witness,) = report.witnesses
             assert (witness["voter"], witness["clause"], witness["truthful_value"]) == (1, "weak", 0.0)
+            # The first basis ballot that backs (a, b); society then gives it gamma_3 = 1/18.
+            assert witness["dishonest_ballot"] == {"mixed": [[1.0, "a>b>c"]]}
+            assert witness["dishonest_value"] == pytest.approx(1 / 18, abs=1e-15)
+            target = tuple(witness["target"]) if isinstance(witness["target"], list) else witness["target"]
+            found = manipulation_witness(rule, profile, 1, target, FAMILY)
+            assert found.to_jsonable() == witness and reverify_witness(rule, found)
+        # Read from statuses or from values against eps, the records are the same bytes.
+        scanned = check_qic(without_hook(rule), lambda rng: profile, FAMILY, trials=1, seed=0)
+        assert report_bytes(report, "vertices") == report_bytes(scanned, "family")
 
     @pytest.mark.parametrize("w, verdict, violations", [(6e-10, VERDICT_FALSIFIED, 2), (6e-8, VERDICT_HOLDS, 0)])
     def test_unanimity(self, space3, w, verdict, violations):
@@ -1033,6 +1042,57 @@ class TestEpsWindow:
         assert report.verdict == verdict
         assert report.details["unsharp"]["violations"] == violations
         assert report.details["sharp"]["violations"] == 0
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    @pytest.mark.parametrize("choice", [False, True], ids=["qcv", "qcvne"])
+    def test_m6_basis_profile_holds_at_every_accepted_eps(self, eps, choice):
+        # Voters 1 and 2 cast b>a>c>d>e>f and voter 3 a>b>c>d>e>f. Society's
+        # value on (a, b) is gamma_6 = 1/1346, below eps 1e-3 (tests/test_status.py),
+        # and its value on a winning is smaller still. Read against eps, both
+        # would be excluded, and voter 3's weak clause would fire; society's
+        # status is undecided on both, so no clause fires on society's side.
+        space = space_of(6)
+        alternatives = space.alternatives
+        profile = ProfileState.basis([rk(alternatives, text) for text in ("b>a>c>d>e>f",) * 2 + ("a>b>c>d>e>f",)])
+        params = QcvParams.for_alternatives(6, eps)
+        rule = qcvne_rule(params) if choice else qcv_rule(params)
+        target = "a" if choice else ("a", "b")
+        value = axioms._Targets(rule, space, eps).society(profile).values[0]
+        assert 0.0 < value <= (7.5e-4 if choice else 1e-3)
+        assert check_qic(rule, lambda rng: profile, FAMILY, trials=1, seed=0, eps=eps).verdict == VERDICT_HOLDS
+        assert manipulation_witness(rule, profile, 3, target, FAMILY, eps) is None
+        if not choice:
+            assert check_unanimity(rule, space, lambda rng: profile, 1, seed=0, eps=eps).verdict == VERDICT_HOLDS
+
+
+class TestStatusesAgainstValues:
+    """The statuses hook decides society's side as its values read against eps, wherever no value lies in the window."""
+
+    @pytest.mark.parametrize("m, draws", [(3, 60), (4, 40), (5, 20), (6, 8)])
+    def test_default_sampler_draws(self, m, draws):
+        eps, space, params = 1e-9, space_of(m), QcvParams.for_alternatives(m)
+        sampler, rng = default_profile_sampler(space, 3), random.Random(m)
+        compared = 0
+        for _ in range(draws):
+            profile = sampler(rng)
+            for rule in (qcv_rule(params), qcvne_rule(params)):
+                exact, read = (axioms._Targets(r, space, eps) for r in (rule, without_hook(rule)))
+                society, values = exact.society(profile), read.society(profile)
+                # Only a value that is not 0 or 1 yet within eps of one lies in the window.
+                window = [0.0 < v <= eps or 1.0 - eps <= v < 1.0 - 1e-12 for v in values.values]
+                assert not any(window), "the default sampler drew a value in the window"
+                assert society.statuses == values.statuses
+                for voter in (1, 2, 3):
+                    fired = axioms._fired(exact, profile, voter, society.statuses)
+                    assert fired == axioms._fired(read, profile, voter, values.statuses)
+                    (rows,) = rule.statuses([(profile, voter)])
+                    (responses,) = rule.responses([(profile, voter)])
+                    vertex = exact.vertex_values(responses, list(range(len(exact.targets))))
+                    assert not ((0.0 < vertex) & (vertex <= eps) | (1.0 - eps <= vertex) & (vertex < 1.0 - 1e-12)).any()
+                    readings = np.vectorize(lambda v: axioms._status_of(v, eps))(vertex)
+                    assert (exact.target_statuses(rows) == readings).all()
+                    compared += 1
+        assert compared == 6 * draws
 
 
 def per_index_bijection(space, pair, rng):
@@ -1367,7 +1427,7 @@ def correlated_sampler(space, n_voters):
 def without_hook(rule):
     if isinstance(rule, ChoiceRule):
         return dataclasses.replace(rule, welfare=without_hook(rule.welfare))
-    return dataclasses.replace(rule, responses=None)
+    return dataclasses.replace(rule, responses=None, statuses=None)
 
 
 def report_bytes(report, search):
@@ -1392,15 +1452,15 @@ def counted_evaluations(rule, calls):
 
 
 def search_voter(adapter, profile, voter, family, society=None):
-    """One voter's search as the hunt runs it: its fired clauses, its hook responses, ``_first_witness``."""
+    """One voter's search as the hunt runs it: its fired clauses, its hook's vertex rows, ``_first_witness``."""
     if society is None:
-        society = adapter.society_values(profile)
-    fired = axioms._fired(adapter, profile, voter, society)
+        society = adapter.society(profile)
+    fired = axioms._fired(adapter, profile, voter, society.statuses)
     if not fired:
         return None
-    hook = adapter.rule.responses
-    responses = None if hook is None else next(iter(hook([(profile, voter)])))
-    return axioms._first_witness(adapter, profile, voter, fired, society, family, responses)
+    hook = axioms._vertex_hook(adapter.rule)
+    rows = None if hook is None else next(iter(hook([(profile, voter)])))
+    return axioms._first_witness(adapter, profile, voter, fired, society, family, rows)
 
 
 class TestBatchedSearch:
@@ -1456,8 +1516,8 @@ class TestBatchedSearch:
         rule = counted_evaluations(qcv_rule(PARAMS), calls)
         profile = ProfileState.basis(cycle_profile)
         assert manipulation_witness(rule, profile, 1, ("a", "b"), FAMILY) is None
-        # The truthful evaluation only: no vertex comes near achieving a clause.
-        assert len(calls) == 1
+        # Statuses decide both sides of the search, and no record is written: nothing is evaluated.
+        assert calls == []
 
     @pytest.mark.parametrize("shortfall, found", [(5e-12, True), (1e-10, False)])
     def test_vertices_near_a_threshold_are_evaluated_exactly(self, alts3, space3, shortfall, found):
@@ -1511,7 +1571,7 @@ class TestBatchedSearch:
             counted = counted_evaluations(rule, calls)
             for profile in profiles:
                 adapter = axioms._Targets(counted, space, 1e-9)
-                society = adapter.society_values(profile)
+                society = adapter.society(profile)
                 for voter in (1, 2, 3):
                     calls.clear()
                     search_voter(adapter, profile, voter, FAMILY, society)
@@ -1522,8 +1582,8 @@ class TestBatchedSearch:
         rule = counted_evaluations(qcvne_rule(params), qcvne_calls)
         for alternative in space.alternatives.names:
             manipulation_witness(rule, light, 1, alternative, FAMILY)
-        # One truthful evaluation per alternative, and none for the search.
-        assert len(qcvne_calls) == 4
+        # Statuses decide the truthful profile and the search, and no witness is found: nothing is evaluated.
+        assert qcvne_calls == []
 
     @pytest.mark.parametrize("sampler", [default_profile_sampler, correlated_sampler],
                              ids=["product", "correlated"])
@@ -1580,9 +1640,9 @@ class TestBatchedSearch:
         rule = qcvne_rule(PARAMS)
         profile = ProfileState.basis(cycle_profile)
         adapter = axioms._Targets(rule, space3, 1e-9)
-        society = adapter.society_values(profile)
+        society = adapter.society(profile)
         joint = ProfileState.correlated(space3, [(1.0, cycle_profile)])
-        joint_society = adapter.society_values(joint)
+        joint_society = adapter.society(joint)
         counts = {"substitute_ballot": 0, "natural_extension": 0}
         substitute, extension = ProfileState.substitute_ballot, choice.natural_extension
 
@@ -1597,7 +1657,7 @@ class TestBatchedSearch:
         monkeypatch.setattr(ProfileState, "substitute_ballot", counted_substitute)
         monkeypatch.setattr(choice, "natural_extension", counted_extension)
         # Voter 1 is certain that a wins and society is not: the clause fires.
-        assert society[adapter.targets.index("a")] < 1.0 - 1e-9
+        assert society.values[adapter.targets.index("a")] < 1.0 - 1e-9
         assert search_voter(adapter, profile, 1, FAMILY, society) is None
         # A product profile folds the other voters' factors, and a correlated
         # one its joint terms without the voter's column: neither substitutes.
@@ -1760,9 +1820,10 @@ class TestDrawBatches:
                     assert check_qic(failing, recording, FAMILY, 10, 11).to_json() == want.to_json()
 
     def test_gs_suite_at_m4_kernel_calls_by_stage(self, alts4, monkeypatch):
-        # One kernel call each for the hunt's truthful profiles, the scanned
-        # voters' basis responses and the onto profiles; the dictatorship scan
-        # reads 2 draws, scored in batches of 1 and 2 (one call each).
+        # Statuses decide the hunt's truthful profiles, the scanned voters'
+        # vertices and the onto profiles, so none runs the kernel. The
+        # dictatorship scan reads 2 draws and writes counterexamples on both:
+        # one kernel call each, from the fold of its records.
         calls = []
         kernel = welfare._qcv_rows
 
@@ -1775,4 +1836,4 @@ class TestDrawBatches:
         assert report.reports[0].details["trials_run"] == 10
         assert report.reports[2].details["trials_run"] == 2
         # Rows a call: the distinct majority signatures it scores.
-        assert calls == [21, 346, 4, 2, 2], calls
+        assert calls == [2, 1], calls

@@ -654,6 +654,13 @@ class TestAlternativeState:
         with pytest.raises(InvalidArgument):
             alternative_state(alts3, {"a": 1.5, "b": -0.5})
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)])
+    def test_a_probability_past_the_float_range_is_refused(self, alts3, value):
+        # Read as the infinity of its sign, as a weight is (``_as_float``), not raised as an OverflowError.
+        shown = "inf" if value > 0 else "-inf"
+        with pytest.raises(InvalidArgument, match=f"^probability for 'a' out of \\[0, 1\\]: {shown}$"):
+            alternative_state(alts3, {"a": value})
+
     @pytest.mark.parametrize("label", ["z", 0, ("a",)])
     def test_a_label_outside_the_set_is_refused(self, alts3, label):
         with pytest.raises(InvalidArgument, match=f"^unknown alternative {re.escape(repr(label))}$"):
@@ -744,6 +751,15 @@ class TestBasisIndices:
             ProfileState.correlated_indices(space3, [(10**400, (0,))])
         with pytest.raises(InvalidArgument, match="^correlated weights must be positive, got -inf$"):
             ProfileState.correlated_indices(space3, [(-(10**400), (0,))])
+
+    @pytest.mark.parametrize("key", [5, 10**5000, "01", None], ids=["int", "long-int", "str", "none"])
+    def test_a_key_that_is_no_sequence_is_refused(self, space3, key):
+        # Refused before its length is read: len() of an integer raises TypeError.
+        message = f"^a correlated key must be a sequence of basis indices, got {type(key).__name__}$"
+        with pytest.raises(InvalidArgument, match=message):
+            ProfileState.correlated_indices(space3, [(1.0, key)])
+        with pytest.raises(InvalidArgument, match=message):
+            ProfileState.correlated_indices(space3, [(0.5, (0,)), (0.5, key)])
 
 
 class TestValidate:

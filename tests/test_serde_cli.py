@@ -1470,28 +1470,29 @@ class TestCliInputErrors:
 
     @pytest.mark.parametrize("error", [InvalidArgument, ZeroMassProjection])
     def test_kernel_error_in_the_batched_search(self, error, capsys, monkeypatch):
-        # The kernel fails only once the hook is asked for voters' basis responses,
-        # that is, once the search of the scanned voters starts.
+        # The statuses hook fails only once it is asked for voters' vertex rows,
+        # that is, once the search of the scanned voters starts: the hunt runs no kernel.
         hooked = []
-        scored = welfare._scored
+        decided = welfare._decided
 
         def failing_kernel(*args):
-            raise error("the kernel refused")
+            raise AssertionError("the kernel ran")
 
-        def failing_scored(params, requests):
+        def failing_decided(params, requests):
             requests = list(requests)
             if any(voter is not None for _, voter in requests):
                 hooked.append(requests)
-                monkeypatch.setattr(welfare, "_qcv_rows", failing_kernel)
-            return scored(params, requests)
+                raise error("the hook refused")
+            return decided(params, requests)
 
-        monkeypatch.setattr(welfare, "_scored", failing_scored)
+        monkeypatch.setattr(welfare, "_qcv_rows", failing_kernel)
+        monkeypatch.setattr(welfare, "_decided", failing_decided)
         assert main(["check", "--axiom", "qic", "--rule", "qcv", "--trials", "20", "--seed", "1"]) == 2
         assert hooked
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert captured.out == "" and len(lines) == 1 and "Traceback" not in captured.err
-        assert json.loads(lines[0])["message"] == "the kernel refused"
+        assert json.loads(lines[0])["message"] == "the hook refused"
 
     @pytest.mark.parametrize("alternatives", ["-24", "-1", "0", "1"])
     @pytest.mark.parametrize("command", [["check", "--axiom", "qic", "--rule", "qcv"],
@@ -1523,11 +1524,18 @@ class TestCliInputErrors:
         error = json.loads(lines[0])
         assert error["error"] == "invalid-argument" and "--voters" in error["message"]
 
-    def test_support_cap_on_distinct_tallies_exits_2(self, capsys, monkeypatch):
-        # Some draw of seed 1 folds its twelve voters to more than 8 distinct tallies.
+    def test_support_cap_on_distinct_tallies_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A hunt decides qcv by status and folds no draw of seed 1, though some fold to more than
+        # 8 distinct tallies; evaluating a profile folds it, and twelve voters on two rankings each
+        # reach 13 tallies.
         monkeypatch.setattr(qsc.hilbert, "DEFAULT_SUPPORT_CAP", 8)
         assert main(["check", "--axiom", "qic", "--rule", "qcv", "--voters", "12", "--trials", "20",
-                     "--seed", "1"]) == 2
+                     "--seed", "1", "--out", str(tmp_path / "qic.json")]) == 0
+        assert capsys.readouterr().err == ""
+        document = {"alternatives": ["a", "b", "c"], "voters": [{"mixed": [[1, "a>b>c"], [1, "b>a>c"]]}] * 12}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(document))
+        assert main(["evaluate", "--profile", str(path), "--rule", "qcv"]) == 2
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert captured.out == "" and len(lines) == 1 and "Traceback" not in captured.err

@@ -32,7 +32,16 @@ signature of every basis profile at every electorate size: 105 at m=3,
   its signatures. The proof's bound, gamma_m >= m(m-1) delta / m!, holds
   at every m and at every delta the rule accepts: a kept ranking's spread
   alone is C(m,2) delta / (m!/2), and an undecided pair or winner has kept
-  rankings on both sides.
+  rankings on both sides;
+- the statuses hook's reading (``welfare._status_rows``): from the
+  unanimous pairs alone it gives each target exactly the status the
+  kernel's value reads as, 1, 0 or in between.
+
+The closed form gamma_m = s / (base + 2s), s = C(m,2) delta / (m!/2) and
+base = 1 - (C(m,2) + 1) delta, is society's value on (a, b) when two
+voters cast b>a>c>... and one casts a>b>c>...: 1/18, 1/52, 1/236 and
+1/1346 at the default delta for m = 3 to 6, the exhaustive minima at m = 3
+to 5.
 
 The m=5 pass takes about 20 s, so it runs on its own:
 
@@ -40,14 +49,25 @@ The m=5 pass takes about 20 s, so it runs on its own:
 """
 
 import random
+from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
 import pytest
 
-from qsc import AlternativeSet, QcvParams
-from qsc.rankings import basis_table
-from qsc.welfare import _KERNEL_CELLS, _projected, _qcv_stages
+from qsc import AlternativeSet, ProfileState, QcvParams, qcv
+from qsc.rankings import Ranking, basis_table
+from qsc.welfare import (
+    _KERNEL_CELLS,
+    CERTAIN,
+    EXCLUDED,
+    UNDECIDED,
+    _decided,
+    _projected,
+    _qcv_stages,
+    _status_rows,
+    default_delta,
+)
 
 from test_universe import MARGIN
 from universe import signatures
@@ -56,6 +76,8 @@ COUNTS = {3: 105, 4: 8_691, 5: 2_732_079}
 # A 0 is exact in floats (the projection zeroes the weights). A 1 or an undecided value may sit a few
 # ulp from its exact rational (3.3e-16 at most at m=4); the bound is the one tests/test_exhaustive.py uses.
 TOLERANCE = 1e-12
+# gamma_m at the default delta, from the closed form (``closed_gamma``).
+GAMMA = {3: Fraction(1, 18), 4: Fraction(1, 52), 5: Fraction(1, 236), 6: Fraction(1, 1346)}
 
 
 def alternatives_of(m: int) -> AlternativeSet:
@@ -96,8 +118,14 @@ def closed_vectors(alternatives: AlternativeSet, chunk: int = 5**7):
         yield vectors[~(implied & (unanimous == 0)).any(axis=(1, 2))]
 
 
+def reading(values: np.ndarray) -> np.ndarray:
+    """The status each value reads as: exactly 0, 1 within ``TOLERANCE``, or in between."""
+    return np.where(values == 0.0, EXCLUDED, np.where(np.abs(values - 1.0) <= TOLERANCE, CERTAIN, UNDECIDED))
+
+
 def status_pass(alternatives: AlternativeSet, vectors: np.ndarray, gamma: float) -> tuple[int, float]:
-    """Check the lemma and the status claim on each class vector; return their count and the smallest inner value.
+    """Check the lemma, the status claim and the hook's reading on each class vector; return their count and the
+    smallest inner value.
 
     Inner values must lie in [gamma, 1 - gamma], within ``TOLERANCE``.
     """
@@ -126,11 +154,14 @@ def status_pass(alternatives: AlternativeSet, vectors: np.ndarray, gamma: float)
         assert not high.any(), "a constrained row keeps more than one unanimous pair allows"
         unanimous, off = unanimous_pairs(alternatives, part).astype(bool), ~np.eye(m, dtype=bool)  # (x, x) is no target
         rows = _projected(stages)
-        targets = [  # values, where they must be 1, where they must be 0
-            ((rows @ above).reshape(-1, m, m)[:, off], unanimous[:, off], unanimous.transpose(0, 2, 1)[:, off]),
-            (rows @ tops, unanimous.sum(axis=2) == m - 1, unanimous.any(axis=1)),
+        # One term: x is certain when every (x, y) is unanimous, and free when no (y, x) is.
+        statuses = _status_rows(unanimous, unanimous.sum(axis=2) == m - 1, ~unanimous.any(axis=1))
+        targets = [  # values, where they must be 1, where they must be 0, the hook's statuses
+            ((rows @ above).reshape(-1, m, m)[:, off], unanimous[:, off], unanimous.transpose(0, 2, 1)[:, off],
+             statuses.pairs[:, off]),
+            (rows @ tops, unanimous.sum(axis=2) == m - 1, unanimous.any(axis=1), statuses.winners),
         ]
-        for value, one, zero in targets:
+        for value, one, zero, status in targets:
             assert (np.abs(value[one] - 1.0) <= TOLERANCE).all(), "a unanimous target is not certain"
             assert (value[zero] == 0.0).all(), "a target against a unanimous pair keeps weight"
             inner = value[~one & ~zero]
@@ -138,6 +169,7 @@ def status_pass(alternatives: AlternativeSet, vectors: np.ndarray, gamma: float)
                 low = min(float(inner.min()), float(1.0 - inner.max()))
                 assert low >= gamma - TOLERANCE, f"an undecided target at {low} from 0 or 1"
                 smallest = min(smallest, low)
+            assert (status == reading(value)).all(), "the hook's status is not the kernel value's reading"
     return len(vectors), smallest
 
 
@@ -196,6 +228,28 @@ def test_no_constrained_row_keeps_more_than_it_started_with(m):
             assert (kept <= 1.0 - (pairs - 1) * delta + 1e-15).all()
 
 
+def closed_gamma(m: int) -> Fraction:
+    """gamma_m = s / (base + 2s) at the default delta, s = C(m,2) delta / (m!/2), base = 1 - (C(m,2) + 1) delta."""
+    delta = Fraction(1, 20) if m == 3 else Fraction(1, 2 * m * m)
+    assert float(delta) == default_delta(m)
+    spread = comb(m, 2) * delta / (factorial(m) // 2)
+    return spread / (1 - (comb(m, 2) + 1) * delta + 2 * spread)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_gamma_in_closed_form_on_the_adjacent_swap_profile(m):
+    # Two voters cast b>a>c>..., one a>b>c>...: (a, b) is split with the majority against it.
+    assert closed_gamma(m) == GAMMA[m]
+    alternatives = alternatives_of(m)
+    rest = ">".join(alternatives.names[2:])
+    profile = ProfileState.basis([Ranking.from_string(alternatives, f"{top}>{rest}") for top in ("b>a", "b>a", "a>b")])
+    value = qcv(profile, QcvParams.for_alternatives(m)).diagonal[basis_table(alternatives).pair_rows[0, 1]].sum()
+    assert value == pytest.approx(float(GAMMA[m]), rel=1e-12)
+    # Below every eps the engine accepts at m=6, yet the statuses hook reads it as undecided.
+    (statuses,) = _decided(QcvParams.for_alternatives(m), [(profile, None)])
+    assert statuses.pairs[0, 1] == statuses.pairs[1, 0] == UNDECIDED
+
+
 @pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_sampled_basis_profiles_meet_the_proved_bound(m):
     alternatives = alternatives_of(m)
@@ -205,6 +259,15 @@ def test_sampled_basis_profiles_meet_the_proved_bound(m):
         vectors = signatures(alternatives, idx)
         assert transitive(alternatives, vectors).all()
         status_pass(alternatives, vectors, proved_bound(m))
+        # The statuses hook, from the profiles themselves, reads as the kernel's values do.
+        params, table = QcvParams.for_alternatives(m), basis_table(alternatives)
+        profiles = [ProfileState.basis([table.rankings[k] for k in row]) for row in idx.tolist()]
+        for profile, statuses in zip(profiles, _decided(params, [(p, None) for p in profiles])):
+            weights = qcv(profile, params).diagonal
+            values = np.einsum("k,kxy->xy", weights, table.above.astype(float))
+            off = ~np.eye(m, dtype=bool)
+            assert (statuses.pairs[off] == reading(values[off])).all()
+            assert (statuses.winners == reading(weights[table.winner_rows].sum(axis=1))).all()
 
 
 if __name__ == "__main__":

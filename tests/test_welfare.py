@@ -28,15 +28,16 @@ from qsc import (
     qcv_basis,
     qcv_responses,
     qcv_rule,
+    qcvne,
     support_probability,
     veto_rule,
 )
 
 from qsc import hilbert, welfare
 from qsc.errors import ZeroMassProjection
-from qsc.rankings import all_rankings, ranking_index
+from qsc.rankings import all_rankings, basis_table, ranking_index
 from qsc.serde import serialize_density
-from qsc.welfare import _qcv_rows
+from qsc.welfare import CERTAIN, EXCLUDED, UNDECIDED, _qcv_rows
 
 from oracles import oracle_sigma3
 from stepwise import (
@@ -860,9 +861,13 @@ class TestEpsFilter:
         params = QcvParams(0.05, eps=1e-3)
         with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
             qcv(profile, params)
+        with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
+            list(qcv_rule(params).statuses([(profile, None)]))
         for voter in range(1, 5):
             with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
                 qcv_responses(profile, voter, params)
+            with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
+                list(qcv_rule(params).statuses([(profile, voter)]))
 
 
 def assert_every_voter_call_refuses(space, correlated, voter, message):
@@ -873,6 +878,7 @@ def assert_every_voter_call_refuses(space, correlated, voter, message):
     calls = [
         lambda: qcv_responses(profile, voter, params),
         lambda: list(qcv_rule(params).responses([(profile, voter)])),
+        lambda: list(qcv_rule(params).statuses([(profile, voter)])),
         lambda: list(dictator_rule(1).responses([(profile, voter)])),
         lambda: profile.voter_position(voter),
         lambda: profile.partial_ballot(voter),
@@ -982,6 +988,97 @@ class TestBatchHook:
                 [(good[0], None), (good[1], 1), (ProfileState.product_of([uniform] * 2), None)]
             ))
         assert len(answered) == 2
+
+
+def refuse(*args):
+    raise AssertionError("the statuses hook folded or scored")
+
+
+def read_status(values):
+    """The status a value reads as: exactly 0, 1 within 1e-12, or in between."""
+    return np.where(values == 0.0, EXCLUDED, np.where(np.abs(values - 1.0) <= 1e-12, CERTAIN, UNDECIDED))
+
+
+class TestStatusesHook:
+    """``qcv_rule``'s statuses hook: the status every weight of the responses hook reads as, with no fold."""
+
+    @pytest.mark.parametrize("correlated", [False, True], ids=["product", "correlated"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_statuses_read_the_responses(self, m, n, correlated, monkeypatch):
+        space, params = space_of(m), QcvParams.for_alternatives(m)
+        requests = mixed_batch(space, n, random.Random(f"statuses:{m}:{n}:{correlated}"), correlated)
+        table = basis_table(space.alternatives)
+        above, off = table.above.astype(float), ~np.eye(m, dtype=bool)
+        rule = qcv_rule(params)
+        weights = list(rule.responses(requests))
+        monkeypatch.setattr(welfare, "_folded", refuse)
+        monkeypatch.setattr(welfare, "_qcv_rows", refuse)
+        batched = list(rule.statuses(requests))
+        assert len(batched) == len(requests)
+        # A group holds at most _KERNEL_CELLS counts and vertex statuses, and at least one request.
+        groups, reached = [], welfare._reached
+        monkeypatch.setattr(welfare, "_reached", lambda *args: groups.append(len(args[2])) or reached(*args))
+        monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
+        split = list(rule.statuses(requests))
+        assert groups == [1] * len(requests)
+        for request, got, again, rows in zip(requests, batched, split, weights):
+            (alone,) = rule.statuses([request])
+            assert np.array_equal(got.pairs, alone.pairs) and np.array_equal(got.winners, alone.winners)
+            assert np.array_equal(got.pairs, again.pairs) and np.array_equal(got.winners, again.winners)
+            pairs = read_status(np.einsum("...k,kxy->...xy", rows, above))
+            assert (got.pairs[..., off] == pairs[..., off]).all()
+            assert (got.winners == read_status(rows[..., table.winner_rows].sum(axis=-1))).all()
+
+    def test_errors_wait_for_the_results_before_them(self, space3, space4):
+        # As the responses hook: every result before a refused request is yielded, then the refusal is raised.
+        rankings = space3.rankings()
+        good = [ProfileState.basis([rankings[k] for k in key]) for key in ((0, 1, 2), (1, 1, 2))]
+        bad = ProfileState.basis([space4.rankings()[5]] * 3)
+        answered = []
+        with pytest.raises(InvalidArgument, match="^delta 0.1 must be strictly below 1/16 for 4 alternatives$"):
+            answered.extend(qcv_rule(QcvParams(0.1)).statuses(
+                [(good[0], None), (good[1], 2), (bad, None), (good[1], None)]
+            ))
+        assert len(answered) == 2
+        light = ProfileState.correlated(space3, [(1 / 1001, [rankings[k % 6], rankings[k // 6 % 6]]) for k in range(1001)])
+        answered.clear()
+        with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
+            answered.extend(qcv_rule(QcvParams(0.05, eps=1e-3)).statuses(
+                [(good[0], None), (good[1], 3), (light, 1), (good[0], 1)]
+            ))
+        assert len(answered) == 2
+
+    @pytest.mark.parametrize("n, excluded", [(1, True), (2, True), (3, False), (60, True)])
+    def test_a_winner_excluded_by_a_cover(self, space4, n, excluded):
+        # Each voter keeps b>c>a>d, c>d>a>b and d>b>a>c: the sets above a are {b, c}, {c, d} and
+        # {b, d}, any two of which meet, while no alternative is in all three. So every term of one or
+        # two such voters has some alternative unanimously above a, and a term of three need not. From
+        # the third voter on, the others keep b>c>d>a, c>b>d>a and d>b>c>a, whose set above a holds
+        # every other alternative: at 60 voters the terms number 3^60, past what float64 counts exactly.
+        alts = space4.alternatives
+        cover = mixed_state(space4, [(1.0, rk(alts, text)) for text in ("b>c>a>d", "c>d>a>b", "d>b>a>c")])
+        rest = mixed_state(space4, [(1.0, rk(alts, text)) for text in ("b>c>d>a", "c>b>d>a", "d>b>c>a")])
+        ballots = [cover] * min(n, 3) if n <= 3 else [cover] * 2 + [rest] * (n - 2)
+        profile, params = ProfileState.product_of(ballots), QcvParams.for_alternatives(4)
+        (statuses,) = qcv_rule(params).statuses([(profile, None)])
+        assert (statuses.winners[0] == EXCLUDED) == excluded
+        # The counts the statuses are read from stay exact: their alternating sums over 2^4 sets stay below 2^52.
+        counts, _ = welfare._reached(params, welfare._lattice(alts), [(profile, None)])
+        assert counts.max() * 16 < 2.0**52
+        assert (qcvne(profile, params)["a"] == 0.0) == excluded
+        assert (statuses.pairs[~np.eye(4, dtype=bool)] == UNDECIDED).all()
+
+    def test_no_support_cap(self, space3, monkeypatch):
+        # The cap bounds a fold; the hook folds nothing, so a support far past it is decided.
+        monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 8)
+        uniform = mixed_state(space3, [(1.0, r) for r in space3.rankings()])
+        profile = ProfileState.product_of([uniform] * 12)
+        with pytest.raises(ResourceLimit):
+            qcv(profile, QcvParams(0.05))
+        (statuses,) = qcv_rule(QcvParams(0.05)).statuses([(profile, None)])
+        assert (statuses.winners == UNDECIDED).all()
+        assert (statuses.pairs == UNDECIDED).all()
 
 
 class TestBaselineRules:
