@@ -48,7 +48,6 @@ from .welfare import (
     dictator_rule,
     qcv,
     qcv_basis,
-    qcv_responses,
     qcv_rule,
     veto_rule,
 )

@@ -344,10 +344,10 @@ def _batches(draws: Iterator, first: int | None = None) -> Iterator[list]:
     there and double up to ``_BATCH_DRAWS``. A check that stops early starts
     small, so it scores at most twice the draws it reads in O(log) hook
     calls; a check that reads every draw while its rule holds (a hunt,
-    unanimity, IIA) takes full batches. A hook bounds the memory of its
-    scoring (``welfare._scored``); a batch's size sets how many drawn
-    profiles are held at once and how many draws past a stop may be scored
-    and dropped.
+    unanimity, IIA) takes full batches. A hook bounds the memory of what it
+    computes (``welfare._decided`` groups its requests); a batch's size sets
+    how many drawn profiles are held at once and how many draws past a stop
+    may be scored and dropped.
     """
     cap = _BATCH_DRAWS  # read per call, so a patched value takes effect
     size = cap if first is None else min(first, cap)

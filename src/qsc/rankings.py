@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InvalidArgument
 
-# Cap on the ranking-space dimension m!: 6!, where a d x d block of basis
-# responses holds 518,400 float64 (4 MB) and the basis table 720 rows.
+# Cap on the ranking-space dimension m!: 6!, where the basis table holds 720
+# rows and a dictator's d x d responses 518,400 float64 (4 MB).
 MAX_RANKING_DIM = 720
 
 

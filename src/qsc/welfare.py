@@ -103,15 +103,17 @@ class WelfareRule:
     basis weights of the output, row k with voter v's ballot replaced by
     basis ranking k. A basis ballot puts weight exactly 1 on one ranking, so
     it substitutes the same way at any eps below 1, and no request carries
-    one. The axiom engine scores a batch of sampled profiles with one call,
+    one. The axiom engine reads a batch of sampled profiles with one call,
     then the basis responses of every voter whose clause fires with one
     more, and searches dishonest ballots at those d vertices only (see
-    ``axioms``).
+    ``axioms``). ``dictator_rule`` carries one.
 
     ``statuses``, when set, answers the same requests with the exact status
     of the output on every target (``Statuses``) instead of its weights,
-    and the axiom engine then reads society's side of every clause from it
-    and evaluates the rule only to write a record.
+    and declares the same linearity. The axiom engine then reads society's
+    side of every clause from it, in place of ``responses``, and evaluates
+    the rule only to write a record. ``qcv_rule`` carries one and no
+    ``responses``.
     """
 
     name: str
@@ -123,7 +125,7 @@ class WelfareRule:
         return self.fn(profile)
 
 
-_KERNEL_CELLS = 1 << 16  # signature rows x m! per scoring group, and so per kernel call
+_KERNEL_CELLS = 1 << 16  # terms x m! per kernel call of ``qcv``, and counts per group of ``_decided``
 
 
 def _classes(n: int) -> np.ndarray:
@@ -280,8 +282,8 @@ def qcv_basis(alternatives: AlternativeSet, indices: Sequence[int], params: QcvP
 
 
 @lru_cache(maxsize=64)
-def _packing(alternatives: AlternativeSet, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """How n voters' tallies pack into integers: place values, each ranking's packed ``pairs`` row, zero shift.
+def _packing(alternatives: AlternativeSet, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """How n voters' tallies pack into integers: place values, and each ranking's packed ``pairs`` row.
 
     A tally packs into one integer, base n + 1, so adding packed rows adds
     tallies and keeps their order; Python ints hold it past int64. Built
@@ -289,51 +291,34 @@ def _packing(alternatives: AlternativeSet, n: int) -> tuple[np.ndarray, np.ndarr
     """
     pairs = basis_table(alternatives).pairs
     powers = (n + 1) ** np.arange(pairs.shape[1], dtype=np.int64 if (n + 1) ** pairs.shape[1] < 2**63 else object)
-    packing = powers, pairs @ powers, np.zeros((1, pairs.shape[1]), bool)
+    packing = powers, pairs @ powers
     for table in packing:
-        table.setflags(write=False)  # shared by every request on (alternatives, n)
+        table.setflags(write=False)  # shared by every profile on (alternatives, n)
     return packing
 
 
-@dataclass(eq=False)
-class _Request:
-    """One request as (weight, tally) terms, and its result while its pieces are mixed.
+def _fold(params: QcvParams, profile: ProfileState) -> tuple[np.ndarray, np.ndarray]:
+    """The profile as (packed tally, weight) terms: tallies ascending (``_packing``), weights summing to 1.
 
-    A term's tally counts, for each pair x < y, the voters placing x above y
-    (``_folded``). A product profile folds each voter's basis weights above
-    eps, and a correlated one its raw joint terms above eps, in order. A
-    profile request folds every voter and has one column. A voter request
-    (the voter in 1..n) folds the other voters, skipping the voter's factor
-    or dropping its joint column, and has d columns: a basis ballot enters
-    every term with weight exactly 1, so column k adds basis ranking k's
-    ``pairs`` row to every tally.
+    A term's tally counts, for each pair x < y, the voters placing x above
+    y (``_folded``). A product profile folds each voter's basis weights
+    above eps, and a correlated one its raw joint terms above eps, in
+    order. A profile that keeps nothing is refused.
     """
-
-    space: RankingSpace
-    n: int  # the profile's voters
-    weights: np.ndarray  # T, summing to 1
-    codes: np.ndarray  # T: the packed tallies (``_packing``), ascending
-    shifts: np.ndarray  # columns x C(m,2): a zero row, or the d ``pairs`` rows
-    result: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, params: QcvParams, profile: ProfileState, voter: int | None) -> "_Request":
-        space, n = profile.space, profile.n_voters
-        powers, packed, zero = _packing(space.alternatives, n)
-        codes, weights = np.zeros(1, powers.dtype), np.ones(1)
-        pos = None if voter is None else profile.voter_position(voter)
-        if profile.joint is not None:
-            kept = [(w, key) for w, key in profile.joint if w > params.eps]
-            keys = np.array([key for _, key in kept], dtype=np.intp).reshape(len(kept), n)
-            keys = np.delete(keys, [] if pos is None else pos, axis=1)
-            codes, weights = _folded(codes, weights, packed[keys].sum(axis=1), np.array([w for w, _ in kept]))
-        for ballot in (b for v, b in enumerate(profile.factors or ()) if v != pos):
-            ks = (ballot.diagonal > params.eps).nonzero()[0]
-            codes, weights = _folded(codes, weights, packed[ks], ballot.diagonal[ks])
-        total = weights.sum()
-        if not total > 0.0:  # nothing was kept
-            raise InvalidArgument("profile has no diagonal support")
-        return cls(space, n, weights / total, codes, zero if voter is None else basis_table(space.alternatives).pairs)
+    n = profile.n_voters
+    powers, packed = _packing(profile.space.alternatives, n)
+    codes, weights = np.zeros(1, powers.dtype), np.ones(1)
+    if profile.joint is not None:
+        kept = [(w, key) for w, key in profile.joint if w > params.eps]
+        keys = np.array([key for _, key in kept], dtype=np.intp).reshape(len(kept), n)
+        codes, weights = _folded(codes, weights, packed[keys].sum(axis=1), np.array([w for w, _ in kept]))
+    for ballot in profile.factors or ():
+        ks = (ballot.diagonal > params.eps).nonzero()[0]
+        codes, weights = _folded(codes, weights, packed[ks], ballot.diagonal[ks])
+    total = weights.sum()
+    if not total > 0.0:  # nothing was kept
+        raise InvalidArgument("profile has no diagonal support")
+    return codes, weights / total
 
 
 def _folded(codes: np.ndarray, weights: np.ndarray, rows: np.ndarray, row_weights: np.ndarray):
@@ -375,123 +360,35 @@ def _folded(codes: np.ndarray, weights: np.ndarray, rows: np.ndarray, row_weight
     return out, summed
 
 
-def _scored(params: QcvParams, requests: Iterable[tuple[ProfileState, int | None]]) -> Iterator[np.ndarray]:
-    """``qcv``'s basis weights for each request, in order: the rule's batch hook.
-
-    A request (profile, None) gives the d weights of ``qcv(profile)``; a
-    request (profile, v) gives the d x d weights of ``qcv_responses(profile,
-    v)``, row k with voter v's ballot replaced by basis ranking k. Each
-    request (``_Request``) is cut into pieces of terms, and consecutive
-    pieces of one kind (ranking space, electorate size and columns) are
-    grouped, up to ``_KERNEL_CELLS`` signature-row cells a group (a piece
-    holds at least one term: 720 x 720 cells for a voter request at m=6).
-    ``_mixed`` scores and mixes a group. A result is yielded once its
-    group is mixed, so no more than one group's rows and results are alive
-    at once, besides the caller's.
-
-    A ``QscError`` (the support cap, a kernel refusal, a result that is not
-    a distribution) is raised only after every earlier request's result has
-    been yielded, as if the requests were answered one at a time.
-    """
-    group, cells = [], 0  # pieces (request, first term, stop), and their signature-row cells
-    for profile, voter in requests:
-        try:
-            request = _Request.of(params, profile, voter)
-        except QscError:
-            yield from _mixed(params, group)
-            raise
-        terms, width = len(request.weights), len(request.shifts) * request.space.dim  # cells a term
-        step = max(1, _KERNEL_CELLS // width)
-        for first in range(0, terms, step):
-            size = (min(first + step, terms) - first) * width
-            if group and (cells + size > _KERNEL_CELLS or _kind(request) != _kind(group[0][0])):
-                yield from _mixed(params, group)
-                group, cells = [], 0
-            group.append((request, first, min(first + step, terms)))
-            cells += size
-    yield from _mixed(params, group)
-
-
-def _kind(request: _Request) -> tuple:
-    """What the pieces of one group share: ranking space, electorate size and columns."""
-    return request.space, request.n, len(request.shifts)
-
-
-def _mixed(params: QcvParams, group: list[tuple[_Request, int, int]]) -> Iterator[np.ndarray]:
-    """Score a group's signatures, mix its pieces in order, and yield each request it completes.
-
-    Row b of a request is the sum, over terms t in order, of ``weights[t]``
-    times the six-step rule's sigma3 row for term t's signature in column
-    b. Signatures are keyed as base-5 numbers, and one ``_qcv_rows`` call
-    scores the group's distinct ones. The pieces are of one kind
-    (``_kind``), so their tallies are unpacked, their signatures keyed,
-    their rows gathered and weighed and their results checked in one pass
-    each; only the sum over a piece's terms runs piece by piece. A request
-    whose result is not a distribution is refused when it is reached. The
-    kernel call refuses only a delta too large for the space's m
-    (``QcvParams.check_alternatives``), so it refuses every signature of the
-    group; a group holds one ranking space, so its first request is the
-    first refused, and every request before it has been yielded.
-    """
-    if not group:
-        return
-    (lead, _, _), eps = group[0], params.eps
-    space, columns = lead.space, len(lead.shifts)
-    fives = 5 ** np.arange(lead.shifts.shape[1], dtype=np.int64)  # 5^15 < 2^63
-    codes = np.concatenate([request.codes[first:stop] for request, first, stop in group])
-    tallies = (codes[:, None] // _packing(space.alternatives, lead.n)[0] % (lead.n + 1)).astype(np.intp)
-    # Term t's signature in column b: the classes of its tally plus the column's shift.
-    distinct, inverse = np.unique(_classes(lead.n)[tallies[:, None] + lead.shifts] @ fives, return_inverse=True)
-    table = _qcv_rows(space.alternatives, distinct[:, None] // fives % 5, params)
-    parts = table[inverse].reshape(len(codes), columns, space.dim)
-    parts *= np.concatenate([request.weights[first:stop] for request, first, stop in group])[:, None, None]
-    results, start = np.empty((len(group), columns, space.dim)), 0
-    for result, (request, first, stop) in zip(results, group):
-        if first:
-            parts[start] += request.result
-        # Along the outer axis numpy adds one term at a time, in order, as
-        # ``acc += weight * row`` would: the bits do not depend on the pieces.
-        np.add.reduce(parts[start : start + stop - first], axis=0, out=result)
-        start += stop - first
-    rows = results.reshape(-1, space.dim)
-    distributions = ((rows.min(axis=1) >= -eps) & (np.abs(rows.sum(axis=1) - 1.0) <= eps)).reshape(-1, columns)
-    for (request, _, stop), result, ok in zip(group, results, distributions.all(axis=1)):
-        request.result = result
-        if stop == len(request.weights):
-            if not ok:
-                for row in result:
-                    diagonal_state(space, row, eps)  # raises at the first that is not a distribution
-            # A profile request has one row; a voter request has d = m! >= 2.
-            yield result[0] if len(result) == 1 else result
-
-
 def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
     """Quantum Condorcet rule on a general profile.
 
     The profile's diagonal support is folded voter by voter into (weight,
-    tally) terms, a tally counting for each pair the voters placing x above
-    y; each term is scored by the six-step basis rule through its majority
-    signature, and the results are mixed with the term weights (``_scored``
-    with one request). Off-diagonal ballot coherences do not enter: the rule
-    consumes basis statistics only.
+    tally) terms (``_fold``); each term is scored by the six-step basis
+    rule through its majority signature, and the rows are mixed with the
+    term weights. Off-diagonal ballot coherences do not enter: the rule
+    consumes basis statistics only. The terms are scored ``_KERNEL_CELLS``
+    signature-row cells at a time (at least one term), each piece's
+    distinct signatures, keyed as base-5 numbers, in one ``_qcv_rows`` call.
+    Along the outer axis numpy adds one term at a time, in order, as ``acc
+    += weight * row`` would, and each piece starts from the sum before it:
+    the bits do not depend on the pieces. A result that is not a
+    distribution within eps is refused.
     """
-    (weights,) = _scored(params, [(profile, None)])
-    return DensityOperator(profile.space, weights)
-
-
-def qcv_responses(profile: ProfileState, voter: int, params: QcvParams) -> np.ndarray:
-    """``qcv``'s basis weights with one voter's ballot replaced by each basis ranking (d x d).
-
-    Row k is bit for bit ``qcv(profile.substitute_ballot(voter, basis_k),
-    params).diagonal``: the substituted profiles share the other voters'
-    fold and differ only by ranking k's ``pairs`` row in every tally
-    (``_Request``), and their rows are mixed by ``qcv``'s own ``_scored``.
-    On a correlated profile the substitution keeps every joint term's
-    weight, so both drop the same terms, each of weight at most eps. A
-    voter outside 1..n is refused.
-    """
-    (responses,) = _scored(params, [(profile, voter)])
-    return responses
+    space, n = profile.space, profile.n_voters
+    codes, weights = _fold(params, profile)
+    powers = _packing(space.alternatives, n)[0]
+    fives = 5 ** np.arange(len(powers), dtype=np.int64)  # 5^15 < 2^63
+    step, result = max(1, _KERNEL_CELLS // space.dim), None
+    for first in range(0, len(codes), step):
+        tallies = (codes[first : first + step, None] // powers % (n + 1)).astype(np.intp)
+        distinct, inverse = np.unique(_classes(n)[tallies] @ fives, return_inverse=True)
+        parts = _qcv_rows(space.alternatives, distinct[:, None] // fives % 5, params)[inverse]
+        parts *= weights[first : first + step, None]
+        if result is not None:
+            parts[0] += result
+        result = np.add.reduce(parts, axis=0)
+    return diagonal_state(space, result, params.eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,8 +432,8 @@ def _reached(
     (k x m x 2^m), and how many requests lead the first whose kept support is empty (k when none is).
 
     A request's position is None or its voter's factor or joint column.
-    The kept support is what ``_Request.of`` folds: each voter's basis
-    weights above eps, or a correlated profile's joint keys above eps. A
+    The kept support is what ``_fold`` folds: each voter's basis weights
+    above eps, or a correlated profile's joint keys above eps. A
     term is one kept ranking per voter, and it reaches, for each x, the set
     of alternatives all its voters place above x; a voter request leaves
     the voter out, so with no voter left every x reaches the set of all
@@ -667,7 +564,6 @@ def qcv_rule(params: QcvParams) -> WelfareRule:
     return WelfareRule(
         "qcv",
         lambda p: qcv(p, params),
-        responses=lambda requests: _scored(params, requests),
         statuses=lambda requests: _decided(params, requests),
     )
 

@@ -8,7 +8,10 @@ voter orients, then one projection per unanimously oriented pair. The tests
 compare the kernel against it bit for bit where the arithmetic is the same,
 and within a few ulp where the kernel renormalizes once instead of once per
 pair. It also keeps the pair sets a general profile's marginal ballots
-encode, which the rule's support statements are checked against.
+encode, which the rule's support statements are checked against, and the
+per-basis loop, ``qcv`` on a profile with one voter's ballot replaced by
+each basis ranking in turn, which the ``statuses`` hook's voter rows are
+read against.
 
 Unlike ``oracles``, this module uses the package's own states and
 subspaces: it is a second float implementation, not an exact one.
@@ -34,11 +37,15 @@ from qsc import (
     RankingSpace,
     Subspace,
     ZeroMassProjection,
+    basis_state,
     mixed_state,
     pair_projector,
+    qcv,
     support_probability,
 )
 from qsc.hilbert import _unit_vector_state, diagonal_state
+from qsc.rankings import basis_table
+from qsc.welfare import CERTAIN, EXCLUDED, UNDECIDED
 
 
 @dataclass(frozen=True)
@@ -299,3 +306,24 @@ def stepwise_qcv(profile: ClassicalProfile, params: QcvParams) -> StepwiseStages
         sigma2=sigma2,
         sigma3=sigma3,
     )
+
+
+def per_basis_loop(profile: ProfileState, voter: int, params: QcvParams) -> np.ndarray:
+    """``qcv``'s basis weights with the voter's ballot replaced by each basis ranking (d x d, row k for ranking k)."""
+    space = profile.space
+    return np.array([
+        qcv(profile.substitute_ballot(voter, basis_state(space, ranking)), params).diagonal
+        for ranking in space.rankings()
+    ])
+
+
+def read_status(values: np.ndarray) -> np.ndarray:
+    """The status a value reads as: exactly 0, 1 within 1e-12, or in between."""
+    return np.where(values == 0.0, EXCLUDED, np.where(np.abs(values - 1.0) <= 1e-12, CERTAIN, UNDECIDED))
+
+
+def read_statuses(alternatives: AlternativeSet, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The status basis weights (..., d) read as on each pair (..., m, m; the diagonal is no target) and winner."""
+    table = basis_table(alternatives)
+    pairs = read_status(np.einsum("...k,kxy->...xy", weights, table.above.astype(float)))
+    return pairs, read_status(weights[..., table.winner_rows].sum(axis=-1))

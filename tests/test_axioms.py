@@ -68,6 +68,7 @@ from controls import (
     reverse_rule,
     split_top_rule,
 )
+from stepwise import per_basis_loop, read_statuses
 
 ROOT2 = 2 ** -0.5
 PARAMS = QcvParams(0.05)
@@ -1075,6 +1076,8 @@ class TestStatusesAgainstValues:
         compared = 0
         for _ in range(draws):
             profile = sampler(rng)
+            # The welfare weights with each voter's ballot replaced by each basis ballot.
+            loops = {voter: per_basis_loop(profile, voter, params) for voter in (1, 2, 3)}
             for rule in (qcv_rule(params), qcvne_rule(params)):
                 exact, read = (axioms._Targets(r, space, eps) for r in (rule, without_hook(rule)))
                 society, values = exact.society(profile), read.society(profile)
@@ -1086,8 +1089,7 @@ class TestStatusesAgainstValues:
                     fired = axioms._fired(exact, profile, voter, society.statuses)
                     assert fired == axioms._fired(read, profile, voter, values.statuses)
                     (rows,) = rule.statuses([(profile, voter)])
-                    (responses,) = rule.responses([(profile, voter)])
-                    vertex = exact.vertex_values(responses, list(range(len(exact.targets))))
+                    vertex = exact.vertex_values(loops[voter], list(range(len(exact.targets))))
                     assert not ((0.0 < vertex) & (vertex <= eps) | (1.0 - eps <= vertex) & (vertex < 1.0 - 1e-12)).any()
                     readings = np.vectorize(lambda v: axioms._status_of(v, eps))(vertex)
                     assert (exact.target_statuses(rows) == readings).all()
@@ -1350,9 +1352,9 @@ class TestLinearity:
     def test_mixing_a_ballot_mixes_the_outputs(
         self, space3, name, seed, correlated, voter, percent
     ):
-        # A responses hook declares linearity in each voter's basis weights.
+        # A statuses or responses hook declares linearity in each voter's basis weights.
         rule = HOOKED_RULES[name]
-        assert rule.responses is not None
+        assert axioms._vertex_hook(rule) is not None
         rng = random.Random(seed)
         rankings = space3.rankings()
 
@@ -1385,10 +1387,10 @@ class TestLinearity:
 
     def test_hook_needs_every_part_linear(self, alts3):
         veto = veto_rule(rk(alts3, "a>b>c"))
-        assert veto.responses is None
-        assert compose(veto).responses is None
-        assert compose(qcv_rule(PARAMS)).responses is not None
-        assert reverse_mix_rule(hooked=False).responses is None
+        assert axioms._vertex_hook(veto) is None
+        assert axioms._vertex_hook(compose(veto)) is None
+        assert axioms._vertex_hook(compose(qcv_rule(PARAMS))) is not None
+        assert axioms._vertex_hook(reverse_mix_rule(hooked=False)) is None
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_dictator_hook_matches_per_basis_evaluation(self, m):
@@ -1464,7 +1466,7 @@ def search_voter(adapter, profile, voter, family, society=None):
 
 
 class TestBatchedSearch:
-    """The vertex search of rules with a ``responses`` hook against the family scan."""
+    """The vertex search of rules with a ``statuses`` or ``responses`` hook against the family scan."""
 
     @pytest.mark.parametrize(
         "family",
@@ -1620,7 +1622,7 @@ class TestBatchedSearch:
         trials = 4
 
         for rule in welfare_rules + choice_rules:
-            assert rule.responses is not None
+            assert axioms._vertex_hook(rule) is not None
             same(qic(rule, trials, (1, 2)))
         for rule in welfare_rules:
             same(lambda variant, search: report_bytes(check_composition_preservation(
@@ -1669,19 +1671,22 @@ class TestBatchedSearch:
         rankings = space3.rankings()
         triple = mixed_state(space3, [(1.0, r) for r in rankings[:3]])
         profile = ProfileState.product_of([triple] * 3)
+        rule, off = qcv_rule(PARAMS), ~np.eye(3, dtype=bool)
+        pairs, winners = read_statuses(space3.alternatives, per_basis_loop(profile, 1, PARAMS))
         monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 5)
-        rule = qcv_rule(QcvParams(0.05))
         # With a basis ballot substituted, the other two voters reach 6 distinct tallies, past the cap of 5.
-        with pytest.raises(ResourceLimit) as want:
+        with pytest.raises(ResourceLimit, match="^profile support exceeds 5 distinct tallies$"):
             rule.evaluate(profile.substitute_ballot(1, basis_state(space3, rankings[0]), 1e-9))
 
         def refuse(*args):
-            raise AssertionError("the kernel ran")
+            raise AssertionError("the hook folded or scored")
 
+        # The vertex hook folds nothing, so the cap does not reach it: the voter's vertices are decided
+        # as the per-basis loop read them under the default cap.
+        monkeypatch.setattr(welfare, "_folded", refuse)
         monkeypatch.setattr(welfare, "_qcv_rows", refuse)
-        with pytest.raises(ResourceLimit) as got:
-            list(rule.responses([(profile, 1)]))
-        assert str(got.value) == str(want.value)
+        (got,) = axioms._vertex_hook(rule)([(profile, 1)])
+        assert (got.pairs[:, off] == pairs[:, off]).all() and (got.winners == winners).all()
 
 
 def streaming(monkeypatch):

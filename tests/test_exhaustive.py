@@ -18,13 +18,12 @@ from qsc import (
     manipulation_witness,
     pair_projector,
     qcv,
-    qcv_responses,
     qcv_rule,
     qcvne_rule,
     support_probability,
 )
 
-from stepwise import encoded_pairs_all, encoded_pairs_any
+from stepwise import encoded_pairs_all, encoded_pairs_any, read_statuses
 
 PARAMS = QcvParams(0.05)
 FAMILY = CandidateBallotFamily()
@@ -75,10 +74,13 @@ def test_support_statements_on_every_basis_profile(alts3, space3):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_responses_match_the_per_basis_loop_on_every_basis_profile(space3, n):
+    # The statuses hook's voter rows: the status each weight of the per-basis loop reads as.
     basis = [basis_state(space3, r) for r in space3.rankings()]
+    off = ~np.eye(3, dtype=bool)
+    hook = qcv_rule(PARAMS).statuses
     for profile in all_basis_profiles(space3, n):
-        for voter in range(1, n + 1):
-            got = qcv_responses(profile, voter, PARAMS)
-            for k, ballot in enumerate(basis):
-                want = qcv(profile.substitute_ballot(voter, ballot), PARAMS).diagonal
-                assert np.array_equal(got[k], want), (profile.factors, voter, k)
+        for voter, got in zip(range(1, n + 1), hook([(profile, voter) for voter in range(1, n + 1)]), strict=True):
+            weights = np.array([qcv(profile.substitute_ballot(voter, ballot), PARAMS).diagonal for ballot in basis])
+            pairs, winners = read_statuses(space3.alternatives, weights)
+            assert (got.pairs[:, off] == pairs[:, off]).all(), (profile.factors, voter)
+            assert (got.winners == winners).all(), (profile.factors, voter)

@@ -767,7 +767,7 @@ class TestCliEvaluate:
         def refuse(*args):
             raise AssertionError("the rule ran")
 
-        monkeypatch.setattr(welfare, "_scored", refuse)
+        monkeypatch.setattr(welfare, "_fold", refuse)
         monkeypatch.setattr(ProfileState, "support_tuples", refuse_support_tuples)
         product = {
             "alternatives": ["a", "b", "c"],

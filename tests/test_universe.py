@@ -16,7 +16,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from qsc import AlternativeSet, ProfileState, QcvParams, qcv_rule
+from qsc import AlternativeSet, ProfileState, QcvParams, qcv
 from qsc.rankings import all_rankings, ranking_index
 
 from oracles import oracle_sigma3, oracle_support, oracle_top_distribution, ranks_above
@@ -53,15 +53,13 @@ def distinct(universe: dict) -> list[tuple[int, ...]]:
 
 
 def scored(alternatives: AlternativeSet, tuples: list) -> np.ndarray:
-    """The hook's row for the basis profile of each tuple of ranking indices, at the default delta."""
-    rankings = all_rankings(alternatives)
-    profiles = [ProfileState.basis([rankings[k] for k in indices]) for indices in tuples]
-    hook = qcv_rule(QcvParams(float(DELTA[alternatives.m]))).responses
-    return np.array(list(hook([(p, None) for p in profiles])))
+    """``qcv``'s row for the basis profile of each tuple of ranking indices, at the default delta."""
+    rankings, params = all_rankings(alternatives), QcvParams(float(DELTA[alternatives.m]))
+    return np.array([qcv(ProfileState.basis([rankings[k] for k in indices]), params).diagonal for indices in tuples])
 
 
 def exact_pass(alternatives: AlternativeSet, tuples: list) -> tuple[Fraction, Fraction]:
-    """The hook rows' largest gap from the exact rule, and the exact rows' margin (see ``MARGIN``)."""
+    """The scored rows' largest gap from the exact rule, and the exact rows' margin (see ``MARGIN``)."""
     names, rankings = alternatives.names, all_rankings(alternatives)
     pairs = [(x, y) for x in names for y in names if x != y]
     worst, margin = Fraction(0), Fraction(1)

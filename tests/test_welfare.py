@@ -26,9 +26,9 @@ from qsc import (
     pure_state,
     qcv,
     qcv_basis,
-    qcv_responses,
     qcv_rule,
     qcvne,
+    qcvne_rule,
     support_probability,
     veto_rule,
 )
@@ -46,6 +46,9 @@ from stepwise import (
     encoded_pairs_any,
     enforce_unanimity,
     minority_spread,
+    per_basis_loop,
+    read_status,
+    read_statuses,
     stepwise_qcv,
 )
 from universe import signatures
@@ -495,7 +498,7 @@ class TestQcvGeneralProfiles:
         first, second = rk(alts3, "a>b>c"), rk(alts3, "b>a>c")
         profile = ProfileState.product_of([mixed_state(space3, [(0.25, first), (0.75, second)])] * 25)
         params = QcvParams(0.05)
-        assert len(welfare._Request.of(params, profile, None).weights) == 26
+        assert len(welfare._fold(params, profile)[1]) == 26
         want = sum(
             math.comb(25, j) * 0.25**j * 0.75 ** (25 - j)
             * stages_of((first,) * j + (second,) * (25 - j), params).sigma3.diagonal
@@ -527,9 +530,9 @@ class TestQcvGeneralProfiles:
         profile = ProfileState.product_of([first] + [basis_state(space, r) for r in cast[1:]])
         want = sum(0.5 * stages_of([r, *cast[1:]], params).sigma3.diagonal for r in rankings[:2])
         assert np.allclose(qcv(profile, params).diagonal, want, rtol=0.0, atol=1e-14)
-        responses = qcv_responses(profile, 1, params)
         for k in (0, 1, len(rankings) - 1):
-            assert np.array_equal(responses[k], stages_of([rankings[k], *cast[1:]], params).sigma3.diagonal)
+            got = qcv(profile.substitute_ballot(1, basis_state(space, rankings[k])), params).diagonal
+            assert np.array_equal(got, stages_of([rankings[k], *cast[1:]], params).sigma3.diagonal)
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=20, deadline=None)
@@ -571,7 +574,7 @@ def unique_folded(codes, weights, rows, row_weights):
 
 
 def fold_voters(fold, voters, dtype=np.int64):
-    """Fold each voter's (rows, row weights) in turn from the zero tally, as ``_Request.of`` does."""
+    """Fold each voter's (rows, row weights) in turn from the zero tally, as ``_fold`` does."""
     codes, weights = np.zeros(1, dtype), np.ones(1)
     for rows, row_weights in voters:
         codes, weights = fold(codes, weights, rows, row_weights)
@@ -691,17 +694,45 @@ def small_support_profile(space, n, rng, correlated, light=False):
 
 
 def assert_rows_match_the_per_basis_loop(profile, params, monkeypatch):
-    """Every row of ``qcv_responses`` against ``qcv`` on the substituted profile, bit for bit."""
-    space = profile.space
-    for voter in range(1, profile.n_voters + 1):
-        got = qcv_responses(profile, voter, params)
-        assert got.shape == (space.dim, space.dim)
-        for k, ranking in enumerate(space.rankings()):
-            want = qcv(profile.substitute_ballot(voter, basis_state(space, ranking)), params)
-            assert np.array_equal(got[k], want.diagonal), (voter, k)
+    """Every voter's rows of the ``statuses`` hook against ``qcv`` on the substituted profile (``per_basis_loop``).
+
+    Each row is the status the loop's weights read as, on every pair and
+    winner, and the hook neither folds nor scores.
+    """
+    space, rule = profile.space, qcv_rule(params)
+    off = ~np.eye(space.alternatives.m, dtype=bool)
+    wants = [read_statuses(space.alternatives, per_basis_loop(profile, voter, params))
+             for voter in range(1, profile.n_voters + 1)]
+    with monkeypatch.context() as patched:
+        patched.setattr(welfare, "_folded", refuse)
+        patched.setattr(welfare, "_qcv_rows", refuse)
+        got = list(rule.statuses([(profile, voter) for voter in range(1, profile.n_voters + 1)]))
+    for voter, statuses, (pairs, winners) in zip(range(1, profile.n_voters + 1), got, wants, strict=True):
+        assert statuses.pairs.shape == (space.dim, *off.shape)
+        assert (statuses.pairs[:, off] == pairs[:, off]).all(), voter
+        assert (statuses.winners == winners).all(), voter
+
+
+def split_profiles(space, rng):
+    """A product and a correlated profile of three voters, each folding to more than one term."""
+    rankings = space.rankings()
+
+    def mixed():
+        first, second = rng.sample(rankings, 2)
+        return mixed_state(space, [(0.25, first), (0.75, second)])
+
+    product = ProfileState.product_of([mixed(), mixed(), basis_state(space, rng.choice(rankings))])
+    raw = [1, 2, 3]
+    correlated = ProfileState.correlated(space, [(w / 6, [rng.choice(rankings) for _ in range(3)]) for w in raw])
+    return [product, correlated]
 
 
 class TestQcvResponses:
+    """What a voter's basis responses read as: the ``statuses`` hook's rows against the per-basis loop.
+
+    ``qcv_rule`` carries no ``responses`` hook; ``qcv`` scores one profile.
+    """
+
     @pytest.mark.parametrize("correlated", [False, True], ids=["product", "correlated"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -721,24 +752,26 @@ class TestQcvResponses:
         assert_rows_match_the_per_basis_loop(profile, QcvParams(0.05), monkeypatch)
 
     def test_blocks_split(self, space4, monkeypatch):
-        # One term per piece and one piece per group, each its own kernel call;
-        # the rows keep the bits of unsplit requests.
-        rng = random.Random(4)
+        # One term per piece, each its own kernel call of one signature; the
+        # weights keep the bits of unsplit profiles, as do the loop's rows.
         params = QcvParams.for_alternatives(4)
-        profiles = [small_support_profile(space4, 3, rng, c, light=True) for c in (False, True)]
-        unsplit = [qcv_responses(profile, 2, params) for profile in profiles]
+        profiles = split_profiles(space4, random.Random(4))
+        unsplit = [(qcv(profile, params).diagonal, per_basis_loop(profile, 2, params)) for profile in profiles]
         monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
         scored = count_kernel_rows(monkeypatch)
-        for profile, want in zip(profiles, unsplit):
-            assert np.array_equal(qcv_responses(profile, 2, params), want)
+        for profile, (want, rows) in zip(profiles, unsplit):
+            assert np.array_equal(qcv(profile, params).diagonal, want)
+            assert len(welfare._fold(params, profile)[0]) > 1
+            assert np.array_equal(per_basis_loop(profile, 2, params), rows)
             assert_rows_match_the_per_basis_loop(profile, params, monkeypatch)
-        assert max(scored) <= space4.dim
+        assert set(scored) == {1}
 
     def test_rule_carries_the_hook(self, space3, cycle_profile):
         params = QcvParams(0.05)
         profile = ProfileState.basis(cycle_profile)
-        (got,) = qcv_rule(params).responses([(profile, 2)])
-        assert np.array_equal(got, qcv_responses(profile, 2, params))
+        # The statuses hook is qcv's only one, and the natural extension's.
+        for rule in (qcv_rule(params), qcvne_rule(params)):
+            assert rule.responses is None and rule.statuses is not None
         (got,) = dictator_rule(2).responses([(profile, 2)])
         assert np.array_equal(got, np.eye(space3.dim))
         assert veto_rule(cycle_profile[0]).responses is None
@@ -749,9 +782,9 @@ class TestQcvResponses:
         profile = ProfileState.correlated(space3, [(1.0, cast)]) if correlated else ProfileState.basis(cast)
         params = QcvParams(0.05)
         for voter in (0, 4):
-            hooks = [qcv_rule(params).responses, dictator_rule(1).responses, dictator_rule(4).responses]
+            hooks = [qcv_rule(params).statuses, dictator_rule(1).responses, dictator_rule(4).responses]
             with pytest.raises(InvalidArgument, match=f"^voter index {voter} out of range 1..3$"):
-                qcv_responses(profile, voter, params)
+                profile.substitute_ballot(voter, basis_state(space3, cast[0]))
             for hook in hooks:
                 with pytest.raises(InvalidArgument, match=f"^voter index {voter} out of range 1..3$"):
                     list(hook([(profile, voter)]))
@@ -781,7 +814,7 @@ class TestQcvResponses:
 
         monkeypatch.setattr(welfare, "_qcv_rows", failing)
         with pytest.raises(error, match="^the kernel refused$"):
-            qcv_responses(ProfileState.basis(cycle_profile), 1, QcvParams(0.05))
+            qcv(ProfileState.basis(cycle_profile), QcvParams(0.05))
 
     def test_nan_kernel_rows_are_refused(self, space3, cycle_profile, monkeypatch):
         def nan_rows(alternatives, signatures, params):
@@ -791,8 +824,11 @@ class TestQcvResponses:
         profile = ProfileState.basis(cycle_profile)
         with pytest.raises(InvalidArgument, match="nan"):
             qcv(profile, QcvParams(0.05))
-        with pytest.raises(InvalidArgument, match="nan"):
-            qcv_responses(profile, 1, QcvParams(0.05))
+        # Split into one-term pieces, the NaN of every piece reaches the sum.
+        monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
+        for split in split_profiles(space3, random.Random(5)):
+            with pytest.raises(InvalidArgument, match="nan"):
+                qcv(split, QcvParams(0.05))
 
 
 class TestEpsFilter:
@@ -813,22 +849,22 @@ class TestEpsFilter:
         kept = ProfileState.correlated(space3, [(1.0 - 1.2e-9, heavy), (1.2e-9, other)])
         assert not np.array_equal(qcv(kept, params).diagonal, alone)
 
-    def test_a_voter_request_drops_two_light_terms_that_differ_in_its_column(self, space3):
+    def test_a_voter_request_drops_two_light_terms_that_differ_in_its_column(self, space3, monkeypatch):
         r, params = space3.rankings(), QcvParams(0.05)
         heavy = (r[0], r[1], r[2])
-        # Two 0.6e-9 terms that differ only in voter 2's column. Dropping the
-        # voter's column does not merge them: each is at most eps, and dropped.
+        # Two 0.6e-9 terms that differ only in voter 2's column. Substituting the
+        # voter's ballot does not merge them: each is at most eps, and dropped.
         profile = ProfileState.correlated(
             space3, [(1.0 - 1.2e-9, heavy), (0.6e-9, (r[5], r[3], r[4])), (0.6e-9, (r[5], r[4], r[4]))]
         )
         merged = ProfileState.correlated(space3, [(1.0 - 1.2e-9, heavy), (1.2e-9, (r[5], r[3], r[4]))])
         alone = ProfileState.correlated(space3, [(1.0, heavy)])
-        got = qcv_responses(profile, 2, params)
-        assert np.array_equal(got, qcv_responses(alone, 2, params))
-        assert not np.array_equal(got[0], qcv_responses(merged, 2, params)[0])
-        for k, ranking in enumerate(r):
-            want = qcv(profile.substitute_ballot(2, basis_state(space3, ranking)), params)
-            assert np.array_equal(got[k], want.diagonal), k
+        got = per_basis_loop(profile, 2, params)
+        assert np.array_equal(got, per_basis_loop(alone, 2, params))
+        assert not np.array_equal(got[0], per_basis_loop(merged, 2, params)[0])
+        (statuses,), (want,) = (qcv_rule(params).statuses([(p, 2)]) for p in (profile, alone))
+        assert np.array_equal(statuses.pairs, want.pairs) and np.array_equal(statuses.winners, want.winners)
+        assert_rows_match_the_per_basis_loop(profile, params, monkeypatch)
 
     def test_a_correlated_profile_mixes_its_terms(self):
         space, params = space_of(4), QcvParams.for_alternatives(4)
@@ -848,7 +884,12 @@ class TestEpsFilter:
         profile = ProfileState.product_of([hilbert.diagonal_state(space, weights)] * 6)
         unanimous = ProfileState.basis([space.rankings()[0]] * 6)
         assert np.array_equal(qcv(profile, params).diagonal, qcv(unanimous, params).diagonal)
-        assert np.array_equal(qcv_responses(profile, 6, params), qcv_responses(unanimous, 6, params))
+        for ranking in space.rankings()[:: space.dim // 4]:
+            ballot = basis_state(space, ranking)
+            got, want = (qcv(p.substitute_ballot(6, ballot), params).diagonal for p in (profile, unanimous))
+            assert np.array_equal(got, want)
+        (got,), (want,) = (qcv_rule(params).statuses([(p, 6)]) for p in (profile, unanimous))
+        assert np.array_equal(got.pairs, want.pairs) and np.array_equal(got.winners, want.winners)
         assert [key for _, key in profile.support_tuples(1e-3)] == [(0,) * 6]
 
     def test_profile_and_voter_requests_drop_the_same_terms(self, space3):
@@ -865,7 +906,7 @@ class TestEpsFilter:
             list(qcv_rule(params).statuses([(profile, None)]))
         for voter in range(1, 5):
             with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
-                qcv_responses(profile, voter, params)
+                qcv(profile.substitute_ballot(voter, basis_state(space3, rankings[0])), params)
             with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
                 list(qcv_rule(params).statuses([(profile, voter)]))
 
@@ -876,8 +917,6 @@ def assert_every_voter_call_refuses(space, correlated, voter, message):
     profile = ProfileState.correlated(space, [(1.0, cast)]) if correlated else ProfileState.basis(cast)
     params = QcvParams(0.05)
     calls = [
-        lambda: qcv_responses(profile, voter, params),
-        lambda: list(qcv_rule(params).responses([(profile, voter)])),
         lambda: list(qcv_rule(params).statuses([(profile, voter)])),
         lambda: list(dictator_rule(1).responses([(profile, voter)])),
         lambda: profile.voter_position(voter),
@@ -898,8 +937,22 @@ def mixed_batch(space, n, rng, correlated, profiles=3):
     return requests
 
 
+def reference(rule, profile, voter):
+    """A request's result as the rule computes it one profile at a time: the output, or the per-basis loop."""
+    if voter is None:
+        return rule.evaluate(profile).diagonal
+    space = profile.space
+    return np.array([
+        rule.evaluate(profile.substitute_ballot(voter, basis_state(space, ranking))).diagonal
+        for ranking in space.rankings()
+    ])
+
+
 class TestBatchHook:
-    """``qcv_rule``'s hook: one call answers a batch of profile and voter requests, in order."""
+    """A ``responses`` hook answers a batch of profile and voter requests in one call, in order (the dictator's).
+
+    ``qcv`` scores one profile, a piece of its terms a kernel call.
+    """
 
     @pytest.mark.parametrize("correlated", [False, True], ids=["product", "correlated"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -909,38 +962,43 @@ class TestBatchHook:
         params = QcvParams.for_alternatives(m)
         rng = random.Random(f"batch:{m}:{n}:{correlated}")
         requests = mixed_batch(space, n, rng, correlated, profiles=2 if m == 5 else 3)
-        hook = qcv_rule(params).responses
-        batched = list(hook(requests))
-        # One-cell groups: every piece is one term and its own group, so a
-        # kernel call scores one term's columns, at most d signatures.
+        rule = dictator_rule(min(n, 2))
+        batched = list(rule.responses(requests))
+        assert len(batched) == len(requests)
+        for (profile, voter), got in zip(requests, batched):
+            (alone,) = rule.responses([(profile, voter)])
+            assert np.array_equal(got, alone)
+            assert np.allclose(got, reference(rule, profile, voter), rtol=0.0, atol=1e-12)
+        # One-cell pieces: every kernel call scores one term's signature, and
+        # the weights keep their bits.
+        profiles = list({id(profile): profile for profile, _ in requests}.values())
+        unsplit = [qcv(profile, params).diagonal for profile in profiles]
         monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
         scored = count_kernel_rows(monkeypatch)
-        split = list(hook(requests))
-        assert len(scored) >= len(requests) and max(scored) <= space.dim
-        monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1 << 18)
-        assert len(batched) == len(split) == len(requests)
-        for (profile, voter), got, again in zip(requests, batched, split):
-            assert np.array_equal(got, again)
-            if voter is None:
-                assert np.array_equal(got, qcv_rule(params).evaluate(profile).diagonal)
-            else:
-                assert np.array_equal(got, qcv_responses(profile, voter, params))
+        for profile, want in zip(profiles, unsplit):
+            assert np.array_equal(qcv(profile, params).diagonal, want)
+        assert len(scored) >= len(profiles) and set(scored) == {1}
 
     @pytest.mark.parametrize("n, rows", [(5, 44), (6, 87)])
     def test_one_kernel_row_per_signature(self, space3, n, rows, monkeypatch):
-        # Every m=3 basis multiset in one call: 252 profiles at n=5 and 462 at
-        # n=6, with 44 and 87 majority signatures among them.
-        rankings = space3.rankings()
-        profiles = [
-            ProfileState.basis([rankings[k] for k in key])
-            for key in combinations_with_replacement(range(space3.dim), n)
-        ]
+        # Every m=3 basis multiset, one profile at a time: 252 profiles at n=5
+        # and 462 at n=6, each one term and one kernel row, with 44 and 87
+        # majority signatures among them.
+        keys = list(combinations_with_replacement(range(space3.dim), n))
+        profiles = [ProfileState.basis([space3.rankings()[k] for k in key]) for key in keys]
         params = QcvParams(0.05)
-        scored = count_kernel_rows(monkeypatch)
-        got = list(qcv_rule(params).responses([(profile, None) for profile in profiles]))
-        assert sum(scored) == rows
-        for profile, weights in zip(profiles, got, strict=True):
-            assert np.array_equal(weights, qcv(profile, params).diagonal)
+        kernel, signed = welfare._qcv_rows, []
+
+        def recorded(alternatives, signatures, params):
+            signed.extend(map(tuple, signatures.tolist()))
+            return kernel(alternatives, signatures, params)
+
+        monkeypatch.setattr(welfare, "_qcv_rows", recorded)
+        got = [qcv(profile, params).diagonal for profile in profiles]
+        assert len(signed) == len(profiles) and len(set(signed)) == rows
+        monkeypatch.setattr(welfare, "_qcv_rows", kernel)
+        for key, weights in zip(keys, got, strict=True):
+            assert np.array_equal(weights, qcv_basis(space3.alternatives, key, params).sigma3.diagonal)
 
     def test_dictator_results_match_its_evaluations(self, space4):
         rng = random.Random(9)
@@ -954,53 +1012,49 @@ class TestBatchHook:
                 assert np.array_equal(got, want)
 
     def test_empty_batch(self):
-        assert list(qcv_rule(QcvParams(0.05)).responses([])) == []
+        assert list(qcv_rule(QcvParams(0.05)).statuses([])) == []
         assert list(dictator_rule(1).responses([])) == []
 
     @pytest.mark.parametrize("error", [InvalidArgument, ZeroMassProjection])
     def test_kernel_errors_propagate(self, space3, monkeypatch, error):
+        # A refusal in a later piece of a profile's terms propagates out of ``qcv``.
+        calls = []
+
         def failing(*args):
-            raise error("the kernel refused")
+            calls.append(len(args[1]))
+            if len(calls) == 2:
+                raise error("the kernel refused")
+            return _qcv_rows(*args)
 
-        requests = mixed_batch(space3, 3, random.Random(2), False)
+        monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
         monkeypatch.setattr(welfare, "_qcv_rows", failing)
+        profile = split_profiles(space3, random.Random(2))[0]
         with pytest.raises(error, match="^the kernel refused$"):
-            list(qcv_rule(QcvParams(0.05)).responses(requests))
+            qcv(profile, QcvParams(0.05))
+        assert calls == [1, 1]
 
-    def test_errors_wait_for_the_results_before_them(self, space3, space4, monkeypatch):
+    def test_errors_wait_for_the_results_before_them(self, space3):
         # Requests answered one at a time would yield every result before the
-        # failing request, then raise: so does the batch, whether its kernel
-        # pass fails or a request cannot be built. Delta 0.1 is below 1/9 but
-        # not below 1/16, so the kernel refuses the m=4 request only.
+        # failing request, then raise: so does the dictator's batch.
         rankings = space3.rankings()
         good = [ProfileState.basis([rankings[k] for k in key]) for key in ((0, 1, 2), (1, 1, 2))]
-        bad = ProfileState.basis([space4.rankings()[5]] * 3)
-        requests = [(good[0], None), (good[1], 2), (bad, None), (good[1], None)]
+        requests = [(good[0], None), (good[1], 2), (good[1], 4), (good[1], None)]
         answered = []
-        with pytest.raises(InvalidArgument, match="^delta 0.1 must be strictly below 1/16 for 4 alternatives$"):
-            answered.extend(qcv_rule(QcvParams(0.1)).responses(requests))
+        with pytest.raises(InvalidArgument, match="^voter index 4 out of range 1..3$"):
+            answered.extend(dictator_rule(1).responses(requests))
         assert len(answered) == 2
-        monkeypatch.setattr(hilbert, "DEFAULT_SUPPORT_CAP", 8)
-        uniform = mixed_state(space3, [(1.0, r) for r in rankings])
         answered.clear()
-        with pytest.raises(ResourceLimit):
-            answered.extend(qcv_rule(QcvParams(0.05)).responses(
-                [(good[0], None), (good[1], 1), (ProfileState.product_of([uniform] * 2), None)]
-            ))
-        assert len(answered) == 2
+        with pytest.raises(InvalidArgument, match="^voter index 4 out of range 1..3$"):
+            answered.extend(dictator_rule(4).responses(requests[:1] + requests[2:]))
+        assert answered == []
 
 
 def refuse(*args):
     raise AssertionError("the statuses hook folded or scored")
 
 
-def read_status(values):
-    """The status a value reads as: exactly 0, 1 within 1e-12, or in between."""
-    return np.where(values == 0.0, EXCLUDED, np.where(np.abs(values - 1.0) <= 1e-12, CERTAIN, UNDECIDED))
-
-
 class TestStatusesHook:
-    """``qcv_rule``'s statuses hook: the status every weight of the responses hook reads as, with no fold."""
+    """``qcv_rule``'s statuses hook: the status every weight of ``qcv`` and the per-basis loop reads as, with no fold."""
 
     @pytest.mark.parametrize("correlated", [False, True], ids=["product", "correlated"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1008,10 +1062,9 @@ class TestStatusesHook:
     def test_statuses_read_the_responses(self, m, n, correlated, monkeypatch):
         space, params = space_of(m), QcvParams.for_alternatives(m)
         requests = mixed_batch(space, n, random.Random(f"statuses:{m}:{n}:{correlated}"), correlated)
-        table = basis_table(space.alternatives)
-        above, off = table.above.astype(float), ~np.eye(m, dtype=bool)
+        off = ~np.eye(m, dtype=bool)
         rule = qcv_rule(params)
-        weights = list(rule.responses(requests))
+        weights = [reference(rule, profile, voter) for profile, voter in requests]
         monkeypatch.setattr(welfare, "_folded", refuse)
         monkeypatch.setattr(welfare, "_qcv_rows", refuse)
         batched = list(rule.statuses(requests))
@@ -1026,9 +1079,9 @@ class TestStatusesHook:
             (alone,) = rule.statuses([request])
             assert np.array_equal(got.pairs, alone.pairs) and np.array_equal(got.winners, alone.winners)
             assert np.array_equal(got.pairs, again.pairs) and np.array_equal(got.winners, again.winners)
-            pairs = read_status(np.einsum("...k,kxy->...xy", rows, above))
+            pairs, winners = read_statuses(space.alternatives, rows)
             assert (got.pairs[..., off] == pairs[..., off]).all()
-            assert (got.winners == read_status(rows[..., table.winner_rows].sum(axis=-1))).all()
+            assert (got.winners == winners).all()
 
     def test_errors_wait_for_the_results_before_them(self, space3, space4):
         # As the responses hook: every result before a refused request is yielded, then the refusal is raised.
