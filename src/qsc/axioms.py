@@ -40,7 +40,7 @@ from .hilbert import (
     support_probabilities,
 )
 from .rankings import AlternativeSet, basis_table
-from .welfare import CERTAIN, EXCLUDED, UNDECIDED, Statuses, WelfareRule
+from .welfare import CERTAIN, EXCLUDED, Statuses, WelfareRule, status_of
 
 VERDICT_HOLDS = "holds-on-sample"
 VERDICT_FALSIFIED = "falsified"
@@ -79,9 +79,6 @@ FAMILY_CAP = 100_000  # ballots; the m=4 default family has 3,152, the m=5 one 3
 # is 8 bytes in its ballot's diagonal, plus 16 in the amplitudes of a pure
 # ballot (a superposition or a random one). m=5 basis,sup2 holds 871,200.
 FAMILY_WEIGHT_CAP = 4_000_000
-# Vertex values this close to a clause threshold are re-checked exactly; the
-# ``responses`` hook's and the rule's sums differ only by rounding, far below this.
-_VERTEX_MARGIN = 1e-11
 # The most draws a hunt, and each batched check, scores together (with one hook call when the rule has a hook).
 _BATCH_DRAWS = 64
 # Records list every nonzero weight and amplitude: dropping those at most the
@@ -153,12 +150,6 @@ def classify_value(value: float, eps: float = DEFAULT_EPS) -> PreferenceKind:
     return PreferenceKind.WEAK
 
 
-def _status_of(value: float, eps: float) -> int:
-    """Society's status as its value reads against eps, so that every kind ``reads`` it as it ``holds`` the value:
-    excluded at most eps, certain at least 1 - eps (eps is below 1/2), and undecided between."""
-    return EXCLUDED if value <= eps else CERTAIN if value >= 1.0 - eps else UNDECIDED
-
-
 @dataclass(frozen=True, eq=False)
 class ManipulationWitness:
     """Replayable record of a strategic-manipulation clause firing."""
@@ -208,10 +199,11 @@ class _Targets:
     weights of the welfare rule's output, so a choice rule's value on an
     alternative is the natural extension's, at the adapter's eps.
     Society's side of a clause reads a status (``_Society``): a rule with a
-    ``statuses`` hook gives it exactly, and any other rule's value gives it
-    against eps. A rule of any other kind than ``kind``, when given, is
-    refused, and so is an eps outside [MIN_EPS, MAX_EPS]. A target is
-    looked up by ``position``, which refuses anything not in ``targets``.
+    ``statuses`` hook gives it, and any other rule's value gives it against
+    eps (``welfare.status_of``). A rule of any other kind than ``kind``,
+    when given, is refused, and so is an eps outside [MIN_EPS, MAX_EPS]. A
+    target is looked up by ``position``, which refuses anything not in
+    ``targets``.
     """
 
     def __init__(self, rule: WelfareRule | ChoiceRule, space: RankingSpace, eps: float, kind: str | None = None):
@@ -228,16 +220,10 @@ class _Targets:
         self.clauses = tuple(PreferenceKind) if pairs else (PreferenceKind.STRONG_POSITIVE, PreferenceKind.WEAK)
         self.targets = space.alternatives.ordered_pairs() if pairs else list(space.alternatives.names)
         # Row j: the basis indices of target j's subspace (all of one size).
-        table, at = basis_table(space.alternatives), space.alternatives.index
-        self._index = np.stack([
-            table.pair_rows[at(t[0]), at(t[1])] if pairs else table.winner_rows[at(t)]
-            for t in self.targets
-        ])
-        # Column j: target j's 0/1 membership over the basis (``vertex_values``).
-        self._member = np.zeros((space.dim, len(self.targets)))
-        self._member[self._index.T, np.arange(len(self.targets))] = 1.0
+        table = basis_table(space.alternatives)
+        self._index = table.pair_index if pairs else table.winner_rows
         # Where each pair's status sits in a ``statuses`` hook's m x m result (``target_statuses``).
-        self._pair_at = tuple(zip(*(map(at, t) for t in self.targets))) if pairs else None
+        self._pair_at = np.nonzero(~np.eye(space.alternatives.m, dtype=bool)) if pairs else None
         self.rule = rule
         self.welfare = rule if pairs else rule.welfare
         self.space = space
@@ -267,26 +253,22 @@ class _Targets:
         """What society's side reads on each profile, in order, for every adapter of the rule's welfare rule.
 
         A rule with a ``statuses`` hook decides every profile in one hook
-        call; one with a ``responses`` hook scores every profile in one call;
-        any other rule's welfare rule evaluates each profile as it is read.
-        A profile on another ranking space than the adapter's is refused
-        first, before any profile is read.
+        call at the adapter's eps; any other rule's welfare rule evaluates
+        each profile as it is read. A profile on another ranking space than
+        the adapter's is refused first, before any profile is read.
         """
         for profile in profiles:
             check_profile_space(profile, self.space, "check's")
-        requests = [(p, None) for p in profiles]
         if self.rule.statuses is not None:
-            return self.rule.statuses(requests)
-        if self.rule.responses is None:
-            return map(self._evaluated, profiles)
-        return self.rule.responses(requests)
+            return self.rule.statuses([(p, None) for p in profiles], self.eps)
+        return map(self._evaluated, profiles)
 
     def society_of(self, profile: ProfileState, found: Statuses | np.ndarray) -> "_Society":
         """Society on a profile, from what ``read`` gave for it."""
         if self.rule.statuses is not None:
             return _Society(self, profile, self.target_statuses(found).tolist())
-        values = self.values(found)
-        return _Society(self, profile, [_status_of(v, self.eps) for v in values], values)
+        values = support_probabilities(found, self._index, self.eps)
+        return _Society(self, profile, status_of(values, self.eps).tolist(), values.tolist())
 
     def societies(self, profiles: list[ProfileState]) -> Iterator["_Society"]:
         """Society on each profile, in order, read as they are reached (``read``)."""
@@ -308,23 +290,13 @@ class _Targets:
             return found.pairs[..., self._pair_at[0], self._pair_at[1]]
         return found.winners
 
-    def vertex_values(self, responses: np.ndarray, positions: list[int]) -> np.ndarray:
-        """Society's value on each target at ``positions`` with a voter's ballot replaced by each basis ballot.
-
-        ``responses`` is the hook's d x d result for the voter. Row k of the
-        d x len(positions) result holds the values with basis ballot k: each
-        target sums the response weights inside its subspace, one product
-        with those targets' columns of the membership.
-        """
-        return responses @ self._member[:, positions]
-
 
 class _Society:
     """Society on one profile: its status on each target, which clauses read, and its values, which records hold.
 
-    A rule with a ``statuses`` hook gives exact statuses, and its values
-    come from an exact evaluation the first time a record reads them. Any
-    other rule gives its values, and the statuses they read as against eps.
+    A rule with a ``statuses`` hook gives the statuses, and its values come
+    from an exact evaluation the first time a record reads them. Any other
+    rule gives its values, and the statuses they read as against eps.
     """
 
     def __init__(self, adapter: _Targets, profile: ProfileState, statuses: list[int], values=None):
@@ -669,11 +641,6 @@ def _fired(
     ]
 
 
-def _vertex_hook(rule: WelfareRule | ChoiceRule) -> Callable | None:
-    """The hook whose voter requests the vertex search reads: ``statuses``, else ``responses``, else None."""
-    return rule.statuses if rule.statuses is not None else rule.responses
-
-
 def _first_witness(
     adapter: _Targets,
     profile: ProfileState,
@@ -681,20 +648,20 @@ def _first_witness(
     fired: list[tuple[int, PreferenceKind]],
     society: _Society,
     family: CandidateBallotFamily,
-    rows: Statuses | np.ndarray | None,
+    rows: Statuses | None,
 ) -> ManipulationWitness | None:
     """The first dishonest ballot whose exact reading achieves a fired clause.
 
-    A rule with a hook is searched at the basis ballots that could achieve
-    a fired clause (``_near_vertices`` of ``rows``, the voter request's
-    result from ``_vertex_hook``); any other rule over the family, and
-    ``rows`` is then None. Each candidate is read on the substituted
-    profile (``_Targets.society``), and its values are evaluated only for
-    the witness's record. Candidate readings are shared across targets:
-    society only changes with the substituted ballot, not with the pair or
+    A rule with a ``statuses`` hook is searched at the basis ballots that
+    could achieve a fired clause (``_near_vertices`` of ``rows``, the voter
+    request's result); any other rule over the family, and ``rows`` is then
+    None. Each candidate is read on the substituted profile
+    (``_Targets.society``), and its values are evaluated only for the
+    witness's record. Candidate readings are shared across targets: society
+    only changes with the substituted ballot, not with the pair or
     alternative under scrutiny.
     """
-    if _vertex_hook(adapter.rule) is None:
+    if adapter.rule.statuses is None:
         candidates = family.ballots(adapter.space, adapter.eps)
     else:
         candidates = _near_vertices(adapter, rows, fired)
@@ -717,41 +684,28 @@ def _first_witness(
 
 
 def _near_vertices(
-    adapter: _Targets, rows: Statuses | np.ndarray, fired: list[tuple[int, PreferenceKind]]
+    adapter: _Targets, rows: Statuses, fired: list[tuple[int, PreferenceKind]]
 ) -> Iterator[DensityOperator]:
-    """The basis ballots that could achieve a fired clause, in basis order.
+    """The basis ballots whose status in the voter request's ``rows`` achieves a fired clause, in basis order.
 
     The hook's rule reads a ballot only through its basis weights, and is
-    linear in them: with ballot c substituted, society's value on target t
-    is c . R[:, t], where row k of R is its value with basis ballot k
-    (``_Targets.vertex_values`` of a ``responses`` hook's d x d result for
-    the voter: one product gives the column of each fired clause's target).
-    A threshold on a linear function over the simplex is reached at a
-    vertex, so the d basis ballots stand for every ballot. A vertex is
-    yielded when its value achieves a clause or lies within _VERTEX_MARGIN
-    of its threshold; the caller reads it exactly, and the witness comes
-    from that reading. A status is as linear: society is certain of, or
-    excluded from, a target exactly when it is at every vertex a ballot
-    keeps, and supports it when it does at some kept vertex. So a
-    ``statuses`` hook's rows are read as they are, and a vertex is yielded
-    exactly when its status achieves a clause.
+    linear in them: with ballot c substituted, society's value on a target
+    is c's mixture of its values at the basis ballots, row k with basis
+    ballot k. A status is as linear: society is certain of, or excluded
+    from, a target exactly when it is at every vertex a ballot keeps, and
+    supports it when it does at some kept vertex. So the d basis ballots
+    stand for every ballot, and the caller reads each yielded vertex
+    exactly: the witness comes from that reading.
 
     Substituting into a correlated profile drops joint terms whose weight
     times the ballot's weight is at most eps, which breaks linearity for
     ballots that put such weight on some ranking. There the vertices stand
     for every ballot that keeps each joint term above that filter.
     """
-    if adapter.rule.statuses is not None:
-        statuses = adapter.target_statuses(rows)
-        near = np.zeros(len(statuses), dtype=bool)
-        for j, clause in fired:
-            near |= clause.reads(statuses[:, j])
-    else:
-        columns = adapter.vertex_values(rows, [j for j, _ in fired])
-        near = np.zeros(len(columns), dtype=bool)
-        for column, (_, clause) in zip(columns.T, fired):
-            near |= clause.holds(column - _VERTEX_MARGIN, adapter.eps)
-            near |= clause.holds(column + _VERTEX_MARGIN, adapter.eps)
+    statuses = adapter.target_statuses(rows)
+    near = np.zeros(len(statuses), dtype=bool)
+    for j, clause in fired:
+        near |= clause.reads(statuses[:, j])
     rankings = adapter.space.rankings()
     return (basis_state(adapter.space, rankings[k]) for k in np.flatnonzero(near))
 
@@ -770,17 +724,17 @@ def _hunt(
     a time (``_batches``), and every profile is read on the first draw's
     space: a draw on another space is refused before any draw of its batch
     is scanned (``_Targets.read``). The batch's profiles are read first,
-    with one hook call when the rules have a ``statuses`` or ``responses``
-    hook, and the fired clauses follow. With a hook one more call gives the
-    vertex rows of every fired voter (``_vertex_hook``), whose vertices are
-    searched as the voter is reached; without one, the fired voters search
-    the family, whose caps are checked once, before the first draw is read.
+    with one call of the rules' ``statuses`` hook when they have one, and
+    the fired clauses follow. With a hook one more call gives the vertex
+    rows of every fired voter, whose vertices are searched as the voter is
+    reached; without one, the fired voters search the family, whose caps
+    are checked once, before the first draw is read.
     A ``QscError`` on a draw of a batch is raised once the draws before it
     are scanned, as a draw-by-draw hunt would raise it. An eps outside
     [MIN_EPS, MAX_EPS] is refused before the first draw.
     """
     check_eps(eps)
-    hook, adapters, drawn = _vertex_hook(rules[0]), [], 0
+    hook, adapters, drawn = rules[0].statuses, [], 0
     for batch in _batches(draws):
         if not adapters:
             if hook is None:
@@ -797,8 +751,8 @@ def _hunt(
                         scans.append((drawn, profile, voter, societies, fired))
         except QscError as error:  # raised below, after the draws before it
             failure = error
-        responses = repeat(None) if hook is None else hook([(profile, voter) for _, profile, voter, _, _ in scans])
-        for (trial, profile, voter, societies, fired), rows in zip(scans, responses):
+        vertices = repeat(None) if hook is None else hook([(profile, voter) for _, profile, voter, _, _ in scans], eps)
+        for (trial, profile, voter, societies, fired), rows in zip(scans, vertices):
             yield trial, profile, voter, [
                 _first_witness(a, profile, voter, f, s, family, rows) if f else None
                 for a, s, f in zip(adapters, societies, fired)
@@ -809,7 +763,7 @@ def _hunt(
 
 def _searched(rule: WelfareRule | ChoiceRule, family: CandidateBallotFamily) -> dict:
     """A hunt's report of its search: the basis vertices for a rule with a hook, else the family."""
-    return {"family": family.describe(), "search": "family" if _vertex_hook(rule) is None else "vertices"}
+    return {"family": family.describe(), "search": "family" if rule.statuses is None else "vertices"}
 
 
 def manipulation_witness(
@@ -824,8 +778,8 @@ def manipulation_witness(
 
     The target is an ordered pair (x, y), ranking x above y, for a welfare
     rule, and an alternative, winning, for a choice rule. A rule with a
-    ``statuses`` or ``responses`` hook is searched at the d basis ballots,
-    which stand for every density-operator ballot on a product profile (see
+    ``statuses`` hook is searched at the d basis ballots, which stand for
+    every density-operator ballot on a product profile (see
     ``_near_vertices``); ``family`` is then not read. Any other rule is
     searched over the family, and absence of a witness means none was found
     in it, not a proof.
@@ -837,8 +791,7 @@ def manipulation_witness(
     fired = [(j, clause) for j, clause in _fired(adapter, profile, voter, society.statuses) if j == position]
     if not fired:
         return None
-    hook = _vertex_hook(rule)
-    rows = None if hook is None else next(iter(hook([(profile, voter)])))
+    rows = None if rule.statuses is None else next(iter(rule.statuses([(profile, voter)], eps)))
     return _first_witness(adapter, profile, voter, fired, society, family, rows)
 
 

@@ -20,7 +20,7 @@ from .hilbert import (
     support_probabilities,
 )
 from .rankings import basis_table
-from .welfare import QcvParams, ResponsesHook, StatusesHook, WelfareRule, qcv, qcv_rule
+from .welfare import QcvParams, StatusesHook, WelfareRule, qcv, qcv_rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,13 +48,9 @@ class ChoiceRule:
         check_eps(self.eps)
 
     @property
-    def responses(self) -> ResponsesHook | None:
-        """The welfare rule's hook: the natural extension is linear in the basis weights."""
-        return self.welfare.responses
-
-    @property
     def statuses(self) -> StatusesHook | None:
-        """The welfare rule's hook, whose ``winners`` are the natural extension's statuses."""
+        """The welfare rule's hook, whose ``winners`` are the natural extension's statuses: the extension is
+        linear in the basis weights."""
         return self.welfare.statuses
 
     def evaluate(self, profile: ProfileState) -> AlternativeState:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidArgument
 
 # Cap on the ranking-space dimension m!: 6!, where the basis table holds 720
-# rows and a dictator's d x d responses 518,400 float64 (4 MB).
+# rows and a dictator's d x m x m vertex statuses 25,920 int8 (26 KB).
 MAX_RANKING_DIM = 720
 
 
@@ -154,6 +154,17 @@ class BasisTable:
         orients = self.above.reshape(d, m * m).astype(np.float32).T
         orients.setflags(write=False)
         return orients
+
+    @cached_property
+    def pair_index(self) -> np.ndarray:
+        """``pair_rows`` as an m(m-1) x d/2 array, one row per ordered pair (x, y), x != y, in row-major order.
+
+        Built at its first read, once per table.
+        """
+        m = self.above.shape[1]
+        index = np.stack([self.pair_rows[x, y] for x in range(m) for y in range(m) if x != y])
+        index.setflags(write=False)
+        return index
 
 
 @lru_cache(maxsize=64)

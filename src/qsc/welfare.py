@@ -31,6 +31,7 @@ from .hilbert import (
     check_profile_space,
     check_voter_index,
     diagonal_state,
+    support_probabilities,
 )
 from .rankings import AlternativeSet, Ranking, basis_table, ranking_index
 
@@ -64,12 +65,15 @@ class QcvParams:
         return cls(delta=default_delta(m), eps=eps)
 
 
-# A batch of (profile, voter or None) requests -> one result per request.
-ResponsesHook = Callable[[Sequence[tuple[ProfileState, int | None]]], Iterable[np.ndarray]]
-
-# Society's status on a target, as a ``statuses`` hook gives it: its value is exactly 0, strictly between
-# 0 and 1, or exactly 1.
+# Society's status on a target, as a ``statuses`` hook gives it: qcv's hook decides exactly whether its
+# value is 0, strictly between 0 and 1, or 1, and any other hook may read the value against eps (``status_of``).
 EXCLUDED, UNDECIDED, CERTAIN = 0, 1, 2
+
+
+def status_of(values: np.ndarray, eps: float) -> np.ndarray:
+    """The status each value reads as against eps (int8): excluded at most eps, certain at least 1 - eps
+    (eps is below 1/2), and undecided between, so that a clause reads the status as it holds the value."""
+    return (values > eps).astype(np.int8) + (values >= 1.0 - eps)
 
 
 class Statuses(NamedTuple):
@@ -85,40 +89,44 @@ class Statuses(NamedTuple):
     winners: np.ndarray
 
 
-StatusesHook = Callable[[Sequence[tuple[ProfileState, int | None]]], Iterable[Statuses]]
+def _read_statuses(alternatives: AlternativeSet, weights: np.ndarray, eps: float) -> Statuses:
+    """The statuses of a state's basis weights (length d), each target's value read against eps (``status_of``)."""
+    table, m = basis_table(alternatives), alternatives.m
+    pairs = np.full((m, m), EXCLUDED, dtype=np.int8)  # the diagonal is no target
+    pairs[~np.eye(m, dtype=bool)] = status_of(support_probabilities(weights, table.pair_index, eps), eps)
+    return Statuses(pairs, status_of(support_probabilities(weights, table.winner_rows, eps), eps))
+
+
+# A batch of (profile, voter or None) requests and the check's eps -> one result per request.
+StatusesHook = Callable[[Sequence[tuple[ProfileState, int | None]], float], Iterable[Statuses]]
 
 
 @dataclass(frozen=True, eq=False)
 class WelfareRule:
     """Named map from a joint ballot profile to a societal ranking density.
 
-    ``responses``, when set, declares that the output's basis weights are
+    ``statuses``, when set, declares that the output's basis weights are
     affine in each voter's basis weights while the other voters stay fixed,
     so mixing two ballots for one voter mixes the outputs the same way;
     weights the support filter drops (at most eps) are exempt. It answers a
-    batch of requests in one call: ``responses(requests)`` takes a sequence
-    of ``(profile, voter)`` pairs and returns an iterable with one result
-    per request, in order. For ``(profile, None)`` the result is the d basis
-    weights of ``evaluate(profile)``; for ``(profile, v)`` it is the d x d
-    basis weights of the output, row k with voter v's ballot replaced by
-    basis ranking k. A basis ballot puts weight exactly 1 on one ranking, so
-    it substitutes the same way at any eps below 1, and no request carries
-    one. The axiom engine reads a batch of sampled profiles with one call,
-    then the basis responses of every voter whose clause fires with one
-    more, and searches dishonest ballots at those d vertices only (see
-    ``axioms``). ``dictator_rule`` carries one.
-
-    ``statuses``, when set, answers the same requests with the exact status
-    of the output on every target (``Statuses``) instead of its weights,
-    and declares the same linearity. The axiom engine then reads society's
-    side of every clause from it, in place of ``responses``, and evaluates
-    the rule only to write a record. ``qcv_rule`` carries one and no
-    ``responses``.
+    batch of requests in one call: ``statuses(requests, eps)`` takes a
+    sequence of ``(profile, voter)`` pairs and the check's eps, and returns
+    an iterable with one ``Statuses`` per request, in order. For ``(profile,
+    None)`` the result is the status of ``evaluate(profile)`` on every
+    target; for ``(profile, v)`` it has d rows, row k with voter v's ballot
+    replaced by basis ranking k. A basis ballot puts weight exactly 1 on one
+    ranking, so it substitutes the same way at any eps below 1, and no
+    request carries one. The axiom engine reads society's side of every
+    clause from a batch of sampled profiles with one call, then the rows of
+    every voter whose clause fires with one more, searches dishonest ballots
+    at those d vertices only (see ``axioms``), and evaluates the rule only to
+    write a record. ``qcv_rule`` carries one that decides each status
+    exactly and reads no eps, and ``dictator_rule`` one that reads the
+    dictator's marginal against eps.
     """
 
     name: str
     fn: Callable[[ProfileState], DensityOperator]
-    responses: ResponsesHook | None = None
     statuses: StatusesHook | None = None
 
     def evaluate(self, profile: ProfileState) -> DensityOperator:
@@ -564,27 +572,35 @@ def qcv_rule(params: QcvParams) -> WelfareRule:
     return WelfareRule(
         "qcv",
         lambda p: qcv(p, params),
-        statuses=lambda requests: _decided(params, requests),
+        statuses=lambda requests, eps: _decided(params, requests),
     )
 
 
 def dictator_rule(voter: int) -> WelfareRule:
-    """Welfare rule that returns one voter's marginal ballot verbatim; the voter must be a positive integer."""
+    """Welfare rule that returns one voter's marginal ballot verbatim; the voter must be a positive integer.
+
+    Its ``statuses`` hook reads the dictator's marginal against the check's
+    eps. With the dictator's ballot replaced by basis ranking k, society is
+    certain of what ranking k places above or tops and excluded from the
+    rest; whatever basis ranking another voter casts, the marginal stays, so
+    that voter's rows are the profile's statuses, broadcast.
+    """
     voter = check_voter_index(voter)
     if voter < 1:
         raise InvalidArgument(f"voter index must be positive, got {voter}")
 
-    def responses(requests: Sequence[tuple[ProfileState, int | None]]) -> Iterator[np.ndarray]:
+    def statuses(requests: Sequence[tuple[ProfileState, int | None]], eps: float) -> Iterator[Statuses]:
         for profile, scanned in requests:
-            d = profile.space.dim
+            alternatives, d = profile.space.alternatives, profile.space.dim
             if scanned is not None and profile.voter_position(scanned) == voter - 1:
-                yield np.eye(d)
+                table, m = basis_table(alternatives), alternatives.m
+                tops = np.repeat(np.eye(m, dtype=np.int8), d // m, axis=0)  # the Lehmer blocks
+                yield Statuses(table.above * np.int8(CERTAIN), tops * np.int8(CERTAIN))
                 continue
-            # Whatever basis ranking another voter casts, the dictator's marginal stays.
-            marginal = profile.partial_ballot(voter).diagonal
-            yield marginal if scanned is None else np.tile(marginal, (d, 1))
+            found = _read_statuses(alternatives, profile.partial_ballot(voter).diagonal, eps)
+            yield found if scanned is None else Statuses(*(np.broadcast_to(a, (d, *a.shape)) for a in found))
 
-    return WelfareRule(f"dictator:{voter}", lambda p: p.partial_ballot(voter), responses=responses)
+    return WelfareRule(f"dictator:{voter}", lambda p: p.partial_ballot(voter), statuses=statuses)
 
 
 def veto_rule(pet_ranking: Ranking, eps: float = DEFAULT_EPS) -> WelfareRule:

@@ -12,6 +12,7 @@ from qsc import (
     basis_state,
 )
 from qsc.hilbert import diagonal_state
+from qsc.welfare import Statuses, _read_statuses
 
 
 def reverse_rule() -> WelfareRule:
@@ -30,16 +31,25 @@ def reverse_rule() -> WelfareRule:
     return WelfareRule("reverse:1", evaluate)
 
 
-def batch_hook(evaluate, voter_responses):
-    """A ``responses`` hook answering each request in turn.
+def statuses_at(alternatives, weights, eps) -> Statuses:
+    """The statuses basis weights read as against eps: of one state (d), or of each row of d x d weights, stacked."""
+    if weights.ndim == 1:
+        return _read_statuses(alternatives, weights, eps)
+    return Statuses(*map(np.stack, zip(*(_read_statuses(alternatives, row, eps) for row in weights))))
+
+
+def batch_hook(evaluate, voter_weights):
+    """A ``statuses`` hook answering each request in turn, every value read against the check's eps.
 
     A profile request reads ``evaluate(profile)``'s basis weights, and a
-    voter request ``voter_responses(profile, voter)``'s d x d weights.
+    voter request each row of ``voter_weights(profile, voter)``'s d x d
+    weights, row k with the voter's ballot replaced by basis ranking k.
     """
 
-    def hook(requests):
+    def hook(requests, eps):
         for profile, voter in requests:
-            yield evaluate(profile).diagonal if voter is None else voter_responses(profile, voter)
+            weights = evaluate(profile).diagonal if voter is None else voter_weights(profile, voter)
+            yield statuses_at(profile.space.alternatives, weights, eps)
 
     return hook
 
@@ -48,7 +58,7 @@ def reverse_mix_rule(hooked: bool) -> WelfareRule:
     """Voter 1's ballot upside down mixed half and half with voter 2's ballot.
 
     Manipulable, and linear in each voter's basis weights. The hooked
-    version carries a ``responses`` hook, so the axiom engine searches it at
+    version carries a ``statuses`` hook, so the axiom engine searches it at
     the basis ballots only; the unhooked one is searched over the family.
     """
 
@@ -58,15 +68,14 @@ def reverse_mix_rule(hooked: bool) -> WelfareRule:
         first = profile.partial_ballot(1).diagonal[flip]
         return diagonal_state(space, 0.5 * first + 0.5 * profile.partial_ballot(2).diagonal)
 
-    def responses(profile, voter):
+    def voter_weights(profile, voter):
         space = profile.space
         return np.array([
             evaluate(profile.substitute_ballot(voter, basis_state(space, r))).diagonal
             for r in space.rankings()
         ])
 
-    hook = batch_hook(evaluate, responses)
-    return WelfareRule("reverse-mix", evaluate, responses=hook if hooked else None)
+    return WelfareRule("reverse-mix", evaluate, statuses=batch_hook(evaluate, voter_weights) if hooked else None)
 
 
 def borda_welfare_rule() -> WelfareRule:

@@ -57,7 +57,8 @@ from qsc.axioms import (
     classify_value,
 )
 from qsc import axioms, choice, hilbert, welfare
-from qsc.hilbert import diagonal_state
+from qsc.hilbert import DEFAULT_EPS, diagonal_state
+from qsc.welfare import status_of
 from qsc.serde import canonical_json, parse_density, parse_profile
 
 from controls import (
@@ -67,6 +68,7 @@ from controls import (
     reverse_mix_rule,
     reverse_rule,
     split_top_rule,
+    statuses_at,
 )
 from stepwise import per_basis_loop, read_statuses
 
@@ -521,13 +523,25 @@ class TestCheckQic:
 
 
 class TestDictatorshipChecks:
-    def test_dictator_rule_candidate_survives(self, space3):
+    def test_dictator_rule_candidate_survives(self, alts3, space3):
         sampler = default_profile_sampler(space3, 3)
         report = check_dictatorship(dictator_rule(1), space3, sampler, 60, seed=3)
         assert report.axiom == "dictatorship-welfare"
         assert report.verdict == VERDICT_DICTATOR_CANDIDATE
         survivors = {(s["voter"], s["variant"]) for s in report.details["survivors"]}
         assert (1, "sharp") in survivors and (1, "unsharp") in survivors
+        # The check's eps reaches the hook. At eps 1e-3 voter 1 is certain of a over b (0.9995) and society,
+        # the same marginal, is too; read at the default eps, society would only support it.
+        ballot = mixed_state(space3, [(0.9995, rk(alts3, "a>b>c")), (0.0005, rk(alts3, "b>a>c"))])
+        profile = ProfileState.product_of([ballot, basis_state(space3, rk(alts3, "c>b>a"))] * 2)
+        rule = dictator_rule(1)
+        at_default = dataclasses.replace(rule, statuses=lambda requests, eps: rule.statuses(requests, DEFAULT_EPS))
+        for hooked, kept in ((rule, True), (at_default, False)):
+            report = check_dictatorship(hooked, space3, lambda rng: profile, 1, seed=0, eps=1e-3)
+            survivors = {(s["voter"], s["variant"]) for s in report.details["survivors"]}
+            assert ({(1, "sharp"), (1, "unsharp")} <= survivors) == kept
+            qic = check_qic(hooked, lambda rng: profile, FAMILY, 1, seed=0, eps=1e-3)
+            assert (qic.verdict == VERDICT_HOLDS) == kept
 
     def test_qcv_eliminates_every_voter(self, space3):
         sampler = default_profile_sampler(space3, 3)
@@ -1066,6 +1080,13 @@ class TestEpsWindow:
             assert check_unanimity(rule, space, lambda rng: profile, 1, seed=0, eps=eps).verdict == VERDICT_HOLDS
 
 
+def vertex_values(adapter, weights):
+    """Society's value on every target at each row of per-basis weights (d x d): their sum inside its subspace."""
+    member = np.zeros((adapter.space.dim, len(adapter.targets)))
+    member[adapter._index.T, np.arange(len(adapter.targets))] = 1.0
+    return weights @ member
+
+
 class TestStatusesAgainstValues:
     """The statuses hook decides society's side as its values read against eps, wherever no value lies in the window."""
 
@@ -1088,11 +1109,10 @@ class TestStatusesAgainstValues:
                 for voter in (1, 2, 3):
                     fired = axioms._fired(exact, profile, voter, society.statuses)
                     assert fired == axioms._fired(read, profile, voter, values.statuses)
-                    (rows,) = rule.statuses([(profile, voter)])
-                    vertex = exact.vertex_values(loops[voter], list(range(len(exact.targets))))
+                    (rows,) = rule.statuses([(profile, voter)], eps)
+                    vertex = vertex_values(exact, loops[voter])
                     assert not ((0.0 < vertex) & (vertex <= eps) | (1.0 - eps <= vertex) & (vertex < 1.0 - 1e-12)).any()
-                    readings = np.vectorize(lambda v: axioms._status_of(v, eps))(vertex)
-                    assert (exact.target_statuses(rows) == readings).all()
+                    assert (exact.target_statuses(rows) == status_of(vertex, eps)).all()
                     compared += 1
         assert compared == 6 * draws
 
@@ -1352,9 +1372,9 @@ class TestLinearity:
     def test_mixing_a_ballot_mixes_the_outputs(
         self, space3, name, seed, correlated, voter, percent
     ):
-        # A statuses or responses hook declares linearity in each voter's basis weights.
+        # A statuses hook declares linearity in each voter's basis weights.
         rule = HOOKED_RULES[name]
-        assert axioms._vertex_hook(rule) is not None
+        assert rule.statuses is not None
         rng = random.Random(seed)
         rankings = space3.rankings()
 
@@ -1387,10 +1407,10 @@ class TestLinearity:
 
     def test_hook_needs_every_part_linear(self, alts3):
         veto = veto_rule(rk(alts3, "a>b>c"))
-        assert axioms._vertex_hook(veto) is None
-        assert axioms._vertex_hook(compose(veto)) is None
-        assert axioms._vertex_hook(compose(qcv_rule(PARAMS))) is not None
-        assert axioms._vertex_hook(reverse_mix_rule(hooked=False)) is None
+        assert veto.statuses is None
+        assert compose(veto).statuses is None
+        assert compose(qcv_rule(PARAMS)).statuses is not None
+        assert reverse_mix_rule(hooked=False).statuses is None
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_dictator_hook_matches_per_basis_evaluation(self, m):
@@ -1402,13 +1422,13 @@ class TestLinearity:
             for dictator in (1, 2, 3):
                 rule = dictator_rule(dictator)
                 for voter in (1, 2, 3):
-                    want = [
+                    want = statuses_at(space.alternatives, np.array([
                         rule.evaluate(profile.substitute_ballot(voter, basis_state(space, r))).diagonal
                         for r in space.rankings()
-                    ]
-                    (got,) = rule.responses([(profile, voter)])
-                    assert got.shape == (space.dim, space.dim)
-                    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+                    ]), 1e-9)
+                    (got,) = rule.statuses([(profile, voter)], 1e-9)
+                    assert got.pairs.shape == (space.dim, m, m) and got.winners.shape == (space.dim, m)
+                    assert np.array_equal(got.pairs, want.pairs) and np.array_equal(got.winners, want.winners)
 
 
 def correlated_sampler(space, n_voters):
@@ -1429,7 +1449,7 @@ def correlated_sampler(space, n_voters):
 def without_hook(rule):
     if isinstance(rule, ChoiceRule):
         return dataclasses.replace(rule, welfare=without_hook(rule.welfare))
-    return dataclasses.replace(rule, responses=None, statuses=None)
+    return dataclasses.replace(rule, statuses=None)
 
 
 def report_bytes(report, search):
@@ -1460,13 +1480,13 @@ def search_voter(adapter, profile, voter, family, society=None):
     fired = axioms._fired(adapter, profile, voter, society.statuses)
     if not fired:
         return None
-    hook = axioms._vertex_hook(adapter.rule)
-    rows = None if hook is None else next(iter(hook([(profile, voter)])))
+    hook = adapter.rule.statuses
+    rows = None if hook is None else next(iter(hook([(profile, voter)], adapter.eps)))
     return axioms._first_witness(adapter, profile, voter, fired, society, family, rows)
 
 
 class TestBatchedSearch:
-    """The vertex search of rules with a ``statuses`` or ``responses`` hook against the family scan."""
+    """The vertex search of rules with a ``statuses`` hook against the family scan."""
 
     @pytest.mark.parametrize(
         "family",
@@ -1525,25 +1545,26 @@ class TestBatchedSearch:
     def test_vertices_near_a_threshold_are_evaluated_exactly(self, alts3, space3, shortfall, found):
         # Society gets voter 1's ballot upside down, so every ballot ranking b
         # above a achieves the strong-negative clause on (b, a) with value 0.
-        # The hook reads those vertices as eps + shortfall instead: within
-        # _VERTEX_MARGIN of the threshold they are evaluated exactly, beyond it not.
+        # The hook reads those vertices as shortfall instead, against the
+        # check's eps of 1e-11: a vertex within eps of the threshold is
+        # searched and evaluated exactly, one beyond it is not searched.
         base = reverse_rule()
         inside = pair_projector(space3, "b", "a").indices
-        eps = 1e-9  # the check's eps: manipulation_witness's default
+        eps = 1e-11
 
-        def responses(profile, voter):
+        def voter_weights(profile, voter):
             rows = np.array([
                 base.evaluate(profile.substitute_ballot(voter, basis_state(space3, r))).diagonal
                 for r in space3.rankings()
             ])
             off = rows[:, inside].sum(axis=1) == 0.0
-            rows[off] *= 1.0 - (eps + shortfall)
-            rows[np.flatnonzero(off), inside[0]] += eps + shortfall
+            rows[off] *= 1.0 - shortfall
+            rows[np.flatnonzero(off), inside[0]] += shortfall
             return rows
 
-        rule = dataclasses.replace(base, responses=batch_hook(base.evaluate, responses))
+        rule = dataclasses.replace(base, statuses=batch_hook(base.evaluate, voter_weights))
         profile = ProfileState.product_of([basis_state(space3, rk(alts3, "a>b>c"))] * 2)
-        witness = manipulation_witness(rule, profile, 1, ("b", "a"), FAMILY)
+        witness = manipulation_witness(rule, profile, 1, ("b", "a"), FAMILY, eps)
         assert (witness is not None) == found
         if found:
             assert witness.dishonest_value == 0.0
@@ -1573,13 +1594,17 @@ class TestBatchedSearch:
             counted = counted_evaluations(rule, calls)
             for profile in profiles:
                 adapter = axioms._Targets(counted, space, 1e-9)
-                society = adapter.society(profile)
+                society, truthful = adapter.society(profile), 0
                 for voter in (1, 2, 3):
                     calls.clear()
                     search_voter(adapter, profile, voter, FAMILY, society)
-                    assert len(calls) <= 1
+                    # A witness's record evaluates its dishonest profile once, and the truthful profile once
+                    # for every voter: society keeps its values.
+                    assert len([p for p in calls if p is not profile]) <= 1
+                    truthful += sum(p is profile for p in calls)
                     hooked += len(calls)
-        assert hooked > 0  # reverse-mix has witnesses here, each from one exact evaluation
+                assert truthful <= 1
+        assert hooked > 0  # reverse-mix has witnesses here, each written from exact evaluations
         qcvne_calls = []
         rule = counted_evaluations(qcvne_rule(params), qcvne_calls)
         for alternative in space.alternatives.names:
@@ -1622,7 +1647,7 @@ class TestBatchedSearch:
         trials = 4
 
         for rule in welfare_rules + choice_rules:
-            assert axioms._vertex_hook(rule) is not None
+            assert rule.statuses is not None
             same(qic(rule, trials, (1, 2)))
         for rule in welfare_rules:
             same(lambda variant, search: report_bytes(check_composition_preservation(
@@ -1636,7 +1661,7 @@ class TestBatchedSearch:
 
     def test_composition_shares_the_welfare_rules_hook(self, alts3):
         for rule in (qcv_rule(PARAMS), dictator_rule(1), veto_rule(rk(alts3, "a>b>c"))):
-            assert compose(rule).responses is rule.responses
+            assert compose(rule).statuses is rule.statuses
 
     def test_no_substitution_and_no_extension_per_scanned_voter(self, space3, cycle_profile, monkeypatch):
         rule = qcvne_rule(PARAMS)
@@ -1685,7 +1710,7 @@ class TestBatchedSearch:
         # as the per-basis loop read them under the default cap.
         monkeypatch.setattr(welfare, "_folded", refuse)
         monkeypatch.setattr(welfare, "_qcv_rows", refuse)
-        (got,) = axioms._vertex_hook(rule)([(profile, 1)])
+        (got,) = rule.statuses([(profile, 1)], 1e-9)
         assert (got.pairs[:, off] == pairs[:, off]).all() and (got.winners == winners).all()
 
 
@@ -1710,22 +1735,22 @@ def failing_at(rule, draw, sampler):
         if len(drawn) >= draw and profile is drawn[draw - 1]:
             raise InvalidArgument("the rule refused")
 
-    if rule.responses is None:
+    if rule.statuses is None:
         def evaluate(profile):
             refuse(profile)
             return rule.evaluate(profile)
 
         return dataclasses.replace(rule, fn=evaluate), recording
-    inner = rule.responses
+    inner = rule.statuses
 
-    def hook(requests):
+    def hook(requests, eps):
         requests = list(requests)
-        for (profile, voter), result in zip(requests, inner(requests)):
+        for (profile, voter), result in zip(requests, inner(requests, eps)):
             if voter is None:
                 refuse(profile)
             yield result
 
-    return dataclasses.replace(rule, responses=hook), recording
+    return dataclasses.replace(rule, statuses=hook), recording
 
 
 class TestDrawBatches:

@@ -79,7 +79,7 @@ def test_responses_match_the_per_basis_loop_on_every_basis_profile(space3, n):
     off = ~np.eye(3, dtype=bool)
     hook = qcv_rule(PARAMS).statuses
     for profile in all_basis_profiles(space3, n):
-        for voter, got in zip(range(1, n + 1), hook([(profile, voter) for voter in range(1, n + 1)]), strict=True):
+        for voter, got in zip(range(1, n + 1), hook([(profile, voter) for voter in range(1, n + 1)], PARAMS.eps), strict=True):
             weights = np.array([qcv(profile.substitute_ballot(voter, ballot), PARAMS).diagonal for ballot in basis])
             pairs, winners = read_statuses(space3.alternatives, weights)
             assert (got.pairs[:, off] == pairs[:, off]).all(), (profile.factors, voter)

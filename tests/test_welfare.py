@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import random
 import re
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -37,8 +39,9 @@ from qsc import hilbert, welfare
 from qsc.errors import ZeroMassProjection
 from qsc.rankings import all_rankings, basis_table, ranking_index
 from qsc.serde import serialize_density
-from qsc.welfare import CERTAIN, EXCLUDED, UNDECIDED, _qcv_rows
+from qsc.welfare import CERTAIN, EXCLUDED, UNDECIDED, WelfareRule, _qcv_rows
 
+from controls import statuses_at
 from oracles import oracle_sigma3
 from stepwise import (
     ClassicalProfile,
@@ -706,7 +709,7 @@ def assert_rows_match_the_per_basis_loop(profile, params, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(welfare, "_folded", refuse)
         patched.setattr(welfare, "_qcv_rows", refuse)
-        got = list(rule.statuses([(profile, voter) for voter in range(1, profile.n_voters + 1)]))
+        got = list(rule.statuses([(profile, voter) for voter in range(1, profile.n_voters + 1)], params.eps))
     for voter, statuses, (pairs, winners) in zip(range(1, profile.n_voters + 1), got, wants, strict=True):
         assert statuses.pairs.shape == (space.dim, *off.shape)
         assert (statuses.pairs[:, off] == pairs[:, off]).all(), voter
@@ -728,9 +731,9 @@ def split_profiles(space, rng):
 
 
 class TestQcvResponses:
-    """What a voter's basis responses read as: the ``statuses`` hook's rows against the per-basis loop.
+    """What a voter's basis ballots read as: the ``statuses`` hook's rows against the per-basis loop.
 
-    ``qcv_rule`` carries no ``responses`` hook; ``qcv`` scores one profile.
+    The statuses hook is ``qcv_rule``'s only hook; ``qcv`` scores one profile.
     """
 
     @pytest.mark.parametrize("correlated", [False, True], ids=["product", "correlated"])
@@ -769,12 +772,18 @@ class TestQcvResponses:
     def test_rule_carries_the_hook(self, space3, cycle_profile):
         params = QcvParams(0.05)
         profile = ProfileState.basis(cycle_profile)
-        # The statuses hook is qcv's only one, and the natural extension's.
-        for rule in (qcv_rule(params), qcvne_rule(params)):
-            assert rule.responses is None and rule.statuses is not None
-        (got,) = dictator_rule(2).responses([(profile, 2)])
-        assert np.array_equal(got, np.eye(space3.dim))
-        assert veto_rule(cycle_profile[0]).responses is None
+        # The statuses hook is a rule's only one: qcv's, the natural extension's and the dictator's.
+        assert [field.name for field in dataclasses.fields(WelfareRule)] == ["name", "fn", "statuses"]
+        for rule in (qcv_rule(params), qcvne_rule(params), dictator_rule(2)):
+            assert rule.statuses is not None
+        # Basis ranking k cast for the dictator: certain of what ranking k places above or tops, excluded elsewhere.
+        (got,) = dictator_rule(2).statuses([(profile, 2)], params.eps)
+        table = basis_table(space3.alternatives)
+        assert np.array_equal(got.pairs, np.where(table.above, CERTAIN, EXCLUDED))
+        tops = np.arange(space3.dim)[:, None] // 2 == np.arange(3)
+        assert np.array_equal(got.winners, np.where(tops, CERTAIN, EXCLUDED))
+        assert got.pairs.dtype == got.winners.dtype == np.int8
+        assert veto_rule(cycle_profile[0]).statuses is None
 
     @pytest.mark.parametrize("correlated", [False, True], ids=["product", "correlated"])
     def test_voters_outside_the_profile_are_refused(self, space3, correlated):
@@ -782,12 +791,12 @@ class TestQcvResponses:
         profile = ProfileState.correlated(space3, [(1.0, cast)]) if correlated else ProfileState.basis(cast)
         params = QcvParams(0.05)
         for voter in (0, 4):
-            hooks = [qcv_rule(params).statuses, dictator_rule(1).responses, dictator_rule(4).responses]
+            hooks = [qcv_rule(params).statuses, dictator_rule(1).statuses, dictator_rule(4).statuses]
             with pytest.raises(InvalidArgument, match=f"^voter index {voter} out of range 1..3$"):
                 profile.substitute_ballot(voter, basis_state(space3, cast[0]))
             for hook in hooks:
                 with pytest.raises(InvalidArgument, match=f"^voter index {voter} out of range 1..3$"):
-                    list(hook([(profile, voter)]))
+                    list(hook([(profile, voter)], params.eps))
 
     # A bool has __index__, but True is not voter 1, and dictator:True names no voter.
     @pytest.mark.parametrize("voter", [1.5, 2.0, "1", True, False])
@@ -862,7 +871,7 @@ class TestEpsFilter:
         got = per_basis_loop(profile, 2, params)
         assert np.array_equal(got, per_basis_loop(alone, 2, params))
         assert not np.array_equal(got[0], per_basis_loop(merged, 2, params)[0])
-        (statuses,), (want,) = (qcv_rule(params).statuses([(p, 2)]) for p in (profile, alone))
+        (statuses,), (want,) = (qcv_rule(params).statuses([(p, 2)], params.eps) for p in (profile, alone))
         assert np.array_equal(statuses.pairs, want.pairs) and np.array_equal(statuses.winners, want.winners)
         assert_rows_match_the_per_basis_loop(profile, params, monkeypatch)
 
@@ -888,7 +897,7 @@ class TestEpsFilter:
             ballot = basis_state(space, ranking)
             got, want = (qcv(p.substitute_ballot(6, ballot), params).diagonal for p in (profile, unanimous))
             assert np.array_equal(got, want)
-        (got,), (want,) = (qcv_rule(params).statuses([(p, 6)]) for p in (profile, unanimous))
+        (got,), (want,) = (qcv_rule(params).statuses([(p, 6)], params.eps) for p in (profile, unanimous))
         assert np.array_equal(got.pairs, want.pairs) and np.array_equal(got.winners, want.winners)
         assert [key for _, key in profile.support_tuples(1e-3)] == [(0,) * 6]
 
@@ -903,12 +912,12 @@ class TestEpsFilter:
         with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
             qcv(profile, params)
         with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
-            list(qcv_rule(params).statuses([(profile, None)]))
+            list(qcv_rule(params).statuses([(profile, None)], params.eps))
         for voter in range(1, 5):
             with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
                 qcv(profile.substitute_ballot(voter, basis_state(space3, rankings[0])), params)
             with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
-                list(qcv_rule(params).statuses([(profile, voter)]))
+                list(qcv_rule(params).statuses([(profile, voter)], params.eps))
 
 
 def assert_every_voter_call_refuses(space, correlated, voter, message):
@@ -917,8 +926,8 @@ def assert_every_voter_call_refuses(space, correlated, voter, message):
     profile = ProfileState.correlated(space, [(1.0, cast)]) if correlated else ProfileState.basis(cast)
     params = QcvParams(0.05)
     calls = [
-        lambda: list(qcv_rule(params).statuses([(profile, voter)])),
-        lambda: list(dictator_rule(1).responses([(profile, voter)])),
+        lambda: list(qcv_rule(params).statuses([(profile, voter)], params.eps)),
+        lambda: list(dictator_rule(1).statuses([(profile, voter)], params.eps)),
         lambda: profile.voter_position(voter),
         lambda: profile.partial_ballot(voter),
         lambda: profile.substitute_ballot(voter, basis_state(space, cast[0])),
@@ -938,7 +947,7 @@ def mixed_batch(space, n, rng, correlated, profiles=3):
 
 
 def reference(rule, profile, voter):
-    """A request's result as the rule computes it one profile at a time: the output, or the per-basis loop."""
+    """A request's weights as the rule computes them one profile at a time: the output, or the per-basis loop."""
     if voter is None:
         return rule.evaluate(profile).diagonal
     space = profile.space
@@ -948,8 +957,12 @@ def reference(rule, profile, voter):
     ])
 
 
+def same_statuses(got, want) -> bool:
+    return np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 class TestBatchHook:
-    """A ``responses`` hook answers a batch of profile and voter requests in one call, in order (the dictator's).
+    """A ``statuses`` hook answers a batch of profile and voter requests in one call, in order (the dictator's).
 
     ``qcv`` scores one profile, a piece of its terms a kernel call.
     """
@@ -963,12 +976,12 @@ class TestBatchHook:
         rng = random.Random(f"batch:{m}:{n}:{correlated}")
         requests = mixed_batch(space, n, rng, correlated, profiles=2 if m == 5 else 3)
         rule = dictator_rule(min(n, 2))
-        batched = list(rule.responses(requests))
+        batched = list(rule.statuses(requests, params.eps))
         assert len(batched) == len(requests)
         for (profile, voter), got in zip(requests, batched):
-            (alone,) = rule.responses([(profile, voter)])
-            assert np.array_equal(got, alone)
-            assert np.allclose(got, reference(rule, profile, voter), rtol=0.0, atol=1e-12)
+            (alone,) = rule.statuses([(profile, voter)], params.eps)
+            assert same_statuses(got, alone)
+            assert same_statuses(got, statuses_at(space.alternatives, reference(rule, profile, voter), params.eps))
         # One-cell pieces: every kernel call scores one term's signature, and
         # the weights keep their bits.
         profiles = list({id(profile): profile for profile, _ in requests}.values())
@@ -1004,16 +1017,34 @@ class TestBatchHook:
         rng = random.Random(9)
         requests = mixed_batch(space4, 3, rng, False) + mixed_batch(space4, 3, rng, True)
         rule = dictator_rule(2)
-        for (profile, voter), got in zip(requests, rule.responses(requests)):
+        for (profile, voter), got in zip(requests, rule.statuses(requests, 1e-9)):
             if voter is None:
-                assert np.array_equal(got, rule.evaluate(profile).diagonal)
+                assert same_statuses(got, statuses_at(space4.alternatives, rule.evaluate(profile).diagonal, 1e-9))
             else:
-                (want,) = rule.responses([(profile, voter)])
-                assert np.array_equal(got, want)
+                (want,) = rule.statuses([(profile, voter)], 1e-9)
+                assert same_statuses(got, want)
+
+    def test_dictator_voter_requests_at_m6_hold_no_d_by_d_array(self):
+        # Each row of the dictator's own request is read off the basis table (d x m x m int8), and another
+        # voter's request broadcasts the profile's statuses with no copy: neither builds d x d weights (4 MB).
+        space = RankingSpace(AlternativeSet(tuple("abcdef")))
+        rankings = space.rankings()
+        profile = ProfileState.product_of([mixed_state(space, [(0.5, rankings[k]), (0.5, rankings[-k])]) for k in (1, 2, 3)])
+        rule = dictator_rule(1)
+        for voter in (2, 1):
+            list(rule.statuses([(profile, voter)], 1e-9))  # the basis table and its pair index, built once
+            tracemalloc.start()
+            try:
+                (got,) = rule.statuses([(profile, voter)], 1e-9)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.pairs.shape == (space.dim, 6, 6) and got.winners.shape == (space.dim, 6)
+            assert peak < 200_000, (voter, peak)
 
     def test_empty_batch(self):
-        assert list(qcv_rule(QcvParams(0.05)).statuses([])) == []
-        assert list(dictator_rule(1).responses([])) == []
+        assert list(qcv_rule(QcvParams(0.05)).statuses([], 1e-9)) == []
+        assert list(dictator_rule(1).statuses([], 1e-9)) == []
 
     @pytest.mark.parametrize("error", [InvalidArgument, ZeroMassProjection])
     def test_kernel_errors_propagate(self, space3, monkeypatch, error):
@@ -1041,11 +1072,11 @@ class TestBatchHook:
         requests = [(good[0], None), (good[1], 2), (good[1], 4), (good[1], None)]
         answered = []
         with pytest.raises(InvalidArgument, match="^voter index 4 out of range 1..3$"):
-            answered.extend(dictator_rule(1).responses(requests))
+            answered.extend(dictator_rule(1).statuses(requests, 1e-9))
         assert len(answered) == 2
         answered.clear()
         with pytest.raises(InvalidArgument, match="^voter index 4 out of range 1..3$"):
-            answered.extend(dictator_rule(4).responses(requests[:1] + requests[2:]))
+            answered.extend(dictator_rule(4).statuses(requests[:1] + requests[2:], 1e-9))
         assert answered == []
 
 
@@ -1067,16 +1098,16 @@ class TestStatusesHook:
         weights = [reference(rule, profile, voter) for profile, voter in requests]
         monkeypatch.setattr(welfare, "_folded", refuse)
         monkeypatch.setattr(welfare, "_qcv_rows", refuse)
-        batched = list(rule.statuses(requests))
+        batched = list(rule.statuses(requests, params.eps))
         assert len(batched) == len(requests)
         # A group holds at most _KERNEL_CELLS counts and vertex statuses, and at least one request.
         groups, reached = [], welfare._reached
         monkeypatch.setattr(welfare, "_reached", lambda *args: groups.append(len(args[2])) or reached(*args))
         monkeypatch.setattr(welfare, "_KERNEL_CELLS", 1)
-        split = list(rule.statuses(requests))
+        split = list(rule.statuses(requests, params.eps))
         assert groups == [1] * len(requests)
         for request, got, again, rows in zip(requests, batched, split, weights):
-            (alone,) = rule.statuses([request])
+            (alone,) = rule.statuses([request], params.eps)
             assert np.array_equal(got.pairs, alone.pairs) and np.array_equal(got.winners, alone.winners)
             assert np.array_equal(got.pairs, again.pairs) and np.array_equal(got.winners, again.winners)
             pairs, winners = read_statuses(space.alternatives, rows)
@@ -1084,21 +1115,21 @@ class TestStatusesHook:
             assert (got.winners == winners).all()
 
     def test_errors_wait_for_the_results_before_them(self, space3, space4):
-        # As the responses hook: every result before a refused request is yielded, then the refusal is raised.
+        # As the dictator's hook: every result before a refused request is yielded, then the refusal is raised.
         rankings = space3.rankings()
         good = [ProfileState.basis([rankings[k] for k in key]) for key in ((0, 1, 2), (1, 1, 2))]
         bad = ProfileState.basis([space4.rankings()[5]] * 3)
         answered = []
         with pytest.raises(InvalidArgument, match="^delta 0.1 must be strictly below 1/16 for 4 alternatives$"):
             answered.extend(qcv_rule(QcvParams(0.1)).statuses(
-                [(good[0], None), (good[1], 2), (bad, None), (good[1], None)]
+                [(good[0], None), (good[1], 2), (bad, None), (good[1], None)], 1e-9
             ))
         assert len(answered) == 2
         light = ProfileState.correlated(space3, [(1 / 1001, [rankings[k % 6], rankings[k // 6 % 6]]) for k in range(1001)])
         answered.clear()
         with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
             answered.extend(qcv_rule(QcvParams(0.05, eps=1e-3)).statuses(
-                [(good[0], None), (good[1], 3), (light, 1), (good[0], 1)]
+                [(good[0], None), (good[1], 3), (light, 1), (good[0], 1)], 1e-3
             ))
         assert len(answered) == 2
 
@@ -1114,7 +1145,7 @@ class TestStatusesHook:
         rest = mixed_state(space4, [(1.0, rk(alts, text)) for text in ("b>c>d>a", "c>b>d>a", "d>b>c>a")])
         ballots = [cover] * min(n, 3) if n <= 3 else [cover] * 2 + [rest] * (n - 2)
         profile, params = ProfileState.product_of(ballots), QcvParams.for_alternatives(4)
-        (statuses,) = qcv_rule(params).statuses([(profile, None)])
+        (statuses,) = qcv_rule(params).statuses([(profile, None)], params.eps)
         assert (statuses.winners[0] == EXCLUDED) == excluded
         # The counts the statuses are read from stay exact: their alternating sums over 2^4 sets stay below 2^52.
         counts, _ = welfare._reached(params, welfare._lattice(alts), [(profile, None)])
@@ -1129,7 +1160,7 @@ class TestStatusesHook:
         profile = ProfileState.product_of([uniform] * 12)
         with pytest.raises(ResourceLimit):
             qcv(profile, QcvParams(0.05))
-        (statuses,) = qcv_rule(QcvParams(0.05)).statuses([(profile, None)])
+        (statuses,) = qcv_rule(QcvParams(0.05)).statuses([(profile, None)], 1e-9)
         assert (statuses.winners == UNDECIDED).all()
         assert (statuses.pairs == UNDECIDED).all()
 
