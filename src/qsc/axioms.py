@@ -15,7 +15,7 @@ import time
 from collections.abc import Sequence
 from dataclasses import InitVar, asdict, dataclass, field, fields
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, islice, repeat
 from typing import Callable, Iterable, Iterator
 
@@ -40,7 +40,7 @@ from .hilbert import (
     support_probabilities,
 )
 from .rankings import AlternativeSet, basis_table
-from .welfare import CERTAIN, EXCLUDED, Statuses, WelfareRule, status_of
+from .welfare import CERTAIN, EXCLUDED, Statuses, WelfareRule, _read_statuses, status_of
 
 VERDICT_HOLDS = "holds-on-sample"
 VERDICT_FALSIFIED = "falsified"
@@ -97,32 +97,20 @@ def _record(kind: str, profile: ProfileState, **fields) -> dict:
 
 
 class PreferenceKind(Enum):
-    """How a value on a target reads: certain, excluded or supported.
+    """How a status on a target reads: certain, excluded or supported.
 
-    The same three readings serve ballots and society, the truthfulness
-    clauses of the manipulation search and the sharp and unsharp variants
-    of the Arrow axioms.
+    Both sides of every clause are statuses, a ballot's and society's, and
+    ``welfare.status_of`` is the one place a value is read against eps. The
+    same three readings serve the truthfulness clauses of the manipulation
+    search and the sharp and unsharp variants of the Arrow axioms.
     """
 
     STRONG_POSITIVE = "strong-positive"
     STRONG_NEGATIVE = "strong-negative"
     WEAK = "weak"
 
-    def holds(self, value, eps: float = DEFAULT_EPS):
-        """Whether a value reads as this kind, elementwise for a numpy array.
-
-        Certain (strong-positive) is at least 1 - eps, excluded
-        (strong-negative) at most eps, and supported (weak) above eps, so a
-        certain value is also supported.
-        """
-        if self is PreferenceKind.STRONG_POSITIVE:
-            return value >= 1.0 - eps
-        if self is PreferenceKind.STRONG_NEGATIVE:
-            return value <= eps
-        return value > eps
-
     def reads(self, status):
-        """Whether society's status (``welfare.EXCLUDED``, ``UNDECIDED`` or ``CERTAIN``) reads as this kind,
+        """Whether a status (``welfare.EXCLUDED``, ``UNDECIDED`` or ``CERTAIN``) reads as this kind,
         elementwise for a numpy array: certain, excluded, or anything but excluded."""
         if self is PreferenceKind.STRONG_POSITIVE:
             return status == CERTAIN
@@ -133,21 +121,12 @@ class PreferenceKind(Enum):
 
 # The sharp variant of an Arrow axiom reads certainty, the unsharp one support.
 _VARIANTS = (("sharp", PreferenceKind.STRONG_POSITIVE), ("unsharp", PreferenceKind.WEAK))
-# How a dictatorship counterexample breaks its variant, by whether the voter's value holds
+# How a dictatorship counterexample breaks its variant, by whether the voter's status reads as
 # the variant (True) or society's does (False).
 _DIRECTIONS = {
     "sharp": {True: "voter-certain-society-not", False: "society-holds-voter-not"},
     "unsharp": {True: "voter-supports-society-not", False: "society-supports-voter-not"},
 }
-
-
-def classify_value(value: float, eps: float = DEFAULT_EPS) -> PreferenceKind:
-    """Classify a subspace probability; at the eps boundary the negative wins."""
-    if PreferenceKind.STRONG_NEGATIVE.holds(value, eps):
-        return PreferenceKind.STRONG_NEGATIVE
-    if PreferenceKind.STRONG_POSITIVE.holds(value, eps):
-        return PreferenceKind.STRONG_POSITIVE
-    return PreferenceKind.WEAK
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,13 +176,14 @@ class _Targets:
     (``values``): the basis weight of a state inside each target's
     subspace. A ballot is read from its own weights, and society from the
     weights of the welfare rule's output, so a choice rule's value on an
-    alternative is the natural extension's, at the adapter's eps.
-    Society's side of a clause reads a status (``_Society``): a rule with a
-    ``statuses`` hook gives it, and any other rule's value gives it against
-    eps (``welfare.status_of``). A rule of any other kind than ``kind``,
-    when given, is refused, and so is an eps outside [MIN_EPS, MAX_EPS]. A
-    target is looked up by ``position``, which refuses anything not in
-    ``targets``.
+    alternative is the natural extension's, at the adapter's eps. Both
+    sides of a clause read a status: a voter's is its values read against
+    eps (``voter_statuses``), and society's comes from the rule's
+    ``statuses`` hook, or, for a rule without one, from an exact evaluation
+    read the same way (``_evaluated_statuses``). A rule of any other kind
+    than ``kind``, when given, is refused, and so is an eps outside
+    [MIN_EPS, MAX_EPS]. A target is looked up by ``position``, which
+    refuses anything not in ``targets``.
     """
 
     def __init__(self, rule: WelfareRule | ChoiceRule, space: RankingSpace, eps: float, kind: str | None = None):
@@ -228,6 +208,7 @@ class _Targets:
         self.welfare = rule if pairs else rule.welfare
         self.space = space
         self.eps = eps
+        self._hook = rule.statuses or self._evaluated_statuses
 
     def position(self, target: tuple[str, str] | str) -> int:
         """The position of a target in ``targets``; anything else is refused."""
@@ -245,12 +226,22 @@ class _Targets:
         """A voter's values: those of the basis weights of the voter's marginal ballot."""
         return self.values(profile.partial_ballot(voter).diagonal)
 
+    def voter_statuses(self, profile: ProfileState, voter: int) -> list[int]:
+        """A voter's status on each target, in target order: the voter's values read against eps."""
+        marginal = profile.partial_ballot(voter).diagonal
+        return status_of(support_probabilities(marginal, self._index, self.eps), self.eps).tolist()
+
     def _evaluated(self, profile: ProfileState) -> np.ndarray:
         """The basis weights of the welfare rule's exact output, refused unless a distribution within eps."""
         return diagonal_state(self.space, self.welfare.evaluate(profile).diagonal, self.eps).diagonal
 
-    def read(self, profiles: list[ProfileState]) -> Iterable[Statuses | np.ndarray]:
-        """What society's side reads on each profile, in order, for every adapter of the rule's welfare rule.
+    def _evaluated_statuses(self, requests: list[tuple[ProfileState, None]], eps: float) -> Iterator[Statuses]:
+        """The hook of a rule without one: each profile's exact evaluation read against eps, as it is reached."""
+        for profile, _ in requests:
+            yield _read_statuses(self.space.alternatives, self._evaluated(profile), eps)
+
+    def read(self, profiles: list[ProfileState]) -> Iterable[Statuses]:
+        """Society's statuses on each profile, in order, for every adapter of the rule's welfare rule.
 
         A rule with a ``statuses`` hook decides every profile in one hook
         call at the adapter's eps; any other rule's welfare rule evaluates
@@ -259,26 +250,19 @@ class _Targets:
         """
         for profile in profiles:
             check_profile_space(profile, self.space, "check's")
-        if self.rule.statuses is not None:
-            return self.rule.statuses([(p, None) for p in profiles], self.eps)
-        return map(self._evaluated, profiles)
+        return self._hook([(p, None) for p in profiles], self.eps)
 
-    def society_of(self, profile: ProfileState, found: Statuses | np.ndarray) -> "_Society":
-        """Society on a profile, from what ``read`` gave for it."""
-        if self.rule.statuses is not None:
-            return _Society(self, profile, self.target_statuses(found).tolist())
-        values = support_probabilities(found, self._index, self.eps)
-        return _Society(self, profile, status_of(values, self.eps).tolist(), values.tolist())
+    def society_of(self, profile: ProfileState, found: Statuses) -> "_Society":
+        """Society on a profile, from the statuses ``read`` gave for it."""
+        return _Society(self, profile, self.target_statuses(found).tolist())
 
     def societies(self, profiles: list[ProfileState]) -> Iterator["_Society"]:
         """Society on each profile, in order, read as they are reached (``read``)."""
         return map(self.society_of, profiles, self.read(profiles))
 
     def society(self, profile: ProfileState) -> "_Society":
-        """Society on one profile: from the ``statuses`` hook, or else from an exact evaluation."""
-        if self.rule.statuses is not None:
-            return next(self.societies([profile]))
-        return self.society_of(profile, self._evaluated(profile))
+        """Society on one profile."""
+        return next(self.societies([profile]))
 
     def society_values(self, profile: ProfileState) -> list[float]:
         """Society's values on one profile, from an exact evaluation of the welfare rule."""
@@ -294,19 +278,15 @@ class _Targets:
 class _Society:
     """Society on one profile: its status on each target, which clauses read, and its values, which records hold.
 
-    A rule with a ``statuses`` hook gives the statuses, and its values come
-    from an exact evaluation the first time a record reads them. Any other
-    rule gives its values, and the statuses they read as against eps.
+    The values come from an exact evaluation the first time a record reads them.
     """
 
-    def __init__(self, adapter: _Targets, profile: ProfileState, statuses: list[int], values=None):
-        self.adapter, self.profile, self.statuses, self._values = adapter, profile, statuses, values
+    def __init__(self, adapter: _Targets, profile: ProfileState, statuses: list[int]):
+        self.adapter, self.profile, self.statuses = adapter, profile, statuses
 
-    @property
+    @cached_property
     def values(self) -> list[float]:
-        if self._values is None:
-            self._values = self.adapter.society_values(self.profile)
-        return self._values
+        return self.adapter.society_values(self.profile)
 
 
 def _batches(draws: Iterator, first: int | None = None) -> Iterator[list]:
@@ -622,22 +602,21 @@ class SuiteReport(_Report):
 def _fired(
     adapter: _Targets, profile: ProfileState, voter: int, statuses: list[int]
 ) -> list[tuple[int, PreferenceKind]]:
-    """The (position, clause) pairs that fire for a voter: the voter's value holds the clause, society's status
-    does not read as it.
+    """The (position, clause) pairs that fire for a voter: the voter's status reads as the clause, society's
+    does not.
 
     A position indexes the adapter's targets, and so society's
-    ``statuses`` (``_Society``) and the voter's values, which are in target
-    order. The clauses are the adapter's (``_Targets.clauses``). A
-    dishonest ballot achieves a fired clause when society's status then
-    reads as it. A certain value is also supported, so both of those
-    clauses can fire for it.
+    ``statuses`` (``_Society``) and the voter's (``_Targets.voter_statuses``),
+    which are in target order. The clauses are the adapter's
+    (``_Targets.clauses``). A dishonest ballot achieves a fired clause when
+    society's status then reads as it. A certain status also reads as
+    supported, so both of those clauses can fire for it.
     """
-    ballot_values, eps = adapter.voter_values(profile, voter), adapter.eps
     return [
         (j, clause)
-        for j, (mine, theirs) in enumerate(zip(ballot_values, statuses))
+        for j, (mine, theirs) in enumerate(zip(adapter.voter_statuses(profile, voter), statuses))
         for clause in adapter.clauses
-        if clause.holds(mine, eps) and not clause.reads(theirs)
+        if clause.reads(mine) and not clause.reads(theirs)
     ]
 
 
@@ -870,11 +849,11 @@ def check_dictatorship(
         for voter in range(1, n_voters + 1):
             if all((voter, variant) in counterexamples for variant, _ in _VARIANTS):
                 continue
-            values = adapter.voter_values(profile, voter)
-            for j, (target, tv, status) in enumerate(zip(adapter.targets, values, society.statuses)):
+            statuses = adapter.voter_statuses(profile, voter)
+            for j, (target, mine, theirs) in enumerate(zip(adapter.targets, statuses, society.statuses)):
                 for variant, kind in _VARIANTS:
-                    voter_holds, society_holds = kind.holds(tv, eps), kind.reads(status)
-                    if voter_holds == society_holds or (voter, variant) in counterexamples:
+                    voter_holds = kind.reads(mine)
+                    if voter_holds == kind.reads(theirs) or (voter, variant) in counterexamples:
                         continue
                     counterexamples[(voter, variant)] = _record(
                         "dictatorship-counterexample",
@@ -883,7 +862,7 @@ def check_dictatorship(
                         voter=voter,
                         target=target,
                         direction=_DIRECTIONS[variant][voter_holds],
-                        voter_value=tv,
+                        voter_value=adapter.voter_values(profile, voter)[j],
                         society_value=society.values[j],
                     )
         if len(counterexamples) == len(_VARIANTS) * n_voters:
@@ -944,10 +923,11 @@ def check_unanimity(
     violations: list[dict] = []
     details = {variant: {"instances": 0, "violations": 0} for variant, _ in _VARIANTS}
     for profile, society in _societies(adapter, draws):
-        marginals = [adapter.voter_values(profile, v) for v in range(1, profile.n_voters + 1)]
-        for j, (target, status, *values) in enumerate(zip(adapter.targets, society.statuses, *marginals)):
+        voters = range(1, profile.n_voters + 1)
+        ballots = [adapter.voter_statuses(profile, v) for v in voters]
+        for j, (target, status, *mine) in enumerate(zip(adapter.targets, society.statuses, *ballots)):
             for variant, kind in _VARIANTS:
-                if not all(kind.holds(v, eps) for v in values):
+                if not all(kind.reads(v) for v in mine):
                     continue
                 details[variant]["instances"] += 1
                 if not kind.reads(status):
@@ -957,7 +937,7 @@ def check_unanimity(
                         profile,
                         variant=variant,
                         target=target,
-                        ballot_values=values,
+                        ballot_values=[adapter.voter_values(profile, v)[j] for v in voters],
                         society_value=society.values[j],
                     ))
     return AxiomReport("unanimity", rule.name, trials, seed, started, violations, details)

@@ -583,13 +583,15 @@ def dictator_rule(voter: int) -> WelfareRule:
     eps. With the dictator's ballot replaced by basis ranking k, society is
     certain of what ranking k places above or tops and excluded from the
     rest; whatever basis ranking another voter casts, the marginal stays, so
-    that voter's rows are the profile's statuses, broadcast.
+    that voter's rows are the profile's statuses, broadcast. Consecutive
+    requests on one profile share one read of its marginal.
     """
     voter = check_voter_index(voter)
     if voter < 1:
         raise InvalidArgument(f"voter index must be positive, got {voter}")
 
     def statuses(requests: Sequence[tuple[ProfileState, int | None]], eps: float) -> Iterator[Statuses]:
+        last = found = None
         for profile, scanned in requests:
             alternatives, d = profile.space.alternatives, profile.space.dim
             if scanned is not None and profile.voter_position(scanned) == voter - 1:
@@ -597,7 +599,8 @@ def dictator_rule(voter: int) -> WelfareRule:
                 tops = np.repeat(np.eye(m, dtype=np.int8), d // m, axis=0)  # the Lehmer blocks
                 yield Statuses(table.above * np.int8(CERTAIN), tops * np.int8(CERTAIN))
                 continue
-            found = _read_statuses(alternatives, profile.partial_ballot(voter).diagonal, eps)
+            if profile is not last:
+                last, found = profile, _read_statuses(alternatives, profile.partial_ballot(voter).diagonal, eps)
             yield found if scanned is None else Statuses(*(np.broadcast_to(a, (d, *a.shape)) for a in found))
 
     return WelfareRule(f"dictator:{voter}", lambda p: p.partial_ballot(voter), statuses=statuses)

@@ -54,7 +54,6 @@ from qsc.axioms import (
     VERDICT_FALSIFIED,
     VERDICT_HOLDS,
     VERDICT_NO_DICTATOR,
-    classify_value,
 )
 from qsc import axioms, choice, hilbert, welfare
 from qsc.hilbert import DEFAULT_EPS, diagonal_state
@@ -139,9 +138,16 @@ def veto_setup(alts3, space3):
     return rule, profile
 
 
+def kind_of(value, eps=1e-9):
+    """The kind a value's status (``status_of``) reads as: excluded, else certain, else supported."""
+    status = status_of(np.array([value]), eps)[0]
+    kinds = (PreferenceKind.STRONG_NEGATIVE, PreferenceKind.STRONG_POSITIVE, PreferenceKind.WEAK)
+    return next(kind for kind in kinds if kind.reads(status))
+
+
 def classify_preference(ballot, x, y, eps=1e-9):
-    """How a ballot reads on ranking x above y, as the manipulation scan classifies it."""
-    return classify_value(support_probability(ballot, pair_projector(ballot.space, x, y), eps), eps)
+    """How a ballot reads on ranking x above y, as the manipulation scan reads its status."""
+    return kind_of(support_probability(ballot, pair_projector(ballot.space, x, y), eps), eps)
 
 
 class TestClassifyPreference:
@@ -166,7 +172,7 @@ class TestClassifyPreference:
 
 
 class TestPreferenceKind:
-    """``PreferenceKind.holds`` defines certain, excluded and supported for every check."""
+    """``PreferenceKind.reads`` of a ``status_of`` status defines certain, excluded and supported for every check."""
 
     @pytest.mark.parametrize("eps", [1e-9, 1e-3])
     def test_thresholds_one_ulp_either_side(self, eps):
@@ -177,28 +183,27 @@ class TestPreferenceKind:
             PreferenceKind.WEAK: [False, False, True, True, True, True],
             PreferenceKind.STRONG_POSITIVE: [False, False, False, False, True, True],
         }
+        statuses = status_of(np.array(low + high), eps)
         for kind, want in expected.items():
-            assert [kind.holds(float(v), eps) for v in low + high] == want
-            elementwise = kind.holds(np.array(low + high), eps)
+            assert [bool(kind.reads(s)) for s in statuses.tolist()] == want
+            elementwise = kind.reads(statuses)
             assert elementwise.dtype == bool and elementwise.tolist() == want
 
     def test_classify_value_lets_the_negative_kind_win(self):
-        assert classify_value(1e-9, 1e-9) is PreferenceKind.STRONG_NEGATIVE
-        assert classify_value(np.nextafter(1e-9, 1.0), 1e-9) is PreferenceKind.WEAK
-        assert classify_value(1.0 - 1e-9, 1e-9) is PreferenceKind.STRONG_POSITIVE
-        # Where excluded and certain overlap, the value is excluded.
-        assert classify_value(0.5, 0.5) is PreferenceKind.STRONG_NEGATIVE
+        assert kind_of(1e-9, 1e-9) is PreferenceKind.STRONG_NEGATIVE
+        assert kind_of(np.nextafter(1e-9, 1.0), 1e-9) is PreferenceKind.WEAK
+        assert kind_of(1.0 - 1e-9, 1e-9) is PreferenceKind.STRONG_POSITIVE
 
 
 class TestFiredClauses:
-    """A clause fires when the voter's value holds it and society's does not, in enum order."""
+    """A clause fires when the voter's status reads as it and society's does not, in enum order."""
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-3])
     def test_clauses_one_ulp_either_side_of_each_threshold(self, alts3, space3, eps):
         sp, sn, weak = PreferenceKind.STRONG_POSITIVE, PreferenceKind.STRONG_NEGATIVE, PreferenceKind.WEAK
         values = [eps, np.nextafter(eps, 1.0), 1.0 - eps, np.nextafter(1.0 - eps, 0.0)]
-        # The clauses fired for each value against society at 0.5 (neither
-        # certain nor excluded), then at 0 (excluded), for a welfare rule.
+        # The clauses fired for each value against society undecided (neither
+        # certain nor excluded), then excluded, for a welfare rule.
         fired = [([sn], []), ([], [weak]), ([sp], [sp, weak]), ([], [weak])]
         inside, outside = (space3.basis_index(rk(alts3, text)) for text in ("a>b>c", "b>a>c"))
         other = basis_state(space3, rk(alts3, "c>b>a"))
@@ -209,7 +214,7 @@ class TestFiredClauses:
                 weights = np.zeros(space3.dim)
                 weights[inside], weights[outside] = value, 1.0 - value
                 profile = ProfileState.product_of([DensityOperator(space3, weights), other])
-                for society, clauses in zip((0.5, 0.0), want):
+                for society, clauses in zip((welfare.UNDECIDED, welfare.EXCLUDED), want):
                     # A choice rule's strong-negative clause is not hunted.
                     clauses = [c for c in clauses if adapter.kind == "welfare" or c is not sn]
                     got = axioms._fired(adapter, profile, 1, [society] * len(adapter.targets))
@@ -1657,6 +1662,11 @@ class TestBatchedSearch:
             for rule in choice_rules:
                 same(lambda variant, search: report_bytes(
                     run_gs_suite(variant(rule), space.alternatives, trials=trials, seed=7), search
+                ))
+            # The Arrow suite reads society's statuses from the hook, or from an exact evaluation without one.
+            for rule in welfare_rules:
+                same(lambda variant, search: report_bytes(
+                    run_arrow_suite(variant(rule), space.alternatives, trials=trials, seed=7), search
                 ))
 
     def test_composition_shares_the_welfare_rules_hook(self, alts3):

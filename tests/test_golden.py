@@ -57,6 +57,8 @@ CASES = {
         ["check", "--axiom", "dictatorship", "--rule", "qcv", *CHECK_FLAGS], None,
     ),
     "suite-arrow-qcv": (["suite", "arrow", "--rule", "qcv", *CHECK_FLAGS], None),
+    # A rule without a statuses hook: its unanimity, IIA and dictatorship records come from exact evaluations.
+    "suite-arrow-veto": (["suite", "arrow", "--rule", "veto:a>b>c", *CHECK_FLAGS], None),
     "check-gs-suite-qcvne-m4": (
         ["check", "--axiom", "gs-suite", "--rule", "qcvne", "--alternatives", "4",
          "--trials", "5", "--seed", "7"],

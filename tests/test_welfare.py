@@ -1024,6 +1024,23 @@ class TestBatchHook:
                 (want,) = rule.statuses([(profile, voter)], 1e-9)
                 assert same_statuses(got, want)
 
+    def test_dictator_reads_a_profile_once_per_run_of_its_requests(self, space4, monkeypatch):
+        # A profile request and three requests of other voters on that profile read the dictator's marginal once;
+        # each voter's rows are still the profile's statuses, broadcast.
+        profile = small_support_profile(space4, 4, random.Random(3), False)
+        read, reads = welfare._read_statuses, []
+
+        def counted(*args):
+            reads.append(args)
+            return read(*args)
+
+        monkeypatch.setattr(welfare, "_read_statuses", counted)
+        found, *rows = dictator_rule(2).statuses([(profile, None), (profile, 1), (profile, 3), (profile, 4)], 1e-9)
+        assert len(reads) == 1
+        for got in rows:
+            assert got.pairs.shape == (space4.dim, 4, 4)
+            assert (got.pairs == found.pairs).all() and (got.winners == found.winners).all()
+
     def test_dictator_voter_requests_at_m6_hold_no_d_by_d_array(self):
         # Each row of the dictator's own request is read off the basis table (d x m x m int8), and another
         # voter's request broadcasts the profile's statuses with no copy: neither builds d x d weights (4 MB).
