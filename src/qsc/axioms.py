@@ -289,31 +289,18 @@ class _Society:
         return self.adapter.society_values(self.profile)
 
 
-def _batches(draws: Iterator, first: int | None = None) -> Iterator[list]:
-    """The draws in batches, for every rule: one hook call scores a hooked rule's batch.
+def _batches(draws: Iterator) -> Iterator[list]:
+    """The draws in batches of ``_BATCH_DRAWS``, for every rule: one hook call scores a hooked rule's batch.
 
-    Batches hold ``_BATCH_DRAWS`` draws, or, given a ``first`` size, start
-    there and double up to ``_BATCH_DRAWS``. A check that stops early starts
-    small, so it scores at most twice the draws it reads in O(log) hook
-    calls; a check that reads every draw while its rule holds (a hunt,
-    unanimity, IIA) takes full batches. A hook bounds the memory of what it
+    A check that reads every draw while its rule holds (a hunt, unanimity,
+    IIA) takes them a batch at a time. A hook bounds the memory of what it
     computes (``welfare._decided`` groups its requests); a batch's size sets
     how many drawn profiles are held at once and how many draws past a stop
     may be scored and dropped.
     """
     cap = _BATCH_DRAWS  # read per call, so a patched value takes effect
-    size = cap if first is None else min(first, cap)
     for draw in draws:
-        yield [draw, *islice(draws, size - 1)]
-        size = min(2 * size, cap)
-
-
-def _societies(
-    adapter: _Targets, draws: Iterator[ProfileState], first: int | None = None
-) -> Iterator[tuple[ProfileState, _Society]]:
-    """Each drawn profile with society on it, a batch at a time (``_batches`` from ``first``)."""
-    for batch in _batches(draws, first):
-        yield from zip(batch, adapter.societies(batch))
+        yield [draw, *islice(draws, cap - 1)]
 
 
 @dataclass(frozen=True)
@@ -832,15 +819,16 @@ def check_dictatorship(
     electorate is read from the first scored draw, and every later draw
     must have its voters: a draw of another electorate is refused before
     any of its voters is read. The scan stops once every voter is
-    eliminated, often within a few draws, so its batches start at one draw
-    and double (``_batches``): it scores at most 2t - 1 draws to read t.
+    eliminated, often within a few draws, so it reads one draw at a time:
+    it draws and scores exactly the t draws it reads, with t hook calls.
     """
     adapter = _Targets(rule, space, eps)
     trials, seed, draws = _draws(sampler, trials, seed)
     started = time.perf_counter()
     counterexamples: dict[tuple[int, str], dict] = {}
     trials_run = 0
-    for profile, society in _societies(adapter, draws, 1):
+    for profile in draws:
+        society = adapter.society(profile)
         trials_run += 1
         if trials_run == 1:
             n_voters = profile.n_voters
@@ -922,24 +910,25 @@ def check_unanimity(
     started = time.perf_counter()
     violations: list[dict] = []
     details = {variant: {"instances": 0, "violations": 0} for variant, _ in _VARIANTS}
-    for profile, society in _societies(adapter, draws):
-        voters = range(1, profile.n_voters + 1)
-        ballots = [adapter.voter_statuses(profile, v) for v in voters]
-        for j, (target, status, *mine) in enumerate(zip(adapter.targets, society.statuses, *ballots)):
-            for variant, kind in _VARIANTS:
-                if not all(kind.reads(v) for v in mine):
-                    continue
-                details[variant]["instances"] += 1
-                if not kind.reads(status):
-                    details[variant]["violations"] += 1
-                    violations.append(_record(
-                        "unanimity-violation",
-                        profile,
-                        variant=variant,
-                        target=target,
-                        ballot_values=[adapter.voter_values(profile, v)[j] for v in voters],
-                        society_value=society.values[j],
-                    ))
+    for batch in _batches(draws):
+        for profile, society in zip(batch, adapter.societies(batch)):
+            voters = range(1, profile.n_voters + 1)
+            ballots = [adapter.voter_statuses(profile, v) for v in voters]
+            for j, (target, status, *mine) in enumerate(zip(adapter.targets, society.statuses, *ballots)):
+                for variant, kind in _VARIANTS:
+                    if not all(kind.reads(v) for v in mine):
+                        continue
+                    details[variant]["instances"] += 1
+                    if not kind.reads(status):
+                        details[variant]["violations"] += 1
+                        violations.append(_record(
+                            "unanimity-violation",
+                            profile,
+                            variant=variant,
+                            target=target,
+                            ballot_values=[adapter.voter_values(profile, v)[j] for v in voters],
+                            society_value=society.values[j],
+                        ))
     return AxiomReport("unanimity", rule.name, trials, seed, started, violations, details)
 
 

@@ -167,8 +167,9 @@ class DensityOperator:
     ``diagonal`` holds the basis weights. A pure state with coherences above
     eps also keeps its unit ``amplitudes``, phase-fixed so that the first
     entry above eps is real and positive; every other state is diagonal.
-    The constructor trusts its arguments: build states with the functions
-    below, or pass a caller's matrix through ``from_matrix``.
+    The constructor checks only the diagonal's length and that every weight
+    and amplitude is finite: build states with the functions below, or pass
+    a caller's matrix through ``from_matrix``.
     """
 
     space: RankingSpace
@@ -180,8 +181,14 @@ class DensityOperator:
         dim = self.space.dim
         if self.diagonal.shape != (dim,):
             raise InvalidArgument(f"diagonal must have length {dim}, got {self.diagonal.shape}")
+        finite = np.isfinite(self.diagonal)
+        if not finite.all():
+            raise InvalidArgument(f"diagonal has non-finite weight {float(self.diagonal[~finite][0])}")
         if self.amplitudes is not None:
             object.__setattr__(self, "amplitudes", _frozen_array(self.amplitudes, np.complex128))
+            finite = np.isfinite(self.amplitudes)
+            if not finite.all():
+                raise InvalidArgument(f"amplitudes have non-finite entry {complex(self.amplitudes[~finite][0])}")
 
     @classmethod
     def from_matrix(

@@ -332,17 +332,13 @@ def _fold(params: QcvParams, profile: ProfileState) -> tuple[np.ndarray, np.ndar
 def _folded(codes: np.ndarray, weights: np.ndarray, rows: np.ndarray, row_weights: np.ndarray):
     """The terms after one more voter: each packed tally plus each of the voter's rows, weights multiplied.
 
-    Equal tallies merge, by ascending tally, their weights added onto 0.0
-    in the order the terms come (tally-major), as ``np.unique`` and
-    ``np.bincount`` would add them. One argsort orders the terms and a
-    comparison of neighbours finds the tallies that meet. Only when two
-    meet does ``np.bincount`` add the weights, each term binned by its
-    tally's place in input order; otherwise each weight is added to 0.0 in
-    sorted order, which gives the same bits. New terms come a cap's worth
-    at a time, so no more than about twice ``hilbert.DEFAULT_SUPPORT_CAP``
-    terms are alive, and more distinct tallies than the cap are refused as
-    they appear. One row only shifts the tallies, which keeps them distinct
-    and in order: merging would change no bit.
+    Equal tallies merge (``np.unique``), by ascending tally, their weights
+    added (``np.bincount``) in the order the terms come, tally-major. New
+    terms come a cap's worth at a time, so no more than about twice
+    ``hilbert.DEFAULT_SUPPORT_CAP`` terms are alive, and more distinct
+    tallies than the cap are refused as they appear. One row only shifts
+    the tallies, which keeps them distinct and in order: merging would
+    change no bit.
     """
     if len(rows) == 1:
         return codes + rows[0], weights * row_weights[0]
@@ -350,21 +346,10 @@ def _folded(codes: np.ndarray, weights: np.ndarray, rows: np.ndarray, row_weight
     out, summed, step = codes[:0], weights[:0], max(1, cap // len(codes))  # a cap's worth of new terms a merge
     for start in range(0, len(rows), step):
         part = slice(start, start + step)
-        terms = np.concatenate([out, (codes[:, None] + rows[part]).ravel()])
-        term_weights = np.concatenate([summed, (weights[:, None] * row_weights[part]).ravel()])
-        # The default kind, as np.unique's: a stable sort loads numpy code that nothing else runs.
-        order = terms.argsort()
-        terms = terms[order]
-        fresh = np.concatenate(([True], terms[1:] != terms[:-1]))  # the first term of each distinct tally
-        out = terms[fresh]
+        out, inverse = np.unique(np.concatenate([out, (codes[:, None] + rows[part]).ravel()]), return_inverse=True)
         if len(out) > cap:
             raise ResourceLimit(f"profile support exceeds {cap} distinct tallies")
-        if len(out) == len(terms):
-            summed = term_weights[order] + 0.0
-        else:
-            place = np.empty_like(order)
-            place[order] = np.cumsum(fresh) - 1
-            summed = np.bincount(place, term_weights)
+        summed = np.bincount(inverse, np.concatenate([summed, (weights[:, None] * row_weights[part]).ravel()]))
     return out, summed
 
 

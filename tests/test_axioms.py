@@ -1769,15 +1769,11 @@ class TestDrawBatches:
     def test_batches_hold_a_fixed_number_of_draws(self, monkeypatch):
         # At every m: the hook, not the batch, bounds what a hook call holds.
         assert [len(batch) for batch in axioms._batches(iter(range(150)))] == [64, 64, 22]
-        # From a first size, batches double up to _BATCH_DRAWS.
-        assert [len(batch) for batch in axioms._batches(iter(range(150)), 1)] == [1, 2, 4, 8, 16, 32, 64, 23]
         streaming(monkeypatch)
         assert [len(batch) for batch in axioms._batches(iter(range(3)))] == [1, 1, 1]
-        assert [len(batch) for batch in axioms._batches(iter(range(3)), 1)] == [1, 1, 1]
 
     def test_dictatorship_draws_at_most_twice_what_it_reads(self, space3, space4):
-        # Its batches start at one draw and double, so every batch it scores but
-        # one is read whole, and the last is read at least in its first draw.
+        # It reads one draw at a time, so it draws exactly the draws it reads.
         stopped = 0
         for space, rule in ((space3, qcv_rule(PARAMS)), (space4, qcvne_rule(QcvParams.for_alternatives(4)))):
             sampler = default_profile_sampler(space, 3)
@@ -1789,7 +1785,7 @@ class TestDrawBatches:
                     return sampler(rng)
 
                 report = check_dictatorship(rule, space, counting, 100, seed)
-                assert len(drawn) <= 2 * report.details["trials_run"] - 1
+                assert len(drawn) == report.details["trials_run"]
                 stopped += report.details["trials_run"] < 100
         assert stopped == 24
         # A dictator survives every draw, and every draw is read.
@@ -1797,6 +1793,21 @@ class TestDrawBatches:
         sampler = default_profile_sampler(space3, 3)
         report = check_dictatorship(dictator_rule(2), space3, lambda rng: drawn.append(0) or sampler(rng), 100, 1)
         assert report.details["trials_run"] == len(drawn) == 100
+
+    def test_dictatorship_never_draws_past_its_stop(self, space4):
+        # qcvne at m=4, seed 2, eliminates every voter on the second draw: a third draw is never made.
+        sampler = default_profile_sampler(space4, 3)
+        drawn = []
+
+        def raising_on_the_third(rng):
+            drawn.append(0)
+            if len(drawn) == 3:
+                raise AssertionError("the scan drew past its stop")
+            return sampler(rng)
+
+        report = check_dictatorship(qcvne_rule(QcvParams.for_alternatives(4)), space4, raising_on_the_third, 100, 2)
+        assert report.verdict == VERDICT_NO_DICTATOR
+        assert report.details["trials_run"] == len(drawn) == 2
 
     def test_witness_in_the_middle_of_a_batch(self, space3, monkeypatch):
         # Ten draws make one batch at m=3; the witness comes from a draw inside

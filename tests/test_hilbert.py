@@ -955,6 +955,16 @@ REFUSALS = {
         "density has negative eigenvalue -0.5",
     ),
     "weights-length": (lambda: DensityOperator(SPACE3, [1.0, 0.0, 0.0]), "diagonal must have length 6, got (3,)"),
+    "weight-nan": (
+        lambda: DensityOperator(SPACE3, [np.nan, 1.0, 0.0, 0.0, 0.0, 0.0]), "diagonal has non-finite weight nan"
+    ),
+    "weight-inf": (
+        lambda: DensityOperator(SPACE3, [np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]), "diagonal has non-finite weight inf"
+    ),
+    "amplitude-nan": (
+        lambda: DensityOperator(SPACE3, [0.5, 0.5, 0, 0, 0, 0], [ROOT2, complex(np.nan, 0.0), 0, 0, 0, 0]),
+        "amplitudes have non-finite entry (nan+0j)",
+    ),
     "diagonal-state-length": (
         lambda: hilbert.diagonal_state(SPACE3, [1.0, 0.0, 0.0]), "diagonal must have length 6, got (3,)"
     ),

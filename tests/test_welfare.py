@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import io
+import json
 import math
 import random
 import re
@@ -35,9 +38,10 @@ from qsc import (
     veto_rule,
 )
 
-from qsc import hilbert, welfare
+from qsc import cli, hilbert, welfare
 from qsc.errors import ZeroMassProjection
 from qsc.rankings import all_rankings, basis_table, ranking_index
+from qsc.serde import parse_profile
 from qsc.serde import serialize_density
 from qsc.welfare import CERTAIN, EXCLUDED, UNDECIDED, WelfareRule, _qcv_rows
 
@@ -603,7 +607,7 @@ def random_voters(rng, n, width, dtype=np.int64, offset=0):
 
 
 class TestFold:
-    """``_folded`` merges by argsort and neighbours, with the bits of the ``np.unique`` fold."""
+    """``_folded`` is the ``np.unique`` and ``np.bincount`` fold: its bits, chunks and refusals are the oracle's."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_the_unique_fold(self, seed):
@@ -662,6 +666,24 @@ class TestFold:
             (got, got_calls), (want, want_calls) = results
             assert got_calls == want_calls
             assert got == want if isinstance(want, str) else same_bits(got, want)
+
+    def test_thousands_of_tallies_through_the_cli(self, monkeypatch, capsys):
+        # 30 voters at m=5, each mixed over the same four rankings, meet in C(33, 3) = 5,456 tallies;
+        # the reports' hashes were taken from the argsort fold that came before np.unique's.
+        rankings = ["a>b>c>d>e", "b>a>c>d>e", "a>b>d>c>e", "e>d>c>b>a"]
+        document = json.dumps({
+            "alternatives": list("abcde"),
+            "voters": [{"mixed": [[w, r] for w, r in zip((1, 1, 1, 2), rankings)]}] * 30,
+        })
+        assert len(welfare._fold(QcvParams.for_alternatives(5), parse_profile(document))[0]) == 5456
+        want = {
+            "qcv": "1d3f14bd914f6538c02fee2e6797c1095eccbb15ccc157e5c0da0f891d11b0a9",
+            "qcvne": "78cc7a74765ad7aafa5368ba32b723c3d59dffd55f746bae170ddf77e00541a1",
+        }
+        for rule, digest in want.items():
+            monkeypatch.setattr("sys.stdin", io.StringIO(document))
+            assert cli.main(["evaluate", "--rule", rule, "--profile", "-"]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def space_of(m):
