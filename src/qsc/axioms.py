@@ -30,11 +30,11 @@ from .hilbert import (
     ProfileState,
     RankingSpace,
     basis_state,
+    check_distribution,
     check_eps,
     check_integer,
     check_profile_space,
     check_voter_index,
-    diagonal_state,
     mixed_state,
     pure_state,
     support_probabilities,
@@ -232,8 +232,16 @@ class _Targets:
         return status_of(support_probabilities(marginal, self._index, self.eps), self.eps).tolist()
 
     def _evaluated(self, profile: ProfileState) -> np.ndarray:
-        """The basis weights of the welfare rule's exact output, refused unless a distribution within eps."""
-        return diagonal_state(self.space, self.welfare.evaluate(profile).diagonal, self.eps).diagonal
+        """The basis weights of the welfare rule's exact output, refused unless it is on the check's
+        alternatives and its weights are a distribution within eps (``check_distribution``)."""
+        output = self.welfare.evaluate(profile)
+        if output.space != self.space:
+            raise InvalidArgument(
+                f"rule {self.welfare.name!r} gave a state on alternatives {output.space.alternatives.names}, "
+                f"not on the check's alternatives {self.space.alternatives.names}"
+            )
+        check_distribution(output.diagonal, self.eps)
+        return output.diagonal
 
     def _evaluated_statuses(self, requests: list[tuple[ProfileState, None]], eps: float) -> Iterator[Statuses]:
         """The hook of a rule without one: each profile's exact evaluation read against eps, as it is reached."""

@@ -243,9 +243,9 @@ class DensityOperator:
         return DensityOperator(self.space, weights, _phase_fixed(moved, np.abs(moved), DEFAULT_EPS))
 
     def validate(self, eps: float = DEFAULT_EPS) -> None:
-        """Raise unless the basis weights are a distribution within eps (``diagonal_state``) and a
+        """Raise unless the basis weights are a distribution within eps (``check_distribution``) and a
         pure state's amplitudes square to them within eps; no dense matrix is built."""
-        _distribution(self.space, self.diagonal, eps)
+        check_distribution(self.diagonal, eps)
         squares = self.diagonal if self.amplitudes is None else np.abs(self.amplitudes) ** 2
         if not (squares.shape == self.diagonal.shape and np.abs(squares - self.diagonal).max() <= eps):
             raise InvalidArgument("amplitudes do not square to the basis weights within tolerance")
@@ -354,22 +354,22 @@ def basis_state(space: RankingSpace, ranking: Ranking) -> DensityOperator:
     return DensityOperator(space, diag)
 
 
-def _distribution(space: RankingSpace, diag: np.ndarray, eps: float) -> np.ndarray:
-    """The basis weights as float64, refused unless they are a distribution on the space within eps."""
-    vec = np.asarray(diag, dtype=np.float64)
-    if vec.shape != (space.dim,):
-        raise InvalidArgument(f"diagonal must have length {space.dim}, got {vec.shape}")
-    if not float(vec.min()) >= -eps:
-        raise InvalidArgument(f"diagonal has negative weight {float(vec.min())}")
-    total = float(vec.sum())
+def check_distribution(weights: np.ndarray, eps: float) -> None:
+    """Refuse a state's basis weights (finite float64, as ``DensityOperator`` keeps them) unless none is
+    below -eps and they sum to 1 within eps."""
+    if not float(weights.min()) >= -eps:
+        raise InvalidArgument(f"diagonal has negative weight {float(weights.min())}")
+    total = float(weights.sum())
     if not abs(total - 1.0) <= eps:
         raise InvalidArgument(f"diagonal weights sum to {total}, expected 1")
-    return vec
 
 
 def diagonal_state(space: RankingSpace, diag: np.ndarray, eps: float = DEFAULT_EPS) -> DensityOperator:
-    """Density with the given (already normalized) basis weights."""
-    return DensityOperator(space, _distribution(space, diag, eps))
+    """Density with the given (already normalized) basis weights: the constructor refuses a wrong length or a
+    non-finite weight, then ``check_distribution`` a weight below -eps or a sum off 1."""
+    state = DensityOperator(space, diag)
+    check_distribution(state.diagonal, eps)
+    return state
 
 
 def support_probability(state: DensityOperator, projector: Subspace, eps: float = DEFAULT_EPS) -> float:

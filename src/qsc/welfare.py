@@ -384,22 +384,19 @@ def qcv(profile: ProfileState, params: QcvParams) -> DensityOperator:
     return diagonal_state(space, result, params.eps)
 
 
-@dataclass(frozen=True, eq=False)
-class _Lattice:
-    """The 2^m sets of alternatives as bit masks (bit z for alternative z), and the tables ``_decided`` reads.
-
-    Ranking k's set above x holds the alternatives it places above x.
-    """
-
-    counts: np.ndarray  # d x m*2^m, 0/1: ranking k's set above x contains set c (column x * 2^m + c)
-    inside: np.ndarray  # m x 2^m x d: ``counts`` by x, transposed
-    zeta: np.ndarray  # 2^m x 2^m, 0/1: set s contains set c (row s, column c)
-    parity: np.ndarray  # 2^m: (-1)^|c|
-    above: np.ndarray  # d x m intp: ranking k's set above x
-
-
 @lru_cache(maxsize=64)
-def _lattice(alternatives: AlternativeSet) -> _Lattice:
+def _lattice(alternatives: AlternativeSet) -> tuple[np.ndarray, ...]:
+    """The tables ``_decided`` reads on the 2^m sets of alternatives: ``(counts, inside, zeta, parity, above)``.
+
+    A set is a bit mask, bit z for alternative z, and ranking k's set above
+    x holds the alternatives it places above x. ``counts`` (d x m*2^m, 0/1)
+    is 1 where ranking k's set above x contains set c (column x * 2^m + c),
+    and ``inside`` (m x 2^m x d) is ``counts`` by x, transposed and kept
+    contiguous, as the voter rows' matmul reads it. ``zeta`` (2^m x 2^m,
+    0/1) is 1 where set s contains set c (row s, column c), ``parity`` (2^m)
+    is (-1)^|c|, and ``above`` (d x m, intp) is ranking k's set above x.
+    Built once per alternative set and kept, as the basis table is.
+    """
     table = basis_table(alternatives)
     d, m, _ = table.above.shape
     sets = np.arange(1 << m)
@@ -409,72 +406,65 @@ def _lattice(alternatives: AlternativeSet) -> _Lattice:
     for _ in range(m):
         parity = np.concatenate([parity, -parity])
     counts = zeta[above]  # d x m x 2^m
-    return _Lattice(
-        counts=counts.reshape(d, -1),
-        inside=counts.transpose(1, 2, 0).copy(),
-        zeta=zeta,
-        parity=parity,
-        above=above,
-    )
+    return counts.reshape(d, -1), counts.transpose(1, 2, 0).copy(), zeta, parity, above
 
 
-def _reached(
-    params: QcvParams, lattice: _Lattice, group: list[tuple[ProfileState, int | None]]
-) -> tuple[np.ndarray, int]:
+def _reached(params: QcvParams, lattice: tuple[np.ndarray, ...], group: list[tuple[ProfileState, int | None]]):
     """For each request of a group on one space and electorate, the sets reached above each x, in zeta form
-    (k x m x 2^m), and how many requests lead the first whose kept support is empty (k when none is).
+    (k x m x 2^m), read off the ``_lattice`` tables.
 
     A request's position is None or its voter's factor or joint column.
     The kept support is what ``_fold`` folds: each voter's basis weights
-    above eps, or a correlated profile's joint keys above eps. A
-    term is one kept ranking per voter, and it reaches, for each x, the set
-    of alternatives all its voters place above x; a voter request leaves
-    the voter out, so with no voter left every x reaches the set of all
+    above eps, or a correlated profile's joint keys above eps. A term is
+    one kept ranking per voter, and it reaches, for each x, the set of
+    alternatives all its voters place above x; a voter request leaves the
+    voter out, so with no voter left every x reaches the set of all
     alternatives. Row x holds the zeta transform of a positive weight on
     each reached set: entry c sums the weights of the reached sets that
-    contain set c. A correlated profile weighs each set by its kept joint
-    keys. A product profile weighs it by its terms, folded one voter at a
-    time: a term and a kept ranking of the next voter both contain c in as
-    many ways as the product of their counts, so each voter multiplies the
-    row by its counts. Before a product could pass 2^52 / 2^m, where the
-    sums ``_decided`` reads stop being exact in float64, the weights are
-    reset to 1 on each reached set (the Mobius inversion, then ``zeta``).
+    contain set c, so entry 0, at the empty set, is 0 exactly when the
+    request keeps no term. A correlated profile weighs each set by its kept
+    joint keys. A product profile weighs it by its terms, folded one voter
+    at a time: a term and a kept ranking of the next voter both contain c
+    in as many ways as the product of their counts, so each voter
+    multiplies the row by its counts, and a voter that keeps nothing zeroes
+    it. Before a product could pass 2^52 / 2^m, where the sums ``_decided``
+    reads stop being exact in float64, the weights are reset to 1 on each
+    reached set (the Mobius inversion, then ``zeta``), which keeps entry 0
+    positive.
     """
-    m, sets = lattice.above.shape[1], len(lattice.zeta)
+    contains, _, zeta, parity, above = lattice
+    m, sets = above.shape[1], len(zeta)
     n = group[0][0].n_voters
-    reached, empty = np.zeros((len(group), m, sets)), np.zeros(len(group), dtype=bool)
+    reached = np.zeros((len(group), m, sets))
     product = [i for i, (profile, _) in enumerate(group) if profile.joint is None]
     if product:
         diagonals = np.array([ballot.diagonal for i in product for ballot in group[i][0].factors])
-        counts = ((diagonals > params.eps) @ lattice.counts).reshape(len(product), n, m, sets)
+        counts = ((diagonals > params.eps) @ contains).reshape(len(product), n, m, sets)
         left_out = [(row, group[i][1]) for row, i in enumerate(product) if group[i][1] is not None]
         if left_out:
             counts[tuple(zip(*left_out))] = 1.0  # the set of all alternatives contains every set
-        kept = counts[:, :, 0, 0]  # each voter's kept rankings
-        empty[product] = (kept < 0.5).any(axis=1)
         folded, bound = np.ones((len(product), m, sets)), 1.0  # the set of all alternatives
-        for voter, most in enumerate(kept.max(axis=0).tolist()):
+        for voter, most in enumerate(counts[:, :, 0, 0].max(axis=0).tolist()):  # the most rankings a voter keeps
             if bound * most * sets >= 2.0**52:
                 # The Mobius inversion of zeta, (-1)^|s - c| = (-1)^|s| (-1)^|c| where s contains c.
-                mobius = lattice.zeta * np.outer(lattice.parity, lattice.parity)
-                folded, bound = (folded @ mobius > 0.5) @ lattice.zeta, float(sets)
+                mobius = zeta * np.outer(parity, parity)
+                folded, bound = (folded @ mobius > 0.5) @ zeta, float(sets)
             folded *= counts[:, voter]
             bound *= most
         reached[product] = folded
     joint = [(i, pos, [key for w, key in profile.joint if w > params.eps]) for i, (profile, pos) in enumerate(group)
              if profile.joint is not None]
-    empty[[i for i, _, keys in joint if not keys]] = True
     if any(keys for _, _, keys in joint):
         terms = [(i, pos) for i, pos, keys in joint for _ in keys]
         rankings = np.array([key for _, _, keys in joint for key in keys], dtype=np.intp).reshape(len(terms), n)
-        above = lattice.above[rankings]  # terms x n x m
+        term_above = above[rankings]  # terms x n x m
         left_out = [(t, pos) for t, (_, pos) in enumerate(terms) if pos is not None]
         if left_out:
-            above[tuple(zip(*left_out))] = sets - 1  # the set of all alternatives
+            term_above[tuple(zip(*left_out))] = sets - 1  # the set of all alternatives
         counted = [(i, len(keys)) for i, _, keys in joint if keys]  # terms come request by request
         starts = list(accumulate([count for _, count in counted[:-1]], initial=0))
-        reached[[i for i, _ in counted]] = np.add.reduceat(lattice.zeta[np.bitwise_and.reduce(above, axis=1)], starts)
-    return reached, int(np.argmax(empty)) if empty.any() else len(group)
+        reached[[i for i, _ in counted]] = np.add.reduceat(zeta[np.bitwise_and.reduce(term_above, axis=1)], starts)
+    return reached
 
 
 def _status_rows(unanimous: np.ndarray, certain: np.ndarray, free: np.ndarray) -> Statuses:
@@ -505,10 +495,13 @@ def _decided(params: QcvParams, requests: Iterable[tuple[ProfileState, int | Non
     over ``parity`` counts. A voter request reads the sets of the other
     voters, and its row k casts basis ranking k for the voter: it keeps the
     reached sets that meet ranking k's set above x in nothing, which the
-    same sum, taken over the subsets of ranking k's set, counts. A ``QscError`` (a
-    delta too large for the space's m, as the kernel refuses it, a voter
-    out of range, a profile that keeps nothing) is raised after every
-    earlier request's result is yielded.
+    same sum, taken over the subsets of ranking k's set, counts. A request
+    keeps nothing when its count at the empty set, ``reached[:, 0, 0]``, is
+    0; a voter request counts its own voter as the set of all alternatives,
+    so only the other voters' ballots can empty it. A ``QscError`` (a delta
+    too large for the space's m, as the kernel refuses it, a voter out of
+    range, a profile that keeps nothing) is raised after every earlier
+    request's result is yielded.
     """
     pending, failure = [], None
     try:
@@ -520,7 +513,8 @@ def _decided(params: QcvParams, requests: Iterable[tuple[ProfileState, int | Non
     while pending:
         space, n = pending[0][0].space, pending[0][0].n_voters
         lattice = _lattice(space.alternatives)
-        (d, m), sets = lattice.above.shape, len(lattice.zeta)
+        _, inside, _, parity, above = lattice
+        m, sets, d = inside.shape
         size, cells = 0, 0  # up to _KERNEL_CELLS voter-set counts and vertex statuses a group
         for profile, pos in pending:
             cells += n * m * sets + (0 if pos is None else d * m * m)
@@ -529,7 +523,9 @@ def _decided(params: QcvParams, requests: Iterable[tuple[ProfileState, int | Non
                 break
             size += 1
         group, pending = pending[:size], pending[size:]
-        reached, kept = _reached(params, lattice, group)
+        reached = _reached(params, lattice, group)
+        empty = reached[:, 0, 0] == 0.0  # the requests that keep no term
+        kept = int(np.argmax(empty)) if empty.any() else len(group)
         if kept < len(group):  # raised below, after the requests before it, in place of any later failure
             group, pending, failure = group[:kept], [], InvalidArgument("profile has no diagonal support")
         reached = reached[:kept]
@@ -540,13 +536,13 @@ def _decided(params: QcvParams, requests: Iterable[tuple[ProfileState, int | Non
         rows = [iter(()), iter(())]  # the profile requests' statuses, then the voter requests'
         if not all(voters):
             profiles = np.logical_not(voters)
-            free = reached[profiles] @ lattice.parity > 0.5
+            free = reached[profiles] @ parity > 0.5
             rows[0] = zip(*_status_rows(unanimous[profiles], certain[profiles], free))
         if any(voters):
             # Row k: ranking k cut into each set reached above x, and x certain only where ranking k tops it.
-            free = ((reached[voters] * lattice.parity).transpose(1, 0, 2) @ lattice.inside).transpose(1, 2, 0) > 0.5
-            above = unanimous[voters, None] & basis_table(space.alternatives).above
-            rows[1] = zip(*_status_rows(above, certain[voters, None] & (lattice.above == 0), free))
+            free = ((reached[voters] * parity).transpose(1, 0, 2) @ inside).transpose(1, 2, 0) > 0.5
+            placed = unanimous[voters, None] & basis_table(space.alternatives).above
+            rows[1] = zip(*_status_rows(placed, certain[voters, None] & (above == 0), free))
         for is_voter in voters:
             yield Statuses(*next(rows[is_voter]))
     if failure is not None:

@@ -824,6 +824,23 @@ class TestSocietyIsChecked:
         with pytest.raises(InvalidArgument, match=refused):
             check_onto(compose(doubled), space3.alternatives, n_voters=3)
 
+    def test_a_hookless_output_on_other_alternatives_is_refused(self, space3):
+        # An output on x, y, z has the check's length; read as weights on a, b, c it would falsify unanimity.
+        others = RankingSpace(AlternativeSet(("x", "y", "z")))
+        rule = WelfareRule("other", lambda profile: basis_state(others, others.rankings()[0]))
+        sampler = default_profile_sampler(space3, 3)
+        refused = (
+            r"^rule 'other' gave a state on alternatives \('x', 'y', 'z'\), "
+            r"not on the check's alternatives \('a', 'b', 'c'\)$"
+        )
+        with pytest.raises(InvalidArgument, match=refused):
+            check_unanimity(rule, space3, sampler, 5, seed=1)
+        for check in (check_qic, check_composition_preservation):
+            with pytest.raises(InvalidArgument, match=refused):
+                check(rule, sampler, FAMILY, 5, 1)
+        with pytest.raises(InvalidArgument, match=refused):
+            check_onto(compose(rule), space3.alternatives, n_voters=3)
+
     def test_a_hookless_output_with_nan_weights_is_refused(self, space3):
         def with_nan(profile):
             weights = profile.partial_ballot(1).diagonal.copy()

@@ -968,6 +968,12 @@ REFUSALS = {
     "diagonal-state-length": (
         lambda: hilbert.diagonal_state(SPACE3, [1.0, 0.0, 0.0]), "diagonal must have length 6, got (3,)"
     ),
+    "diagonal-state-nan": (
+        lambda: hilbert.diagonal_state(SPACE3, [np.nan, 1.0, 0.0, 0.0, 0.0, 0.0]), "diagonal has non-finite weight nan"
+    ),
+    "diagonal-state-inf": (
+        lambda: hilbert.diagonal_state(SPACE3, [np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]), "diagonal has non-finite weight inf"
+    ),
     "product-of-nothing": (lambda: ProfileState.product_of([]), "profile needs at least one voter"),
     "product-across-spaces": (
         lambda: ProfileState.product_of([_first_basis(SPACE3), _first_basis(SPACE4)]),

@@ -923,6 +923,25 @@ class TestEpsFilter:
         assert np.array_equal(got.pairs, want.pairs) and np.array_equal(got.winners, want.winners)
         assert [key for _, key in profile.support_tuples(1e-3)] == [(0,) * 6]
 
+    def test_a_voter_request_exempts_the_left_out_voter(self, space3):
+        # Voter 1 casts a ballot that keeps nothing: only the requests that read it are refused.
+        rankings, params = space3.rankings(), QcvParams(0.05)
+        others = [basis_state(space3, rankings[0]), basis_state(space3, rankings[3])]
+        profile = ProfileState.product_of([hilbert.DensityOperator(space3, np.zeros(6)), *others])
+        hook = qcv_rule(params).statuses
+        # Its rows are those of any other ballot for voter 1: row k casts basis ranking k for it.
+        cast = ProfileState.product_of([basis_state(space3, rankings[5]), *others])
+        (statuses,), (want,) = (hook([(p, 1)], params.eps) for p in (profile, cast))
+        assert statuses.pairs.shape == (6, 3, 3) and statuses.winners.shape == (6, 3)
+        assert np.array_equal(statuses.pairs, want.pairs) and np.array_equal(statuses.winners, want.winners)
+        for voter in (2, None):
+            with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
+                list(hook([(profile, voter)], params.eps))
+        answered = []
+        with pytest.raises(InvalidArgument, match="^profile has no diagonal support$"):
+            answered.extend(hook([(profile, 1), (profile, None)], params.eps))
+        assert len(answered) == 1
+
     def test_profile_and_voter_requests_drop_the_same_terms(self, space3):
         # 1,001 terms of weight 1/1001, each below eps 1e-3, on keys that
         # coincide once a voter's column is dropped: both requests keep none.
@@ -1187,7 +1206,7 @@ class TestStatusesHook:
         (statuses,) = qcv_rule(params).statuses([(profile, None)], params.eps)
         assert (statuses.winners[0] == EXCLUDED) == excluded
         # The counts the statuses are read from stay exact: their alternating sums over 2^4 sets stay below 2^52.
-        counts, _ = welfare._reached(params, welfare._lattice(alts), [(profile, None)])
+        counts = welfare._reached(params, welfare._lattice(alts), [(profile, None)])
         assert counts.max() * 16 < 2.0**52
         assert (qcvne(profile, params)["a"] == 0.0) == excluded
         assert (statuses.pairs[~np.eye(4, dtype=bool)] == UNDECIDED).all()
